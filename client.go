@@ -152,7 +152,7 @@ func NewClient(opts ...ClientOption) *Client {
 		artifact.WithRegistry(reg),
 	)
 	if cfg.cacheLimit > 0 {
-		p.Cache().SetLimit(cfg.cacheLimit)
+		p.SetLimit(cfg.cacheLimit)
 	}
 	return &Client{
 		pipeline:   p,

@@ -68,7 +68,7 @@ func runServe(args []string, stdout io.Writer) error {
 			s.Dir(), s.Len())
 	}
 	p := artifact.New(opts...)
-	p.Cache().SetLimit(*cacheLimit)
+	p.SetLimit(*cacheLimit)
 
 	var handlerOpts []api.HandlerOption
 	if *clustered {

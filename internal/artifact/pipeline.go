@@ -7,14 +7,16 @@
 // how many formats or concurrent requests consume it (§4.2's cached
 // generation policy, industrialised).
 //
-// Two layers sit under the render memo for the serve path. A hot-result
-// memo keyed by the raw request answers repeat requests with a fully
-// precomputed Result (shared bytes, content hash, ETag) without touching
-// the registry, and coalesces concurrent misses on the same request into
-// one computation. Below it, an optional content-addressed on-disk store
-// (WithStore) persists every rendered artefact, so a pipeline reopened
-// over a warm store serves previously rendered artefacts from disk
-// without regenerating machines.
+// Every cache tier is an instance of one table, memo.Memo, which states
+// the single-flight, retention, cancellation and eviction rules once. The
+// result tier answers repeat requests with a fully precomputed Result
+// (shared bytes, content hash, ETag) without resolving the model; below it
+// sit the render tier (per fingerprint and format), the EFSM tier and the
+// generation cache (per fingerprint), and beside it the route tier of the
+// clustered serve path. Under the render tier an optional
+// content-addressed on-disk store (WithStore) persists every rendered
+// artefact, so a pipeline reopened over a warm store serves previously
+// rendered artefacts from disk without regenerating machines.
 package artifact
 
 import (
@@ -23,11 +25,13 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"strconv"
 	"sync"
 
 	"asagen/internal/core"
+	"asagen/internal/memo"
 	"asagen/internal/models"
 	"asagen/internal/render"
 	"asagen/internal/store"
@@ -99,11 +103,11 @@ type Stats struct {
 	// Machine reports the generation cache: at most one generation per
 	// distinct model fingerprint, however many formats consume it.
 	Machine core.CacheStats
-	// RenderHits and RenderMisses count rendered-artefact memo lookups;
-	// hits answered by the hot-result memo count here too.
+	// RenderHits and RenderMisses count render-tier lookups; hits
+	// answered by the result tier count as RenderHits too.
 	RenderHits, RenderMisses int64
-	// HotHits counts requests answered entirely from the precomputed
-	// hot-result memo — no registry lookup, no hashing, no render memo.
+	// HotHits counts result-tier hits: requests answered with a
+	// precomputed Result — no model build, no hashing, no render tier.
 	HotHits int64
 	// Store reports the on-disk artifact store; nil when none is attached.
 	Store *store.Stats
@@ -118,23 +122,19 @@ type Pipeline struct {
 	reg     *models.Registry
 	store   *store.Store
 
-	mu      sync.Mutex
-	efsms   map[efsmKey]*efsmEntry
-	renders map[renderKey]*renderEntry
-	// hot maps raw and resolved requests to complete successful Results,
-	// the zero-work fast path for repeat serve traffic; flights coalesces
-	// concurrent misses on one raw request into a single computation.
-	hot     map[Request]Result
-	flights map[Request]*flight
-	// routes memoises cluster routing-key resolution per raw request, so
-	// the clustered serve hot path pays one map hit instead of a registry
-	// build + fingerprint per request. Cleared wherever fingerprints can
-	// change (Purge, PurgeModel, UpdateModel).
-	routes map[Request]routeMemo
-	// epoch guards the hot memo and the store against stale repopulation:
-	// Purge, PurgeModel and UpdateModel bump it, and a computation begun
-	// under an older epoch never writes its result back.
-	epoch uint64
+	// The memo tiers, outermost first. results holds complete successful
+	// Results per request, the zero-work fast path for repeat serve
+	// traffic; routes holds the cluster routing key per request, so the
+	// clustered serve path pays one lookup instead of a model build and
+	// fingerprint per request. Both are keyed by the request with its
+	// parameter resolved (see key), so the raw and resolved forms of one
+	// request share an entry.
+	results memo.Memo[Request, Result]
+	routes  memo.Memo[Request, string]
+	renders memo.Memo[renderKey, rendered]
+	efsms   memo.Memo[efsmKey, *core.EFSM]
+
+	mu sync.Mutex
 	// modelFPs records, per registry name, the machine fingerprints the
 	// pipeline generated for it and the parameter each was generated at,
 	// so PurgeModel can evict a dynamically unregistered model's
@@ -143,20 +143,20 @@ type Pipeline struct {
 	// incremental regeneration.
 	modelFPs map[string]map[core.Fingerprint]int
 
-	renderHits, renderMisses, hotHits int64
+	// epoch counts Purge, PurgeModel and UpdateModel calls. The memo tiers
+	// need no such guard — an entry deleted in flight is never findable
+	// again — but store rows are found by key, not identity: a render that
+	// resolved its model before one of those calls must not persist after
+	// it. persistMu orders each check-and-Put against the increment, which
+	// precedes the store eviction, so a straggler's row is either never
+	// written or written before the eviction that removes it.
+	persistMu sync.RWMutex
+	epoch     uint64
 }
 
 type efsmKey struct {
 	model string
 	param int
-}
-
-// efsmEntry memoises one EFSM build; done is closed when efsm and err are
-// final.
-type efsmEntry struct {
-	done chan struct{}
-	efsm *core.EFSM
-	err  error
 }
 
 // renderKey addresses one rendered artefact. Machine formats are keyed by
@@ -179,19 +179,8 @@ type rendered struct {
 	clen string
 }
 
-// renderEntry memoises one rendered artefact; done is closed when the
-// remaining fields are final.
-type renderEntry struct {
-	done chan struct{}
-	out  rendered
-	err  error
-}
-
-// flight coalesces concurrent misses on one raw request: the first caller
-// computes, the rest wait on done and share the Result.
-type flight struct {
-	done chan struct{}
-	res  Result
+func newRendered(art render.Artifact, sum [sha256.Size]byte) rendered {
+	return rendered{art: art, sum: sum, etag: etagFor(sum), clen: strconv.Itoa(len(art.Data))}
 }
 
 // Option configures a Pipeline.
@@ -212,12 +201,6 @@ func WithJobs(n int) Option {
 // pipelines with different options never share cache entries.
 func WithGenerateOptions(opts ...core.Option) Option {
 	return func(p *Pipeline) { p.genOpts = append([]core.Option(nil), opts...) }
-}
-
-// WithCache substitutes a caller-owned generation cache, e.g. one shared
-// with the version service. Overrides WithGenerateOptions.
-func WithCache(c *core.Cache) Option {
-	return func(p *Pipeline) { p.cache = c }
 }
 
 // WithRegistry substitutes the scenario registry the pipeline resolves
@@ -247,24 +230,16 @@ func New(opts ...Option) *Pipeline {
 	p := &Pipeline{
 		jobs:     runtime.GOMAXPROCS(0),
 		reg:      models.Default(),
-		efsms:    make(map[efsmKey]*efsmEntry),
-		renders:  make(map[renderKey]*renderEntry),
-		hot:      make(map[Request]Result),
-		flights:  make(map[Request]*flight),
-		routes:   make(map[Request]routeMemo),
 		modelFPs: make(map[string]map[core.Fingerprint]int),
 	}
 	for _, opt := range opts {
 		opt(p)
 	}
-	if p.cache == nil {
-		p.cache = core.NewGenerationCache(p.genOpts...)
-	}
+	p.cache = core.NewGenerationCache(p.genOpts...)
 	return p
 }
 
-// Cache returns the pipeline's generation cache, e.g. to bound it with
-// SetLimit for a long-running serve process.
+// Cache returns the pipeline's generation cache.
 func (p *Pipeline) Cache() *core.Cache { return p.cache }
 
 // Registry returns the scenario registry the pipeline resolves model
@@ -274,6 +249,21 @@ func (p *Pipeline) Registry() *models.Registry { return p.reg }
 // Store returns the attached artifact store; nil when none.
 func (p *Pipeline) Store() *store.Store { return p.store }
 
+// SetLimit bounds every memo tier from one number, the machines a
+// long-running serve process may keep: n generated machines and EFSMs,
+// and n × len(render.Formats()) rendered artefacts, Results and routes —
+// every format of every retained machine. Least recently used entries are
+// evicted beyond each bound, so an unbounded parameter stream cannot grow
+// memory without bound. Zero or less (the default) means unbounded.
+func (p *Pipeline) SetLimit(n int) {
+	artefacts := n * len(render.Formats())
+	p.cache.SetLimit(n)
+	p.efsms.SetLimit(n)
+	p.renders.SetLimit(artefacts)
+	p.results.SetLimit(artefacts)
+	p.routes.SetLimit(artefacts)
+}
+
 // Stats returns a snapshot of the pipeline's cache counters.
 func (p *Pipeline) Stats() Stats {
 	var st *store.Stats
@@ -281,13 +271,12 @@ func (p *Pipeline) Stats() Stats {
 		s := p.store.Stats()
 		st = &s
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	results, renders := p.results.Stats(), p.renders.Stats()
 	return Stats{
 		Machine:      p.cache.Stats(),
-		RenderHits:   p.renderHits,
-		RenderMisses: p.renderMisses,
-		HotHits:      p.hotHits,
+		RenderHits:   results.Hits + renders.Hits,
+		RenderMisses: renders.Misses,
+		HotHits:      results.Hits,
 		Store:        st,
 	}
 }
@@ -295,18 +284,18 @@ func (p *Pipeline) Stats() Stats {
 // Purge drops every memoised machine, EFSM and rendered artefact,
 // including the rows and blobs of an attached store.
 func (p *Pipeline) Purge() {
-	p.mu.Lock()
-	p.cache.Purge()
-	p.efsms = make(map[efsmKey]*efsmEntry)
-	p.renders = make(map[renderKey]*renderEntry)
-	p.hot = make(map[Request]Result)
-	p.routes = make(map[Request]routeMemo)
-	p.modelFPs = make(map[string]map[core.Fingerprint]int)
-	p.epoch++
-	p.mu.Unlock()
+	p.advanceEpoch()
 	if p.store != nil {
 		p.store.Purge()
 	}
+	p.mu.Lock()
+	p.modelFPs = make(map[string]map[core.Fingerprint]int)
+	p.mu.Unlock()
+	p.cache.Purge()
+	p.results.Purge()
+	p.routes.Purge()
+	p.renders.Purge()
+	p.efsms.Purge()
 }
 
 // PurgeModel drops every memoised machine, EFSM and rendered artefact
@@ -319,43 +308,37 @@ func (p *Pipeline) PurgeModel(name string) int {
 	p.mu.Lock()
 	fps := p.modelFPs[name]
 	delete(p.modelFPs, name)
-	for key := range p.renders {
-		if key.model == name {
-			delete(p.renders, key)
-			continue
-		}
-		if _, ok := fps[key.fp]; ok {
-			delete(p.renders, key)
-		}
-	}
-	for key := range p.efsms {
-		if key.model == name {
-			delete(p.efsms, key)
-		}
-	}
-	for req := range p.hot {
-		if req.Model == name {
-			delete(p.hot, req)
-		}
-	}
-	for req := range p.routes {
-		if req.Model == name {
-			delete(p.routes, req)
-		}
-	}
-	p.epoch++
 	p.mu.Unlock()
-
+	p.evictDerived(name, fps)
 	dropped := 0
 	for fp := range fps {
 		if p.cache.Drop(fp) {
 			dropped++
 		}
 	}
+	return dropped
+}
+
+// evictDerived drops everything derived from the registry entry under
+// name, given the machine fingerprints recorded for it: the store's rows
+// and every memo tier's entries, generated machines excepted. The store
+// goes first, so an entry created after the tiers are swept can only have
+// read an already-evicted store; computations in flight across the sweep
+// complete for their waiters and are never findable again.
+func (p *Pipeline) evictDerived(name string, fps map[core.Fingerprint]int) {
+	p.advanceEpoch()
 	if p.store != nil {
 		p.store.EvictModel(name, fpHexSet(fps))
 	}
-	return dropped
+	named := func(req Request) bool { return req.Model == name }
+	p.results.DeleteFunc(named)
+	p.routes.DeleteFunc(named)
+	p.efsms.DeleteFunc(func(key efsmKey) bool { return key.model == name })
+	// EFSM renders are keyed by model name, machine renders by fingerprint.
+	p.renders.DeleteFunc(func(key renderKey) bool {
+		_, ok := fps[key.fp]
+		return ok || key.model == name
+	})
 }
 
 // fpHexSet renders a fingerprint set in the store's hex key form.
@@ -370,10 +353,31 @@ func fpHexSet(fps map[core.Fingerprint]int) map[string]bool {
 	return set
 }
 
-// isCancellation reports whether err stems from context cancellation, the
-// one error class that is never memoised.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+func (p *Pipeline) advanceEpoch() {
+	p.persistMu.Lock()
+	p.epoch++
+	p.persistMu.Unlock()
+}
+
+func (p *Pipeline) currentEpoch() uint64 {
+	p.persistMu.RLock()
+	defer p.persistMu.RUnlock()
+	return p.epoch
+}
+
+// persist writes one rendered artefact to the attached store, unless the
+// epoch it was resolved under has passed (see Pipeline.epoch).
+func (p *Pipeline) persist(epoch uint64, skey store.Key, out rendered) {
+	if p.store == nil {
+		return
+	}
+	p.persistMu.RLock()
+	defer p.persistMu.RUnlock()
+	if p.epoch == epoch {
+		// Persist errors degrade to an unpersisted artefact and are
+		// counted by the store; the response is unaffected.
+		_ = p.store.Put(skey, out.art.Data, out.sum, out.art.MediaType, out.art.Ext)
+	}
 }
 
 // etagFor renders the strong HTTP entity validator for a content sum.
@@ -382,11 +386,11 @@ func etagFor(sum [sha256.Size]byte) string {
 }
 
 // Render produces the artefact for one request. Repeat requests are
-// answered from a precomputed hot memo; concurrent first requests for the
-// same raw request coalesce into one computation. Below that, generation
-// is memoised per model fingerprint and rendering per (fingerprint,
-// format), both single-flight, with an optional on-disk store probed
-// before machines are generated.
+// answered from the result tier; concurrent first requests for the same
+// request coalesce into one computation. Below that, generation is
+// memoised per model fingerprint and rendering per (fingerprint, format),
+// both single-flight, with an optional on-disk store probed before
+// machines are generated.
 //
 // Cancelling ctx aborts an in-flight generation promptly; the aborted
 // computation leaves no cache entry, and Result.Err carries ctx.Err().
@@ -400,156 +404,195 @@ func (p *Pipeline) Render(ctx context.Context, req Request) Result {
 	if err := ctx.Err(); err != nil {
 		return Result{Request: req, Err: err}
 	}
-	for {
-		p.mu.Lock()
-		if res, ok := p.hot[req]; ok {
-			p.renderHits++
-			p.hotHits++
-			p.mu.Unlock()
-			return res
-		}
-		f, waiting := p.flights[req]
-		if !waiting {
-			f = &flight{done: make(chan struct{})}
-			p.flights[req] = f
-		}
-		epoch := p.epoch
-		p.mu.Unlock()
-
-		if waiting {
-			select {
-			case <-f.done:
-				if isCancellation(f.res.Err) && ctx.Err() == nil {
-					continue // the leader was cancelled, not us: retry
-				}
-				return f.res
-			case <-ctx.Done():
-				return Result{Request: req, Err: ctx.Err()}
-			}
-		}
-
-		res := p.render(ctx, req)
-		p.mu.Lock()
-		if cur, ok := p.flights[req]; ok && cur == f {
-			delete(p.flights, req)
-		}
-		if res.Err == nil && p.epoch == epoch {
-			p.hot[req] = res
-			p.hot[res.Request] = res
-		}
-		p.mu.Unlock()
-		f.res = res
-		close(f.done)
-		return res
-	}
+	return p.serve(ctx, req)
 }
 
-// render is the slow path behind the hot memo: resolve the request
-// against the registry and produce the artefact through the render memo.
-func (p *Pipeline) render(ctx context.Context, req Request) Result {
-	res := Result{Request: req}
-	entry, err := p.reg.Get(req.Model)
-	if err != nil {
-		res.Err = fmt.Errorf("%w: %q (known: %v)", ErrUnknownModel, req.Model, p.reg.Names())
+// serve answers req from the result tier, computing it on first use.
+func (p *Pipeline) serve(ctx context.Context, req Request) Result {
+	key := p.key(req)
+	// Get before Do: a hit returns here without building Do's closure or
+	// passing the Result through it, which the warm batch path measures.
+	if res, ok := p.results.Get(key); ok {
 		return res
 	}
-	if req.Param <= 0 {
-		req.Param = entry.DefaultParam
-		res.Request = req
+	res, err := p.results.Do(ctx, key, func() (Result, error) {
+		res := p.render(ctx, key)
+		return res, res.Err
+	})
+	if err != nil && res.Err == nil {
+		// This caller's own context ended while it waited on another's run.
+		return Result{Request: req, Err: err}
 	}
-	if !render.Known(req.Format) {
-		res.Err = fmt.Errorf("%w: %q (known: %v)", ErrUnknownFormat, req.Format, render.Formats())
-		return res
-	}
-
-	if render.IsEFSMFormat(req.Format) {
-		if entry.EFSM == nil {
-			res.Err = fmt.Errorf("%w: %q", ErrNoEFSM, req.Model)
-			return res
-		}
-		key := renderKey{model: req.Model, param: req.Param, format: req.Format}
-		skey := store.Key{Model: req.Model, Param: req.Param, Format: req.Format}
-		res.apply(p.renderMemo(ctx, key, skey, func() (render.Artifact, error) {
-			efsm, err := p.efsmFor(ctx, entry, req.Param)
-			if err != nil {
-				return render.Artifact{}, err
-			}
-			r, err := render.NewEFSM(req.Format)
-			if err != nil {
-				return render.Artifact{}, fmt.Errorf("%w: %v", ErrRender, err)
-			}
-			a, err := r.RenderEFSM(efsm)
-			if err != nil {
-				return render.Artifact{}, fmt.Errorf("%w: %v", ErrRender, err)
-			}
-			return a, nil
-		}))
-		return res
-	}
-
-	model, err := entry.Build(req.Param)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res.Fingerprint = p.cache.Fingerprint(model)
-	p.recordFingerprint(req.Model, req.Param, res.Fingerprint)
-	key := renderKey{fp: res.Fingerprint, format: req.Format}
-	skey := store.Key{Model: req.Model, Param: req.Param, Format: req.Format, Fingerprint: res.Fingerprint.String()}
-	res.apply(p.renderMemo(ctx, key, skey, func() (render.Artifact, error) {
-		machine, err := p.cache.MachineForFingerprint(ctx, res.Fingerprint, model)
-		if err != nil {
-			return render.Artifact{}, err
-		}
-		r, err := render.New(req.Format)
-		if err != nil {
-			return render.Artifact{}, fmt.Errorf("%w: %v", ErrRender, err)
-		}
-		a, err := r.Render(machine)
-		if err != nil {
-			return render.Artifact{}, fmt.Errorf("%w: %v", ErrRender, err)
-		}
-		return a, nil
-	}))
 	return res
 }
 
-// apply copies a memoised render outcome into the Result.
-func (r *Result) apply(out rendered, err error) {
-	r.Artifact, r.Sum, r.ETag, r.ContentLength, r.Err = out.art, out.sum, out.etag, out.clen, err
+// key returns the result- and route-tier key for req: the request with a
+// non-positive parameter replaced by the model's default, so the raw and
+// resolved forms of one request share one entry. The key is settled before
+// the entry is created and the entry before resolve reads the registry, so
+// whatever a later PurgeModel or UpdateModel finds under the model's name
+// covers every computation that saw the departing registry entry. An
+// unknown model keeps the raw form; resolve then classifies the failure.
+func (p *Pipeline) key(req Request) Request {
+	if req.Param <= 0 {
+		if _, param, err := p.entryFor(req.Model, req.Param); err == nil {
+			req.Param = param
+		}
+	}
+	return req
 }
 
-// efsmFor memoises the EFSM generalisation per (model, param),
-// single-flight. As in the generation cache, a build aborted by context
-// cancellation is dropped rather than memoised, and waiters stop waiting
-// when their own context is cancelled.
-func (p *Pipeline) efsmFor(ctx context.Context, entry models.Entry, param int) (*core.EFSM, error) {
-	key := efsmKey{model: entry.Name, param: param}
-	p.mu.Lock()
-	e, ok := p.efsms[key]
-	if ok {
-		p.mu.Unlock()
-		select {
-		case <-e.done:
-			return e.efsm, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	e = &efsmEntry{done: make(chan struct{})}
-	p.efsms[key] = e
-	p.mu.Unlock()
+// resolution is a request resolved against the registry: the entry, the
+// effective parameter and, for machine formats, the built model and its
+// fingerprint (EFSM formats bypass machine generation and leave both zero).
+type resolution struct {
+	req   Request
+	entry models.Entry
+	model core.Model
+	fp    core.Fingerprint
+}
 
-	e.efsm, e.err = entry.EFSM(ctx, param)
-	if e.err != nil && isCancellation(e.err) {
-		p.mu.Lock()
-		if cur, ok := p.efsms[key]; ok && cur == e {
-			delete(p.efsms, key)
-		}
-		p.mu.Unlock()
+// resolve classifies req with the package's sentinel errors and builds
+// what rendering, routing and probing it all need. On failure the
+// resolution is filled in as far as resolution got.
+func (p *Pipeline) resolve(req Request) (resolution, error) {
+	r := resolution{req: req}
+	var err error
+	if r.entry, r.req.Param, err = p.entryFor(req.Model, req.Param); err != nil {
+		return r, err
 	}
-	close(e.done)
-	return e.efsm, e.err
+	if !render.Known(req.Format) {
+		return r, fmt.Errorf("%w: %q (known: %v)", ErrUnknownFormat, req.Format, render.Formats())
+	}
+	if render.IsEFSMFormat(req.Format) {
+		if r.entry.EFSM == nil {
+			return r, fmt.Errorf("%w: %q", ErrNoEFSM, req.Model)
+		}
+		return r, nil
+	}
+	r.model, r.fp, err = p.build(r.entry, r.req.Param)
+	return r, err
+}
+
+// entryFor looks the model up in the registry and resolves a non-positive
+// parameter to the entry's default.
+func (p *Pipeline) entryFor(name string, param int) (models.Entry, int, error) {
+	entry, err := p.reg.Get(name)
+	if err != nil {
+		return entry, param, fmt.Errorf("%w: %q (known: %v)", ErrUnknownModel, name, p.reg.Names())
+	}
+	if param <= 0 {
+		param = entry.DefaultParam
+	}
+	return entry, param, nil
+}
+
+// build constructs the entry's model at param and fingerprints it,
+// tracking the fingerprint under the entry's name.
+func (p *Pipeline) build(entry models.Entry, param int) (core.Model, core.Fingerprint, error) {
+	model, err := entry.Build(param)
+	if err != nil {
+		return nil, core.Fingerprint{}, err
+	}
+	fp := p.cache.Fingerprint(model)
+	p.TrackFingerprint(entry.Name, param, fp)
+	return model, fp, nil
+}
+
+// renderKey and storeKey address the resolved artefact in the render tier
+// and the store; routeKey is what the cluster shards it on. Machine
+// formats key on the model fingerprint — every format of one generated
+// machine lands on the same owner, so a single propagation warms all of
+// them — while EFSM formats, which have none, key on (model, param).
+func (r resolution) renderKey() renderKey {
+	if r.model == nil {
+		return renderKey{model: r.req.Model, param: r.req.Param, format: r.req.Format}
+	}
+	return renderKey{fp: r.fp, format: r.req.Format}
+}
+
+func (r resolution) storeKey() store.Key {
+	skey := store.Key{Model: r.req.Model, Param: r.req.Param, Format: r.req.Format}
+	if r.model != nil {
+		skey.Fingerprint = r.fp.String()
+	}
+	return skey
+}
+
+func (r resolution) routeKey() string {
+	if r.model == nil {
+		return "efsm/" + r.req.Model + "/" + strconv.Itoa(r.req.Param)
+	}
+	return r.fp.String()
+}
+
+// render is the slow path behind the result tier: resolve the request
+// against the registry and take the artefact from the render tier, whose
+// leader probes the attached store before producing — a disk hit skips
+// generation entirely — and persists what it produces.
+func (p *Pipeline) render(ctx context.Context, req Request) Result {
+	epoch := p.currentEpoch() // before resolve reads the registry
+	r, err := p.resolve(req)
+	res := Result{Request: r.req, Fingerprint: r.fp, Err: err}
+	if err != nil {
+		return res
+	}
+	out, err := p.renders.Do(ctx, r.renderKey(), func() (rendered, error) {
+		skey := r.storeKey()
+		if p.store != nil {
+			if data, sum, media, ext, ok := p.store.Get(skey); ok {
+				return newRendered(render.Artifact{Format: req.Format, MediaType: media, Ext: ext, Data: data}, sum), nil
+			}
+		}
+		// Producing starts only for a caller still there to want it; Probe
+		// relies on this to take what is warm and never generate.
+		if err := ctx.Err(); err != nil {
+			return rendered{}, err
+		}
+		art, err := p.produce(ctx, r)
+		if err != nil {
+			return rendered{}, err
+		}
+		out := newRendered(art, sha256.Sum256(art.Data))
+		p.persist(epoch, skey, out)
+		return out, nil
+	})
+	res.Artifact, res.Sum, res.ETag, res.ContentLength, res.Err = out.art, out.sum, out.etag, out.clen, err
+	return res
+}
+
+// produce generates (or takes from its tier) the machine or EFSM behind
+// the resolved request and renders it.
+func (p *Pipeline) produce(ctx context.Context, r resolution) (render.Artifact, error) {
+	var art render.Artifact
+	if r.model == nil {
+		efsm, err := p.efsms.Do(ctx, efsmKey{model: r.req.Model, param: r.req.Param}, func() (*core.EFSM, error) {
+			return r.entry.EFSM(ctx, r.req.Param)
+		})
+		if err != nil {
+			return art, err
+		}
+		renderer, err := render.NewEFSM(r.req.Format)
+		if err == nil {
+			art, err = renderer.RenderEFSM(efsm)
+		}
+		if err != nil {
+			return art, fmt.Errorf("%w: %v", ErrRender, err)
+		}
+		return art, nil
+	}
+	machine, err := p.cache.MachineForFingerprint(ctx, r.fp, r.model)
+	if err != nil {
+		return art, err
+	}
+	renderer, err := render.New(r.req.Format)
+	if err == nil {
+		art, err = renderer.Render(machine)
+	}
+	if err != nil {
+		return art, fmt.Errorf("%w: %v", ErrRender, err)
+	}
+	return art, nil
 }
 
 // Machine resolves a model name and parameter against the pipeline's
@@ -561,25 +604,16 @@ func (p *Pipeline) efsmFor(ctx context.Context, entry models.Entry, param int) (
 // the machines it monitors through here, so a check and a render of the
 // same family member share one generation.
 func (p *Pipeline) Machine(ctx context.Context, model string, param int) (*core.StateMachine, core.Fingerprint, int, error) {
-	entry, err := p.reg.Get(model)
+	entry, param, err := p.entryFor(model, param)
 	if err != nil {
-		return nil, core.Fingerprint{}, 0,
-			fmt.Errorf("%w: %q (known: %v)", ErrUnknownModel, model, p.reg.Names())
+		return nil, core.Fingerprint{}, 0, err
 	}
-	if param <= 0 {
-		param = entry.DefaultParam
-	}
-	m, err := entry.Build(param)
-	if err != nil {
-		return nil, core.Fingerprint{}, param, err
-	}
-	fp := p.cache.Fingerprint(m)
-	p.recordFingerprint(entry.Name, param, fp)
-	machine, err := p.cache.MachineForFingerprint(ctx, fp, m)
+	m, fp, err := p.build(entry, param)
 	if err != nil {
 		return nil, fp, param, err
 	}
-	return machine, fp, param, nil
+	machine, err := p.cache.MachineForFingerprint(ctx, fp, m)
+	return machine, fp, param, err
 }
 
 // TrackFingerprint records that the named model generates under fp at the
@@ -589,13 +623,6 @@ func (p *Pipeline) Machine(ctx context.Context, model string, param int) (*core.
 // facade's default Generate path) must track here for unregistration to
 // purge their machines; Render tracks its own requests.
 func (p *Pipeline) TrackFingerprint(model string, param int, fp core.Fingerprint) {
-	p.recordFingerprint(model, param, fp)
-}
-
-// recordFingerprint remembers that the named model generated under fp at
-// the parameter, so PurgeModel can later evict the generation and
-// UpdateModel can re-link it.
-func (p *Pipeline) recordFingerprint(model string, param int, fp core.Fingerprint) {
 	p.mu.Lock()
 	set, ok := p.modelFPs[model]
 	if !ok {
@@ -624,45 +651,15 @@ func (p *Pipeline) UpdateModel(entry models.Entry, delta core.ModelDelta) (bool,
 		return false, err
 	}
 
+	// Artefacts derived from the previous entry are stale; machine renders
+	// are keyed by fingerprint and the new entry fingerprints differently,
+	// so those are unreachable garbage either way. The recorded
+	// fingerprints stay recorded: the machines are kept, and PurgeModel
+	// must still find them.
 	p.mu.Lock()
-	old := make(map[core.Fingerprint]int, len(p.modelFPs[entry.Name]))
-	for fp, param := range p.modelFPs[entry.Name] {
-		old[fp] = param
-	}
-	// Artefacts derived from the previous entry are stale: EFSM renders
-	// are keyed by model name, machine renders by fingerprint (the new
-	// entry fingerprints differently, so the old renders are unreachable
-	// garbage either way).
-	for key := range p.renders {
-		if key.model == entry.Name {
-			delete(p.renders, key)
-			continue
-		}
-		if _, ok := old[key.fp]; ok {
-			delete(p.renders, key)
-		}
-	}
-	for key := range p.efsms {
-		if key.model == entry.Name {
-			delete(p.efsms, key)
-		}
-	}
-	for req := range p.hot {
-		if req.Model == entry.Name {
-			delete(p.hot, req)
-		}
-	}
-	for req := range p.routes {
-		if req.Model == entry.Name {
-			delete(p.routes, req)
-		}
-	}
-	p.epoch++
+	old := maps.Clone(p.modelFPs[entry.Name])
 	p.mu.Unlock()
-
-	if p.store != nil {
-		p.store.EvictModel(entry.Name, fpHexSet(old))
-	}
+	p.evictDerived(entry.Name, old)
 
 	if !replaced || oldErr != nil || delta.IsFull() {
 		return replaced, nil
@@ -687,79 +684,10 @@ func (p *Pipeline) UpdateModel(entry models.Entry, delta core.ModelDelta) (bool,
 		}
 		oldFP := p.cache.Fingerprint(om)
 		newFP := p.cache.Fingerprint(nm)
-		p.recordFingerprint(entry.Name, param, newFP)
+		p.TrackFingerprint(entry.Name, param, newFP)
 		p.cache.LinkDelta(newFP, oldFP, delta)
 	}
 	return replaced, nil
-}
-
-// renderMemo memoises one rendered artefact, single-flight. The leader
-// probes the attached store before producing — a disk hit skips
-// generation entirely — and persists what it produces, unless a purge
-// advanced the epoch while it ran. A production aborted by context
-// cancellation is dropped rather than memoised, and waiters whose own
-// context is still live retry as the new leader.
-func (p *Pipeline) renderMemo(ctx context.Context, key renderKey, skey store.Key, produce func() (render.Artifact, error)) (rendered, error) {
-	for {
-		p.mu.Lock()
-		e, ok := p.renders[key]
-		if ok {
-			p.renderHits++
-			p.mu.Unlock()
-			select {
-			case <-e.done:
-				if isCancellation(e.err) && ctx.Err() == nil {
-					continue // the leader was cancelled, not us: retry
-				}
-				return e.out, e.err
-			case <-ctx.Done():
-				return rendered{}, ctx.Err()
-			}
-		}
-		p.renderMisses++
-		e = &renderEntry{done: make(chan struct{})}
-		p.renders[key] = e
-		epoch := p.epoch
-		p.mu.Unlock()
-
-		if p.store != nil {
-			if data, sum, media, ext, ok := p.store.Get(skey); ok {
-				e.out = rendered{
-					art:  render.Artifact{Format: key.format, MediaType: media, Ext: ext, Data: data},
-					sum:  sum,
-					etag: etagFor(sum),
-					clen: strconv.Itoa(len(data)),
-				}
-				close(e.done)
-				return e.out, nil
-			}
-		}
-		var art render.Artifact
-		art, e.err = produce()
-		switch {
-		case e.err == nil:
-			sum := sha256.Sum256(art.Data)
-			e.out = rendered{art: art, sum: sum, etag: etagFor(sum), clen: strconv.Itoa(len(art.Data))}
-			if p.store != nil {
-				p.mu.Lock()
-				fresh := p.epoch == epoch
-				p.mu.Unlock()
-				if fresh {
-					// Persist errors degrade to an unpersisted artefact and
-					// are counted by the store; the response is unaffected.
-					_ = p.store.Put(skey, art.Data, sum, art.MediaType, art.Ext)
-				}
-			}
-		case isCancellation(e.err):
-			p.mu.Lock()
-			if cur, ok := p.renders[key]; ok && cur == e {
-				delete(p.renders, key)
-			}
-			p.mu.Unlock()
-		}
-		close(e.done)
-		return e.out, e.err
-	}
 }
 
 // RenderAll renders every request concurrently under the pipeline's

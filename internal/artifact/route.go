@@ -1,143 +1,48 @@
 package artifact
 
-import (
-	"fmt"
-	"strconv"
-
-	"asagen/internal/render"
-	"asagen/internal/store"
-)
-
-// routeMemo is one memoised routing-key resolution.
-type routeMemo struct {
-	key string
-	req Request // the request with Param resolved
-}
+import "context"
 
 // RouteKey resolves req against the registry and returns the cluster
-// routing key the artifact shards on, plus the request with its
-// parameter resolved. Machine formats key on the model fingerprint —
-// every format of one generated machine lands on the same owner, so a
-// single propagation warms all of them — while EFSM formats, which have
-// no machine fingerprint, key on (model, param). Resolution is memoised
-// per raw request; errors use the package's sentinel classification.
+// routing key the artifact shards on (see resolution.routeKey), plus the
+// request with its parameter resolved. Resolution is memoised in the
+// route tier; errors use the package's sentinel classification.
 func (p *Pipeline) RouteKey(req Request) (string, Request, error) {
-	p.mu.Lock()
-	if m, ok := p.routes[req]; ok {
-		p.mu.Unlock()
-		return m.key, m.req, nil
+	key := p.key(req)
+	if route, ok := p.routes.Get(key); ok {
+		return route, key, nil
 	}
-	epoch := p.epoch
-	p.mu.Unlock()
-
-	raw := req
-	entry, err := p.reg.Get(req.Model)
-	if err != nil {
-		return "", req, fmt.Errorf("%w: %q (known: %v)", ErrUnknownModel, req.Model, p.reg.Names())
-	}
-	if req.Param <= 0 {
-		req.Param = entry.DefaultParam
-	}
-	if !render.Known(req.Format) {
-		return "", req, fmt.Errorf("%w: %q (known: %v)", ErrUnknownFormat, req.Format, render.Formats())
-	}
-	var key string
-	if render.IsEFSMFormat(req.Format) {
-		if entry.EFSM == nil {
-			return "", req, fmt.Errorf("%w: %q", ErrNoEFSM, req.Model)
-		}
-		key = "efsm/" + req.Model + "/" + strconv.Itoa(req.Param)
-	} else {
-		model, err := entry.Build(req.Param)
+	// Resolution only computes, so there is nothing for a context to
+	// cancel: a waiter waits on a leader that does not block.
+	route, err := p.routes.Do(context.Background(), key, func() (string, error) {
+		r, err := p.resolve(key)
 		if err != nil {
-			return "", req, err
+			return "", err
 		}
-		fp := p.cache.Fingerprint(model)
-		p.recordFingerprint(req.Model, req.Param, fp)
-		key = fp.String()
-	}
-
-	p.mu.Lock()
-	if p.epoch == epoch {
-		m := routeMemo{key: key, req: req}
-		p.routes[raw] = m
-		p.routes[req] = m
-	}
-	p.mu.Unlock()
-	return key, req, nil
+		return r.routeKey(), nil
+	})
+	return route, key, err
 }
 
-// Probe reports the completed Result for req if it is already available
-// without rendering: from the hot memo, a finished render-memo entry, or
-// the attached store. It never generates — a clustered replica uses it
-// to decide between serving a warm copy and proxying to the owner.
+// cancelled is a context that has already ended.
+var cancelled = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
+// Probe reports the completed Result for req if it is available without
+// rendering: from the result tier, a finished render-tier entry, or the
+// attached store. It never generates and never waits — a clustered
+// replica uses it to decide between serving a warm copy and proxying to
+// the owner — yet what it finds in the store it retains in both tiers, so
+// a warm replica reads and verifies a blob once, not per request.
+//
+// It is a Render by a caller that has already gone: under an ended
+// context every tier still hands over a completed entry, returns at once
+// from an in-flight one, and as leader the render tier consults the store
+// and stops before producing. The resulting cancellation is retained
+// nowhere, and a live Render coalesced behind it retries as leader.
 func (p *Pipeline) Probe(req Request) (Result, bool) {
-	p.mu.Lock()
-	if res, ok := p.hot[req]; ok {
-		p.renderHits++
-		p.hotHits++
-		p.mu.Unlock()
-		return res, true
-	}
-	p.mu.Unlock()
-
-	res := Result{Request: req}
-	entry, err := p.reg.Get(req.Model)
-	if err != nil {
-		return Result{}, false
-	}
-	if req.Param <= 0 {
-		req.Param = entry.DefaultParam
-		res.Request = req
-	}
-	if !render.Known(req.Format) {
-		return Result{}, false
-	}
-	var key renderKey
-	var skey store.Key
-	if render.IsEFSMFormat(req.Format) {
-		if entry.EFSM == nil {
-			return Result{}, false
-		}
-		key = renderKey{model: req.Model, param: req.Param, format: req.Format}
-		skey = store.Key{Model: req.Model, Param: req.Param, Format: req.Format}
-	} else {
-		model, err := entry.Build(req.Param)
-		if err != nil {
-			return Result{}, false
-		}
-		res.Fingerprint = p.cache.Fingerprint(model)
-		key = renderKey{fp: res.Fingerprint, format: req.Format}
-		skey = store.Key{Model: req.Model, Param: req.Param, Format: req.Format, Fingerprint: res.Fingerprint.String()}
-	}
-
-	p.mu.Lock()
-	e, ok := p.renders[key]
-	p.mu.Unlock()
-	if ok {
-		select {
-		case <-e.done:
-			if e.err == nil {
-				res.apply(e.out, nil)
-				return res, true
-			}
-		default:
-			// A render is in flight; the caller wanted a no-work answer.
-		}
-		return Result{}, false
-	}
-	if p.store == nil {
-		return Result{}, false
-	}
-	data, sum, media, ext, ok := p.store.Get(skey)
-	if !ok {
-		return Result{}, false
-	}
-	res.apply(rendered{
-		art:  render.Artifact{Format: req.Format, MediaType: media, Ext: ext, Data: data},
-		sum:  sum,
-		etag: etagFor(sum),
-		clen: strconv.Itoa(len(data)),
-	}, nil)
-	return res, true
+	res := p.serve(cancelled, req)
+	return res, res.Err == nil
 }

@@ -2,10 +2,10 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"strconv"
 	"sync"
+
+	"asagen/internal/memo"
 )
 
 // This file implements the generation policies of §4.2: generation may be
@@ -21,16 +21,14 @@ import (
 // and a long-running generation service can bound and observe the cache
 // through SetLimit, Purge and Stats.
 //
-// Lookups are context-aware. A generation runs under the context of the
-// request that started it; concurrent requests for the same fingerprint
-// wait on the in-flight generation but stop waiting as soon as their own
-// context is cancelled. A generation aborted by cancellation is removed
-// from the cache — the entry is never poisoned with a context error — so
-// the next request regenerates from scratch.
-
-// ModelFactory constructs the abstract model for a parameter value, e.g.
-// the commit model for a replication factor.
-type ModelFactory func(parameter int) (Model, error)
+// The table itself is a memo.Memo, which states the lookup rules once for
+// every cache tier of the repository: a generation runs under the context
+// of the request that started it; concurrent requests for the same
+// fingerprint wait on the in-flight generation but stop waiting as soon as
+// their own context is cancelled; a failed or cancelled generation leaves
+// no entry, so the next request regenerates from scratch; and a waiter
+// whose own context is still live retries instead of inheriting another
+// request's cancellation.
 
 // CacheStats is a snapshot of the cache's counters.
 type CacheStats struct {
@@ -60,19 +58,10 @@ type CacheStats struct {
 // factor, §4.2) pay the generation cost once. Concurrent first requests
 // for the same fingerprint share a single in-flight generation.
 type Cache struct {
-	factory ModelFactory
-	opts    []Option
+	opts     []Option
+	machines memo.Memo[Fingerprint, *StateMachine]
 
-	mu    sync.Mutex
-	limit int
-	// entries memoises generation per model fingerprint; order tracks
-	// recency (front = least recently used) for the size bound.
-	entries map[Fingerprint]*cacheEntry
-	order   []Fingerprint
-	// params memoises the factory per parameter value, so repeated
-	// Machine calls neither rebuild the model nor re-run a failing
-	// factory, and concurrent first calls invoke the factory once.
-	params map[int]*paramEntry
+	mu sync.Mutex
 	// hints records the reachable-state count of completed generations
 	// per model family member (name:parameter), so the next generation of
 	// the same member — e.g. after a spec edit — pre-sizes its interning
@@ -83,7 +72,7 @@ type Cache struct {
 	// fingerprint by incremental regeneration under a model delta.
 	links map[Fingerprint]regenLink
 
-	hits, misses, evictions, generations, cancellations, incremental int64
+	generations, cancellations, incremental int64
 }
 
 // regenLink is one registered incremental-regeneration edge.
@@ -92,46 +81,15 @@ type regenLink struct {
 	delta ModelDelta
 }
 
-// cacheEntry memoises one generation, sharing the work among concurrent
-// first requests for the same fingerprint. done is closed when machine and
-// err are final; waiters select on it against their own context.
-type cacheEntry struct {
-	done    chan struct{}
-	machine *StateMachine
-	err     error
-}
-
-// paramEntry memoises one factory invocation and the resulting model
-// fingerprint.
-type paramEntry struct {
-	once  sync.Once
-	fp    Fingerprint
-	model Model
-	err   error
-}
-
-// NewCache returns a cache that builds models with the factory and
-// generates them with the given options.
-func NewCache(factory ModelFactory, opts ...Option) (*Cache, error) {
-	if factory == nil {
-		return nil, fmt.Errorf("core: cache: nil model factory")
-	}
-	c := NewGenerationCache(opts...)
-	c.factory = factory
-	return c, nil
-}
-
-// NewGenerationCache returns a cache without a parameter factory: machines
-// are requested through MachineFor with caller-constructed models. The
-// artefact pipeline uses this form, since it generates machines for many
-// registered models rather than one parameterised family.
+// NewGenerationCache returns a cache generating with the given options.
+// Machines are requested through MachineFor with caller-constructed
+// models, so one cache serves many registered models rather than one
+// parameterised family.
 func NewGenerationCache(opts ...Option) *Cache {
 	return &Cache{
-		opts:    append([]Option(nil), opts...),
-		entries: make(map[Fingerprint]*cacheEntry),
-		params:  make(map[int]*paramEntry),
-		hints:   make(map[string]int),
-		links:   make(map[Fingerprint]regenLink),
+		opts:  append([]Option(nil), opts...),
+		hints: make(map[string]int),
+		links: make(map[Fingerprint]regenLink),
 	}
 }
 
@@ -141,141 +99,75 @@ func (c *Cache) Fingerprint(m Model) Fingerprint {
 	return FingerprintModel(m, c.opts...)
 }
 
-// Machine returns the generated machine for the parameter, generating it
-// on first use. Errors are memoised too: a parameter the factory rejects
-// keeps being rejected without repeated work. Cancelling ctx aborts an
-// in-flight generation (or stops waiting on one another request owns) and
-// returns ctx.Err().
-func (c *Cache) Machine(ctx context.Context, parameter int) (*StateMachine, error) {
-	if c.factory == nil {
-		return nil, fmt.Errorf("core: cache has no model factory; use MachineFor")
-	}
-	c.mu.Lock()
-	pe, ok := c.params[parameter]
-	if !ok {
-		pe = &paramEntry{}
-		c.params[parameter] = pe
-	}
-	c.mu.Unlock()
-
-	pe.once.Do(func() {
-		model, err := c.factory(parameter)
-		var fp Fingerprint
-		if err == nil {
-			fp = c.Fingerprint(model)
-		}
-		// Stored under the cache mutex so Invalidate can read fp while a
-		// first call is still in flight.
-		c.mu.Lock()
-		pe.model, pe.err, pe.fp = model, err, fp
-		c.mu.Unlock()
-	})
-	if pe.err != nil {
-		return nil, pe.err
-	}
-	return c.machineFor(ctx, pe.fp, pe.model)
-}
-
 // MachineFor returns the generated machine for an already-constructed
 // model, memoised by the model's fingerprint. Two distinct model values
 // with equal fingerprints share one generation and one machine.
+// Cancelling ctx aborts an in-flight generation (or stops waiting on one
+// another request owns) and returns ctx.Err(). A nil ctx is treated as
+// context.Background().
 func (c *Cache) MachineFor(ctx context.Context, m Model) (*StateMachine, error) {
-	return c.machineFor(ctx, c.Fingerprint(m), m)
+	return c.MachineForFingerprint(ctx, c.Fingerprint(m), m)
 }
 
 // MachineForFingerprint is MachineFor with the fingerprint precomputed by
 // the caller (it must be c.Fingerprint(m)), so callers that also need the
 // fingerprint — e.g. for cache headers — hash the model once per request.
 func (c *Cache) MachineForFingerprint(ctx context.Context, fp Fingerprint, m Model) (*StateMachine, error) {
-	return c.machineFor(ctx, fp, m)
-}
-
-func (c *Cache) machineFor(ctx context.Context, fp Fingerprint, m Model) (*StateMachine, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c.mu.Lock()
-	entry, ok := c.entries[fp]
-	if ok {
-		c.hits++
-		c.touchLocked(fp)
-		c.mu.Unlock()
-		// Another request owns the generation; wait for it, but no longer
-		// than this request's own context allows.
-		select {
-		case <-entry.done:
-			return entry.machine, entry.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	c.misses++
-	entry = &cacheEntry{done: make(chan struct{})}
-	c.entries[fp] = entry
-	c.order = append(c.order, fp)
-	c.evictLocked()
+	return c.machines.Do(ctx, fp, func() (*StateMachine, error) { return c.generate(ctx, fp, m) })
+}
+
+// generate is the memo's miss path: one generation, incremental when a
+// registered link's old machine is still cached, counted in the cache's
+// own statistics.
+func (c *Cache) generate(ctx context.Context, fp Fingerprint, m Model) (*StateMachine, error) {
 	key := familyKey(m)
+	c.mu.Lock()
 	hint := c.hints[key]
 	link, hasLink := c.links[fp]
-	var old *StateMachine
-	if hasLink {
-		old = c.completedMachineLocked(link.oldFP)
-	}
 	c.mu.Unlock()
 
 	opts := c.opts
 	if hint > 0 {
 		opts = append(append(make([]Option, 0, len(c.opts)+1), c.opts...), WithSizeHint(hint))
 	}
-	var wasIncremental bool
+	var (
+		old, machine   *StateMachine
+		wasIncremental bool
+		err            error
+	)
+	if hasLink {
+		// Get never blocks on an in-flight generation: a link whose source
+		// is gone or unfinished falls back to a full generation.
+		old, _ = c.machines.Get(link.oldFP)
+	}
 	if old != nil {
-		entry.machine, wasIncremental, entry.err = regenerate(ctx, old, m, link.delta, opts)
+		machine, wasIncremental, err = regenerate(ctx, old, m, link.delta, opts)
 	} else {
-		entry.machine, entry.err = Generate(ctx, m, opts...)
+		machine, err = Generate(ctx, m, opts...)
 	}
+
 	c.mu.Lock()
-	if isCancellation(entry.err) {
-		// An aborted generation must not poison the cache: drop the entry
-		// (all current waiters still observe the error through done) so
-		// the next request regenerates.
+	defer c.mu.Unlock()
+	if memo.IsCancellation(err) {
 		c.cancellations++
-		c.dropLocked(fp, entry)
-	} else {
-		c.generations++
-		if wasIncremental {
-			c.incremental++
-		}
-		if entry.err == nil {
-			c.hints[key] = entry.machine.Stats.ReachableStates
-		}
+		return nil, err
 	}
-	c.mu.Unlock()
-	close(entry.done)
-	return entry.machine, entry.err
+	c.generations++
+	if wasIncremental {
+		c.incremental++
+	}
+	if err == nil {
+		c.hints[key] = machine.Stats.ReachableStates
+	}
+	return machine, err
 }
 
 // familyKey identifies one model family member for exploration size hints.
 func familyKey(m Model) string {
 	return m.Name() + ":" + strconv.Itoa(m.Parameter())
-}
-
-// completedMachineLocked returns the memoised machine for fp when its
-// generation has already completed successfully, nil otherwise. It never
-// blocks on an in-flight generation.
-func (c *Cache) completedMachineLocked(fp Fingerprint) *StateMachine {
-	entry, ok := c.entries[fp]
-	if !ok {
-		return nil
-	}
-	select {
-	case <-entry.done:
-		if entry.err != nil {
-			return nil
-		}
-		return entry.machine
-	default:
-		return nil
-	}
 }
 
 // LinkDelta records that the machine for newFP can be derived from the
@@ -294,78 +186,20 @@ func (c *Cache) LinkDelta(newFP, oldFP Fingerprint, delta ModelDelta) {
 	c.links[newFP] = regenLink{oldFP: oldFP, delta: delta}
 }
 
-// isCancellation reports whether err is a context cancellation or
-// deadline error.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// dropLocked removes the entry for fp if it is still the one given (it may
-// already have been evicted or replaced after a Purge).
-func (c *Cache) dropLocked(fp Fingerprint, entry *cacheEntry) {
-	if cur, ok := c.entries[fp]; ok && cur == entry {
-		delete(c.entries, fp)
-		for i, o := range c.order {
-			if o == fp {
-				c.order = append(c.order[:i], c.order[i+1:]...)
-				break
-			}
-		}
-	}
-}
-
-// touchLocked moves fp to the most-recently-used end of the recency list.
-func (c *Cache) touchLocked(fp Fingerprint) {
-	for i, o := range c.order {
-		if o == fp {
-			copy(c.order[i:], c.order[i+1:])
-			c.order[len(c.order)-1] = fp
-			return
-		}
-	}
-}
-
-// evictLocked drops least-recently-used entries until the size bound is
-// met. Goroutines still waiting on an evicted entry's generation complete
-// normally; the entry is simply no longer findable.
-func (c *Cache) evictLocked() {
-	if c.limit <= 0 {
-		return
-	}
-	for len(c.entries) > c.limit && len(c.order) > 0 {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		if _, ok := c.entries[victim]; ok {
-			delete(c.entries, victim)
-			c.evictions++
-		}
-	}
-}
-
 // SetLimit bounds the number of memoised machines; least recently used
 // entries are evicted beyond it. A limit of zero (the default) means
 // unbounded. A long-running serve process should set a limit so an
 // unbounded parameter stream cannot grow the cache without bound.
-func (c *Cache) SetLimit(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.limit = n
-	c.evictLocked()
-}
+func (c *Cache) SetLimit(n int) { c.machines.SetLimit(n) }
 
-// Purge drops every memoised machine and factory result, returning the
-// number of machine entries removed.
+// Purge drops every memoised machine and registered link, returning the
+// number of machine entries removed. Size hints survive a purge: they
+// estimate exploration sizes, which a purge does not change.
 func (c *Cache) Purge() int {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.entries)
-	c.entries = make(map[Fingerprint]*cacheEntry)
-	c.order = nil
-	c.params = make(map[int]*paramEntry)
 	c.links = make(map[Fingerprint]regenLink)
-	// Size hints survive a purge: they estimate exploration sizes, which a
-	// purge does not change.
-	return n
+	c.mu.Unlock()
+	return c.machines.Purge()
 }
 
 // Drop removes the memoised machine for one fingerprint, reporting whether
@@ -373,64 +207,23 @@ func (c *Cache) Purge() int {
 // in-flight generation complete normally; the entry is simply no longer
 // findable, so the next request regenerates. Used by the artefact pipeline
 // to purge a dynamically unregistered model's generations.
-func (c *Cache) Drop(fp Fingerprint) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[fp]; !ok {
-		return false
-	}
-	delete(c.entries, fp)
-	for i, o := range c.order {
-		if o == fp {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-	return true
-}
+func (c *Cache) Drop(fp Fingerprint) bool { return c.machines.Delete(fp) }
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() CacheStats {
+	st := c.machines.Stats()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Evictions:     c.evictions,
+		Hits:          st.Hits,
+		Misses:        st.Misses,
+		Evictions:     st.Evictions,
 		Generations:   c.generations,
 		Cancellations: c.cancellations,
 		Incremental:   c.incremental,
-		Entries:       len(c.entries),
+		Entries:       st.Entries,
 	}
 }
 
 // Len returns the number of memoised machines.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Invalidate drops the memoised machine for a parameter, forcing
-// regeneration on next use (e.g. after a model change).
-func (c *Cache) Invalidate(parameter int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	pe, ok := c.params[parameter]
-	if !ok {
-		return
-	}
-	delete(c.params, parameter)
-	if pe.fp.IsZero() {
-		return
-	}
-	if _, ok := c.entries[pe.fp]; ok {
-		delete(c.entries, pe.fp)
-		for i, o := range c.order {
-			if o == pe.fp {
-				c.order = append(c.order[:i], c.order[i+1:]...)
-				break
-			}
-		}
-	}
-}
+func (c *Cache) Len() int { return c.machines.Stats().Entries }

@@ -2,46 +2,31 @@ package core
 
 import (
 	"context"
-	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
-// countingFactory counts model constructions to observe memoisation.
-type countingFactory struct {
-	calls atomic.Int64
-}
-
-func (f *countingFactory) make(parameter int) (Model, error) {
-	f.calls.Add(1)
-	if parameter < 1 {
-		return nil, errors.New("bad parameter")
-	}
-	return &toyModel{max: parameter}, nil
-}
+// toy returns the toy family member for a parameter; distinct calls
+// return distinct model values with equal fingerprints.
+func toy(parameter int) Model { return &toyModel{max: parameter} }
 
 func TestCacheMemoises(t *testing.T) {
-	f := &countingFactory{}
-	cache, err := NewCache(f.make, WithoutDescriptions())
+	cache := NewGenerationCache(WithoutDescriptions())
+	m1, err := cache.MachineFor(context.Background(), toy(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := cache.Machine(context.Background(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := cache.Machine(context.Background(), 3)
+	m2, err := cache.MachineFor(context.Background(), toy(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m1 != m2 {
 		t.Error("second request regenerated the machine")
 	}
-	if got := f.calls.Load(); got != 1 {
-		t.Errorf("factory called %d times, want 1", got)
+	if got := cache.Stats().Generations; got != 1 {
+		t.Errorf("generated %d times, want 1", got)
 	}
-	if _, err := cache.Machine(context.Background(), 5); err != nil {
+	if _, err := cache.MachineFor(context.Background(), toy(5)); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Len() != 2 {
@@ -49,47 +34,30 @@ func TestCacheMemoises(t *testing.T) {
 	}
 }
 
-func TestCacheMemoisesErrors(t *testing.T) {
-	f := &countingFactory{}
-	cache, err := NewCache(f.make)
-	if err != nil {
+// TestCacheDrop: dropping a fingerprint forces regeneration on next use
+// (e.g. after the model it came from is unregistered).
+func TestCacheDrop(t *testing.T) {
+	cache := NewGenerationCache()
+	if _, err := cache.MachineFor(context.Background(), toy(3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cache.Machine(context.Background(), -1); err == nil {
-		t.Fatal("bad parameter accepted")
+	fp := cache.Fingerprint(toy(3))
+	if !cache.Drop(fp) {
+		t.Fatal("Drop reported no entry for a generated fingerprint")
 	}
-	if _, err := cache.Machine(context.Background(), -1); err == nil {
-		t.Fatal("bad parameter accepted on second call")
+	if cache.Drop(fp) {
+		t.Error("second Drop reported an entry")
 	}
-	if got := f.calls.Load(); got != 1 {
-		t.Errorf("factory called %d times for failing parameter, want 1", got)
-	}
-}
-
-func TestCacheInvalidate(t *testing.T) {
-	f := &countingFactory{}
-	cache, err := NewCache(f.make)
-	if err != nil {
+	if _, err := cache.MachineFor(context.Background(), toy(3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cache.Machine(context.Background(), 3); err != nil {
-		t.Fatal(err)
-	}
-	cache.Invalidate(3)
-	if _, err := cache.Machine(context.Background(), 3); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.calls.Load(); got != 2 {
-		t.Errorf("factory called %d times after invalidation, want 2", got)
+	if got := cache.Stats().Generations; got != 2 {
+		t.Errorf("generated %d times after a drop, want 2", got)
 	}
 }
 
 func TestCacheConcurrentFirstUse(t *testing.T) {
-	f := &countingFactory{}
-	cache, err := NewCache(f.make)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := NewGenerationCache()
 	const goroutines = 16
 	var wg sync.WaitGroup
 	machines := make([]*StateMachine, goroutines)
@@ -99,7 +67,7 @@ func TestCacheConcurrentFirstUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			machines[i], errs[i] = cache.Machine(context.Background(), 4)
+			machines[i], errs[i] = cache.MachineFor(context.Background(), toy(4))
 		}()
 	}
 	wg.Wait()
@@ -111,27 +79,17 @@ func TestCacheConcurrentFirstUse(t *testing.T) {
 			t.Fatal("concurrent first use produced different machines")
 		}
 	}
-	if got := f.calls.Load(); got != 1 {
-		t.Errorf("factory called %d times under concurrency, want 1", got)
-	}
-}
-
-func TestNewCacheValidation(t *testing.T) {
-	if _, err := NewCache(nil); err == nil {
-		t.Error("nil factory accepted")
+	if got := cache.Stats().Generations; got != 1 {
+		t.Errorf("generated %d times under concurrency, want 1", got)
 	}
 }
 
 func TestCacheStatsAndSingleFlight(t *testing.T) {
-	f := &countingFactory{}
-	cache, err := NewCache(f.make, WithoutDescriptions())
-	if err != nil {
+	cache := NewGenerationCache(WithoutDescriptions())
+	if _, err := cache.MachineFor(context.Background(), toy(3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cache.Machine(context.Background(), 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cache.Machine(context.Background(), 3); err != nil {
+	if _, err := cache.MachineFor(context.Background(), toy(3)); err != nil {
 		t.Fatal(err)
 	}
 	st := cache.Stats()
@@ -159,20 +117,13 @@ func TestCacheMachineForSharesFingerprint(t *testing.T) {
 	if st := cache.Stats(); st.Generations != 1 {
 		t.Errorf("generations = %d, want 1", st.Generations)
 	}
-	if _, err := cache.Machine(context.Background(), 3); err == nil {
-		t.Error("factory-less cache accepted Machine call")
-	}
 }
 
 func TestCacheLimitEvictsLRU(t *testing.T) {
-	f := &countingFactory{}
-	cache, err := NewCache(f.make, WithoutDescriptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := NewGenerationCache(WithoutDescriptions())
 	cache.SetLimit(2)
 	for _, p := range []int{1, 2, 3} {
-		if _, err := cache.Machine(context.Background(), p); err != nil {
+		if _, err := cache.MachineFor(context.Background(), toy(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,15 +136,14 @@ func TestCacheLimitEvictsLRU(t *testing.T) {
 	}
 	// Parameter 1 was least recently used and must regenerate; the cached
 	// parameters must not.
-	calls := f.calls.Load()
-	if _, err := cache.Machine(context.Background(), 3); err != nil {
+	gens := st.Generations
+	if _, err := cache.MachineFor(context.Background(), toy(3)); err != nil {
 		t.Fatal(err)
 	}
-	if f.calls.Load() != calls {
-		t.Error("cached parameter re-invoked the factory")
+	if got := cache.Stats().Generations; got != gens {
+		t.Error("cached parameter regenerated")
 	}
-	gens := cache.Stats().Generations
-	if _, err := cache.Machine(context.Background(), 1); err != nil {
+	if _, err := cache.MachineFor(context.Background(), toy(1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := cache.Stats().Generations; got != gens+1 {
@@ -202,13 +152,9 @@ func TestCacheLimitEvictsLRU(t *testing.T) {
 }
 
 func TestCachePurge(t *testing.T) {
-	f := &countingFactory{}
-	cache, err := NewCache(f.make)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := NewGenerationCache()
 	for _, p := range []int{2, 3} {
-		if _, err := cache.Machine(context.Background(), p); err != nil {
+		if _, err := cache.MachineFor(context.Background(), toy(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,11 +164,11 @@ func TestCachePurge(t *testing.T) {
 	if cache.Len() != 0 {
 		t.Errorf("Len = %d after purge", cache.Len())
 	}
-	calls := f.calls.Load()
-	if _, err := cache.Machine(context.Background(), 2); err != nil {
+	gens := cache.Stats().Generations
+	if _, err := cache.MachineFor(context.Background(), toy(2)); err != nil {
 		t.Fatal(err)
 	}
-	if f.calls.Load() != calls+1 {
-		t.Error("purged parameter did not re-invoke the factory")
+	if got := cache.Stats().Generations; got != gens+1 {
+		t.Error("purged parameter did not regenerate")
 	}
 }

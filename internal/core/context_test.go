@@ -90,9 +90,9 @@ func TestGenerateNilContext(t *testing.T) {
 
 // TestCacheCancellationLeavesNoPoisonedEntry is the cancellation
 // acceptance test: a large generation cancelled mid-flight returns
-// ctx.Err() promptly, every single-flight waiter observes the error, the
-// cache retains no entry for the fingerprint, and the next request
-// regenerates successfully.
+// ctx.Err() promptly, waiters that share the cancelled context get their
+// own context's error, the cache retains no entry for the fingerprint, and
+// the next request regenerates successfully.
 func TestCacheCancellationLeavesNoPoisonedEntry(t *testing.T) {
 	cache := NewGenerationCache(WithoutDescriptions(), WithoutMerging())
 	slow := &slowModel{states: 50000, delay: 100 * time.Microsecond}
@@ -113,9 +113,7 @@ func TestCacheCancellationLeavesNoPoisonedEntry(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Waiters use their own (background) context: they must still
-			// observe the owner's error through the shared entry.
-			_, errs[i] = cache.MachineFor(context.Background(), slow)
+			_, errs[i] = cache.MachineFor(ctx, slow)
 		}(i)
 	}
 	waitFor(t, func() bool { return cache.Stats().Hits >= waiters })
@@ -158,6 +156,59 @@ func TestCacheCancellationLeavesNoPoisonedEntry(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Generations != 1 {
 		t.Errorf("generations after regeneration = %d, want 1", st.Generations)
+	}
+}
+
+// TestCacheLiveWaitersRetryAfterCancelledOwner: waiters whose own context
+// is still live do not inherit the owner's cancellation. One of them
+// becomes the new owner and regenerates (with its own model value — the
+// fast twin of the slow model, same fingerprint), the rest share that
+// generation.
+func TestCacheLiveWaitersRetryAfterCancelledOwner(t *testing.T) {
+	cache := NewGenerationCache(WithoutDescriptions(), WithoutMerging())
+	slow := &slowModel{states: 50000, delay: 100 * time.Microsecond}
+	fast := &slowModel{states: 50000}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	ownerDone := make(chan error, 1)
+	go func() {
+		_, err := cache.MachineFor(ctx, slow)
+		ownerDone <- err
+	}()
+	waitFor(t, func() bool { return cache.Stats().Misses >= 1 })
+
+	const waiters = 4
+	machines := make([]*StateMachine, waiters)
+	errs := make([]error, waiters)
+	var wg sync.WaitGroup
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			machines[i], errs[i] = cache.MachineFor(context.Background(), fast)
+		}(i)
+	}
+	waitFor(t, func() bool { return cache.Stats().Hits >= waiters })
+
+	cancel()
+	if err := <-ownerDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("owner error = %v, want context.Canceled", err)
+	}
+	wg.Wait()
+	for i := range errs {
+		if errs[i] != nil {
+			t.Fatalf("waiter %d inherited a foreign failure: %v", i, errs[i])
+		}
+		if machines[i] != machines[0] {
+			t.Errorf("waiter %d got its own machine; the retry must be single-flight too", i)
+		}
+	}
+	st := cache.Stats()
+	if st.Cancellations != 1 || st.Generations != 1 {
+		t.Errorf("stats = %+v, want 1 cancellation and 1 generation", st)
+	}
+	if cache.Len() != 1 {
+		t.Errorf("cache entries = %d, want the retried generation retained", cache.Len())
 	}
 }
 
