@@ -163,60 +163,38 @@ func buildCommitMachine(b *testing.B, r int) *core.StateMachine {
 	return machine
 }
 
-// BenchmarkRenderText measures the Fig. 14 textual artefact (E2).
-func BenchmarkRenderText(b *testing.B) {
-	machine := buildCommitMachine(b, 4)
-	r := render.NewTextRenderer()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		art, err := r.Render(machine)
-		if err != nil || len(art.Data) == 0 {
-			b.Fatal("empty artefact")
-		}
+// benchRender measures one renderer on the smallest and the largest
+// Table 1 member: r=46 is where a cold sweep spends its time, r=4 alone
+// would not see it. MB/s is artefact bytes written.
+func benchRender(b *testing.B, r render.Renderer) {
+	for _, param := range []int{4, 46} {
+		b.Run(fmt.Sprintf("r=%d", param), func(b *testing.B) {
+			machine := buildCommitMachine(b, param)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				art, err := r.Render(machine)
+				if err != nil || len(art.Data) == 0 {
+					b.Fatalf("empty artefact (%v)", err)
+				}
+				b.SetBytes(int64(len(art.Data)))
+			}
+		})
 	}
 }
+
+// BenchmarkRenderText measures the Fig. 14 textual artefact (E2).
+func BenchmarkRenderText(b *testing.B) { benchRender(b, render.NewTextRenderer()) }
 
 // BenchmarkRenderDot measures the Fig. 15 DOT artefact (E3).
-func BenchmarkRenderDot(b *testing.B) {
-	machine := buildCommitMachine(b, 4)
-	r := render.NewDotRenderer()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		art, err := r.Render(machine)
-		if err != nil || len(art.Data) == 0 {
-			b.Fatal("empty artefact")
-		}
-	}
-}
+func BenchmarkRenderDot(b *testing.B) { benchRender(b, render.NewDotRenderer()) }
 
 // BenchmarkRenderXML measures the Fig. 15 XML artefact (E3).
-func BenchmarkRenderXML(b *testing.B) {
-	machine := buildCommitMachine(b, 4)
-	r := render.NewXMLRenderer()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Render(machine); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkRenderXML(b *testing.B) { benchRender(b, render.NewXMLRenderer()) }
 
 // BenchmarkRenderGoSource measures the Fig. 16 generated implementation
-// (E4), including gofmt formatting.
-func BenchmarkRenderGoSource(b *testing.B) {
-	machine := buildCommitMachine(b, 4)
-	r := render.NewGoSourceRenderer("bench")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Render(machine); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// (E4), including the parse check every Go artefact passes.
+func BenchmarkRenderGoSource(b *testing.B) { benchRender(b, render.NewGoSourceRenderer("bench")) }
 
 // BenchmarkGenerateEFSM measures §5.3 EFSM generalisation across models
 // (E5).

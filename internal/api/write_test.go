@@ -228,6 +228,17 @@ func TestRegisterErrors(t *testing.T) {
 		t.Errorf("invalid_spec message lacks the document path: %s", msg)
 	}
 
+	// Free text that would leave the Go comment it is rendered into.
+	hostile := countDoc("hostile")
+	hostile.Describe = append(hostile.Describe, spec.DescribeRule{Text: "ok\nStateInjected"})
+	resp, body = do(t, ts, http.MethodPost, "/v1/models", specJSON(t, hostile))
+	if resp.StatusCode != http.StatusBadRequest || envelope(t, body).Code != CodeInvalidSpec {
+		t.Fatalf("control-character spec POST = %d %s", resp.StatusCode, body)
+	}
+	if msg := envelope(t, body).Message; !strings.Contains(msg, "describe[") || !strings.Contains(msg, "control characters") {
+		t.Errorf("invalid_spec message lacks the path diagnostic: %s", msg)
+	}
+
 	resp, body = do(t, ts, http.MethodPost, "/v1/models", []byte(`{"name": "x", not json`))
 	if resp.StatusCode != http.StatusBadRequest || envelope(t, body).Code != CodeInvalidSpec {
 		t.Errorf("malformed JSON POST = %d %s", resp.StatusCode, body)

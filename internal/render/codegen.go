@@ -6,15 +6,17 @@
 // Generative code is notoriously hard to read; following §4.1 the package
 // restricts itself to string manipulation structured by a small set of
 // buffer utilities (add, addLn, enterBlock, exitBlock — Fig. 18) that keep
-// both the generative and the generated code legible.
+// both the generative and the generated code legible. Every renderer
+// writes its artefact once, in its final form, into one Buffer whose bytes
+// become Artifact.Data.
 package render
 
-import "strings"
+import "asagen/internal/core"
 
 // Buffer accumulates generated text with managed indentation, providing the
 // utility methods of the paper's Fig. 18.
 type Buffer struct {
-	b      strings.Builder
+	buf    []byte
 	indent int
 	// IndentWith is the string emitted per indentation level; tab when
 	// empty.
@@ -27,19 +29,62 @@ func NewBuffer() *Buffer {
 	return &Buffer{atLineStart: true}
 }
 
-func (b *Buffer) indentUnit() string {
-	if b.IndentWith == "" {
-		return "\t"
+// newBuffer returns a buffer with room for size bytes: an artefact whose
+// size was estimated well is written without regrowing, and its bytes
+// become Artifact.Data as they are.
+func newBuffer(size int) *Buffer {
+	return &Buffer{buf: make([]byte, 0, size), atLineStart: true}
+}
+
+// artifact hands the accumulated bytes over as the artefact's data; the
+// buffer is not written to again.
+func (b *Buffer) artifact(format, mediaType, ext string) Artifact {
+	return Artifact{Format: format, MediaType: mediaType, Ext: ext, Data: b.buf}
+}
+
+// weights are the sums every artefact's size is linear in; each renderer
+// states its own bytes per item where it sizes its buffer.
+type weights struct {
+	states, stateNames         int // states and the bytes of their names
+	annotations, annotationLen int
+	edges                      int // transitions
+	edgeSources, edgeTargets   int // bytes of their source and target state names
+	edgeMessages               int
+	actions, actionLen         int // actions on transitions and their bytes
+}
+
+func weigh(m *core.StateMachine) weights {
+	w := weights{states: len(m.States)}
+	for _, s := range m.States {
+		w.stateNames += len(s.Name)
+		w.annotations += len(s.Annotations)
+		for _, a := range s.Annotations {
+			w.annotationLen += len(a)
+		}
+		w.edges += len(s.Transitions)
+		w.edgeSources += len(s.Transitions) * len(s.Name)
+		for msg, tr := range s.Transitions {
+			w.edgeMessages += len(msg)
+			w.edgeTargets += len(tr.Target.Name)
+			w.actions += len(tr.Actions)
+			for _, a := range tr.Actions {
+				w.actionLen += len(a)
+			}
+		}
 	}
-	return b.IndentWith
+	return w
 }
 
 func (b *Buffer) writeIndent() {
 	if !b.atLineStart {
 		return
 	}
+	unit := b.IndentWith
+	if unit == "" {
+		unit = "\t"
+	}
 	for i := 0; i < b.indent; i++ {
-		b.b.WriteString(b.indentUnit())
+		b.buf = append(b.buf, unit...)
 	}
 	b.atLineStart = false
 }
@@ -51,20 +96,19 @@ func (b *Buffer) Add(items ...string) {
 			continue
 		}
 		b.writeIndent()
-		b.b.WriteString(it)
+		b.buf = append(b.buf, it...)
 	}
 }
 
 // AddLn appends the items to the output buffer followed by a newline.
 func (b *Buffer) AddLn(items ...string) {
 	b.Add(items...)
-	b.b.WriteString("\n")
-	b.atLineStart = true
+	b.BlankLn()
 }
 
 // BlankLn emits an empty line.
 func (b *Buffer) BlankLn() {
-	b.b.WriteString("\n")
+	b.buf = append(b.buf, '\n')
 	b.atLineStart = true
 }
 
@@ -82,8 +126,7 @@ func (b *Buffer) EnterBlock(header ...string) {
 func (b *Buffer) ExitBlock(trailer ...string) {
 	b.DecreaseIndent()
 	b.Add("}")
-	b.Add(trailer...)
-	b.AddLn()
+	b.AddLn(trailer...)
 }
 
 // IncreaseIndent increases the indentation level.
@@ -100,7 +143,7 @@ func (b *Buffer) DecreaseIndent() {
 func (b *Buffer) ResetIndent() { b.indent = 0 }
 
 // Len returns the number of bytes accumulated.
-func (b *Buffer) Len() int { return b.b.Len() }
+func (b *Buffer) Len() int { return len(b.buf) }
 
 // String returns the accumulated output.
-func (b *Buffer) String() string { return b.b.String() }
+func (b *Buffer) String() string { return string(b.buf) }

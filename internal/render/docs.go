@@ -1,7 +1,7 @@
 package render
 
 import (
-	"strings"
+	"strconv"
 
 	"asagen/internal/core"
 )
@@ -25,19 +25,12 @@ func (r *DocRenderer) Name() string { return "doc" }
 
 // Render produces the markdown document.
 func (r *DocRenderer) Render(m *core.StateMachine) (Artifact, error) {
-	return Artifact{
-		Format:    r.Name(),
-		MediaType: "text/markdown; charset=utf-8",
-		Ext:       ".md",
-		Data:      []byte(r.renderDoc(m)),
-	}, nil
-}
-
-func (r *DocRenderer) renderDoc(m *core.StateMachine) string {
-	b := NewBuffer()
+	w := weigh(m)
+	b := newBuffer(512 + 58*w.states + w.stateNames + 3*w.annotations + w.annotationLen +
+		21*w.edges + w.edgeMessages + w.edgeTargets + 4*w.actions + w.actionLen)
 	title := r.Title
 	if title == "" {
-		title = "State machine `" + m.ModelName + "` (parameter " + itoa(m.Parameter) + ")"
+		title = "State machine `" + m.ModelName + "` (parameter " + strconv.Itoa(m.Parameter) + ")"
 	}
 	b.AddLn("# ", title)
 	b.BlankLn()
@@ -46,12 +39,14 @@ func (r *DocRenderer) renderDoc(m *core.StateMachine) string {
 	b.AddLn("| Property | Value |")
 	b.AddLn("|---|---|")
 	b.AddLn("| Model | `", m.ModelName, "` |")
-	b.AddLn("| Parameter | ", itoa(m.Parameter), " |")
-	b.AddLn("| Messages | ", codeList(m.Messages), " |")
-	b.AddLn("| States (raw) | ", itoa(m.Stats.InitialStates), " |")
-	b.AddLn("| States (reachable) | ", itoa(m.Stats.ReachableStates), " |")
-	b.AddLn("| States (merged) | ", itoa(m.Stats.FinalStates), " |")
-	b.AddLn("| Transitions | ", itoa(m.TransitionCount()), " |")
+	b.AddLn("| Parameter | ", strconv.Itoa(m.Parameter), " |")
+	b.Add("| Messages | ")
+	b.codeList(m.Messages)
+	b.AddLn(" |")
+	b.AddLn("| States (raw) | ", strconv.Itoa(m.Stats.InitialStates), " |")
+	b.AddLn("| States (reachable) | ", strconv.Itoa(m.Stats.ReachableStates), " |")
+	b.AddLn("| States (merged) | ", strconv.Itoa(m.Stats.FinalStates), " |")
+	b.AddLn("| Transitions | ", strconv.Itoa(m.TransitionCount()), " |")
 	b.AddLn("| Start state | `", m.Start.Name, "` |")
 	if m.Finish != nil {
 		b.AddLn("| Finish state | `", m.Finish.Name, "` |")
@@ -66,7 +61,9 @@ func (r *DocRenderer) renderDoc(m *core.StateMachine) string {
 		b.AddLn("### `", s.Name, "`")
 		b.BlankLn()
 		if len(s.MergedNames) > 1 {
-			b.AddLn("Combines equivalent states: ", codeList(s.MergedNames), ".")
+			b.Add("Combines equivalent states: ")
+			b.codeList(s.MergedNames)
+			b.AddLn(".")
 			b.BlankLn()
 		}
 		for _, line := range s.Annotations {
@@ -86,26 +83,29 @@ func (r *DocRenderer) renderDoc(m *core.StateMachine) string {
 		}
 		b.AddLn("| Message | Actions | Next state |")
 		b.AddLn("|---|---|---|")
-		for _, msg := range s.SortedMessages(m.Messages) {
+		for _, msg := range m.Messages {
 			tr := s.Transitions[msg]
-			actions := "—"
-			if len(tr.Actions) > 0 {
-				actions = codeList(tr.Actions)
+			if tr == nil {
+				continue
 			}
-			b.AddLn("| `", msg, "` | ", actions, " | `", tr.Target.Name, "` |")
+			b.Add("| `", msg, "` | ")
+			if len(tr.Actions) == 0 {
+				b.Add("—")
+			}
+			b.codeList(tr.Actions)
+			b.AddLn(" | `", tr.Target.Name, "` |")
 		}
 		b.BlankLn()
 	}
-	return b.String()
+	return b.artifact(r.Name(), "text/markdown; charset=utf-8", ".md"), nil
 }
 
-func codeList(items []string) string {
-	if len(items) == 0 {
-		return ""
-	}
-	quoted := make([]string, len(items))
+// codeList writes the items as code spans separated by commas.
+func (b *Buffer) codeList(items []string) {
 	for i, it := range items {
-		quoted[i] = "`" + it + "`"
+		if i > 0 {
+			b.Add(", ")
+		}
+		b.Add("`", it, "`")
 	}
-	return strings.Join(quoted, ", ")
 }

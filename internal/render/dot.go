@@ -28,106 +28,104 @@ func (r *DotRenderer) Name() string { return "dot" }
 
 // Render produces the DOT document.
 func (r *DotRenderer) Render(m *core.StateMachine) (Artifact, error) {
-	return Artifact{
-		Format:    r.Name(),
-		MediaType: "text/vnd.graphviz; charset=utf-8",
-		Ext:       ".dot",
-		Data:      []byte(r.renderDot(m)),
-	}, nil
-}
-
-func (r *DotRenderer) renderDot(m *core.StateMachine) string {
-	b := NewBuffer()
-	b.IndentWith = "  "
-	b.AddLn("digraph \"", escapeDot(m.ModelName), "\" {")
-	b.IncreaseIndent()
+	w := weigh(m)
+	b := newBuffer(256 + 6*w.states + w.stateNames +
+		25*w.edges + w.edgeSources + w.edgeTargets + w.edgeMessages + 16*w.actions + w.actionLen)
 	rank := r.RankDir
 	if rank == "" {
 		rank = "LR"
 	}
-	b.AddLn("rankdir=", rank, ";")
-	b.AddLn("node [shape=box, fontname=\"Helvetica\"];")
-
+	b.dotOpen(m.ModelName, rank)
 	for _, s := range m.States {
-		attrs := []string{}
-		switch {
-		case s == m.Start:
-			attrs = append(attrs, "style=filled", "fillcolor=lightblue")
-		case s.Final:
-			attrs = append(attrs, "shape=doublecircle")
-		}
-		line := "\"" + escapeDot(s.Name) + "\""
-		if len(attrs) > 0 {
-			line += " [" + strings.Join(attrs, ", ") + "]"
-		}
-		b.AddLn(line, ";")
+		b.dotNode(s.Name, s == m.Start, s.Final)
 	}
-
+	// One label head per message, not one per edge.
+	heads := make([]string, len(m.Messages))
+	for i, msg := range m.Messages {
+		heads[i] = "<-" + strings.ToLower(msg)
+	}
+	var label []string
 	for _, s := range m.States {
-		for _, msg := range s.SortedMessages(m.Messages) {
+		for i, msg := range m.Messages {
 			tr := s.Transitions[msg]
-			label := "<-" + strings.ToLower(msg)
-			if r.IncludeActions && len(tr.Actions) > 0 {
-				label += "\\n" + strings.Join(tr.Actions, "\\n")
+			if tr == nil {
+				continue
 			}
-			attrs := []string{"label=\"" + escapeDot(label) + "\""}
-			if tr.IsPhase() {
-				attrs = append(attrs, "penwidth=2.2") // thick arrow: phase transition
+			label = append(label[:0], heads[i])
+			if r.IncludeActions {
+				label = append(label, tr.Actions...)
 			}
-			b.AddLn("\"", escapeDot(s.Name), "\" -> \"", escapeDot(tr.Target.Name),
-				"\" [", strings.Join(attrs, ", "), "];")
+			b.dotEdge(s.Name, tr.Target.Name, label, tr.IsPhase())
 		}
 	}
-
-	b.DecreaseIndent()
-	b.AddLn("}")
-	return b.String()
+	b.ExitBlock()
+	return b.artifact(r.Name(), "text/vnd.graphviz; charset=utf-8", ".dot"), nil
 }
 
 // RenderEFSMDot renders an EFSM as a DOT diagram with guard/update labels.
-func RenderEFSMDot(e *core.EFSM) string {
+func RenderEFSMDot(e *core.EFSM) string { return efsmDot(e).String() }
+
+func efsmDot(e *core.EFSM) *Buffer {
 	b := NewBuffer()
-	b.IndentWith = "  "
-	b.AddLn("digraph \"", escapeDot(e.ModelName), "-efsm\" {")
-	b.IncreaseIndent()
-	b.AddLn("rankdir=LR;")
-	b.AddLn("node [shape=box, fontname=\"Helvetica\"];")
+	b.dotOpen(e.ModelName+"-efsm", "LR")
 	for _, s := range e.States {
-		attrs := ""
-		switch {
-		case s == e.Start:
-			attrs = " [style=filled, fillcolor=lightblue]"
-		case s.Final:
-			attrs = " [shape=doublecircle]"
-		}
-		b.AddLn("\"", escapeDot(s.Name), "\"", attrs, ";")
+		b.dotNode(s.Name, s == e.Start, s.Final)
 	}
 	for _, s := range e.States {
 		for _, tr := range s.Transitions {
-			parts := []string{"<-" + strings.ToLower(tr.Message)}
+			label := []string{"<-" + strings.ToLower(tr.Message)}
 			if !tr.Guard.Unconditional() {
-				parts = append(parts, "["+tr.Guard.String()+"]")
+				label = append(label, "["+tr.Guard.String()+"]")
 			}
 			for _, op := range tr.VarOps {
-				parts = append(parts, op.String())
+				label = append(label, op.String())
 			}
-			parts = append(parts, tr.Actions...)
-			attrs := []string{"label=\"" + escapeDot(strings.Join(parts, "\\n")) + "\""}
-			if len(tr.Actions) > 0 {
-				attrs = append(attrs, "penwidth=2.2")
-			}
-			b.AddLn("\"", escapeDot(s.Name), "\" -> \"", escapeDot(tr.Target.Name),
-				"\" [", strings.Join(attrs, ", "), "];")
+			b.dotEdge(s.Name, tr.Target.Name, append(label, tr.Actions...), len(tr.Actions) > 0)
 		}
 	}
-	b.DecreaseIndent()
-	b.AddLn("}")
-	return b.String()
+	b.ExitBlock()
+	return b
 }
 
+func (b *Buffer) dotOpen(name, rankDir string) {
+	b.IndentWith = "  "
+	b.EnterBlock("digraph \"" + escapeDot(name) + "\"")
+	b.AddLn("rankdir=", rankDir, ";")
+	b.AddLn("node [shape=box, fontname=\"Helvetica\"];")
+}
+
+func (b *Buffer) dotNode(name string, start, final bool) {
+	b.Add("\"", escapeDot(name), "\"")
+	switch {
+	case start:
+		b.Add(" [style=filled, fillcolor=lightblue]")
+	case final:
+		b.Add(" [shape=doublecircle]")
+	}
+	b.AddLn(";")
+}
+
+// dotEdge writes one edge, its label parts on lines of their own; bold
+// marks a phase transition with a thick arrow.
+func (b *Buffer) dotEdge(from, to string, label []string, bold bool) {
+	b.Add("\"", escapeDot(from), "\" -> \"", escapeDot(to), "\" [label=\"")
+	for i, part := range label {
+		if i > 0 {
+			b.Add("\\n")
+		}
+		b.Add(escapeDot(part))
+	}
+	b.Add("\"")
+	if bold {
+		b.Add(", penwidth=2.2")
+	}
+	b.AddLn("];")
+}
+
+// escapeDot escapes a string for a double-quoted DOT identifier; a
+// backslash-n in it stays the line break DOT reads it as.
 func escapeDot(s string) string {
 	s = strings.ReplaceAll(s, "\\", "\\\\")
-	// Preserve intentional newline escapes in labels.
 	s = strings.ReplaceAll(s, "\\\\n", "\\n")
 	return strings.ReplaceAll(s, "\"", "\\\"")
 }

@@ -18,12 +18,7 @@ func (r *EFSMTextRenderer) Name() string { return "efsm" }
 
 // RenderEFSM implements EFSMRenderer.
 func (r *EFSMTextRenderer) RenderEFSM(e *core.EFSM) (Artifact, error) {
-	return Artifact{
-		Format:    r.Name(),
-		MediaType: "text/plain; charset=utf-8",
-		Ext:       ".txt",
-		Data:      []byte(RenderEFSMText(e)),
-	}, nil
+	return efsmText(e).artifact(r.Name(), "text/plain; charset=utf-8", ".txt"), nil
 }
 
 // EFSMDotRenderer renders an EFSM as a Graphviz DOT diagram with
@@ -38,10 +33,5 @@ func (r *EFSMDotRenderer) Name() string { return "efsm-dot" }
 
 // RenderEFSM implements EFSMRenderer.
 func (r *EFSMDotRenderer) RenderEFSM(e *core.EFSM) (Artifact, error) {
-	return Artifact{
-		Format:    r.Name(),
-		MediaType: "text/vnd.graphviz; charset=utf-8",
-		Ext:       ".dot",
-		Data:      []byte(RenderEFSMDot(e)),
-	}, nil
+	return efsmDot(e).artifact(r.Name(), "text/vnd.graphviz; charset=utf-8", ".dot"), nil
 }

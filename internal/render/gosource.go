@@ -1,11 +1,16 @@
 package render
 
 import (
+	"bytes"
 	"fmt"
-	"go/format"
+	"go/doc/comment"
+	"go/parser"
 	"go/token"
+	"math"
+	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"asagen/internal/core"
 )
@@ -49,7 +54,7 @@ func DefaultActionMethod(action string) string {
 // user-controlled (dynamically registered specs), so the derivation must
 // produce a compilable package clause for any input.
 func DefaultPackageName(m *core.StateMachine) string {
-	return SanitizePackageName(m.ModelName) + itoa(m.Parameter)
+	return SanitizePackageName(m.ModelName) + strconv.Itoa(m.Parameter)
 }
 
 // SanitizePackageName maps an arbitrary model name onto a valid Go
@@ -83,79 +88,129 @@ func SanitizePackageName(name string) string {
 // Name implements Renderer.
 func (r *GoSourceRenderer) Name() string { return "go" }
 
-// Render produces gofmt-formatted Go source for the machine. Rendering
-// fails if the machine is empty or the emitted source does not parse —
-// which would indicate a renderer bug, surfaced as an error rather than a
-// broken artefact.
-func (r *GoSourceRenderer) Render(m *core.StateMachine) (Artifact, error) {
-	src, err := r.renderSource(m)
-	if err != nil {
-		return Artifact{}, err
-	}
-	return Artifact{
-		Format:    r.Name(),
-		MediaType: "text/x-go; charset=utf-8",
-		Ext:       ".go",
-		Data:      []byte(src),
-	}, nil
+// goWriter is the Buffer plus what the sections of one Go artefact share:
+// identifiers derived once per state and action, not once per transition.
+type goWriter struct {
+	*Buffer
+	consts  map[*core.State]string
+	methods map[string]string
+	// broken quotes the first model string that cannot sit in a line
+	// comment; empty when there is none.
+	broken string
 }
 
-func (r *GoSourceRenderer) renderSource(m *core.StateMachine) (string, error) {
+// Render produces Go source for the machine, written directly in the form
+// gofmt leaves unchanged. Rendering fails if the machine is empty, if
+// model text would break out of a comment, or if the emitted source does
+// not parse — which would indicate a renderer bug, surfaced as an error
+// rather than a broken artefact.
+func (r *GoSourceRenderer) Render(m *core.StateMachine) (Artifact, error) {
 	if m.Start == nil || len(m.States) == 0 {
-		return "", fmt.Errorf("render: go source: machine has no states")
+		return Artifact{}, fmt.Errorf("render: go source: machine has no states")
 	}
-	actionMethod := r.ActionMethod
-	if actionMethod == nil {
-		actionMethod = DefaultActionMethod
+	method := r.ActionMethod
+	if method == nil {
+		method = DefaultActionMethod
 	}
 	pkg := r.PackageName
 	if pkg == "" {
 		pkg = DefaultPackageName(m)
 	}
-
-	// Collect the action vocabulary in first-use order.
-	var actions []string
-	seen := map[string]bool{}
+	param := strconv.Itoa(m.Parameter)
+	w := weigh(m)
+	g := &goWriter{
+		Buffer: newBuffer(2048 + 256*len(m.Messages) + 22*w.states + 3*w.stateNames + 5*w.annotations + w.annotationLen +
+			34*w.edges + w.edgeSources + w.edgeTargets + 17*w.actions + w.actionLen),
+		consts:  make(map[*core.State]string, len(m.States)),
+		methods: map[string]string{},
+	}
+	for _, s := range m.States {
+		g.consts[s] = stateConst(s)
+	}
+	var actions []string // in first-use order
 	for _, s := range m.States {
 		for _, msg := range m.Messages {
-			tr := s.Transition(msg)
-			if tr == nil {
-				continue
-			}
-			for _, a := range tr.Actions {
-				if !seen[a] {
-					seen[a] = true
-					actions = append(actions, a)
+			if tr := s.Transitions[msg]; tr != nil {
+				for _, a := range tr.Actions {
+					if _, seen := g.methods[a]; !seen {
+						g.methods[a] = method(a)
+						actions = append(actions, a)
+					}
 				}
 			}
 		}
 	}
 
-	b := NewBuffer()
-	b.AddLn("// Code generated by asagen fsmgen (model ", m.ModelName,
-		", parameter ", itoa(m.Parameter), "). DO NOT EDIT.")
-	b.BlankLn()
-	b.AddLn("// Package ", pkg, " is a generated state-machine implementation of the")
-	b.AddLn("// ", m.ModelName, " protocol for parameter ", itoa(m.Parameter), ".")
-	b.AddLn("package ", pkg)
-	b.BlankLn()
+	g.comment("Code generated by asagen fsmgen (model ", m.ModelName, ", parameter ", param, "). DO NOT EDIT.")
+	g.BlankLn()
+	g.docComment("Package "+pkg+" is a generated state-machine implementation of the",
+		m.ModelName+" protocol for parameter "+param+".")
+	g.AddLn("package ", pkg)
+	g.BlankLn()
+	g.docComment("State enumerates the machine states. State names encode the values of",
+		"the model's state components: "+componentList(m)+".")
+	g.AddLn("type State int")
+	g.BlankLn()
+	g.emitStates(m.States, r.IncludeComments)
+	g.emitActions(actions)
+	g.emitMachine(m)
+	g.emitHandlers(m)
 
-	b.AddLn("// State enumerates the machine states. State names encode the values of")
-	b.AddLn("// the model's state components: ", componentList(m), ".")
-	b.AddLn("type State int")
-	b.BlankLn()
-	r.emitConsts(b, m)
-	r.emitNames(b, m)
-	r.emitActionsInterface(b, actions, actionMethod)
-	r.emitMachine(b, m)
-	r.emitHandlers(b, m, actionMethod)
-	r.emitDispatch(b, m)
-
-	formatted, err := format.Source([]byte(b.String()))
-	if err != nil {
-		return "", fmt.Errorf("render: go source for %s: generated code does not parse: %w", m.ModelName, err)
+	if g.broken != "" {
+		return Artifact{}, fmt.Errorf("render: go source for %s: comment text %s contains a line break", m.ModelName, g.broken)
 	}
-	return string(formatted), nil
+	// The mode go/format parses with: what gofmt would accept, this accepts.
+	if _, err := parser.ParseFile(token.NewFileSet(), "", g.buf, parser.ParseComments|parser.SkipObjectResolution); err != nil {
+		return Artifact{}, fmt.Errorf("render: go source for %s: generated code does not parse: %w", m.ModelName, err)
+	}
+	return g.artifact(r.Name(), "text/x-go; charset=utf-8", ".go"), nil
+}
+
+// comment writes one line comment as gofmt leaves it: trailing white space
+// trimmed.
+func (g *goWriter) comment(text ...string) {
+	g.check(text)
+	g.Add("// ")
+	g.Add(text...)
+	g.buf = bytes.TrimRightFunc(g.buf, unicode.IsSpace)
+	g.BlankLn()
+}
+
+// check notes model text with a line break in it: in a line comment that
+// would end the comment and continue as code that may well parse, so it
+// fails the render instead. A form feed is a line break to go/printer.
+func (g *goWriter) check(text []string) {
+	for _, t := range text {
+		if g.broken == "" && strings.ContainsAny(t, "\n\r\f") {
+			g.broken = strconv.Quote(t)
+		}
+	}
+}
+
+// docComment writes a top-level doc comment that carries model text.
+// These are the comments gofmt lays out again through go/doc/comment
+// (“quotes”, lists, indented text as code blocks), so the same library
+// lays them out here, on two lines instead of the whole file.
+func (g *goWriter) docComment(lines ...string) {
+	g.check(lines)
+	var p comment.Parser
+	var pr comment.Printer
+	out := strings.TrimSuffix(string(pr.Comment(p.Parse(strings.Join(lines, "\n")+"\n"))), "\n")
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "\t") { // a code block: the tab follows the slashes
+			g.AddLn("//", strings.TrimRightFunc(line, unicode.IsSpace))
+		} else {
+			g.comment(line)
+		}
+	}
+}
+
+// pad appends the blanks that fill a cell of the given rune width up to
+// its column's width, plus the one blank that separates columns.
+func (g *goWriter) pad(cell, column int) {
+	for ; cell <= column; cell++ {
+		g.buf = append(g.buf, ' ')
+	}
 }
 
 func componentList(m *core.StateMachine) string {
@@ -166,162 +221,180 @@ func componentList(m *core.StateMachine) string {
 	return strings.Join(names, "/")
 }
 
-func (r *GoSourceRenderer) emitConsts(b *Buffer, m *core.StateMachine) {
-	b.AddLn("// Machine states. The zero State is invalid.")
-	b.AddLn("const (")
-	b.IncreaseIndent()
-	b.AddLn("StateInvalid State = iota")
-	for _, s := range m.States {
-		if r.IncludeComments {
+// emitStates writes the state constants and the stateNames literal, whose
+// values are aligned as go/printer's exprList aligns key: value pairs: one
+// column per section, measured in runes, where a new section starts at a
+// key that is not small (it or the previous key is over 40 bytes) and
+// whose size is at least 2.5 times, or at most 1/2.5 of, the geometric
+// mean of the key sizes before it in the section.
+func (g *goWriter) emitStates(states []*core.State, annotate bool) {
+	g.AddLn("// Machine states. The zero State is invalid.")
+	g.AddLn("const (")
+	g.IncreaseIndent()
+	g.AddLn("StateInvalid State = iota")
+	for _, s := range states {
+		if annotate {
 			for _, line := range s.Annotations {
-				b.AddLn("// ", line)
+				g.comment(line)
 			}
 		}
-		b.AddLn(stateConst(s))
+		g.AddLn(g.consts[s])
 	}
-	b.DecreaseIndent()
-	b.AddLn(")")
-	b.BlankLn()
+	g.DecreaseIndent()
+	g.AddLn(")")
+	g.BlankLn()
+	g.AddLn("// stateNames maps states to their encoded names.")
+	g.AddLn("var stateNames = map[State]string{")
+	g.IncreaseIndent()
+	section := func(states []*core.State) {
+		column := 0
+		for _, s := range states {
+			column = max(column, utf8.RuneCountInString(g.consts[s]))
+		}
+		for _, s := range states {
+			g.Add(g.consts[s], ":")
+			g.pad(utf8.RuneCountInString(g.consts[s]), column)
+			g.buf = strconv.AppendQuote(g.buf, s.Name)
+			g.AddLn(",")
+		}
+	}
+	const smallSize, r = 40, 2.5 // go/printer's constants
+	start, lnsum := 0, 0.0
+	for i, s := range states {
+		size := len(g.consts[s])
+		if i > 0 && (size > smallSize || len(g.consts[states[i-1]]) > smallSize) {
+			ratio := float64(size) / math.Exp(lnsum/float64(i-start))
+			if r*ratio <= 1 || r <= ratio {
+				section(states[start:i])
+				start, lnsum = i, 0
+			}
+		}
+		lnsum += math.Log(float64(size))
+	}
+	section(states[start:])
+	g.DecreaseIndent()
+	g.Add(`}
+
+// String returns the encoded state name.
+func (s State) String() string {
+	if name, ok := stateNames[s]; ok {
+		return name
+	}
+	return "INVALID"
 }
 
-func (r *GoSourceRenderer) emitNames(b *Buffer, m *core.StateMachine) {
-	b.AddLn("// stateNames maps states to their encoded names.")
-	b.AddLn("var stateNames = map[State]string{")
-	b.IncreaseIndent()
-	for _, s := range m.States {
-		b.AddLn(stateConst(s), ": ", quote(s.Name), ",")
-	}
-	b.DecreaseIndent()
-	b.AddLn("}")
-	b.BlankLn()
-	b.AddLn("// String returns the encoded state name.")
-	b.AddLn("func (s State) String() string {")
-	b.IncreaseIndent()
-	b.AddLn("if name, ok := stateNames[s]; ok {")
-	b.IncreaseIndent()
-	b.AddLn("return name")
-	b.DecreaseIndent()
-	b.AddLn("}")
-	b.AddLn("return \"INVALID\"")
-	b.DecreaseIndent()
-	b.AddLn("}")
-	b.BlankLn()
+`)
 }
 
-func (r *GoSourceRenderer) emitActionsInterface(b *Buffer, actions []string, method func(string) string) {
-	b.AddLn("// Actions receives the outgoing messages sent on phase transitions. The")
-	b.AddLn("// embedding application supplies the transport.")
-	b.AddLn("type Actions interface {")
-	b.IncreaseIndent()
+// emitActions writes the Actions interface, the trailing comments in one
+// column a blank past the widest method (go/printer separates a trailing
+// comment with a tab cell), and the no-op implementation.
+func (g *goWriter) emitActions(actions []string) {
+	g.AddLn("// Actions receives the outgoing messages sent on phase transitions. The")
+	g.AddLn("// embedding application supplies the transport.")
+	g.EnterBlock("type Actions interface")
+	column := 0
 	for _, a := range actions {
-		b.AddLn(method(a), "() // ", a)
+		column = max(column, utf8.RuneCountInString(g.methods[a]))
 	}
-	b.DecreaseIndent()
-	b.AddLn("}")
-	b.BlankLn()
-	b.AddLn("// NopActions discards all actions.")
-	b.AddLn("type NopActions struct{}")
-	b.BlankLn()
 	for _, a := range actions {
-		b.AddLn("// ", method(a), " implements Actions.")
-		b.AddLn("func (NopActions) ", method(a), "() {}")
-		b.BlankLn()
+		g.Add(g.methods[a], "()")
+		g.pad(utf8.RuneCountInString(g.methods[a]), column)
+		g.comment(a)
+	}
+	g.ExitBlock()
+	g.BlankLn()
+	g.AddLn("// NopActions discards all actions.")
+	g.AddLn("type NopActions struct{}")
+	g.BlankLn()
+	for _, a := range actions {
+		g.AddLn("// ", g.methods[a], " implements Actions.")
+		g.AddLn("func (NopActions) ", g.methods[a], "() {}")
+		g.BlankLn()
 	}
 }
 
-func (r *GoSourceRenderer) emitMachine(b *Buffer, m *core.StateMachine) {
-	b.AddLn("// Machine is the generated protocol implementation: the current state plus")
-	b.AddLn("// the action sink.")
-	b.AddLn("type Machine struct {")
-	b.IncreaseIndent()
-	b.AddLn("state   State")
-	b.AddLn("actions Actions")
-	b.DecreaseIndent()
-	b.AddLn("}")
-	b.BlankLn()
-	b.AddLn("// New returns a machine positioned at the start state. A nil actions sink")
-	b.AddLn("// discards outgoing messages.")
-	b.AddLn("func New(actions Actions) *Machine {")
-	b.IncreaseIndent()
-	b.AddLn("if actions == nil {")
-	b.IncreaseIndent()
-	b.AddLn("actions = NopActions{}")
-	b.DecreaseIndent()
-	b.AddLn("}")
-	b.AddLn("return &Machine{state: ", stateConst(m.Start), ", actions: actions}")
-	b.DecreaseIndent()
-	b.AddLn("}")
-	b.BlankLn()
-	b.AddLn("// State returns the current machine state.")
-	b.AddLn("func (m *Machine) State() State { return m.state }")
-	b.BlankLn()
+func (g *goWriter) emitMachine(m *core.StateMachine) {
+	g.Add(`// Machine is the generated protocol implementation: the current state plus
+// the action sink.
+type Machine struct {
+	state   State
+	actions Actions
+}
+
+// New returns a machine positioned at the start state. A nil actions sink
+// discards outgoing messages.
+func New(actions Actions) *Machine {
+	if actions == nil {
+		actions = NopActions{}
+	}
+	return &Machine{state: `, g.consts[m.Start], `, actions: actions}
+}
+
+// State returns the current machine state.
+func (m *Machine) State() State { return m.state }
+
+`)
 	if m.Finish != nil {
-		b.AddLn("// Finished reports whether the machine has reached the finish state.")
-		b.AddLn("func (m *Machine) Finished() bool { return m.state == ", stateConst(m.Finish), " }")
-		b.BlankLn()
+		g.AddLn("// Finished reports whether the machine has reached the finish state.")
+		g.AddLn("func (m *Machine) Finished() bool { return m.state == ", g.consts[m.Finish], " }")
 	} else {
-		b.AddLn("// Finished reports whether the machine has reached a terminal state;")
-		b.AddLn("// this machine has none.")
-		b.AddLn("func (m *Machine) Finished() bool { return false }")
-		b.BlankLn()
+		g.AddLn("// Finished reports whether the machine has reached a terminal state;")
+		g.AddLn("// this machine has none.")
+		g.AddLn("func (m *Machine) Finished() bool { return false }")
 	}
+	g.BlankLn()
 }
 
-func (r *GoSourceRenderer) emitHandlers(b *Buffer, m *core.StateMachine, method func(string) string) {
-	for _, msg := range m.Messages {
-		b.AddLn("// Receive", camel(msg), " handles an incoming ", msg, " message. States in which")
-		b.AddLn("// the message is not applicable ignore it.")
-		b.AddLn("func (m *Machine) Receive", camel(msg), "() {")
-		b.IncreaseIndent()
-		b.AddLn("switch m.state {")
-		b.BlankLn()
+// emitHandlers writes one Receive method per message and the dispatcher
+// over them.
+func (g *goWriter) emitHandlers(m *core.StateMachine) {
+	receive := make([]string, len(m.Messages))
+	for i, msg := range m.Messages {
+		receive[i] = "Receive" + camel(msg)
+		g.docComment(receive[i]+" handles an incoming "+msg+" message. States in which",
+			"the message is not applicable ignore it.")
+		g.EnterBlock("func (m *Machine) ", receive[i], "()")
+		g.AddLn("switch m.state {")
+		g.BlankLn()
 		for _, s := range m.States {
-			tr := s.Transition(msg)
+			tr := s.Transitions[msg]
 			if tr == nil {
 				continue
 			}
-			b.AddLn("case ", stateConst(s), ":")
-			b.IncreaseIndent()
+			g.AddLn("case ", g.consts[s], ":")
+			g.IncreaseIndent()
 			for _, a := range tr.Actions {
-				b.AddLn("m.actions.", method(a), "()")
+				g.AddLn("m.actions.", g.methods[a], "()")
 			}
-			b.AddLn("m.state = ", stateConst(tr.Target))
-			b.DecreaseIndent()
-			b.BlankLn()
+			g.AddLn("m.state = ", g.consts[tr.Target])
+			g.DecreaseIndent()
+			g.BlankLn()
 		}
-		b.AddLn("}")
-		b.DecreaseIndent()
-		b.AddLn("}")
-		b.BlankLn()
+		g.AddLn("}")
+		g.ExitBlock()
+		g.BlankLn()
 	}
-}
-
-func (r *GoSourceRenderer) emitDispatch(b *Buffer, m *core.StateMachine) {
-	b.AddLn("// Receive dispatches a message by its model name. It reports whether the")
-	b.AddLn("// message type is known to the machine.")
-	b.AddLn("func (m *Machine) Receive(msg string) bool {")
-	b.IncreaseIndent()
-	b.AddLn("switch msg {")
-	for _, msg := range m.Messages {
-		b.AddLn("case ", quote(msg), ":")
-		b.IncreaseIndent()
-		b.AddLn("m.Receive", camel(msg), "()")
-		b.DecreaseIndent()
+	g.AddLn("// Receive dispatches a message by its model name. It reports whether the")
+	g.AddLn("// message type is known to the machine.")
+	g.EnterBlock("func (m *Machine) Receive(msg string) bool")
+	g.AddLn("switch msg {")
+	for i, msg := range m.Messages {
+		g.AddLn("case ", strconv.Quote(msg), ":")
+		g.AddLn("\tm.", receive[i], "()")
 	}
-	b.AddLn("default:")
-	b.IncreaseIndent()
-	b.AddLn("return false")
-	b.DecreaseIndent()
-	b.AddLn("}")
-	b.AddLn("return true")
-	b.DecreaseIndent()
-	b.AddLn("}")
+	g.AddLn("default:")
+	g.AddLn("\treturn false")
+	g.AddLn("}")
+	g.AddLn("return true")
+	g.ExitBlock()
 }
 
 // stateConst returns the Go constant name for a state: the encoded state
 // name with every non-alphanumeric rune mapped to '_'.
 func stateConst(s *core.State) string {
 	var b strings.Builder
+	b.Grow(len("State_") + len(s.Name))
 	b.WriteString("State_")
 	for _, r := range s.Name {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
@@ -351,8 +424,4 @@ func camel(s string) string {
 		}
 	}
 	return b.String()
-}
-
-func quote(s string) string {
-	return fmt.Sprintf("%q", s)
 }

@@ -11,7 +11,7 @@ import (
 	"asagen/internal/core"
 )
 
-func commitMachine(t *testing.T, r int) *core.StateMachine {
+func commitMachine(t testing.TB, r int) *core.StateMachine {
 	t.Helper()
 	m, err := commit.NewModel(r)
 	if err != nil {

@@ -1,6 +1,7 @@
 package render
 
 import (
+	"strconv"
 	"strings"
 
 	"asagen/internal/core"
@@ -27,21 +28,18 @@ func (r *TextRenderer) Name() string { return "text" }
 
 // Render produces the textual representation of the whole machine.
 func (r *TextRenderer) Render(m *core.StateMachine) (Artifact, error) {
-	b := NewBuffer()
+	w := weigh(m)
+	b := newBuffer(256 + 45*w.states + 2*w.stateNames + w.annotations + w.annotationLen +
+		30*w.edges + w.edgeMessages + w.edgeTargets + 11*w.actions + w.actionLen)
 	b.AddLn("state machine: ", m.ModelName)
-	b.AddLn("parameter: ", itoa(m.Parameter))
+	b.AddLn("parameter: ", strconv.Itoa(m.Parameter))
 	b.AddLn("messages: ", strings.Join(m.Messages, ", "))
-	b.AddLn("states: ", itoa(len(m.States)))
+	b.AddLn("states: ", strconv.Itoa(len(m.States)))
 	b.BlankLn()
 	for _, s := range m.States {
 		r.renderState(b, m, s)
 	}
-	return Artifact{
-		Format:    r.Name(),
-		MediaType: "text/plain; charset=utf-8",
-		Ext:       ".txt",
-		Data:      []byte(b.String()),
-	}, nil
+	return b.artifact(r.Name(), "text/plain; charset=utf-8", ".txt"), nil
 }
 
 // RenderState produces the Fig. 14 style section for a single state.
@@ -52,8 +50,7 @@ func (r *TextRenderer) RenderState(m *core.StateMachine, s *core.State) string {
 }
 
 func (r *TextRenderer) renderState(b *Buffer, m *core.StateMachine, s *core.State) {
-	b.AddLn("state: ", s.Name)
-	b.AddLn(strings.Repeat("-", len("state: ")+len(s.Name)))
+	b.underlined("state: ", s.Name)
 
 	if r.IncludeMergedNames && len(s.MergedNames) > 1 {
 		b.AddLn("Combines: ", strings.Join(s.MergedNames, ", "))
@@ -81,8 +78,11 @@ func (r *TextRenderer) renderState(b *Buffer, m *core.StateMachine, s *core.Stat
 		b.BlankLn()
 		return
 	}
-	for _, msg := range s.SortedMessages(m.Messages) {
+	for _, msg := range m.Messages {
 		tr := s.Transitions[msg]
+		if tr == nil {
+			continue
+		}
 		b.IncreaseIndent()
 		b.AddLn("message: ", msg)
 		b.IncreaseIndent()
@@ -96,18 +96,29 @@ func (r *TextRenderer) renderState(b *Buffer, m *core.StateMachine, s *core.Stat
 	}
 }
 
+// underlined writes a heading and a rule of dashes as long under it.
+func (b *Buffer) underlined(label, name string) {
+	b.AddLn(label, name)
+	b.writeIndent()
+	for range len(label) + len(name) {
+		b.buf = append(b.buf, '-')
+	}
+	b.BlankLn()
+}
+
 // RenderEFSMText renders an EFSM as a textual catalogue: per state, the
 // guarded transitions with variable updates and actions.
-func RenderEFSMText(e *core.EFSM) string {
+func RenderEFSMText(e *core.EFSM) string { return efsmText(e).String() }
+
+func efsmText(e *core.EFSM) *Buffer {
 	b := NewBuffer()
 	b.AddLn("extended state machine: ", e.ModelName)
-	b.AddLn("generalised from parameter: ", itoa(e.Parameter))
+	b.AddLn("generalised from parameter: ", strconv.Itoa(e.Parameter))
 	b.AddLn("variables: ", strings.Join(e.Variables, ", "))
-	b.AddLn("states: ", itoa(len(e.States)))
+	b.AddLn("states: ", strconv.Itoa(len(e.States)))
 	b.BlankLn()
 	for _, s := range e.States {
-		b.AddLn("state: ", s.Name)
-		b.AddLn(strings.Repeat("-", len("state: ")+len(s.Name)))
+		b.underlined("state: ", s.Name)
 		if s.Final {
 			b.IncreaseIndent()
 			b.AddLn("(terminal state)")
@@ -134,27 +145,5 @@ func RenderEFSMText(e *core.EFSM) string {
 			b.BlankLn()
 		}
 	}
-	return b.String()
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return b
 }

@@ -3,6 +3,8 @@ package render
 import (
 	"encoding/xml"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"asagen/internal/core"
 )
@@ -43,8 +45,6 @@ type XMLTransition struct {
 type XMLRenderer struct {
 	// IncludeAnnotations embeds the state commentary in the document.
 	IncludeAnnotations bool
-	// Indent sets the marshalling indent; two spaces when empty.
-	Indent string
 }
 
 // NewXMLRenderer returns a renderer with annotations enabled.
@@ -52,7 +52,10 @@ func NewXMLRenderer() *XMLRenderer {
 	return &XMLRenderer{IncludeAnnotations: true}
 }
 
-// Document builds the interchange structure without marshalling it.
+// Document builds the interchange structure. Render does not go through
+// it: this is the read side's view of a machine, and marshalled by
+// xml.MarshalIndent (two-space indent, under xml.Header, newline-ended)
+// it is the oracle the tests hold Render's bytes to.
 func (r *XMLRenderer) Document(m *core.StateMachine) *XMLDiagram {
 	doc := &XMLDiagram{
 		Model:     m.ModelName,
@@ -92,22 +95,129 @@ func (r *XMLRenderer) Document(m *core.StateMachine) *XMLDiagram {
 // Name implements Renderer.
 func (r *XMLRenderer) Name() string { return "xml" }
 
-// Render marshals the machine's diagram document.
+// xmlWriter writes a document tag by tag, laid out as encoding/xml indents
+// one: every start tag on a line of its own, an end tag on its own line
+// unless it closes an element without child elements.
+type xmlWriter struct {
+	*Buffer
+	children bool   // the open element has a child element
+	scratch  []byte // text on its way through xml.EscapeText
+}
+
+// open starts an element and writes the attributes given as name, value
+// pairs; the caller adds any others and the closing ">".
+func (x *xmlWriter) open(name string, attrs ...string) {
+	if !x.atLineStart {
+		x.BlankLn()
+	}
+	x.Add("<", name)
+	for i := 0; i < len(attrs); i += 2 {
+		x.Add(" ", attrs[i], `="`)
+		x.text(attrs[i+1])
+		x.Add(`"`)
+	}
+	x.IncreaseIndent()
+	x.children = false
+}
+
+func (x *xmlWriter) close(name string) {
+	x.DecreaseIndent()
+	if x.children {
+		x.BlankLn()
+	}
+	x.Add("</", name, ">")
+	x.children = true // of the parent, from here on
+}
+
+// leaves writes one child element per text. With omitEmpty an empty text
+// has none, which is what omitempty on a []string field comes to.
+func (x *xmlWriter) leaves(name string, texts []string, omitEmpty bool) {
+	for _, t := range texts {
+		if t != "" || !omitEmpty {
+			x.open(name)
+			x.Add(">")
+			x.text(t)
+			x.close(name)
+		}
+	}
+}
+
+// Write lets xml.EscapeText append to the buffer.
+func (x *xmlWriter) Write(p []byte) (int, error) {
+	x.buf = append(x.buf, p...)
+	return len(p), nil
+}
+
+// text appends s escaped as encoding/xml escapes attribute values and
+// character data alike. Printable ASCII outside the five markup characters
+// is appended as it is; anything else is left to xml.EscapeText.
+func (x *xmlWriter) text(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= 0x7f || strings.IndexByte(`"'&<>`, c) >= 0 {
+			x.scratch = append(x.scratch[:0], s...)
+			xml.EscapeText(x, x.scratch) // appending to the buffer cannot fail
+			return
+		}
+	}
+	x.buf = append(x.buf, s...)
+}
+
+// Render writes the machine's diagram document.
 func (r *XMLRenderer) Render(m *core.StateMachine) (Artifact, error) {
-	indent := r.Indent
-	if indent == "" {
-		indent = "  "
+	w := weigh(m)
+	x := &xmlWriter{Buffer: newBuffer(512 + 44*w.states + w.stateNames + 32*w.annotations + w.annotationLen +
+		66*w.edges + w.edgeMessages + 48*w.actions + w.actionLen)}
+	x.IndentWith = "  "
+	ids := make(map[*core.State]string, len(m.States))
+	var id [24]byte
+	for i, s := range m.States {
+		ids[s] = string(strconv.AppendInt(append(id[:0], 's'), int64(i), 10))
 	}
-	out, err := xml.MarshalIndent(r.Document(m), "", indent)
-	if err != nil {
-		return Artifact{}, fmt.Errorf("render: marshal diagram: %w", err)
+	x.buf = append(x.buf, xml.Header...)
+	x.open("stateMachineDiagram", "model", m.ModelName, "parameter", strconv.Itoa(m.Parameter))
+	x.Add(">")
+	x.open("messages")
+	x.Add(">")
+	x.leaves("message", m.Messages, false)
+	x.close("messages")
+	x.open("states")
+	x.Add(">")
+	for _, s := range m.States {
+		x.open("state", "id", ids[s], "name", s.Name)
+		if s == m.Start {
+			x.Add(` start="true"`)
+		}
+		if s.Final {
+			x.Add(` final="true"`)
+		}
+		x.Add(">")
+		if r.IncludeAnnotations {
+			x.leaves("annotation", s.Annotations, true)
+		}
+		x.close("state")
 	}
-	return Artifact{
-		Format:    r.Name(),
-		MediaType: "application/xml; charset=utf-8",
-		Ext:       ".xml",
-		Data:      []byte(xml.Header + string(out) + "\n"),
-	}, nil
+	x.close("states")
+	x.open("transitions")
+	x.Add(">")
+	for _, s := range m.States {
+		for _, msg := range m.Messages {
+			tr := s.Transitions[msg]
+			if tr == nil {
+				continue
+			}
+			x.open("transition", "from", ids[s], "to", ids[tr.Target], "message", msg)
+			if tr.IsPhase() {
+				x.Add(` phase="true"`)
+			}
+			x.Add(">")
+			x.leaves("action", tr.Actions, true)
+			x.close("transition")
+		}
+	}
+	x.close("transitions")
+	x.close("stateMachineDiagram")
+	x.BlankLn()
+	return x.artifact(r.Name(), "application/xml; charset=utf-8", ".xml"), nil
 }
 
 // ParseXML decodes a diagram document produced by Render, for round-trip

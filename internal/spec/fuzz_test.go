@@ -1,10 +1,17 @@
 package spec
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"go/format"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"asagen/internal/core"
+	"asagen/internal/render"
 )
 
 // FuzzCompile exercises the POST /v1/models input path: arbitrary bytes
@@ -17,17 +24,7 @@ import (
 //
 //	go test ./internal/spec -run='^$' -fuzz=FuzzCompile -fuzztime=30s
 func FuzzCompile(f *testing.F) {
-	seed, err := json.Marshal(terminationDoc())
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"name":"m","components":[{"name":"c","kind":"int","max":{"param":true}}],` +
-		`"messages":["GO"],"rules":[{"message":"GO","set":[{"component":"c","add":1}]}]}`))
-	f.Add([]byte(`{"name":"m","default_param":-3}`))
-	f.Add([]byte(`not json at all`))
-	f.Add([]byte(`{"name":"m","components":[],"messages":[],"rules":[]} `))
+	addSeeds(f)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := ParseAndCompile(data)
@@ -57,6 +54,79 @@ func FuzzCompile(f *testing.F) {
 		}
 		if fp2 := core.FingerprintModel(m2); fp2 != fp {
 			t.Fatalf("fingerprint changed across canonicalisation: %s -> %s", fp.Short(), fp2.Short())
+		}
+	})
+}
+
+// addSeeds is the corpus both targets start from: the termination port,
+// the checked-in leader-lease scenario's spec, a minimal counter, shapes
+// the decoder and the validator reject, and free text that tries to leave
+// the comment a renderer places it in.
+func addSeeds(f *testing.F) {
+	seed, err := json.Marshal(terminationDoc())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	scenario, err := os.ReadFile(filepath.Join("..", "..", "examples", "fleetsim", "leader-lease.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var lease struct{ Spec json.RawMessage }
+	if err := json.Unmarshal(scenario, &lease); err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(lease.Spec))
+	const counter = `"components":[{"name":"c","kind":"int","max":{"param":true}}],` +
+		`"messages":["GO"],"rules":[{"message":"GO","set":[{"component":"c","add":1}],"actions":["->x"]}]`
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"name":"m",` + counter + `}`))
+	f.Add([]byte(`{"name":"m","default_param":-3}`))
+	f.Add([]byte(`not json at all`))
+	f.Add([]byte(`{"name":"m","components":[],"messages":[],"rules":[]} `))
+	f.Add([]byte(`{"name":"m",` + counter + `,"describe":[{"text":"ok\nStateInjected"}]}`))
+	f.Add([]byte("{\"name\":\"m\",\"model_name\":\"  - ``m'' \"," + counter + `,"describe":[{"text":"trailing  "}]}`))
+}
+
+// FuzzGoSourceFixedPoint holds the Go renderer to its claim on specs
+// nobody wrote by hand: whatever compiles renders, at its default
+// parameter, to source gofmt would leave unchanged — or is refused; never
+// to something gofmt would still rewrite.
+//
+//	go test ./internal/spec -run='^$' -fuzz=FuzzGoSourceFixedPoint -fuzztime=30s
+func FuzzGoSourceFixedPoint(f *testing.F) {
+	addSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := ParseAndCompile(data)
+		if err != nil {
+			return
+		}
+		m, err := c.Model(0)
+		if err != nil {
+			return
+		}
+		space := 1
+		for _, comp := range m.Components() {
+			if space *= comp.Cardinality(); space <= 0 || space > 1<<12 {
+				return // generation time is not what this target measures
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		machine, err := core.Generate(ctx, m)
+		if err != nil {
+			return
+		}
+		art, err := render.NewGoSourceRenderer("").Render(machine)
+		if err != nil {
+			t.Fatalf("compiled spec does not render as Go: %v\n%s", err, data)
+		}
+		formatted, err := format.Source(art.Data)
+		if err != nil {
+			t.Fatalf("gofmt rejects the artefact: %v", err)
+		}
+		if !bytes.Equal(art.Data, formatted) {
+			t.Fatalf("not gofmt's fixed point for %s:\n--- rendered\n%s\n--- gofmt\n%s", data, art.Data, formatted)
 		}
 	})
 }

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"unicode"
 )
 
 // Value is a possibly parameter-affine integer: Offset, plus the model
@@ -286,6 +287,16 @@ func (d *diags) add(path, format string, args ...any) {
 	d.list = append(d.list, Diagnostic{Path: path, Message: fmt.Sprintf(format, args...)})
 }
 
+// text rejects control characters in a free-text field. Such text ends up
+// in generated artefacts — Go line comments, DOT labels — where a line
+// break would end the comment or label it was placed in and continue as
+// whatever follows it.
+func (d *diags) text(path, s string) {
+	if strings.IndexFunc(s, unicode.IsControl) >= 0 {
+		d.add(path, "must not contain control characters (got %q)", s)
+	}
+}
+
 // isName reports whether s is usable as a registry key / URL path segment:
 // it must start with a letter and continue with letters, digits, '-', '_'
 // or '.'.
@@ -315,6 +326,10 @@ func Compile(d Doc) (*Compiled, error) {
 	if d.ModelName == "" {
 		d.ModelName = d.Name
 	}
+	diag.text("model_name", d.ModelName)
+	diag.text("description", d.Description)
+	diag.text("param_name", d.ParamName)
+	diag.text("vocabulary", d.Vocabulary)
 	if d.MinParam == 0 {
 		d.MinParam = 1
 	}
@@ -343,6 +358,7 @@ func Compile(d Doc) (*Compiled, error) {
 	}
 	for i, c := range d.Components {
 		path := fmt.Sprintf("components[%d]", i)
+		diag.text(path+".name", c.Name)
 		if c.Name == "" {
 			diag.add(path+".name", "component name must not be empty")
 		} else if _, dup := compIdx[c.Name]; dup {
@@ -368,6 +384,7 @@ func Compile(d Doc) (*Compiled, error) {
 	}
 	for i, m := range d.Messages {
 		path := fmt.Sprintf("messages[%d]", i)
+		diag.text(path, m)
 		if strings.TrimSpace(m) == "" {
 			diag.add(path, "message name must not be blank")
 			continue
@@ -438,15 +455,20 @@ func Compile(d Doc) (*Compiled, error) {
 			}
 		}
 		for j, act := range r.Actions {
+			diag.text(fmt.Sprintf("%s.actions[%d]", path, j), act)
 			if strings.TrimSpace(act) == "" {
 				diag.add(fmt.Sprintf("%s.actions[%d]", path, j), "action must not be blank")
 			}
+		}
+		for j, note := range r.Annotations {
+			diag.text(fmt.Sprintf("%s.annotations[%d]", path, j), note)
 		}
 	}
 
 	// Describe rules.
 	for i, r := range d.Describe {
 		path := fmt.Sprintf("describe[%d]", i)
+		diag.text(path+".text", r.Text)
 		if r.Text == "" {
 			diag.add(path+".text", "text must not be empty")
 		}
@@ -465,6 +487,7 @@ func Compile(d Doc) (*Compiled, error) {
 		}
 		for i, l := range a.Labels {
 			path := fmt.Sprintf("abstraction.labels[%d]", i)
+			diag.text(path+".label", l.Label)
 			if l.Label == "" {
 				diag.add(path+".label", "label must not be empty")
 			}
@@ -492,6 +515,7 @@ func Compile(d Doc) (*Compiled, error) {
 			}
 		}
 		for i, s := range a.Symbols {
+			diag.text(fmt.Sprintf("abstraction.symbols[%d].text", i), s.Text)
 			if s.Text == "" {
 				diag.add(fmt.Sprintf("abstraction.symbols[%d].text", i), "text must not be empty")
 			}

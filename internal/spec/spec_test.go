@@ -239,6 +239,53 @@ func TestCompileDiagnostics(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsControlCharacters: free text ends up in generated
+// artefacts, where a line break would leave the Go comment it was placed
+// in; every such field is refused with its document path.
+func TestCompileRejectsControlCharacters(t *testing.T) {
+	const inject = "ok\nStateInjected"
+	doc := terminationDoc()
+	doc.ModelName = inject
+	doc.Description = "tab\tbed"
+	doc.ParamName = "bell\a"
+	doc.Vocabulary = "del\x7f"
+	doc.Components[0].Name = inject
+	doc.Messages[3] = "IDLE\r"
+	doc.Rules[0].Actions = []string{"->go\nfunc init() {}"}
+	doc.Rules[0].Annotations = []string{inject}
+	doc.Describe = []DescribeRule{{Text: inject}}
+	doc.Abstraction = &Abstraction{
+		Labels:  []LabelRule{{Label: "L\u0085"}},
+		Symbols: []SymbolRule{{Value: Lit(1), Text: "one\n"}},
+	}
+	_, err := Compile(doc)
+	var serr *Error
+	if !errors.As(err, &serr) {
+		t.Fatalf("Compile error = %T (%v), want *Error", err, err)
+	}
+	got := map[string]bool{}
+	for _, d := range serr.Diagnostics {
+		if strings.Contains(d.Message, "control characters") {
+			got[d.Path] = true
+		}
+	}
+	for _, p := range []string{
+		"model_name", "description", "param_name", "vocabulary", "components[0].name", "messages[3]",
+		"rules[0].actions[0]", "rules[0].annotations[0]", "describe[0].text",
+		"abstraction.labels[0].label", "abstraction.symbols[0].text",
+	} {
+		if !got[p] {
+			t.Errorf("no control-character diagnostic at %s; have %v", p, serr.Diagnostics)
+		}
+	}
+	// Printable text in any script stays legal.
+	doc = terminationDoc()
+	doc.ModelName = "terminaison — détection «日本»"
+	if _, err := Compile(doc); err != nil {
+		t.Errorf("printable model name refused: %v", err)
+	}
+}
+
 // TestParseStrict: unknown fields and trailing data are rejected, and a
 // valid doc round-trips through JSON to an identical compiled model.
 func TestParseStrict(t *testing.T) {
