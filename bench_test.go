@@ -838,15 +838,9 @@ func BenchmarkServeArtifact(b *testing.B) {
 	})
 }
 
-// BenchmarkTraceCheck measures streaming trace conformance at line rate:
-// a long non-finishing trace (FREE/NOT_FREE alternation never crosses a
-// quorum threshold) checked against the commit machine, per decoder
-// front-end. Memory stays bounded by the longest line regardless of
-// trace length.
-func BenchmarkTraceCheck(b *testing.B) {
-	machine := buildCommitMachine(b, 4)
-	const lines = 1000
-	var jsonl, text bytes.Buffer
+// alternatingTrace is a long non-finishing trace of the commit machine,
+// as JSON Lines and as the text log the default regex rule reads.
+func alternatingTrace(lines int) (jsonl, text bytes.Buffer) {
 	for i := 0; i < lines; i++ {
 		if i%2 == 0 {
 			jsonl.WriteString("{\"msg\":\"FREE\"}\n")
@@ -856,6 +850,18 @@ func BenchmarkTraceCheck(b *testing.B) {
 			text.WriteString("12:00:00.002 member-0 recv NOT_FREE from member-1\n")
 		}
 	}
+	return jsonl, text
+}
+
+// BenchmarkTraceCheck measures streaming trace conformance at line rate:
+// a long non-finishing trace (FREE/NOT_FREE alternation never crosses a
+// quorum threshold) checked against the commit machine, per decoder
+// front-end. Memory stays bounded by the longest line regardless of
+// trace length.
+func BenchmarkTraceCheck(b *testing.B) {
+	machine := buildCommitMachine(b, 4)
+	const lines = 1000
+	jsonl, text := alternatingTrace(lines)
 	run := func(b *testing.B, format string, data []byte) {
 		mon, err := trace.NewMonitor(
 			trace.WithTarget("", machine),
@@ -884,6 +890,68 @@ func BenchmarkTraceCheck(b *testing.B) {
 	}
 	b.Run("jsonl", func(b *testing.B) { run(b, trace.FormatJSONL, jsonl.Bytes()) })
 	b.Run("regex", func(b *testing.B) { run(b, trace.FormatRegex, text.Bytes()) })
+}
+
+// flushCounter counts the flushes a handler asks of its ResponseWriter.
+// Unwrap lets http.ResponseController reach the connection's deadlines.
+type flushCounter struct {
+	http.ResponseWriter
+	flushes *int
+}
+
+func (w flushCounter) Flush() {
+	*w.flushes++
+	w.ResponseWriter.(http.Flusher).Flush()
+}
+
+func (w flushCounter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// BenchmarkCheckRoute measures POST /v1/models/{model}/check through a
+// real HTTP round trip: a 5 000-line trace sent in one piece, the event
+// stream read to its end, per decoder front-end. flushes/op is the
+// deterministic column: the route flushes when the trace runs dry, not
+// once per verdict, so it counts reads of the body and 32 KiB of events,
+// not lines.
+func BenchmarkCheckRoute(b *testing.B) {
+	const lines = 5000
+	jsonl, text := alternatingTrace(lines)
+	run := func(b *testing.B, query string, data []byte) {
+		h := api.NewHandler(artifact.New())
+		flushes := 0
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			h.ServeHTTP(flushCounter{w, &flushes}, r)
+		}))
+		defer ts.Close()
+		want := []byte(fmt.Sprintf(`"stats":{"lines":%d,"events":%d,"accepted":%d,`, lines, lines, lines))
+		var body bytes.Buffer // reused, so the client's share is its reads
+		post := func() {
+			resp, err := ts.Client().Post(ts.URL+"/v1/models/commit/check?r=4"+query, "text/plain", bytes.NewReader(data))
+			if err != nil {
+				b.Fatal(err)
+			}
+			body.Reset()
+			_, err = body.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !bytes.Contains(body.Bytes(), want) {
+				b.Fatalf("stream of %d bytes does not end in a summary with %s", body.Len(), want)
+			}
+		}
+		post() // generate the machine outside the timed region
+		flushes = 0
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post()
+		}
+		b.ReportMetric(float64(flushes)/float64(b.N), "flushes/op")
+		b.ReportMetric(float64(b.N)*lines/b.Elapsed().Seconds(), "lines/s")
+	}
+	b.Run("jsonl", func(b *testing.B) { run(b, "", jsonl.Bytes()) })
+	b.Run("regex", func(b *testing.B) { run(b, "&format=regex", text.Bytes()) })
 }
 
 // BenchmarkFleetSim measures the fleet-scale simulation engine (E17): one

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -10,6 +11,7 @@ import (
 	"strings"
 
 	"asagen"
+	"asagen/internal/trace"
 )
 
 // exitError carries a process exit code with an error, letting check
@@ -37,6 +39,11 @@ func exitCode(err error) int {
 // model's generated machine and reports one verdict per line, exiting 0
 // when the trace conforms, 1 when it violates, and 2 when the trace (or
 // the invocation) is broken.
+//
+// Output is buffered and flushed whenever the checker is about to wait
+// for more trace (and at exit), as the check route does: `tail -f log |
+// fsmgen check` prints each verdict as its line arrives, a trace file is
+// answered in a few large writes.
 func runCheck(args []string, stdout io.Writer) error {
 	helper := asagen.NewClient()
 	modelNames := make([]string, 0, len(helper.Models()))
@@ -95,6 +102,8 @@ func runCheck(args []string, stdout io.Writer) error {
 		defer f.Close()
 		in = f
 	}
+	out := bufio.NewWriterSize(stdout, 32<<10)
+	in = trace.FlushBeforeRead(in, out.Flush)
 
 	opts := []asagen.CheckOption{
 		asagen.WithTraceParam(*r),
@@ -125,12 +134,17 @@ func runCheck(args []string, stdout io.Writer) error {
 			if err != nil {
 				return &exitError{code: 2, err: err}
 			}
-			fmt.Fprintf(stdout, "%s\n", line)
+			out.Write(line)
+			out.WriteByte('\n')
 			continue
 		}
 		if !*quiet || v.Stats != nil {
-			fmt.Fprintln(stdout, formatVerdict(v))
+			out.WriteString(formatVerdict(v))
+			out.WriteByte('\n')
 		}
+	}
+	if err := out.Flush(); err != nil {
+		return &exitError{code: 2, err: err}
 	}
 
 	switch terminal.Kind {

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // checkRun invokes the check subcommand and returns its stdout and exit
@@ -148,5 +152,65 @@ func TestExitCodeMapping(t *testing.T) {
 	}
 	if got := exitCode(&exitError{code: 2, err: errors.New("broken")}); got != 2 {
 		t.Errorf("exitError code = %d", got)
+	}
+}
+
+// TestCheckStdinPipePrintsEachVerdictAsItsLineArrives: output is
+// buffered, yet `tail -f log | fsmgen check` keeps per-line output —
+// the verdict of line n is readable before line n+1 is fed.
+func TestCheckStdinPipePrintsEachVerdictAsItsLineArrives(t *testing.T) {
+	stdinR, stdinW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdinR.Close()
+	defer stdinW.Close()
+	defer func(old *os.File) { os.Stdin = old }(os.Stdin)
+	os.Stdin = stdinR
+
+	outR, outW := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"check", "-model", "commit", "-r", "4"}, outW)
+		outW.Close()
+	}()
+	printed := make(chan string)
+	go func() {
+		defer close(printed)
+		for sc := bufio.NewScanner(outR); sc.Scan(); {
+			printed <- sc.Text()
+		}
+	}()
+	next := func(after string) string {
+		select {
+		case line := <-printed:
+			return line
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no output 5s after %s", after)
+			return ""
+		}
+	}
+
+	// FREE/NOT_FREE alternation never finishes the machine: one accepted
+	// verdict per line.
+	for n := 1; n <= 20; n++ {
+		msg := "FREE"
+		if n%2 == 0 {
+			msg = "NOT_FREE"
+		}
+		if _, err := fmt.Fprintf(stdinW, "%q\n", msg); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("line %d: accepted %s ", n, msg)
+		if got := next(fmt.Sprintf("line %d was fed", n)); !strings.HasPrefix(got, want) {
+			t.Fatalf("after line %d printed %q, want prefix %q", n, got, want)
+		}
+	}
+	stdinW.Close()
+	if got := next("end of input"); !strings.HasPrefix(got, "trace conforms: 20 lines") {
+		t.Errorf("summary = %q", got)
+	}
+	if err := <-done; err != nil {
+		t.Errorf("run: %v", err)
 	}
 }

@@ -101,6 +101,8 @@ type Handler struct {
 	// served locally (owner or warm replica) or proxied to the owner.
 	cluster     *cluster.Node
 	proxyClient *http.Client
+	// checkWriteTimeout is the constant of that name; tests shorten it.
+	checkWriteTimeout time.Duration
 }
 
 // HandlerOption configures a Handler.
@@ -126,7 +128,8 @@ func WithProxyClient(c *http.Client) HandlerOption {
 // NewHandler returns the HTTP handler serving the /v1 API and the legacy
 // shims over the pipeline.
 func NewHandler(p *artifact.Pipeline, opts ...HandlerOption) *Handler {
-	h := &Handler{p: p, reg: p.Registry(), proxyClient: &http.Client{Timeout: 10 * time.Second}}
+	h := &Handler{p: p, reg: p.Registry(), proxyClient: &http.Client{Timeout: 10 * time.Second},
+		checkWriteTimeout: checkWriteTimeout}
 	for _, opt := range opts {
 		opt(h)
 	}

@@ -57,6 +57,12 @@ func (h *Handler) Markdown() string {
 	b.WriteString("line is the canonical verdict JSON — byte-identical to the output of\n")
 	b.WriteString("`fsmgen check -json` and the SDK's `Client.Check` for the same trace:\n\n")
 	b.WriteString("```\nevent: accepted\ndata: {\"line\":3,\"event\":\"VOTE\",\"kind\":\"accepted\",\"state\":\"T/1/T/0/F/F/F\",\"actions\":[\"->vote\"]}\n```\n\n")
+	b.WriteString("Delivery guarantee: every verdict for the input received so far is\n")
+	b.WriteString("on the wire before the server waits for more input. A live producer\n")
+	b.WriteString("sending a line at a time reads each verdict before it sends the next\n")
+	b.WriteString("line; a trace posted in one piece is answered in a few large writes,\n")
+	b.WriteString("so several events may share one chunk. A client that stops reading\n")
+	b.WriteString("its stream is disconnected after 30 seconds without progress.\n\n")
 	b.WriteString("Verdict fields (omitted when empty): `line` (1-based trace line),\n")
 	b.WriteString("`target` (machine label, only when checking several), `event`\n")
 	b.WriteString("(delivered message), `kind`, `state` (machine state after the\n")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
+	"time"
 
 	"asagen/internal/artifact"
 	"asagen/internal/trace"
@@ -21,6 +22,10 @@ import (
 // The trace is judged at line rate as the body arrives; neither side
 // buffers the whole trace, so arbitrarily long streams check in bounded
 // memory. Closing the request mid-stream cancels the run server-side.
+//
+// Events are flushed on input idleness (see eventStream): every verdict
+// for the input received so far is on the wire before the handler waits
+// for more input.
 //
 // Preflight failures (unknown model, bad parameter, bad pattern) are
 // ordinary JSON-envelope errors. Once the event stream has started,
@@ -95,7 +100,10 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	dec, err := trace.NewDecoder(format, r.Body, rules)
+	stream := &eventStream{w: w, rc: http.NewResponseController(w), timeout: h.checkWriteTimeout,
+		// Room for the event that crosses the cap, so a run allocates once.
+		buf: make([]byte, 0, checkFlushBytes+1024)}
+	dec, err := trace.NewDecoder(format, trace.FlushBeforeRead(r.Body, stream.flush), rules)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadTrace, err.Error())
 		return
@@ -115,33 +123,23 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 		// could never be reused anyway.
 		header.Set("Connection", "close")
 	}
-	rc := http.NewResponseController(w)
 	w.WriteHeader(http.StatusOK)
 	// Push the headers out now: verdicts may be a long time coming on a
 	// live trace, and SSE clients act on the content type immediately.
-	if rc.Flush() != nil {
+	if stream.rc.Flush() != nil {
 		return
 	}
-	var buf []byte
-	writeEvent := func(name string, data []byte) bool {
-		buf = buf[:0]
-		buf = append(buf, "event: "...)
-		buf = append(buf, name...)
-		buf = append(buf, "\ndata: "...)
-		buf = append(buf, data...)
-		buf = append(buf, "\n\n"...)
-		if _, err := w.Write(buf); err != nil {
-			return false
-		}
-		return rc.Flush() == nil
-	}
+	// Whatever ends the run, the events still buffered go out with it. A
+	// failure here means the client is gone; there is no one to tell.
+	defer stream.flush()
+
 	var verdictBuf []byte
 	opts := []trace.MonitorOption{
 		trace.WithTarget("", machine),
 		trace.WithTolerance(tolerance),
 		trace.WithObserver(trace.ObserverFunc(func(v trace.Verdict) bool {
 			verdictBuf = v.AppendJSON(verdictBuf[:0])
-			return writeEvent(v.Kind.String(), verdictBuf)
+			return stream.event(v.Kind.String(), verdictBuf)
 		})),
 	}
 	if keepGoing {
@@ -149,25 +147,85 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	mon, err := trace.NewMonitor(opts...)
 	if err != nil {
-		writeEvent("error", envelopeJSON(CodeBadTrace, err.Error()))
+		stream.event("error", envelopeJSON(CodeBadTrace, err.Error()))
 		return
 	}
 
 	rep, err := mon.Run(r.Context(), dec)
 	var de *trace.DecodeError
 	switch {
-	case errors.Is(err, trace.ErrStopped):
-		// A verdict write failed; the client is gone.
+	case stream.err != nil:
+		// A write failed or timed out; the client is gone or not reading.
 	case r.Context().Err() != nil:
 		// Cancelled mid-run; nothing useful can be written.
 	case err == nil:
 		verdictBuf = trace.Terminal(rep, nil).AppendJSON(verdictBuf[:0])
-		writeEvent("summary", verdictBuf)
+		stream.event("summary", verdictBuf)
 	case errors.As(err, &de):
-		writeEvent("error", envelopeJSON(CodeBadTrace, de.Error()))
+		stream.event("error", envelopeJSON(CodeBadTrace, de.Error()))
 	default:
-		writeEvent("error", envelopeJSON(CodeTraceAborted, err.Error()))
+		stream.event("error", envelopeJSON(CodeTraceAborted, err.Error()))
 	}
+}
+
+const (
+	// checkFlushBytes caps the events buffered while input keeps coming.
+	// One write this size passes net/http's 2 KiB chunk and 4 KiB
+	// connection buffers untouched and leaves as one chunk.
+	checkFlushBytes = 32 << 10
+	// checkWriteTimeout bounds each write of the event stream, so a
+	// client that posts a trace and never reads cannot pin the handler.
+	checkWriteTimeout = 30 * time.Second
+)
+
+// eventStream is the response side of one check run. Events accumulate
+// in buf and go to the client at exactly three points: immediately
+// before the trace decoder reads the request body (flush is the hook of
+// trace.FlushBeforeRead), when buf passes checkFlushBytes, and when the
+// handler ends. The first keeps per-event latency: the decoder reads
+// only when every line that has arrived has been judged, so nothing is
+// held back while the handler waits for input, and with input buffered
+// the monitor judges millions of lines a second — the next read, and its
+// flush, is under a millisecond away, which is why there is no timer.
+type eventStream struct {
+	w       http.ResponseWriter
+	rc      *http.ResponseController
+	timeout time.Duration
+	buf     []byte
+	err     error // first write failure; the stream is dead after it
+}
+
+// event appends one framed event; false means the stream is dead.
+func (s *eventStream) event(name string, data []byte) bool {
+	s.buf = append(s.buf, "event: "...)
+	s.buf = append(s.buf, name...)
+	s.buf = append(s.buf, "\ndata: "...)
+	s.buf = append(s.buf, data...)
+	s.buf = append(s.buf, "\n\n"...)
+	if len(s.buf) >= checkFlushBytes {
+		return s.flush() == nil
+	}
+	return s.err == nil
+}
+
+// flush writes the buffered events through to the client under a fresh
+// write deadline.
+func (s *eventStream) flush() error {
+	if s.err != nil || len(s.buf) == 0 {
+		return s.err
+	}
+	s.err = s.rc.SetWriteDeadline(time.Now().Add(s.timeout))
+	if errors.Is(s.err, http.ErrNotSupported) {
+		s.err = nil // a recorder: no connection, so nothing that can stall
+	}
+	if s.err == nil {
+		_, s.err = s.w.Write(s.buf)
+	}
+	if s.err == nil {
+		s.err = s.rc.Flush()
+	}
+	s.buf = s.buf[:0]
+	return s.err
 }
 
 // envelopeJSON renders the standard error envelope as a compact JSON

@@ -1,14 +1,20 @@
 package api
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"asagen/internal/artifact"
@@ -300,4 +306,226 @@ func TestCheckRouteClientDisconnect(t *testing.T) {
 		t.Fatal("handler still running 5s after client disconnect")
 	}
 	pw.Close()
+}
+
+// alternatingLine is line i of a trace that never finishes the commit
+// machine (FREE/NOT_FREE alternation crosses no quorum threshold), so
+// every line draws exactly one accepted verdict; as JSON Lines, or as
+// the text log the default regex rule reads.
+func alternatingLine(i int, format string) string {
+	msg := "FREE"
+	if i%2 == 0 {
+		msg = "NOT_FREE"
+	}
+	if format == trace.FormatRegex {
+		return "12:00:00.001 member-0 recv " + msg + " from member-1\n"
+	}
+	return `{"msg":"` + msg + `"}` + "\n"
+}
+
+// monitorStream is the event stream the route must answer a trace with,
+// built from the monitor's verdicts alone, one framed event per verdict.
+func monitorStream(t *testing.T, p *artifact.Pipeline, body string, opts ...trace.MonitorOption) string {
+	t.Helper()
+	machine, _, _, err := p.Machine(context.Background(), "commit", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	frame := func(v trace.Verdict) bool {
+		want.WriteString("event: " + v.Kind.String() + "\ndata: " + string(v.AppendJSON(nil)) + "\n\n")
+		return true
+	}
+	mon, err := trace.NewMonitor(append(opts,
+		trace.WithTarget("", machine), trace.WithObserver(trace.ObserverFunc(frame)))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := mon.Run(context.Background(), trace.NewJSONLDecoder(strings.NewReader(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame(trace.Terminal(rep, nil))
+	return want.String()
+}
+
+// TestCheckRouteSlowProducerSeesEachVerdict pins the delivery guarantee:
+// every verdict for the input received so far is on the wire before the
+// server waits for more input. A producer of one line at a time reads
+// the complete verdict of line n before it writes line n+1.
+func TestCheckRouteSlowProducerSeesEachVerdict(t *testing.T) {
+	ts := httptest.NewServer(NewHandler(artifact.New()))
+	defer ts.Close()
+
+	const lines, violationAt = 50, 25
+	for _, tc := range []struct {
+		name, query, format string
+		violate             bool
+	}{
+		{name: "jsonl", query: ""},
+		{name: "regex", query: "&format=regex", format: trace.FormatRegex},
+		{name: "keep_going", query: "&keep_going=1", violate: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pr, pw := io.Pipe()
+			defer pw.Close()
+			req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/models/commit/check?r=4"+tc.query, pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+
+			events := make(chan string)
+			go func() {
+				defer close(events)
+				br := bufio.NewReader(resp.Body)
+				for {
+					name, err1 := br.ReadString('\n')
+					data, err2 := br.ReadString('\n')
+					_, err3 := br.ReadString('\n')
+					if err1 != nil || err2 != nil || err3 != nil {
+						return
+					}
+					events <- name + data
+				}
+			}()
+			for n, alt := 1, 1; n <= lines; n++ {
+				line, kind := alternatingLine(alt, tc.format), "accepted"
+				if tc.violate && n == violationAt {
+					line, kind = "\"NOPE\"\n", "violation"
+				} else {
+					alt++
+				}
+				if _, err := io.WriteString(pw, line); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case ev := <-events:
+					want := "event: " + kind + "\ndata: {\"line\":" + strconv.Itoa(n) + ","
+					if !strings.HasPrefix(ev, want) {
+						t.Fatalf("after line %d read %q, want prefix %q", n, ev, want)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("verdict for line %d not delivered before line %d was sent", n, n+1)
+				}
+			}
+			pw.Close()
+			if ev := <-events; !strings.HasPrefix(ev, "event: summary\n") {
+				t.Errorf("terminal event = %q, want summary", ev)
+			}
+		})
+	}
+}
+
+// countingWriter is a ResponseWriter that records the body and counts
+// the writes and flushes that delivered it.
+type countingWriter struct {
+	header          http.Header
+	body            bytes.Buffer
+	writes, flushes int
+}
+
+func (w *countingWriter) Header() http.Header { return w.header }
+func (w *countingWriter) WriteHeader(int)     {}
+func (w *countingWriter) Flush()              { w.flushes++ }
+func (w *countingWriter) Write(b []byte) (int, error) {
+	w.writes++
+	return w.body.Write(b)
+}
+
+// TestCheckRouteBatchesBufferedInput is the other half of the delivery
+// guarantee: a trace that arrives in one piece is not answered one
+// syscall per line, and batching changes no byte of the stream.
+func TestCheckRouteBatchesBufferedInput(t *testing.T) {
+	p := artifact.New()
+	h := NewHandler(p)
+	var body strings.Builder
+	for n := 1; n <= 5000; n++ {
+		body.WriteString(alternatingLine(n, trace.FormatJSONL))
+	}
+	w := &countingWriter{header: http.Header{}}
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/models/commit/check?r=4", strings.NewReader(body.String())))
+
+	if want := monitorStream(t, p, body.String()); w.body.String() != want {
+		t.Errorf("stream differs from the per-event framing of the monitor's verdicts (%d bytes, want %d)",
+			w.body.Len(), len(want))
+	}
+	if w.flushes > 32 || w.writes > 32 {
+		t.Errorf("5000 buffered lines answered in %d writes and %d flushes, want at most 32 of each", w.writes, w.flushes)
+	}
+}
+
+// TestCheckRouteTerminalEventFollowsBufferedVerdicts: verdicts still
+// buffered when the run fails precede the terminal error event.
+func TestCheckRouteTerminalEventFollowsBufferedVerdicts(t *testing.T) {
+	h := NewHandler(artifact.New())
+	prefix := alternatingLine(1, "") + alternatingLine(2, "") + alternatingLine(3, "")
+	for _, tc := range []struct {
+		code string
+		body io.Reader
+	}{
+		{CodeBadTrace, strings.NewReader(prefix + "{broken\n")},
+		{CodeTraceAborted, io.MultiReader(strings.NewReader(prefix), iotest.ErrReader(errors.New("link down")))},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/models/commit/check?r=4", tc.body))
+		events := parseSSE(t, rec.Body.String())
+		if len(events) != 4 {
+			t.Fatalf("%s: got %d events, want 3 verdicts and the error: %q", tc.code, len(events), rec.Body.String())
+		}
+		for i, ev := range events[:3] {
+			if ev.name != "accepted" || !strings.HasPrefix(ev.data, `{"line":`+strconv.Itoa(i+1)+",") {
+				t.Errorf("%s: event %d = %+v, want the accepted verdict of line %d", tc.code, i, ev, i+1)
+			}
+		}
+		if last := events[3]; last.name != "error" || !strings.Contains(last.data, `"code":"`+tc.code+`"`) {
+			t.Errorf("%s: terminal event = %+v", tc.code, last)
+		}
+	}
+}
+
+// TestCheckRouteStalledReader: a client that posts a trace and never
+// reads the response must not pin the handler in Write. The raw client
+// streams an endless keep_going trace, so the verdicts fill every socket
+// buffer between the two; the write deadline then ends the run.
+func TestCheckRouteStalledReader(t *testing.T) {
+	handlerDone := make(chan struct{})
+	inner := NewHandler(artifact.New())
+	inner.checkWriteTimeout = 200 * time.Millisecond
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer close(handlerDone)
+		inner.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		io.WriteString(conn, "POST /v1/models/commit/check?r=4&keep_going=1 HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n")
+		block := strings.Repeat("\"NOPE\"\n", 4096)
+		chunk := strconv.FormatInt(int64(len(block)), 16) + "\r\n" + block + "\r\n"
+		for {
+			// Ends when the server hangs up or the test closes conn.
+			if _, err := io.WriteString(conn, chunk); err != nil {
+				return
+			}
+		}
+	}()
+
+	select {
+	case <-handlerDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("handler still blocked 10s after its 200ms write deadline: a reader that never reads pins it")
+	}
+	conn.Close()
+	<-writerDone
 }

@@ -78,6 +78,30 @@ func (lr *lineReader) next() ([]byte, error) {
 	return lr.sc.Bytes(), nil
 }
 
+// FlushBeforeRead returns a reader over r that calls flush immediately
+// before every Read of r, and fails the Read with flush's error. Wrapped
+// around a decoder's input it flushes on input idleness: the decoders'
+// scanner only reads when its buffer holds no complete line, so "about
+// to Read" means every line that has arrived has been judged and nothing
+// more can be done without blocking. A producer of one line at a time
+// sees each verdict before its next line is asked for; a trace that
+// arrives in one piece is answered in as few writes as it took reads.
+func FlushBeforeRead(r io.Reader, flush func() error) io.Reader {
+	return &flushingReader{r: r, flush: flush}
+}
+
+type flushingReader struct {
+	r     io.Reader
+	flush func() error
+}
+
+func (f *flushingReader) Read(p []byte) (int, error) {
+	if err := f.flush(); err != nil {
+		return 0, err
+	}
+	return f.r.Read(p)
+}
+
 // interner deduplicates message strings so steady-state decoding of a
 // trace over a machine's (small) vocabulary performs no per-line
 // allocation. The table is bounded; an adversarial stream of distinct
@@ -194,6 +218,11 @@ type Rule struct {
 	// capture group, or the whole match when the pattern declares no
 	// groups) is used.
 	Message string
+	// match, when set, is a hand-written equivalent of Pattern with one
+	// capture group spanning the whole match: the [start, end) of the
+	// leftmost match in a line. Only rules whose pattern is fixed at
+	// compile time have one; Pattern stays the specification.
+	match func(line []byte) (start, end int, ok bool)
 }
 
 // ParseRule compiles a rule from its flag/query syntax:
@@ -228,7 +257,43 @@ func indexRuleSep(s string) int {
 // message — the shape of the repository's machine vocabularies (VOTE,
 // STORE_ACK, SUCC_FAIL, ...).
 func DefaultRules() []Rule {
-	return []Rule{{Pattern: regexp.MustCompile(`\b([A-Z][A-Z0-9_]+)\b`)}}
+	return []Rule{{Pattern: defaultPattern, match: matchDefault}}
+}
+
+// defaultPattern specifies the default rule. Decoding runs matchDefault;
+// the compiled pattern is what the differential and fuzz tests hold it
+// to, and what error messages name.
+var defaultPattern = regexp.MustCompile(`\b([A-Z][A-Z0-9_]+)\b`)
+
+// isWordByte is RE2's \w, which like its \b is ASCII-only: every byte
+// of a non-ASCII or invalid rune is a non-word byte.
+func isWordByte(c byte) bool {
+	return 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '_'
+}
+
+// matchDefault is defaultPattern by hand: the first maximal run of word
+// bytes that starts with A-Z, is at least two bytes long and holds no
+// lowercase letter. A match can only start at the head of a run (\b
+// needs a non-word byte before it), and backtracking the greedy
+// [A-Z0-9_]+ never helps because every byte it gives back is itself a
+// word byte, so the closing \b holds only at the end of the run.
+func matchDefault(line []byte) (start, end int, ok bool) {
+	for i := 0; i < len(line); {
+		if !isWordByte(line[i]) {
+			i++
+			continue
+		}
+		start, ok = i, 'A' <= line[i] && line[i] <= 'Z'
+		for ; i < len(line) && isWordByte(line[i]); i++ {
+			if 'a' <= line[i] && line[i] <= 'z' {
+				ok = false
+			}
+		}
+		if ok && i-start >= 2 {
+			return start, i, true
+		}
+	}
+	return 0, 0, false
 }
 
 // RegexDecoder decodes text traces through an ordered rule list:
@@ -240,6 +305,7 @@ type RegexDecoder struct {
 	rules  []Rule
 	intern interner
 	buf    []byte
+	span   [4]int // submatch indices of a hand-matched rule
 }
 
 // NewRegexDecoder returns a regex decoder over r. A nil or empty rule
@@ -263,8 +329,15 @@ func (d *RegexDecoder) Next() (Event, error) {
 		}
 		for i := range d.rules {
 			rule := &d.rules[i]
-			m := rule.Pattern.FindSubmatchIndex(b)
-			if m == nil {
+			var m []int
+			if rule.match != nil {
+				start, end, ok := rule.match(b)
+				if !ok {
+					continue
+				}
+				d.span = [4]int{start, end, start, end}
+				m = d.span[:]
+			} else if m = rule.Pattern.FindSubmatchIndex(b); m == nil {
 				continue
 			}
 			d.buf = d.buf[:0]
