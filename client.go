@@ -63,7 +63,7 @@ type Result struct {
 	// Data is the rendered content.
 	Data []byte
 	// Fingerprint is the hex fingerprint of the generated machine family
-	// member; empty for EFSM formats, which bypass machine generation.
+	// member, the one machine every format of the member renders.
 	Fingerprint string
 	// ContentHash is the hex SHA-256 of Data, for content addressing;
 	// empty when Err is set.
@@ -191,7 +191,7 @@ func (c *Client) Model(name string) (ModelInfo, error) {
 		ParamName:    e.ParamName,
 		DefaultParam: e.DefaultParam,
 		SweepParams:  append([]int(nil), e.SweepParams...),
-		HasEFSM:      e.EFSM != nil,
+		HasEFSM:      e.Abstraction != nil,
 		Vocabulary:   e.Vocabulary,
 	}, nil
 }
@@ -483,8 +483,6 @@ func publicResult(res artifact.Result) Result {
 	out.Ext = res.Artifact.Ext
 	out.Data = res.Artifact.Data
 	out.ContentHash = hex.EncodeToString(res.Sum[:])
-	if !res.Fingerprint.IsZero() {
-		out.Fingerprint = res.Fingerprint.String()
-	}
+	out.Fingerprint = res.Fingerprint.String()
 	return out
 }

@@ -243,8 +243,12 @@ func TestClientRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if efsm.Fingerprint != "" {
-		t.Error("EFSM artefact carries a machine fingerprint")
+	machine, err = client.Generate(ctx, "termination")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if efsm.Fingerprint != machine.Fingerprint() {
+		t.Errorf("EFSM artefact fingerprint %q is not its machine's %q", efsm.Fingerprint, machine.Fingerprint())
 	}
 	if len(efsm.Data) == 0 {
 		t.Error("empty EFSM artefact")

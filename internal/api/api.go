@@ -324,7 +324,7 @@ func modelInfoFor(e models.Entry) modelInfo {
 		ParamName:    e.ParamName,
 		DefaultParam: e.DefaultParam,
 		SweepParams:  append([]int(nil), e.SweepParams...),
-		HasEFSM:      e.EFSM != nil,
+		HasEFSM:      e.Abstraction != nil,
 		Vocabulary:   e.Vocabulary,
 	}
 }
@@ -518,9 +518,7 @@ func (h *Handler) writeArtifact(w http.ResponseWriter, r *http.Request, res arti
 	header.Set("ETag", res.ETag)
 	header.Set("Cache-Control", "public, max-age=3600")
 	header.Set("Vary", "Accept-Encoding")
-	if !res.Fingerprint.IsZero() {
-		header.Set("X-Machine-Fingerprint", res.Fingerprint.String())
-	}
+	header.Set("X-Machine-Fingerprint", res.Fingerprint.String())
 	if relation != "" {
 		header.Set(HeaderNode, h.cluster.ID())
 		header.Set(HeaderRoute, relation)

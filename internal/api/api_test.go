@@ -293,7 +293,7 @@ func TestLegacyShimsDeprecatedButByteIdentical(t *testing.T) {
 			continue // synthetic cancellation fixture; large default chain
 		}
 		for _, format := range render.Formats() {
-			if render.IsEFSMFormat(format) && entry.EFSM == nil {
+			if render.IsEFSMFormat(format) && entry.Abstraction == nil {
 				continue
 			}
 			v1Path := fmt.Sprintf("/v1/models/%s/artifacts/%s", name, format)

@@ -17,7 +17,10 @@ func (h *Handler) Markdown() string {
 	b.WriteString("The HTTP generation service started by `fsmgen serve`. Methods not\n")
 	b.WriteString("listed for a path are answered `405` with an `Allow` header.\n")
 	b.WriteString("Artefact responses carry a content-hash `ETag`, `Cache-Control` and\n")
-	b.WriteString("`Vary` headers, and revalidate via `If-None-Match` to `304`. Closing\n")
+	b.WriteString("`Vary` headers, and revalidate via `If-None-Match` to `304`. Every\n")
+	b.WriteString("format of one family member — the EFSM formats included — is a\n")
+	b.WriteString("rendering of the member's one generated machine and names it in\n")
+	b.WriteString("`X-Machine-Fingerprint`. Closing\n")
 	b.WriteString("the connection mid-request cancels the generation server-side (the\n")
 	b.WriteString("abort is visible as `cancellations` in `/v1/stats`).\n\n")
 	b.WriteString("The model collection is writable: `POST /v1/models` accepts a\n")
@@ -86,7 +89,8 @@ func (h *Handler) Markdown() string {
 	b.WriteString("\n## Cluster tier\n\n")
 	b.WriteString("A server started with `-cluster` joins a peer ring (see DESIGN.md,\n")
 	b.WriteString("\"Cluster tier\"): artifact requests shard across nodes by consistent\n")
-	b.WriteString("hashing on the machine fingerprint, and `GET /v1/cluster` reports the\n")
+	b.WriteString("hashing on the machine fingerprint (all seven formats of a family\n")
+	b.WriteString("member share it, hence one owner), and `GET /v1/cluster` reports the\n")
 	b.WriteString("gossiped membership view, the hash ring and the chord routing-oracle\n")
 	b.WriteString("state (a standalone server answers `{\"enabled\": false}`). Clustered\n")
 	b.WriteString("artefact responses carry `X-Asagen-Node` (the node whose pipeline\n")

@@ -69,16 +69,13 @@ func (h *Handler) serveClustered(w http.ResponseWriter, r *http.Request, req art
 
 // resultBlob packages a rendered result for replica propagation.
 func resultBlob(res artifact.Result) cluster.Blob {
-	skey := store.Key{
-		Model:  res.Request.Model,
-		Param:  res.Request.Param,
-		Format: res.Request.Format,
-	}
-	if !res.Fingerprint.IsZero() {
-		skey.Fingerprint = res.Fingerprint.String()
-	}
 	return cluster.Blob{
-		Key:   skey,
+		Key: store.Key{
+			Model:       res.Request.Model,
+			Param:       res.Request.Param,
+			Format:      res.Request.Format,
+			Fingerprint: res.Fingerprint.String(),
+		},
 		Sum:   res.ContentHash(),
 		Media: res.Artifact.MediaType,
 		Ext:   res.Artifact.Ext,

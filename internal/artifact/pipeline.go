@@ -5,15 +5,17 @@
 // (Stream) APIs. It is the layer behind `fsmgen -all`, `fsmgen serve` and
 // the codegen example: one generation per distinct fingerprint no matter
 // how many formats or concurrent requests consume it (§4.2's cached
-// generation policy, industrialised).
+// generation policy, industrialised). Every format is a rendering of that
+// one machine: the EFSM formats (§5.3) generalise the cached generation
+// under the model's abstraction instead of generating a second time.
 //
 // Every cache tier is an instance of one table, memo.Memo, which states
 // the single-flight, retention, cancellation and eviction rules once. The
 // result tier answers repeat requests with a fully precomputed Result
 // (shared bytes, content hash, ETag) without resolving the model; below it
 // sit the render tier (per fingerprint and format), the EFSM tier and the
-// generation cache (per fingerprint), and beside it the route tier of the
-// clustered serve path. Under the render tier an optional
+// generation cache (both per fingerprint), and beside it the route tier of
+// the clustered serve path. Under the render tier an optional
 // content-addressed on-disk store (WithStore) persists every rendered
 // artefact, so a pipeline reopened over a warm store serves previously
 // rendered artefacts from disk without regenerating machines.
@@ -67,8 +69,9 @@ type Result struct {
 	// Request echoes the request with Param resolved to the effective
 	// parameter value.
 	Request Request
-	// Fingerprint is the generated machine's model fingerprint; zero for
-	// EFSM formats, which bypass machine generation.
+	// Fingerprint is the model fingerprint of the family member every
+	// format renders; zero only when the request failed before its model
+	// was built.
 	Fingerprint core.Fingerprint
 	// Artifact is the rendered artefact; zero when Err is set.
 	Artifact render.Artifact
@@ -132,7 +135,7 @@ type Pipeline struct {
 	results memo.Memo[Request, Result]
 	routes  memo.Memo[Request, string]
 	renders memo.Memo[renderKey, rendered]
-	efsms   memo.Memo[efsmKey, *core.EFSM]
+	efsms   memo.Memo[core.Fingerprint, *core.EFSM]
 
 	mu sync.Mutex
 	// modelFPs records, per registry name, the machine fingerprints the
@@ -154,19 +157,10 @@ type Pipeline struct {
 	epoch     uint64
 }
 
-type efsmKey struct {
-	model string
-	param int
-}
-
-// renderKey addresses one rendered artefact. Machine formats are keyed by
-// fingerprint — two models with equal fingerprints share the rendered
-// bytes — while EFSM formats, which have no machine fingerprint, are keyed
-// by (model, param).
+// renderKey addresses one rendered artefact: two models with equal
+// fingerprints share the rendered bytes.
 type renderKey struct {
 	fp     core.Fingerprint
-	model  string
-	param  int
 	format string
 }
 
@@ -333,12 +327,12 @@ func (p *Pipeline) evictDerived(name string, fps map[core.Fingerprint]int) {
 	named := func(req Request) bool { return req.Model == name }
 	p.results.DeleteFunc(named)
 	p.routes.DeleteFunc(named)
-	p.efsms.DeleteFunc(func(key efsmKey) bool { return key.model == name })
-	// EFSM renders are keyed by model name, machine renders by fingerprint.
-	p.renders.DeleteFunc(func(key renderKey) bool {
-		_, ok := fps[key.fp]
-		return ok || key.model == name
-	})
+	recorded := func(fp core.Fingerprint) bool {
+		_, ok := fps[fp]
+		return ok
+	}
+	p.efsms.DeleteFunc(recorded)
+	p.renders.DeleteFunc(func(key renderKey) bool { return recorded(key.fp) })
 }
 
 // fpHexSet renders a fingerprint set in the store's hex key form.
@@ -443,8 +437,7 @@ func (p *Pipeline) key(req Request) Request {
 }
 
 // resolution is a request resolved against the registry: the entry, the
-// effective parameter and, for machine formats, the built model and its
-// fingerprint (EFSM formats bypass machine generation and leave both zero).
+// effective parameter, the built model and its fingerprint.
 type resolution struct {
 	req   Request
 	entry models.Entry
@@ -464,11 +457,8 @@ func (p *Pipeline) resolve(req Request) (resolution, error) {
 	if !render.Known(req.Format) {
 		return r, fmt.Errorf("%w: %q (known: %v)", ErrUnknownFormat, req.Format, render.Formats())
 	}
-	if render.IsEFSMFormat(req.Format) {
-		if r.entry.EFSM == nil {
-			return r, fmt.Errorf("%w: %q", ErrNoEFSM, req.Model)
-		}
-		return r, nil
+	if render.IsEFSMFormat(req.Format) && r.entry.Abstraction == nil {
+		return r, fmt.Errorf("%w: %q", ErrNoEFSM, req.Model)
 	}
 	r.model, r.fp, err = p.build(r.entry, r.req.Param)
 	return r, err
@@ -500,30 +490,15 @@ func (p *Pipeline) build(entry models.Entry, param int) (core.Model, core.Finger
 }
 
 // renderKey and storeKey address the resolved artefact in the render tier
-// and the store; routeKey is what the cluster shards it on. Machine
-// formats key on the model fingerprint — every format of one generated
-// machine lands on the same owner, so a single propagation warms all of
-// them — while EFSM formats, which have none, key on (model, param).
+// and the store. Both carry the model fingerprint, which is also what the
+// cluster shards on: all seven formats of one family member land on the
+// node that holds its machine, and a single propagation warms all of them.
 func (r resolution) renderKey() renderKey {
-	if r.model == nil {
-		return renderKey{model: r.req.Model, param: r.req.Param, format: r.req.Format}
-	}
 	return renderKey{fp: r.fp, format: r.req.Format}
 }
 
 func (r resolution) storeKey() store.Key {
-	skey := store.Key{Model: r.req.Model, Param: r.req.Param, Format: r.req.Format}
-	if r.model != nil {
-		skey.Fingerprint = r.fp.String()
-	}
-	return skey
-}
-
-func (r resolution) routeKey() string {
-	if r.model == nil {
-		return "efsm/" + r.req.Model + "/" + strconv.Itoa(r.req.Param)
-	}
-	return r.fp.String()
+	return store.Key{Model: r.req.Model, Param: r.req.Param, Format: r.req.Format, Fingerprint: r.fp.String()}
 }
 
 // render is the slow path behind the result tier: resolve the request
@@ -561,14 +536,13 @@ func (p *Pipeline) render(ctx context.Context, req Request) Result {
 	return res
 }
 
-// produce generates (or takes from its tier) the machine or EFSM behind
-// the resolved request and renders it.
+// produce takes the family member's machine from the generation cache —
+// or, for an EFSM format, its generalisation from the EFSM tier — and
+// renders it.
 func (p *Pipeline) produce(ctx context.Context, r resolution) (render.Artifact, error) {
 	var art render.Artifact
-	if r.model == nil {
-		efsm, err := p.efsms.Do(ctx, efsmKey{model: r.req.Model, param: r.req.Param}, func() (*core.EFSM, error) {
-			return r.entry.EFSM(ctx, r.req.Param)
-		})
+	if render.IsEFSMFormat(r.req.Format) {
+		efsm, err := p.efsms.Do(ctx, r.fp, func() (*core.EFSM, error) { return p.generalize(ctx, r) })
 		if err != nil {
 			return art, err
 		}
@@ -593,6 +567,26 @@ func (p *Pipeline) produce(ctx context.Context, r resolution) (render.Artifact, 
 		return art, fmt.Errorf("%w: %v", ErrRender, err)
 	}
 	return art, nil
+}
+
+// generalize is the EFSM tier's miss path: the family member's one cached
+// machine, coalesced under the entry's abstraction. The abstractions are
+// sound over the default generation only, so a pipeline built with other
+// options (the ablation flags) generalises from a default generation of
+// its own instead.
+func (p *Pipeline) generalize(ctx context.Context, r resolution) (*core.EFSM, error) {
+	if !core.DefaultBehaviour(p.genOpts...) {
+		return r.entry.EFSM(ctx, r.req.Param)
+	}
+	machine, err := p.cache.MachineForFingerprint(ctx, r.fp, r.model)
+	if err != nil {
+		return nil, err
+	}
+	abs, err := r.entry.Abstraction(r.req.Param)
+	if err != nil {
+		return nil, err
+	}
+	return core.GeneralizeEFSM(machine, abs)
 }
 
 // Machine resolves a model name and parameter against the pipeline's
@@ -651,9 +645,9 @@ func (p *Pipeline) UpdateModel(entry models.Entry, delta core.ModelDelta) (bool,
 		return false, err
 	}
 
-	// Artefacts derived from the previous entry are stale; machine renders
-	// are keyed by fingerprint and the new entry fingerprints differently,
-	// so those are unreachable garbage either way. The recorded
+	// Artefacts derived from the previous entry are stale; renders and
+	// EFSMs are keyed by fingerprint and the new entry fingerprints
+	// differently, so those are unreachable garbage either way. The recorded
 	// fingerprints stay recorded: the machines are kept, and PurgeModel
 	// must still find them.
 	p.mu.Lock()
@@ -765,7 +759,7 @@ func registryRequests(reg *models.Registry) []Request {
 			continue
 		}
 		for _, format := range render.Formats() {
-			if render.IsEFSMFormat(format) && entry.EFSM == nil {
+			if render.IsEFSMFormat(format) && entry.Abstraction == nil {
 				continue
 			}
 			reqs = append(reqs, Request{Model: name, Format: format})

@@ -25,7 +25,7 @@ func TestCrossProductRenders(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantLen += len(render.MachineFormats())
-		if entry.EFSM != nil {
+		if entry.Abstraction != nil {
 			wantLen += len(render.EFSMFormats())
 		}
 	}

@@ -3,9 +3,10 @@ package artifact
 import "context"
 
 // RouteKey resolves req against the registry and returns the cluster
-// routing key the artifact shards on (see resolution.routeKey), plus the
-// request with its parameter resolved. Resolution is memoised in the
-// route tier; errors use the package's sentinel classification.
+// routing key the artifact shards on — the family member's fingerprint,
+// whatever the format — plus the request with its parameter resolved.
+// Resolution is memoised in the route tier; errors use the package's
+// sentinel classification.
 func (p *Pipeline) RouteKey(req Request) (string, Request, error) {
 	key := p.key(req)
 	if route, ok := p.routes.Get(key); ok {
@@ -18,7 +19,7 @@ func (p *Pipeline) RouteKey(req Request) (string, Request, error) {
 		if err != nil {
 			return "", err
 		}
-		return r.routeKey(), nil
+		return r.fp.String(), nil
 	})
 	return route, key, err
 }

@@ -3,6 +3,7 @@ package artifact
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"os"
 	"path/filepath"
 	"sync"
@@ -34,6 +35,8 @@ func TestRestartWarmth(t *testing.T) {
 		{Model: "commit", Format: "dot"},
 		{Model: "termination", Format: "text"},
 		{Model: "termination", Format: "efsm"},
+		{Model: "commit", Param: 7, Format: "efsm"},
+		{Model: "commit", Param: 7, Format: "efsm-dot"},
 	}
 
 	s1 := openStore(t, dir)
@@ -79,6 +82,35 @@ func TestRestartWarmth(t *testing.T) {
 	}
 	if st.Store == nil || st.Store.Hits != int64(len(reqs)) {
 		t.Errorf("store stats after restart = %+v, want %d hits", st.Store, len(reqs))
+	}
+}
+
+// TestFingerprintlessRowsAreNeverHit: before the EFSM formats became views
+// of the member's machine their rows were keyed by (model, param) with an
+// empty fingerprint. A store an older binary wrote may still hold such
+// rows; every lookup now carries the fingerprint, so they are never served
+// again, and they leave with the model like any other row.
+func TestFingerprintlessRowsAreNeverHit(t *testing.T) {
+	s := openStore(t, t.TempDir())
+	defer s.Close()
+	stale := []byte("an older binary's EFSM artefact")
+	if err := s.Put(store.Key{Model: "termination", Param: 4, Format: "efsm"}, stale, sha256.Sum256(stale), "text/plain", ".txt"); err != nil {
+		t.Fatal(err)
+	}
+	p := New(WithStore(s))
+	res := p.Render(context.Background(), Request{Model: "termination", Format: "efsm"})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if bytes.Equal(res.Artifact.Data, stale) || p.Stats().Machine.Generations != 1 {
+		t.Errorf("the fingerprint-less row was served: generations = %d", p.Stats().Machine.Generations)
+	}
+	if n := s.Len(); n != 2 {
+		t.Fatalf("store rows = %d, want the old row and the new one", n)
+	}
+	p.PurgeModel("termination")
+	if n := s.Len(); n != 0 {
+		t.Errorf("store rows after PurgeModel = %d, want 0", n)
 	}
 }
 

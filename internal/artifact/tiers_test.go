@@ -12,8 +12,9 @@ import (
 	"asagen/internal/render"
 )
 
-// gate parks the work behind a render — machine generation (at its first
-// Apply) and EFSM generalisation — until release is closed.
+// gate parks the work behind a render — machine generation at its first
+// Apply, which every format including the EFSM views waits on, or
+// resolution at Build — until release is closed.
 type gate struct {
 	once    sync.Once
 	entered chan struct{} // closed by the first arrival
@@ -39,23 +40,26 @@ func (m gatedModel) Apply(v core.Vector, msg string) (core.Effect, bool) {
 	return m.Model.Apply(v, msg)
 }
 
-// gatedEntry is the built-in termination scenario under another name, with
-// its generation and EFSM paths parked on g.
-func gatedEntry(t *testing.T, name string, g *gate) models.Entry {
+// renamed is a built-in scenario registered under another name.
+func renamed(t *testing.T, builtin, name string) models.Entry {
 	t.Helper()
-	entry, err := models.Get("termination")
+	entry, err := models.Get(builtin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	build, efsm := entry.Build, entry.EFSM
 	entry.Name = name
+	return entry
+}
+
+// gatedEntry is the built-in termination scenario under another name, with
+// its generation parked on g. The decorated model is why Entry.Abstraction
+// builds its own: the hook cannot assume what Build returns.
+func gatedEntry(t *testing.T, name string, g *gate) models.Entry {
+	entry := renamed(t, "termination", name)
+	build := entry.Build
 	entry.Build = func(param int) (core.Model, error) {
 		m, err := build(param)
 		return gatedModel{Model: m, g: g}, err
-	}
-	entry.EFSM = func(ctx context.Context, param int) (*core.EFSM, error) {
-		g.wait()
-		return efsm(ctx, param)
 	}
 	return entry
 }
@@ -120,6 +124,66 @@ func TestStragglerNeverRepopulates(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestStragglerAcrossReplacement closes the hole the name-keyed EFSM tier
+// left: a render that resolved the departing entry (parked here inside its
+// Build, after the registry read and before any render- or EFSM-tier entry
+// exists) creates those entries only after UpdateModel swept. Every tier
+// below the request-keyed ones is keyed by fingerprint, so what the
+// straggler leaves is addressed by the departed model's content and the
+// replacement never finds it: the next request renders the new model.
+func TestStragglerAcrossReplacement(t *testing.T) {
+	for _, format := range []string{"text", "efsm", "efsm-dot"} {
+		t.Run(format, func(t *testing.T) {
+			ctx := context.Background()
+			s := openStore(t, t.TempDir())
+			defer s.Close()
+			g := newGate()
+			old := renamed(t, "termination", "replaced")
+			build := old.Build
+			old.Build = func(param int) (core.Model, error) {
+				g.wait()
+				return build(param)
+			}
+			reg := models.NewRegistry()
+			if err := reg.Add(old); err != nil {
+				t.Fatal(err)
+			}
+			p := New(WithStore(s), WithRegistry(reg))
+			req := Request{Model: "replaced", Param: 4, Format: format}
+
+			done := make(chan Result, 1)
+			go func() { done <- p.Render(ctx, req) }()
+			<-g.entered
+			if _, err := p.UpdateModel(renamed(t, "chord", "replaced"), core.ModelDelta{Full: true}); err != nil {
+				t.Fatal(err)
+			}
+			close(g.release)
+
+			reference := New()
+			straggler := <-done
+			if straggler.Err != nil {
+				t.Fatalf("the straggler's own caller: %v", straggler.Err)
+			}
+			if want := reference.Render(ctx, Request{Model: "termination", Param: 4, Format: format}); !bytes.Equal(straggler.Artifact.Data, want.Artifact.Data) {
+				t.Error("the straggler did not render the entry it resolved")
+			}
+			if n := s.Len(); n != 0 {
+				t.Errorf("store holds %d rows written across the replacement, want 0", n)
+			}
+			next := p.Render(ctx, req)
+			if next.Err != nil {
+				t.Fatal(next.Err)
+			}
+			if want := reference.Render(ctx, Request{Model: "chord", Param: 4, Format: format}); !bytes.Equal(next.Artifact.Data, want.Artifact.Data) || next.ETag != want.ETag {
+				t.Error("the request after the replacement did not render the new entry")
+			}
+			if next.Fingerprint == straggler.Fingerprint {
+				t.Error("the replacement shares the departed model's fingerprint")
+			}
+		})
 	}
 }
 
@@ -216,27 +280,33 @@ func TestProbeRetainsStoreHits(t *testing.T) {
 	}
 }
 
+// chainAbstraction coalesces slowModel's chain into one counting state: the
+// EFSM tier holds a view of each member's own machine, keyed like it.
+type chainAbstraction struct{}
+
+func (chainAbstraction) StateLabel(core.Vector) string { return "COUNTING" }
+func (chainAbstraction) GuardComponent(string) int     { return 0 }
+func (chainAbstraction) VarOps(string) []core.VarOp {
+	return []core.VarOp{{Variable: "i", Delta: 1}}
+}
+func (chainAbstraction) Symbol(int, int) string { return "" }
+
 // TestSetLimitBoundsEveryTier: under SetLimit a hostile parameter sweep —
 // distinct ?r= values, and distinct non-positive raw values that all mean
 // the default — cannot grow any tier past its derived bound, and an
 // evicted artefact comes back byte-identical.
 func TestSetLimitBoundsEveryTier(t *testing.T) {
 	ctx := context.Background()
-	commitEntry, err := models.Get("commit")
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := models.NewRegistry()
 	if err := reg.Add(models.Entry{
 		Name:         "chain",
 		DefaultParam: 8,
 		Build:        func(states int) (core.Model, error) { return &slowModel{states: states}, nil },
-		// Any EFSM will do: the tier is keyed by (model, param), not content.
-		EFSM: func(ctx context.Context, _ int) (*core.EFSM, error) { return commitEntry.EFSM(ctx, 4) },
+		Abstraction:  func(int) (core.EFSMAbstraction, error) { return chainAbstraction{}, nil },
 	}); err != nil {
 		t.Fatal(err)
 	}
-	p := New(WithRegistry(reg), WithGenerateOptions(core.WithoutMerging()))
+	p := New(WithRegistry(reg))
 	const limit, sweep = 4, 200
 	p.SetLimit(limit)
 	artefacts := limit * len(render.Formats())

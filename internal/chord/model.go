@@ -17,6 +17,7 @@ package chord
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"asagen/internal/core"
 )
@@ -178,8 +179,8 @@ func (m *Model) DescribeState(v core.Vector) []string {
 		pred = "a live predecessor"
 	}
 	return []string{
-		fmt.Sprintf("Node is %s with %s.", membership, pred),
-		fmt.Sprintf("%d of %d successor-list entries live.", v[idxSuccessors], m.s),
+		"Node is " + membership + " with " + pred + ".",
+		strconv.Itoa(v[idxSuccessors]) + " of " + strconv.Itoa(m.s) + " successor-list entries live.",
 	}
 }
 
@@ -251,9 +252,5 @@ func GenerateEFSM(ctx context.Context, s int) (*core.EFSM, error) {
 	if err != nil {
 		return nil, err
 	}
-	machine, err := core.Generate(ctx, m, core.WithoutDescriptions())
-	if err != nil {
-		return nil, fmt.Errorf("chord: generate machine: %w", err)
-	}
-	return core.GeneralizeEFSM(machine, NewAbstraction(m))
+	return core.GenerateEFSM(ctx, m, NewAbstraction(m))
 }

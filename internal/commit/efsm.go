@@ -176,13 +176,5 @@ func GenerateEFSM(ctx context.Context, r int, opts ...Option) (*core.EFSM, error
 	if err != nil {
 		return nil, err
 	}
-	machine, err := core.Generate(ctx, m, core.WithoutDescriptions())
-	if err != nil {
-		return nil, fmt.Errorf("commit: generate machine: %w", err)
-	}
-	efsm, err := core.GeneralizeEFSM(machine, NewAbstraction(m))
-	if err != nil {
-		return nil, fmt.Errorf("commit: generalise EFSM: %w", err)
-	}
-	return efsm, nil
+	return core.GenerateEFSM(ctx, m, NewAbstraction(m))
 }

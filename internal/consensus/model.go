@@ -13,6 +13,7 @@ package consensus
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"asagen/internal/core"
 )
@@ -177,8 +178,8 @@ func (m *Model) DescribeState(v core.Vector) []string {
 	} else {
 		lines = append(lines, "Have not yet submitted the local estimate.")
 	}
-	lines = append(lines, fmt.Sprintf("Have received %d estimates and %d acks.",
-		v[idxEstimatesReceived], v[idxAcksReceived]))
+	lines = append(lines, "Have received "+strconv.Itoa(v[idxEstimatesReceived])+" estimates and "+
+		strconv.Itoa(v[idxAcksReceived])+" acks.")
 	if v[idxProposalReceived] != 0 {
 		lines = append(lines, "Have received the coordinator's proposal.")
 	}
@@ -260,9 +261,5 @@ func GenerateEFSM(ctx context.Context, n int) (*core.EFSM, error) {
 	if err != nil {
 		return nil, err
 	}
-	machine, err := core.Generate(ctx, m, core.WithoutDescriptions())
-	if err != nil {
-		return nil, fmt.Errorf("consensus: generate machine: %w", err)
-	}
-	return core.GeneralizeEFSM(machine, NewAbstraction(m))
+	return core.GenerateEFSM(ctx, m, NewAbstraction(m))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -299,6 +300,18 @@ func GeneralizeEFSM(machine *StateMachine, abs EFSMAbstraction) (*EFSM, error) {
 		}
 	})
 	return efsm, nil
+}
+
+// GenerateEFSM generalises m from a generation of its own, which no cache
+// shares: what the model packages' GenerateEFSM functions and
+// models.Entry.EFSM do, and the reference the artefact pipeline's view of
+// a cached machine is compared against. The context cancels the generation.
+func GenerateEFSM(ctx context.Context, m Model, abs EFSMAbstraction) (*EFSM, error) {
+	machine, err := Generate(ctx, m, WithoutDescriptions())
+	if err != nil {
+		return nil, fmt.Errorf("core: efsm: generate %s: %w", m.Name(), err)
+	}
+	return GeneralizeEFSM(machine, abs)
 }
 
 func guardVarName(machine *StateMachine, comp int) string {

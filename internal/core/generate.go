@@ -35,6 +35,15 @@ func (c genConfig) behaviourEqual(o genConfig) bool {
 // Option configures the generation pipeline.
 type Option func(*genConfig)
 
+// DefaultBehaviour reports whether opts generate exactly the machine no
+// options would. The EFSM abstractions are written against that machine —
+// GeneralizeEFSM rejects a WithSinglePassMerge or WithoutPruning machine as
+// unsound, or coalesces it differently — so only a cache generating it can
+// lend its machines to generalisation.
+func DefaultBehaviour(opts ...Option) bool {
+	return newGenConfig(opts).behaviourEqual(newGenConfig(nil))
+}
+
 // newGenConfig applies opts to the default configuration.
 func newGenConfig(opts []Option) genConfig {
 	cfg := genConfig{prune: true, merge: true, describe: true}

@@ -32,10 +32,12 @@ import (
 // Builder constructs the abstract model for a parameter value.
 type Builder func(param int) (core.Model, error)
 
-// EFSMBuilder generates the parameter-independent EFSM generalisation
-// (§5.3) from the family member for the given parameter value. The
-// context cancels the underlying machine generation.
-type EFSMBuilder func(ctx context.Context, param int) (*core.EFSM, error)
+// Abstraction returns the EFSM abstraction (§5.3) of the family member for
+// the given parameter value: how core.GeneralizeEFSM coalesces that
+// member's generated machine into the parameter-independent EFSM. It
+// builds its own model instance rather than taking the one Build returned,
+// which a caller may have decorated.
+type Abstraction func(param int) (core.EFSMAbstraction, error)
 
 // Entry describes one registered scenario.
 type Entry struct {
@@ -52,9 +54,9 @@ type Entry struct {
 	SweepParams []int
 	// Build constructs the abstract model for a parameter value.
 	Build Builder
-	// EFSM generalises the family to a parameter-independent EFSM, or nil
-	// when the model declares no abstraction.
-	EFSM EFSMBuilder
+	// Abstraction names how the family generalises to a
+	// parameter-independent EFSM, or is nil when the model declares none.
+	Abstraction Abstraction
 	// Vocabulary names the message vocabulary the generated machines
 	// react to, e.g. VocabularyCommit for models the version-service
 	// runtime can execute. Empty for models with a vocabulary of their
@@ -79,6 +81,38 @@ func (e Entry) Model(param int) (core.Model, error) {
 		param = e.DefaultParam
 	}
 	return e.Build(param)
+}
+
+// EFSM generalises the family member for param from a generation of its
+// own (core.GenerateEFSM). The artefact pipeline generalises the member's
+// cached machine instead; this is the reference that view is compared
+// against, and what a pipeline built with generation options the
+// abstraction is not sound over falls back to.
+func (e Entry) EFSM(ctx context.Context, param int) (*core.EFSM, error) {
+	if e.Abstraction == nil {
+		return nil, fmt.Errorf("models: model %q declares no EFSM abstraction", e.Name)
+	}
+	m, err := e.Build(param)
+	if err != nil {
+		return nil, err
+	}
+	abs, err := e.Abstraction(param)
+	if err != nil {
+		return nil, err
+	}
+	return core.GenerateEFSM(ctx, m, abs)
+}
+
+// abstraction adapts a model package's constructor pair to the Abstraction
+// hook.
+func abstraction[M any, A core.EFSMAbstraction](newModel func(int) (M, error), newAbstraction func(M) A) Abstraction {
+	return func(param int) (core.EFSMAbstraction, error) {
+		m, err := newModel(param)
+		if err != nil {
+			return nil, err
+		}
+		return newAbstraction(m), nil
+	}
 }
 
 // Errors classifying registry mutations, for callers that map them to
@@ -251,6 +285,12 @@ func Build(name string, param int) (core.Model, error) {
 	return defaultRegistry.Build(name, param)
 }
 
+func newCommit(r int) (*commit.Model, error) { return commit.NewModel(r) }
+
+func newCommitRedundant(r int) (*commit.Model, error) {
+	return commit.NewModel(r, commit.WithVariant(commit.RedundantVariant()))
+}
+
 func init() {
 	Register(Entry{
 		Name:         "commit",
@@ -258,11 +298,9 @@ func init() {
 		ParamName:    "replication factor",
 		DefaultParam: 4,
 		SweepParams:  []int{4, 7, 13, 25, 46},
-		Build:        func(r int) (core.Model, error) { return commit.NewModel(r) },
-		EFSM: func(ctx context.Context, r int) (*core.EFSM, error) {
-			return commit.GenerateEFSM(ctx, r)
-		},
-		Vocabulary: VocabularyCommit,
+		Build:        func(r int) (core.Model, error) { return newCommit(r) },
+		Abstraction:  abstraction(newCommit, commit.NewAbstraction),
+		Vocabulary:   VocabularyCommit,
 	})
 	Register(Entry{
 		Name:         "commit-redundant",
@@ -270,13 +308,9 @@ func init() {
 		ParamName:    "replication factor",
 		DefaultParam: 4,
 		SweepParams:  []int{4, 7, 13, 25, 46},
-		Build: func(r int) (core.Model, error) {
-			return commit.NewModel(r, commit.WithVariant(commit.RedundantVariant()))
-		},
-		EFSM: func(ctx context.Context, r int) (*core.EFSM, error) {
-			return commit.GenerateEFSM(ctx, r, commit.WithVariant(commit.RedundantVariant()))
-		},
-		Vocabulary: VocabularyCommit,
+		Build:        func(r int) (core.Model, error) { return newCommitRedundant(r) },
+		Abstraction:  abstraction(newCommitRedundant, commit.NewAbstraction),
+		Vocabulary:   VocabularyCommit,
 	})
 	Register(Entry{
 		Name:         "consensus",
@@ -285,7 +319,7 @@ func init() {
 		DefaultParam: 5,
 		SweepParams:  []int{3, 5, 7, 9},
 		Build:        func(n int) (core.Model, error) { return consensus.NewModel(n) },
-		EFSM:         consensus.GenerateEFSM,
+		Abstraction:  abstraction(consensus.NewModel, consensus.NewAbstraction),
 	})
 	Register(Entry{
 		Name:         "chord",
@@ -294,7 +328,7 @@ func init() {
 		DefaultParam: 4,
 		SweepParams:  []int{2, 3, 4, 8},
 		Build:        func(s int) (core.Model, error) { return chord.NewModel(s) },
-		EFSM:         chord.GenerateEFSM,
+		Abstraction:  abstraction(chord.NewModel, chord.NewAbstraction),
 	})
 	Register(Entry{
 		Name:         "storage",
@@ -303,7 +337,7 @@ func init() {
 		DefaultParam: 4,
 		SweepParams:  []int{4, 7, 13, 25},
 		Build:        func(r int) (core.Model, error) { return storage.NewModel(r) },
-		EFSM:         storage.GenerateEFSM,
+		Abstraction:  abstraction(storage.NewModel, storage.NewAbstraction),
 	})
 	Register(Entry{
 		Name:         "termination",
@@ -312,6 +346,6 @@ func init() {
 		DefaultParam: 4,
 		SweepParams:  []int{1, 2, 4, 8},
 		Build:        func(k int) (core.Model, error) { return termination.NewModel(k) },
-		EFSM:         termination.GenerateEFSM,
+		Abstraction:  abstraction(termination.NewModel, termination.NewAbstraction),
 	})
 }

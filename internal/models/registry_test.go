@@ -62,7 +62,7 @@ func TestBuildDefaultsAndGenerates(t *testing.T) {
 			if len(machine.States) == 0 || machine.Start == nil {
 				t.Error("generated machine is empty")
 			}
-			if entry.EFSM != nil {
+			if entry.Abstraction != nil {
 				efsm, err := entry.EFSM(context.Background(), entry.DefaultParam)
 				if err != nil {
 					t.Fatalf("EFSM: %v", err)

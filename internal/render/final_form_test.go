@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"go/format"
+	"go/parser"
+	"go/token"
 	"strings"
 	"testing"
 
@@ -135,6 +137,63 @@ func TestGoSourceIsGofmtFixedPoint(t *testing.T) {
 		} else if !bytes.Equal(art.Data, want) {
 			t.Errorf("%s: not gofmt's fixed point:\n%s", name, firstDifference(art.Data, want))
 		}
+	}
+}
+
+// TestParseCheckModesAgree: the parse check leaves comments out of the
+// AST it throws away. That must not change what it accepts: on every
+// emitted source — the sweep, the edge machines the check refuses, broken
+// renderer settings — and on sources whose only fault is inside a comment,
+// it and the ParseComments mode gofmt parses with agree on err == nil.
+func TestParseCheckModesAgree(t *testing.T) {
+	sources := map[string][]byte{}
+	for name, m := range allMachines(t) {
+		if g, err := NewGoSourceRenderer("").emit(m); err == nil {
+			sources[name] = g.buf
+		}
+	}
+	ok := handMachine("m", []string{"GO"}, []string{"a", "b"}, "a|GO|b|->x")
+	for name, r := range map[string]*GoSourceRenderer{
+		"package clause": {PackageName: "two words"},
+		"method name":    {ActionMethod: func(string) string { return "Send(" }},
+	} {
+		g, err := r.emit(ok)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources[name] = g.buf
+	}
+	valid := string(sources["commit/r=4"])
+	if valid == "" {
+		t.Fatal("no commit/r=4 sweep member to derive comment faults from")
+	}
+	line := strings.Index(valid, "//")
+	for name, src := range map[string]string{
+		"unterminated":      valid + "/* never closed",
+		"nul in comment":    valid[:line+2] + "\x00" + valid[line+2:],
+		"bad utf-8":         valid[:line+2] + "\xff" + valid[line+2:],
+		"bom in comment":    valid[:line+2] + "\ufeff" + valid[line+2:],
+		"cr in comment":     valid[:line+2] + "a\rb" + valid[line+2:],
+		"semicolon by /**/": "package p\nfunc f() int { return /*\n*/ 1 }\n",
+		"comment only":      "// nothing else\n",
+		"line directive":    "package p\n//line :0\nvar x int\n",
+		"general in expr":   "package p\nvar x = 1 /* one */ + /* two */ 2\n",
+	} {
+		sources[name] = []byte(src)
+	}
+	accepted := 0
+	for name, src := range sources {
+		_, withComments := parser.ParseFile(token.NewFileSet(), "", src, parser.ParseComments|parser.SkipObjectResolution)
+		without := parses(src)
+		if (withComments == nil) != (without == nil) {
+			t.Errorf("%s: with comment nodes err = %v, without err = %v", name, withComments, without)
+		}
+		if without == nil {
+			accepted++
+		}
+	}
+	if accepted == 0 || accepted == len(sources) {
+		t.Errorf("%d of %d sources accepted: the corpus must hold both verdicts", accepted, len(sources))
 	}
 }
 

@@ -105,8 +105,30 @@ type goWriter struct {
 // not parse — which would indicate a renderer bug, surfaced as an error
 // rather than a broken artefact.
 func (r *GoSourceRenderer) Render(m *core.StateMachine) (Artifact, error) {
+	g, err := r.emit(m)
+	if err != nil {
+		return Artifact{}, err
+	}
+	if err := parses(g.buf); err != nil {
+		return Artifact{}, fmt.Errorf("render: go source for %s: generated code does not parse: %w", m.ModelName, err)
+	}
+	return g.artifact(r.Name(), "text/x-go; charset=utf-8", ".go"), nil
+}
+
+// parses is the check between the emitter and the artefact. The AST is
+// thrown away, so no comment nodes are built for it: go/scanner scans every
+// comment, and reports what is wrong inside one, in either mode, so this
+// accepts exactly what gofmt's mode (ParseComments) accepts —
+// TestParseCheckModesAgree.
+func parses(src []byte) error {
+	_, err := parser.ParseFile(token.NewFileSet(), "", src, parser.SkipObjectResolution)
+	return err
+}
+
+// emit writes the source, unchecked.
+func (r *GoSourceRenderer) emit(m *core.StateMachine) (*goWriter, error) {
 	if m.Start == nil || len(m.States) == 0 {
-		return Artifact{}, fmt.Errorf("render: go source: machine has no states")
+		return nil, fmt.Errorf("render: go source: machine has no states")
 	}
 	method := r.ActionMethod
 	if method == nil {
@@ -157,13 +179,9 @@ func (r *GoSourceRenderer) Render(m *core.StateMachine) (Artifact, error) {
 	g.emitHandlers(m)
 
 	if g.broken != "" {
-		return Artifact{}, fmt.Errorf("render: go source for %s: comment text %s contains a line break", m.ModelName, g.broken)
+		return nil, fmt.Errorf("render: go source for %s: comment text %s contains a line break", m.ModelName, g.broken)
 	}
-	// The mode go/format parses with: what gofmt would accept, this accepts.
-	if _, err := parser.ParseFile(token.NewFileSet(), "", g.buf, parser.ParseComments|parser.SkipObjectResolution); err != nil {
-		return Artifact{}, fmt.Errorf("render: go source for %s: generated code does not parse: %w", m.ModelName, err)
-	}
-	return g.artifact(r.Name(), "text/x-go; charset=utf-8", ".go"), nil
+	return g, nil
 }
 
 // comment writes one line comment as gofmt leaves it: trailing white space

@@ -121,6 +121,10 @@ func FuzzGoSourceFixedPoint(f *testing.F) {
 		if err != nil {
 			t.Fatalf("compiled spec does not render as Go: %v\n%s", err, data)
 		}
+		// The renderer's parse check keeps comments out of its AST;
+		// format.Source parses with them. What the one accepted the other
+		// must: the two modes agree on every input (internal/render's
+		// TestParseCheckModesAgree holds the rejecting half).
 		formatted, err := format.Source(art.Data)
 		if err != nil {
 			t.Fatalf("gofmt rejects the artefact: %v", err)

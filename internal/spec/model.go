@@ -1,7 +1,6 @@
 package spec
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -102,7 +101,7 @@ func (c *Compiled) maxOf(comp Component, param int) int {
 
 // Entry returns the registry entry for the compiled spec, wiring the model
 // builder and — when the spec declares abstraction hints — the EFSM
-// generalisation into the same shape the hand-written adapters use.
+// abstraction into the same shape the hand-written adapters use.
 func (c *Compiled) Entry() models.Entry {
 	e := models.Entry{
 		Name:         c.doc.Name,
@@ -115,27 +114,11 @@ func (c *Compiled) Entry() models.Entry {
 		Spec:         c.doc,
 	}
 	if c.HasEFSM() {
-		e.EFSM = c.GenerateEFSM
+		e.Abstraction = func(param int) (core.EFSMAbstraction, error) {
+			return &specAbstraction{c: c, param: param}, nil
+		}
 	}
 	return e
-}
-
-// GenerateEFSM generates the machine for the given parameter and coalesces
-// it into the parameter-independent EFSM under the spec's abstraction
-// hints, exactly as the hand-written GenerateEFSM builders do.
-func (c *Compiled) GenerateEFSM(ctx context.Context, param int) (*core.EFSM, error) {
-	if !c.HasEFSM() {
-		return nil, fmt.Errorf("spec: model %q declares no abstraction", c.doc.Name)
-	}
-	m, err := c.Model(param)
-	if err != nil {
-		return nil, err
-	}
-	machine, err := core.Generate(ctx, m, core.WithoutDescriptions())
-	if err != nil {
-		return nil, fmt.Errorf("spec: generate machine for %q: %w", c.doc.Name, err)
-	}
-	return core.GeneralizeEFSM(machine, &specAbstraction{c: c, param: param})
 }
 
 // cGuard is one compiled guard condition: the component's allowed values

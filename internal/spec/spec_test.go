@@ -157,7 +157,7 @@ func TestCompileTerminationEFSM(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{2, 4, 8} {
-		specEFSM, err := c.GenerateEFSM(context.Background(), k)
+		specEFSM, err := c.Entry().EFSM(context.Background(), k)
 		if err != nil {
 			t.Fatalf("k=%d: spec EFSM: %v", k, err)
 		}
@@ -496,8 +496,8 @@ func TestEntryShape(t *testing.T) {
 	if e.Name != "termination-spec" || e.ParamName != "fan-out bound" || e.DefaultParam != 4 {
 		t.Errorf("entry = %+v", e)
 	}
-	if e.EFSM == nil {
-		t.Error("entry lost the EFSM builder")
+	if e.Abstraction == nil {
+		t.Error("entry lost the EFSM abstraction")
 	}
 
 	doc := terminationDoc()
@@ -506,7 +506,7 @@ func TestEntryShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.Entry().EFSM != nil {
-		t.Error("entry has an EFSM builder without abstraction hints")
+	if c2.Entry().Abstraction != nil {
+		t.Error("entry has an EFSM abstraction without abstraction hints")
 	}
 }

@@ -19,6 +19,7 @@ package storage
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"asagen/internal/core"
 )
@@ -175,11 +176,11 @@ func (m *Model) DescribeState(v core.Vector) []string {
 	if v[idxStoreSent] == 0 {
 		lines = append(lines, "No store operation in flight.")
 	} else {
-		lines = append(lines, fmt.Sprintf("Store sent to %d replicas; %d of %d acknowledgements received.",
-			m.r, v[idxAcks], m.StoreQuorum()))
+		lines = append(lines, "Store sent to "+strconv.Itoa(m.r)+" replicas; "+strconv.Itoa(v[idxAcks])+" of "+
+			strconv.Itoa(m.StoreQuorum())+" acknowledgements received.")
 	}
 	if v[idxFetching] != 0 {
-		lines = append(lines, fmt.Sprintf("Retrieve in progress; %d failed attempts (tolerates %d).", v[idxMisses], m.f))
+		lines = append(lines, "Retrieve in progress; "+strconv.Itoa(v[idxMisses])+" failed attempts (tolerates "+strconv.Itoa(m.f)+").")
 	}
 	return lines
 }
@@ -263,9 +264,5 @@ func GenerateEFSM(ctx context.Context, r int) (*core.EFSM, error) {
 	if err != nil {
 		return nil, err
 	}
-	machine, err := core.Generate(ctx, m, core.WithoutDescriptions())
-	if err != nil {
-		return nil, fmt.Errorf("storage: generate machine: %w", err)
-	}
-	return core.GeneralizeEFSM(machine, NewAbstraction(m))
+	return core.GenerateEFSM(ctx, m, NewAbstraction(m))
 }

@@ -44,20 +44,23 @@ import (
 // EFSM artefacts have no machine fingerprint and are keyed by (model,
 // parameter) instead.
 type Key struct {
-	// Model is the registry name the artefact was rendered for. For
-	// machine artefacts it records the first owner (lookup ignores it);
-	// for EFSM artefacts it is part of the key.
+	// Model is the registry name the artefact was rendered for: the first
+	// owner of a fingerprint-addressed row (lookup ignores it), and what
+	// EvictModel removes rows by.
 	Model string
 	// Param is the resolved model parameter.
 	Param int
 	// Format is the registry format name.
 	Format string
-	// Fingerprint is the hex model fingerprint; empty for EFSM artefacts.
+	// Fingerprint is the hex model fingerprint of the family member the
+	// artefact renders. Empty only in the EFSM rows of binaries that keyed
+	// those by (model, param): the pipeline never looks such a row up
+	// again, and it leaves with EvictModel or Purge.
 	Fingerprint string
 }
 
-// id returns the index-map key: fingerprint-addressed for machine
-// artefacts, (model, param)-addressed for EFSM artefacts.
+// id returns the index-map key: fingerprint-addressed, or (model,
+// param)-addressed for a row without one.
 func (k Key) id() string {
 	if k.Fingerprint != "" {
 		return "m/" + k.Fingerprint + "/" + k.Format

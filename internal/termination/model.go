@@ -14,6 +14,7 @@ package termination
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"asagen/internal/core"
 )
@@ -146,8 +147,8 @@ func (m *Model) DescribeState(v core.Vector) []string {
 		state = "active"
 	}
 	return []string{
-		fmt.Sprintf("Process is %s.", state),
-		fmt.Sprintf("%d delegated tasks outstanding (bound %d).", v[idxOutstanding], m.k),
+		"Process is " + state + ".",
+		strconv.Itoa(v[idxOutstanding]) + " delegated tasks outstanding (bound " + strconv.Itoa(m.k) + ").",
 	}
 }
 
@@ -216,9 +217,5 @@ func GenerateEFSM(ctx context.Context, k int) (*core.EFSM, error) {
 	if err != nil {
 		return nil, err
 	}
-	machine, err := core.Generate(ctx, m, core.WithoutDescriptions())
-	if err != nil {
-		return nil, fmt.Errorf("termination: generate machine: %w", err)
-	}
-	return core.GeneralizeEFSM(machine, NewAbstraction(m))
+	return core.GenerateEFSM(ctx, m, NewAbstraction(m))
 }
