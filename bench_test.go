@@ -193,7 +193,8 @@ func BenchmarkRenderDot(b *testing.B) { benchRender(b, render.NewDotRenderer()) 
 func BenchmarkRenderXML(b *testing.B) { benchRender(b, render.NewXMLRenderer()) }
 
 // BenchmarkRenderGoSource measures the Fig. 16 generated implementation
-// (E4), including the parse check every Go artefact passes.
+// (E4): one write through the per-slot gate, nothing read back. allocs/op
+// is the informative column — about one per state.
 func BenchmarkRenderGoSource(b *testing.B) { benchRender(b, render.NewGoSourceRenderer("bench")) }
 
 // BenchmarkGenerateEFSM measures §5.3 EFSM generalisation across models

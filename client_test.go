@@ -268,6 +268,13 @@ func TestClientRenderGoPackage(t *testing.T) {
 	if !strings.Contains(string(res.Data), "package demo") {
 		t.Error("WithGoPackage did not set the package clause")
 	}
+	// A clause that is no identifier, or one nothing could import, fails
+	// the render; no artefact is written with it.
+	for _, pkg := range []string{"two words", "_", "func", "a\x00"} {
+		if res, err := machine.Render("go", asagen.WithGoPackage(pkg)); !errors.Is(err, asagen.ErrRender) || len(res.Data) != 0 {
+			t.Errorf("WithGoPackage(%q): err = %v, %d bytes; want ErrRender and none", pkg, err, len(res.Data))
+		}
+	}
 	if _, err := machine.Render("efsm"); err == nil {
 		t.Error("Machine.Render accepted an EFSM format")
 	}

@@ -239,6 +239,18 @@ func TestRegisterErrors(t *testing.T) {
 		t.Errorf("invalid_spec message lacks the path diagnostic: %s", msg)
 	}
 
+	// Two messages the go format would give one method name: refused
+	// here, not as render_failed on a later GET.
+	colliding := countDoc("colliding")
+	colliding.Messages = append(colliding.Messages, "a b", "a_b")
+	resp, body = do(t, ts, http.MethodPost, "/v1/models", specJSON(t, colliding))
+	if resp.StatusCode != http.StatusBadRequest || envelope(t, body).Code != CodeInvalidSpec {
+		t.Fatalf("colliding-names spec POST = %d %s", resp.StatusCode, body)
+	}
+	if msg := envelope(t, body).Message; !strings.Contains(msg, "messages[") || !strings.Contains(msg, "Machine.ReceiveAB") {
+		t.Errorf("invalid_spec message lacks the Go-name diagnostic: %s", msg)
+	}
+
 	resp, body = do(t, ts, http.MethodPost, "/v1/models", []byte(`{"name": "x", not json`))
 	if resp.StatusCode != http.StatusBadRequest || envelope(t, body).Code != CodeInvalidSpec {
 		t.Errorf("malformed JSON POST = %d %s", resp.StatusCode, body)

@@ -155,6 +155,36 @@ func TestRequestErrors(t *testing.T) {
 	}
 }
 
+// collidingModel is an adapter — no spec.Compile stood in its way — with
+// two messages the go format would give one method name.
+type collidingModel struct{ slowModel }
+
+func (m *collidingModel) Name() string       { return "pipeline-colliding" }
+func (m *collidingModel) Messages() []string { return []string{"next", "a b", "a_b"} }
+
+// TestGoSourceGateIsErrRender: what the Go renderer's gate refuses reaches
+// the caller under the ErrRender sentinel, and only the go format fails.
+func TestGoSourceGateIsErrRender(t *testing.T) {
+	reg := models.Default().Clone()
+	err := reg.Add(models.Entry{
+		Name: "pipeline-colliding", ParamName: "chain length", DefaultParam: 2,
+		Build: func(states int) (core.Model, error) {
+			return &collidingModel{slowModel{states: states}}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(WithRegistry(reg))
+	res := p.Render(context.Background(), Request{Model: "pipeline-colliding", Format: "go"})
+	if !errors.Is(res.Err, ErrRender) || !strings.Contains(res.Err.Error(), "Machine.ReceiveAB") {
+		t.Errorf("go format: err = %v, want ErrRender naming Machine.ReceiveAB", res.Err)
+	}
+	if res := p.Render(context.Background(), Request{Model: "pipeline-colliding", Format: "text"}); res.Err != nil {
+		t.Errorf("text format: %v", res.Err)
+	}
+}
+
 // TestPurgeForcesRegeneration: after Purge the same request regenerates.
 func TestPurgeForcesRegeneration(t *testing.T) {
 	p := New()

@@ -65,7 +65,9 @@ func weigh(m *core.StateMachine) weights {
 		w.edgeSources += len(s.Transitions) * len(s.Name)
 		for msg, tr := range s.Transitions {
 			w.edgeMessages += len(msg)
-			w.edgeTargets += len(tr.Target.Name)
+			if tr.Target != nil { // a hand-built machine; the Go renderer refuses it
+				w.edgeTargets += len(tr.Target.Name)
+			}
 			w.actions += len(tr.Actions)
 			for _, a := range tr.Actions {
 				w.actionLen += len(a)

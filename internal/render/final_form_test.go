@@ -7,8 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"go/format"
-	"go/parser"
-	"go/token"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -68,7 +67,7 @@ func handMachine(model string, messages, states []string, edges ...string) *core
 // do not: go/printer's alignment sections and comment normalisation, and
 // encoding/xml's escaping and empty-element forms.
 func edgeMachines() map[string]*core.StateMachine {
-	long := strings.Repeat("x", 41)
+	long, long2, long3 := strings.Repeat("x", 41), strings.Repeat("y", 41), strings.Repeat("z", 41)
 	out := map[string]*core.StateMachine{
 		"one-state":      handMachine("one", []string{"GO"}, []string{"a"}),
 		"no-messages":    handMachine("none", nil, []string{"a", "b"}),
@@ -76,7 +75,7 @@ func edgeMachines() map[string]*core.StateMachine {
 		// Keys over 40 bytes whose size jumps by 2.5x and back: the
 		// alignment section breaks, in both directions.
 		"section-break": handMachine("sections", []string{"GO"},
-			[]string{"a", "bb", long, long + "y", strings.Repeat(long, 3), long, "c", long, "dd"},
+			[]string{"a", "bb", long, long + "y", strings.Repeat(long, 3), long2, "c", long3, "dd"},
 			"a|GO|bb|->x", "bb|GO|a"),
 		// Rune width differs from byte length in keys and methods.
 		"non-ascii": handMachine("breite", []string{"LÖS", "go"}, []string{"é", "日本語/ok", "a-b"},
@@ -122,8 +121,8 @@ func TestGoSourceIsGofmtFixedPoint(t *testing.T) {
 		if name == "markup" || name == "foreign-target" {
 			// Invalid UTF-8 cannot be Go source, in a comment or anywhere,
 			// and a state that is not the machine's has no constant.
-			if err == nil || !strings.Contains(err.Error(), "does not parse") {
-				t.Errorf("%s: err = %v", name, err)
+			if err == nil {
+				t.Errorf("%s: rendered", name)
 			}
 			continue
 		}
@@ -140,63 +139,6 @@ func TestGoSourceIsGofmtFixedPoint(t *testing.T) {
 	}
 }
 
-// TestParseCheckModesAgree: the parse check leaves comments out of the
-// AST it throws away. That must not change what it accepts: on every
-// emitted source — the sweep, the edge machines the check refuses, broken
-// renderer settings — and on sources whose only fault is inside a comment,
-// it and the ParseComments mode gofmt parses with agree on err == nil.
-func TestParseCheckModesAgree(t *testing.T) {
-	sources := map[string][]byte{}
-	for name, m := range allMachines(t) {
-		if g, err := NewGoSourceRenderer("").emit(m); err == nil {
-			sources[name] = g.buf
-		}
-	}
-	ok := handMachine("m", []string{"GO"}, []string{"a", "b"}, "a|GO|b|->x")
-	for name, r := range map[string]*GoSourceRenderer{
-		"package clause": {PackageName: "two words"},
-		"method name":    {ActionMethod: func(string) string { return "Send(" }},
-	} {
-		g, err := r.emit(ok)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sources[name] = g.buf
-	}
-	valid := string(sources["commit/r=4"])
-	if valid == "" {
-		t.Fatal("no commit/r=4 sweep member to derive comment faults from")
-	}
-	line := strings.Index(valid, "//")
-	for name, src := range map[string]string{
-		"unterminated":      valid + "/* never closed",
-		"nul in comment":    valid[:line+2] + "\x00" + valid[line+2:],
-		"bad utf-8":         valid[:line+2] + "\xff" + valid[line+2:],
-		"bom in comment":    valid[:line+2] + "\ufeff" + valid[line+2:],
-		"cr in comment":     valid[:line+2] + "a\rb" + valid[line+2:],
-		"semicolon by /**/": "package p\nfunc f() int { return /*\n*/ 1 }\n",
-		"comment only":      "// nothing else\n",
-		"line directive":    "package p\n//line :0\nvar x int\n",
-		"general in expr":   "package p\nvar x = 1 /* one */ + /* two */ 2\n",
-	} {
-		sources[name] = []byte(src)
-	}
-	accepted := 0
-	for name, src := range sources {
-		_, withComments := parser.ParseFile(token.NewFileSet(), "", src, parser.ParseComments|parser.SkipObjectResolution)
-		without := parses(src)
-		if (withComments == nil) != (without == nil) {
-			t.Errorf("%s: with comment nodes err = %v, without err = %v", name, withComments, without)
-		}
-		if without == nil {
-			accepted++
-		}
-	}
-	if accepted == 0 || accepted == len(sources) {
-		t.Errorf("%d of %d sources accepted: the corpus must hold both verdicts", accepted, len(sources))
-	}
-}
-
 // firstDifference shows the first line two texts disagree on.
 func firstDifference(got, want []byte) string {
 	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
@@ -208,37 +150,53 @@ func firstDifference(got, want []byte) string {
 	return fmt.Sprintf("%d lines, want %d", len(g), len(w))
 }
 
-// TestGoSourceRefusesBrokenOutput: the parse check still stands between
-// the emitter and the artefact, and text that would break out of a
-// comment as valid Go — which that check cannot see — is refused too.
+// TestGoSourceRefusesBrokenOutput: the gate stands between the model and
+// the artefact. What is no identifier, what Go source cannot hold in a
+// comment, and text that would break out of a comment as valid Go — which
+// no parse could see — each fail the render.
 func TestGoSourceRefusesBrokenOutput(t *testing.T) {
-	ok := handMachine("m", []string{"GO"}, []string{"a", "b"}, "a|GO|b|->x")
-	if _, err := (&GoSourceRenderer{PackageName: "two words"}).Render(ok); err == nil || !strings.Contains(err.Error(), "does not parse") {
-		t.Errorf("broken package clause: err = %v", err)
+	refused := func(name string, h hostile) {
+		t.Helper()
+		r, m := h.build()
+		if art, err := r.Render(m); err == nil {
+			t.Errorf("%s: rendered:\n%s", name, art.Data)
+		}
 	}
-	broken := func(string) string { return "Send(" }
-	if _, err := (&GoSourceRenderer{ActionMethod: broken}).Render(ok); err == nil || !strings.Contains(err.Error(), "does not parse") {
-		t.Errorf("broken method name: err = %v", err)
+	for _, pkg := range []string{"two words", "_", "func", "1st", "a\x00", "\xff"} {
+		refused("package "+strconv.Quote(pkg), benign.with("pkg", pkg).faulty(customPackage))
 	}
-
-	const inject = "ok\nStateInjected"
-	hostile := map[string]*core.StateMachine{
-		"model name": handMachine(inject, []string{"GO"}, []string{"a"}),
-		"message":    handMachine("m", []string{inject}, []string{"a"}),
-		"action":     handMachine("m", []string{"GO"}, []string{"a"}, "a|GO|a|"+inject),
-		"annotation": handMachine("m", []string{"GO"}, []string{"a"}),
-		"component":  handMachine("m", []string{"GO"}, []string{"a"}),
-		"cr":         handMachine("ok\rStateInjected", []string{"GO"}, []string{"a"}),
+	for _, method := range []string{"Send(", "_", "func", "", "Send X", "\ufeff"} {
+		refused("method "+strconv.Quote(method), benign.with("method", method).faulty(customMethod))
 	}
-	hostile["annotation"].States[0].Annotations = []string{inject}
-	hostile["component"].Components = []core.StateComponent{core.NewBoolComponent(inject)}
-	for name, m := range hostile {
-		if art, err := NewGoSourceRenderer("").Render(m); err == nil || !strings.Contains(err.Error(), "line break") {
-			t.Errorf("%s: err = %v, artefact:\n%s", name, err, art.Data)
+	for _, slot := range []string{"model", "component", "msg1", "note", "act1", "act2"} {
+		for _, text := range []string{"\x00", "bad\xffutf8", "\ufeffbom", "ok\nStateInjected", "ok\rStateInjected", "ok\fStateInjected"} {
+			refused(slot+" = "+strconv.Quote(text), benign.with(slot, text))
+		}
+	}
+	// Names that parse and do not compile; the refusal names both model
+	// strings and the Go name they meet at.
+	for _, c := range []struct {
+		h    hostile
+		want []string
+	}{
+		{benign.with("state1", "a b").with("state2", "a_b"), []string{`"a b"`, `"a_b"`, "State_a_b"}},
+		{benign.with("act1", "->x y").with("act2", "->x_y"), []string{`"->x y"`, `"->x_y"`, "Actions.SendXY"}},
+		{benign.with("msg1", "a b").with("msg2", "a_b"), []string{`"a b"`, `"a_b"`, "Machine.ReceiveAB"}},
+		{benign.with("msg1", "-"), []string{`"-"`, "Machine.Receive"}},
+		{benign.with("pkg", "_").faulty(customPackage), []string{`"_"`}},
+		{benign.faulty(ghostTarget), []string{`"ghost"`}},
+	} {
+		r, m := c.h.build()
+		_, err := r.Render(m)
+		for _, want := range c.want {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%+v: err = %v, want %s named", c.h, err, want)
+			}
 		}
 	}
 	// The same text arriving the way such a machine would: as a document.
-	doc, err := NewXMLRenderer().Render(hostile["annotation"])
+	_, m := benign.with("note", "ok\nStateInjected").build()
+	doc, err := NewXMLRenderer().Render(m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,269 @@
+package render
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/format"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"strings"
+	"testing"
+
+	"asagen/internal/core"
+)
+
+// The Go renderer parses nothing it writes: goWriter's gate (GoNames,
+// check, ref) admits a model string into a slot only where the file then
+// parses and type-checks. The libraries that could check the whole file
+// are the oracles of that claim, here and nowhere in product code.
+
+// parses is the check the renderer ran on every artefact until the gate
+// replaced it, in the mode gofmt parses with.
+func parses(src []byte) (*token.FileSet, *ast.File, error) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "", src, parser.ParseComments|parser.SkipObjectResolution)
+	return fset, file, err
+}
+
+// compiles holds src to everything short of a compiler back end: it
+// parses, gofmt has nothing to change in it, and it type-checks (it
+// imports nothing, so there is nothing to resolve).
+func compiles(src []byte) error {
+	fset, file, err := parses(src)
+	if err != nil {
+		return err
+	}
+	if formatted, err := format.Source(src); err != nil {
+		return err
+	} else if !bytes.Equal(src, formatted) {
+		return errors.New("not gofmt's fixed point: " + firstDifference(src, formatted))
+	}
+	_, err = (&types.Config{}).Check(file.Name.Name, fset, []*ast.File{file}, nil)
+	return err
+}
+
+// hostile is a two-state machine and a renderer built from one string per
+// model-controlled slot of the Go artefact, plus the structural faults a
+// hand-built or loaded machine can carry.
+type hostile struct {
+	model, component, msg1, msg2, state1, state2, note, act1, act2, pkg, method string
+	faults                                                                      uint16
+}
+
+const (
+	nilTarget     uint16 = 1 << iota // an edge with no target
+	ghostTarget                      // an edge to a state the machine does not list
+	ghostStart                       // Start outside States
+	ghostFinish                      // Finish outside States
+	withFinish                       // Finish is the second state
+	noMessages                       // empty Messages
+	customMethod                     // ActionMethod answers method for the first action
+	customPackage                    // PackageName is pkg, not derived
+	noComments                       // IncludeComments off
+	repeatedState                    // the first state is listed twice
+	allFaults     = repeatedState<<1 - 1
+)
+
+var benign = hostile{model: "m", component: "on", msg1: "GO", msg2: "STOP", state1: "T", state2: "F",
+	note: "a note", act1: "->x", act2: "->y", pkg: "p", method: "SendFirst"}
+
+// slots addresses the string slots by position, for tables and seeds.
+func (h *hostile) slots() []*string {
+	return []*string{&h.model, &h.component, &h.msg1, &h.msg2, &h.state1, &h.state2, &h.note, &h.act1, &h.act2, &h.pkg, &h.method}
+}
+
+var slotNames = []string{"model", "component", "msg1", "msg2", "state1", "state2", "note", "act1", "act2", "pkg", "method"}
+
+// with returns h with one slot replaced.
+func (h hostile) with(slot, text string) hostile {
+	for i, name := range slotNames {
+		if name == slot {
+			*h.slots()[i] = text
+			return h
+		}
+	}
+	panic("no slot " + slot)
+}
+
+// faulty returns h with the faults added.
+func (h hostile) faulty(faults uint16) hostile {
+	h.faults |= faults
+	return h
+}
+
+func (h hostile) build() (*GoSourceRenderer, *core.StateMachine) {
+	state := func(name string) *core.State {
+		return &core.State{Name: name, Transitions: map[string]*core.Transition{}, MergedNames: []string{name}}
+	}
+	has := func(fault uint16) bool { return h.faults&fault != 0 }
+	a, b, ghost := state(h.state1), state(h.state2), state("ghost")
+	a.Annotations = []string{h.note}
+	m := &core.StateMachine{ModelName: h.model, Parameter: 3, Messages: []string{h.msg1, h.msg2},
+		Components: []core.StateComponent{core.NewBoolComponent(h.component)},
+		States:     []*core.State{a, b}, Start: a}
+	a.Transitions[h.msg1] = &core.Transition{Message: h.msg1, Target: b, Actions: []string{h.act1, h.act2}}
+	b.Transitions[h.msg2] = &core.Transition{Message: h.msg2, Target: a, Actions: []string{h.act2}}
+	switch {
+	case has(nilTarget):
+		b.Transitions[h.msg1] = &core.Transition{Message: h.msg1}
+	case has(ghostTarget):
+		b.Transitions[h.msg1] = &core.Transition{Message: h.msg1, Target: ghost}
+	}
+	if has(ghostStart) {
+		m.Start = ghost
+	}
+	if has(withFinish) {
+		b.Final, m.Finish = true, b
+	}
+	if has(ghostFinish) {
+		m.Finish = ghost
+	}
+	if has(noMessages) {
+		m.Messages = nil
+	}
+	if has(repeatedState) {
+		m.States = append(m.States, a)
+	}
+	r := &GoSourceRenderer{IncludeComments: !has(noComments)}
+	if has(customPackage) {
+		r.PackageName = h.pkg
+	}
+	if has(customMethod) {
+		r.ActionMethod = func(action string) string {
+			if action == h.act1 {
+				return h.method
+			}
+			return DefaultActionMethod(action)
+		}
+	}
+	return r, m
+}
+
+// hostileText is what go/scanner, gofmt or go/types object to in one slot
+// or another: the faults TestParseCheckModesAgree planted in comments, and
+// text that is no identifier, collides, or ends what it was placed in.
+var hostileText = []string{
+	"\x00", "\xff", "\ufeff", "a\rb", "a\nb", "ok\nStateInjected", "a\fb", "line :0", "\tline :0", "/*", "*/", "+build x", "go:build x",
+	"", " ", "_", "-", "func", "two words", "Send(", "a b", "a_b", "1", "é", "\u00a0", "\u2028", "``q''", "# h", "- item", "[l]: http://x",
+	"ReceiveGo", "SendY", "State_F", "Receive", "STOP", "F", "->y",
+}
+
+// gateCase names one hostile machine.
+type gateCase struct {
+	name string
+	hostile
+}
+
+// gateCorpus is every structural fault, every hostile text in every slot,
+// and the machines the parse check let through although they do not
+// compile, one per kind of derived name.
+func gateCorpus() []gateCase {
+	corpus := []gateCase{
+		{"benign", benign},
+		{"colliding states", benign.with("state1", "a b").with("state2", "a_b")},
+		{"colliding actions", benign.with("act1", "->x y").with("act2", "->x_y")},
+		{"colliding messages", benign.with("msg1", "a b").with("msg2", "a_b")},
+		{"dispatcher", benign.with("msg1", "-")},
+		{"blank package", benign.with("pkg", "_").faulty(customPackage)},
+		{"derived package", benign.with("model", "日本 語")},
+		{"same method twice", benign.with("method", "SendY").faulty(customMethod)},
+		{"same state twice", benign.faulty(repeatedState)},
+		{"same message twice", benign.with("msg2", "GO")},
+		{"everything at once", benign.faulty(allFaults)},
+		{"finish, no comments", benign.faulty(withFinish | noComments)},
+		// Either side of go/printer's 100 bytes for a one-line function.
+		{"finish fits", benign.with("state2", strings.Repeat("é", 21)).faulty(withFinish)},
+		{"finish too long", benign.with("state2", strings.Repeat("é", 21)+"x").faulty(withFinish)},
+		{"stub fits", benign.with("method", strings.Repeat("é", 39)+"x").faulty(customMethod)},
+		{"stub too long", benign.with("method", strings.Repeat("é", 40)).faulty(customMethod)},
+	}
+	for fault := uint16(1); fault < allFaults; fault <<= 1 {
+		corpus = append(corpus, gateCase{fmt.Sprintf("fault %#x", fault), benign.faulty(fault)})
+	}
+	for _, slot := range slotNames {
+		for _, text := range hostileText {
+			corpus = append(corpus, gateCase{fmt.Sprintf("%s = %q", slot, text), benign.with(slot, text).faulty(customMethod | customPackage)})
+		}
+	}
+	return corpus
+}
+
+// FuzzGoSourceGate is the licence for rendering without a parse: whatever
+// the gate lets through, in any slot and under any structural fault,
+// go/parser (with comments), gofmt and go/types accept as it stands.
+//
+//	go test ./internal/render -run='^$' -fuzz=FuzzGoSourceGate -fuzztime=5m
+func FuzzGoSourceGate(f *testing.F) {
+	for _, h := range gateCorpus() {
+		f.Add(h.model, h.component, h.msg1, h.msg2, h.state1, h.state2, h.note, h.act1, h.act2, h.pkg, h.method, h.faults)
+	}
+	f.Fuzz(func(t *testing.T, model, component, msg1, msg2, state1, state2, note, act1, act2, pkg, method string, faults uint16) {
+		h := hostile{model, component, msg1, msg2, state1, state2, note, act1, act2, pkg, method, faults}
+		r, m := h.build()
+		g, err := r.emit(m)
+		if err != nil {
+			return
+		}
+		if err := compiles(g.buf); err != nil {
+			t.Fatalf("the gate admitted %+v, and: %v\n%s", h, err, g.buf)
+		}
+	})
+}
+
+// TestGateAgreesWithParser: the gate refuses what the libraries refuse and
+// nothing else, on every emitted source of the sweep, the edge machines
+// and the gate corpus. The one thing it refuses alone is a line feed in
+// comment text that goes on as valid Go: no oracle can see that the next
+// line was not the renderer's.
+func TestGateAgreesWithParser(t *testing.T) {
+	type emission struct {
+		r *GoSourceRenderer
+		m *core.StateMachine
+	}
+	corpus := map[string]emission{}
+	for name, m := range allMachines(t) {
+		corpus[name] = emission{NewGoSourceRenderer(""), m}
+	}
+	for _, c := range gateCorpus() {
+		r, m := c.build()
+		corpus[c.name] = emission{r, m}
+	}
+	accepted := 0
+	for name, e := range corpus {
+		g, gate := e.r.emit(e.m)
+		oracle := compiles(g.buf)
+		if gate == nil {
+			accepted++
+		}
+		alone := gate != nil && strings.Contains(gate.Error(), "line break")
+		if (gate == nil) != (oracle == nil) && !alone {
+			t.Errorf("%s: gate err = %v, oracle err = %v", name, gate, oracle)
+		}
+	}
+	if accepted == 0 || accepted == len(corpus) {
+		t.Errorf("%d of %d emissions accepted: the corpus must hold both verdicts", accepted, len(corpus))
+	}
+}
+
+// TestGoSourceAllocations: rendering allocates about once per state — its
+// constant's name — plus a few hundred for the maps and the doc comments.
+// go/parser built 0.14 objects per source byte on top of that (3 548 and
+// 211 310 at these two sizes); a whole-file check that drifts back into
+// the renderer fails here.
+func TestGoSourceAllocations(t *testing.T) {
+	for _, tc := range []struct{ r, most int }{{4, 300}, {46, 4000}} {
+		m := commitMachine(t, tc.r)
+		r := NewGoSourceRenderer("bench")
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := r.Render(m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if int(allocs) > tc.most {
+			t.Errorf("r=%d: %v allocs per render of %d states, want at most %d", tc.r, allocs, len(m.States), tc.most)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"go/doc/comment"
-	"go/parser"
 	"go/token"
 	"math"
 	"strconv"
@@ -90,42 +89,65 @@ func (r *GoSourceRenderer) Name() string { return "go" }
 
 // goWriter is the Buffer plus what the sections of one Go artefact share:
 // identifiers derived once per state and action, not once per transition.
+//
+// It is also the gate between the model and the artefact. The emitted file
+// is a fixed skeleton of Go tokens; the only bytes a model controls are
+// identifiers (names.Declare), quoted string literals (strconv.Quote,
+// always a literal), line-comment text (check) and references to states
+// (ref). A file whose every slot passed its gate parses and type-checks,
+// so nothing parses it again: go/parser, go/format and go/types are the
+// test and fuzz oracles of that claim (FuzzGoSourceGate), not part of the
+// render.
 type goWriter struct {
 	*Buffer
 	consts  map[*core.State]string
 	methods map[string]string
-	// broken quotes the first model string that cannot sit in a line
-	// comment; empty when there is none.
-	broken string
+	names   GoNames
+	// fault is the first slot the gate refused; nil when there is none.
+	fault error
+}
+
+// GoNames is the set of identifiers one generated file derives from model
+// strings, each under the scope it is declared in ("" for the package,
+// "Actions." and "Machine." for the two method sets), mapped to the model
+// string it came from. spec.Compile holds a document's messages and
+// actions to it at registration, so what compiles renders.
+type GoNames map[string]string
+
+// Declare admits ident, derived from the model string from, into scope. It
+// must be an identifier — token.IsIdentifier: letters, digits and '_', no
+// leading digit, no keyword — that can be referred to, so not the blank
+// one, and nothing else in the scope may have it: not the skeleton's own
+// dispatcher, not a name another model string derived.
+func (n GoNames) Declare(kind, scope, ident, from string) error {
+	name := scope + ident
+	switch prev, taken := n[name]; {
+	case !token.IsIdentifier(ident) || ident == "_":
+		return fmt.Errorf("%s %q: derived name %q is not a usable Go identifier", kind, from, ident)
+	case name == "Machine.Receive":
+		return fmt.Errorf("%s %q: derived name %s is the generated dispatcher's own", kind, from, name)
+	case taken:
+		return fmt.Errorf("%ss %q and %q both derive the Go name %s", kind, prev, from, name)
+	}
+	n[name] = from
+	return nil
 }
 
 // Render produces Go source for the machine, written directly in the form
-// gofmt leaves unchanged. Rendering fails if the machine is empty, if
-// model text would break out of a comment, or if the emitted source does
-// not parse — which would indicate a renderer bug, surfaced as an error
-// rather than a broken artefact.
+// gofmt leaves unchanged. Rendering fails if the machine is empty or if a
+// model-controlled slot of the file is refused by the gate: a derived name
+// that is not an identifier or is taken, comment text that would end its
+// comment or that Go source cannot hold, a reference to a state the
+// machine does not list.
 func (r *GoSourceRenderer) Render(m *core.StateMachine) (Artifact, error) {
 	g, err := r.emit(m)
 	if err != nil {
 		return Artifact{}, err
 	}
-	if err := parses(g.buf); err != nil {
-		return Artifact{}, fmt.Errorf("render: go source for %s: generated code does not parse: %w", m.ModelName, err)
-	}
 	return g.artifact(r.Name(), "text/x-go; charset=utf-8", ".go"), nil
 }
 
-// parses is the check between the emitter and the artefact. The AST is
-// thrown away, so no comment nodes are built for it: go/scanner scans every
-// comment, and reports what is wrong inside one, in either mode, so this
-// accepts exactly what gofmt's mode (ParseComments) accepts —
-// TestParseCheckModesAgree.
-func parses(src []byte) error {
-	_, err := parser.ParseFile(token.NewFileSet(), "", src, parser.SkipObjectResolution)
-	return err
-}
-
-// emit writes the source, unchecked.
+// emit writes the source, every slot through its gate.
 func (r *GoSourceRenderer) emit(m *core.StateMachine) (*goWriter, error) {
 	if m.Start == nil || len(m.States) == 0 {
 		return nil, fmt.Errorf("render: go source: machine has no states")
@@ -145,9 +167,12 @@ func (r *GoSourceRenderer) emit(m *core.StateMachine) (*goWriter, error) {
 			34*w.edges + w.edgeSources + w.edgeTargets + 17*w.actions + w.actionLen),
 		consts:  make(map[*core.State]string, len(m.States)),
 		methods: map[string]string{},
+		names:   make(GoNames, len(m.States)+len(m.Messages)+8),
 	}
+	g.fail(g.names.Declare("package name", "package ", pkg, pkg))
 	for _, s := range m.States {
 		g.consts[s] = stateConst(s)
+		g.fail(g.names.Declare("state", "", g.consts[s], s.Name))
 	}
 	var actions []string // in first-use order
 	for _, s := range m.States {
@@ -156,6 +181,7 @@ func (r *GoSourceRenderer) emit(m *core.StateMachine) (*goWriter, error) {
 				for _, a := range tr.Actions {
 					if _, seen := g.methods[a]; !seen {
 						g.methods[a] = method(a)
+						g.fail(g.names.Declare("action", "Actions.", g.methods[a], a))
 						actions = append(actions, a)
 					}
 				}
@@ -178,10 +204,35 @@ func (r *GoSourceRenderer) emit(m *core.StateMachine) (*goWriter, error) {
 	g.emitMachine(m)
 	g.emitHandlers(m)
 
-	if g.broken != "" {
-		return nil, fmt.Errorf("render: go source for %s: comment text %s contains a line break", m.ModelName, g.broken)
+	if g.fault != nil {
+		// The refused text comes back too: the tests hold it up to
+		// go/parser and go/types, whose verdict the gate must anticipate.
+		return g, fmt.Errorf("render: go source for %s: %w", m.ModelName, g.fault)
 	}
 	return g, nil
+}
+
+// fail keeps the first refusal; the rest of the file is still written,
+// and thrown away.
+func (g *goWriter) fail(err error) {
+	if err != nil && g.fault == nil {
+		g.fault = err
+	}
+}
+
+// ref returns the constant of a state the machine refers to — its start,
+// its finish, the target of an edge. A nil state, or one the machine does
+// not list, has none, and an assignment with nothing after it is not Go.
+func (g *goWriter) ref(s *core.State) string {
+	c, ok := g.consts[s]
+	if !ok {
+		name := "<nil>"
+		if s != nil {
+			name = s.Name
+		}
+		g.fail(fmt.Errorf("state %q is referred to but is not one of the machine's states", name))
+	}
+	return c
 }
 
 // comment writes one line comment as gofmt leaves it: trailing white space
@@ -194,15 +245,35 @@ func (g *goWriter) comment(text ...string) {
 	g.BlankLn()
 }
 
-// check notes model text with a line break in it: in a line comment that
-// would end the comment and continue as code that may well parse, so it
-// fails the render instead. A form feed is a line break to go/printer.
+// check holds every piece of comment text to CommentText.
 func (g *goWriter) check(text []string) {
 	for _, t := range text {
-		if g.broken == "" && strings.ContainsAny(t, "\n\r\f") {
-			g.broken = strconv.Quote(t)
+		g.fail(CommentText(t))
+	}
+}
+
+// CommentText reports why text cannot be written after "// " as a line
+// comment of generated Go source, nil when it can. A line break would end
+// the comment and continue as code that may well parse (a form feed is a
+// line break to go/printer, and go/scanner drops a carriage return); NUL,
+// a byte order mark and invalid UTF-8 are errors to go/scanner wherever
+// they stand; and gofmt moves a "+build" line from anywhere in a file to
+// its head, as a build constraint. Everything else is comment text: the
+// slashes and the blank written before it keep it from being a //line or
+// //go: directive.
+func CommentText(text string) error {
+	switch {
+	case strings.ContainsAny(text, "\n\r\f"):
+		return fmt.Errorf("comment text %q contains a line break", text)
+	case strings.IndexByte(text, 0) >= 0 || strings.Contains(text, "\ufeff") || !utf8.ValidString(text):
+		return fmt.Errorf("comment text %q contains NUL, a byte order mark or invalid UTF-8", text)
+	}
+	if rest, ok := strings.CutPrefix(strings.TrimSpace(text), "+build"); ok {
+		if r, _ := utf8.DecodeRuneInString(rest); rest == "" || unicode.IsSpace(r) {
+			return fmt.Errorf("comment text %q would be a +build line", text)
 		}
 	}
+	return nil
 }
 
 // docComment writes a top-level doc comment that carries model text.
@@ -216,6 +287,7 @@ func (g *goWriter) docComment(lines ...string) {
 	out := strings.TrimSuffix(string(pr.Comment(p.Parse(strings.Join(lines, "\n")+"\n"))), "\n")
 	for _, line := range strings.Split(out, "\n") {
 		if strings.HasPrefix(line, "\t") { // a code block: the tab follows the slashes
+			g.check([]string{line})
 			g.AddLn("//", strings.TrimRightFunc(line, unicode.IsSpace))
 		} else {
 			g.comment(line)
@@ -327,8 +399,26 @@ func (g *goWriter) emitActions(actions []string) {
 	g.BlankLn()
 	for _, a := range actions {
 		g.AddLn("// ", g.methods[a], " implements Actions.")
-		g.AddLn("func (NopActions) ", g.methods[a], "() {}")
+		g.shortFunc("func (NopActions) "+g.methods[a]+"()", "")
 		g.BlankLn()
+	}
+}
+
+// shortFunc writes a function of at most one statement as go/printer
+// does: on one line while header, the blank after it and the statement are
+// within 100 bytes (funcBody's maxSize), as a block otherwise.
+func (g *goWriter) shortFunc(header, stmt string) {
+	switch {
+	case len(header)+1+len(stmt) > 100:
+		g.EnterBlock(header)
+		if stmt != "" {
+			g.AddLn(stmt)
+		}
+		g.ExitBlock()
+	case stmt == "":
+		g.AddLn(header, " {}")
+	default:
+		g.AddLn(header, " { ", stmt, " }")
 	}
 }
 
@@ -346,7 +436,7 @@ func New(actions Actions) *Machine {
 	if actions == nil {
 		actions = NopActions{}
 	}
-	return &Machine{state: `, g.consts[m.Start], `, actions: actions}
+	return &Machine{state: `, g.ref(m.Start), `, actions: actions}
 }
 
 // State returns the current machine state.
@@ -355,7 +445,7 @@ func (m *Machine) State() State { return m.state }
 `)
 	if m.Finish != nil {
 		g.AddLn("// Finished reports whether the machine has reached the finish state.")
-		g.AddLn("func (m *Machine) Finished() bool { return m.state == ", g.consts[m.Finish], " }")
+		g.shortFunc("func (m *Machine) Finished() bool", "return m.state == "+g.ref(m.Finish))
 	} else {
 		g.AddLn("// Finished reports whether the machine has reached a terminal state;")
 		g.AddLn("// this machine has none.")
@@ -369,7 +459,8 @@ func (m *Machine) State() State { return m.state }
 func (g *goWriter) emitHandlers(m *core.StateMachine) {
 	receive := make([]string, len(m.Messages))
 	for i, msg := range m.Messages {
-		receive[i] = "Receive" + camel(msg)
+		receive[i] = ReceiveMethod(msg)
+		g.fail(g.names.Declare("message", "Machine.", receive[i], msg))
 		g.docComment(receive[i]+" handles an incoming "+msg+" message. States in which",
 			"the message is not applicable ignore it.")
 		g.EnterBlock("func (m *Machine) ", receive[i], "()")
@@ -385,7 +476,7 @@ func (g *goWriter) emitHandlers(m *core.StateMachine) {
 			for _, a := range tr.Actions {
 				g.AddLn("m.actions.", g.methods[a], "()")
 			}
-			g.AddLn("m.state = ", g.consts[tr.Target])
+			g.AddLn("m.state = ", g.ref(tr.Target))
 			g.DecreaseIndent()
 			g.BlankLn()
 		}
@@ -407,6 +498,10 @@ func (g *goWriter) emitHandlers(m *core.StateMachine) {
 	g.AddLn("return true")
 	g.ExitBlock()
 }
+
+// ReceiveMethod returns the name of the handler method generated for a
+// message: "NOT_FREE" becomes "ReceiveNotFree".
+func ReceiveMethod(msg string) string { return "Receive" + camel(msg) }
 
 // stateConst returns the Go constant name for a state: the encoded state
 // name with every non-alphanumeric rune mapped to '_'.

@@ -63,8 +63,8 @@ func TestGoSourceRendersHostileModelNames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: render: %v", name, err)
 		}
-		// Render already gofmt-parses the output; additionally pin the
-		// derived clause.
+		// The derived clause passed the renderer's identifier gate; pin
+		// what it is.
 		want := "package " + SanitizePackageName(name) + "2"
 		if !strings.Contains(string(art.Data), want) {
 			t.Errorf("%q: generated source lacks %q", name, want)

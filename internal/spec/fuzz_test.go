@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"go/ast"
 	"go/format"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"testing"
@@ -86,12 +90,19 @@ func addSeeds(f *testing.F) {
 	f.Add([]byte(`{"name":"m","components":[],"messages":[],"rules":[]} `))
 	f.Add([]byte(`{"name":"m",` + counter + `,"describe":[{"text":"ok\nStateInjected"}]}`))
 	f.Add([]byte("{\"name\":\"m\",\"model_name\":\"  - ``m'' \"," + counter + `,"describe":[{"text":"trailing  "}]}`))
+	// Names that meet at one Go identifier, and text gofmt or go/scanner
+	// would not leave where the renderer put it.
+	const colliding = `"components":[{"name":"c","kind":"int","max":{"param":true}}],"messages":["a b","a_b","-"],` +
+		`"rules":[{"message":"a b","set":[{"component":"c","add":1}],"actions":["->x y","->x_y"]}]`
+	f.Add([]byte(`{"name":"m",` + colliding + `}`))
+	f.Add([]byte(`{"name":"m","model_name":"+build ignore",` + counter + `,"describe":[{"text":"\ufeff"},{"text":" +build x"}]}`))
 }
 
-// FuzzGoSourceFixedPoint holds the Go renderer to its claim on specs
+// FuzzGoSourceFixedPoint holds the Go renderer to its claims on specs
 // nobody wrote by hand: whatever compiles renders, at its default
-// parameter, to source gofmt would leave unchanged — or is refused; never
-// to something gofmt would still rewrite.
+// parameter — the renderer's gate refuses nothing Compile admitted — to
+// source that parses, that gofmt would leave unchanged and that
+// type-checks, though the renderer itself ran none of the three.
 //
 //	go test ./internal/spec -run='^$' -fuzz=FuzzGoSourceFixedPoint -fuzztime=30s
 func FuzzGoSourceFixedPoint(f *testing.F) {
@@ -121,16 +132,20 @@ func FuzzGoSourceFixedPoint(f *testing.F) {
 		if err != nil {
 			t.Fatalf("compiled spec does not render as Go: %v\n%s", err, data)
 		}
-		// The renderer's parse check keeps comments out of its AST;
-		// format.Source parses with them. What the one accepted the other
-		// must: the two modes agree on every input (internal/render's
-		// TestParseCheckModesAgree holds the rejecting half).
 		formatted, err := format.Source(art.Data)
 		if err != nil {
-			t.Fatalf("gofmt rejects the artefact: %v", err)
+			t.Fatalf("gofmt rejects the artefact: %v\n%s", err, data)
 		}
 		if !bytes.Equal(art.Data, formatted) {
 			t.Fatalf("not gofmt's fixed point for %s:\n--- rendered\n%s\n--- gofmt\n%s", data, art.Data, formatted)
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, "", art.Data, parser.ParseComments)
+		if err == nil {
+			_, err = (&types.Config{}).Check(file.Name.Name, fset, []*ast.File{file}, nil)
+		}
+		if err != nil {
+			t.Fatalf("the artefact does not compile: %v\n%s", err, data)
 		}
 	})
 }

@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+
+	"asagen/internal/render"
 )
 
 // Value is a possibly parameter-affine integer: Offset, plus the model
@@ -290,10 +292,13 @@ func (d *diags) add(path, format string, args ...any) {
 // text rejects control characters in a free-text field. Such text ends up
 // in generated artefacts — Go line comments, DOT labels — where a line
 // break would end the comment or label it was placed in and continue as
-// whatever follows it.
+// whatever follows it. What else the Go renderer refuses as comment text
+// is refused here, so that what compiles renders.
 func (d *diags) text(path, s string) {
 	if strings.IndexFunc(s, unicode.IsControl) >= 0 {
 		d.add(path, "must not contain control characters (got %q)", s)
+	} else if err := render.CommentText(s); err != nil {
+		d.add(path, "cannot be written into generated Go source: %v", err)
 	}
 }
 
@@ -377,7 +382,11 @@ func Compile(d Doc) (*Compiled, error) {
 		}
 	}
 
-	// Messages.
+	// Messages. goNames holds the Go method names the Go renderer derives
+	// from messages and actions to its own gate: two that meet at one name,
+	// or a message with no letter or digit to name a method by, would
+	// register and then fail every GET of the go format.
+	goNames := render.GoNames{}
 	msgSet := map[string]bool{}
 	if len(d.Messages) == 0 {
 		diag.add("messages", "at least one message is required")
@@ -391,6 +400,8 @@ func Compile(d Doc) (*Compiled, error) {
 		}
 		if msgSet[m] {
 			diag.add(path, "duplicate message %q", m)
+		} else if err := goNames.Declare("message", "Machine.", render.ReceiveMethod(m), m); err != nil {
+			diag.add(path, "%v", err)
 		}
 		msgSet[m] = true
 	}
@@ -436,6 +447,7 @@ func Compile(d Doc) (*Compiled, error) {
 	if len(d.Rules) == 0 {
 		diag.add("rules", "at least one rule is required")
 	}
+	actSet := map[string]bool{}
 	for i, r := range d.Rules {
 		path := fmt.Sprintf("rules[%d]", i)
 		if !msgSet[r.Message] {
@@ -455,9 +467,15 @@ func Compile(d Doc) (*Compiled, error) {
 			}
 		}
 		for j, act := range r.Actions {
-			diag.text(fmt.Sprintf("%s.actions[%d]", path, j), act)
+			apath := fmt.Sprintf("%s.actions[%d]", path, j)
+			diag.text(apath, act)
 			if strings.TrimSpace(act) == "" {
-				diag.add(fmt.Sprintf("%s.actions[%d]", path, j), "action must not be blank")
+				diag.add(apath, "action must not be blank")
+			} else if !actSet[act] {
+				actSet[act] = true
+				if err := goNames.Declare("action", "Actions.", render.DefaultActionMethod(act), act); err != nil {
+					diag.add(apath, "%v", err)
+				}
 			}
 		}
 		for j, note := range r.Annotations {

@@ -286,6 +286,46 @@ func TestCompileRejectsControlCharacters(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsWhatTheGoRendererWould: a spec whose messages or
+// actions meet at one generated Go method name, or whose free text gofmt
+// or go/scanner would not leave in its comment, used to register and then
+// fail every GET of the go format as a server defect. It is refused here,
+// at the path of the later of the two, naming both.
+func TestCompileRejectsWhatTheGoRendererWould(t *testing.T) {
+	doc := terminationDoc()
+	doc.ModelName = "+build ignore"
+	doc.Messages = append(doc.Messages, "a b", "a_b", "-")
+	doc.Rules[0].Actions = []string{"->x y", "->x y"}
+	doc.Rules[1].Actions = []string{"->x_y"}
+	doc.Describe = []DescribeRule{{Text: "bad\xffutf8"}, {Text: "\ufeffbom"}, {Text: "+buildable"}}
+	_, err := Compile(doc)
+	var serr *Error
+	if !errors.As(err, &serr) {
+		t.Fatalf("Compile error = %T (%v), want *Error", err, err)
+	}
+	want := map[string][]string{
+		"model_name":          {"+build"},
+		"messages[5]":         {`"a b"`, `"a_b"`, "Machine.ReceiveAB"},
+		"messages[6]":         {`"-"`, "Machine.Receive"},
+		"rules[1].actions[0]": {`"->x y"`, `"->x_y"`, "Actions.SendXY"},
+		"describe[0].text":    {"invalid UTF-8"},
+		"describe[1].text":    {"byte order mark"},
+	}
+	if len(serr.Diagnostics) != len(want) {
+		t.Errorf("%d diagnostics, want %d: %v", len(serr.Diagnostics), len(want), serr.Diagnostics)
+	}
+	for _, d := range serr.Diagnostics {
+		for _, text := range want[d.Path] {
+			if !strings.Contains(d.Message, text) {
+				t.Errorf("%s: %q does not mention %s", d.Path, d.Message, text)
+			}
+		}
+		if want[d.Path] == nil {
+			t.Errorf("unexpected diagnostic %v", d)
+		}
+	}
+}
+
 // TestParseStrict: unknown fields and trailing data are rejected, and a
 // valid doc round-trips through JSON to an identical compiled model.
 func TestParseStrict(t *testing.T) {
