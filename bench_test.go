@@ -80,33 +80,30 @@ func BenchmarkGenerateTable1(b *testing.B) {
 	}
 }
 
-// BenchmarkGenerateFrontier is the E12 scalability series: the default
-// reachability-first frontier exploration against the legacy
-// full-enumeration pipeline (WithoutPruning) at large commit parameters,
-// plus the parallel frontier expansion. Merging is disabled on both sides
-// so the comparison isolates exploration cost; the reachable-state count is
-// reported to make the visited-set reduction visible.
+// BenchmarkGenerateFrontier is the E12 scalability series: the
+// reachability-first frontier exploration against the paper's literal
+// full enumeration (core.GenerateEnumerated) at large commit parameters.
+// Merging is disabled on both sides so the comparison isolates exploration
+// cost; the reachable-state count is reported to make the visited-set
+// reduction visible.
 func BenchmarkGenerateFrontier(b *testing.B) {
 	for _, r := range []int{8, 10, 12} {
 		model, err := commit.NewModel(r)
 		if err != nil {
 			b.Fatal(err)
 		}
-		configs := []struct {
-			name string
-			opts []core.Option
+		for _, cfg := range []struct {
+			name     string
+			generate func(context.Context, core.Model, ...core.Option) (*core.StateMachine, error)
 		}{
-			{"frontier", nil},
-			{"frontier-workers-4", []core.Option{core.WithWorkers(4)}},
-			{"legacy-enumerate", []core.Option{core.WithoutPruning()}},
-		}
-		for _, cfg := range configs {
+			{"frontier", core.Generate},
+			{"enumerate", core.GenerateEnumerated},
+		} {
 			b.Run(fmt.Sprintf("r=%d/%s", r, cfg.name), func(b *testing.B) {
-				opts := append([]core.Option{core.WithoutDescriptions(), core.WithoutMerging()}, cfg.opts...)
 				var machine *core.StateMachine
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					machine, err = core.Generate(context.Background(), model, opts...)
+					machine, err = cfg.generate(context.Background(), model, core.WithoutDescriptions(), core.WithoutMerging())
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -119,17 +116,19 @@ func BenchmarkGenerateFrontier(b *testing.B) {
 }
 
 // BenchmarkPipelineStages is the E11 ablation: generation cost without
-// pruning, without merging, and full, on the redundant reading whose
-// machines actually shrink under merging.
+// pruning (the enumerated reference), without merging, and full, on the
+// redundant reading whose machines actually shrink under merging.
 func BenchmarkPipelineStages(b *testing.B) {
+	type generator = func(context.Context, core.Model, ...core.Option) (*core.StateMachine, error)
 	configs := []struct {
-		name string
-		opts []core.Option
+		name     string
+		generate generator
+		opts     []core.Option
 	}{
-		{"full", nil},
-		{"no-merge", []core.Option{core.WithoutMerging()}},
-		{"no-prune", []core.Option{core.WithoutPruning()}},
-		{"no-prune-no-merge", []core.Option{core.WithoutPruning(), core.WithoutMerging()}},
+		{"full", core.Generate, nil},
+		{"no-merge", core.Generate, []core.Option{core.WithoutMerging()}},
+		{"no-prune", core.GenerateEnumerated, nil},
+		{"no-prune-no-merge", core.GenerateEnumerated, []core.Option{core.WithoutMerging()}},
 	}
 	model, err := commit.NewModel(13, commit.WithVariant(commit.RedundantVariant()))
 	if err != nil {
@@ -140,7 +139,7 @@ func BenchmarkPipelineStages(b *testing.B) {
 			opts := append([]core.Option{core.WithoutDescriptions()}, cfg.opts...)
 			var machine *core.StateMachine
 			for i := 0; i < b.N; i++ {
-				machine, err = core.Generate(context.Background(), model, opts...)
+				machine, err = cfg.generate(context.Background(), model, opts...)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"sync"
+	"slices"
 
 	"asagen/internal/artifact"
 	"asagen/internal/core"
@@ -112,27 +112,9 @@ type Stats struct {
 // allocation-free beyond the returned values. A Client is safe for
 // concurrent use.
 type Client struct {
-	pipeline   *artifact.Pipeline
-	reg        *models.Registry
-	genOpts    []core.Option
-	cacheLimit int
-
-	// mu guards caches, the per-behaviour-option-set generation caches
-	// used by Generate calls that override the client's options, and
-	// modelFPs, the fingerprints Generate produced per model name (used
-	// to purge caches when a model is unregistered).
-	mu       sync.Mutex
-	caches   map[string]*core.Cache
-	modelFPs map[string]map[clientFP]struct{}
-}
-
-// clientFP names one generation the client performed in a
-// per-behaviour-option cache: the option-set key and the machine
-// fingerprint. Generations in the pipeline's shared cache are tracked by
-// the pipeline itself.
-type clientFP struct {
-	key string
-	fp  core.Fingerprint
+	pipeline *artifact.Pipeline
+	reg      *models.Registry
+	genOpts  []core.Option
 }
 
 // NewClient returns a client with the given options.
@@ -145,7 +127,7 @@ func NewClient(opts ...ClientOption) *Client {
 	if cfg.isolated {
 		reg = reg.Clone()
 	}
-	_, _, _, coreOpts, _ := splitGenerateOptions(cfg.genOpts)
+	_, _, _, coreOpts := splitGenerateOptions(cfg.genOpts)
 	p := artifact.New(
 		artifact.WithJobs(cfg.jobs),
 		artifact.WithGenerateOptions(coreOpts...),
@@ -154,14 +136,7 @@ func NewClient(opts ...ClientOption) *Client {
 	if cfg.cacheLimit > 0 {
 		p.SetLimit(cfg.cacheLimit)
 	}
-	return &Client{
-		pipeline:   p,
-		reg:        reg,
-		genOpts:    coreOpts,
-		cacheLimit: cfg.cacheLimit,
-		caches:     make(map[string]*core.Cache),
-		modelFPs:   make(map[string]map[clientFP]struct{}),
-	}
+	return &Client{pipeline: p, reg: reg, genOpts: coreOpts}
 }
 
 // Models returns the registered scenarios, sorted by name.
@@ -208,14 +183,16 @@ func (c *Client) IsEFSMFormat(name string) bool { return render.IsEFSMFormat(nam
 // Generate executes the named model and returns the generated machine
 // family member. The machine is memoised per model fingerprint (unless
 // WithoutCache is passed), so repeated and concurrent calls for equivalent
-// models pay the generation cost once. Cancelling ctx aborts the
-// generation promptly with ctx.Err() and leaves no cache entry.
+// models pay the generation cost once. The fingerprint names the
+// generation options, so calls that pass their own share the client's one
+// cache, its limit and its purges. Cancelling ctx aborts the generation
+// promptly with ctx.Err() and leaves no cache entry.
 func (c *Client) Generate(ctx context.Context, model string, opts ...GenerateOption) (*Machine, error) {
 	entry, err := c.reg.Get(model)
 	if err != nil {
 		return nil, wrapSentinel(ErrUnknownModel, err)
 	}
-	param, setParam, fresh, callOpts, key := splitGenerateOptions(opts)
+	param, setParam, fresh, callOpts := splitGenerateOptions(opts)
 	if !setParam || param <= 0 {
 		param = entry.DefaultParam
 	}
@@ -224,28 +201,14 @@ func (c *Client) Generate(ctx context.Context, model string, opts ...GenerateOpt
 		return nil, mapErr(err)
 	}
 
-	effOpts := callOpts
-	if len(c.genOpts) > 0 {
-		effOpts = append(append([]core.Option(nil), c.genOpts...), callOpts...)
-	}
-	var (
-		machine *core.StateMachine
-		fp      core.Fingerprint
-	)
-	switch {
-	case fresh:
-		fp = core.FingerprintModel(m, effOpts...)
-		machine, err = core.Generate(ctx, m, effOpts...)
-	case key == "":
-		cache := c.pipeline.Cache()
-		fp = cache.Fingerprint(m)
-		c.pipeline.TrackFingerprint(entry.Name, param, fp)
-		machine, err = cache.MachineForFingerprint(ctx, fp, m)
-	default:
-		cache := c.cacheFor(key, effOpts)
-		fp = cache.Fingerprint(m)
-		c.recordFP(entry.Name, key, fp)
-		machine, err = cache.MachineForFingerprint(ctx, fp, m)
+	cache := c.pipeline.Cache()
+	fp := cache.Fingerprint(m, callOpts...)
+	var machine *core.StateMachine
+	if fresh {
+		machine, err = core.Generate(ctx, m, slices.Concat(c.genOpts, callOpts)...)
+	} else {
+		c.pipeline.TrackFingerprint(entry.Name, param, fp, callOpts...)
+		machine, err = cache.MachineForFingerprint(ctx, fp, m, callOpts...)
 	}
 	if err != nil {
 		return nil, mapErr(err)
@@ -317,56 +280,8 @@ func (c *Client) UnregisterModel(name string) error {
 		return wrapSentinel(ErrUnknownModel,
 			fmt.Errorf("asagen: unknown model %q (known: %v)", name, c.reg.Names()))
 	}
-	// The pipeline purge covers its render/EFSM memos and the shared
-	// generation cache (the default Generate path tracks through
-	// TrackFingerprint); only the per-behaviour-option caches are the
-	// client's own bookkeeping.
 	c.pipeline.PurgeModel(name)
-
-	c.mu.Lock()
-	refs := c.modelFPs[name]
-	delete(c.modelFPs, name)
-	caches := make(map[string]*core.Cache, len(c.caches))
-	for key, cache := range c.caches {
-		caches[key] = cache
-	}
-	c.mu.Unlock()
-	for ref := range refs {
-		if cache, ok := caches[ref.key]; ok {
-			cache.Drop(ref.fp)
-		}
-	}
 	return nil
-}
-
-// recordFP remembers a generation's location in a per-behaviour-option
-// cache per model name, for UnregisterModel's purge.
-func (c *Client) recordFP(model, key string, fp core.Fingerprint) {
-	c.mu.Lock()
-	set, ok := c.modelFPs[model]
-	if !ok {
-		set = make(map[clientFP]struct{}, 1)
-		c.modelFPs[model] = set
-	}
-	set[clientFP{key: key, fp: fp}] = struct{}{}
-	c.mu.Unlock()
-}
-
-// cacheFor returns the memoisation cache for a per-call behaviour-option
-// set, creating it on first use. Worker-count options get distinct caches
-// but identical fingerprints, so they still share nothing beyond identity.
-func (c *Client) cacheFor(key string, opts []core.Option) *core.Cache {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cache, ok := c.caches[key]
-	if !ok {
-		cache = core.NewGenerationCache(opts...)
-		if c.cacheLimit > 0 {
-			cache.SetLimit(c.cacheLimit)
-		}
-		c.caches[key] = cache
-	}
-	return cache
 }
 
 // Render produces the artefact for one request. Generation and rendering
@@ -423,7 +338,7 @@ func (c *Client) AllRequests() []Request {
 // Stats returns a snapshot of the client's memoisation counters.
 func (c *Client) Stats() Stats {
 	st := c.pipeline.Stats()
-	out := Stats{
+	return Stats{
 		Generations:            st.Machine.Generations,
 		CancelledGenerations:   st.Machine.Cancellations,
 		IncrementalGenerations: st.Machine.Incremental,
@@ -434,30 +349,10 @@ func (c *Client) Stats() Stats {
 		RenderHits:             st.RenderHits,
 		RenderMisses:           st.RenderMisses,
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, cache := range c.caches {
-		cs := cache.Stats()
-		out.Generations += cs.Generations
-		out.CancelledGenerations += cs.Cancellations
-		out.IncrementalGenerations += cs.Incremental
-		out.CacheHits += cs.Hits
-		out.CacheMisses += cs.Misses
-		out.CacheEvictions += cs.Evictions
-		out.CachedMachines += cs.Entries
-	}
-	return out
 }
 
 // Purge drops every memoised machine, EFSM and rendered artefact.
-func (c *Client) Purge() {
-	c.pipeline.Purge()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, cache := range c.caches {
-		cache.Purge()
-	}
-}
+func (c *Client) Purge() { c.pipeline.Purge() }
 
 func toInternalRequests(reqs []Request) []artifact.Request {
 	out := make([]artifact.Request, len(reqs))

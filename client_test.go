@@ -140,7 +140,7 @@ func TestClientGenerateWithoutCache(t *testing.T) {
 }
 
 func TestClientGeneratePerCallOptions(t *testing.T) {
-	client := asagen.NewClient()
+	client := asagen.NewClient(asagen.WithIsolatedRegistry())
 	ctx := context.Background()
 	// The redundant commit reading has pre-merge redundancy, so merging
 	// visibly shrinks the machine.
@@ -163,35 +163,26 @@ func TestClientGeneratePerCallOptions(t *testing.T) {
 	if _, err := client.Generate(ctx, "commit-redundant", asagen.WithoutMerging()); err != nil {
 		t.Fatal(err)
 	}
-	if st := client.Stats(); st.Generations != 2 {
-		t.Errorf("generations = %d, want 2 (one per option set)", st.Generations)
+	if st := client.Stats(); st.Generations != 2 || st.CachedMachines != 2 {
+		t.Errorf("stats = %+v, want 2 generations and 2 cached machines (one per option set)", st)
 	}
-}
 
-func TestClientGenerateWorkersShareBytes(t *testing.T) {
-	client := asagen.NewClient()
-	ctx := context.Background()
-	serial, err := client.Generate(ctx, "commit", asagen.WithParam(7))
-	if err != nil {
+	// Every option set lives in the client's one cache: unregistering the
+	// model purges all of them, and one limit bounds all of them.
+	if err := client.UnregisterModel("commit-redundant"); err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := client.Generate(ctx, "commit", asagen.WithParam(7), asagen.WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
+	if st := client.Stats(); st.CachedMachines != 0 {
+		t.Errorf("cached machines after UnregisterModel = %d, want 0", st.CachedMachines)
 	}
-	if serial.Fingerprint() != parallel.Fingerprint() {
-		t.Error("worker count changed the fingerprint")
-	}
-	a, err := serial.Render("text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := parallel.Render("text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Data, b.Data) {
-		t.Error("parallel generation rendered differently from serial")
+	limited := asagen.NewClient(asagen.WithCacheLimit(1))
+	for _, opts := range [][]asagen.GenerateOption{nil, {asagen.WithoutMerging()}} {
+		if _, err := limited.Generate(ctx, "commit-redundant", opts...); err != nil {
+			t.Fatal(err)
+		}
+		if st := limited.Stats(); st.CachedMachines > 1 {
+			t.Errorf("cached machines = %d under WithCacheLimit(1)", st.CachedMachines)
+		}
 	}
 }
 
@@ -376,17 +367,6 @@ func TestClientConcurrentSingleGeneration(t *testing.T) {
 	wg.Wait()
 	if st := client.Stats(); st.Generations != 1 {
 		t.Errorf("generations = %d, want 1 under concurrency", st.Generations)
-	}
-}
-
-func TestClientStateSpaceOverflow(t *testing.T) {
-	client := asagen.NewClient()
-	// The commit cross product is 32·r²; a huge r overflows the legacy
-	// enumeration path before anything is materialised.
-	_, err := client.Generate(context.Background(), "commit",
-		asagen.WithParam(800_000_000), asagen.WithoutPruning())
-	if !errors.Is(err, asagen.ErrStateSpaceOverflow) {
-		t.Fatalf("error = %v, want ErrStateSpaceOverflow", err)
 	}
 }
 

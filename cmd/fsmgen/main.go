@@ -91,11 +91,9 @@ func run(args []string, stdout io.Writer) error {
 		out       = fs.String("o", "", "output file, or directory for -all (stdout / \"artifacts\" when empty)")
 		variant   = fs.String("variant", "strict", "commit Fig. 9 reading: strict or redundant")
 		stats     = fs.Bool("stats", false, "print generation statistics to stderr")
-		workers   = fs.Int("workers", 1, "parallel frontier-expansion workers")
 		jobs      = fs.Int("jobs", 0, "concurrent render jobs for -all (0 = GOMAXPROCS)")
 		all       = fs.Bool("all", false, "render every registered model in every registered format")
 		noMerge   = fs.Bool("no-merge", false, "skip the equivalent-state merging step")
-		noPrune   = fs.Bool("no-prune", false, "legacy full enumeration instead of reachability-first exploration")
 		noComment = fs.Bool("no-comments", false, "omit generated state commentary")
 		specFiles []string
 	)
@@ -112,14 +110,8 @@ func run(args []string, stdout io.Writer) error {
 	if *noMerge {
 		genOpts = append(genOpts, asagen.WithoutMerging())
 	}
-	if *noPrune {
-		genOpts = append(genOpts, asagen.WithoutPruning())
-	}
 	if *noComment {
 		genOpts = append(genOpts, asagen.WithoutDescriptions())
-	}
-	if *workers > 1 {
-		genOpts = append(genOpts, asagen.WithWorkers(*workers))
 	}
 	// The command's registrations live and die with this invocation: the
 	// client clones the registry so -spec never mutates process-global

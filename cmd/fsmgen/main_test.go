@@ -23,8 +23,6 @@ func TestRunFormats(t *testing.T) {
 		{"redundant", []string{"-r", "4", "-variant", "redundant", "-format", "text"}, "state: "},
 		{"no-merge", []string{"-r", "4", "-no-merge", "-format", "doc"}, "| States (merged) | 33 |"},
 		{"no-comments", []string{"-r", "4", "-no-comments", "-format", "text"}, "Transitions:"},
-		{"no-prune", []string{"-r", "4", "-no-prune", "-no-merge", "-format", "doc"}, "| States (raw) | 512 |"},
-		{"workers", []string{"-r", "7", "-workers", "4", "-format", "text"}, "state machine: bft-commit"},
 		{"default-param", []string{"-format", "text"}, "state machine: bft-commit"},
 		{"model-consensus", []string{"-model", "consensus", "-r", "5", "-format", "text"}, "state machine: ct-consensus"},
 		{"model-termination", []string{"-model", "termination", "-r", "3", "-format", "dot"}, "digraph"},

@@ -60,7 +60,6 @@ func run(args []string) error {
 	showPaper := fs.Bool("paper", true, "include the paper's published numbers for comparison (commit only)")
 	variant := fs.String("variant", "strict", "commit Fig. 9 reading: strict or redundant")
 	params := fs.String("params", "", "comma-separated parameter values (default: the model's sweep)")
-	workers := fs.Int("workers", 1, "parallel frontier-expansion workers")
 	repeats := fs.Int("repeats", 3, "measurement repeats per row (minimum taken)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -85,9 +84,6 @@ func run(args []string) error {
 	// WithoutCache keeps every repeat an honest from-scratch generation —
 	// the measurement must not be answered from the client's memo.
 	genOpts := []asagen.GenerateOption{asagen.WithoutDescriptions(), asagen.WithoutCache()}
-	if *workers > 1 {
-		genOpts = append(genOpts, asagen.WithWorkers(*workers))
-	}
 
 	commitFamily := info.Vocabulary == asagen.VocabularyCommit
 	if !commitFamily {

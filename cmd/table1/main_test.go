@@ -29,12 +29,6 @@ func TestRunOtherModels(t *testing.T) {
 	}
 }
 
-func TestRunWorkers(t *testing.T) {
-	if err := run([]string{"-repeats", "1", "-workers", "4"}); err != nil {
-		t.Fatalf("table1 -workers 4: %v", err)
-	}
-}
-
 func TestRunCustomParams(t *testing.T) {
 	// Off-paper parameters skip the comparison columns instead of
 	// reporting mismatches.

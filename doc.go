@@ -24,9 +24,9 @@
 // own model" section of README.md and examples/customspec.
 //
 // Failures classify under the package's sentinel errors —
-// ErrUnknownModel, ErrUnknownFormat, ErrNoEFSM, ErrStateSpaceOverflow,
-// ErrRender, ErrModelExists, ErrInvalidSpec — while keeping the detailed
-// messages of the underlying layers.
+// ErrUnknownModel, ErrUnknownFormat, ErrNoEFSM, ErrRender,
+// ErrModelExists, ErrInvalidSpec — while keeping the detailed messages of
+// the underlying layers.
 //
 // The same capabilities are served over HTTP by `fsmgen serve` as the
 // versioned /v1 API (see API.md). See DESIGN.md for the system

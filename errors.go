@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"asagen/internal/artifact"
-	"asagen/internal/core"
 	"asagen/internal/render"
 )
 
@@ -23,10 +22,6 @@ var (
 	// ErrNoEFSM reports an EFSM artefact requested for a model that
 	// declares no EFSM generalisation.
 	ErrNoEFSM = errors.New("asagen: model declares no EFSM generalisation")
-	// ErrStateSpaceOverflow reports a state space whose size exceeds what
-	// the generator can address (legacy full enumeration only; the default
-	// reachability-first path saturates instead).
-	ErrStateSpaceOverflow = errors.New("asagen: state space overflow")
 	// ErrRender reports a renderer failure on a well-formed request — a
 	// library defect rather than a caller mistake.
 	ErrRender = errors.New("asagen: render failed")
@@ -96,8 +91,6 @@ func mapErr(err error) error {
 		return wrapSentinel(ErrUnknownFormat, err)
 	case errors.Is(err, artifact.ErrNoEFSM):
 		return wrapSentinel(ErrNoEFSM, err)
-	case errors.Is(err, core.ErrStateSpaceOverflow):
-		return wrapSentinel(ErrStateSpaceOverflow, err)
 	case errors.Is(err, artifact.ErrRender):
 		return wrapSentinel(ErrRender, err)
 	default:

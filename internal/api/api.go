@@ -16,11 +16,6 @@
 // one, purging its cached work. Registrations are scoped to the serving
 // instance's registry — `fsmgen serve` hands every server its own clone —
 // so concurrent servers never share mutable state.
-//
-// The pre-/v1 routes (/machine/{model}, /models, /formats, /stats) are
-// kept as thin deprecated shims with their original status-code mapping;
-// they answer with Deprecation and Link headers naming the successor
-// route.
 package api
 
 import (
@@ -80,9 +75,6 @@ type Route struct {
 	Summary string
 	// Query documents accepted query parameters as "name: meaning".
 	Query []string
-	// SupersededBy names the /v1 successor when the route is a deprecated
-	// legacy shim; empty for current routes.
-	SupersededBy string
 
 	handler http.HandlerFunc
 }
@@ -125,8 +117,8 @@ func WithProxyClient(c *http.Client) HandlerOption {
 	}
 }
 
-// NewHandler returns the HTTP handler serving the /v1 API and the legacy
-// shims over the pipeline.
+// NewHandler returns the HTTP handler serving the /v1 API over the
+// pipeline.
 func NewHandler(p *artifact.Pipeline, opts ...HandlerOption) *Handler {
 	h := &Handler{p: p, reg: p.Registry(), proxyClient: &http.Client{Timeout: 10 * time.Second},
 		checkWriteTimeout: checkWriteTimeout}
@@ -214,35 +206,6 @@ func NewHandler(p *artifact.Pipeline, opts ...HandlerOption) *Handler {
 			Summary: "Cluster-internal: ingest an artefact pushed by its owner, verified against its content sum.",
 			handler: h.handleClusterIngest,
 		},
-		{
-			Method:       "GET",
-			Pattern:      "/machine/{model}",
-			Summary:      "Legacy artefact endpoint.",
-			Query:        []string{"format: artefact format (default text)", "r: model parameter"},
-			SupersededBy: "/v1/models/{model}/artifacts/{format}",
-			handler:      h.handleLegacyMachine,
-		},
-		{
-			Method:       "GET",
-			Pattern:      "/models",
-			Summary:      "Legacy model listing.",
-			SupersededBy: "/v1/models",
-			handler:      h.handleModels,
-		},
-		{
-			Method:       "GET",
-			Pattern:      "/formats",
-			Summary:      "Legacy format listing.",
-			SupersededBy: "/v1/formats",
-			handler:      h.handleFormats,
-		},
-		{
-			Method:       "GET",
-			Pattern:      "/stats",
-			Summary:      "Legacy statistics endpoint.",
-			SupersededBy: "/v1/stats",
-			handler:      h.handleStats,
-		},
 	}
 	h.mux = http.NewServeMux()
 	byPattern := map[string][]Route{}
@@ -277,8 +240,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // methodDispatch selects among the routes sharing one pattern by request
 // method (HEAD is served by the GET route), answering unsupported methods
-// 405 with an Allow header and the JSON error envelope, and stamps
-// deprecation headers on legacy shims.
+// 405 with an Allow header and the JSON error envelope.
 func methodDispatch(routes []Route) http.HandlerFunc {
 	var allowed []string
 	for _, route := range routes {
@@ -292,10 +254,6 @@ func methodDispatch(routes []Route) http.HandlerFunc {
 		for _, route := range routes {
 			if r.Method != route.Method && !(route.Method == http.MethodGet && r.Method == http.MethodHead) {
 				continue
-			}
-			if route.SupersededBy != "" {
-				w.Header().Set("Deprecation", "true")
-				w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", route.SupersededBy))
 			}
 			route.handler(w, r)
 			return
@@ -467,23 +425,7 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 // models and formats are missing resources (404); parameter problems are
 // caller mistakes (400).
 func (h *Handler) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	h.renderArtifact(w, r, artifact.Request{
-		Model:  r.PathValue("model"),
-		Format: r.PathValue("format"),
-	}, false)
-}
-
-// handleLegacyMachine serves the deprecated /machine/{model}?format=&r=
-// shim with its original status mapping (unknown format was 400 there).
-func (h *Handler) handleLegacyMachine(w http.ResponseWriter, r *http.Request) {
-	req := artifact.Request{Model: r.PathValue("model"), Format: "text"}
-	if f := r.URL.Query().Get("format"); f != "" {
-		req.Format = f
-	}
-	h.renderArtifact(w, r, req, true)
-}
-
-func (h *Handler) renderArtifact(w http.ResponseWriter, r *http.Request, req artifact.Request, legacy bool) {
+	req := artifact.Request{Model: r.PathValue("model"), Format: r.PathValue("format")}
 	if rs := r.URL.Query().Get("r"); rs != "" {
 		param, err := strconv.Atoi(rs)
 		if err != nil {
@@ -494,14 +436,14 @@ func (h *Handler) renderArtifact(w http.ResponseWriter, r *http.Request, req art
 		req.Param = param
 	}
 
-	if h.cluster != nil && !legacy {
+	if h.cluster != nil {
 		h.serveClustered(w, r, req)
 		return
 	}
 
 	res := h.p.Render(r.Context(), req)
 	if res.Err != nil {
-		h.writeRenderError(w, r, res.Err, legacy)
+		h.writeRenderError(w, r, res.Err)
 		return
 	}
 	h.writeArtifact(w, r, res, "")
@@ -532,11 +474,9 @@ func (h *Handler) writeArtifact(w http.ResponseWriter, r *http.Request, res arti
 	w.Write(res.Artifact.Data)
 }
 
-// writeRenderError maps a pipeline error to a wire response. On the /v1
-// surface unknown models and formats are path segments, hence 404; the
-// legacy shim kept unknown formats at 400 because the format was a query
-// parameter there.
-func (h *Handler) writeRenderError(w http.ResponseWriter, r *http.Request, err error, legacy bool) {
+// writeRenderError maps a pipeline error to a wire response. Unknown
+// models and formats are path segments, hence 404.
+func (h *Handler) writeRenderError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		if r.Context().Err() != nil {
@@ -551,11 +491,7 @@ func (h *Handler) writeRenderError(w http.ResponseWriter, r *http.Request, err e
 	case errors.Is(err, artifact.ErrUnknownModel):
 		writeError(w, http.StatusNotFound, CodeUnknownModel, err.Error())
 	case errors.Is(err, artifact.ErrUnknownFormat):
-		status := http.StatusNotFound
-		if legacy {
-			status = http.StatusBadRequest
-		}
-		writeError(w, status, CodeUnknownFormat, err.Error())
+		writeError(w, http.StatusNotFound, CodeUnknownFormat, err.Error())
 	case errors.Is(err, artifact.ErrNoEFSM):
 		writeError(w, http.StatusBadRequest, CodeNoEFSM, err.Error())
 	case errors.Is(err, artifact.ErrRender):

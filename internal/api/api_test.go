@@ -3,7 +3,6 @@ package api
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,7 +14,6 @@ import (
 	"asagen/internal/artifact"
 	"asagen/internal/core"
 	"asagen/internal/models"
-	"asagen/internal/render"
 )
 
 // slowModel is a linear chain whose Apply sleeps, so an HTTP-triggered
@@ -118,9 +116,6 @@ func TestV1ArtifactEndpoint(t *testing.T) {
 	if vary := resp.Header.Get("Vary"); vary != "Accept-Encoding" {
 		t.Errorf("Vary = %q, want Accept-Encoding on cacheable responses", vary)
 	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("current /v1 route carries a Deprecation header")
-	}
 
 	// Conditional revalidation answers 304 from the fingerprint-derived
 	// validator without a body.
@@ -208,11 +203,11 @@ func TestErrorEnvelope(t *testing.T) {
 		{"/v1/models/commit/artifacts/text?r=notanumber", http.StatusBadRequest, CodeBadParameter},
 		{"/v1/models/commit/artifacts/text?r=3", http.StatusBadRequest, CodeBadParameter},
 		{"/nonsense", http.StatusNotFound, CodeNotFound},
-		// Legacy shim statuses are preserved: unknown format was 400.
-		{"/machine/nonsense", http.StatusNotFound, CodeUnknownModel},
-		{"/machine/commit?format=nonsense", http.StatusBadRequest, CodeUnknownFormat},
-		{"/machine/commit?r=notanumber", http.StatusBadRequest, CodeBadParameter},
-		{"/machine/commit?r=3", http.StatusBadRequest, CodeBadParameter},
+		// The pre-/v1 paths are gone, not redirected.
+		{"/machine/commit", http.StatusNotFound, CodeNotFound},
+		{"/models", http.StatusNotFound, CodeNotFound},
+		{"/formats", http.StatusNotFound, CodeNotFound},
+		{"/stats", http.StatusNotFound, CodeNotFound},
 	}
 	for _, tt := range tests {
 		resp, body := get(t, ts, tt.path, nil)
@@ -235,7 +230,7 @@ func TestMethodNotAllowed(t *testing.T) {
 	}{
 		{"/v1/models/commit/artifacts/text", "GET, HEAD"},
 		{"/v1/stats", "GET, HEAD"},
-		{"/models", "GET, HEAD"},
+		{"/v1/formats", "GET, HEAD"},
 	}
 	for _, tt := range tests {
 		req, err := http.NewRequest(http.MethodPost, ts.URL+tt.path, strings.NewReader("{}"))
@@ -275,48 +270,6 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 	if allow := resp.Header.Get("Allow"); allow != "GET, HEAD, POST" {
 		t.Errorf("PUT /v1/models Allow = %q, want \"GET, HEAD, POST\"", allow)
-	}
-}
-
-func TestLegacyShimsDeprecatedButByteIdentical(t *testing.T) {
-	ts := httptest.NewServer(NewHandler(artifact.New()))
-	defer ts.Close()
-
-	// Every registry (model × format) pair must render byte-identically
-	// through the /v1 route and the legacy shim.
-	for _, name := range models.Names() {
-		entry, err := models.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if name == "api-slow" {
-			continue // synthetic cancellation fixture; large default chain
-		}
-		for _, format := range render.Formats() {
-			if render.IsEFSMFormat(format) && entry.Abstraction == nil {
-				continue
-			}
-			v1Path := fmt.Sprintf("/v1/models/%s/artifacts/%s", name, format)
-			legacyPath := fmt.Sprintf("/machine/%s?format=%s", name, format)
-			v1Resp, v1Body := get(t, ts, v1Path, nil)
-			legacyResp, legacyBody := get(t, ts, legacyPath, nil)
-			if v1Resp.StatusCode != http.StatusOK || legacyResp.StatusCode != http.StatusOK {
-				t.Fatalf("%s/%s: status v1=%d legacy=%d", name, format, v1Resp.StatusCode, legacyResp.StatusCode)
-			}
-			if v1Body != legacyBody {
-				t.Errorf("%s/%s: /v1 and legacy artefacts differ (%d vs %d bytes)",
-					name, format, len(v1Body), len(legacyBody))
-			}
-			if v1Resp.Header.Get("ETag") != legacyResp.Header.Get("ETag") {
-				t.Errorf("%s/%s: ETag differs between /v1 and legacy", name, format)
-			}
-			if legacyResp.Header.Get("Deprecation") != "true" {
-				t.Errorf("%s/%s: legacy response missing Deprecation header", name, format)
-			}
-			if link := legacyResp.Header.Get("Link"); !strings.Contains(link, "successor-version") {
-				t.Errorf("%s/%s: legacy Link = %q", name, format, link)
-			}
-		}
 	}
 }
 
@@ -366,7 +319,6 @@ func TestEquivalentParamsShareOneGeneration(t *testing.T) {
 	for _, path := range []string{
 		"/v1/models/termination/artifacts/text",
 		"/v1/models/termination/artifacts/text?r=4",
-		"/machine/termination?format=text&r=4",
 	} {
 		if resp, body := get(t, ts, path, nil); resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: %d %s", path, resp.StatusCode, body)

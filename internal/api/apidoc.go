@@ -42,9 +42,6 @@ func (h *Handler) Markdown() string {
 	b.WriteString("| Method | Path | Query | Description |\n")
 	b.WriteString("|---|---|---|---|\n")
 	for _, r := range h.routes {
-		if r.SupersededBy != "" {
-			continue
-		}
 		fmt.Fprintf(&b, "| %s | `%s` | %s | %s |\n",
 			r.Method, r.Pattern, queryCell(r.Query), r.Summary)
 	}
@@ -107,7 +104,7 @@ func (h *Handler) Markdown() string {
 	b.WriteString("| Code | Status | Meaning |\n")
 	b.WriteString("|---|---|---|\n")
 	b.WriteString("| `unknown_model` | 404 | model name absent from the registry |\n")
-	b.WriteString("| `unknown_format` | 404 (400 on the legacy shim) | format name absent from the registry |\n")
+	b.WriteString("| `unknown_format` | 404 | format name absent from the registry |\n")
 	b.WriteString("| `no_efsm` | 400 | EFSM format requested for a model without an EFSM generalisation |\n")
 	b.WriteString("| `bad_parameter` | 400 | unparsable or model-rejected parameter value |\n")
 	b.WriteString("| `render_failed` | 500 | renderer failure on a well-formed request |\n")
@@ -121,19 +118,6 @@ func (h *Handler) Markdown() string {
 	b.WriteString("| `proxy_failed` | 502 | the key's owning node was unreachable while proxying; retry after the next gossip round |\n")
 	b.WriteString("| `not_found` | 404 | no such route |\n")
 	b.WriteString("| `method_not_allowed` | 405 | method not served on the path; see the `Allow` header |\n")
-
-	b.WriteString("\n## Deprecated routes\n\n")
-	b.WriteString("Kept as thin shims; each answers with `Deprecation: true` and a\n")
-	b.WriteString("`Link: <successor>; rel=\"successor-version\"` header.\n\n")
-	b.WriteString("| Method | Path | Query | Successor |\n")
-	b.WriteString("|---|---|---|---|\n")
-	for _, r := range h.routes {
-		if r.SupersededBy == "" {
-			continue
-		}
-		fmt.Fprintf(&b, "| %s | `%s` | %s | `%s` |\n",
-			r.Method, r.Pattern, queryCell(r.Query), r.SupersededBy)
-	}
 	return b.String()
 }
 

@@ -37,7 +37,7 @@ const maxClusterBytes = 16 << 20
 func (h *Handler) serveClustered(w http.ResponseWriter, r *http.Request, req artifact.Request) {
 	key, resolved, err := h.p.RouteKey(req)
 	if err != nil {
-		h.writeRenderError(w, r, err, false)
+		h.writeRenderError(w, r, err)
 		return
 	}
 	d := h.cluster.Route(key)
@@ -48,7 +48,7 @@ func (h *Handler) serveClustered(w http.ResponseWriter, r *http.Request, req art
 		// own view says: one hop is the loop bound during divergence.
 		res := h.p.Render(r.Context(), resolved)
 		if res.Err != nil {
-			h.writeRenderError(w, r, res.Err, false)
+			h.writeRenderError(w, r, res.Err)
 			return
 		}
 		h.cluster.MaybePropagate(key, resultBlob(res))

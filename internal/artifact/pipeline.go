@@ -119,11 +119,10 @@ type Stats struct {
 // Pipeline renders (model × format) requests with memoised generation and
 // rendering. It is safe for concurrent use.
 type Pipeline struct {
-	jobs    int
-	genOpts []core.Option
-	cache   *core.Cache
-	reg     *models.Registry
-	store   *store.Store
+	jobs  int
+	cache *core.Cache
+	reg   *models.Registry
+	store *store.Store
 
 	// The memo tiers, outermost first. results holds complete successful
 	// Results per request, the zero-work fast path for repeat serve
@@ -139,12 +138,12 @@ type Pipeline struct {
 
 	mu sync.Mutex
 	// modelFPs records, per registry name, the machine fingerprints the
-	// pipeline generated for it and the parameter each was generated at,
-	// so PurgeModel can evict a dynamically unregistered model's
-	// generations from the fingerprint-keyed cache and UpdateModel can
-	// link each family member's old generation to its replacement for
-	// incremental regeneration.
-	modelFPs map[string]map[core.Fingerprint]int
+	// pipeline generated for it and what each was generated from, so
+	// PurgeModel can evict a dynamically unregistered model's generations
+	// from the fingerprint-keyed cache and UpdateModel can link each
+	// family member's old generation to its replacement for incremental
+	// regeneration.
+	modelFPs map[string]map[core.Fingerprint]tracked
 
 	// epoch counts Purge, PurgeModel and UpdateModel calls. The memo tiers
 	// need no such guard — an entry deleted in flight is never findable
@@ -155,6 +154,13 @@ type Pipeline struct {
 	// written or written before the eviction that removes it.
 	persistMu sync.RWMutex
 	epoch     uint64
+}
+
+// tracked is what a recorded fingerprint was computed from, besides the
+// registry entry: the parameter and the per-call generation options.
+type tracked struct {
+	param int
+	opts  []core.Option
 }
 
 // renderKey addresses one rendered artefact: two models with equal
@@ -194,7 +200,7 @@ func WithJobs(n int) Option {
 // machine the pipeline generates. They become part of the fingerprint, so
 // pipelines with different options never share cache entries.
 func WithGenerateOptions(opts ...core.Option) Option {
-	return func(p *Pipeline) { p.genOpts = append([]core.Option(nil), opts...) }
+	return func(p *Pipeline) { p.cache = core.NewGenerationCache(opts...) }
 }
 
 // WithRegistry substitutes the scenario registry the pipeline resolves
@@ -223,13 +229,13 @@ func WithStore(s *store.Store) Option {
 func New(opts ...Option) *Pipeline {
 	p := &Pipeline{
 		jobs:     runtime.GOMAXPROCS(0),
+		cache:    core.NewGenerationCache(),
 		reg:      models.Default(),
-		modelFPs: make(map[string]map[core.Fingerprint]int),
+		modelFPs: make(map[string]map[core.Fingerprint]tracked),
 	}
 	for _, opt := range opts {
 		opt(p)
 	}
-	p.cache = core.NewGenerationCache(p.genOpts...)
 	return p
 }
 
@@ -283,7 +289,7 @@ func (p *Pipeline) Purge() {
 		p.store.Purge()
 	}
 	p.mu.Lock()
-	p.modelFPs = make(map[string]map[core.Fingerprint]int)
+	p.modelFPs = make(map[string]map[core.Fingerprint]tracked)
 	p.mu.Unlock()
 	p.cache.Purge()
 	p.results.Purge()
@@ -319,7 +325,7 @@ func (p *Pipeline) PurgeModel(name string) int {
 // goes first, so an entry created after the tiers are swept can only have
 // read an already-evicted store; computations in flight across the sweep
 // complete for their waiters and are never findable again.
-func (p *Pipeline) evictDerived(name string, fps map[core.Fingerprint]int) {
+func (p *Pipeline) evictDerived(name string, fps map[core.Fingerprint]tracked) {
 	p.advanceEpoch()
 	if p.store != nil {
 		p.store.EvictModel(name, fpHexSet(fps))
@@ -336,7 +342,7 @@ func (p *Pipeline) evictDerived(name string, fps map[core.Fingerprint]int) {
 }
 
 // fpHexSet renders a fingerprint set in the store's hex key form.
-func fpHexSet(fps map[core.Fingerprint]int) map[string]bool {
+func fpHexSet(fps map[core.Fingerprint]tracked) map[string]bool {
 	if len(fps) == 0 {
 		return nil
 	}
@@ -570,14 +576,9 @@ func (p *Pipeline) produce(ctx context.Context, r resolution) (render.Artifact, 
 }
 
 // generalize is the EFSM tier's miss path: the family member's one cached
-// machine, coalesced under the entry's abstraction. The abstractions are
-// sound over the default generation only, so a pipeline built with other
-// options (the ablation flags) generalises from a default generation of
-// its own instead.
+// machine, coalesced under the entry's abstraction. Every machine the
+// cache can hold generalises soundly.
 func (p *Pipeline) generalize(ctx context.Context, r resolution) (*core.EFSM, error) {
-	if !core.DefaultBehaviour(p.genOpts...) {
-		return r.entry.EFSM(ctx, r.req.Param)
-	}
 	machine, err := p.cache.MachineForFingerprint(ctx, r.fp, r.model)
 	if err != nil {
 		return nil, err
@@ -611,19 +612,19 @@ func (p *Pipeline) Machine(ctx context.Context, model string, param int) (*core.
 }
 
 // TrackFingerprint records that the named model generates under fp at the
-// given parameter in the pipeline's cache, so PurgeModel can later evict
-// the generation and UpdateModel can link it for incremental
-// regeneration. Callers that generate through Cache() directly (the SDK
-// facade's default Generate path) must track here for unregistration to
-// purge their machines; Render tracks its own requests.
-func (p *Pipeline) TrackFingerprint(model string, param int, fp core.Fingerprint) {
+// given parameter and per-call options in the pipeline's cache, so
+// PurgeModel can later evict the generation and UpdateModel can link it
+// for incremental regeneration. Callers that generate through Cache()
+// directly (the SDK facade's Generate) must track here for unregistration
+// to purge their machines; Render tracks its own requests.
+func (p *Pipeline) TrackFingerprint(model string, param int, fp core.Fingerprint, opts ...core.Option) {
 	p.mu.Lock()
 	set, ok := p.modelFPs[model]
 	if !ok {
-		set = make(map[core.Fingerprint]int, 1)
+		set = make(map[core.Fingerprint]tracked, 1)
 		p.modelFPs[model] = set
 	}
-	set[fp] = param
+	set[fp] = tracked{param: param, opts: opts}
 	p.mu.Unlock()
 }
 
@@ -658,27 +659,21 @@ func (p *Pipeline) UpdateModel(entry models.Entry, delta core.ModelDelta) (bool,
 	if !replaced || oldErr != nil || delta.IsFull() {
 		return replaced, nil
 	}
-	// Link each parameter value the pipeline has generated at. The old
-	// fingerprint is recomputed from the departing entry rather than taken
-	// from the recorded set, so fingerprints left over from entries two or
-	// more versions back — against which delta says nothing — are never
-	// linked.
-	params := make(map[int]struct{}, len(old))
-	for _, param := range old {
-		params[param] = struct{}{}
-	}
-	for param := range params {
-		om, err := oldEntry.Model(param)
+	// Link each recorded generation of the departing entry. Its fingerprint
+	// is recomputed from that entry, so fingerprints left over from entries
+	// two or more versions back — against which delta says nothing — are
+	// never linked.
+	for oldFP, t := range old {
+		om, err := oldEntry.Model(t.param)
+		if err != nil || p.cache.Fingerprint(om, t.opts...) != oldFP {
+			continue
+		}
+		nm, err := entry.Model(t.param)
 		if err != nil {
 			continue
 		}
-		nm, err := entry.Model(param)
-		if err != nil {
-			continue
-		}
-		oldFP := p.cache.Fingerprint(om)
-		newFP := p.cache.Fingerprint(nm)
-		p.TrackFingerprint(entry.Name, param, newFP)
+		newFP := p.cache.Fingerprint(nm, t.opts...)
+		p.TrackFingerprint(entry.Name, t.param, newFP, t.opts...)
 		p.cache.LinkDelta(newFP, oldFP, delta)
 	}
 	return replaced, nil

@@ -67,7 +67,7 @@ func TestCrossProductRenders(t *testing.T) {
 }
 
 // TestDeterminism: fingerprints and rendered bytes are identical across
-// pipeline runs and across WithWorkers settings of the generation core.
+// pipeline runs and worker-pool sizes.
 func TestDeterminism(t *testing.T) {
 	reqs := AllRequests()
 	configs := []struct {
@@ -76,7 +76,7 @@ func TestDeterminism(t *testing.T) {
 	}{
 		{"serial", nil},
 		{"jobs-1", []Option{WithJobs(1)}},
-		{"workers-4", []Option{WithGenerateOptions(core.WithWorkers(4)), WithJobs(8)}},
+		{"jobs-8", []Option{WithJobs(8)}},
 	}
 	var base []Result
 	for _, cfg := range configs {

@@ -45,10 +45,8 @@ func TestVariantSearch(t *testing.T) {
 	hits := 0
 	for mask := 0; mask < 1<<variantBits; mask++ {
 		v := variantFromMask(mask)
-		for _, singlePass := range []bool{false, true} {
-			if evaluateVariant(t, v, singlePass) {
-				hits++
-			}
+		if evaluateVariant(t, v) {
+			hits++
 		}
 	}
 	t.Logf("total matching variants: %d", hits)
@@ -56,9 +54,9 @@ func TestVariantSearch(t *testing.T) {
 
 // evaluateVariant generates machines for r = 4 and, when the r = 4 counts
 // match, for the larger Table 1 rows; it logs any exact match.
-func evaluateVariant(t *testing.T, v Variant, singlePass bool) bool {
+func evaluateVariant(t *testing.T, v Variant) bool {
 	t.Helper()
-	stats4 := generateStats(t, 4, v, singlePass)
+	stats4 := generateStats(t, 4, v)
 
 	// The published pre-merge count is 48; our ReachableStates includes the
 	// synthetic finish state, so accept 48 (paper counted it) or 49 (paper
@@ -68,32 +66,27 @@ func evaluateVariant(t *testing.T, v Variant, singlePass bool) bool {
 	if !okReach || !okFinal {
 		return false
 	}
-	t.Logf("candidate %+v singlePass=%v: r=4 reach=%d final=%d",
-		v, singlePass, stats4.ReachableStates, stats4.FinalStates)
+	t.Logf("candidate %+v: r=4 reach=%d final=%d", v, stats4.ReachableStates, stats4.FinalStates)
 
 	want := map[int]int{7: 85, 13: 261, 25: 901}
 	for r, wantFinal := range want {
-		stats := generateStats(t, r, v, singlePass)
+		stats := generateStats(t, r, v)
 		if stats.FinalStates != wantFinal {
 			t.Logf("  ... rejected at r=%d: final=%d want %d", r, stats.FinalStates, wantFinal)
 			return false
 		}
 	}
-	t.Logf("MATCH: %+v singlePass=%v", v, singlePass)
+	t.Logf("MATCH: %+v", v)
 	return true
 }
 
-func generateStats(t *testing.T, r int, v Variant, singlePass bool) core.Stats {
+func generateStats(t *testing.T, r int, v Variant) core.Stats {
 	t.Helper()
 	m, err := NewModel(r, WithVariant(v))
 	if err != nil {
 		t.Fatalf("NewModel(%d): %v", r, err)
 	}
-	opts := []core.Option{core.WithoutDescriptions()}
-	if singlePass {
-		opts = append(opts, core.WithSinglePassMerge())
-	}
-	machine, err := core.Generate(context.Background(), m, opts...)
+	machine, err := core.Generate(context.Background(), m, core.WithoutDescriptions())
 	if err != nil {
 		t.Fatalf("Generate(r=%d, %+v): %v", r, v, err)
 	}
@@ -110,7 +103,7 @@ func TestVariantSurvey(t *testing.T) {
 	counts := map[string]int{}
 	sample := map[string]int{}
 	for mask := 0; mask < 1<<variantBits; mask++ {
-		s := generateStats(t, 4, variantFromMask(mask), false)
+		s := generateStats(t, 4, variantFromMask(mask))
 		key := fmt.Sprintf("reach=%-3d final=%d", s.ReachableStates, s.FinalStates)
 		counts[key]++
 		sample[key] = mask

@@ -166,23 +166,20 @@ type exploration struct {
 	arena     *vecArena
 	cols      [][]effectCell
 	hasFinish bool
-	// cfg records the generation configuration the exploration was produced
-	// under, so Regenerate can refuse to reuse it under different options.
-	cfg genConfig
 }
 
-func newExploration(width, nmsg int, cfg genConfig) *exploration {
+// newExploration returns an empty exploration sized for about sizeHint
+// states (non-positive: a small default).
+func newExploration(width, nmsg, sizeHint int) *exploration {
 	ex := &exploration{
-		arena: newVecArena(width, cfg.sizeHint),
+		arena: newVecArena(width, sizeHint),
 		cols:  make([][]effectCell, nmsg),
-		cfg:   cfg,
 	}
-	capHint := cfg.sizeHint
-	if capHint <= 0 {
-		capHint = 64
+	if sizeHint <= 0 {
+		sizeHint = 64
 	}
 	for i := range ex.cols {
-		ex.cols[i] = make([]effectCell, 0, capHint)
+		ex.cols[i] = make([]effectCell, 0, sizeHint)
 	}
 	return ex
 }
@@ -194,7 +191,6 @@ func (ex *exploration) clone() *exploration {
 		arena:     ex.arena.clone(),
 		cols:      make([][]effectCell, len(ex.cols)),
 		hasFinish: ex.hasFinish,
-		cfg:       ex.cfg,
 	}
 	for i, col := range ex.cols {
 		out.cols[i] = append(make([]effectCell, 0, len(col)+64), col...)

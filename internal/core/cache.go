@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -93,10 +94,20 @@ func NewGenerationCache(opts ...Option) *Cache {
 	}
 }
 
+// with returns the cache's options followed by one lookup's own. A
+// fingerprint names the options it was computed under, so lookups under
+// different options share the table without sharing entries.
+func (c *Cache) with(opts []Option) []Option {
+	if len(opts) == 0 {
+		return c.opts
+	}
+	return slices.Concat(c.opts, opts)
+}
+
 // Fingerprint returns the cache key for the model: its fingerprint under
-// the cache's generation options.
-func (c *Cache) Fingerprint(m Model) Fingerprint {
-	return FingerprintModel(m, c.opts...)
+// the cache's generation options followed by opts.
+func (c *Cache) Fingerprint(m Model, opts ...Option) Fingerprint {
+	return FingerprintModel(m, c.with(opts)...)
 }
 
 // MachineFor returns the generated machine for an already-constructed
@@ -105,33 +116,33 @@ func (c *Cache) Fingerprint(m Model) Fingerprint {
 // Cancelling ctx aborts an in-flight generation (or stops waiting on one
 // another request owns) and returns ctx.Err(). A nil ctx is treated as
 // context.Background().
-func (c *Cache) MachineFor(ctx context.Context, m Model) (*StateMachine, error) {
-	return c.MachineForFingerprint(ctx, c.Fingerprint(m), m)
+func (c *Cache) MachineFor(ctx context.Context, m Model, opts ...Option) (*StateMachine, error) {
+	return c.MachineForFingerprint(ctx, c.Fingerprint(m, opts...), m, opts...)
 }
 
 // MachineForFingerprint is MachineFor with the fingerprint precomputed by
-// the caller (it must be c.Fingerprint(m)), so callers that also need the
-// fingerprint — e.g. for cache headers — hash the model once per request.
-func (c *Cache) MachineForFingerprint(ctx context.Context, fp Fingerprint, m Model) (*StateMachine, error) {
+// the caller (it must be c.Fingerprint(m, opts...)), so callers that also
+// need the fingerprint — e.g. for cache headers — hash the model once per
+// request.
+func (c *Cache) MachineForFingerprint(ctx context.Context, fp Fingerprint, m Model, opts ...Option) (*StateMachine, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return c.machines.Do(ctx, fp, func() (*StateMachine, error) { return c.generate(ctx, fp, m) })
+	return c.machines.Do(ctx, fp, func() (*StateMachine, error) { return c.generate(ctx, fp, m, c.with(opts)) })
 }
 
 // generate is the memo's miss path: one generation, incremental when a
 // registered link's old machine is still cached, counted in the cache's
 // own statistics.
-func (c *Cache) generate(ctx context.Context, fp Fingerprint, m Model) (*StateMachine, error) {
+func (c *Cache) generate(ctx context.Context, fp Fingerprint, m Model, opts []Option) (*StateMachine, error) {
 	key := familyKey(m)
 	c.mu.Lock()
 	hint := c.hints[key]
 	link, hasLink := c.links[fp]
 	c.mu.Unlock()
 
-	opts := c.opts
 	if hint > 0 {
-		opts = append(append(make([]Option, 0, len(c.opts)+1), c.opts...), WithSizeHint(hint))
+		opts = append(slices.Clip(opts), WithSizeHint(hint))
 	}
 	var (
 		old, machine   *StateMachine

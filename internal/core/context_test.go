@@ -41,10 +41,12 @@ func (m *slowModel) Apply(v Vector, msg string) (Effect, bool) {
 func (m *slowModel) DescribeState(Vector) []string { return nil }
 
 // TestGenerateCancellation: cancelling the context mid-exploration makes
-// Generate return ctx.Err() promptly instead of finishing the frontier.
+// both entry points return ctx.Err() promptly instead of finishing.
 func TestGenerateCancellation(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(map[int]string{1: "serial", 4: "parallel"}[workers], func(t *testing.T) {
+	for name, generate := range map[string]func(context.Context, Model, ...Option) (*StateMachine, error){
+		"serial": Generate, "enumerated": GenerateEnumerated,
+	} {
+		t.Run(name, func(t *testing.T) {
 			// Full generation would take ~5s; the cancel arrives after ~10ms.
 			m := &slowModel{states: 50000, delay: 100 * time.Microsecond}
 			ctx, cancel := context.WithCancel(context.Background())
@@ -55,9 +57,9 @@ func TestGenerateCancellation(t *testing.T) {
 			start := time.Now()
 			// WithoutMerging keeps the worst case bounded: merge cost on a
 			// long chain is quadratic and irrelevant to cancellation.
-			_, err := Generate(ctx, m, WithoutDescriptions(), WithoutMerging(), WithWorkers(workers))
+			_, err := generate(ctx, m, WithoutDescriptions(), WithoutMerging())
 			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("Generate error = %v, want context.Canceled", err)
+				t.Fatalf("error = %v, want context.Canceled", err)
 			}
 			if elapsed := time.Since(start); elapsed > 3*time.Second {
 				t.Errorf("cancelled Generate took %v, want prompt abort", elapsed)

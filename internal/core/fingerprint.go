@@ -97,10 +97,11 @@ type Fingerprinter interface {
 // structure must implement Fingerprinter; otherwise two behaviourally
 // different models could collide on one cache entry.
 //
-// Options that change the generated machine (pruning, merging, single-pass
-// merging, descriptions) are folded into the hash. WithWorkers is
-// deliberately excluded: parallel frontier expansion is bit-identical to
-// serial exploration, so worker count must not fragment the cache.
+// Options that change the generated machine (merging, descriptions) are
+// folded into the hash as bits 2 and 8 of a flag word. Bits 1 and 4 once
+// named two options that no longer exist and are written as they always
+// were by default (1 set, 4 clear), so every fingerprint — and with it
+// every store key, route key and ETag-bearing header — is what it was.
 func FingerprintModel(m Model, opts ...Option) Fingerprint {
 	cfg := newGenConfig(opts)
 	w := newFPWriter()
@@ -128,15 +129,9 @@ func FingerprintModel(m Model, opts ...Option) Fingerprint {
 	}
 	w.writeStrings(extra)
 
-	flags := 0
-	if cfg.prune {
-		flags |= 1
-	}
+	flags := 1
 	if cfg.merge {
 		flags |= 2
-	}
-	if cfg.singlePassMerge {
-		flags |= 4
 	}
 	if cfg.describe {
 		flags |= 8

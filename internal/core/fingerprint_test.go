@@ -32,17 +32,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if other := fpModel(t, 3, WithoutDescriptions()); other == base {
 		t.Error("WithoutDescriptions did not change the fingerprint")
 	}
-	if other := fpModel(t, 3, WithoutPruning()); other == base {
-		t.Error("WithoutPruning did not change the fingerprint")
-	}
-}
-
-// TestFingerprintIgnoresWorkers: worker count must not fragment the cache,
-// because parallel expansion is bit-identical to serial exploration.
-func TestFingerprintIgnoresWorkers(t *testing.T) {
-	if fpModel(t, 3) != fpModel(t, 3, WithWorkers(8)) {
-		t.Error("WithWorkers changed the fingerprint")
-	}
 }
 
 func TestMachineFingerprintMatchesContent(t *testing.T) {

@@ -60,9 +60,9 @@ func TestFrontierToleratesCrossProductOverflow(t *testing.T) {
 }
 
 func TestLegacyEnumerationRejectsOverflow(t *testing.T) {
-	_, err := Generate(context.Background(), hugeModel{}, WithoutPruning())
+	_, err := GenerateEnumerated(context.Background(), hugeModel{})
 	if !errors.Is(err, ErrStateSpaceOverflow) {
-		t.Fatalf("Generate(context.Background(), WithoutPruning) error = %v, want ErrStateSpaceOverflow", err)
+		t.Fatalf("GenerateEnumerated error = %v, want ErrStateSpaceOverflow", err)
 	}
 }
 
@@ -109,34 +109,6 @@ func TestVectorCompareMatchesIndexOrder(t *testing.T) {
 			t.Fatalf("Compare(%v, itself) != 0", v)
 		}
 		prev = v
-	}
-}
-
-// TestWorkersMatchSerialToy checks the parallel frontier explorer on the
-// toy model for several worker counts, including counts exceeding the
-// frontier size.
-func TestWorkersMatchSerialToy(t *testing.T) {
-	serial, err := Generate(context.Background(), &toyModel{max: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{2, 3, 8, 64} {
-		parallel, err := Generate(context.Background(), &toyModel{max: 5}, WithWorkers(n))
-		if err != nil {
-			t.Fatalf("WithWorkers(%d): %v", n, err)
-		}
-		if parallel.Stats != serial.Stats {
-			t.Errorf("WithWorkers(%d) stats = %+v, want %+v", n, parallel.Stats, serial.Stats)
-		}
-		ns, np := serial.StateNames(), parallel.StateNames()
-		if len(ns) != len(np) {
-			t.Fatalf("WithWorkers(%d): %d states, want %d", n, len(np), len(ns))
-		}
-		for i := range ns {
-			if ns[i] != np[i] {
-				t.Errorf("WithWorkers(%d): state[%d] = %q, want %q", n, i, np[i], ns[i])
-			}
-		}
 	}
 }
 

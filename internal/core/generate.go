@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 )
 
@@ -15,79 +14,34 @@ var (
 	ErrNoMessages   = errors.New("core: model declares no messages")
 )
 
+// genConfig holds what a generation can be asked to vary. merge and
+// describe change the generated machine and are part of its fingerprint;
+// sizeHint only pre-sizes the exploration.
 type genConfig struct {
-	prune           bool
-	merge           bool
-	singlePassMerge bool
-	describe        bool
-	workers         int
-	sizeHint        int
-}
-
-// behaviourEqual reports whether two configurations produce identical
-// machines. Worker count and size hints only change how the exploration is
-// scheduled, never its result.
-func (c genConfig) behaviourEqual(o genConfig) bool {
-	return c.prune == o.prune && c.merge == o.merge &&
-		c.singlePassMerge == o.singlePassMerge && c.describe == o.describe
+	merge    bool
+	describe bool
+	sizeHint int
 }
 
 // Option configures the generation pipeline.
 type Option func(*genConfig)
 
-// DefaultBehaviour reports whether opts generate exactly the machine no
-// options would. The EFSM abstractions are written against that machine —
-// GeneralizeEFSM rejects a WithSinglePassMerge or WithoutPruning machine as
-// unsound, or coalesces it differently — so only a cache generating it can
-// lend its machines to generalisation.
-func DefaultBehaviour(opts ...Option) bool {
-	return newGenConfig(opts).behaviourEqual(newGenConfig(nil))
-}
-
 // newGenConfig applies opts to the default configuration.
 func newGenConfig(opts []Option) genConfig {
-	cfg := genConfig{prune: true, merge: true, describe: true}
+	cfg := genConfig{merge: true, describe: true}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	return cfg
 }
 
-// WithoutPruning disables reachability-first exploration and falls back to
-// the paper's literal §3.4 pipeline: enumerate the full component cross
-// product, generate transitions for every state, and keep unreachable
-// states in the resulting machine. Used by the pipeline-ablation
-// experiments. The cross product must fit in an int; Generate returns
-// ErrStateSpaceOverflow otherwise.
-func WithoutPruning() Option { return func(c *genConfig) { c.prune = false } }
-
 // WithoutMerging disables step 4 (combining equivalent states). Used by the
 // pipeline-ablation experiments.
 func WithoutMerging() Option { return func(c *genConfig) { c.merge = false } }
 
-// WithSinglePassMerge makes step 4 perform exactly one round of equivalence
-// combining (states whose outgoing transitions perform the same actions and
-// lead to the same destination state) instead of iterating to a fixpoint.
-func WithSinglePassMerge() Option { return func(c *genConfig) { c.singlePassMerge = true } }
-
 // WithoutDescriptions skips attaching the model's per-state documentation,
 // which speeds up generation for large parameter values.
 func WithoutDescriptions() Option { return func(c *genConfig) { c.describe = false } }
-
-// WithWorkers expands the frontier with n goroutines. Frontier segments are
-// distributed over per-worker work-stealing deques, computed concurrently,
-// and merged in deterministic state order, so the generated machine is
-// bit-identical to the serial result. Frontiers smaller than an internal
-// threshold are expanded serially, so small models never pay goroutine
-// overhead. The model's Apply method is called concurrently; Model
-// implementations must be deterministic and side-effect free (as the Model
-// contract already requires), which makes concurrent calls safe. Values of
-// n below 2 select the serial explorer, and n is capped at GOMAXPROCS: on
-// a single-CPU machine the serial explorer always runs, since extra
-// goroutines could only add scheduling overhead without any parallelism.
-// Ignored on the WithoutPruning path, which retains the legacy serial
-// enumeration.
-func WithWorkers(n int) Option { return func(c *genConfig) { c.workers = n } }
 
 // WithSizeHint pre-sizes the exploration's interning arena for
 // approximately n reachable states, eliminating hash-table growth during
@@ -102,13 +56,35 @@ func WithSizeHint(n int) Option {
 	}
 }
 
+// declared returns the model's components, messages and start vector,
+// checked for the malformations every generation entry point refuses.
+func declared(m Model) ([]StateComponent, []string, Vector, error) {
+	components := m.Components()
+	if len(components) == 0 {
+		return nil, nil, nil, ErrNoComponents
+	}
+	messages := m.Messages()
+	if len(messages) == 0 {
+		return nil, nil, nil, ErrNoMessages
+	}
+	if err := checkUnique(messages); err != nil {
+		return nil, nil, nil, err
+	}
+	start := m.Start()
+	if err := start.validate(components); err != nil {
+		return nil, nil, nil, fmt.Errorf("core: start state: %w", err)
+	}
+	return components, messages, start, nil
+}
+
 // Generate executes the abstract model and returns the corresponding finite
-// state machine. The default path is reachability-first: starting from the
+// state machine. Generation is reachability-first: starting from the
 // model's start vector, a breadth-first frontier exploration generates
 // transitions only for states actually reachable, so memory and time scale
 // with the reachable set rather than the component cross product (§3.4
-// steps 1–3 fused). Equivalent states are then combined (step 4).
-// WithoutPruning selects the legacy full-enumeration pipeline instead.
+// steps 1–3 fused). Processing states in id order is exactly FIFO order,
+// since new states are interned in discovery order. Equivalent states are
+// then combined to a fixpoint (step 4).
 //
 // Generation honours ctx: cancellation is observed between state
 // expansions, so a long-running generation for a large parameter value
@@ -119,118 +95,55 @@ func Generate(ctx context.Context, m Model, opts ...Option) (*StateMachine, erro
 		ctx = context.Background()
 	}
 	cfg := newGenConfig(opts)
-
-	components := m.Components()
-	if len(components) == 0 {
-		return nil, ErrNoComponents
-	}
-	messages := m.Messages()
-	if len(messages) == 0 {
-		return nil, ErrNoMessages
-	}
-	if err := checkUnique(messages); err != nil {
-		return nil, err
-	}
-	start := m.Start()
-	if err := start.validate(components); err != nil {
-		return nil, fmt.Errorf("core: start state: %w", err)
-	}
-
-	var (
-		ex         *exploration
-		err        error
-		crossSize  int
-		overflowed bool
-	)
-	crossSize, err = stateSpaceSize(components)
-	if err != nil {
-		if !cfg.prune {
-			// The legacy pipeline must materialise the cross product.
-			return nil, err
-		}
-		crossSize, overflowed = math.MaxInt, true
-	}
-
-	if cfg.prune {
-		ex, err = explore(ctx, m, components, messages, start, cfg)
-	} else {
-		ex, err = enumerateAll(ctx, m, components, messages, crossSize, cfg)
-	}
+	components, messages, start, err := declared(m)
 	if err != nil {
 		return nil, err
 	}
-
-	startID := 0
-	if !cfg.prune {
-		if startID, err = start.index(components); err != nil {
-			return nil, err
-		}
-	}
-	finishReachable := ex.hasFinish // every explored state is reachable on the frontier path
-
-	machine := buildMachine(m, cfg, ex, nil, finishReachable, startID)
-	machine.Stats.InitialStates = crossSize
-	machine.Stats.InitialOverflow = overflowed
-	machine.Stats.ReachableStates = len(machine.States)
-
-	// Step 4: combine equivalent states.
-	if cfg.merge {
-		mergeEquivalent(machine, cfg.singlePassMerge)
-	}
-	machine.Stats.FinalStates = len(machine.States)
-	machine.sortStates()
-	if cfg.prune {
-		// Retain the raw exploration for incremental regeneration. The
-		// legacy path keeps unreachable states in the machine, a shape
-		// Regenerate does not reproduce, so it retains nothing.
-		machine.explored = ex
-	}
-	return machine, nil
-}
-
-// explore performs the reachability-first exploration: a worklist BFS from
-// the start vector, interning each newly discovered vector in the arena.
-// Processing states in id order is exactly FIFO order, since new states are
-// appended in discovery order. With workers > 1, frontier stretches above
-// parallelThreshold are expanded by the work-stealing explorer and merged
-// deterministically; smaller stretches are expanded inline.
-func explore(ctx context.Context, m Model, components []StateComponent, messages []string, start Vector, cfg genConfig) (*exploration, error) {
-	ex := newExploration(len(components), len(messages), cfg)
+	ex := newExploration(len(components), len(messages), cfg.sizeHint)
 	ex.arena.intern(start)
-
-	var ws *wsExplorer
-	if w := min(cfg.workers, runtime.GOMAXPROCS(0)); w > 1 {
-		ws = newWSExplorer(m, components, messages, w)
-		defer ws.stop()
-	}
-
-	for cursor := 0; cursor < ex.arena.n; {
+	for id := 0; id < ex.arena.n; id++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if ws != nil && ex.arena.n-cursor >= parallelThreshold {
-			next, err := ws.expandLevel(ctx, ex, cursor, ex.arena.n)
-			if err != nil {
-				return nil, err
-			}
-			cursor = next
-			continue
-		}
-		if err := ex.expandState(m, components, messages, cursor); err != nil {
+		if err := ex.expandState(m, components, messages, id); err != nil {
 			return nil, err
 		}
-		cursor++
 	}
-	return ex, nil
+	// Every explored state is reachable, the finish state included.
+	machine := assemble(m, cfg, ex, nil, ex.hasFinish, 0)
+	// Retained for incremental regeneration.
+	machine.explored = ex
+	return machine, nil
 }
 
-// enumerateAll is the legacy §3.4 steps 1+2: materialise every possible
-// state in row-major order and compute the transitions resulting from each
-// possible message. State ids coincide with enumeration indices, because
-// every vector is interned in row-major order before expansion starts.
-func enumerateAll(ctx context.Context, m Model, components []StateComponent, messages []string, size int, cfg genConfig) (*exploration, error) {
-	cfg.sizeHint = size
-	ex := newExploration(len(components), len(messages), cfg)
+// GenerateEnumerated is the paper's literal §3.4 pipeline, kept as the
+// reference the differential tests and the E11/E12 benchmarks compare
+// Generate against: enumerate the full component cross product in
+// row-major order, generate transitions for every state, and keep
+// unreachable states in the resulting machine. State ids coincide with
+// enumeration indices. It is an entry point of its own, not an Option: no
+// cache, fingerprint or pipeline can select it, and its machines are not
+// sound inputs to GeneralizeEFSM. The cross product must fit in an int;
+// ErrStateSpaceOverflow is returned otherwise. The machine retains no
+// exploration, so Regenerate falls back to Generate on it.
+func GenerateEnumerated(ctx context.Context, m Model, opts ...Option) (*StateMachine, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	cfg := newGenConfig(opts)
+	components, messages, start, err := declared(m)
+	if err != nil {
+		return nil, err
+	}
+	size, err := stateSpaceSize(components)
+	if err != nil {
+		return nil, err
+	}
+	startID, err := start.index(components)
+	if err != nil {
+		return nil, err
+	}
+	ex := newExploration(len(components), len(messages), size)
 	for idx := 0; idx < size; idx++ {
 		if idx&1023 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -247,7 +160,26 @@ func enumerateAll(ctx context.Context, m Model, components []StateComponent, mes
 			return nil, err
 		}
 	}
-	return ex, nil
+	return assemble(m, cfg, ex, nil, ex.hasFinish, startID), nil
+}
+
+// assemble turns an exploration into the finished machine: materialise the
+// states (see buildMachine), record the Table 1 stage sizes, combine
+// equivalent states (step 4) and sort.
+func assemble(m Model, cfg genConfig, ex *exploration, reach []int32, finishReachable bool, startID int) *StateMachine {
+	machine := buildMachine(m, cfg, ex, reach, finishReachable, startID)
+	crossSize, err := stateSpaceSize(machine.Components)
+	if err != nil {
+		crossSize, machine.Stats.InitialOverflow = math.MaxInt, true
+	}
+	machine.Stats.InitialStates = crossSize
+	machine.Stats.ReachableStates = len(machine.States)
+	if cfg.merge {
+		mergeEquivalent(machine)
+	}
+	machine.Stats.FinalStates = len(machine.States)
+	machine.sortStates()
+	return machine
 }
 
 // buildMachine materialises State and Transition objects for the explored

@@ -113,10 +113,10 @@ func TestGenerateToyPipeline(t *testing.T) {
 	}
 }
 
-func TestGenerateWithoutPruning(t *testing.T) {
-	machine, err := Generate(context.Background(), &toyModel{max: 3}, WithoutPruning())
+func TestGenerateEnumeratedKeepsUnreachableStates(t *testing.T) {
+	machine, err := GenerateEnumerated(context.Background(), &toyModel{max: 3})
 	if err != nil {
-		t.Fatalf("Generate: %v", err)
+		t.Fatalf("GenerateEnumerated: %v", err)
 	}
 	// All 8 raw states plus the finish state are kept.
 	if got := machine.Stats.ReachableStates; got != 9 {

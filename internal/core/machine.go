@@ -34,10 +34,9 @@ type StateMachine struct {
 	Stats Stats
 
 	// explored retains the raw exploration (interned vectors plus
-	// per-message effect columns) on machines generated by the
-	// reachability-first path, so Regenerate can patch it under a
-	// ModelDelta instead of re-exploring from scratch. Nil on the legacy
-	// WithoutPruning path.
+	// per-message effect columns) on machines Generate produced, so
+	// Regenerate can patch it under a ModelDelta instead of re-exploring
+	// from scratch. Nil on GenerateEnumerated machines.
 	explored *exploration
 }
 
@@ -51,8 +50,8 @@ type Stats struct {
 	InitialStates int
 	// InitialOverflow reports that the cross product exceeds math.MaxInt,
 	// so InitialStates is a saturated lower bound rather than an exact
-	// count. Only the reachability-first path can produce this; the legacy
-	// full-enumeration path fails with ErrStateSpaceOverflow instead.
+	// count. Only Generate can produce this; GenerateEnumerated fails with
+	// ErrStateSpaceOverflow instead.
 	InitialOverflow bool
 	// ReachableStates is the count after pruning unreachable states,
 	// including the finish state when one is reachable.

@@ -10,15 +10,14 @@ import (
 // actions and lead to the same destination state. Because combining two
 // states can make their predecessors newly equivalent, the relation is
 // computed by partition refinement to a fixpoint (Moore-style DFA
-// minimisation) unless singlePass is set, in which case exactly one
-// combining round is performed.
+// minimisation).
 //
 // The refinement works on a flattened integer view of the machine —
 // transition targets as state indices and action lists interned to small
 // ids — so each round builds compact byte signatures in a reused buffer
 // instead of per-state strings; only distinct signatures (bounded by the
 // final class count) are ever copied into the lookup map.
-func mergeEquivalent(machine *StateMachine, singlePass bool) {
+func mergeEquivalent(machine *StateMachine) {
 	states := machine.States
 	n := len(states)
 	if n == 0 {
@@ -109,9 +108,6 @@ func mergeEquivalent(machine *StateMachine, singlePass bool) {
 		}
 		class, next = next, class
 		classes = sigs.len()
-		if singlePass {
-			break
-		}
 	}
 
 	collapse(machine, class, classes, pos)

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 )
 
 // ModelDelta describes how an edited model's transition function may differ
@@ -38,12 +37,16 @@ func (d ModelDelta) IsFull() bool { return d.Full }
 // discovery order: state names, transitions, merging and the final sort
 // depend only on the reachable set.
 //
+// The retained exploration is the raw record of the transition function —
+// merging and descriptions are applied when the machine is built from it —
+// so opts need not be the options old was generated under.
+//
 // Regenerate falls back to Generate transparently when old carries no
-// exploration (legacy path, or a machine from an older process), when the
-// delta is Full, when the options differ from those old was generated
-// under, or when the declared structure changed. The old machine is never
-// mutated: the exploration is cloned before patching, so old remains valid
-// as a regeneration source for further edits.
+// exploration (a GenerateEnumerated machine, or one from an older
+// process), when the delta is Full, or when the declared structure
+// changed. The old machine is never mutated: the exploration is cloned
+// before patching, so old remains valid as a regeneration source for
+// further edits.
 func Regenerate(ctx context.Context, old *StateMachine, m Model, delta ModelDelta, opts ...Option) (*StateMachine, error) {
 	machine, _, err := regenerate(ctx, old, m, delta, opts)
 	return machine, err
@@ -55,26 +58,13 @@ func regenerate(ctx context.Context, old *StateMachine, m Model, delta ModelDelt
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg := newGenConfig(opts)
-	if old == nil || old.explored == nil || delta.Full || !cfg.behaviourEqual(old.explored.cfg) {
+	if old == nil || old.explored == nil || delta.Full {
 		machine, err := Generate(ctx, m, opts...)
 		return machine, false, err
 	}
-
-	components := m.Components()
-	if len(components) == 0 {
-		return nil, false, ErrNoComponents
-	}
-	messages := m.Messages()
-	if len(messages) == 0 {
-		return nil, false, ErrNoMessages
-	}
-	if err := checkUnique(messages); err != nil {
+	components, messages, start, err := declared(m)
+	if err != nil {
 		return nil, false, err
-	}
-	start := m.Start()
-	if err := start.validate(components); err != nil {
-		return nil, false, fmt.Errorf("core: start state: %w", err)
 	}
 
 	// The retained exploration is only reusable when the state encoding and
@@ -102,7 +92,6 @@ func regenerate(ctx context.Context, old *StateMachine, m Model, delta ModelDelt
 	}
 
 	ex := old.explored.clone()
-	ex.cfg = cfg
 	oldN := ex.arena.n
 
 	// Patch the affected columns over every previously interned state.
@@ -153,20 +142,7 @@ func regenerate(ctx context.Context, old *StateMachine, m Model, delta ModelDelt
 	}
 	reach, finishReachable := reachableFrom(ex, int32(startID))
 
-	machine := buildMachine(m, cfg, ex, reach, finishReachable, startID)
-	machine.Stats.ReachableStates = len(machine.States)
-	crossSize, err := stateSpaceSize(components)
-	if err != nil {
-		crossSize = math.MaxInt
-		machine.Stats.InitialOverflow = true
-	}
-	machine.Stats.InitialStates = crossSize
-
-	if cfg.merge {
-		mergeEquivalent(machine, cfg.singlePassMerge)
-	}
-	machine.Stats.FinalStates = len(machine.States)
-	machine.sortStates()
+	machine := assemble(m, newGenConfig(opts), ex, reach, finishReachable, startID)
 	machine.explored = ex
 	return machine, true, nil
 }

@@ -190,17 +190,18 @@ func TestRegenerateFallbacks(t *testing.T) {
 		}
 	})
 	t.Run("no retained exploration", func(t *testing.T) {
-		old := mustGenerate(t, &gateModel{max: 5, gate: 2}, WithoutPruning())
-		if old.explored != nil {
-			t.Fatal("legacy path should retain no exploration")
+		old, err := GenerateEnumerated(context.Background(), &gateModel{max: 5, gate: 2})
+		if err != nil {
+			t.Fatalf("GenerateEnumerated: %v", err)
 		}
-		got, err := Regenerate(context.Background(), old, edited, ModelDelta{Messages: []string{"inc"}},
-			WithoutPruning())
+		if old.explored != nil {
+			t.Fatal("an enumerated machine should retain no exploration")
+		}
+		got, err := Regenerate(context.Background(), old, edited, ModelDelta{Messages: []string{"inc"}})
 		if err != nil {
 			t.Fatalf("Regenerate: %v", err)
 		}
-		legacy := mustGenerate(t, edited, WithoutPruning())
-		if got.Fingerprint() != legacy.Fingerprint() {
+		if got.Fingerprint() != want.Fingerprint() {
 			t.Error("fallback machine differs from Generate")
 		}
 	})
@@ -214,16 +215,22 @@ func TestRegenerateFallbacks(t *testing.T) {
 			t.Error("fallback machine differs from Generate")
 		}
 	})
+	// Not a fallback: the retained exploration does not depend on the
+	// options, so a machine generated under one set regenerates under
+	// another.
 	t.Run("option mismatch", func(t *testing.T) {
 		old := mustGenerate(t, &gateModel{max: 5, gate: 2})
-		got, err := Regenerate(context.Background(), old, edited, ModelDelta{Messages: []string{"inc"}},
-			WithoutMerging())
+		got, incremental, err := regenerate(context.Background(), old, edited, ModelDelta{Messages: []string{"inc"}},
+			[]Option{WithoutMerging()})
 		if err != nil {
-			t.Fatalf("Regenerate: %v", err)
+			t.Fatalf("regenerate: %v", err)
+		}
+		if !incremental {
+			t.Error("a default machine did not serve as the source of a WithoutMerging regeneration")
 		}
 		unmerged := mustGenerate(t, edited, WithoutMerging())
 		if got.Fingerprint() != unmerged.Fingerprint() {
-			t.Error("fallback machine differs from Generate")
+			t.Error("regenerated machine differs from Generate")
 		}
 	})
 	t.Run("structure mismatch", func(t *testing.T) {
@@ -246,23 +253,6 @@ func TestRegenerateFallbacks(t *testing.T) {
 			t.Error("fallback machine differs from Generate")
 		}
 	})
-}
-
-// TestRegenerateWorkerOptionCompatible: worker count and size hints are
-// scheduling detail, so an old machine generated serially is a valid
-// regeneration source under WithWorkers and vice versa.
-func TestRegenerateWorkerOptionCompatible(t *testing.T) {
-	old := mustGenerate(t, &gateModel{max: 6, gate: 2}, WithWorkers(4))
-	edited := &gateModel{max: 6, gate: 6}
-	got, err := Regenerate(context.Background(), old, edited, ModelDelta{Messages: []string{"inc"}},
-		WithSizeHint(64))
-	if err != nil {
-		t.Fatalf("Regenerate: %v", err)
-	}
-	want := mustGenerate(t, edited)
-	if got.Fingerprint() != want.Fingerprint() {
-		t.Error("regenerated machine differs from Generate")
-	}
 }
 
 // TestCacheLinkDeltaRegeneratesIncrementally exercises the cache-level

@@ -8,9 +8,9 @@ import (
 )
 
 // ErrStateSpaceOverflow reports that the component cross product exceeds
-// math.MaxInt, so it cannot be enumerated (or even counted) in an int. The
-// reachability-first generation path tolerates this — it never materialises
-// the cross product — while the legacy WithoutPruning path propagates it.
+// math.MaxInt, so it cannot be enumerated (or even counted) in an int.
+// Generate tolerates this — it never materialises the cross product —
+// while GenerateEnumerated returns it.
 var ErrStateSpaceOverflow = errors.New("core: state space size overflows int")
 
 // Vector is a concrete assignment of values to the state components of an

@@ -86,8 +86,7 @@ func (e Entry) Model(param int) (core.Model, error) {
 // EFSM generalises the family member for param from a generation of its
 // own (core.GenerateEFSM). The artefact pipeline generalises the member's
 // cached machine instead; this is the reference that view is compared
-// against, and what a pipeline built with generation options the
-// abstraction is not sound over falls back to.
+// against.
 func (e Entry) EFSM(ctx context.Context, param int) (*core.EFSM, error) {
 	if e.Abstraction == nil {
 		return nil, fmt.Errorf("models: model %q declares no EFSM abstraction", e.Name)

@@ -134,6 +134,64 @@ func TestVariantFingerprintsDiffer(t *testing.T) {
 	}
 }
 
+// TestFingerprintsArePinned holds the fingerprint of every registry model
+// at its default parameter under each option set a cache can be built
+// with. Fingerprints key the on-disk store, the cluster routes and the
+// X-Machine-Fingerprint header, so a change to what FingerprintModel
+// hashes — however well meant — orphans every warm store: the values below
+// were recorded before core.Generate lost its pruning, single-pass and
+// worker options, and did not move.
+func TestFingerprintsArePinned(t *testing.T) {
+	pins := []struct{ name, def, withoutMerging, withoutDescriptions string }{
+		{"chord",
+			"196b991a5805b3cc986083ec5b7b4981a80cd1a42542ab3b29f3612d697fdf45",
+			"1f4946e3dfdc1113adf9b44650021404dcf400e755787a402d5d01974e2c6f98",
+			"c9044b293d111d9955ff0f4b7caf2d4d3d5fa7dda0f2375ff48b3e4e708dcc4d"},
+		{"commit",
+			"b5cce5fd17c0bcbb44d9e62b60b2e2da34a89e370a93456a5a579e7656502825",
+			"d0697e4c0c0b72a93cbbaf741d81b8fc4778e58b10facb7f01694394acc6ed15",
+			"b066191c4221ea0ee5d9aa82c0f33a60b96bdf70a23d84ba85a2ba6941b8f42e"},
+		{"commit-redundant",
+			"e6281e226f714c244280f790b9ede4935e1da8149c3866c0a57c561e5f5b50ca",
+			"8e8ca6f220ef225f3e162b2c4ba6abca7adf8bb7c5402ee0241cda4a6cdf17ba",
+			"6fb8e7224f2245b83f3598ae5c8be094ff0284d57923ed8186f265c6478e0e0c"},
+		{"consensus",
+			"a3aca23fc6fd480e89fa9812483d1fddc73e35a017ea4ecab58a9c732b234c20",
+			"410bc376fc1f93990e33247bdabf8116c21c22381541df9775462a98b2c93162",
+			"7aa4202de41aa8383c4cd6dcee9f98ff3300684f745e49d4092bd3afd06dc7aa"},
+		{"storage",
+			"7b714fc96008ec282e2d903063d6838258cf7fbd5cfc84566024b64feff10774",
+			"9917b9ca426d0cc832026efbe67c9734e3032d30661cfccbb37adc9fabab2462",
+			"30ed9ae74252985ef3ef3937a8db895a01390be9053eacdc059bcd6ca51a5c08"},
+		{"termination",
+			"db5935949bc47be2b3712845ede0af5c292bdb3357d432bce244db4f48c76f44",
+			"47bea2309a409226421f19026435c18d834dda191727c9f0429adb751172a774",
+			"2d19731b22dce51d5d30a950b5a21240a98f27f61d3efac4f42d8cd8ed2cc68c"},
+	}
+	if len(pins) != len(Names()) {
+		t.Errorf("%d models pinned, %d registered", len(pins), len(Names()))
+	}
+	for _, pin := range pins {
+		m, err := Build(pin.name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			set  string
+			opts []core.Option
+			want string
+		}{
+			{"default", nil, pin.def},
+			{"WithoutMerging", []core.Option{core.WithoutMerging()}, pin.withoutMerging},
+			{"WithoutDescriptions", []core.Option{core.WithoutDescriptions()}, pin.withoutDescriptions},
+		} {
+			if got := core.FingerprintModel(m, c.opts...).String(); got != c.want {
+				t.Errorf("%s %s: fingerprint %s, pinned %s", pin.name, c.set, got, c.want)
+			}
+		}
+	}
+}
+
 // TestRegistryConcurrentAccess locks in the registry's thread-safety:
 // Register may run (e.g. from a test or a future plugin) while pipeline
 // workers resolve names concurrently.

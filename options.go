@@ -1,12 +1,6 @@
 package asagen
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"asagen/internal/core"
-)
+import "asagen/internal/core"
 
 // ClientOption configures a Client at construction time.
 type ClientOption func(*clientConfig)
@@ -52,12 +46,8 @@ func WithGenerateOptions(opts ...GenerateOption) ClientOption {
 // GenerateOption configures one Generate call (or, via
 // WithGenerateOptions, every generation a client performs).
 type GenerateOption struct {
-	// key identifies behaviour-changing options so per-call option sets
-	// map onto distinct memoisation caches; empty for request-scoped
-	// options like WithParam.
-	key string
-	// opt is the corresponding core option; nil for request-scoped
-	// options.
+	// opt is the core option of a behaviour-changing option; nil for
+	// request-scoped options like WithParam.
 	opt core.Option
 	// param/setParam carry WithParam.
 	param    int
@@ -82,40 +72,18 @@ func WithoutCache() GenerateOption {
 
 // WithoutMerging disables the equivalent-state merging step (§3.4 step 4).
 func WithoutMerging() GenerateOption {
-	return GenerateOption{key: "no-merge", opt: core.WithoutMerging()}
-}
-
-// WithoutPruning selects the legacy full-enumeration pipeline instead of
-// reachability-first exploration; the cross product must fit in an int or
-// Generate fails with ErrStateSpaceOverflow.
-func WithoutPruning() GenerateOption {
-	return GenerateOption{key: "no-prune", opt: core.WithoutPruning()}
-}
-
-// WithSinglePassMerge performs exactly one round of equivalent-state
-// merging instead of iterating to a fixpoint.
-func WithSinglePassMerge() GenerateOption {
-	return GenerateOption{key: "single-pass-merge", opt: core.WithSinglePassMerge()}
+	return GenerateOption{opt: core.WithoutMerging()}
 }
 
 // WithoutDescriptions skips attaching per-state documentation, which
 // speeds up generation for large parameter values.
 func WithoutDescriptions() GenerateOption {
-	return GenerateOption{key: "no-descriptions", opt: core.WithoutDescriptions()}
-}
-
-// WithWorkers shards frontier expansion across n goroutines. The generated
-// machine is bit-identical to the serial result, so worker count never
-// fragments the cache key space.
-func WithWorkers(n int) GenerateOption {
-	return GenerateOption{key: fmt.Sprintf("workers=%d", n), opt: core.WithWorkers(n)}
+	return GenerateOption{opt: core.WithoutDescriptions()}
 }
 
 // splitGenerateOptions separates request-scoped parts (param, fresh) from
-// behaviour-changing core options, and derives the stable cache key of the
-// behaviour set.
-func splitGenerateOptions(opts []GenerateOption) (param int, setParam, fresh bool, coreOpts []core.Option, key string) {
-	var keys []string
+// behaviour-changing core options.
+func splitGenerateOptions(opts []GenerateOption) (param int, setParam, fresh bool, coreOpts []core.Option) {
 	for _, o := range opts {
 		if o.setParam {
 			param, setParam = o.param, true
@@ -125,11 +93,9 @@ func splitGenerateOptions(opts []GenerateOption) (param int, setParam, fresh boo
 		}
 		if o.opt != nil {
 			coreOpts = append(coreOpts, o.opt)
-			keys = append(keys, o.key)
 		}
 	}
-	sort.Strings(keys)
-	return param, setParam, fresh, coreOpts, strings.Join(keys, ",")
+	return param, setParam, fresh, coreOpts
 }
 
 // RenderOption configures one Machine.Render call.

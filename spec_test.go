@@ -366,6 +366,9 @@ func TestUpdateModelIncrementalRegeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := client.Generate(ctx, "evolving", asagen.WithoutMerging()); err != nil {
+		t.Fatal(err)
+	}
 
 	// Rule-level edit: absorb a second TASK while active.
 	edited := func() *asagen.ModelSpec {
@@ -387,8 +390,12 @@ func TestUpdateModelIncrementalRegeneration(t *testing.T) {
 	if m1.Fingerprint() == m2.Fingerprint() {
 		t.Error("edited spec kept the old fingerprint")
 	}
-	if got := client.Stats().IncrementalGenerations; got != 1 {
-		t.Errorf("IncrementalGenerations = %d, want 1", got)
+	// A generation under per-call options is linked like any other.
+	if _, err := client.Generate(ctx, "evolving", asagen.WithoutMerging()); err != nil {
+		t.Fatal(err)
+	}
+	if got := client.Stats().IncrementalGenerations; got != 2 {
+		t.Errorf("IncrementalGenerations = %d, want 2 (one per option set)", got)
 	}
 
 	// A client that only ever knew the edited spec must agree exactly.
