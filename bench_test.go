@@ -613,6 +613,81 @@ func BenchmarkSpecCompile(b *testing.B) {
 			}
 		}
 	})
+	// The 457-rule counter grid: a document that compiles formats no
+	// diagnostic path, so what is left is the validation itself and the
+	// canonical json.Marshal the fingerprint is pinned to.
+	b.Run("grid", func(b *testing.B) {
+		doc, wire := gridWireForm(b, []string{"->done"})
+		b.SetBytes(int64(len(wire)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := spec.Compile(doc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// gridWireForm compiles regenDoc's counter grid and returns its
+// default-filled document with the bytes a client would POST for it.
+func gridWireForm(b *testing.B, finishActions []string) (spec.Doc, []byte) {
+	b.Helper()
+	c, err := spec.Compile(regenDoc(3, finishActions))
+	if err != nil {
+		b.Fatal(err)
+	}
+	wire, err := c.JSON()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c.Doc(), wire
+}
+
+// BenchmarkSpecParse measures the decoder alone on the wire form of a
+// spec — what POST and PUT /v1/models read before anything is validated:
+// the counter grid (457 rules, a quarter of a megabyte, mostly indentation
+// and escaped "->") and the termination port (six rules). allocs/op and
+// B/op are the figures to gate on; MB/s says how far from a byte scan the
+// decoder is.
+func BenchmarkSpecParse(b *testing.B) {
+	_, grid := gridWireForm(b, []string{"->done"})
+	termination, err := terminationSpec("termination-spec").JSON()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bench := range []struct {
+		name string
+		wire []byte
+	}{{"grid", grid}, {"termination", termination}} {
+		b.Run(bench.name, func(b *testing.B) {
+			b.SetBytes(int64(len(bench.wire)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := spec.Parse(bench.wire); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSpecDiff measures classifying a one-rule edit of the counter
+// grid — what PUT /v1/models/{model} pays to learn that it may regenerate
+// incrementally. The comparison is structural and allocates the answer.
+func BenchmarkSpecDiff(b *testing.B) {
+	b.Run("grid", func(b *testing.B) {
+		oldDoc, wire := gridWireForm(b, []string{"->done"})
+		newDoc, _ := gridWireForm(b, []string{"->done", "->notify"})
+		b.SetBytes(int64(len(wire)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if delta := spec.Diff(oldDoc, newDoc); delta.IsFull() || len(delta.Messages) != 1 {
+				b.Fatalf("delta = %+v, want exactly one affected message", delta)
+			}
+		}
+	})
 }
 
 // BenchmarkGenerateSpecModel compares machine generation through a

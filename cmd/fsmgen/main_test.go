@@ -280,4 +280,15 @@ func TestRunSpecFlag(t *testing.T) {
 		!strings.Contains(err.Error(), "components") {
 		t.Errorf("invalid spec error = %v, want component diagnostic", err)
 	}
+
+	// So does one that names a key twice: it used to load as model "y"
+	// whose rule "b" finished and sent "->x".
+	if err := os.WriteFile(badPath, []byte(
+		`{"name":"x","rules":[{"message":"a","finish":true,"actions":["->x"]}],"rules":[{"message":"b"}],"NAME":"y"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-spec", badPath, "-format", "text"}, &sb); err == nil ||
+		!strings.Contains(err.Error(), `line 1, column 71: duplicate key "rules"`) {
+		t.Errorf("duplicate-key spec error = %v, want the located parse error", err)
+	}
 }

@@ -24,7 +24,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -309,6 +308,24 @@ func (h *Handler) handleModel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, modelInfoFor(e))
 }
 
+// readSpec reads, decodes and compiles the model spec a POST or PUT
+// carries. The body is at most maxSpecBytes long and is read into one
+// buffer, sized from Content-Length when the request states it: what the
+// length claims decides what is allocated up front, never beyond the cap,
+// and what http.MaxBytesReader lets through decides what is read.
+func readSpec(w http.ResponseWriter, r *http.Request) (*spec.Compiled, error) {
+	var body bytes.Buffer
+	if n := min(r.ContentLength, maxSpecBytes); n > 0 {
+		// bytes.MinRead spare: ReadFrom grows a buffer with less room
+		// than that, even to learn that the body has ended.
+		body.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxSpecBytes)); err != nil {
+		return nil, fmt.Errorf("read spec body: %w", err)
+	}
+	return spec.ParseAndCompile(body.Bytes())
+}
+
 // handleRegisterModel serves POST /v1/models: the body is a JSON model
 // spec (see the spec package and the README's authoring section), decoded
 // strictly and compiled; a valid spec registers on this server's registry
@@ -316,13 +333,7 @@ func (h *Handler) handleModel(w http.ResponseWriter, r *http.Request) {
 // specs are caller mistakes (400, code invalid_spec, with the compile
 // diagnostics in the message); a taken name is a conflict (409).
 func (h *Handler) handleRegisterModel(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidSpec,
-			fmt.Sprintf("read spec body: %v", err))
-		return
-	}
-	compiled, err := spec.ParseAndCompile(body)
+	compiled, err := readSpec(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error())
 		return
@@ -357,13 +368,7 @@ func (h *Handler) handleRegisterModel(w http.ResponseWriter, r *http.Request) {
 // exploring from scratch.
 func (h *Handler) handleUpdateModel(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("model")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidSpec,
-			fmt.Sprintf("read spec body: %v", err))
-		return
-	}
-	compiled, err := spec.ParseAndCompile(body)
+	compiled, err := readSpec(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error())
 		return

@@ -109,7 +109,7 @@ func (h *Handler) Markdown() string {
 	b.WriteString("| `bad_parameter` | 400 | unparsable or model-rejected parameter value |\n")
 	b.WriteString("| `render_failed` | 500 | renderer failure on a well-formed request |\n")
 	b.WriteString("| `generation_aborted` | 503 | shared in-flight generation aborted by another request's disconnect; retry |\n")
-	b.WriteString("| `invalid_spec` | 400 | model spec rejected; the message lists every diagnostic with its document path. Besides structural faults this covers what the `go` format could not render: `messages[i]` or `rules[i].actions[j]` whose generated method name (`Machine.ReceiveNotFree`, `Actions.SendNotFree`) is already taken by another message or action (both are named) or is the dispatcher's own `Machine.Receive`, and free text with control characters, a byte order mark, invalid UTF-8 or a leading `+build` |\n")
+	b.WriteString("| `invalid_spec` | 400 | model spec rejected; the message lists every diagnostic with its document path. Besides structural faults this covers what the `go` format could not render: `messages[i]` or `rules[i].actions[j]` whose generated method name (`Machine.ReceiveNotFree`, `Actions.SendNotFree`) is already taken by another message or action (both are named) or is the dispatcher's own `Machine.Receive`, and free text with control characters, a byte order mark, invalid UTF-8 or a leading `+build`. The body itself is held to the strict reading of JSON, each breach a parse error with line and column: an object names a key once (`duplicate key \"rules\"`), in its exact case and from the schema (`unknown field \"NAME\"`), strings are valid UTF-8, and an integer has no fraction or exponent (`2`, not `2.0` or `2e0`); `null` anywhere means the value is absent |\n")
 	b.WriteString("| `model_exists` | 409 | spec name already registered; unregister it first to replace |\n")
 	b.WriteString("| `bad_trace` | 400 (or in-stream `error` event) | bad trace format/pattern, or undecodable trace content |\n")
 	b.WriteString("| `trace_aborted` | in-stream `error` event | trace body read failed mid-check |\n")

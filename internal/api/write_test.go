@@ -6,11 +6,13 @@ package api
 // pin the per-server isolation property.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -258,6 +260,84 @@ func TestRegisterErrors(t *testing.T) {
 	resp, body = do(t, ts, http.MethodPost, "/v1/models", []byte(`{"name":"x","bogus_key":1}`))
 	if resp.StatusCode != http.StatusBadRequest || envelope(t, body).Code != CodeInvalidSpec {
 		t.Errorf("unknown-field POST = %d %s", resp.StatusCode, body)
+	}
+
+	// A body is held to the strict reading. This one used to register as
+	// model "y" whose rule "b" finished and sent "->x": the second "rules"
+	// was decoded over the first, and "NAME" matched "name".
+	resp, body = do(t, ts, http.MethodPost, "/v1/models", []byte(
+		`{"name":"x","rules":[{"message":"a","finish":true,"actions":["->x"]}],"rules":[{"message":"b"}],"NAME":"y"}`))
+	if resp.StatusCode != http.StatusBadRequest || envelope(t, body).Code != CodeInvalidSpec ||
+		!strings.Contains(body, `duplicate key \"rules\"`) {
+		t.Errorf("duplicate-key POST = %d %s", resp.StatusCode, body)
+	}
+
+	// So is a PUT's: a spec that says it is "x" and smuggles "NAME":"y"
+	// after it replaces neither. At /v1/models/y it used to replace y.
+	if resp, body := do(t, ts, http.MethodPost, "/v1/models", specJSON(t, countDoc("y"))); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST y = %d %s", resp.StatusCode, body)
+	}
+	_, before := do(t, ts, http.MethodGet, "/v1/models/y", nil)
+	smuggled := specJSON(t, countDoc("x"))
+	smuggled = append(smuggled[:len(smuggled)-1], `,"NAME":"y","description":"not what y was"}`...)
+	for _, path := range []string{"/v1/models/x", "/v1/models/y"} {
+		resp, body = do(t, ts, http.MethodPut, path, smuggled)
+		if resp.StatusCode != http.StatusBadRequest || envelope(t, body).Code != CodeInvalidSpec {
+			t.Errorf("PUT %s with a smuggled NAME = %d %s", path, resp.StatusCode, body)
+		}
+	}
+	if _, after := do(t, ts, http.MethodGet, "/v1/models/y", nil); after != before {
+		t.Errorf("model y after the refused PUTs:\n%s\nbefore:\n%s", after, before)
+	}
+	if resp, _ := do(t, ts, http.MethodGet, "/v1/models/x", nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/models/x = %d after the refused PUTs, want 404", resp.StatusCode)
+	}
+}
+
+// TestSpecBodyIsReadIntoOneBoundedBuffer: the buffer a spec body is read
+// into is sized from Content-Length, which the client chooses. A length
+// that overstates, understates or withholds the size of a body over the
+// limit changes neither the answer nor what the read may allocate, and an
+// honest length is allocated once.
+func TestSpecBodyIsReadIntoOneBoundedBuffer(t *testing.T) {
+	h := NewHandler(artifact.New(artifact.WithRegistry(models.Default().Clone())))
+	serve := func(method, path string, body []byte, contentLength int64) (rec *httptest.ResponseRecorder, allocated uint64) {
+		req := httptest.NewRequest(method, path, bytes.NewReader(body))
+		req.ContentLength = contentLength
+		rec = httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		return rec, after.TotalAlloc - before.TotalAlloc
+	}
+
+	// Valid JSON all the way: only its length is wrong with it.
+	tooLong := append(specJSON(t, countDoc("padded")), bytes.Repeat([]byte(" "), maxSpecBytes)...)
+	for _, claimed := range []int64{int64(len(tooLong)), 1 << 40, 10, -1} {
+		for _, target := range [][2]string{{http.MethodPost, "/v1/models"}, {http.MethodPut, "/v1/models/padded"}} {
+			rec, allocated := serve(target[0], target[1], tooLong, claimed)
+			if rec.Code != http.StatusBadRequest || envelope(t, rec.Body.String()).Code != CodeInvalidSpec ||
+				!strings.Contains(rec.Body.String(), "read spec body") {
+				t.Errorf("%s of %d bytes claiming %d = %d %s", target[0], len(tooLong), claimed, rec.Code, rec.Body)
+			}
+			// Growing from nothing doubles its way to the limit — some
+			// 4 MiB in all, twice that under the race detector; no claim
+			// may cost more than that.
+			if allocated > 16*maxSpecBytes {
+				t.Errorf("%s claiming %d bytes allocated %d, want at most %d", target[0], claimed, allocated, 16*maxSpecBytes)
+			}
+		}
+	}
+
+	// An honest length: the body lands in one buffer of its own size.
+	padded := append(specJSON(t, countDoc("padded")), bytes.Repeat([]byte(" "), maxSpecBytes/2)...)
+	rec, allocated := serve(http.MethodPost, "/v1/models", padded, int64(len(padded)))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("POST of %d bytes = %d %s", len(padded), rec.Code, rec.Body)
+	}
+	if allocated > uint64(len(padded))*3 { // io.ReadAll's growth took nine times the body
+		t.Errorf("POST of %d bytes allocated %d: the body was not read into one buffer of its size", len(padded), allocated)
 	}
 }
 

@@ -1,8 +1,7 @@
 package spec
 
 import (
-	"bytes"
-	"encoding/json"
+	"slices"
 
 	"asagen/internal/core"
 )
@@ -33,38 +32,36 @@ import (
 func Diff(oldDoc, newDoc Doc) core.ModelDelta {
 	if oldDoc.Name != newDoc.Name ||
 		oldDoc.ModelName != newDoc.ModelName ||
-		!jsonEqual(oldDoc.Components, newDoc.Components) ||
-		!jsonEqual(oldDoc.Messages, newDoc.Messages) ||
-		!jsonEqual(oldDoc.Start, newDoc.Start) {
+		!slices.Equal(oldDoc.Components, newDoc.Components) ||
+		!slices.Equal(oldDoc.Messages, newDoc.Messages) ||
+		!slices.Equal(oldDoc.Start, newDoc.Start) {
 		return core.ModelDelta{Full: true}
 	}
-
-	oldRules := rulesByMessage(oldDoc)
-	newRules := rulesByMessage(newDoc)
+	// The rules both documents begin and end with are in every message's
+	// list on both sides; only what lies between them can tell two apart.
+	a, b := oldDoc.Rules, newDoc.Rules
+	for len(a) > 0 && len(b) > 0 && sameRule(a[0], b[0]) {
+		a, b = a[1:], b[1:]
+	}
+	for len(a) > 0 && len(b) > 0 && sameRule(a[len(a)-1], b[len(b)-1]) {
+		a, b = a[:len(a)-1], b[:len(b)-1]
+	}
 	var affected []string
 	for _, msg := range newDoc.Messages {
-		if !jsonEqual(oldRules[msg], newRules[msg]) {
+		other := func(r Rule) bool { return r.Message != msg }
+		if !slices.EqualFunc(slices.DeleteFunc(slices.Clone(a), other), slices.DeleteFunc(slices.Clone(b), other), sameRule) {
 			affected = append(affected, msg)
 		}
 	}
 	return core.ModelDelta{Messages: affected}
 }
 
-// rulesByMessage groups the document's rules per message in document
-// order, mirroring the compiled rule index.
-func rulesByMessage(d Doc) map[string][]Rule {
-	out := make(map[string][]Rule, len(d.Messages))
-	for _, r := range d.Rules {
-		out[r.Message] = append(out[r.Message], r)
-	}
-	return out
-}
-
-// jsonEqual compares two values by canonical JSON encoding. Doc and its
-// parts marshal deterministically (struct field order), so byte equality
-// is semantic equality of the declared content.
-func jsonEqual(a, b any) bool {
-	ab, errA := json.Marshal(a)
-	bb, errB := json.Marshal(b)
-	return errA == nil && errB == nil && bytes.Equal(ab, bb)
+// sameRule compares as canonical JSON would: an empty list is an absent one.
+func sameRule(a, b Rule) bool {
+	return a.Message == b.Message && a.Finish == b.Finish && slices.Equal(a.When, b.When) &&
+		slices.Equal(a.Actions, b.Actions) && slices.Equal(a.Annotations, b.Annotations) &&
+		slices.EqualFunc(a.Set, b.Set, func(a, b Assign) bool {
+			return a.Component == b.Component && a.Add == b.Add &&
+				(a.Set == nil) == (b.Set == nil) && (a.Set == nil || *a.Set == *b.Set)
+		})
 }

@@ -244,3 +244,76 @@ func mustCompileDoc(t *testing.T, d Doc) Doc {
 	}
 	return c.Doc()
 }
+
+// TestDiffAgreesWithJSONEquality pins the structural Diff to what it
+// replaced. Diff used to marshal both sides of every comparison and
+// compare the bytes; each row is one edit of the termination document and
+// the delta that version returned for it, recorded before it was deleted.
+func TestDiffAgreesWithJSONEquality(t *testing.T) {
+	full := core.ModelDelta{Full: true}
+	only := func(msgs ...string) core.ModelDelta { return core.ModelDelta{Messages: msgs} }
+	for _, c := range []struct {
+		name string
+		edit func(d *Doc)
+		want core.ModelDelta
+	}{
+		{"nothing", func(d *Doc) {}, only()},
+		{"an action added", func(d *Doc) { d.Rules[1].Actions = []string{"->task", "->log"} }, only("SPAWN")},
+		{"a guard's value", func(d *Doc) { d.Rules[3].When[0].Value = Lit(2) }, only("CHILD_DONE")},
+		{"a guard's operator", func(d *Doc) { d.Rules[3].When[0].Op = OpGt }, only("CHILD_DONE")},
+		{"a guard removed", func(d *Doc) { d.Rules[0].When = nil }, only("TASK")},
+		{"set from absent to a value", func(d *Doc) {
+			d.Rules[1].Set = []Assign{{Component: "outstanding", Add: 1}, {Component: "active", Set: ptr(Lit(1))}}
+		}, only("SPAWN")},
+		{"set from a value to absent", func(d *Doc) { d.Rules[0].Set = []Assign{{Component: "active", Add: 1}} }, only("TASK")},
+		{"set to another value", func(d *Doc) { d.Rules[5].Set = []Assign{{Component: "active", Set: ptr(Lit(1))}} }, only("IDLE")},
+		{"set to the same value behind another pointer", func(d *Doc) {
+			d.Rules[5].Set = []Assign{{Component: "active", Set: ptr(Lit(0))}}
+		}, only()},
+		{"an annotation", func(d *Doc) { d.Rules[0].Annotations = []string{"Woken."} }, only("TASK")},
+		{"finish", func(d *Doc) { d.Rules[5].Finish = true }, only("IDLE")},
+		{"two rules of one message reordered", func(d *Doc) { d.Rules[2], d.Rules[3] = d.Rules[3], d.Rules[2] }, only("CHILD_DONE")},
+		{"neighbouring rules of two messages swapped", func(d *Doc) { d.Rules[0], d.Rules[1] = d.Rules[1], d.Rules[0] }, only()},
+		{"a rule moved past another message's", func(d *Doc) { d.Rules[3], d.Rules[4] = d.Rules[4], d.Rules[3] }, only()},
+		{"the last rule removed", func(d *Doc) { d.Rules = d.Rules[:5] }, only("IDLE")},
+		{"a rule appended", func(d *Doc) {
+			d.Rules = append(d.Rules, Rule{Message: "TASK", Actions: []string{"->late"}})
+		}, only("TASK")},
+		{"edits to two messages", func(d *Doc) {
+			d.Rules[4].Finish, d.Rules[0].Actions = false, []string{"->woken"}
+		}, only("TASK", "IDLE")},
+		{"empty lists for absent ones", func(d *Doc) {
+			d.Rules[0].Actions, d.Rules[3].Actions = []string{}, []string{}
+			d.Rules = append(d.Rules, Rule{Message: "TASK", When: []Cond{}, Set: []Assign{}, Annotations: []string{}})
+			d.Rules, d.Rules[0].Annotations = d.Rules[:6], append([]string{}, d.Rules[0].Annotations...)
+		}, only()},
+		{"describe", func(d *Doc) { d.Describe[0].Text = "Busy." }, only()},
+		{"abstraction", func(d *Doc) { d.Abstraction.Symbols[2].Text = "n" }, only()},
+		{"abstraction removed", func(d *Doc) { d.Abstraction = nil }, only()},
+		{"description", func(d *Doc) { d.Description = "another line" }, only()},
+		{"parameter metadata", func(d *Doc) { d.ParamName, d.DefaultParam, d.SweepParams = "k", 3, nil }, only()},
+		{"a component's max", func(d *Doc) { d.Components[1].Max = ParamValue(1) }, full},
+		{"a component's kind", func(d *Doc) { d.Components[0].Kind = KindInt }, full},
+		{"a message added", func(d *Doc) { d.Messages = append(d.Messages, "PING") }, full},
+		{"messages reordered", func(d *Doc) { d.Messages[0], d.Messages[1] = d.Messages[1], d.Messages[0] }, full},
+		{"the zero start vector spelt out", func(d *Doc) { d.Start = []Value{Lit(0), Lit(0)} }, full},
+		{"another start vector", func(d *Doc) { d.Start = []Value{Lit(1), Lit(0)} }, full},
+		{"the model name", func(d *Doc) { d.ModelName = "other" }, full},
+	} {
+		edited := terminationDoc()
+		c.edit(&edited)
+		got := Diff(mustCompileDoc(t, terminationDoc()), mustCompileDoc(t, edited))
+		if got.Full != c.want.Full || !equalStrings(got.Messages, c.want.Messages) {
+			t.Errorf("%s: delta %+v, want %+v", c.name, got, c.want)
+		}
+	}
+
+	// The one answer that moved: "start": [] and no start at all are both
+	// the all-zero vector. Their JSON differs ([] and null), so this was a
+	// full delta; the lists are equal, so it is an empty one.
+	none, empty := terminationDoc(), terminationDoc()
+	empty.Start = []Value{}
+	if got := Diff(mustCompileDoc(t, none), mustCompileDoc(t, empty)); got.Full || len(got.Messages) != 0 {
+		t.Errorf("an empty start vector for an absent one: delta %+v, want empty", got)
+	}
+}

@@ -62,25 +62,120 @@ func FuzzCompile(f *testing.F) {
 	})
 }
 
-// addSeeds is the corpus both targets start from: the termination port,
-// the checked-in leader-lease scenario's spec, a minimal counter, shapes
-// the decoder and the validator reject, and free text that tries to leave
-// the comment a renderer places it in.
+// FuzzParseAgreesWithEncodingJSON holds the decoder that knows a Doc's
+// shape to the reflective strict decode it replaced, which is an oracle
+// here and nowhere a fallback. Whatever Parse takes, the oracle takes and
+// reads as the same document — the same canonical bytes and, where they
+// compile, the same model fingerprint — so Parse is the stricter of the
+// two and invents nothing. Whatever the oracle takes round-trips: both its
+// canonical and its indented encoding (the wire form) parse, to the same
+// bytes again, so Parse refuses nothing this package itself writes.
+//
+// Without -fuzzminimizetime=0 the 119 KB grid seed makes minimising each
+// new input most of the run.
+//
+//	go test ./internal/spec -run='^$' -fuzz=FuzzParseAgreesWithEncodingJSON -fuzztime=30s -fuzzminimizetime=0
+func FuzzParseAgreesWithEncodingJSON(f *testing.F) {
+	addSeeds(f)
+	for _, d := range []Doc{gridDoc(), editableDoc()} {
+		f.Add(wireForm(f, d))
+	}
+	for _, c := range refusedLeniencies {
+		f.Add([]byte(c.doc))
+	}
+	f.Add([]byte(`{"name":"m","min_param":2.0,"start":[{"offset":1e2}],"abstraction":null,"rules":[null,{"set":[{"set":{}}]}]}`))
+	f.Add([]byte(`{"name":"a\"b\\\/\b\f\n\r\t\u00e9\ud83d\ude00\uFFFD é","messages":["\u003c","<"],"sweep_params":[-0,9223372036854775807]}`))
+
+	canonical := func(t *testing.T, d Doc) []byte {
+		data, err := json.Marshal(d)
+		if err != nil {
+			t.Fatalf("marshal %#v: %v", d, err)
+		}
+		return data
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, oracleErr := parseWithEncodingJSON(data)
+		got, err := Parse(data)
+		if err == nil {
+			if oracleErr != nil {
+				t.Fatalf("Parse takes what encoding/json refuses (%v):\n%s", oracleErr, data)
+			}
+			if g, w := canonical(t, got), canonical(t, want); !bytes.Equal(g, w) {
+				t.Fatalf("Parse read\n%s\nencoding/json read\n%s\nin\n%s", g, w, data)
+			}
+			gc, gerr := Compile(got)
+			wc, werr := Compile(want)
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("Compile: %v for Parse's document, %v for the oracle's:\n%s", gerr, werr, data)
+			}
+			if gerr == nil && smallDomains(got) {
+				gm, gerr := gc.Model(0)
+				wm, werr := wc.Model(0)
+				if (gerr == nil) != (werr == nil) || gerr == nil && core.FingerprintModel(gm) != core.FingerprintModel(wm) {
+					t.Fatalf("the two documents are not one model (%v, %v):\n%s", gerr, werr, data)
+				}
+			}
+		}
+		if oracleErr != nil {
+			return
+		}
+		canon := canonical(t, want)
+		indented, err := json.MarshalIndent(want, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, form := range [][]byte{canon, indented} {
+			back, err := Parse(form)
+			if err != nil {
+				t.Fatalf("Parse refuses a document encoding/json wrote: %v\n%s", err, form)
+			}
+			if again := canonical(t, back); !bytes.Equal(again, canon) {
+				t.Fatalf("round trip changed the document:\n%s\n%s", canon, again)
+			}
+		}
+	})
+}
+
+// smallDomains reports whether instantiating the compiled document at its
+// default parameter is quick: Model sizes a bitset per guard by its
+// component's domain, and how long that takes is not what a target that
+// compares two decoders measures.
+func smallDomains(d Doc) bool {
+	for _, c := range d.Components {
+		if c.Max.Eval(max(d.DefaultParam, d.MinParam, 1)) > 1<<12 {
+			return false
+		}
+	}
+	return true
+}
+
+// addSeeds is the corpus every target starts from: the termination port,
+// the spec of each checked-in fleetsim scenario that carries one, a
+// minimal counter, shapes the decoder and the validator reject, and free
+// text that tries to leave the comment a renderer places it in.
 func addSeeds(f *testing.F) {
 	seed, err := json.Marshal(terminationDoc())
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	scenario, err := os.ReadFile(filepath.Join("..", "..", "examples", "fleetsim", "leader-lease.json"))
-	if err != nil {
-		f.Fatal(err)
+	scenarios, err := filepath.Glob(filepath.Join("..", "..", "examples", "fleetsim", "*.json"))
+	if err != nil || len(scenarios) == 0 {
+		f.Fatalf("no example scenarios: %v", err)
 	}
-	var lease struct{ Spec json.RawMessage }
-	if err := json.Unmarshal(scenario, &lease); err != nil {
-		f.Fatal(err)
+	for _, path := range scenarios {
+		scenario, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var with struct{ Spec json.RawMessage }
+		if err := json.Unmarshal(scenario, &with); err != nil {
+			f.Fatal(err)
+		}
+		if len(with.Spec) > 0 {
+			f.Add([]byte(with.Spec))
+		}
 	}
-	f.Add([]byte(lease.Spec))
 	const counter = `"components":[{"name":"c","kind":"int","max":{"param":true}}],` +
 		`"messages":["GO"],"rules":[{"message":"GO","set":[{"component":"c","add":1}],"actions":["->x"]}]`
 	f.Add([]byte(`{}`))

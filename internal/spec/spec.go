@@ -17,8 +17,6 @@
 package spec
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"unicode"
@@ -264,20 +262,30 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("spec: invalid model spec %s: %s", name, strings.Join(parts, "; "))
 }
 
-// Parse decodes a JSON document strictly: unknown fields are rejected so
-// misspelt keys surface as errors rather than silently missing semantics.
+// Parse decodes a JSON document strictly (see decoder): a misspelt, repeated
+// or case-folded key is an error, not missing or merged semantics.
 func Parse(data []byte) (Doc, error) {
-	var d Doc
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&d); err != nil {
-		return Doc{}, fmt.Errorf("spec: parse: %w", err)
+	d := decoder{data: data, names: map[string]string{}}
+	var doc Doc
+	object(&d, &doc, docFields)
+	if d.peek(); d.pos < len(data) {
+		d.fail(d.pos, "trailing data after document")
 	}
-	// Trailing garbage after the document is a malformed payload too.
-	if dec.More() {
-		return Doc{}, fmt.Errorf("spec: parse: trailing data after document")
+	if d.err != nil {
+		return Doc{}, fmt.Errorf("spec: parse: %w", d.err)
 	}
-	return d, nil
+	return doc, nil
+}
+
+// loc is a diagnostic's path — a format and the indices it takes — not
+// yet formatted: a document that compiles pays for no path.
+type loc struct {
+	format string
+	i, j   int
+}
+
+func (l loc) String() string {
+	return fmt.Sprintf(l.format, []any{l.i, l.j}[:strings.Count(l.format, "%d")]...)
 }
 
 // diags accumulates diagnostics during validation.
@@ -285,8 +293,8 @@ type diags struct {
 	list []Diagnostic
 }
 
-func (d *diags) add(path, format string, args ...any) {
-	d.list = append(d.list, Diagnostic{Path: path, Message: fmt.Sprintf(format, args...)})
+func (d *diags) add(at loc, format string, args ...any) {
+	d.list = append(d.list, Diagnostic{Path: at.String(), Message: fmt.Sprintf(format, args...)})
 }
 
 // text rejects control characters in a free-text field. Such text ends up
@@ -294,7 +302,7 @@ func (d *diags) add(path, format string, args ...any) {
 // break would end the comment or label it was placed in and continue as
 // whatever follows it. What else the Go renderer refuses as comment text
 // is refused here, so that what compiles renders.
-func (d *diags) text(path, s string) {
+func (d *diags) text(path loc, s string) {
 	if strings.IndexFunc(s, unicode.IsControl) >= 0 {
 		d.add(path, "must not contain control characters (got %q)", s)
 	} else if err := render.CommentText(s); err != nil {
@@ -326,48 +334,47 @@ func Compile(d Doc) (*Compiled, error) {
 	var diag diags
 
 	if !isName(d.Name) {
-		diag.add("name", "must start with a letter and contain only letters, digits, '-', '_' or '.' (got %q)", d.Name)
+		diag.add(loc{format: "name"}, "must start with a letter and contain only letters, digits, '-', '_' or '.' (got %q)", d.Name)
 	}
 	if d.ModelName == "" {
 		d.ModelName = d.Name
 	}
-	diag.text("model_name", d.ModelName)
-	diag.text("description", d.Description)
-	diag.text("param_name", d.ParamName)
-	diag.text("vocabulary", d.Vocabulary)
+	diag.text(loc{format: "model_name"}, d.ModelName)
+	diag.text(loc{format: "description"}, d.Description)
+	diag.text(loc{format: "param_name"}, d.ParamName)
+	diag.text(loc{format: "vocabulary"}, d.Vocabulary)
 	if d.MinParam == 0 {
 		d.MinParam = 1
 	}
 	if d.MinParam < 1 {
-		diag.add("min_param", "must be >= 1 (got %d)", d.MinParam)
+		diag.add(loc{format: "min_param"}, "must be >= 1 (got %d)", d.MinParam)
 	}
 	if d.DefaultParam == 0 {
 		d.DefaultParam = d.MinParam
 	}
 	if d.DefaultParam < d.MinParam {
-		diag.add("default_param", "must be >= min_param %d (got %d)", d.MinParam, d.DefaultParam)
+		diag.add(loc{format: "default_param"}, "must be >= min_param %d (got %d)", d.MinParam, d.DefaultParam)
 	}
 	if d.ParamName == "" {
 		d.ParamName = "parameter"
 	}
 	for i, p := range d.SweepParams {
 		if p < d.MinParam {
-			diag.add(fmt.Sprintf("sweep_params[%d]", i), "parameter %d < min_param %d", p, d.MinParam)
+			diag.add(loc{"sweep_params[%d]", i, 0}, "parameter %d < min_param %d", p, d.MinParam)
 		}
 	}
 
 	// Components.
 	compIdx := map[string]int{}
 	if len(d.Components) == 0 {
-		diag.add("components", "at least one state component is required")
+		diag.add(loc{format: "components"}, "at least one state component is required")
 	}
 	for i, c := range d.Components {
-		path := fmt.Sprintf("components[%d]", i)
-		diag.text(path+".name", c.Name)
+		diag.text(loc{"components[%d].name", i, 0}, c.Name)
 		if c.Name == "" {
-			diag.add(path+".name", "component name must not be empty")
+			diag.add(loc{"components[%d].name", i, 0}, "component name must not be empty")
 		} else if _, dup := compIdx[c.Name]; dup {
-			diag.add(path+".name", "duplicate component %q", c.Name)
+			diag.add(loc{"components[%d].name", i, 0}, "duplicate component %q", c.Name)
 		} else {
 			compIdx[c.Name] = i
 		}
@@ -375,10 +382,10 @@ func Compile(d Doc) (*Compiled, error) {
 		case KindBool:
 		case KindInt:
 			if max := c.Max.Eval(d.DefaultParam); max < 0 {
-				diag.add(path+".max", "component %q max %s is negative at the default parameter %d", c.Name, c.Max, d.DefaultParam)
+				diag.add(loc{"components[%d].max", i, 0}, "component %q max %s is negative at the default parameter %d", c.Name, c.Max, d.DefaultParam)
 			}
 		default:
-			diag.add(path+".kind", "unknown kind %q (want %q or %q)", c.Kind, KindBool, KindInt)
+			diag.add(loc{"components[%d].kind", i, 0}, "unknown kind %q (want %q or %q)", c.Kind, KindBool, KindInt)
 		}
 	}
 
@@ -389,10 +396,10 @@ func Compile(d Doc) (*Compiled, error) {
 	goNames := render.GoNames{}
 	msgSet := map[string]bool{}
 	if len(d.Messages) == 0 {
-		diag.add("messages", "at least one message is required")
+		diag.add(loc{format: "messages"}, "at least one message is required")
 	}
 	for i, m := range d.Messages {
-		path := fmt.Sprintf("messages[%d]", i)
+		path := loc{"messages[%d]", i, 0}
 		diag.text(path, m)
 		if strings.TrimSpace(m) == "" {
 			diag.add(path, "message name must not be blank")
@@ -408,7 +415,7 @@ func Compile(d Doc) (*Compiled, error) {
 
 	// Start vector.
 	if len(d.Start) != 0 && len(d.Start) != len(d.Components) {
-		diag.add("start", "got %d values for %d components", len(d.Start), len(d.Components))
+		diag.add(loc{format: "start"}, "got %d values for %d components", len(d.Start), len(d.Components))
 	}
 	if len(d.Start) == len(d.Components) {
 		for i, v := range d.Start {
@@ -422,52 +429,47 @@ func Compile(d Doc) (*Compiled, error) {
 				continue // the kind diagnostic above covers it
 			}
 			if got := v.Eval(d.DefaultParam); got < 0 || got > max {
-				diag.add(fmt.Sprintf("start[%d]", i),
+				diag.add(loc{"start[%d]", i, 0},
 					"value %s of component %q is outside [0, %d] at the default parameter %d",
 					v, comp.Name, max, d.DefaultParam)
 			}
 		}
 	}
 
-	checkCond := func(path string, c Cond) {
-		if _, ok := compIdx[c.Component]; !ok {
-			diag.add(path+".component", "unknown component %q", c.Component)
-		}
-		if !validOps[c.Op] {
-			diag.add(path+".op", "unknown operator %q", c.Op)
-		}
-	}
-	checkConds := func(path string, cs []Cond) {
-		for i, c := range cs {
-			checkCond(fmt.Sprintf("%s.when[%d]", path, i), c)
+	checkConds := func(list string, i int, cs []Cond) {
+		for j, c := range cs {
+			if _, ok := compIdx[c.Component]; !ok {
+				diag.add(loc{list + "[%d].when[%d].component", i, j}, "unknown component %q", c.Component)
+			}
+			if !validOps[c.Op] {
+				diag.add(loc{list + "[%d].when[%d].op", i, j}, "unknown operator %q", c.Op)
+			}
 		}
 	}
 
 	// Rules.
 	if len(d.Rules) == 0 {
-		diag.add("rules", "at least one rule is required")
+		diag.add(loc{format: "rules"}, "at least one rule is required")
 	}
 	actSet := map[string]bool{}
 	for i, r := range d.Rules {
-		path := fmt.Sprintf("rules[%d]", i)
 		if !msgSet[r.Message] {
-			diag.add(path+".message", "unknown message %q", r.Message)
+			diag.add(loc{"rules[%d].message", i, 0}, "unknown message %q", r.Message)
 		}
-		checkConds(path, r.When)
+		checkConds("rules", i, r.When)
 		for j, a := range r.Set {
-			apath := fmt.Sprintf("%s.set[%d]", path, j)
 			if _, ok := compIdx[a.Component]; !ok {
-				diag.add(apath+".component", "unknown component %q", a.Component)
+				diag.add(loc{"rules[%d].set[%d].component", i, j}, "unknown component %q", a.Component)
 			}
 			if a.Set != nil && a.Add != 0 {
-				diag.add(apath, "set and add are mutually exclusive")
+				diag.add(loc{"rules[%d].set[%d]", i, j}, "set and add are mutually exclusive")
 			}
 			if a.Set == nil && a.Add == 0 {
-				diag.add(apath, "one of set or add is required")
+				diag.add(loc{"rules[%d].set[%d]", i, j}, "one of set or add is required")
 			}
 		}
 		for j, act := range r.Actions {
-			apath := fmt.Sprintf("%s.actions[%d]", path, j)
+			apath := loc{"rules[%d].actions[%d]", i, j}
 			diag.text(apath, act)
 			if strings.TrimSpace(act) == "" {
 				diag.add(apath, "action must not be blank")
@@ -479,63 +481,62 @@ func Compile(d Doc) (*Compiled, error) {
 			}
 		}
 		for j, note := range r.Annotations {
-			diag.text(fmt.Sprintf("%s.annotations[%d]", path, j), note)
+			diag.text(loc{"rules[%d].annotations[%d]", i, j}, note)
 		}
 	}
 
 	// Describe rules.
 	for i, r := range d.Describe {
-		path := fmt.Sprintf("describe[%d]", i)
-		diag.text(path+".text", r.Text)
+		path := loc{"describe[%d].text", i, 0}
+		diag.text(path, r.Text)
 		if r.Text == "" {
-			diag.add(path+".text", "text must not be empty")
+			diag.add(path, "text must not be empty")
 		}
-		checkConds(path, r.When)
+		checkConds("describe", i, r.When)
 	}
 
 	// Abstraction.
 	if a := d.Abstraction; a != nil {
 		if len(a.Labels) == 0 {
-			diag.add("abstraction.labels", "at least one label rule is required")
+			diag.add(loc{format: "abstraction.labels"}, "at least one label rule is required")
 		} else {
 			last := a.Labels[len(a.Labels)-1]
 			if len(last.When) != 0 {
-				diag.add("abstraction.labels", "the final label rule must be unconditional so every state has a label")
+				diag.add(loc{format: "abstraction.labels"}, "the final label rule must be unconditional so every state has a label")
 			}
 		}
 		for i, l := range a.Labels {
-			path := fmt.Sprintf("abstraction.labels[%d]", i)
-			diag.text(path+".label", l.Label)
+			path := loc{"abstraction.labels[%d].label", i, 0}
+			diag.text(path, l.Label)
 			if l.Label == "" {
-				diag.add(path+".label", "label must not be empty")
+				diag.add(path, "label must not be empty")
 			}
-			checkConds(path, l.When)
+			checkConds("abstraction.labels", i, l.When)
 		}
 		for i, g := range a.Guards {
-			path := fmt.Sprintf("abstraction.guards[%d]", i)
 			if !msgSet[g.Message] {
-				diag.add(path+".message", "unknown message %q", g.Message)
+				diag.add(loc{"abstraction.guards[%d].message", i, 0}, "unknown message %q", g.Message)
 			}
 			if _, ok := compIdx[g.Component]; !ok {
-				diag.add(path+".component", "unknown component %q", g.Component)
+				diag.add(loc{"abstraction.guards[%d].component", i, 0}, "unknown component %q", g.Component)
 			}
 		}
 		for i, op := range a.Ops {
-			path := fmt.Sprintf("abstraction.ops[%d]", i)
 			if !msgSet[op.Message] {
-				diag.add(path+".message", "unknown message %q", op.Message)
+				diag.add(loc{"abstraction.ops[%d].message", i, 0}, "unknown message %q", op.Message)
 			}
 			if _, ok := compIdx[op.Component]; !ok {
-				diag.add(path+".component", "unknown component %q", op.Component)
+				diag.add(loc{"abstraction.ops[%d].component", i, 0}, "unknown component %q", op.Component)
 			}
 			if op.Delta == 0 {
-				diag.add(path+".delta", "delta must not be zero")
+				diag.add(loc{"abstraction.ops[%d].delta", i, 0}, "delta must not be zero")
 			}
 		}
 		for i, s := range a.Symbols {
-			diag.text(fmt.Sprintf("abstraction.symbols[%d].text", i), s.Text)
+			path := loc{"abstraction.symbols[%d].text", i, 0}
+			diag.text(path, s.Text)
 			if s.Text == "" {
-				diag.add(fmt.Sprintf("abstraction.symbols[%d].text", i), "text must not be empty")
+				diag.add(path, "text must not be empty")
 			}
 		}
 	}

@@ -550,3 +550,121 @@ func TestEntryShape(t *testing.T) {
 		t.Error("entry has an EFSM abstraction without abstraction hints")
 	}
 }
+
+// TestCompileDiagnosticsByteForByte pins every diagnostic Compile can
+// attach — path and text — to what it read when each path was formatted
+// up front, whether or not anything was wrong there. Paths are now put
+// together only for a diagnostic (see loc); a client that matches on them
+// must see no difference.
+func TestCompileDiagnosticsByteForByte(t *testing.T) {
+	outOfRangeStart := terminationDoc()
+	outOfRangeStart.Start = []Value{Lit(2), ParamValue(1)}
+	for _, c := range []struct {
+		name string
+		doc  Doc
+		want []string
+	}{
+		{"everything wrong", Doc{
+			Name:         "9bad name",
+			ModelName:    "ok\nInjected",
+			Description:  "tab\tbed",
+			ParamName:    "bell\a",
+			Vocabulary:   "del\x7f",
+			MinParam:     -1,
+			DefaultParam: -2,
+			SweepParams:  []int{4, -3},
+			Components: []Component{
+				{Name: "a", Kind: KindBool},
+				{Name: "a", Kind: "float"},
+				{Name: "", Kind: KindInt, Max: Lit(-1)},
+				{Name: "n\n", Kind: KindInt, Max: Lit(2)},
+			},
+			Messages: []string{"GO", "GO", " ", "a b", "a_b", "-", "IDLE\r"},
+			Start:    []Value{Lit(0)},
+			Rules: []Rule{
+				{Message: "NOPE", When: []Cond{{Component: "zz", Op: "~=", Value: Lit(0)}, {Component: "a", Op: OpEq}}},
+				{Message: "GO", Set: []Assign{{Component: "a"}, {Component: "yy", Set: ptr(Lit(1)), Add: 1}},
+					Actions: []string{"->x y", " ", "->x_y", "->go\nfunc"}, Annotations: []string{"fine", "bad\xffutf8"}},
+			},
+			Describe: []DescribeRule{
+				{Text: ""},
+				{Text: "nul\x00", When: []Cond{{Component: "q", Op: "="}}},
+			},
+			Abstraction: &Abstraction{
+				Labels:  []LabelRule{{Label: ""}, {When: []Cond{{Component: "w", Op: OpEq, Value: Lit(1)}}, Label: "L\x7f"}},
+				Guards:  []GuardRule{{Message: "GONE", Component: "gone"}},
+				Ops:     []VarOpRule{{Message: "GONE", Component: "gone", Delta: 0}},
+				Symbols: []SymbolRule{{Value: Lit(1), Text: ""}, {Value: Lit(2), Text: "two\n"}},
+			},
+		}, []string{
+			`name: must start with a letter and contain only letters, digits, '-', '_' or '.' (got "9bad name")`,
+			`model_name: must not contain control characters (got "ok\nInjected")`,
+			`description: must not contain control characters (got "tab\tbed")`,
+			`param_name: must not contain control characters (got "bell\a")`,
+			`vocabulary: must not contain control characters (got "del\x7f")`,
+			`min_param: must be >= 1 (got -1)`,
+			`default_param: must be >= min_param -1 (got -2)`,
+			`sweep_params[1]: parameter -3 < min_param -1`,
+			`components[1].name: duplicate component "a"`,
+			`components[1].kind: unknown kind "float" (want "bool" or "int")`,
+			`components[2].name: component name must not be empty`,
+			`components[2].max: component "" max -1 is negative at the default parameter -2`,
+			`components[3].name: must not contain control characters (got "n\n")`,
+			`messages[1]: duplicate message "GO"`,
+			`messages[2]: message name must not be blank`,
+			`messages[4]: messages "a b" and "a_b" both derive the Go name Machine.ReceiveAB`,
+			`messages[5]: message "-": derived name Machine.Receive is the generated dispatcher's own`,
+			`messages[6]: must not contain control characters (got "IDLE\r")`,
+			`start: got 1 values for 4 components`,
+			`rules[0].message: unknown message "NOPE"`,
+			`rules[0].when[0].component: unknown component "zz"`,
+			`rules[0].when[0].op: unknown operator "~="`,
+			`rules[1].set[0]: one of set or add is required`,
+			`rules[1].set[1].component: unknown component "yy"`,
+			`rules[1].set[1]: set and add are mutually exclusive`,
+			`rules[1].actions[1]: action must not be blank`,
+			`rules[1].actions[2]: actions "->x y" and "->x_y" both derive the Go name Actions.SendXY`,
+			`rules[1].actions[3]: must not contain control characters (got "->go\nfunc")`,
+			`rules[1].annotations[1]: cannot be written into generated Go source: comment text "bad\xffutf8" contains NUL, a byte order mark or invalid UTF-8`,
+			`describe[0].text: text must not be empty`,
+			`describe[1].text: must not contain control characters (got "nul\x00")`,
+			`describe[1].when[0].component: unknown component "q"`,
+			`describe[1].when[0].op: unknown operator "="`,
+			`abstraction.labels: the final label rule must be unconditional so every state has a label`,
+			`abstraction.labels[0].label: label must not be empty`,
+			`abstraction.labels[1].label: must not contain control characters (got "L\x7f")`,
+			`abstraction.labels[1].when[0].component: unknown component "w"`,
+			`abstraction.guards[0].message: unknown message "GONE"`,
+			`abstraction.guards[0].component: unknown component "gone"`,
+			`abstraction.ops[0].message: unknown message "GONE"`,
+			`abstraction.ops[0].component: unknown component "gone"`,
+			`abstraction.ops[0].delta: delta must not be zero`,
+			`abstraction.symbols[0].text: text must not be empty`,
+			`abstraction.symbols[1].text: must not contain control characters (got "two\n")`,
+		}},
+		{"nothing there", Doc{Abstraction: &Abstraction{}}, []string{
+			`name: must start with a letter and contain only letters, digits, '-', '_' or '.' (got "")`,
+			`components: at least one state component is required`,
+			`messages: at least one message is required`,
+			`rules: at least one rule is required`,
+			`abstraction.labels: at least one label rule is required`,
+		}},
+		{"start outside its domain", outOfRangeStart, []string{
+			`start[0]: value 2 of component "active" is outside [0, 1] at the default parameter 4`,
+			`start[1]: value p+1 of component "outstanding" is outside [0, 4] at the default parameter 4`,
+		}},
+	} {
+		_, err := Compile(c.doc)
+		var serr *Error
+		if !errors.As(err, &serr) {
+			t.Fatalf("%s: Compile error = %T (%v), want *Error", c.name, err, err)
+		}
+		var got []string
+		for _, d := range serr.Diagnostics {
+			got = append(got, d.String())
+		}
+		if !equalStrings(got, c.want) {
+			t.Errorf("%s: diagnostics\n%s\nwant\n%s", c.name, strings.Join(got, "\n"), strings.Join(c.want, "\n"))
+		}
+	}
+}

@@ -94,8 +94,9 @@ func NewModelSpec(name string) *ModelSpec {
 }
 
 // ParseModelSpec decodes the JSON form of a spec — the same document
-// POST /v1/models accepts and fsmgen -spec reads. Unknown fields are
-// rejected. The result still goes through Compile-time validation on
+// POST /v1/models accepts and fsmgen -spec reads. Unknown, repeated and
+// case-folded keys, invalid UTF-8 and integers with a fraction or exponent
+// are rejected. The result still goes through Compile-time validation on
 // registration.
 func ParseModelSpec(data []byte) (*ModelSpec, error) {
 	doc, err := spec.Parse(data)
