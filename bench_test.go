@@ -33,7 +33,6 @@ import (
 	"asagen/internal/cluster"
 	"asagen/internal/commit"
 	"asagen/internal/commit/commitfsm4"
-	"asagen/internal/consensus"
 	"asagen/internal/core"
 	"asagen/internal/fleetsim"
 	"asagen/internal/models"
@@ -42,7 +41,6 @@ import (
 	"asagen/internal/simnet"
 	"asagen/internal/spec"
 	"asagen/internal/storage"
-	"asagen/internal/termination"
 	"asagen/internal/trace"
 	"asagen/internal/version"
 )
@@ -199,41 +197,28 @@ func BenchmarkRenderGoSource(b *testing.B) { benchRender(b, render.NewGoSourceRe
 // BenchmarkGenerateEFSM measures §5.3 EFSM generalisation across models
 // (E5).
 func BenchmarkGenerateEFSM(b *testing.B) {
-	b.Run("commit/r=13", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := commit.GenerateEFSM(context.Background(), 13); err != nil {
-				b.Fatal(err)
-			}
+	for _, member := range []struct {
+		bench, model string
+		param        int
+	}{
+		{"commit/r=13", "commit", 13},
+		{"consensus/n=9", "consensus", 9},
+		{"termination/k=8", "termination", 8},
+		{"chord/s=8", "chord", 8},
+		{"storage/r=13", "storage", 13},
+	} {
+		entry, err := models.Get(member.model)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("consensus/n=9", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := consensus.GenerateEFSM(context.Background(), 9); err != nil {
-				b.Fatal(err)
+		b.Run(member.bench, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := entry.EFSM(context.Background(), member.param); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("termination/k=8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := termination.GenerateEFSM(context.Background(), 8); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("chord/s=8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := chord.GenerateEFSM(context.Background(), 8); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("storage/r=13", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := storage.GenerateEFSM(context.Background(), 13); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkGenerateScenarios measures machine generation for every
@@ -327,7 +312,11 @@ func BenchmarkDeliveryGeneric(b *testing.B) {
 // BenchmarkDeliveryEFSM measures one commit round on the nine-state EFSM
 // (E6: the intermediate point on the §3.2 spectrum).
 func BenchmarkDeliveryEFSM(b *testing.B) {
-	efsm, err := commit.GenerateEFSM(context.Background(), 4)
+	entry, err := models.Get("commit")
+	if err != nil {
+		b.Fatal(err)
+	}
+	efsm, err := entry.EFSM(context.Background(), 4)
 	if err != nil {
 		b.Fatal(err)
 	}

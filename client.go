@@ -12,7 +12,6 @@ import (
 	"asagen/internal/core"
 	"asagen/internal/models"
 	"asagen/internal/render"
-	"asagen/internal/spec"
 )
 
 // VocabularyCommit marks models whose generated machines react to the
@@ -188,32 +187,21 @@ func (c *Client) IsEFSMFormat(name string) bool { return render.IsEFSMFormat(nam
 // cache, its limit and its purges. Cancelling ctx aborts the generation
 // promptly with ctx.Err() and leaves no cache entry.
 func (c *Client) Generate(ctx context.Context, model string, opts ...GenerateOption) (*Machine, error) {
-	entry, err := c.reg.Get(model)
-	if err != nil {
-		return nil, wrapSentinel(ErrUnknownModel, err)
-	}
-	param, setParam, fresh, callOpts := splitGenerateOptions(opts)
-	if !setParam || param <= 0 {
-		param = entry.DefaultParam
-	}
-	m, err := entry.Build(param)
+	param, _, fresh, callOpts := splitGenerateOptions(opts)
+	mb, err := c.pipeline.Member(model, param, callOpts...)
 	if err != nil {
 		return nil, mapErr(err)
 	}
-
-	cache := c.pipeline.Cache()
-	fp := cache.Fingerprint(m, callOpts...)
 	var machine *core.StateMachine
 	if fresh {
-		machine, err = core.Generate(ctx, m, slices.Concat(c.genOpts, callOpts)...)
+		machine, err = core.Generate(ctx, mb.Model, slices.Concat(c.genOpts, callOpts)...)
 	} else {
-		c.pipeline.TrackFingerprint(entry.Name, param, fp, callOpts...)
-		machine, err = cache.MachineForFingerprint(ctx, fp, m, callOpts...)
+		machine, err = mb.Machine(ctx)
 	}
 	if err != nil {
 		return nil, mapErr(err)
 	}
-	return &Machine{name: entry.Name, param: param, machine: machine, model: m, fp: fp}, nil
+	return &Machine{name: model, param: mb.Param, machine: machine, model: mb.Model, fp: mb.Fingerprint}, nil
 }
 
 // RegisterModel compiles the spec and registers it on the client's
@@ -255,14 +243,7 @@ func (c *Client) UpdateModel(s *ModelSpec) error {
 	if err != nil {
 		return err
 	}
-	entry := compiled.Entry()
-	delta := core.ModelDelta{Full: true}
-	if old, err := c.reg.Get(entry.Name); err == nil {
-		if oldDoc, ok := old.Spec.(spec.Doc); ok {
-			delta = spec.Diff(oldDoc, compiled.Doc())
-		}
-	}
-	if _, err := c.pipeline.UpdateModel(entry, delta); err != nil {
+	if _, err := c.pipeline.UpdateModel(compiled.Entry(), compiled.DeltaFrom(c.reg)); err != nil {
 		return wrapSentinel(ErrInvalidSpec, err)
 	}
 	return nil

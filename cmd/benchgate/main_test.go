@@ -127,41 +127,24 @@ func TestComparePassesWithinThreshold(t *testing.T) {
 	}
 }
 
-func TestCompareFailsOnRegression(t *testing.T) {
+// TestCompareReportsTimeWithoutGating: the baseline's times come from other
+// machines, so a slower ns/op is printed with its delta and passes.
+func TestCompareReportsTimeWithoutGating(t *testing.T) {
 	dir := t.TempDir()
-	base := writeJSON(t, dir, "base.json", `[{"name":"a:BenchmarkX","ns_per_op":100000,"allocs_per_op":1}]`)
-	cur := writeJSON(t, dir, "cur.json", `[{"name":"a:BenchmarkX","ns_per_op":130000,"allocs_per_op":1}]`)
-	var sb strings.Builder
-	err := run([]string{"-baseline", base, "-current", cur, "-max-regression", "25"}, &sb)
-	if err == nil {
-		t.Fatalf("+30%% passed a 25%% gate:\n%s", sb.String())
-	}
-	if !strings.Contains(err.Error(), "BenchmarkX") || !strings.Contains(err.Error(), "+30.0%") {
-		t.Errorf("regression error %q does not name the benchmark and delta", err)
-	}
-}
-
-func TestCompareNoiseFloor(t *testing.T) {
-	dir := t.TempDir()
-	// A 60 ns benchmark tripling is timer quantization at -benchtime=3x,
-	// not a regression; the same ratio above the floor must still fail.
 	base := writeJSON(t, dir, "base.json",
-		`[{"name":"a:BenchmarkTiny","ns_per_op":60,"allocs_per_op":0},
-		  {"name":"a:BenchmarkBig","ns_per_op":50000,"allocs_per_op":0}]`)
-	okCur := writeJSON(t, dir, "ok.json",
-		`[{"name":"a:BenchmarkTiny","ns_per_op":180,"allocs_per_op":0},
-		  {"name":"a:BenchmarkBig","ns_per_op":51000,"allocs_per_op":0}]`)
+		`[{"name":"a:BenchmarkX","ns_per_op":100000,"allocs_per_op":1},
+		  {"name":"a:BenchmarkTiny","ns_per_op":60,"allocs_per_op":0}]`)
+	cur := writeJSON(t, dir, "cur.json",
+		`[{"name":"a:BenchmarkX","ns_per_op":130000,"allocs_per_op":1},
+		  {"name":"a:BenchmarkTiny","ns_per_op":180,"allocs_per_op":0}]`)
 	var sb strings.Builder
-	if err := run([]string{"-baseline", base, "-current", okCur}, &sb); err != nil {
-		t.Fatalf("sub-floor jitter failed the gate: %v\n%s", err, sb.String())
+	if err := run([]string{"-baseline", base, "-current", cur, "-max-regression", "25"}, &sb); err != nil {
+		t.Fatalf("a time regression failed the gate: %v\n%s", err, sb.String())
 	}
-	if !strings.Contains(sb.String(), "floor") {
-		t.Errorf("report does not mark the sub-floor benchmark:\n%s", sb.String())
-	}
-	badCur := writeJSON(t, dir, "bad.json", `[{"name":"a:BenchmarkBig","ns_per_op":150000,"allocs_per_op":0}]`)
-	sb.Reset()
-	if err := run([]string{"-baseline", base, "-current", badCur}, &sb); err == nil {
-		t.Fatal("above-floor regression passed the gate")
+	for _, want := range []string{"100000 -> 130000 ns/op (+30.0%)", "60 -> 180 ns/op (+200.0%)", "2 benchmarks"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("report missing %q:\n%s", want, sb.String())
+		}
 	}
 }
 
@@ -195,7 +178,7 @@ func TestCompareAllocNoiseFloorAndUnreported(t *testing.T) {
 	dir := t.TempDir()
 	// 4 -> 8 allocs doubles but sits under the -min-allocs floor; an
 	// unreported side (-1) must never gate; a real alloc regression on a
-	// reporting pair still fails even when ns/op is flat.
+	// reporting pair still fails.
 	base := writeJSON(t, dir, "base.json",
 		`[{"name":"a:BenchmarkSmall","ns_per_op":50000,"allocs_per_op":4},
 		  {"name":"a:BenchmarkSilent","ns_per_op":50000,"allocs_per_op":-1},
@@ -263,55 +246,35 @@ BenchmarkY-8   10   52000 ns/op
 	}
 }
 
-// TestCompareGatesPercentiles: a p99 regression beyond the threshold
-// fails the gate even when ns/op holds steady; within the threshold it
-// is reported but passes, and entries without percentiles stay ungated.
-func TestCompareGatesPercentiles(t *testing.T) {
+// TestCompareReportsPercentiles: p50/p99 deltas are printed beside ns/op
+// and, like it, never fail the gate; entries without percentiles on either
+// side print none.
+func TestCompareReportsPercentiles(t *testing.T) {
 	dir := t.TempDir()
 	base := writeJSON(t, dir, "base.json",
 		`[{"name":"a:BenchmarkServe/warm","ns_per_op":90000,"allocs_per_op":90,"p50_ns":60000,"p99_ns":100000},
 		  {"name":"a:BenchmarkPlain","ns_per_op":50000,"allocs_per_op":-1}]`)
 
-	regressed := writeJSON(t, dir, "bad.json",
+	slower := writeJSON(t, dir, "slower.json",
 		`[{"name":"a:BenchmarkServe/warm","ns_per_op":91000,"allocs_per_op":90,"p50_ns":61000,"p99_ns":140000},
 		  {"name":"a:BenchmarkPlain","ns_per_op":50000,"allocs_per_op":-1}]`)
 	var sb strings.Builder
-	err := run([]string{"-baseline", base, "-current", regressed}, &sb)
-	if err == nil || !strings.Contains(err.Error(), "p99_ns") {
-		t.Fatalf("p99 regression passed the gate: err=%v\n%s", err, sb.String())
+	if err := run([]string{"-baseline", base, "-current", slower}, &sb); err != nil {
+		t.Fatalf("a p99 regression failed the gate: %v\n%s", err, sb.String())
 	}
-
-	ok := writeJSON(t, dir, "ok.json",
-		`[{"name":"a:BenchmarkServe/warm","ns_per_op":91000,"allocs_per_op":90,"p50_ns":65000,"p99_ns":110000},
-		  {"name":"a:BenchmarkPlain","ns_per_op":50000,"allocs_per_op":-1}]`)
-	sb.Reset()
-	if err := run([]string{"-baseline", base, "-current", ok}, &sb); err != nil {
-		t.Fatalf("in-threshold percentile drift failed the gate: %v\n%s", err, sb.String())
-	}
-	if !strings.Contains(sb.String(), "p99_ns") {
+	if !strings.Contains(sb.String(), "100000 -> 140000 p99_ns (+40.0%)") {
 		t.Errorf("percentile deltas not reported:\n%s", sb.String())
 	}
 
 	// A current run that lost its percentiles (e.g. ran without the serve
-	// benchmarks' metrics) is not a regression.
+	// benchmarks' metrics) reports none.
 	bare := writeJSON(t, dir, "bare.json",
 		`[{"name":"a:BenchmarkServe/warm","ns_per_op":91000,"allocs_per_op":90}]`)
 	sb.Reset()
 	if err := run([]string{"-baseline", base, "-current", bare}, &sb); err != nil {
 		t.Fatalf("missing percentiles failed the gate: %v\n%s", err, sb.String())
 	}
-}
-
-// TestComparePercentileNoiseFloor: percentiles under the ns/op noise
-// floor on both sides never gate.
-func TestComparePercentileNoiseFloor(t *testing.T) {
-	dir := t.TempDir()
-	base := writeJSON(t, dir, "base.json",
-		`[{"name":"a:BenchmarkTiny","ns_per_op":50000,"allocs_per_op":-1,"p50_ns":2000,"p99_ns":4000}]`)
-	cur := writeJSON(t, dir, "cur.json",
-		`[{"name":"a:BenchmarkTiny","ns_per_op":50000,"allocs_per_op":-1,"p50_ns":5000,"p99_ns":9000}]`)
-	var sb strings.Builder
-	if err := run([]string{"-baseline", base, "-current", cur}, &sb); err != nil {
-		t.Fatalf("sub-floor percentile drift failed the gate: %v\n%s", err, sb.String())
+	if strings.Contains(sb.String(), "p99_ns") {
+		t.Errorf("a percentile delta reported for a run without percentiles:\n%s", sb.String())
 	}
 }

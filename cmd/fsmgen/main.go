@@ -89,7 +89,6 @@ func run(args []string, stdout io.Writer) error {
 		format    = fs.String("format", "text", "artefact format: "+strings.Join(helper.Formats(), ", "))
 		pkg       = fs.String("pkg", "", "package name for -format go (default: derived from the machine)")
 		out       = fs.String("o", "", "output file, or directory for -all (stdout / \"artifacts\" when empty)")
-		variant   = fs.String("variant", "strict", "commit Fig. 9 reading: strict or redundant")
 		stats     = fs.Bool("stats", false, "print generation statistics to stderr")
 		jobs      = fs.Int("jobs", 0, "concurrent render jobs for -all (0 = GOMAXPROCS)")
 		all       = fs.Bool("all", false, "render every registered model in every registered format")
@@ -151,20 +150,6 @@ func run(args []string, stdout io.Writer) error {
 
 	if *all {
 		return runAll(ctx, client, *out, stdout)
-	}
-
-	// -variant is the historical way to select the redundant commit
-	// reading; it maps onto the commit-redundant registry entry.
-	switch *variant {
-	case "strict":
-		// Default reading of every entry.
-	case "redundant":
-		if *modelName != "commit" && *modelName != "commit-redundant" {
-			return fmt.Errorf("-variant redundant applies only to the commit model, not %q", *modelName)
-		}
-		*modelName = "commit-redundant"
-	default:
-		return fmt.Errorf("unknown variant %q", *variant)
 	}
 
 	if !slices.Contains(client.Formats(), *format) {

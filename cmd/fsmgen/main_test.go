@@ -20,7 +20,7 @@ func TestRunFormats(t *testing.T) {
 		{"doc", []string{"-r", "4", "-format", "doc"}, "# State machine"},
 		{"efsm", []string{"-r", "13", "-format", "efsm"}, "states: 9"},
 		{"efsm-dot", []string{"-r", "7", "-format", "efsm-dot"}, "digraph"},
-		{"redundant", []string{"-r", "4", "-variant", "redundant", "-format", "text"}, "state: "},
+		{"redundant", []string{"-model", "commit-redundant", "-r", "7", "-format", "doc"}, "| States (merged) | 85 |"},
 		{"no-merge", []string{"-r", "4", "-no-merge", "-format", "doc"}, "| States (merged) | 33 |"},
 		{"no-comments", []string{"-r", "4", "-no-comments", "-format", "text"}, "Transitions:"},
 		{"default-param", []string{"-format", "text"}, "state machine: bft-commit"},
@@ -70,14 +70,12 @@ func TestUnknownNameErrorsListRegistries(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	tests := [][]string{
-		{"-r", "3"},                                      // replication too small
-		{"-format", "nonsense"},                          // unknown format
-		{"-variant", "nonsense"},                         // unknown variant
-		{"-r", "3", "-format", "efsm"},                   // efsm path validates r too
-		{"-bogus-flag"},                                  // flag parse error
-		{"-model", "nonsense"},                           // unregistered model
-		{"-model", "consensus", "-r", "2"},               // below the model's minimum
-		{"-model", "consensus", "-variant", "redundant"}, // variant is commit-only
+		{"-r", "3"},                        // replication too small
+		{"-format", "nonsense"},            // unknown format
+		{"-r", "3", "-format", "efsm"},     // efsm path validates r too
+		{"-bogus-flag"},                    // flag parse error
+		{"-model", "nonsense"},             // unregistered model
+		{"-model", "consensus", "-r", "2"}, // below the model's minimum
 	}
 	for _, args := range tests {
 		var sb strings.Builder

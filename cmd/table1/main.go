@@ -9,7 +9,8 @@
 // analogous sweep table for that scenario (no published numbers exist, so
 // no comparison columns are shown).
 //
-//	table1 [-paper] [-variant strict|redundant]
+//	table1 [-paper]
+//	table1 -model commit-redundant
 //	table1 -model consensus -params 3,5,7,9
 package main
 
@@ -58,22 +59,10 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("table1", flag.ContinueOnError)
 	modelName := fs.String("model", "commit", "registered model: "+strings.Join(modelNames, ", "))
 	showPaper := fs.Bool("paper", true, "include the paper's published numbers for comparison (commit only)")
-	variant := fs.String("variant", "strict", "commit Fig. 9 reading: strict or redundant")
 	params := fs.String("params", "", "comma-separated parameter values (default: the model's sweep)")
 	repeats := fs.Int("repeats", 3, "measurement repeats per row (minimum taken)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	switch *variant {
-	case "strict":
-	case "redundant":
-		if *modelName != "commit" && *modelName != "commit-redundant" {
-			return fmt.Errorf("-variant redundant applies only to the commit model, not %q", *modelName)
-		}
-		*modelName = "commit-redundant"
-	default:
-		return fmt.Errorf("unknown variant %q", *variant)
 	}
 
 	info, err := client.Model(*modelName)

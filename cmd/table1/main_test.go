@@ -13,8 +13,8 @@ func TestRunMatchesPaper(t *testing.T) {
 
 func TestRunRedundantVariant(t *testing.T) {
 	// The redundant reading merges to the same published finals.
-	if err := run([]string{"-repeats", "1", "-variant", "redundant"}); err != nil {
-		t.Fatalf("table1 -variant redundant: %v", err)
+	if err := run([]string{"-repeats", "1", "-model", "commit-redundant"}); err != nil {
+		t.Fatalf("table1 -model commit-redundant: %v", err)
 	}
 }
 
@@ -38,17 +38,11 @@ func TestRunCustomParams(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run([]string{"-variant", "nonsense"}); err == nil {
-		t.Error("unknown variant accepted")
-	}
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Error("bad flag accepted")
 	}
 	if err := run([]string{"-model", "nonsense"}); err == nil {
 		t.Error("unknown model accepted")
-	}
-	if err := run([]string{"-model", "consensus", "-variant", "redundant"}); err == nil {
-		t.Error("redundant variant accepted for non-commit model")
 	}
 	if err := run([]string{"-params", "4,nope"}); err == nil {
 		t.Error("malformed -params accepted")

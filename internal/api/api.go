@@ -32,7 +32,6 @@ import (
 
 	"asagen/internal/artifact"
 	"asagen/internal/cluster"
-	"asagen/internal/core"
 	"asagen/internal/models"
 	"asagen/internal/render"
 	"asagen/internal/spec"
@@ -378,13 +377,7 @@ func (h *Handler) handleUpdateModel(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("spec name %q does not match path model %q", compiled.Name(), name))
 		return
 	}
-	delta := core.ModelDelta{Full: true}
-	if old, err := h.reg.Get(name); err == nil {
-		if oldDoc, ok := old.Spec.(spec.Doc); ok {
-			delta = spec.Diff(oldDoc, compiled.Doc())
-		}
-	}
-	replaced, err := h.p.UpdateModel(compiled.Entry(), delta)
+	replaced, err := h.p.UpdateModel(compiled.Entry(), compiled.DeltaFrom(h.reg))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error())
 		return

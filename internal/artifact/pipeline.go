@@ -9,16 +9,30 @@
 // one machine: the EFSM formats (§5.3) generalise the cached generation
 // under the model's abstraction instead of generating a second time.
 //
-// Every cache tier is an instance of one table, memo.Memo, which states
-// the single-flight, retention, cancellation and eviction rules once. The
-// result tier answers repeat requests with a fully precomputed Result
-// (shared bytes, content hash, ETag) without resolving the model; below it
-// sit the render tier (per fingerprint and format), the EFSM tier and the
-// generation cache (both per fingerprint), and beside it the route tier of
-// the clustered serve path. Under the render tier an optional
-// content-addressed on-disk store (WithStore) persists every rendered
-// artefact, so a pipeline reopened over a warm store serves previously
-// rendered artefacts from disk without regenerating machines.
+// There are five cache tiers and nothing beside them. Each is an instance
+// of one table, memo.Memo, which states the single-flight, retention,
+// cancellation and eviction rules once, and SetLimit bounds all five:
+//
+//   - results, per request: a fully precomputed Result (shared bytes,
+//     content hash, ETag), so a repeat request resolves nothing.
+//   - members, per (registry name, parameter, generation options): the
+//     family member resolved against the registry — entry, built model,
+//     fingerprint, route key — which every format of the member, the
+//     cluster's routing, Probe, Machine and the SDK's Generate share.
+//   - renders, per (fingerprint, format): the rendered artefact.
+//   - efsms, per fingerprint: the machine generalised under its
+//     abstraction.
+//   - machines (core.Cache), per fingerprint: the generated machine.
+//
+// What the pipeline knows about a family member lives in the member's
+// entry: invalidating a registry name is a sweep of the member tier for
+// the fingerprints to evict further down, and replacing a model in place
+// replaces its members in place, each carrying the machine it can be
+// regenerated from into the one generation that uses it. Under the render
+// tier an optional content-addressed on-disk store (WithStore) persists
+// every rendered artefact, so a pipeline reopened over a warm store
+// serves previously rendered artefacts from disk without regenerating
+// machines.
 package artifact
 
 import (
@@ -27,8 +41,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"maps"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -124,26 +138,13 @@ type Pipeline struct {
 	reg   *models.Registry
 	store *store.Store
 
-	// The memo tiers, outermost first. results holds complete successful
-	// Results per request, the zero-work fast path for repeat serve
-	// traffic; routes holds the cluster routing key per request, so the
-	// clustered serve path pays one lookup instead of a model build and
-	// fingerprint per request. Both are keyed by the request with its
-	// parameter resolved (see key), so the raw and resolved forms of one
-	// request share an entry.
+	// The memo tiers, outermost first (the machines are p.cache). results is
+	// keyed by the request with its parameter resolved (see key), so the raw
+	// and resolved forms of one request share an entry.
 	results memo.Memo[Request, Result]
-	routes  memo.Memo[Request, string]
+	members memo.Memo[memberKey, *Member]
 	renders memo.Memo[renderKey, rendered]
 	efsms   memo.Memo[core.Fingerprint, *core.EFSM]
-
-	mu sync.Mutex
-	// modelFPs records, per registry name, the machine fingerprints the
-	// pipeline generated for it and what each was generated from, so
-	// PurgeModel can evict a dynamically unregistered model's generations
-	// from the fingerprint-keyed cache and UpdateModel can link each
-	// family member's old generation to its replacement for incremental
-	// regeneration.
-	modelFPs map[string]map[core.Fingerprint]tracked
 
 	// epoch counts Purge, PurgeModel and UpdateModel calls. The memo tiers
 	// need no such guard — an entry deleted in flight is never findable
@@ -156,11 +157,42 @@ type Pipeline struct {
 	epoch     uint64
 }
 
-// tracked is what a recorded fingerprint was computed from, besides the
-// registry entry: the parameter and the per-call generation options.
-type tracked struct {
+// memberKey addresses one family member: a registry name, a resolved
+// parameter and the machine-changing generation options of the call, as
+// the flag word the fingerprint names them by.
+type memberKey struct {
+	model string
 	param int
-	opts  []core.Option
+	flags int
+}
+
+// Member is one family member resolved against the registry: everything
+// rendering, routing, probing and generating it need, computed once and
+// shared. A Member is immutable.
+type Member struct {
+	// Param is the resolved parameter; Model the entry's model built for it
+	// and Fingerprint that model's fingerprint in the pipeline's cache.
+	Param       int
+	Model       core.Model
+	Fingerprint core.Fingerprint
+
+	entry models.Entry
+	cache *core.Cache
+	// route is Fingerprint in hex: the cluster routing key and the store's
+	// key form.
+	route string
+	// opts are the generation options of the call the member was resolved
+	// for. genOpts is what its generation runs under: opts and, for a member
+	// whose entry was replaced in place, the machine to regenerate from,
+	// which from names.
+	opts, genOpts []core.Option
+	from          core.Fingerprint
+}
+
+// Machine returns the member's generated machine, memoised and
+// single-flight in the pipeline's generation cache.
+func (mb *Member) Machine(ctx context.Context) (*core.StateMachine, error) {
+	return mb.cache.MachineForFingerprint(ctx, mb.Fingerprint, mb.Model, mb.genOpts...)
 }
 
 // renderKey addresses one rendered artefact: two models with equal
@@ -228,10 +260,9 @@ func WithStore(s *store.Store) Option {
 // New returns a pipeline with the given options.
 func New(opts ...Option) *Pipeline {
 	p := &Pipeline{
-		jobs:     runtime.GOMAXPROCS(0),
-		cache:    core.NewGenerationCache(),
-		reg:      models.Default(),
-		modelFPs: make(map[string]map[core.Fingerprint]tracked),
+		jobs:  runtime.GOMAXPROCS(0),
+		cache: core.NewGenerationCache(),
+		reg:   models.Default(),
 	}
 	for _, opt := range opts {
 		opt(p)
@@ -250,8 +281,8 @@ func (p *Pipeline) Registry() *models.Registry { return p.reg }
 func (p *Pipeline) Store() *store.Store { return p.store }
 
 // SetLimit bounds every memo tier from one number, the machines a
-// long-running serve process may keep: n generated machines and EFSMs,
-// and n × len(render.Formats()) rendered artefacts, Results and routes —
+// long-running serve process may keep: n generated machines, EFSMs and
+// members, and n × len(render.Formats()) rendered artefacts and Results —
 // every format of every retained machine. Least recently used entries are
 // evicted beyond each bound, so an unbounded parameter stream cannot grow
 // memory without bound. Zero or less (the default) means unbounded.
@@ -259,9 +290,9 @@ func (p *Pipeline) SetLimit(n int) {
 	artefacts := n * len(render.Formats())
 	p.cache.SetLimit(n)
 	p.efsms.SetLimit(n)
+	p.members.SetLimit(n)
 	p.renders.SetLimit(artefacts)
 	p.results.SetLimit(artefacts)
-	p.routes.SetLimit(artefacts)
 }
 
 // Stats returns a snapshot of the pipeline's cache counters.
@@ -288,12 +319,9 @@ func (p *Pipeline) Purge() {
 	if p.store != nil {
 		p.store.Purge()
 	}
-	p.mu.Lock()
-	p.modelFPs = make(map[string]map[core.Fingerprint]tracked)
-	p.mu.Unlock()
 	p.cache.Purge()
 	p.results.Purge()
-	p.routes.Purge()
+	p.members.Purge()
 	p.renders.Purge()
 	p.efsms.Purge()
 }
@@ -305,13 +333,18 @@ func (p *Pipeline) Purge() {
 // is unregistered, so a later registration under the same name can never
 // observe the departed model's cached work.
 func (p *Pipeline) PurgeModel(name string) int {
-	p.mu.Lock()
-	fps := p.modelFPs[name]
-	delete(p.modelFPs, name)
-	p.mu.Unlock()
-	p.evictDerived(name, fps)
 	dropped := 0
-	for fp := range fps {
+	for _, mb := range p.sweep(name) {
+		dropped += p.dropMachines(mb)
+	}
+	return dropped
+}
+
+// dropMachines evicts the member's machine and the one it was to be
+// regenerated from, returning how many were there.
+func (p *Pipeline) dropMachines(mb *Member) int {
+	dropped := 0
+	for _, fp := range []core.Fingerprint{mb.Fingerprint, mb.from} {
 		if p.cache.Drop(fp) {
 			dropped++
 		}
@@ -319,38 +352,35 @@ func (p *Pipeline) PurgeModel(name string) int {
 	return dropped
 }
 
-// evictDerived drops everything derived from the registry entry under
-// name, given the machine fingerprints recorded for it: the store's rows
-// and every memo tier's entries, generated machines excepted. The store
-// goes first, so an entry created after the tiers are swept can only have
-// read an already-evicted store; computations in flight across the sweep
-// complete for their waiters and are never findable again.
-func (p *Pipeline) evictDerived(name string, fps map[core.Fingerprint]tracked) {
+// sweep removes everything derived from the registry entry under name,
+// generated machines excepted, and returns the members the tier held for
+// it. The member tier goes first — in-flight resolutions too, which
+// complete for their waiters and are never findable again — so a member
+// found after the epoch advances was resolved after the registry changed.
+// The store goes next, so an entry created after the tiers below are
+// swept can only have read an already-evicted store.
+func (p *Pipeline) sweep(name string) map[memberKey]*Member {
+	swept := map[memberKey]*Member{}
+	p.members.Each(func(key memberKey, mb *Member) {
+		if key.model == name {
+			swept[key] = mb
+		}
+	})
+	p.members.DeleteFunc(func(key memberKey) bool { return key.model == name })
+
+	fps := make(map[core.Fingerprint]bool, len(swept))
+	routes := make(map[string]bool, len(swept))
+	for _, mb := range swept {
+		fps[mb.Fingerprint], routes[mb.route] = true, true
+	}
 	p.advanceEpoch()
 	if p.store != nil {
-		p.store.EvictModel(name, fpHexSet(fps))
+		p.store.EvictModel(name, routes)
 	}
-	named := func(req Request) bool { return req.Model == name }
-	p.results.DeleteFunc(named)
-	p.routes.DeleteFunc(named)
-	recorded := func(fp core.Fingerprint) bool {
-		_, ok := fps[fp]
-		return ok
-	}
-	p.efsms.DeleteFunc(recorded)
-	p.renders.DeleteFunc(func(key renderKey) bool { return recorded(key.fp) })
-}
-
-// fpHexSet renders a fingerprint set in the store's hex key form.
-func fpHexSet(fps map[core.Fingerprint]tracked) map[string]bool {
-	if len(fps) == 0 {
-		return nil
-	}
-	set := make(map[string]bool, len(fps))
-	for fp := range fps {
-		set[fp.String()] = true
-	}
-	return set
+	p.results.DeleteFunc(func(req Request) bool { return req.Model == name })
+	p.efsms.DeleteFunc(func(fp core.Fingerprint) bool { return fps[fp] })
+	p.renders.DeleteFunc(func(key renderKey) bool { return fps[key.fp] })
+	return swept
 }
 
 func (p *Pipeline) advanceEpoch() {
@@ -426,13 +456,13 @@ func (p *Pipeline) serve(ctx context.Context, req Request) Result {
 	return res
 }
 
-// key returns the result- and route-tier key for req: the request with a
-// non-positive parameter replaced by the model's default, so the raw and
-// resolved forms of one request share one entry. The key is settled before
-// the entry is created and the entry before resolve reads the registry, so
-// whatever a later PurgeModel or UpdateModel finds under the model's name
-// covers every computation that saw the departing registry entry. An
-// unknown model keeps the raw form; resolve then classifies the failure.
+// key returns the result-tier key for req: the request with a non-positive
+// parameter replaced by the model's default, so the raw and resolved forms
+// of one request share one entry. The key is settled before the entry is
+// created and the entry before resolve looks the member up, so whatever a
+// later PurgeModel or UpdateModel finds under the model's name covers every
+// computation that saw the departing registry entry. An unknown model
+// keeps the raw form; resolve then classifies the failure.
 func (p *Pipeline) key(req Request) Request {
 	if req.Param <= 0 {
 		if _, param, err := p.entryFor(req.Model, req.Param); err == nil {
@@ -442,32 +472,20 @@ func (p *Pipeline) key(req Request) Request {
 	return req
 }
 
-// resolution is a request resolved against the registry: the entry, the
-// effective parameter, the built model and its fingerprint.
-type resolution struct {
-	req   Request
-	entry models.Entry
-	model core.Model
-	fp    core.Fingerprint
-}
-
-// resolve classifies req with the package's sentinel errors and builds
-// what rendering, routing and probing it all need. On failure the
-// resolution is filled in as far as resolution got.
-func (p *Pipeline) resolve(req Request) (resolution, error) {
-	r := resolution{req: req}
-	var err error
-	if r.entry, r.req.Param, err = p.entryFor(req.Model, req.Param); err != nil {
-		return r, err
-	}
+// resolve classifies req with the package's sentinel errors and returns
+// the family member it names.
+func (p *Pipeline) resolve(ctx context.Context, req Request) (*Member, error) {
 	if !render.Known(req.Format) {
-		return r, fmt.Errorf("%w: %q (known: %v)", ErrUnknownFormat, req.Format, render.Formats())
+		return nil, fmt.Errorf("%w: %q (known: %v)", ErrUnknownFormat, req.Format, render.Formats())
 	}
-	if render.IsEFSMFormat(req.Format) && r.entry.Abstraction == nil {
-		return r, fmt.Errorf("%w: %q", ErrNoEFSM, req.Model)
+	mb, err := p.member(ctx, req.Model, req.Param, nil)
+	if err != nil {
+		return nil, err
 	}
-	r.model, r.fp, err = p.build(r.entry, r.req.Param)
-	return r, err
+	if render.IsEFSMFormat(req.Format) && mb.entry.Abstraction == nil {
+		return nil, fmt.Errorf("%w: %q", ErrNoEFSM, req.Model)
+	}
+	return mb, nil
 }
 
 // entryFor looks the model up in the registry and resolves a non-positive
@@ -483,43 +501,69 @@ func (p *Pipeline) entryFor(name string, param int) (models.Entry, int, error) {
 	return entry, param, nil
 }
 
-// build constructs the entry's model at param and fingerprints it,
-// tracking the fingerprint under the entry's name.
-func (p *Pipeline) build(entry models.Entry, param int) (core.Model, core.Fingerprint, error) {
+// Member resolves a model name, a parameter (non-positive selects the
+// model's default) and per-call generation options against the pipeline's
+// registry, through the member tier: the entry's model is built and
+// fingerprinted on first use and shared from then on. The tier's entry is
+// created before the registry is read, so PurgeModel and UpdateModel, which
+// sweep the tier after the registry changes, leave no member of a departed
+// entry behind.
+func (p *Pipeline) Member(model string, param int, opts ...core.Option) (*Member, error) {
+	// Resolution only computes, so there is nothing for a context to
+	// cancel: a waiter waits on a leader that does not block.
+	return p.member(context.Background(), model, param, opts)
+}
+
+func (p *Pipeline) member(ctx context.Context, model string, param int, opts []core.Option) (*Member, error) {
+	if param <= 0 {
+		var err error
+		if _, param, err = p.entryFor(model, param); err != nil {
+			return nil, err
+		}
+	}
+	key := memberKey{model: model, param: param, flags: core.OptionFlags(opts...)}
+	if mb, ok := p.members.Get(key); ok {
+		return mb, nil
+	}
+	return p.members.Do(ctx, key, func() (*Member, error) {
+		entry, _, err := p.entryFor(model, param)
+		if err != nil {
+			return nil, err
+		}
+		return p.newMember(entry, param, opts)
+	})
+}
+
+// newMember builds the entry's model at param and fingerprints it under
+// opts.
+func (p *Pipeline) newMember(entry models.Entry, param int, opts []core.Option) (*Member, error) {
 	model, err := entry.Build(param)
 	if err != nil {
-		return nil, core.Fingerprint{}, err
+		return nil, err
 	}
-	fp := p.cache.Fingerprint(model)
-	p.TrackFingerprint(entry.Name, param, fp)
-	return model, fp, nil
+	fp := p.cache.Fingerprint(model, opts...)
+	return &Member{
+		Param: param, Model: model, Fingerprint: fp,
+		entry: entry, cache: p.cache, route: fp.String(), opts: opts, genOpts: opts,
+	}, nil
 }
 
-// renderKey and storeKey address the resolved artefact in the render tier
-// and the store. Both carry the model fingerprint, which is also what the
-// cluster shards on: all seven formats of one family member land on the
-// node that holds its machine, and a single propagation warms all of them.
-func (r resolution) renderKey() renderKey {
-	return renderKey{fp: r.fp, format: r.req.Format}
-}
-
-func (r resolution) storeKey() store.Key {
-	return store.Key{Model: r.req.Model, Param: r.req.Param, Format: r.req.Format, Fingerprint: r.fp.String()}
-}
-
-// render is the slow path behind the result tier: resolve the request
-// against the registry and take the artefact from the render tier, whose
-// leader probes the attached store before producing — a disk hit skips
-// generation entirely — and persists what it produces.
+// render is the slow path behind the result tier: resolve the request's
+// family member and take the artefact from the render tier, whose leader
+// probes the attached store before producing — a disk hit skips generation
+// entirely — and persists what it produces. The render tier and the store
+// are keyed by the member's fingerprint, which is also what the cluster
+// shards on: all seven formats of one family member land on the node that
+// holds its machine, and a single propagation warms all of them.
 func (p *Pipeline) render(ctx context.Context, req Request) Result {
-	epoch := p.currentEpoch() // before resolve reads the registry
-	r, err := p.resolve(req)
-	res := Result{Request: r.req, Fingerprint: r.fp, Err: err}
+	epoch := p.currentEpoch() // before resolve reads the member tier
+	mb, err := p.resolve(ctx, req)
 	if err != nil {
-		return res
+		return Result{Request: req, Err: err}
 	}
-	out, err := p.renders.Do(ctx, r.renderKey(), func() (rendered, error) {
-		skey := r.storeKey()
+	res := Result{Request: req, Fingerprint: mb.Fingerprint}
+	out, err := p.renders.Do(ctx, renderKey{fp: mb.Fingerprint, format: req.Format}, func() (rendered, error) {
+		skey := store.Key{Model: req.Model, Param: mb.Param, Format: req.Format, Fingerprint: mb.route}
 		if p.store != nil {
 			if data, sum, media, ext, ok := p.store.Get(skey); ok {
 				return newRendered(render.Artifact{Format: req.Format, MediaType: media, Ext: ext, Data: data}, sum), nil
@@ -530,7 +574,7 @@ func (p *Pipeline) render(ctx context.Context, req Request) Result {
 		if err := ctx.Err(); err != nil {
 			return rendered{}, err
 		}
-		art, err := p.produce(ctx, r)
+		art, err := p.produce(ctx, mb, req.Format)
 		if err != nil {
 			return rendered{}, err
 		}
@@ -542,17 +586,16 @@ func (p *Pipeline) render(ctx context.Context, req Request) Result {
 	return res
 }
 
-// produce takes the family member's machine from the generation cache —
-// or, for an EFSM format, its generalisation from the EFSM tier — and
-// renders it.
-func (p *Pipeline) produce(ctx context.Context, r resolution) (render.Artifact, error) {
+// produce takes the member's machine from the generation cache — or, for
+// an EFSM format, its generalisation from the EFSM tier — and renders it.
+func (p *Pipeline) produce(ctx context.Context, mb *Member, format string) (render.Artifact, error) {
 	var art render.Artifact
-	if render.IsEFSMFormat(r.req.Format) {
-		efsm, err := p.efsms.Do(ctx, r.fp, func() (*core.EFSM, error) { return p.generalize(ctx, r) })
+	if render.IsEFSMFormat(format) {
+		efsm, err := p.efsms.Do(ctx, mb.Fingerprint, func() (*core.EFSM, error) { return generalize(ctx, mb) })
 		if err != nil {
 			return art, err
 		}
-		renderer, err := render.NewEFSM(r.req.Format)
+		renderer, err := render.NewEFSM(format)
 		if err == nil {
 			art, err = renderer.RenderEFSM(efsm)
 		}
@@ -561,11 +604,11 @@ func (p *Pipeline) produce(ctx context.Context, r resolution) (render.Artifact, 
 		}
 		return art, nil
 	}
-	machine, err := p.cache.MachineForFingerprint(ctx, r.fp, r.model)
+	machine, err := mb.Machine(ctx)
 	if err != nil {
 		return art, err
 	}
-	renderer, err := render.New(r.req.Format)
+	renderer, err := render.New(format)
 	if err == nil {
 		art, err = renderer.Render(machine)
 	}
@@ -578,103 +621,70 @@ func (p *Pipeline) produce(ctx context.Context, r resolution) (render.Artifact, 
 // generalize is the EFSM tier's miss path: the family member's one cached
 // machine, coalesced under the entry's abstraction. Every machine the
 // cache can hold generalises soundly.
-func (p *Pipeline) generalize(ctx context.Context, r resolution) (*core.EFSM, error) {
-	machine, err := p.cache.MachineForFingerprint(ctx, r.fp, r.model)
+func generalize(ctx context.Context, mb *Member) (*core.EFSM, error) {
+	machine, err := mb.Machine(ctx)
 	if err != nil {
 		return nil, err
 	}
-	abs, err := r.entry.Abstraction(r.req.Param)
+	abs, err := mb.entry.Abstraction(mb.Param)
 	if err != nil {
 		return nil, err
 	}
 	return core.GeneralizeEFSM(machine, abs)
 }
 
-// Machine resolves a model name and parameter against the pipeline's
-// registry and returns the generated machine, its fingerprint and the
-// resolved parameter (non-positive params select the model's default).
-// Generation is memoised and single-flight through the pipeline's cache,
-// exactly like the artefact path, and the fingerprint is tracked so
-// PurgeModel evicts the machine; the trace-conformance layer generates
-// the machines it monitors through here, so a check and a render of the
-// same family member share one generation.
-func (p *Pipeline) Machine(ctx context.Context, model string, param int) (*core.StateMachine, core.Fingerprint, int, error) {
-	entry, param, err := p.entryFor(model, param)
+// Machine resolves a model name, parameter and per-call generation options
+// (see Member) and returns the generated machine, its fingerprint and the
+// resolved parameter. Generation is memoised and single-flight through the
+// pipeline's cache, exactly like the artefact path; the trace-conformance
+// layer generates the machines it monitors through here, so a check and a
+// render of the same family member share one generation.
+func (p *Pipeline) Machine(ctx context.Context, model string, param int, opts ...core.Option) (*core.StateMachine, core.Fingerprint, int, error) {
+	mb, err := p.member(ctx, model, param, opts)
 	if err != nil {
 		return nil, core.Fingerprint{}, 0, err
 	}
-	m, fp, err := p.build(entry, param)
-	if err != nil {
-		return nil, fp, param, err
-	}
-	machine, err := p.cache.MachineForFingerprint(ctx, fp, m)
-	return machine, fp, param, err
-}
-
-// TrackFingerprint records that the named model generates under fp at the
-// given parameter and per-call options in the pipeline's cache, so
-// PurgeModel can later evict the generation and UpdateModel can link it
-// for incremental regeneration. Callers that generate through Cache()
-// directly (the SDK facade's Generate) must track here for unregistration
-// to purge their machines; Render tracks its own requests.
-func (p *Pipeline) TrackFingerprint(model string, param int, fp core.Fingerprint, opts ...core.Option) {
-	p.mu.Lock()
-	set, ok := p.modelFPs[model]
-	if !ok {
-		set = make(map[core.Fingerprint]tracked, 1)
-		p.modelFPs[model] = set
-	}
-	set[fp] = tracked{param: param, opts: opts}
-	p.mu.Unlock()
+	machine, err := mb.Machine(ctx)
+	return machine, mb.Fingerprint, mb.Param, err
 }
 
 // UpdateModel replaces the registry entry under entry.Name in place,
 // reporting whether a previous entry existed (false means the model was
 // newly registered). Rendered artefacts and EFSMs derived from the
-// previous entry are purged (from the store too, when one is attached);
-// generated machines are kept and, when delta permits (see
-// core.Cache.LinkDelta), each previously generated family member is
-// linked so its replacement's first generation regenerates incrementally
-// from the cached machine instead of exploring from scratch. The delta
-// must conservatively describe the edit from the previous entry's model
-// to the new one (spec.Diff produces it for declarative specs); pass a
-// full delta when the relationship between the entries is unknown.
+// previous entry are purged (from the store too, when one is attached).
+// Each member the tier held for the name is replaced by the new entry's
+// member for the same parameter and options, so a name has one member per
+// (parameter, options) however often it is edited; the old member's
+// machine is kept as what the new one's first generation regenerates from
+// (see core.WithRegenerationFrom), which spends it. The delta must
+// conservatively describe the edit from the previous entry's model to the
+// new one (spec.Diff produces it for declarative specs); pass a full delta
+// when the relationship between the entries is unknown.
 func (p *Pipeline) UpdateModel(entry models.Entry, delta core.ModelDelta) (bool, error) {
-	oldEntry, oldErr := p.reg.Get(entry.Name)
 	replaced, err := p.reg.Replace(entry)
 	if err != nil {
 		return false, err
 	}
-
-	// Artefacts derived from the previous entry are stale; renders and
-	// EFSMs are keyed by fingerprint and the new entry fingerprints
-	// differently, so those are unreachable garbage either way. The recorded
-	// fingerprints stay recorded: the machines are kept, and PurgeModel
-	// must still find them.
-	p.mu.Lock()
-	old := maps.Clone(p.modelFPs[entry.Name])
-	p.mu.Unlock()
-	p.evictDerived(entry.Name, old)
-
-	if !replaced || oldErr != nil || delta.IsFull() {
-		return replaced, nil
-	}
-	// Link each recorded generation of the departing entry. Its fingerprint
-	// is recomputed from that entry, so fingerprints left over from entries
-	// two or more versions back — against which delta says nothing — are
-	// never linked.
-	for oldFP, t := range old {
-		om, err := oldEntry.Model(t.param)
-		if err != nil || p.cache.Fingerprint(om, t.opts...) != oldFP {
+	for key, old := range p.sweep(entry.Name) {
+		mb, err := p.newMember(entry, old.Param, old.opts)
+		switch {
+		case err != nil:
+			// The new entry has no member at this parameter.
+			p.dropMachines(old)
 			continue
+		case mb.Fingerprint == old.Fingerprint:
+			// The same machine: whatever the old member was waiting to be
+			// regenerated from, this one still is.
+			mb.genOpts, mb.from = old.genOpts, old.from
+		default:
+			// delta says nothing about the entry before the previous one, so
+			// a source the old member never used goes unused.
+			p.cache.Drop(old.from)
+			mb.genOpts = append(slices.Clip(mb.opts), core.WithRegenerationFrom(old.Fingerprint, delta))
+			mb.from = old.Fingerprint
 		}
-		nm, err := entry.Model(t.param)
-		if err != nil {
-			continue
-		}
-		newFP := p.cache.Fingerprint(nm, t.opts...)
-		p.TrackFingerprint(entry.Name, t.param, newFP, t.opts...)
-		p.cache.LinkDelta(newFP, oldFP, delta)
+		// A resolution that got here first read the new entry too, and wins.
+		p.members.Do(context.Background(), key, func() (*Member, error) { return mb, nil })
 	}
 	return replaced, nil
 }

@@ -5,23 +5,15 @@ import "context"
 // RouteKey resolves req against the registry and returns the cluster
 // routing key the artifact shards on — the family member's fingerprint,
 // whatever the format — plus the request with its parameter resolved.
-// Resolution is memoised in the route tier; errors use the package's
+// Resolution is memoised in the member tier; errors use the package's
 // sentinel classification.
 func (p *Pipeline) RouteKey(req Request) (string, Request, error) {
 	key := p.key(req)
-	if route, ok := p.routes.Get(key); ok {
-		return route, key, nil
+	mb, err := p.resolve(context.Background(), key)
+	if err != nil {
+		return "", key, err
 	}
-	// Resolution only computes, so there is nothing for a context to
-	// cancel: a waiter waits on a leader that does not block.
-	route, err := p.routes.Do(context.Background(), key, func() (string, error) {
-		r, err := p.resolve(key)
-		if err != nil {
-			return "", err
-		}
-		return r.fp.String(), nil
-	})
-	return route, key, err
+	return mb.route, key, nil
 }
 
 // cancelled is a context that has already ended.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -86,17 +87,26 @@ func TestRestartWarmth(t *testing.T) {
 }
 
 // TestFingerprintlessRowsAreNeverHit: before the EFSM formats became views
-// of the member's machine their rows were keyed by (model, param) with an
-// empty fingerprint. A store an older binary wrote may still hold such
-// rows; every lookup now carries the fingerprint, so they are never served
-// again, and they leave with the model like any other row.
+// of the member's machine their rows were keyed by (model, param) with no
+// fingerprint. A directory an older binary wrote may still hold such rows;
+// it opens, and the row is never served: every lookup is by fingerprint.
 func TestFingerprintlessRowsAreNeverHit(t *testing.T) {
-	s := openStore(t, t.TempDir())
-	defer s.Close()
+	dir := t.TempDir()
 	stale := []byte("an older binary's EFSM artefact")
-	if err := s.Put(store.Key{Model: "termination", Param: 4, Format: "efsm"}, stale, sha256.Sum256(stale), "text/plain", ".txt"); err != nil {
+	sum := fmt.Sprintf("%x", sha256.Sum256(stale))
+	if err := os.MkdirAll(filepath.Join(dir, "blobs", sum[:2]), 0o755); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(filepath.Join(dir, "blobs", sum[:2], sum[2:]), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	row := fmt.Sprintf(`{"op":"put","model":"termination","param":4,"format":"efsm","sum":"%s","media":"text/plain","ext":".txt","size":%d}`+"\n", sum, len(stale))
+	if err := os.WriteFile(filepath.Join(dir, "index.log"), []byte(row), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := openStore(t, dir)
+	defer s.Close()
 	p := New(WithStore(s))
 	res := p.Render(context.Background(), Request{Model: "termination", Format: "efsm"})
 	if res.Err != nil {
@@ -105,12 +115,8 @@ func TestFingerprintlessRowsAreNeverHit(t *testing.T) {
 	if bytes.Equal(res.Artifact.Data, stale) || p.Stats().Machine.Generations != 1 {
 		t.Errorf("the fingerprint-less row was served: generations = %d", p.Stats().Machine.Generations)
 	}
-	if n := s.Len(); n != 2 {
-		t.Fatalf("store rows = %d, want the old row and the new one", n)
-	}
-	p.PurgeModel("termination")
-	if n := s.Len(); n != 0 {
-		t.Errorf("store rows after PurgeModel = %d, want 0", n)
+	if n := s.Len(); n != 1 {
+		t.Fatalf("store rows = %d, want the new row only", n)
 	}
 }
 

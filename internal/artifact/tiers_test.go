@@ -320,9 +320,9 @@ func TestSetLimitBoundsEveryTier(t *testing.T) {
 		}{
 			{"machines", p.cache.Stats().Entries, limit},
 			{"efsms", p.efsms.Stats().Entries, limit},
+			{"members", p.members.Stats().Entries, limit},
 			{"renders", p.renders.Stats().Entries, artefacts},
 			{"results", p.results.Stats().Entries, artefacts},
-			{"routes", p.routes.Stats().Entries, artefacts},
 		} {
 			if tier.entries > tier.bound {
 				t.Errorf("%s: %s tier holds %d entries, bound %d", when, tier.name, tier.entries, tier.bound)

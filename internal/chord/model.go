@@ -15,7 +15,6 @@ package chord
 // track the live node's observed membership state event for event.
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 
@@ -243,14 +242,4 @@ func (a *Abstraction) Symbol(component, value int) string {
 		return "s-1"
 	}
 	return ""
-}
-
-// GenerateEFSM generates the membership machine for successor-list length
-// s and coalesces it into the parameter-independent EFSM.
-func GenerateEFSM(ctx context.Context, s int) (*core.EFSM, error) {
-	m, err := NewModel(s)
-	if err != nil {
-		return nil, err
-	}
-	return core.GenerateEFSM(ctx, m, NewAbstraction(m))
 }

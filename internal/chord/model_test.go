@@ -41,10 +41,7 @@ func membershipMachines(t *testing.T, s int) (*Model, *core.StateMachine, *core.
 	if err != nil {
 		t.Fatalf("Generate(s=%d): %v", s, err)
 	}
-	efsm, err := GenerateEFSM(context.Background(), s)
-	if err != nil {
-		t.Fatalf("GenerateEFSM(s=%d): %v", s, err)
-	}
+	efsm := generateEFSM(t, s)
 	return model, machine, efsm
 }
 
@@ -305,18 +302,27 @@ func efsmStructure(e *core.EFSM) string {
 // lower bound of the tolerated-failure interval) and guards degenerate,
 // exactly as the commit EFSM's small-f factors do.
 func TestEFSMGenericInSuccessorListLength(t *testing.T) {
-	base, err := GenerateEFSM(context.Background(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := generateEFSM(t, 4)
 	baseStruct := efsmStructure(base)
 	for _, s := range []int{8, 16} {
-		e, err := GenerateEFSM(context.Background(), s)
-		if err != nil {
-			t.Fatalf("GenerateEFSM(s=%d): %v", s, err)
-		}
+		e := generateEFSM(t, s)
 		if got := efsmStructure(e); got != baseStruct {
 			t.Errorf("s=%d: EFSM structure differs from s=4:\n--- s=4:\n%s\n--- s=%d:\n%s", s, baseStruct, s, got)
 		}
 	}
+}
+
+// generateEFSM generalises the family member for s from a generation of
+// its own.
+func generateEFSM(t *testing.T, s int) *core.EFSM {
+	t.Helper()
+	m, err := NewModel(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	efsm, err := core.GenerateEFSM(context.Background(), m, NewAbstraction(m))
+	if err != nil {
+		t.Fatalf("GenerateEFSM(s=%d): %v", s, err)
+	}
+	return efsm
 }

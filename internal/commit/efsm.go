@@ -1,7 +1,6 @@
 package commit
 
 import (
-	"context"
 	"fmt"
 
 	"asagen/internal/core"
@@ -167,14 +166,4 @@ func (a *Abstraction) Symbol(component, value int) string {
 		}
 	}
 	return ""
-}
-
-// GenerateEFSM generates the commit machine for replication factor r and
-// coalesces it into the nine-state EFSM of §5.3.
-func GenerateEFSM(ctx context.Context, r int, opts ...Option) (*core.EFSM, error) {
-	m, err := NewModel(r, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return core.GenerateEFSM(ctx, m, NewAbstraction(m))
 }

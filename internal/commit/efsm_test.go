@@ -14,10 +14,7 @@ import (
 // commit protocol contains 9 states, for every replication factor.
 func TestEFSMNineStates(t *testing.T) {
 	for _, r := range []int{4, 7, 13, 25, 46} {
-		efsm, err := GenerateEFSM(context.Background(), r)
-		if err != nil {
-			t.Fatalf("GenerateEFSM(context.Background(), %d): %v", r, err)
-		}
+		efsm := generateEFSM(t, r)
 		if got := len(efsm.States); got != 9 {
 			t.Errorf("r=%d: EFSM has %d states, want 9: %v", r, got, efsm.StateNames())
 		}
@@ -25,10 +22,7 @@ func TestEFSMNineStates(t *testing.T) {
 }
 
 func TestEFSMStateNames(t *testing.T) {
-	efsm, err := GenerateEFSM(context.Background(), 13)
-	if err != nil {
-		t.Fatal(err)
-	}
+	efsm := generateEFSM(t, 13)
 	want := []string{
 		EFSMWaitingNotFree, EFSMWaitingFree, EFSMUpdateHeldNotFree,
 		EFSMChosenVoted, EFSMChosenCommitted, EFSMAdoptedCommitted,
@@ -98,19 +92,13 @@ func symbolicGuard(g core.Guard) string {
 // vote-count ceiling coincides with the vote threshold and some guarded
 // transitions degenerate; see DESIGN.md).
 func TestEFSMGenericInReplicationFactor(t *testing.T) {
-	base, err := GenerateEFSM(context.Background(), 13)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := generateEFSM(t, 13)
 	baseStruct := efsmStructure(base)
 	if strings.Contains(baseStruct, "<literal>") {
 		t.Fatalf("base structure contains non-symbolic bounds:\n%s", baseStruct)
 	}
 	for _, r := range []int{16, 25, 46} {
-		e, err := GenerateEFSM(context.Background(), r)
-		if err != nil {
-			t.Fatalf("GenerateEFSM(context.Background(), %d): %v", r, err)
-		}
+		e := generateEFSM(t, r)
 		if s := efsmStructure(e); s != baseStruct {
 			t.Errorf("r=%d: EFSM structure differs from r=13:\n--- r=13:\n%s\n--- r=%d:\n%s", r, baseStruct, r, s)
 		}
@@ -122,10 +110,7 @@ func TestEFSMGenericInReplicationFactor(t *testing.T) {
 // (actions, finished) must agree at every step.
 func TestEFSMVsGenericDifferential(t *testing.T) {
 	for _, r := range []int{4, 7, 13} {
-		efsm, err := GenerateEFSM(context.Background(), r)
-		if err != nil {
-			t.Fatalf("GenerateEFSM(context.Background(), %d): %v", r, err)
-		}
+		efsm := generateEFSM(t, r)
 		for seed := int64(1); seed <= 25; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			var genActions []string
@@ -161,10 +146,7 @@ func TestEFSMVsGenericDifferential(t *testing.T) {
 
 // TestEFSMVariables checks the counter variable set.
 func TestEFSMVariables(t *testing.T) {
-	efsm, err := GenerateEFSM(context.Background(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	efsm := generateEFSM(t, 7)
 	want := map[string]bool{"votes_received": true, "commits_received": true}
 	if len(efsm.Variables) != len(want) {
 		t.Fatalf("Variables = %v", efsm.Variables)
@@ -179,10 +161,7 @@ func TestEFSMVariables(t *testing.T) {
 // TestEFSMHappyPathTrace walks the uncontended commit round on the EFSM and
 // checks the state trajectory.
 func TestEFSMHappyPathTrace(t *testing.T) {
-	efsm, err := GenerateEFSM(context.Background(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	efsm := generateEFSM(t, 4)
 	inst, err := core.NewEFSMInstance(efsm)
 	if err != nil {
 		t.Fatal(err)
@@ -232,4 +211,19 @@ func TestEFSMGuardStrings(t *testing.T) {
 	if !unconditional.Holds(nil) {
 		t.Error("unconditional guard does not hold")
 	}
+}
+
+// generateEFSM generalises the family member for r from a generation of
+// its own.
+func generateEFSM(t *testing.T, r int) *core.EFSM {
+	t.Helper()
+	m, err := NewModel(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	efsm, err := core.GenerateEFSM(context.Background(), m, NewAbstraction(m))
+	if err != nil {
+		t.Fatalf("GenerateEFSM(r=%d): %v", r, err)
+	}
+	return efsm
 }

@@ -11,7 +11,6 @@
 package consensus
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 
@@ -252,14 +251,4 @@ func (a *Abstraction) Symbol(component, value int) string {
 		return "n-2"
 	}
 	return ""
-}
-
-// GenerateEFSM generates the consensus machine for n processes and
-// coalesces it into the parameter-independent EFSM.
-func GenerateEFSM(ctx context.Context, n int) (*core.EFSM, error) {
-	m, err := NewModel(n)
-	if err != nil {
-		return nil, err
-	}
-	return core.GenerateEFSM(ctx, m, NewAbstraction(m))
 }

@@ -147,16 +147,10 @@ func TestDuplicateProposeIgnored(t *testing.T) {
 // TestEFSMIndependentOfN: the EFSM state space must not depend on the
 // process count — the §5.3 property carried over to the second algorithm.
 func TestEFSMIndependentOfN(t *testing.T) {
-	base, err := GenerateEFSM(context.Background(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := generateEFSM(t, 7)
 	baseNames := strings.Join(base.StateNames(), ",")
 	for _, n := range []int{9, 15, 21} {
-		e, err := GenerateEFSM(context.Background(), n)
-		if err != nil {
-			t.Fatalf("GenerateEFSM(context.Background(), %d): %v", n, err)
-		}
+		e := generateEFSM(t, n)
 		if got := strings.Join(e.StateNames(), ","); got != baseNames {
 			t.Errorf("n=%d: EFSM states %s, want %s", n, got, baseNames)
 		}
@@ -165,10 +159,7 @@ func TestEFSMIndependentOfN(t *testing.T) {
 
 // TestEFSMHappyPath drives the coalesced machine through a full round.
 func TestEFSMHappyPath(t *testing.T) {
-	e, err := GenerateEFSM(context.Background(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := generateEFSM(t, 5)
 	inst, err := core.NewEFSMInstance(e)
 	if err != nil {
 		t.Fatal(err)
@@ -202,4 +193,19 @@ func contains(list []string, want string) bool {
 		}
 	}
 	return false
+}
+
+// generateEFSM generalises the family member for n from a generation of
+// its own.
+func generateEFSM(t *testing.T, n int) *core.EFSM {
+	t.Helper()
+	m, err := NewModel(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	efsm, err := core.GenerateEFSM(context.Background(), m, NewAbstraction(m))
+	if err != nil {
+		t.Fatalf("GenerateEFSM(n=%d): %v", n, err)
+	}
+	return efsm
 }

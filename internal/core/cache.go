@@ -3,8 +3,7 @@ package core
 import (
 	"context"
 	"slices"
-	"strconv"
-	"sync"
+	"sync/atomic"
 
 	"asagen/internal/memo"
 )
@@ -47,8 +46,8 @@ type CacheStats struct {
 	// Aborted generations never count as Generations and leave no entry.
 	Cancellations int64
 	// Incremental counts generations satisfied by patching a previously
-	// cached machine's exploration (see LinkDelta) instead of exploring
-	// from scratch. Incremental generations also count as Generations.
+	// cached machine's exploration (see WithRegenerationFrom) instead of
+	// exploring from scratch. Incremental generations also count as Generations.
 	Incremental int64
 	// Entries is the current number of memoised machines.
 	Entries int
@@ -57,29 +56,14 @@ type CacheStats struct {
 // Cache generates machines on demand and memoises them per model
 // fingerprint, so that dynamic changes to the parameter (a new replication
 // factor, §4.2) pay the generation cost once. Concurrent first requests
-// for the same fingerprint share a single in-flight generation.
+// for the same fingerprint share a single in-flight generation. The table
+// is the cache's only record of a machine: what else is known about a
+// family member lives with whoever asked for it.
 type Cache struct {
 	opts     []Option
 	machines memo.Memo[Fingerprint, *StateMachine]
 
-	mu sync.Mutex
-	// hints records the reachable-state count of completed generations
-	// per model family member (name:parameter), so the next generation of
-	// the same member — e.g. after a spec edit — pre-sizes its interning
-	// arena and never grows mid-exploration.
-	hints map[string]int
-	// links records registered regeneration edges: links[newFP] says the
-	// machine for newFP can be derived from the cached machine for an old
-	// fingerprint by incremental regeneration under a model delta.
-	links map[Fingerprint]regenLink
-
-	generations, cancellations, incremental int64
-}
-
-// regenLink is one registered incremental-regeneration edge.
-type regenLink struct {
-	oldFP Fingerprint
-	delta ModelDelta
+	generations, cancellations, incremental atomic.Int64
 }
 
 // NewGenerationCache returns a cache generating with the given options.
@@ -87,11 +71,7 @@ type regenLink struct {
 // models, so one cache serves many registered models rather than one
 // parameterised family.
 func NewGenerationCache(opts ...Option) *Cache {
-	return &Cache{
-		opts:  append([]Option(nil), opts...),
-		hints: make(map[string]int),
-		links: make(map[Fingerprint]regenLink),
-	}
+	return &Cache{opts: append([]Option(nil), opts...)}
 }
 
 // with returns the cache's options followed by one lookup's own. A
@@ -123,7 +103,7 @@ func (c *Cache) MachineFor(ctx context.Context, m Model, opts ...Option) (*State
 // MachineForFingerprint is MachineFor with the fingerprint precomputed by
 // the caller (it must be c.Fingerprint(m, opts...)), so callers that also
 // need the fingerprint — e.g. for cache headers — hash the model once per
-// request.
+// request. A WithRegenerationFrom among opts is honoured on a miss.
 func (c *Cache) MachineForFingerprint(ctx context.Context, fp Fingerprint, m Model, opts ...Option) (*StateMachine, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -131,70 +111,35 @@ func (c *Cache) MachineForFingerprint(ctx context.Context, fp Fingerprint, m Mod
 	return c.machines.Do(ctx, fp, func() (*StateMachine, error) { return c.generate(ctx, fp, m, c.with(opts)) })
 }
 
-// generate is the memo's miss path: one generation, incremental when a
-// registered link's old machine is still cached, counted in the cache's
-// own statistics.
+// generate is the memo's miss path: one generation, counted in the cache's
+// own statistics. Under WithRegenerationFrom it patches the source machine
+// if that is still cached — Get never blocks on an in-flight generation, so
+// a source that is gone or unfinished means a full generation — and the
+// source, which no other lookup will ask for again, leaves the table once
+// its replacement exists.
 func (c *Cache) generate(ctx context.Context, fp Fingerprint, m Model, opts []Option) (*StateMachine, error) {
-	key := familyKey(m)
-	c.mu.Lock()
-	hint := c.hints[key]
-	link, hasLink := c.links[fp]
-	c.mu.Unlock()
-
-	if hint > 0 {
-		opts = append(slices.Clip(opts), WithSizeHint(hint))
-	}
 	var (
-		old, machine   *StateMachine
-		wasIncremental bool
-		err            error
+		old   *StateMachine
+		delta ModelDelta
 	)
-	if hasLink {
-		// Get never blocks on an in-flight generation: a link whose source
-		// is gone or unfinished falls back to a full generation.
-		old, _ = c.machines.Get(link.oldFP)
+	from := newGenConfig(opts).from
+	if from != nil && from.old != fp {
+		old, _ = c.machines.Get(from.old)
+		delta = from.delta
 	}
-	if old != nil {
-		machine, wasIncremental, err = regenerate(ctx, old, m, link.delta, opts)
-	} else {
-		machine, err = Generate(ctx, m, opts...)
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	machine, wasIncremental, err := regenerate(ctx, old, m, delta, opts)
 	if memo.IsCancellation(err) {
-		c.cancellations++
+		c.cancellations.Add(1)
 		return nil, err
 	}
-	c.generations++
+	c.generations.Add(1)
 	if wasIncremental {
-		c.incremental++
+		c.incremental.Add(1)
 	}
-	if err == nil {
-		c.hints[key] = machine.Stats.ReachableStates
+	if err == nil && old != nil {
+		c.machines.Delete(from.old)
 	}
 	return machine, err
-}
-
-// familyKey identifies one model family member for exploration size hints.
-func familyKey(m Model) string {
-	return m.Name() + ":" + strconv.Itoa(m.Parameter())
-}
-
-// LinkDelta records that the machine for newFP can be derived from the
-// cached machine for oldFP by incremental regeneration under delta (see
-// Regenerate). The next MachineFor miss on newFP patches the old
-// machine's retained exploration instead of exploring from scratch —
-// falling back to full generation transparently when the old entry is
-// gone, still in flight, or incompatible. The artefact pipeline registers
-// links when a registered model is replaced in place.
-func (c *Cache) LinkDelta(newFP, oldFP Fingerprint, delta ModelDelta) {
-	if newFP == oldFP {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.links[newFP] = regenLink{oldFP: oldFP, delta: delta}
 }
 
 // SetLimit bounds the number of memoised machines; least recently used
@@ -203,15 +148,8 @@ func (c *Cache) LinkDelta(newFP, oldFP Fingerprint, delta ModelDelta) {
 // unbounded parameter stream cannot grow the cache without bound.
 func (c *Cache) SetLimit(n int) { c.machines.SetLimit(n) }
 
-// Purge drops every memoised machine and registered link, returning the
-// number of machine entries removed. Size hints survive a purge: they
-// estimate exploration sizes, which a purge does not change.
-func (c *Cache) Purge() int {
-	c.mu.Lock()
-	c.links = make(map[Fingerprint]regenLink)
-	c.mu.Unlock()
-	return c.machines.Purge()
-}
+// Purge drops every memoised machine, returning the number removed.
+func (c *Cache) Purge() int { return c.machines.Purge() }
 
 // Drop removes the memoised machine for one fingerprint, reporting whether
 // an entry was present. Goroutines still waiting on a dropped entry's
@@ -223,15 +161,13 @@ func (c *Cache) Drop(fp Fingerprint) bool { return c.machines.Delete(fp) }
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() CacheStats {
 	st := c.machines.Stats()
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return CacheStats{
 		Hits:          st.Hits,
 		Misses:        st.Misses,
 		Evictions:     st.Evictions,
-		Generations:   c.generations,
-		Cancellations: c.cancellations,
-		Incremental:   c.incremental,
+		Generations:   c.generations.Load(),
+		Cancellations: c.cancellations.Load(),
+		Incremental:   c.incremental.Load(),
 		Entries:       st.Entries,
 	}
 }

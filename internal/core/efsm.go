@@ -303,9 +303,9 @@ func GeneralizeEFSM(machine *StateMachine, abs EFSMAbstraction) (*EFSM, error) {
 }
 
 // GenerateEFSM generalises m from a generation of its own, which no cache
-// shares: what the model packages' GenerateEFSM functions and
-// models.Entry.EFSM do, and the reference the artefact pipeline's view of
-// a cached machine is compared against. The context cancels the generation.
+// shares: what models.Entry.EFSM does, and the reference the artefact
+// pipeline's view of a cached machine is compared against. The context
+// cancels the generation.
 func GenerateEFSM(ctx context.Context, m Model, abs EFSMAbstraction) (*EFSM, error) {
 	machine, err := Generate(ctx, m, WithoutDescriptions())
 	if err != nil {

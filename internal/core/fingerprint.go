@@ -129,6 +129,13 @@ func FingerprintModel(m Model, opts ...Option) Fingerprint {
 	}
 	w.writeStrings(extra)
 
+	w.writeInt(cfg.flags())
+	return w.sum()
+}
+
+// flags is the flag word a fingerprint names the machine-changing options
+// by (see FingerprintModel).
+func (cfg genConfig) flags() int {
 	flags := 1
 	if cfg.merge {
 		flags |= 2
@@ -136,9 +143,13 @@ func FingerprintModel(m Model, opts ...Option) Fingerprint {
 	if cfg.describe {
 		flags |= 8
 	}
-	w.writeInt(flags)
-	return w.sum()
+	return flags
 }
+
+// OptionFlags returns the flag word FingerprintModel folds in for opts:
+// the machine-changing options as one comparable value, for callers that
+// key a table by them.
+func OptionFlags(opts ...Option) int { return newGenConfig(opts).flags() }
 
 // Fingerprint returns a content hash of the generated machine itself:
 // states in machine order with their annotations and merged-name lists,

@@ -16,11 +16,17 @@ var (
 
 // genConfig holds what a generation can be asked to vary. merge and
 // describe change the generated machine and are part of its fingerprint;
-// sizeHint only pre-sizes the exploration.
+// from only says where a Cache may start from.
 type genConfig struct {
 	merge    bool
 	describe bool
-	sizeHint int
+	from     *regenSource
+}
+
+// regenSource names a cached machine and how the model has changed since.
+type regenSource struct {
+	old   Fingerprint
+	delta ModelDelta
 }
 
 // Option configures the generation pipeline.
@@ -43,17 +49,19 @@ func WithoutMerging() Option { return func(c *genConfig) { c.merge = false } }
 // which speeds up generation for large parameter values.
 func WithoutDescriptions() Option { return func(c *genConfig) { c.describe = false } }
 
-// WithSizeHint pre-sizes the exploration's interning arena for
-// approximately n reachable states, eliminating hash-table growth during
-// exploration. The generation cache supplies this automatically from the
-// Stats of prior generations of the same model family; the hint never
-// changes the generated machine and is excluded from model fingerprints.
-func WithSizeHint(n int) Option {
-	return func(c *genConfig) {
-		if n > 0 {
-			c.sizeHint = n
-		}
-	}
+// WithRegenerationFrom tells a Cache that the machine asked for can be
+// derived from the machine it holds under old by incremental regeneration
+// under delta (see Regenerate): a miss patches that machine's retained
+// exploration instead of exploring from scratch, falling back to a full
+// generation when the source is gone, still in flight or incompatible.
+// The source is spent by the generation that uses it and leaves the cache.
+// The option never changes the generated machine, is excluded from
+// fingerprints, and means nothing to Generate itself. The artefact
+// pipeline passes it for a family member whose model was replaced in
+// place.
+func WithRegenerationFrom(old Fingerprint, delta ModelDelta) Option {
+	from := &regenSource{old: old, delta: delta}
+	return func(c *genConfig) { c.from = from }
 }
 
 // declared returns the model's components, messages and start vector,
@@ -91,6 +99,14 @@ func declared(m Model) ([]StateComponent, []string, Vector, error) {
 // aborts promptly with ctx.Err(). A nil ctx is treated as
 // context.Background().
 func Generate(ctx context.Context, m Model, opts ...Option) (*StateMachine, error) {
+	return generate(ctx, m, opts, 0)
+}
+
+// generate is Generate with the exploration's interning arena pre-sized
+// for about sizeHint reachable states (non-positive: a small default), so
+// a caller that knows the family member's size spares the exploration its
+// hash-table growth.
+func generate(ctx context.Context, m Model, opts []Option, sizeHint int) (*StateMachine, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -99,7 +115,7 @@ func Generate(ctx context.Context, m Model, opts ...Option) (*StateMachine, erro
 	if err != nil {
 		return nil, err
 	}
-	ex := newExploration(len(components), len(messages), cfg.sizeHint)
+	ex := newExploration(len(components), len(messages), sizeHint)
 	ex.arena.intern(start)
 	for id := 0; id < ex.arena.n; id++ {
 		if err := ctx.Err(); err != nil {

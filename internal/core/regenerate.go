@@ -58,9 +58,18 @@ func regenerate(ctx context.Context, old *StateMachine, m Model, delta ModelDelt
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if old == nil || old.explored == nil || delta.Full {
-		machine, err := Generate(ctx, m, opts...)
+	// full is the fallback: a generation from scratch, its arena sized from
+	// the old machine when there is one.
+	full := func() (*StateMachine, bool, error) {
+		sizeHint := 0
+		if old != nil {
+			sizeHint = old.Stats.ReachableStates
+		}
+		machine, err := generate(ctx, m, opts, sizeHint)
 		return machine, false, err
+	}
+	if old == nil || old.explored == nil || delta.Full {
+		return full()
 	}
 	components, messages, start, err := declared(m)
 	if err != nil {
@@ -71,8 +80,7 @@ func regenerate(ctx context.Context, old *StateMachine, m Model, delta ModelDelt
 	// message set are unchanged and the start state is the same interned
 	// row. Anything else is a structural edit: fall back.
 	if !structureMatches(old, components, messages, start) {
-		machine, err := Generate(ctx, m, opts...)
-		return machine, false, err
+		return full()
 	}
 
 	affected := make([]int, 0, len(delta.Messages))
@@ -85,8 +93,7 @@ func regenerate(ctx context.Context, old *StateMachine, m Model, delta ModelDelt
 		if !ok {
 			// The delta names a message the model does not declare; the
 			// delta cannot be trusted to be conservative.
-			machine, err := Generate(ctx, m, opts...)
-			return machine, false, err
+			return full()
 		}
 		affected = append(affected, mi)
 	}
@@ -137,8 +144,7 @@ func regenerate(ctx context.Context, old *StateMachine, m Model, delta ModelDelt
 		// Start is always row 0 of a fresh exploration; structureMatches
 		// guarantees this, so reaching here is a programming error — but
 		// degrade to a full generation rather than building a wrong machine.
-		machine, err := Generate(ctx, m, opts...)
-		return machine, false, err
+		return full()
 	}
 	reach, finishReachable := reachableFrom(ex, int32(startID))
 

@@ -256,8 +256,9 @@ func TestRegenerateFallbacks(t *testing.T) {
 }
 
 // TestCacheLinkDeltaRegeneratesIncrementally exercises the cache-level
-// wiring: a registered delta link makes the miss for the new fingerprint
-// patch the cached old machine, observable through the Incremental stat.
+// wiring of the regeneration link, an old fingerprint and a delta: a miss
+// under WithRegenerationFrom patches the cached source machine, observable
+// through the Incremental stat, and spends it.
 func TestCacheLinkDeltaRegeneratesIncrementally(t *testing.T) {
 	cache := NewGenerationCache()
 	oldModel := &gateModel{max: 6, gate: 2}
@@ -268,13 +269,15 @@ func TestCacheLinkDeltaRegeneratesIncrementally(t *testing.T) {
 		t.Fatalf("MachineFor(old): %v", err)
 	}
 	oldFP := cache.Fingerprint(oldModel)
-	newFP := cache.Fingerprint(newModel)
-	if oldFP == newFP {
+	from := WithRegenerationFrom(oldFP, ModelDelta{Messages: []string{"inc"}})
+	if oldFP == cache.Fingerprint(newModel) {
 		t.Fatal("gate must be fingerprint-relevant for this test")
 	}
-	cache.LinkDelta(newFP, oldFP, ModelDelta{Messages: []string{"inc"}})
+	if cache.Fingerprint(newModel, from) != cache.Fingerprint(newModel) {
+		t.Fatal("the regeneration source entered the fingerprint")
+	}
 
-	newMachine, err := cache.MachineFor(context.Background(), newModel)
+	newMachine, err := cache.MachineFor(context.Background(), newModel, from)
 	if err != nil {
 		t.Fatalf("MachineFor(new): %v", err)
 	}
@@ -289,18 +292,23 @@ func TestCacheLinkDeltaRegeneratesIncrementally(t *testing.T) {
 	if stats.Generations != 2 {
 		t.Errorf("Generations = %d, want 2", stats.Generations)
 	}
+	if stats.Entries != 1 {
+		t.Errorf("Entries = %d, want 1: the source is spent by the generation that used it", stats.Entries)
+	}
 	if oldMachine.Fingerprint() == newMachine.Fingerprint() {
 		t.Error("old and new machines should differ")
 	}
 
-	// A link whose source entry is gone degrades to a full generation.
+	// A source that is gone degrades to a full generation.
 	cache.Purge()
-	cache.LinkDelta(newFP, oldFP, ModelDelta{Messages: []string{"inc"}})
-	again, err := cache.MachineFor(context.Background(), newModel)
+	again, err := cache.MachineFor(context.Background(), newModel, from)
 	if err != nil {
 		t.Fatalf("MachineFor after purge: %v", err)
 	}
 	if again.Fingerprint() != want.Fingerprint() {
 		t.Error("post-purge machine differs from Generate")
+	}
+	if got := cache.Stats().Incremental; got != 1 {
+		t.Errorf("Incremental = %d after a generation without its source, want 1", got)
 	}
 }

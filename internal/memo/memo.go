@@ -1,6 +1,6 @@
 // Package memo is the one cache table of the repository: a single-flight,
 // LRU-bounded memo of successful computations. The generation cache, the
-// pipeline's result, render, EFSM and route tiers are all instances of it,
+// pipeline's result, member, render and EFSM tiers are all instances of it,
 // so the §4.2 policy — generate on first use of a parameter value, then
 // reuse — and every rule around it is stated here once:
 //
@@ -153,6 +153,22 @@ func (m *Memo[K, V]) DeleteFunc(pred func(K) bool) int {
 		}
 	}
 	return n
+}
+
+// Each calls fn with the key and value of every completed entry, in no
+// particular order, without counting hits or refreshing recency. fn runs
+// under the table's lock and must not call back into the Memo.
+func (m *Memo[K, V]) Each(fn func(K, V)) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for key, e := range m.entries {
+		select {
+		case <-e.done:
+			// A failed entry left the map before its done closed.
+			fn(key, e.val)
+		default:
+		}
+	}
 }
 
 // Purge removes every entry and returns how many were removed.

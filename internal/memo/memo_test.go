@@ -359,3 +359,37 @@ func TestEndedContext(t *testing.T) {
 		t.Errorf("entries = %d, want only the completed one", st.Entries)
 	}
 }
+
+// TestEachVisitsCompletedEntries: Each sees every completed entry with its
+// value and no in-flight one, and is not a lookup — it neither counts hits
+// nor refreshes recency.
+func TestEachVisitsCompletedEntries(t *testing.T) {
+	var m Memo[string, int]
+	m.SetLimit(3)
+	for _, k := range []string{"a", "b"} {
+		m.Do(context.Background(), k, func() (int, error) { return len(k), nil })
+	}
+	m.Do(context.Background(), "failed", func() (int, error) { return 0, errors.New("boom") })
+	f := startFlight(t, &m, context.Background(), 9, nil)
+
+	before := m.Stats()
+	seen := map[string]int{}
+	m.Each(func(k string, v int) { seen[k] = v })
+	if len(seen) != 2 || seen["a"] != 1 || seen["b"] != 1 {
+		t.Errorf("Each visited %v, want the two completed entries", seen)
+	}
+	if after := m.Stats(); after != before {
+		t.Errorf("Each changed the counters: %+v -> %+v", before, after)
+	}
+	close(f.release)
+	<-f.done
+	m.Each(func(k string, v int) { seen[k] = v })
+	if seen["k"] != 9 {
+		t.Errorf("Each after the flight landed visited %v, want k too", seen)
+	}
+	// "a" is still the least recently used: Each refreshed nothing.
+	m.Do(context.Background(), "c", func() (int, error) { return 0, nil })
+	if _, ok := m.Get("a"); ok {
+		t.Error("Each refreshed recency: the oldest entry survived an eviction")
+	}
+}

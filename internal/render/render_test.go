@@ -104,10 +104,7 @@ func TestDotRenderer(t *testing.T) {
 }
 
 func TestDotRendererEFSM(t *testing.T) {
-	efsm, err := commit.GenerateEFSM(context.Background(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	efsm := commitEFSM(t, 7)
 	out := RenderEFSMDot(efsm)
 	if !strings.Contains(out, commit.EFSMChosenVoted) {
 		t.Error("missing EFSM state node")
@@ -272,10 +269,7 @@ func TestDocRenderer(t *testing.T) {
 }
 
 func TestEFSMTextRenderer(t *testing.T) {
-	efsm, err := commit.GenerateEFSM(context.Background(), 13)
-	if err != nil {
-		t.Fatal(err)
-	}
+	efsm := commitEFSM(t, 13)
 	out := RenderEFSMText(efsm)
 	for _, want := range []string{
 		"extended state machine: bft-commit",
@@ -316,4 +310,19 @@ func TestBufferUtilities(t *testing.T) {
 	if got := b2.String(); got != "top\n" {
 		t.Errorf("after ResetIndent: %q", got)
 	}
+}
+
+// commitEFSM generalises the commit family member for r from a generation
+// of its own.
+func commitEFSM(t *testing.T, r int) *core.EFSM {
+	t.Helper()
+	m, err := commit.NewModel(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	efsm, err := core.GenerateEFSM(context.Background(), m, commit.NewAbstraction(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return efsm
 }

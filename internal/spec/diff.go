@@ -4,7 +4,22 @@ import (
 	"slices"
 
 	"asagen/internal/core"
+	"asagen/internal/models"
 )
+
+// DeltaFrom returns the delta from the entry reg holds under the spec's
+// name to the spec, for replacing that entry in place: Diff of the two
+// documents when the entry was compiled from one, and a full delta when
+// there is no such entry or it is hand-written, about which a document
+// says nothing.
+func (c *Compiled) DeltaFrom(reg *models.Registry) core.ModelDelta {
+	if old, err := reg.Get(c.doc.Name); err == nil {
+		if oldDoc, ok := old.Spec.(Doc); ok {
+			return Diff(oldDoc, c.doc)
+		}
+	}
+	return core.ModelDelta{Full: true}
+}
 
 // Diff compares an old and a new model document and returns the
 // core.ModelDelta describing how a machine generated from old must be

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"asagen/internal/core"
+	"asagen/internal/models"
 )
 
 // editableDoc is the randomized-edit base: a two-counter protocol with
@@ -233,6 +234,41 @@ func TestDiffClassification(t *testing.T) {
 			t.Fatalf("delta = %+v, want empty", d)
 		}
 	})
+}
+
+// TestDeltaFromRegistry: what a replacement in place may reuse depends on
+// what the registry holds under the name — nothing, a hand-written entry
+// (both a full delta) or an entry compiled from a document (their Diff).
+func TestDeltaFromRegistry(t *testing.T) {
+	edited := editableDoc()
+	edited.Rules = append([]Rule(nil), edited.Rules...)
+	edited.Rules[0].Actions = []string{"->req", "->log"}
+	next, err := Compile(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := models.NewRegistry()
+	if d := next.DeltaFrom(reg); !d.Full {
+		t.Errorf("no previous entry: delta = %+v, want full", d)
+	}
+	base, err := Compile(editableDoc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	handWritten := base.Entry()
+	handWritten.Spec = nil
+	if err := reg.Add(handWritten); err != nil {
+		t.Fatal(err)
+	}
+	if d := next.DeltaFrom(reg); !d.Full {
+		t.Errorf("hand-written previous entry: delta = %+v, want full", d)
+	}
+	if _, err := reg.Replace(base.Entry()); err != nil {
+		t.Fatal(err)
+	}
+	if d := next.DeltaFrom(reg); d.Full || len(d.Messages) != 1 || d.Messages[0] != "REQ" {
+		t.Errorf("spec-defined previous entry: delta = %+v, want {Messages:[REQ]}", d)
+	}
 }
 
 // mustCompileDoc compiles and returns the default-filled document.

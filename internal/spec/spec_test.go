@@ -161,7 +161,11 @@ func TestCompileTerminationEFSM(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: spec EFSM: %v", k, err)
 		}
-		handEFSM, err := termination.GenerateEFSM(context.Background(), k)
+		handModel, err := termination.NewModel(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handEFSM, err := core.GenerateEFSM(context.Background(), handModel, termination.NewAbstraction(handModel))
 		if err != nil {
 			t.Fatalf("k=%d: adapter EFSM: %v", k, err)
 		}

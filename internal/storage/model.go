@@ -17,7 +17,6 @@ package storage
 // acknowledgement and fetch-attempt counts event for event.
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 
@@ -255,14 +254,4 @@ func (a *Abstraction) Symbol(component, value int) string {
 		return "f-1"
 	}
 	return ""
-}
-
-// GenerateEFSM generates the endpoint machine for replication factor r and
-// coalesces it into the parameter-independent EFSM.
-func GenerateEFSM(ctx context.Context, r int) (*core.EFSM, error) {
-	m, err := NewModel(r)
-	if err != nil {
-		return nil, err
-	}
-	return core.GenerateEFSM(ctx, m, NewAbstraction(m))
 }

@@ -44,10 +44,7 @@ func endpointMachines(t *testing.T, r int) (*Model, *core.StateMachine, *core.EF
 	if err != nil {
 		t.Fatalf("Generate(r=%d): %v", r, err)
 	}
-	efsm, err := GenerateEFSM(context.Background(), r)
-	if err != nil {
-		t.Fatalf("GenerateEFSM(r=%d): %v", r, err)
-	}
+	efsm := generateEFSM(t, r)
 	return model, machine, efsm
 }
 
@@ -315,18 +312,27 @@ func efsmStructure(e *core.EFSM) string {
 // its symbolic anchors coincide with the constants, exactly as the commit
 // EFSM's small-f factors do.
 func TestEFSMGenericInReplicationFactor(t *testing.T) {
-	base, err := GenerateEFSM(context.Background(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := generateEFSM(t, 7)
 	baseStruct := efsmStructure(base)
 	for _, r := range []int{13, 25} {
-		e, err := GenerateEFSM(context.Background(), r)
-		if err != nil {
-			t.Fatalf("GenerateEFSM(r=%d): %v", r, err)
-		}
+		e := generateEFSM(t, r)
 		if got := efsmStructure(e); got != baseStruct {
 			t.Errorf("r=%d: EFSM structure differs from r=7:\n--- r=7:\n%s\n--- r=%d:\n%s", r, baseStruct, r, got)
 		}
 	}
+}
+
+// generateEFSM generalises the family member for r from a generation of
+// its own.
+func generateEFSM(t *testing.T, r int) *core.EFSM {
+	t.Helper()
+	m, err := NewModel(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	efsm, err := core.GenerateEFSM(context.Background(), m, NewAbstraction(m))
+	if err != nil {
+		t.Fatalf("GenerateEFSM(r=%d): %v", r, err)
+	}
+	return efsm
 }

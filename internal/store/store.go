@@ -1,11 +1,10 @@
 // Package store is the content-addressed on-disk artefact store that sits
 // under the artefact pipeline's render memo. Every rendered artefact is
 // persisted as a sha256-named blob plus an index row keyed the same way the
-// pipeline keys its in-memory memo — machine artefacts by (model
-// fingerprint, format), EFSM artefacts by (model, parameter, format) — so
-// a restarted serve process answers every previously rendered artefact
-// from disk instead of regenerating it (the ROADMAP's "cold-start warm,
-// survives restarts" tier).
+// pipeline keys its render memo — by (model fingerprint, format), for all
+// seven formats — so a restarted serve process answers every previously
+// rendered artefact from disk instead of regenerating it (the ROADMAP's
+// "cold-start warm, survives restarts" tier).
 //
 // Layout under the store directory:
 //
@@ -15,8 +14,9 @@
 // Blobs are written tmp-file-then-rename with an fsync in between, so a
 // crash never leaves a partially written blob under its final name. The
 // index is an append-only log; reopening replays it, ignoring an
-// unparsable trailing line (the torn write of a crash) and rows whose blob
-// is missing, and compacts the log when tombstones outnumber live rows.
+// unparsable trailing line (the torn write of a crash), rows whose blob is
+// missing and rows without a fingerprint (an older binary's EFSM rows),
+// and compacts the log when dead lines outnumber live rows.
 // Blob content is verified against its name on every read, so disk
 // corruption degrades to a cache miss, never to serving wrong bytes.
 //
@@ -35,14 +35,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 )
 
-// Key addresses one artefact in the index. Machine artefacts carry the hex
-// model fingerprint and are shared by every model that generates under it;
-// EFSM artefacts have no machine fingerprint and are keyed by (model,
-// parameter) instead.
+// Key addresses one artefact in the index: a row is found by its
+// fingerprint and format, and shared by every model that generates under
+// that fingerprint.
 type Key struct {
 	// Model is the registry name the artefact was rendered for: the first
 	// owner of a fingerprint-addressed row (lookup ignores it), and what
@@ -53,20 +51,12 @@ type Key struct {
 	// Format is the registry format name.
 	Format string
 	// Fingerprint is the hex model fingerprint of the family member the
-	// artefact renders. Empty only in the EFSM rows of binaries that keyed
-	// those by (model, param): the pipeline never looks such a row up
-	// again, and it leaves with EvictModel or Purge.
+	// artefact renders; Put refuses a key without one.
 	Fingerprint string
 }
 
-// id returns the index-map key: fingerprint-addressed, or (model,
-// param)-addressed for a row without one.
-func (k Key) id() string {
-	if k.Fingerprint != "" {
-		return "m/" + k.Fingerprint + "/" + k.Format
-	}
-	return "e/" + k.Model + "/" + strconv.Itoa(k.Param) + "/" + k.Format
-}
+// id returns the index-map key.
+func (k Key) id() string { return k.Fingerprint + "/" + k.Format }
 
 // row is the JSONL wire form of one index mutation.
 type row struct {
@@ -187,6 +177,13 @@ func (s *Store) replay() error {
 		}
 		var r row
 		if err := json.Unmarshal(line, &r); err != nil {
+			continue
+		}
+		if r.FP == "" {
+			// A row of a binary that keyed EFSM artefacts by (model, param):
+			// nothing looks it up any more. It counts as a dead line, so a
+			// log full of them is compacted without them.
+			s.tombstone++
 			continue
 		}
 		key := Key{Model: r.Model, Param: r.Param, Format: r.Format, Fingerprint: r.FP}
@@ -324,6 +321,9 @@ func (s *Store) Get(key Key) (data []byte, sum [sha256.Size]byte, media, ext str
 // index row is appended. Beyond the size limit, least-recently-used
 // entries are evicted — never the one just written.
 func (s *Store) Put(key Key, data []byte, sum [sha256.Size]byte, media, ext string) error {
+	if key.Fingerprint == "" {
+		return fmt.Errorf("store: put %s/%d/%s: key has no fingerprint", key.Model, key.Param, key.Format)
+	}
 	hexSum := hex.EncodeToString(sum[:])
 	if err := s.writeBlob(hexSum, data); err != nil {
 		s.mu.Lock()
@@ -473,7 +473,7 @@ func (s *Store) EvictModel(model string, fingerprints map[string]bool) int {
 	defer s.mu.Unlock()
 	var victims []string
 	for id, e := range s.entries {
-		if e.key.Model == model || (e.key.Fingerprint != "" && fingerprints[e.key.Fingerprint]) {
+		if e.key.Model == model || fingerprints[e.key.Fingerprint] {
 			victims = append(victims, id)
 		}
 	}

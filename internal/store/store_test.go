@@ -55,16 +55,16 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEFSMKeysAreModelScoped(t *testing.T) {
+// TestPutRefusesKeyWithoutFingerprint: every row is found by its
+// fingerprint, so a key without one names nothing.
+func TestPutRefusesKeyWithoutFingerprint(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
-	put(t, s, Key{Model: "a", Param: 4, Format: "efsm"}, "efsm-a")
-	put(t, s, Key{Model: "b", Param: 4, Format: "efsm"}, "efsm-b")
-	data, _, _, _, ok := s.Get(Key{Model: "b", Param: 4, Format: "efsm"})
-	if !ok || string(data) != "efsm-b" {
-		t.Fatalf("Get(b) = %q, %v", data, ok)
+	content := []byte("efsm")
+	if err := s.Put(Key{Model: "a", Param: 4, Format: "efsm"}, content, sha256.Sum256(content), "text/plain", ".txt"); err == nil {
+		t.Fatal("Put accepted a key without a fingerprint")
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d, want 0", s.Len())
 	}
 }
 
@@ -120,6 +120,46 @@ func TestReopenIgnoresTornTailLine(t *testing.T) {
 	}
 	if _, _, _, _, ok := reopened.Get(key); !ok {
 		t.Fatal("intact row lost after torn tail")
+	}
+}
+
+// TestReopenSkipsFingerprintlessRows: a directory written by a binary that
+// keyed EFSM rows by (model, param) still opens. Those rows name nothing a
+// lookup can ask for, so replay skips them, and counts them as dead lines:
+// once they outnumber the live rows the log is rewritten without them.
+func TestReopenSkipsFingerprintlessRows(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	key := machineKey("commit", "feed", "text")
+	sum := put(t, s, key, "survives")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	old := fmt.Sprintf(`{"op":"put","model":"commit","param":4,"format":"efsm","sum":"%x","media":"text/plain","ext":".txt","size":8}`+"\n", sum)
+	old += `{"op":"del","model":"commit","param":7,"format":"efsm-dot"}` + "\n"
+	f, err := os.OpenFile(filepath.Join(dir, "index.log"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(old); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	reopened := mustOpen(t, dir)
+	if reopened.Len() != 1 {
+		t.Fatalf("Len = %d, want the one fingerprinted row", reopened.Len())
+	}
+	if data, _, _, _, ok := reopened.Get(key); !ok || string(data) != "survives" {
+		t.Fatalf("Get = %q, %v: the fingerprinted row did not survive its neighbours", data, ok)
+	}
+	reopened.Close()
+	log, err := os.ReadFile(filepath.Join(dir, "index.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(log), "\n"); lines != 1 {
+		t.Fatalf("log has %d lines after reopening, want 1: two dead lines outnumber one live row", lines)
 	}
 }
 
@@ -233,7 +273,7 @@ func TestSharedBlobSurvivesPartialEviction(t *testing.T) {
 func TestEvictModel(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	put(t, s, machineKey("lease", "leasefp", "text"), "lease machine")
-	put(t, s, Key{Model: "lease", Param: 3, Format: "efsm"}, "lease efsm")
+	put(t, s, machineKey("lease", "strayfp", "efsm"), "lease efsm")
 	put(t, s, machineKey("commit", "commitfp", "text"), "commit machine")
 
 	if n := s.EvictModel("lease", map[string]bool{"leasefp": true}); n != 2 {
@@ -242,8 +282,8 @@ func TestEvictModel(t *testing.T) {
 	if _, _, _, _, ok := s.Get(machineKey("lease", "leasefp", "text")); ok {
 		t.Fatal("machine row survived model eviction")
 	}
-	if _, _, _, _, ok := s.Get(Key{Model: "lease", Param: 3, Format: "efsm"}); ok {
-		t.Fatal("EFSM row survived model eviction")
+	if _, _, _, _, ok := s.Get(machineKey("lease", "strayfp", "efsm")); ok {
+		t.Fatal("a row owned by the name, under a fingerprint not listed, survived model eviction")
 	}
 	if _, _, _, _, ok := s.Get(machineKey("commit", "commitfp", "text")); !ok {
 		t.Fatal("unrelated model evicted")
@@ -344,7 +384,7 @@ func TestPutSameKeySameContentIsIdempotent(t *testing.T) {
 // the new bytes, and the orphaned old blob is accounted out.
 func TestPutReplacesChangedContent(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
-	key := Key{Model: "m", Param: 2, Format: "efsm"}
+	key := machineKey("m", "replaced", "efsm")
 	put(t, s, key, "old bytes")
 	put(t, s, key, "new longer bytes")
 	data, _, _, _, ok := s.Get(key)

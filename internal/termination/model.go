@@ -12,7 +12,6 @@
 package termination
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 
@@ -208,14 +207,4 @@ func (a *Abstraction) Symbol(component, value int) string {
 		return "k-1"
 	}
 	return ""
-}
-
-// GenerateEFSM generates the machine for fan-out k and coalesces it into
-// the parameter-independent EFSM.
-func GenerateEFSM(ctx context.Context, k int) (*core.EFSM, error) {
-	m, err := NewModel(k)
-	if err != nil {
-		return nil, err
-	}
-	return core.GenerateEFSM(ctx, m, NewAbstraction(m))
 }

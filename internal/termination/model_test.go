@@ -147,10 +147,7 @@ func TestGuards(t *testing.T) {
 // IDLE_WAITING, FINISHED) regardless of the fan-out bound.
 func TestEFSMIndependentOfK(t *testing.T) {
 	for _, k := range []int{2, 4, 16} {
-		e, err := GenerateEFSM(context.Background(), k)
-		if err != nil {
-			t.Fatalf("GenerateEFSM(context.Background(), %d): %v", k, err)
-		}
+		e := generateEFSM(t, k)
 		if len(e.States) != 3 {
 			t.Errorf("k=%d: EFSM has %d states (%v), want 3", k, len(e.States), e.StateNames())
 		}
@@ -158,10 +155,7 @@ func TestEFSMIndependentOfK(t *testing.T) {
 }
 
 func TestEFSMLifecycle(t *testing.T) {
-	e, err := GenerateEFSM(context.Background(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := generateEFSM(t, 3)
 	inst, err := core.NewEFSMInstance(e)
 	if err != nil {
 		t.Fatal(err)
@@ -194,4 +188,19 @@ func countOf(list []string, want string) int {
 		}
 	}
 	return n
+}
+
+// generateEFSM generalises the family member for k from a generation of
+// its own.
+func generateEFSM(t *testing.T, k int) *core.EFSM {
+	t.Helper()
+	m, err := NewModel(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	efsm, err := core.GenerateEFSM(context.Background(), m, NewAbstraction(m))
+	if err != nil {
+		t.Fatalf("GenerateEFSM(k=%d): %v", k, err)
+	}
+	return efsm
 }

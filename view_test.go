@@ -9,29 +9,11 @@ import (
 	"testing"
 
 	"asagen"
-	"asagen/internal/chord"
-	"asagen/internal/commit"
-	"asagen/internal/consensus"
 	"asagen/internal/core"
+	"asagen/internal/models"
 	"asagen/internal/render"
 	"asagen/internal/spec"
-	"asagen/internal/storage"
-	"asagen/internal/termination"
 )
-
-// referenceEFSMs are the generators the EFSM formats were served from
-// before they became views of the cached machine: each generates the
-// family member privately and generalises that.
-var referenceEFSMs = map[string]func(context.Context, int) (*core.EFSM, error){
-	"commit": func(ctx context.Context, r int) (*core.EFSM, error) { return commit.GenerateEFSM(ctx, r) },
-	"commit-redundant": func(ctx context.Context, r int) (*core.EFSM, error) {
-		return commit.GenerateEFSM(ctx, r, commit.WithVariant(commit.RedundantVariant()))
-	},
-	"consensus":   consensus.GenerateEFSM,
-	"chord":       chord.GenerateEFSM,
-	"storage":     storage.GenerateEFSM,
-	"termination": termination.GenerateEFSM,
-}
 
 // viewSpecs are the three shapes of spec the end-to-end benchmark churns:
 // the termination port, the leader-lease lifecycle and a counter grid
@@ -70,9 +52,16 @@ func viewSpecs(t *testing.T) []*asagen.ModelSpec {
 func TestEFSMViewIsTheArtefactItReplaced(t *testing.T) {
 	ctx := context.Background()
 	specs := viewSpecs(t)
-	references := make(map[string]func(context.Context, int) (*core.EFSM, error), len(referenceEFSMs)+len(specs))
-	for name, reference := range referenceEFSMs {
-		references[name] = reference
+	// The references are the generators the EFSM formats were served from
+	// before they became views of the cached machine: each generates the
+	// family member privately and generalises that.
+	references := map[string]func(context.Context, int) (*core.EFSM, error){}
+	for _, name := range []string{"commit", "commit-redundant", "consensus", "chord", "storage", "termination"} {
+		entry, err := models.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		references[name] = entry.EFSM
 	}
 	for _, s := range specs {
 		data, err := s.JSON()
