@@ -1024,8 +1024,8 @@ func BenchmarkCheckRoute(b *testing.B) {
 // delivery classified — per iteration. instances/sec is the engine's
 // wall-clock fleet throughput; the p50-ns/p99-ns metrics are the
 // *virtual-time* completion percentiles read off the deterministic
-// histogram, so the benchgate percentile gate pins the simulated latency
-// distribution exactly: any drift is a behaviour change, not noise.
+// histogram, so any drift in the p50/p99 columns benchgate prints is a
+// behaviour change, not noise (benchgate gates allocs/op only).
 func BenchmarkFleetSim(b *testing.B) {
 	sc := fleetsim.Scenario{
 		Name:       "bench",

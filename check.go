@@ -3,6 +3,7 @@ package asagen
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"iter"
 
@@ -165,7 +166,7 @@ type checkConfig struct {
 }
 
 // WithTraceFormat selects the trace encoding: TraceFormatJSONL (the
-// default) or TraceFormatRegex.
+// default, also selected by "") or TraceFormatRegex.
 func WithTraceFormat(format string) CheckOption {
 	return func(c *checkConfig) { c.format = format }
 }
@@ -184,7 +185,7 @@ func WithTracePattern(rule string) CheckOption {
 
 // WithTolerance sets how many rejected deliveries are absorbed before a
 // further rejection becomes a violation. The default is 0: the first
-// rejection violates.
+// rejection violates; a negative n is an ErrBadTrace.
 func WithTolerance(n int) CheckOption {
 	return func(c *checkConfig) { c.tolerance = n }
 }
@@ -215,10 +216,12 @@ func WithKeepGoing() CheckOption {
 // is bounded by the longest trace line, never the trace length: lines
 // are judged and discarded at line rate. Breaking out of the loop stops
 // reading promptly. Errors detectable before any trace is read (unknown
-// model, bad parameter, bad pattern) are returned immediately instead
-// of as verdicts; they match the package sentinels under errors.Is.
+// model, bad parameter, bad format, pattern or tolerance) are returned
+// immediately instead of as verdicts, and the trace options are checked
+// before any generation; they match the package sentinels under
+// errors.Is.
 func (c *Client) Check(ctx context.Context, model string, r io.Reader, opts ...CheckOption) (iter.Seq[Verdict], error) {
-	cfg := checkConfig{format: TraceFormatJSONL}
+	var cfg checkConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -230,9 +233,16 @@ func (c *Client) Check(ctx context.Context, model string, r io.Reader, opts ...C
 		}
 		rules = append(rules, rule)
 	}
+	if cfg.format == "" {
+		cfg.format = TraceFormatJSONL
+	}
 	if cfg.format != TraceFormatJSONL && cfg.format != TraceFormatRegex {
 		return nil, wrapSentinel(ErrBadTrace,
 			errors.New("asagen: unknown trace format "+cfg.format+" (known: jsonl, regex)"))
+	}
+	if cfg.tolerance < 0 {
+		return nil, wrapSentinel(ErrBadTrace,
+			fmt.Errorf("asagen: negative tolerance %d", cfg.tolerance))
 	}
 	machine, err := c.Generate(ctx, model, WithParam(cfg.param))
 	if err != nil {

@@ -208,6 +208,29 @@ func TestCheckPreflightErrors(t *testing.T) {
 		asagen.WithTracePattern("([broken")); !errors.Is(err, asagen.ErrBadTrace) {
 		t.Errorf("bad pattern error = %v, want ErrBadTrace", err)
 	}
+	// A negative tolerance is refused up front, as the wire route's
+	// preflight 400 does, and before the machine is generated.
+	if _, err := client.Check(ctx, "commit", strings.NewReader(""),
+		asagen.WithTolerance(-1)); !errors.Is(err, asagen.ErrBadTrace) || !strings.Contains(err.Error(), "tolerance") {
+		t.Errorf("negative tolerance error = %v, want ErrBadTrace naming the tolerance", err)
+	}
+	if n := client.Stats().Generations; n != 0 {
+		t.Errorf("preflight failures generated %d machines, want 0", n)
+	}
+}
+
+// TestCheckEmptyFormatIsTheDefault: WithTraceFormat("") selects JSON
+// Lines, as an empty format= does on the wire.
+func TestCheckEmptyFormatIsTheDefault(t *testing.T) {
+	seq, err := asagen.NewClient().Check(context.Background(), "commit",
+		strings.NewReader(conformingCommitTrace), asagen.WithTraceParam(4), asagen.WithTraceFormat(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	verdicts := collectVerdicts(t, seq)
+	if last := verdicts[len(verdicts)-1]; last.Kind != asagen.VerdictSummary || !last.Stats.Conforming() {
+		t.Fatalf("terminal verdict = %+v, want a conforming summary", last)
+	}
 }
 
 func TestCheckEarlyBreak(t *testing.T) {

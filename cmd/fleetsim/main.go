@@ -7,9 +7,9 @@
 // byte-identical reports, so checked-in golden reports are diffable in CI
 // and any drift — or any unexpected violation — fails the gate.
 //
-// With -url the same scenario instead drives a live /v1 server: the
-// arrival process schedules real render GETs and /check POSTs, replacing
-// ad-hoc loadgen invocations with named, checked-in scenarios.
+// With -url the same scenario instead drives live /v1 servers: its
+// arrival schedule issues real render GETs and /check POSTs through the
+// load engine loadgen uses, as a named, checked-in mix.
 //
 // Examples:
 //

@@ -108,9 +108,7 @@ func runCheck(args []string, stdout io.Writer) error {
 	opts := []asagen.CheckOption{
 		asagen.WithTraceParam(*r),
 		asagen.WithTolerance(*tolerance),
-	}
-	if *format != "" {
-		opts = append(opts, asagen.WithTraceFormat(*format))
+		asagen.WithTraceFormat(*format),
 	}
 	for _, rule := range matches {
 		opts = append(opts, asagen.WithTracePattern(rule))

@@ -1,7 +1,7 @@
 // Command loadgen drives the /v1 artifact route of a generation server
-// and reports tail latency — the serve-path companion to benchgate's
-// ns/op gating and a first slice of the fleet-style load harness the
-// ROADMAP's distributed serve tier calls for.
+// and reports tail latency: the end-to-end serve-path number beside the
+// per-layer benchmarks, run through the load engine internal/latency
+// shares with fleetsim's live mode.
 //
 // It runs in one of two modes. Closed loop (the default) keeps -c
 // workers saturated: each worker issues its next request the moment the
@@ -32,6 +32,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -40,7 +41,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"asagen/internal/api"
@@ -97,7 +97,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("concurrency must be at least 1")
 	}
 
-	bases := splitBases(*url)
+	bases := latency.Targets(*url)
 	if len(bases) == 0 {
 		opts := []artifact.Option{artifact.WithRegistry(models.Default().Clone())}
 		if *storeDir != "" {
@@ -117,16 +117,8 @@ func run(args []string, stdout io.Writer) error {
 	// to one target per base, consecutively — so the workers' i%len cycle
 	// round-robins arrivals across the servers.
 	var targets []string
-	for _, model := range strings.Split(*modelsFlag, ",") {
-		model = strings.TrimSpace(model)
-		if model == "" {
-			continue
-		}
-		for _, format := range strings.Split(*formats, ",") {
-			format = strings.TrimSpace(format)
-			if format == "" {
-				continue
-			}
+	for _, model := range latency.Targets(*modelsFlag) {
+		for _, format := range latency.Targets(*formats) {
 			path := "/v1/models/" + model + "/artifacts/" + format
 			if *param > 0 {
 				path += fmt.Sprintf("?r=%d", *param)
@@ -140,25 +132,30 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("empty model×format mix")
 	}
 
+	ctx := context.Background()
 	client := &http.Client{Timeout: time.Minute}
 	// One request per target outside the measurement window verifies the
 	// mix before committing to a run: a mistyped model name fails fast
 	// instead of producing a histogram of 404 latencies.
 	for _, t := range targets {
-		if err := fetch(client, t); err != nil {
+		if err := latency.Fetch(ctx, client, t); err != nil {
 			return fmt.Errorf("probe %s: %w", t, err)
 		}
 	}
 
 	rep := report{Target: strings.Join(bases, ","), Mode: "closed", Concurrent: *concurrency}
-	var hist *latency.Histogram
-	var errs int64
+	var due []time.Duration // nil: closed loop
 	if *rate > 0 {
 		rep.Mode, rep.RatePerSec = "open", *rate
-		hist, errs = openLoop(client, targets, *rate, *concurrency, *warmup, *duration)
-	} else {
-		hist, errs = closedLoop(client, targets, *concurrency, *warmup, *duration)
+		interval := max(time.Duration(float64(time.Second) / *rate), time.Nanosecond)
+		for t := time.Duration(0); t < *warmup+*duration; t += interval {
+			due = append(due, t)
+		}
 	}
+	load := latency.Drive(ctx, *concurrency, 1, due, *warmup, *duration, func(ctx context.Context, i int) (int, error) {
+		return 0, latency.Fetch(ctx, client, targets[i%len(targets)])
+	})
+	hist, errs := &load.OK[0], load.Failed[0].Count()
 
 	rep.DurationNs = int64(*duration)
 	rep.Requests = hist.Count()
@@ -193,137 +190,4 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("error rate %.2f%% exceeds %.2f%%", frac*100, *maxErrRate*100)
 	}
 	return nil
-}
-
-// splitBases splits the comma-separated -url value, trimming whitespace
-// and trailing slashes and dropping empty items.
-func splitBases(s string) []string {
-	var bases []string
-	for _, b := range strings.Split(s, ",") {
-		if b = strings.TrimSuffix(strings.TrimSpace(b), "/"); b != "" {
-			bases = append(bases, b)
-		}
-	}
-	return bases
-}
-
-// fetch issues one GET and drains the body, failing on any non-200.
-func fetch(client *http.Client, target string) error {
-	resp, err := client.Get(target)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %s", resp.Status)
-	}
-	return nil
-}
-
-// closedLoop keeps every worker saturated for the duration: latency is
-// measured per request, from issue to fully drained body, after the
-// warm-up period. Workers record into private histograms merged at the
-// end; only the error counter is shared.
-func closedLoop(client *http.Client, targets []string, workers int, warmup, duration time.Duration) (*latency.Histogram, int64) {
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		total latency.Histogram
-		errs  int64
-	)
-	start := time.Now()
-	stop := start.Add(warmup + duration)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var h latency.Histogram
-			var localErrs int64
-			for i := w; ; i++ {
-				begin := time.Now()
-				if begin.After(stop) {
-					break
-				}
-				err := fetch(client, targets[i%len(targets)])
-				if begin.Sub(start) < warmup {
-					continue
-				}
-				if err != nil {
-					localErrs++
-					continue
-				}
-				h.Record(time.Since(begin))
-			}
-			mu.Lock()
-			total.Merge(&h)
-			errs += localErrs
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	return &total, errs
-}
-
-// openLoop schedules arrivals at the fixed rate and measures each
-// request from its scheduled arrival time, so requests that queue behind
-// a slow server are charged their waiting time (no coordinated
-// omission). The worker pool bounds in-flight requests; when all workers
-// are busy past an arrival's slot, the wait shows up in the latency.
-func openLoop(client *http.Client, targets []string, rate float64, workers int, warmup, duration time.Duration) (*latency.Histogram, int64) {
-	interval := time.Duration(float64(time.Second) / rate)
-	if interval <= 0 {
-		interval = time.Nanosecond
-	}
-	type arrival struct {
-		due time.Time
-		i   int
-	}
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		total latency.Histogram
-		errs  int64
-	)
-	arrivals := make(chan arrival, workers)
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var h latency.Histogram
-			var localErrs int64
-			for a := range arrivals {
-				if wait := time.Until(a.due); wait > 0 {
-					time.Sleep(wait)
-				}
-				err := fetch(client, targets[a.i%len(targets)])
-				if a.due.Sub(start) < warmup {
-					continue
-				}
-				if err != nil {
-					localErrs++
-					continue
-				}
-				h.Record(time.Since(a.due))
-			}
-			mu.Lock()
-			total.Merge(&h)
-			errs += localErrs
-			mu.Unlock()
-		}()
-	}
-	end := start.Add(warmup + duration)
-	for i := 0; ; i++ {
-		due := start.Add(time.Duration(i) * interval)
-		if due.After(end) {
-			break
-		}
-		arrivals <- arrival{due: due, i: i}
-	}
-	close(arrivals)
-	wg.Wait()
-	return &total, errs
 }

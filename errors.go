@@ -36,9 +36,10 @@ var (
 	// machine has already reached its finish state. The state is
 	// unchanged; match with errors.Is.
 	ErrFinished = errors.New("asagen: machine already finished")
-	// ErrBadTrace reports a Check configuration whose trace format or
-	// transition pattern is invalid. Undecodable trace content is not an
-	// error return — it streams as a VerdictMalformed verdict.
+	// ErrBadTrace reports a Check configuration whose trace format,
+	// transition pattern or tolerance is invalid. Undecodable trace
+	// content is not an error return — it streams as a VerdictMalformed
+	// verdict.
 	ErrBadTrace = errors.New("asagen: bad trace")
 )
 

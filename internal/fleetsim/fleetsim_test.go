@@ -3,10 +3,12 @@ package fleetsim
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"asagen/internal/api"
@@ -308,6 +310,86 @@ func TestLive(t *testing.T) {
 	}
 	if rep.Events != int64(rep.Fleet.Born) {
 		t.Fatalf("events %d != born %d", rep.Events, rep.Fleet.Born)
+	}
+}
+
+// TestLiveRotatesRendersAndChecksApart: with two servers, four formats and
+// check_every 8, every (server, format) render and both servers' /check
+// are requested in the measured window, each within one of its fair
+// share. Indexing both rotations by the arrival index — which also picks
+// check versus render — sent every check to one server and never rendered
+// the other's last format.
+func TestLiveRotatesRendersAndChecksApart(t *testing.T) {
+	var mu sync.Mutex
+	counts := map[string]int{}
+	var bases []string
+	for _, name := range []string{"A", "B"} {
+		h := api.NewHandler(artifact.New(artifact.WithRegistry(models.Default().Clone())))
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			counts[name+" "+r.URL.Path]++
+			mu.Unlock()
+			h.ServeHTTP(w, r)
+		}))
+		defer ts.Close()
+		bases = append(bases, ts.URL)
+	}
+
+	sc := smallScenario()
+	sc.Instances = 50
+	sc.Arrival = Arrival{Process: ArrivalConstant, RatePerSec: 1000}
+	sc.DurationMS = 10000
+	sc.Formats = []string{"text", "dot", "xml", "doc"}
+	rep, err := Live(context.Background(), sc, strings.Join(bases, ","), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Fleet.Born != 50 || rep.UnexpectedViolations != 0 {
+		t.Fatalf("born %d, unexpected %d", rep.Fleet.Born, rep.UnexpectedViolations)
+	}
+	const checks = 50 / 8 // arrivals 7, 15, …, 47
+	var renders []int
+	for _, server := range []string{"A", "B"} {
+		for _, format := range sc.Formats {
+			// The probe renders every URL once before the window opens.
+			renders = append(renders, counts[server+" /v1/models/commit/artifacts/"+format]-1)
+		}
+		if got := counts[server+" /v1/models/commit/check"]; got != checks/2 {
+			t.Errorf("server %s: %d checks, want %d", server, got, checks/2)
+		}
+	}
+	for i, n := range renders {
+		if share := (50 - checks) / len(renders); n != share && n != share+1 {
+			t.Errorf("render URL %d requested %d times, want %d or %d (all: %v)", i, n, share, share+1, renders)
+		}
+	}
+}
+
+// TestLiveBornMatchesRun: live mode issues its requests on the
+// simulation's arrival schedule, cut at the duration the same way, so a
+// Poisson scenario whose duration ends mid-fleet is born to the same size
+// in both harnesses.
+func TestLiveBornMatchesRun(t *testing.T) {
+	ts := httptest.NewServer(api.NewHandler(artifact.New(artifact.WithRegistry(models.Default().Clone()))))
+	defer ts.Close()
+
+	sc := smallScenario()
+	sc.Instances = 60
+	sc.Arrival = Arrival{Process: ArrivalPoisson, RatePerSec: 500}
+	sc.DurationMS = 60
+	sim, err := Run(context.Background(), sc, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := Live(context.Background(), sc, ts.URL, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim.Fleet.Born == 0 || sim.Fleet.Born == sc.Instances {
+		t.Fatalf("sim born %d of %d: the duration should cut the fleet", sim.Fleet.Born, sc.Instances)
+	}
+	if live.Fleet.Born != sim.Fleet.Born {
+		t.Fatalf("live born %d, sim born %d", live.Fleet.Born, sim.Fleet.Born)
 	}
 }
 

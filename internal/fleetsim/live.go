@@ -7,8 +7,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"strings"
-	"sync"
 	"time"
 
 	"asagen/internal/core"
@@ -17,31 +15,28 @@ import (
 	"asagen/internal/trace"
 )
 
-// liveJob is one scheduled request: its open-loop due time and arrival
-// index (which selects render vs check and the format rotation).
-type liveJob struct {
-	due time.Time
-	i   int
-}
+// Request classes Live's arrivals report to the load engine.
+const (
+	classRender = iota
+	classCheck
+)
 
 // Live points the scenario's arrival process at a running /v1 server:
-// each scheduled arrival issues a render GET — or, every CheckEvery-th
-// arrival, POSTs a generated conforming trace to the /check route — and
-// latency is measured from the scheduled arrival time, so queueing under
-// overload is charged to the distribution (no coordinated omission).
+// the simulation's own arrival schedule drives latency.Drive open-loop.
+// Each arrival issues a render GET — or, every CheckEvery-th arrival,
+// POSTs a generated conforming trace to the /check route — and latency is
+// measured from the scheduled arrival time (no coordinated omission).
 // baseURL may be a comma-separated list of servers — the nodes of a
-// `fsmgen serve -cluster` ring, say — and arrivals then round-robin
-// across them; a single URL behaves exactly as before. The
-// report shares the simulation's shape: request outcomes are classified
-// with the trace verdict vocabulary, any non-conforming outcome counts as
-// an unexpected violation, and the latency histograms carry the wall-clock
-// distribution. Live reports are measurements, not reproducible artifacts.
+// `fsmgen serve -cluster` ring, say; renders and checks each rotate
+// through their own URL list, so every (server, format) render and every
+// server's /check sees traffic. The report shares the simulation's shape:
+// request outcomes are classified with the trace verdict vocabulary, any
+// non-conforming outcome counts as an unexpected violation, and the
+// latency histograms carry the wall-clock distribution. Live reports are
+// measurements, not reproducible artifacts.
 func Live(ctx context.Context, sc Scenario, baseURL string, workers int) (*Report, error) {
 	if err := sc.Normalize(); err != nil {
 		return nil, err
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	// The machine is generated locally from the same registry (and inline
 	// spec) the server uses, both to describe it in the report and to
@@ -50,12 +45,7 @@ func Live(ctx context.Context, sc Scenario, baseURL string, workers int) (*Repor
 	if err != nil {
 		return nil, err
 	}
-	var bases []string
-	for _, b := range strings.Split(baseURL, ",") {
-		if b = strings.TrimSuffix(strings.TrimSpace(b), "/"); b != "" {
-			bases = append(bases, b)
-		}
-	}
+	bases := latency.Targets(baseURL)
 	if len(bases) == 0 {
 		return nil, fmt.Errorf("fleetsim: empty live target list %q", baseURL)
 	}
@@ -70,8 +60,8 @@ func Live(ctx context.Context, sc Scenario, baseURL string, workers int) (*Repor
 		}
 	}
 
-	// URL lists are ordered base-fastest, so the arrival index's
-	// round-robin cycles across the servers before repeating a format.
+	// Render URLs are ordered base-fastest, so the render rotation cycles
+	// across the servers before repeating a format.
 	renderURLs := make([]string, 0, len(sc.Formats)*len(bases))
 	for _, format := range sc.Formats {
 		for _, base := range bases {
@@ -87,131 +77,56 @@ func Live(ctx context.Context, sc Scenario, baseURL string, workers int) (*Repor
 
 	// Fail fast on a broken mix before committing to the run.
 	for _, u := range renderURLs {
-		if err := probe(ctx, client, u); err != nil {
+		if err := latency.Fetch(ctx, client, u); err != nil {
 			return nil, fmt.Errorf("fleetsim: probe %s: %w", u, err)
 		}
 	}
 
+	// Arrival i is the k-th check when it is a check and the (i-k)-th
+	// render otherwise, k = i/CheckEvery being the checks before it.
+	start := time.Now()
+	load := latency.Drive(ctx, workers, classCheck+1, arrivalTimes(&sc), 0, sc.Duration(), func(ctx context.Context, i int) (int, error) {
+		if sc.CheckEvery == 0 {
+			return classRender, latency.Fetch(ctx, client, renderURLs[i%len(renderURLs)])
+		}
+		k := i / sc.CheckEvery
+		if i%sc.CheckEvery == sc.CheckEvery-1 {
+			return classCheck, postCheck(ctx, client, checkURLs[k%len(checkURLs)], checkTrace)
+		}
+		return classRender, latency.Fetch(ctx, client, renderURLs[(i-k)%len(renderURLs)])
+	})
+	elapsed := time.Since(start)
+
+	// A request is an instance: born when issued, finished when a check
+	// conforms, and any failure is an unexpected violation.
 	rep := &Report{
 		Harness:             "live",
 		Scenario:            sc,
 		Machine:             machineInfo(machine),
 		Verdicts:            &trace.Tally{},
 		DeliveryHistogram:   &latency.Histogram{},
-		CompletionHistogram: &latency.Histogram{},
+		CompletionHistogram: &load.OK[classCheck],
 	}
-	rep.Fleet.Instances = sc.Instances
-
-	var (
-		mu         sync.Mutex
-		wg         sync.WaitGroup
-		delivery   latency.Histogram
-		completion latency.Histogram
-	)
-	jobs := make(chan liveJob, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var local latency.Histogram
-			var localCheck latency.Histogram
-			var tally trace.Tally
-			var finished, unexpected int64
-			for job := range jobs {
-				if wait := time.Until(job.due); wait > 0 {
-					select {
-					case <-time.After(wait):
-					case <-ctx.Done():
-						return
-					}
-				}
-				isCheck := sc.CheckEvery > 0 && job.i%sc.CheckEvery == sc.CheckEvery-1
-				var err error
-				if isCheck {
-					err = postCheck(ctx, client, checkURLs[job.i%len(checkURLs)], checkTrace)
-				} else {
-					err = probe(ctx, client, renderURLs[job.i%len(renderURLs)])
-				}
-				lat := time.Since(job.due)
-				local.Record(lat)
-				if err != nil {
-					tally.Add(trace.KindViolation)
-					unexpected++
-					continue
-				}
-				tally.Add(trace.KindAccepted)
-				if isCheck {
-					tally.Add(trace.KindFinished)
-					localCheck.Record(lat)
-					finished++
-				}
-			}
-			mu.Lock()
-			delivery.Merge(&local)
-			completion.Merge(&localCheck)
-			rep.Verdicts.Merge(&tally)
-			rep.Fleet.Finished += int(finished)
-			rep.UnexpectedViolations += unexpected
-			mu.Unlock()
-		}()
+	for c := range load.OK {
+		rep.DeliveryHistogram.Merge(&load.OK[c])
+		rep.DeliveryHistogram.Merge(&load.Failed[c])
+		rep.UnexpectedViolations += load.Failed[c].Count()
 	}
-
-	// The same arrival processes as the simulation, over wall time.
-	arrivalRng := rand.New(rand.NewSource(sc.Seed))
-	start := time.Now()
-	end := start.Add(sc.Duration())
-	var offset time.Duration
-	issued := 0
-scheduling:
-	for i := 0; i < sc.Instances; i++ {
-		switch sc.Arrival.Process {
-		case ArrivalPoisson:
-			offset += time.Duration(arrivalRng.ExpFloat64() / sc.Arrival.RatePerSec * float64(time.Second))
-		default:
-			offset += time.Duration(float64(time.Second) / sc.Arrival.RatePerSec)
-		}
-		due := start.Add(offset)
-		if due.After(end) {
-			break
-		}
-		select {
-		case jobs <- liveJob{due: due, i: i}:
-			issued++
-		case <-ctx.Done():
-			break scheduling
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	rep.Fleet.Born = issued
-	rep.Fleet.Truncated = sc.Instances - issued
-	rep.DeliveryHistogram.Merge(&delivery)
-	rep.CompletionHistogram.Merge(&completion)
 	rep.Events = rep.DeliveryHistogram.Count()
+	checks := rep.CompletionHistogram.Count()
+	for kind, n := range map[trace.Kind]int64{
+		trace.KindAccepted:  rep.Events - rep.UnexpectedViolations,
+		trace.KindFinished:  checks,
+		trace.KindViolation: rep.UnexpectedViolations,
+	} {
+		for ; n > 0; n-- {
+			rep.Verdicts.Add(kind)
+		}
+	}
+	rep.Fleet = FleetInfo{Instances: sc.Instances, Born: int(rep.Events), Finished: int(checks),
+		Truncated: sc.Instances - int(rep.Events)}
 	rep.finish(elapsed)
 	return rep, ctx.Err()
-}
-
-// probe issues one GET and drains the body, failing on any non-200.
-func probe(ctx context.Context, client *http.Client, url string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %s", resp.Status)
-	}
-	return nil
 }
 
 // postCheck streams the trace to the /check route and requires the SSE

@@ -17,10 +17,10 @@
 // against checked-in goldens.
 //
 // The same scenario can instead be pointed at a live /v1 server (Live):
-// the arrival process then schedules real HTTP requests against the render
-// and /check routes, replacing ad-hoc loadgen invocations with named
-// scenarios. Live reports share the report shape but measure wall-clock
-// latency, so they are not byte-reproducible.
+// the arrival schedule then drives real HTTP requests against the render
+// and /check routes through the load engine cmd/loadgen also runs on
+// (latency.Drive). Live reports share the report shape but measure
+// wall-clock latency, so they are not byte-reproducible.
 package fleetsim
 
 import (

@@ -89,7 +89,7 @@ func indexMachine(m *core.StateMachine) map[*core.State]stateMsgs {
 // arrivalTimes precomputes every instance's birth time from the arrival
 // process. The schedule depends only on (seed, arrival, instances) — not
 // on the shard partition — so resharding an experiment keeps its arrival
-// history.
+// history. Live issues its requests on the same schedule.
 func arrivalTimes(sc *Scenario) []time.Duration {
 	rng := rand.New(rand.NewSource(sc.Seed))
 	births := make([]time.Duration, sc.Instances)

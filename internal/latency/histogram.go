@@ -1,11 +1,12 @@
-// Package latency implements the HDR-style histogram behind the serve-path
-// percentile numbers: loadgen records one value per request, workers merge
-// their histograms, and the p50/p95/p99 rows the benchgate gates are read
-// off the merged distribution. Buckets are log-linear — 32 linear
-// sub-buckets per power of two — so quantiles carry a bounded relative
-// error (at most 1/32, ~3.2%) across the full nanosecond-to-minutes range
-// while the whole histogram stays a few kilobytes and recording is one
-// array increment, cheap enough to sit inside a latency measurement.
+// Package latency is the serve path's load engine, Drive (behind loadgen
+// and fleetsim's live mode), and the HDR-style histogram its workers
+// record one value per request into, merged at the end, with the
+// p50/p95/p99 rows read off the merged distribution. Buckets are
+// log-linear — 32 linear sub-buckets per power of two — so quantiles
+// carry a bounded relative error (at most 1/32, ~3.2%) across the full
+// nanosecond-to-minutes range while the whole histogram stays a few
+// kilobytes and recording is one array increment, cheap enough to sit
+// inside a latency measurement.
 package latency
 
 import (
