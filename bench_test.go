@@ -20,9 +20,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -970,21 +972,47 @@ func (w flushCounter) Flush() {
 
 func (w flushCounter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
+// writeCounter is a listener whose connections count their writes: on a
+// plain TCP connection, one Write is one write(2).
+type writeCounter struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (l writeCounter) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	return countedConn{c, l.writes}, err
+}
+
+type countedConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countedConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
 // BenchmarkCheckRoute measures POST /v1/models/{model}/check through a
 // real HTTP round trip: a 5 000-line trace sent in one piece, the event
-// stream read to its end, per decoder front-end. flushes/op is the
-// deterministic column: the route flushes when the trace runs dry, not
-// once per verdict, so it counts reads of the body and 32 KiB of events,
-// not lines.
+// stream read to its end, per decoder front-end. flushes/op and writes/op
+// are the deterministic columns: the route flushes when the trace runs
+// dry, not once per verdict, so it counts reads of the body and 32 KiB of
+// events, not lines; and each flush, the headers' included, is one write
+// to the connection.
 func BenchmarkCheckRoute(b *testing.B) {
 	const lines = 5000
 	jsonl, text := alternatingTrace(lines)
 	run := func(b *testing.B, query string, data []byte) {
 		h := api.NewHandler(artifact.New())
 		flushes := 0
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var writes atomic.Int64
+		ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			h.ServeHTTP(flushCounter{w, &flushes}, r)
 		}))
+		ts.Listener = writeCounter{ts.Listener, &writes}
+		ts.Start()
 		defer ts.Close()
 		want := []byte(fmt.Sprintf(`"stats":{"lines":%d,"events":%d,"accepted":%d,`, lines, lines, lines))
 		var body bytes.Buffer // reused, so the client's share is its reads
@@ -1005,6 +1033,7 @@ func BenchmarkCheckRoute(b *testing.B) {
 		}
 		post() // generate the machine outside the timed region
 		flushes = 0
+		writes.Store(0)
 		b.SetBytes(int64(len(data)))
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -1012,6 +1041,7 @@ func BenchmarkCheckRoute(b *testing.B) {
 			post()
 		}
 		b.ReportMetric(float64(flushes)/float64(b.N), "flushes/op")
+		b.ReportMetric(float64(writes.Load())/float64(b.N), "writes/op")
 		b.ReportMetric(float64(b.N)*lines/b.Elapsed().Seconds(), "lines/s")
 	}
 	b.Run("jsonl", func(b *testing.B) { run(b, "", jsonl.Bytes()) })

@@ -22,7 +22,8 @@ const (
 	TraceFormatRegex = "regex"
 )
 
-// VerdictKind classifies one conformance verdict.
+// VerdictKind classifies one conformance verdict. Its value is the
+// kind's wire name, the "kind" of the verdict's JSON encoding.
 type VerdictKind string
 
 // Verdict kinds produced by Check.
@@ -79,17 +80,17 @@ type Verdict struct {
 }
 
 // MarshalJSON renders the canonical verdict encoding (fixed key order,
-// no insignificant whitespace).
+// no insignificant whitespace). A Kind that is not one of the Verdict
+// constants is an error.
 func (v Verdict) MarshalJSON() ([]byte, error) {
-	return v.internal().AppendJSON(nil), nil
-}
-
-// internal converts to the wire-encoding form shared with the API layer.
-func (v Verdict) internal() trace.Verdict {
+	kind, ok := trace.ParseKind(string(v.Kind))
+	if !ok {
+		return nil, fmt.Errorf("asagen: unknown verdict kind %q", v.Kind)
+	}
 	out := trace.Verdict{
 		Line:    v.Line,
 		Event:   v.Event,
-		Kind:    internalKind(v.Kind),
+		Kind:    kind,
 		State:   v.State,
 		Actions: v.Actions,
 		Detail:  v.Detail,
@@ -107,27 +108,7 @@ func (v Verdict) internal() trace.Verdict {
 			FinalState:     v.Stats.FinalState,
 		}
 	}
-	return out
-}
-
-var kindByInternal = map[trace.Kind]VerdictKind{
-	trace.KindAccepted:  VerdictAccepted,
-	trace.KindIgnored:   VerdictIgnored,
-	trace.KindSkipped:   VerdictSkipped,
-	trace.KindFinished:  VerdictFinished,
-	trace.KindViolation: VerdictViolation,
-	trace.KindMalformed: VerdictMalformed,
-	trace.KindAborted:   VerdictAborted,
-	trace.KindSummary:   VerdictSummary,
-}
-
-func internalKind(k VerdictKind) trace.Kind {
-	for ik, pk := range kindByInternal {
-		if pk == k {
-			return ik
-		}
-	}
-	return trace.KindSkipped
+	return out.AppendJSON(nil), nil
 }
 
 // CheckStats is the aggregate report of one Check run, carried by the
@@ -282,7 +263,7 @@ func publicVerdict(v trace.Verdict) Verdict {
 	out := Verdict{
 		Line:    v.Line,
 		Event:   v.Event,
-		Kind:    kindByInternal[v.Kind],
+		Kind:    VerdictKind(v.Kind.String()),
 		State:   v.State,
 		Actions: v.Actions,
 		Detail:  v.Detail,

@@ -305,6 +305,26 @@ func TestCheckVerdictJSON(t *testing.T) {
 	}
 }
 
+// TestVerdictKindsRoundTrip: every kind encodes as its own wire name and
+// reads back as itself; a kind that is none of them is an encoding error,
+// where it used to be reported as "skipped".
+func TestVerdictKindsRoundTrip(t *testing.T) {
+	for _, kind := range []asagen.VerdictKind{
+		asagen.VerdictAccepted, asagen.VerdictIgnored, asagen.VerdictSkipped, asagen.VerdictFinished,
+		asagen.VerdictViolation, asagen.VerdictMalformed, asagen.VerdictAborted, asagen.VerdictSummary,
+	} {
+		var back struct{ Kind asagen.VerdictKind }
+		if err := json.Unmarshal(mustJSON(t, asagen.Verdict{Line: 1, Kind: kind}), &back); err != nil || back.Kind != kind {
+			t.Errorf("%s: read back as %q (%v)", kind, back.Kind, err)
+		}
+	}
+	for _, kind := range []asagen.VerdictKind{"bogus", "", "Skipped", "unknown"} {
+		if b, err := json.Marshal(asagen.Verdict{Kind: kind}); err == nil {
+			t.Errorf("kind %q encoded as %s, want an error", kind, b)
+		}
+	}
+}
+
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)

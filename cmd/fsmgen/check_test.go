@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 // checkRun invokes the check subcommand and returns its stdout and exit
@@ -76,6 +77,22 @@ func TestCheckMalformedTraceExitsTwo(t *testing.T) {
 	}
 	if !strings.Contains(out, "line 2: malformed trace") {
 		t.Errorf("output:\n%s", out)
+	}
+}
+
+// TestCheckInvalidUTF8IsMalformed: a message that is not valid UTF-8 is
+// a malformed trace, and no raw byte of it reaches the -json output.
+func TestCheckInvalidUTF8IsMalformed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "latin1.jsonl")
+	if err := os.WriteFile(path, []byte("\"UPDATE\"\n{\"msg\":\"\xff\"}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, code, err := checkRun(t, "-model", "commit", "-r", "4", "-json", "-trace", path)
+	if code != 2 || err == nil || !strings.Contains(err.Error(), "not valid UTF-8") {
+		t.Fatalf("exit code = %d, err %v; want 2 and a UTF-8 decode error", code, err)
+	}
+	if !utf8.ValidString(out) || !strings.Contains(out, `"kind":"malformed"`) {
+		t.Errorf("output:\n%q", out)
 	}
 }
 

@@ -122,6 +122,11 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 		// Responses and trace bodies interleave here, so the connection
 		// could never be reused anyway.
 		header.Set("Connection", "close")
+		// Nor need the body be chunked: net/http then sends it
+		// close-delimited, as for HTTP/1.0 (this header is not sent), and
+		// a flush is one write, not three. The terminal event, not the
+		// close, marks a complete stream.
+		header.Set("Transfer-Encoding", "identity")
 	}
 	w.WriteHeader(http.StatusOK)
 	// Push the headers out now: verdicts may be a long time coming on a
@@ -133,14 +138,10 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 	// failure here means the client is gone; there is no one to tell.
 	defer stream.flush()
 
-	var verdictBuf []byte
 	opts := []trace.MonitorOption{
 		trace.WithTarget("", machine),
 		trace.WithTolerance(tolerance),
-		trace.WithObserver(trace.ObserverFunc(func(v trace.Verdict) bool {
-			verdictBuf = v.AppendJSON(verdictBuf[:0])
-			return stream.event(v.Kind.String(), verdictBuf)
-		})),
+		trace.WithObserver(trace.ObserverFunc(stream.verdict)),
 	}
 	if keepGoing {
 		opts = append(opts, trace.WithKeepGoing())
@@ -159,8 +160,7 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 	case r.Context().Err() != nil:
 		// Cancelled mid-run; nothing useful can be written.
 	case err == nil:
-		verdictBuf = trace.Terminal(rep, nil).AppendJSON(verdictBuf[:0])
-		stream.event("summary", verdictBuf)
+		stream.verdict(trace.Terminal(rep, nil))
 	case errors.As(err, &de):
 		stream.event("error", envelopeJSON(CodeBadTrace, de.Error()))
 	default:
@@ -170,8 +170,9 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 
 const (
 	// checkFlushBytes caps the events buffered while input keeps coming.
-	// One write this size passes net/http's 2 KiB chunk and 4 KiB
-	// connection buffers untouched and leaves as one chunk.
+	// One write this size passes net/http's 2 KiB response and 4 KiB
+	// connection buffers untouched, and with the body close-delimited on
+	// HTTP/1.x it leaves as one write(2).
 	checkFlushBytes = 32 << 10
 	// checkWriteTimeout bounds each write of the event stream, so a
 	// client that posts a trace and never reads cannot pin the handler.
@@ -187,20 +188,41 @@ const (
 // held back while the handler waits for input, and with input buffered
 // the monitor judges millions of lines a second — the next read, and its
 // flush, is under a millisecond away, which is why there is no timer.
+//
+// Verdicts are encoded straight into buf by the stream's own
+// trace.Encoder, so a transition the stream has already reported costs
+// its line number and a copy.
 type eventStream struct {
 	w       http.ResponseWriter
 	rc      *http.ResponseController
 	timeout time.Duration
 	buf     []byte
+	enc     trace.Encoder
 	err     error // first write failure; the stream is dead after it
 }
 
 // event appends one framed event; false means the stream is dead.
 func (s *eventStream) event(name string, data []byte) bool {
+	s.begin(name)
+	s.buf = append(s.buf, data...)
+	return s.end()
+}
+
+// verdict appends one verdict as a framed event named by its kind; false
+// means the stream is dead. It is the check run's trace.Observer.
+func (s *eventStream) verdict(v trace.Verdict) bool {
+	s.begin(v.Kind.String())
+	s.buf = s.enc.Append(s.buf, v)
+	return s.end()
+}
+
+func (s *eventStream) begin(name string) {
 	s.buf = append(s.buf, "event: "...)
 	s.buf = append(s.buf, name...)
 	s.buf = append(s.buf, "\ndata: "...)
-	s.buf = append(s.buf, data...)
+}
+
+func (s *eventStream) end() bool {
 	s.buf = append(s.buf, "\n\n"...)
 	if len(s.buf) >= checkFlushBytes {
 		return s.flush() == nil

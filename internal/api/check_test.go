@@ -10,12 +10,15 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/textproto"
 	"net/url"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/iotest"
 	"time"
+	"unicode/utf8"
 
 	"asagen/internal/artifact"
 	"asagen/internal/trace"
@@ -185,6 +188,30 @@ func TestCheckRouteMalformedTrace(t *testing.T) {
 	// The conforming prefix was still judged before the failure.
 	if events[0].name != "accepted" {
 		t.Errorf("first event = %q, want accepted", events[0].name)
+	}
+}
+
+// TestCheckRouteInvalidUTF8: text/event-stream is UTF-8, so a message
+// that is not ends the stream with a bad_trace error event instead of
+// reaching the verdicts' event and detail as a raw byte.
+func TestCheckRouteInvalidUTF8(t *testing.T) {
+	ts := httptest.NewServer(NewHandler(artifact.New()))
+	defer ts.Close()
+
+	for _, tc := range []struct{ query, body string }{
+		{"", "\"UPDATE\"\n{\"msg\":\"\xff\"}\n"},
+		{"", "\"UPDATE\"\n\"\xff\"\n"},
+		{"&match=" + url.QueryEscape(`recv (\S+)`), "recv UPDATE\nrecv \xff\n"},
+	} {
+		_, body := postCheck(t, ts, "/v1/models/commit/check?r=4"+tc.query, tc.body)
+		if !utf8.ValidString(body) {
+			t.Errorf("%q: stream is not valid UTF-8: %q", tc.body, body)
+		}
+		events := parseSSE(t, body)
+		if len(events) != 2 || events[0].name != "accepted" || events[1].name != "error" ||
+			!strings.Contains(events[1].data, `"code":"bad_trace"`) || !strings.Contains(events[1].data, "line 2: message is not valid UTF-8") {
+			t.Errorf("%q: events = %+v, want the accepted line 1 and a bad_trace error at line 2", tc.body, events)
+		}
 	}
 }
 
@@ -456,6 +483,125 @@ func TestCheckRouteBatchesBufferedInput(t *testing.T) {
 	}
 	if w.flushes > 32 || w.writes > 32 {
 		t.Errorf("5000 buffered lines answered in %d writes and %d flushes, want at most 32 of each", w.writes, w.flushes)
+	}
+}
+
+// flushCounter counts the flushes a handler asks of its ResponseWriter.
+// Unwrap lets http.ResponseController reach the connection's deadlines.
+type flushCounter struct {
+	http.ResponseWriter
+	flushes *atomic.Int64
+}
+
+func (w flushCounter) Flush() {
+	w.flushes.Add(1)
+	w.ResponseWriter.(http.Flusher).Flush()
+}
+
+func (w flushCounter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// writeCounter is a listener whose connections count their writes: on a
+// plain TCP connection, one Write is one write(2).
+type writeCounter struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (l writeCounter) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	return countedConn{c, l.writes}, err
+}
+
+type countedConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countedConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// rawExchange sends one request on a fresh connection, the body in one
+// piece while the response is read, and returns the status line, the
+// header block and the body read to EOF.
+func rawExchange(t *testing.T, addr, proto, path, body string) (status string, header http.Header, payload string) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	go io.WriteString(conn, "POST "+path+" "+proto+"\r\nHost: x\r\nContent-Length: "+
+		strconv.Itoa(len(body))+"\r\n\r\n"+body)
+	raw, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, payload, ok := strings.Cut(string(raw), "\r\n\r\n")
+	if !ok {
+		t.Fatalf("%s: no header block in %q", proto, raw)
+	}
+	status, fields, _ := strings.Cut(head, "\r\n")
+	mh, err := textproto.NewReader(bufio.NewReader(strings.NewReader(fields + "\r\n\r\n"))).ReadMIMEHeader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return status, http.Header(mh), payload
+}
+
+// TestCheckRouteWireFraming: on HTTP/1.x the event stream is not chunked
+// but close-delimited, so the body on the wire is the event stream itself
+// — the recorder's bytes, ending at EOF right after the terminal event,
+// for HTTP/1.1 and HTTP/1.0 alike — and every flush, the headers'
+// included, is one write to the connection. (Chunked, a 32 KiB flush was
+// three: the connection buffer's first 4 KiB, the rest, and the chunk's
+// closing CRLF.)
+func TestCheckRouteWireFraming(t *testing.T) {
+	p := artifact.New()
+	h := NewHandler(p)
+	var flushes, writes atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(flushCounter{w, &flushes}, r)
+	}))
+	ts.Listener = writeCounter{ts.Listener, &writes}
+	ts.Start()
+	defer ts.Close()
+
+	var body strings.Builder
+	for n := 1; n <= 5000; n++ {
+		body.WriteString(alternatingLine(n, trace.FormatJSONL))
+	}
+	const path = "/v1/models/commit/check?r=4"
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body.String())))
+	want := rec.Body.String()
+	if events := parseSSE(t, want); len(events) != 5001 || events[5000].name != "summary" {
+		t.Fatalf("recorded %d events, want 5 000 verdicts and the summary", len(events))
+	}
+
+	for _, proto := range []string{"HTTP/1.1", "HTTP/1.0"} {
+		flushes.Store(0)
+		writes.Store(0)
+		status, header, got := rawExchange(t, ts.Listener.Addr().String(), proto, path, body.String())
+		if !strings.HasSuffix(status, " 200 OK") {
+			t.Fatalf("%s: status line %q", proto, status)
+		}
+		if te := header.Values("Transfer-Encoding"); len(te) != 0 {
+			t.Errorf("%s: Transfer-Encoding %q, want the body close-delimited", proto, te)
+		}
+		if c := header.Get("Connection"); c != "close" {
+			t.Errorf("%s: Connection %q, want close", proto, c)
+		}
+		if got != want {
+			t.Errorf("%s: body of %d bytes differs from the recorder's %d", proto, len(got), len(want))
+		}
+		if f, w := flushes.Load(), writes.Load(); f != w || f > 32 {
+			t.Errorf("%s: %d flushes cost %d connection writes, want one each and at most 32", proto, f, w)
+		} else {
+			t.Logf("%s: %d flushes, %d writes", proto, f, w)
+		}
 	}
 }
 

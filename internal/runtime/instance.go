@@ -106,6 +106,16 @@ func (in *Instance) Machine() *core.StateMachine { return in.machine }
 // leaves the state unchanged; delivering to a finished machine returns
 // ErrFinished.
 func (in *Instance) Deliver(msg string) ([]string, error) {
+	tr, err := in.Fire(msg)
+	if err != nil {
+		return nil, err
+	}
+	return tr.Actions, nil
+}
+
+// Fire is Deliver returning the transition taken instead of its actions,
+// for callers that key work on the transition itself.
+func (in *Instance) Fire(msg string) (*core.Transition, error) {
 	if in.state.Final {
 		return nil, ErrFinished
 	}
@@ -117,7 +127,7 @@ func (in *Instance) Deliver(msg string) ([]string, error) {
 	for _, a := range tr.Actions {
 		in.handler.Act(a)
 	}
-	return tr.Actions, nil
+	return tr, nil
 }
 
 // Reset returns the machine to its start state.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"regexp"
+	"unicode/utf8"
 )
 
 // Event is one decoded trace element: the message carried by one input
@@ -106,28 +107,42 @@ func (f *flushingReader) Read(p []byte) (int, error) {
 // trace over a machine's (small) vocabulary performs no per-line
 // allocation. The table is bounded; an adversarial stream of distinct
 // messages falls back to plain allocation rather than growing memory.
+//
+// It is also where a message is held to valid UTF-8: verdicts carry the
+// message into text/event-stream and JSON output, which must be UTF-8.
+// Only a miss is checked, so a recurring message pays nothing.
 type interner map[string]string
 
 const maxInterned = 1024
 
-func (in interner) get(b []byte) string {
+// notUTF8 is the reason every decoder gives for a message that is not
+// valid UTF-8.
+const notUTF8 = "message is not valid UTF-8"
+
+// get returns b as a string; ok is false when b is not valid UTF-8.
+func (in interner) get(b []byte) (s string, ok bool) {
 	// The string(b) conversions in the map index expressions do not
 	// allocate (compiler-recognised pattern).
 	if s, ok := in[string(b)]; ok {
-		return s
+		return s, true
 	}
-	s := string(b)
+	if !utf8.Valid(b) {
+		return "", false
+	}
+	s = string(b)
 	if len(in) < maxInterned {
 		in[s] = s
 	}
-	return s
+	return s, true
 }
 
 // JSONLDecoder decodes JSON Lines traces: one event per line, either a
 // bare JSON string naming the message ("VOTE") or an object with a
 // "msg" member ({"msg":"VOTE", ...}; other members are ignored, so
 // richer event records pass through untouched). Blank lines are
-// skipped silently.
+// skipped silently. A message that is not valid UTF-8 is a DecodeError;
+// so is any line that is not, except that a line starting {"msg":"...",
+// with no escape in the message, is read no further than that member.
 type JSONLDecoder struct {
 	lr     *lineReader
 	intern interner
@@ -154,13 +169,23 @@ func (d *JSONLDecoder) Next() (Event, error) {
 		if len(b) == 0 {
 			continue
 		}
+		// encoding/json would read invalid UTF-8 as U+FFFD, so the slow
+		// paths check the line before it does.
 		switch b[0] {
 		case '{':
 			// Fast path for the canonical {"msg":"..."} shape with no
 			// escapes: the message bytes are extracted and interned
-			// without invoking the JSON decoder.
-			if msg, ok := fastMsg(b); ok {
-				return Event{Line: d.lr.line, Msg: d.intern.get(msg)}, nil
+			// without invoking the JSON decoder. It reads nothing after
+			// the first msg member.
+			if raw, ok := fastMsg(b); ok {
+				msg, ok := d.intern.get(raw)
+				if !ok {
+					return Event{}, &DecodeError{Line: d.lr.line, Reason: notUTF8}
+				}
+				return Event{Line: d.lr.line, Msg: msg}, nil
+			}
+			if !utf8.Valid(b) {
+				return Event{}, &DecodeError{Line: d.lr.line, Reason: "JSON event is not valid UTF-8"}
 			}
 			var ev jsonlEvent
 			if err := json.Unmarshal(b, &ev); err != nil {
@@ -173,6 +198,9 @@ func (d *JSONLDecoder) Next() (Event, error) {
 			}
 			return Event{Line: d.lr.line, Msg: ev.Msg}, nil
 		case '"':
+			if !utf8.Valid(b) {
+				return Event{}, &DecodeError{Line: d.lr.line, Reason: notUTF8}
+			}
 			var msg string
 			if err := json.Unmarshal(b, &msg); err != nil || msg == "" {
 				return Event{}, &DecodeError{Line: d.lr.line,
@@ -299,7 +327,8 @@ func matchDefault(line []byte) (start, end int, ok bool) {
 // RegexDecoder decodes text traces through an ordered rule list:
 // the first matching rule supplies the message (first-match wins, like
 // go-rst's per-state transition lists). Non-blank lines matching no rule
-// decode to skip events; blank lines are skipped silently.
+// decode to skip events; blank lines are skipped silently. A message that
+// is not valid UTF-8 is a DecodeError.
 type RegexDecoder struct {
 	lr     *lineReader
 	rules  []Rule
@@ -353,7 +382,11 @@ func (d *RegexDecoder) Next() (Event, error) {
 				return Event{}, &DecodeError{Line: d.lr.line,
 					Reason: fmt.Sprintf("match rule %q produced an empty message", rule.Pattern)}
 			}
-			return Event{Line: d.lr.line, Msg: d.intern.get(d.buf)}, nil
+			msg, ok := d.intern.get(d.buf)
+			if !ok {
+				return Event{}, &DecodeError{Line: d.lr.line, Reason: notUTF8}
+			}
+			return Event{Line: d.lr.line, Msg: msg}, nil
 		}
 		return Event{Line: d.lr.line, Skip: true}, nil
 	}

@@ -63,8 +63,8 @@ func TestDefaultRuleMatchesPattern(t *testing.T) {
 }
 
 // drain decodes a whole input, asserting what every decoder owes its
-// caller: line numbers strictly increase and an event is a message or a
-// skip, never both or neither.
+// caller: line numbers strictly increase, an event is a message or a
+// skip, never both or neither, and a message is valid UTF-8.
 func drain(t *testing.T, dec Decoder) ([]Event, error) {
 	t.Helper()
 	var events []Event
@@ -78,6 +78,9 @@ func drain(t *testing.T, dec Decoder) ([]Event, error) {
 		}
 		if ev.Skip == (ev.Msg != "") {
 			t.Fatalf("line %d: event %+v is not exactly one of message and skip", ev.Line, ev)
+		}
+		if !utf8.ValidString(ev.Msg) {
+			t.Fatalf("line %d: message %q is not valid UTF-8", ev.Line, ev.Msg)
 		}
 		last = ev.Line
 		events = append(events, ev)
@@ -108,19 +111,22 @@ func msgMembers(b []byte) int {
 	return n
 }
 
-// FuzzJSONLDecoder: arbitrary bytes never panic the decoder, and the
-// fast path is the slow path: on a line encoding/json accepts, fastMsg
-// extracts the message encoding/json decodes. The fast path reads only
-// the {"msg":"..." prefix, so it is knowingly more lenient than the
-// oracle where the oracle has no single answer to compare: an invalid
-// tail, a second msg member (encoding/json keeps the last) and invalid
-// UTF-8 (encoding/json substitutes U+FFFD) are outside the property.
+// FuzzJSONLDecoder: arbitrary bytes never panic the decoder, every
+// message it decodes is valid UTF-8 (drain), and the fast path is the
+// slow path: on a valid UTF-8 line encoding/json accepts, fastMsg
+// extracts the message encoding/json decodes. The fast path takes the
+// first msg member and reads nothing after it. That is a decision, and
+// the API document states it: a trace line is not held to the strict
+// reading of JSON the way a posted spec is. So an invalid tail, a second
+// msg member (encoding/json keeps the last) and invalid UTF-8 after the
+// message are accepted there and outside the property.
 func FuzzJSONLDecoder(f *testing.F) {
 	for _, seed := range []string{
 		"\"VOTE\"\n{\"msg\":\"COMMIT\"}\n{\"msg\":\"UPDATE\",\"seq\":12,\"node\":\"n3\"}\n\n{\"seq\": 1, \"msg\": \"FREE\"}\n",
 		"{\"msg\": \n", "{\"seq\":1}\n", "VOTE\n", "\"\"\n", "{\"msg\":\"\"}\n",
 		`{"msg":"a\"b"}`, `{"msg":"VOTE" }`, `{"msg":"VOTE","msg":"FREE"}`, `{"msg":"VOTE",`,
-		"{\"msg\":\"\xff\"}", "\r\n \"VOTE\" \r\n",
+		"{\"msg\":\"\xff\"}", "\"\xff\"\n", "{\"msg\":\"VOTE\",\"x\":\"\xff\"}\n", "{\"msg\":\"\\u00e9\xff\"}\n",
+		"\r\n \"VOTE\" \r\n",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -154,6 +160,7 @@ func FuzzRegexDecoder(f *testing.F) {
 	f.Add(`a=>b=>$0`, []byte("2026-08-07T12:00:01Z node3 recv UPDATE seq=1\n# note\n\n12:00:02 recv STORE_ACK\n"))
 	f.Add(`(?P<m>[a-z]+)=>${m}`, []byte("AB\xffCD ef\n\xc3 GH\n"))
 	f.Add(`x*=>$1`, []byte("UPDATE\n"))
+	f.Add(`recv (\S+)`, []byte("recv VOTE\nrecv \xff\n"))
 	f.Fuzz(func(t *testing.T, rule string, data []byte) {
 		user, err := ParseRule(rule)
 		if err != nil {

@@ -173,11 +173,11 @@ func (m *Monitor) Run(ctx context.Context, dec Decoder) (Report, error) {
 			if single {
 				name = ""
 			}
-			actions, err := t.inst.Deliver(ev.Msg)
+			tr, err := t.inst.Fire(ev.Msg)
 			if err == nil {
 				rep.Accepted++
 				if !m.emit(Verdict{Line: ev.Line, Target: name, Event: ev.Msg,
-					Kind: KindAccepted, State: t.inst.StateName(), Actions: actions}) {
+					Kind: KindAccepted, State: tr.Target.Name, Actions: tr.Actions, tr: tr}) {
 					return rep, ErrStopped
 				}
 				if t.inst.Finished() && !t.finished {

@@ -18,13 +18,19 @@
 //     first-violation position).
 //   - A canonical JSON encoding of verdicts shared by every consumer
 //     (SSE wire stream, CLI, SDK iterator), so the same trace always
-//     produces byte-identical verdict streams on every path.
+//     produces byte-identical verdict streams on every path. An Encoder
+//     writes the same bytes, reusing each transition's.
 //
 // Memory is bounded by the longest input line, never by the trace: lines
 // are decoded, judged and discarded one at a time.
 package trace
 
-import "strconv"
+import (
+	"bytes"
+	"strconv"
+
+	"asagen/internal/core"
+)
 
 // Kind classifies one verdict.
 type Kind uint8
@@ -76,6 +82,17 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
+// ParseKind returns the kind whose wire name is name; ok is false when
+// no kind has that name.
+func ParseKind(name string) (k Kind, ok bool) {
+	for k, n := range kindNames {
+		if n == name {
+			return Kind(k), true
+		}
+	}
+	return 0, false
+}
+
 // Verdict is the monitor's judgement of one delivery (or one stream
 // event for the terminal kinds). The zero Line means the verdict is not
 // anchored to an input line.
@@ -101,6 +118,12 @@ type Verdict struct {
 	Detail string
 	// Stats is the run report; non-nil only on KindSummary.
 	Stats *Report
+
+	// tr is the transition an accepted verdict fired, set by Monitor.Run
+	// and nil on every other verdict: Event, State and Actions are its
+	// Message, Target.Name and Actions, which is what lets an Encoder
+	// reuse the bytes it wrote for the transition before.
+	tr *core.Transition
 }
 
 // Report accumulates a run's statistics; it is carried by the summary
@@ -178,6 +201,57 @@ func (v Verdict) AppendJSON(dst []byte) []byte {
 		dst = v.Stats.AppendJSON(dst)
 	}
 	return append(dst, '}')
+}
+
+// Encoder writes a stream's verdicts in the canonical encoding, encoding
+// each transition once: what an accepted verdict carries after its line
+// number depends only on its target and the fired transition, so the
+// first time a transition fires those bytes are taken from
+// Verdict.AppendJSON and kept, and afterwards the verdict is `{"line":`,
+// its digits and them. Every other verdict is AppendJSON's own.
+//
+// The memo is keyed by the transition alone (hashing a pointer costs half
+// of hashing it with a name), so a transition kept for one target is
+// encoded field by field for any other; only a monitor watching one
+// machine under two names sees that. Like the decoders' interner the memo
+// is bounded. The zero value is ready to use; an Encoder belongs to one
+// stream and is not safe for concurrent use.
+type Encoder struct {
+	tails map[*core.Transition]encoded
+}
+
+// encoded is what follows an accepted verdict's line number.
+type encoded struct {
+	target string
+	tail   string
+}
+
+const maxEncoded = 4096
+
+// Append appends the canonical JSON encoding of v to dst and returns the
+// extended slice.
+func (e *Encoder) Append(dst []byte, v Verdict) []byte {
+	if v.tr == nil || v.Line <= 0 {
+		return v.AppendJSON(dst)
+	}
+	enc, ok := e.tails[v.tr]
+	if ok && enc.target == v.Target {
+		dst = append(dst, `{"line":`...)
+		dst = strconv.AppendInt(dst, int64(v.Line), 10)
+		return append(dst, enc.tail...)
+	}
+	start := len(dst)
+	dst = v.AppendJSON(dst)
+	if !ok && len(e.tails) < maxEncoded {
+		if e.tails == nil {
+			e.tails = make(map[*core.Transition]encoded)
+		}
+		// The tail starts at the comma that ends the line number.
+		head := start + len(`{"line":`)
+		head += bytes.IndexByte(dst[head:], ',')
+		e.tails[v.tr] = encoded{target: v.Target, tail: string(dst[head:])}
+	}
+	return dst
 }
 
 // AppendJSON appends the canonical JSON encoding of the report to dst.

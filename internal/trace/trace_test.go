@@ -349,6 +349,47 @@ func TestJSONLDecoderErrors(t *testing.T) {
 	}
 }
 
+// TestDecodersRefuseInvalidUTF8: a message that is not valid UTF-8 is a
+// DecodeError on every path, where it used to reach the verdict stream
+// as raw bytes (fast path, regex capture) or as U+FFFD (encoding/json's
+// reading on the slow paths). The fast path reads nothing after the
+// first msg member, so invalid bytes there are still accepted.
+func TestDecodersRefuseInvalidUTF8(t *testing.T) {
+	refused := []struct {
+		name string
+		dec  Decoder
+	}{
+		{"jsonl fast path", NewJSONLDecoder(strings.NewReader("\"UPDATE\"\n{\"msg\":\"\xff\"}\n"))},
+		{"jsonl fast path, after an interned message", NewJSONLDecoder(strings.NewReader("{\"msg\":\"VOTE\"}\n{\"msg\":\"VO\xffTE\"}\n"))},
+		{"jsonl object slow path", NewJSONLDecoder(strings.NewReader("\"UPDATE\"\n{\"msg\":\"\\\"\xff\"}\n"))},
+		{"jsonl object slow path, msg not first", NewJSONLDecoder(strings.NewReader("\"UPDATE\"\n{\"seq\":1,\"msg\":\"\xc3\"}\n"))},
+		{"jsonl string slow path", NewJSONLDecoder(strings.NewReader("\"UPDATE\"\n\"\xff\"\n"))},
+		{"regex capture", NewRegexDecoder(strings.NewReader("recv UPDATE\nrecv \xffAB\n"), []Rule{mustRule(t, `recv (\S+)`)})},
+		{"regex template", NewRegexDecoder(strings.NewReader("recv UPDATE\nrecv VOTE\n"), []Rule{mustRule(t, `recv (VOTE)=>$1`+"\xff")})},
+	}
+	for _, tc := range refused {
+		events, err := drain(t, tc.dec)
+		var de *DecodeError
+		if !errors.As(err, &de) || de.Line != 2 || !strings.Contains(de.Reason, "not valid UTF-8") {
+			t.Errorf("%s: decoded %+v then %v, want a UTF-8 DecodeError at line 2", tc.name, events, err)
+		}
+	}
+
+	events, err := drain(t, NewJSONLDecoder(strings.NewReader("{\"msg\":\"VOTE\",\"note\":\"\xff\"}\n{\"msg\":\"é\"}\n")))
+	if err != io.EOF || len(events) != 2 || events[0].Msg != "VOTE" || events[1].Msg != "é" {
+		t.Errorf("decoded %+v then %v, want VOTE and é", events, err)
+	}
+}
+
+func mustRule(t *testing.T, s string) Rule {
+	t.Helper()
+	r, err := ParseRule(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestFastMsg(t *testing.T) {
 	cases := []struct {
 		in   string
