@@ -19,9 +19,9 @@ import (
 // Serve mode: the versioned HTTP generation service (the paper's §4.2
 // "generation whenever a new parameter value is encountered" policy,
 // behind a network endpoint). The wire surface — /v1 routes including the
-// writable model collection, error envelope, caching headers,
-// request-scoped cancellation, and the deprecated legacy shims — lives in
-// internal/api and is documented in the generated API.md.
+// writable model collection, error envelope, caching headers and
+// request-scoped cancellation — lives in internal/api and is documented in
+// the generated API.md.
 //
 // With -cluster the server additionally joins a peer ring (internal/
 // cluster): artifact requests shard across nodes by consistent hashing
@@ -33,7 +33,6 @@ func runServe(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("fsmgen serve", flag.ContinueOnError)
 	var (
 		addr       = fs.String("addr", ":8091", "listen address")
-		jobs       = fs.Int("jobs", 0, "concurrent render jobs (0 = GOMAXPROCS)")
 		cacheLimit = fs.Int("cache-limit", 128, "machine cache entry bound (0 = unbounded)")
 		storeDir   = fs.String("store", "", "content-addressed artifact store directory (empty = in-memory only); a restarted server serves previously rendered artefacts from disk")
 		storeLimit = fs.Int64("store-limit", 0, "artifact store size bound in bytes (0 = unbounded); least-recently-used artefacts are evicted beyond it")
@@ -51,7 +50,7 @@ func runServe(args []string, stdout io.Writer) error {
 	// POST /v1/models registrations are never shared between concurrent
 	// servers (or with any other code in the process).
 	reg := models.Default().Clone()
-	opts := []artifact.Option{artifact.WithJobs(*jobs), artifact.WithRegistry(reg)}
+	opts := []artifact.Option{artifact.WithRegistry(reg)}
 	var st *store.Store
 	if *storeDir != "" {
 		s, err := store.Open(*storeDir)

@@ -167,6 +167,33 @@ func TestClusterTwoNodeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestClusterPropagatesEveryFormat: all formats of one family member shard
+// on one routing key, yet each is its own artefact, so each reaches the
+// owner's replica, not only the first one rendered.
+func TestClusterPropagatesEveryFormat(t *testing.T) {
+	tsA, nodeA := startClusterNode(t, "node-a", nil)
+	tsB, nodeB := startClusterNode(t, "node-b", func() string { return tsA.URL })
+	waitFor(t, 5*time.Second, "membership convergence", func() bool {
+		return len(nodeA.Status().Ring) == 2 && len(nodeB.Status().Ring) == 2
+	})
+
+	const base = "/v1/models/commit/artifacts/"
+	replica := tsB
+	if resp, _ := get(t, tsA, base+"text?r=4", nil); resp.Header.Get(HeaderRoute) != "owner" {
+		replica = tsA
+	}
+	for _, format := range []string{"text", "dot"} {
+		path := base + format + "?r=4"
+		if resp, _ := get(t, tsA, path, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %s", path, resp.Status)
+		}
+		waitFor(t, 5*time.Second, format+" on the replica", func() bool {
+			resp, _ := get(t, replica, path, nil)
+			return resp.StatusCode == http.StatusOK && resp.Header.Get(HeaderRoute) == "replica"
+		})
+	}
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()

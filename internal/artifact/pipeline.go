@@ -9,19 +9,19 @@
 // one machine: the EFSM formats (§5.3) generalise the cached generation
 // under the model's abstraction instead of generating a second time.
 //
-// There are five cache tiers and nothing beside them. Each is an instance
+// There are three cache tiers and nothing beside them. Each is an instance
 // of one table, memo.Memo, which states the single-flight, retention,
-// cancellation and eviction rules once, and SetLimit bounds all five:
+// cancellation and eviction rules once, and SetLimit bounds all three:
 //
-//   - results, per request: a fully precomputed Result (shared bytes,
-//     content hash, ETag), so a repeat request resolves nothing.
 //   - members, per (registry name, parameter, generation options): the
 //     family member resolved against the registry — entry, built model,
-//     fingerprint, route key — which every format of the member, the
-//     cluster's routing, Probe, Machine and the SDK's Generate share.
-//   - renders, per (fingerprint, format): the rendered artefact.
-//   - efsms, per fingerprint: the machine generalised under its
-//     abstraction.
+//     fingerprint, route key, and once an EFSM format asks for it the
+//     machine generalised under the entry's abstraction — which every
+//     format of the member, the cluster's routing, Probe, Machine and the
+//     SDK's Generate share.
+//   - renders, per (fingerprint, format): the rendered artefact with its
+//     content hash, ETag and Content-Length, so a repeat request is a hit
+//     here and in the member tier and computes nothing.
 //   - machines (core.Cache), per fingerprint: the generated machine.
 //
 // What the pipeline knows about a family member lives in the member's
@@ -45,6 +45,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"asagen/internal/core"
 	"asagen/internal/memo"
@@ -81,7 +82,8 @@ type Request struct {
 // concurrent and repeat callers; treat Artifact.Data as immutable.
 type Result struct {
 	// Request echoes the request with Param resolved to the effective
-	// parameter value.
+	// parameter value; raw when the request failed before its family
+	// member was resolved.
 	Request Request
 	// Fingerprint is the model fingerprint of the family member every
 	// format renders; zero only when the request failed before its model
@@ -120,11 +122,11 @@ type Stats struct {
 	// Machine reports the generation cache: at most one generation per
 	// distinct model fingerprint, however many formats consume it.
 	Machine core.CacheStats
-	// RenderHits and RenderMisses count render-tier lookups; hits
-	// answered by the result tier count as RenderHits too.
+	// RenderHits and RenderMisses count render-tier lookups.
 	RenderHits, RenderMisses int64
-	// HotHits counts result-tier hits: requests answered with a
-	// precomputed Result — no model build, no hashing, no render tier.
+	// HotHits equals RenderHits: a repeat request is a render-tier hit,
+	// answered with no generation, rendering or hashing. It stays a field
+	// of its own because the benchmark harness asserts it.
 	HotHits int64
 	// Store reports the on-disk artifact store; nil when none is attached.
 	Store *store.Stats
@@ -138,13 +140,9 @@ type Pipeline struct {
 	reg   *models.Registry
 	store *store.Store
 
-	// The memo tiers, outermost first (the machines are p.cache). results is
-	// keyed by the request with its parameter resolved (see key), so the raw
-	// and resolved forms of one request share an entry.
-	results memo.Memo[Request, Result]
+	// The memo tiers, outermost first (the machines are p.cache).
 	members memo.Memo[memberKey, *Member]
 	renders memo.Memo[renderKey, rendered]
-	efsms   memo.Memo[core.Fingerprint, *core.EFSM]
 
 	// epoch counts Purge, PurgeModel and UpdateModel calls. The memo tiers
 	// need no such guard — an entry deleted in flight is never findable
@@ -168,7 +166,7 @@ type memberKey struct {
 
 // Member is one family member resolved against the registry: everything
 // rendering, routing, probing and generating it need, computed once and
-// shared. A Member is immutable.
+// shared. A Member is immutable but for its EFSM, filled on first use.
 type Member struct {
 	// Param is the resolved parameter; Model the entry's model built for it
 	// and Fingerprint that model's fingerprint in the pipeline's cache.
@@ -187,12 +185,41 @@ type Member struct {
 	// which from names.
 	opts, genOpts []core.Option
 	from          core.Fingerprint
+	// efsm is the machine generalised under the entry's abstraction, stored
+	// once computed (see generalized): it is bounded, swept and purged with
+	// the member's tier entry.
+	efsm atomic.Pointer[core.EFSM]
 }
 
 // Machine returns the member's generated machine, memoised and
 // single-flight in the pipeline's generation cache.
 func (mb *Member) Machine(ctx context.Context) (*core.StateMachine, error) {
 	return mb.cache.MachineForFingerprint(ctx, mb.Fingerprint, mb.Model, mb.genOpts...)
+}
+
+// generalized returns the member's one cached machine coalesced under the
+// entry's abstraction, computing it on first use; every machine the cache
+// can hold generalises soundly. Only a success is stored. First uses that
+// race may each compute it, at most one per EFSM format, since the render
+// tier coalesces each.
+func (mb *Member) generalized(ctx context.Context) (*core.EFSM, error) {
+	if efsm := mb.efsm.Load(); efsm != nil {
+		return efsm, nil
+	}
+	machine, err := mb.Machine(ctx)
+	if err != nil {
+		return nil, err
+	}
+	abs, err := mb.entry.Abstraction(mb.Param)
+	if err != nil {
+		return nil, err
+	}
+	efsm, err := core.GeneralizeEFSM(machine, abs)
+	if err != nil {
+		return nil, err
+	}
+	mb.efsm.Store(efsm)
+	return efsm, nil
 }
 
 // renderKey addresses one rendered artefact: two models with equal
@@ -281,18 +308,15 @@ func (p *Pipeline) Registry() *models.Registry { return p.reg }
 func (p *Pipeline) Store() *store.Store { return p.store }
 
 // SetLimit bounds every memo tier from one number, the machines a
-// long-running serve process may keep: n generated machines, EFSMs and
-// members, and n × len(render.Formats()) rendered artefacts and Results —
+// long-running serve process may keep: n generated machines, n members
+// (each with its EFSM), and n × len(render.Formats()) rendered artefacts —
 // every format of every retained machine. Least recently used entries are
 // evicted beyond each bound, so an unbounded parameter stream cannot grow
 // memory without bound. Zero or less (the default) means unbounded.
 func (p *Pipeline) SetLimit(n int) {
-	artefacts := n * len(render.Formats())
 	p.cache.SetLimit(n)
-	p.efsms.SetLimit(n)
 	p.members.SetLimit(n)
-	p.renders.SetLimit(artefacts)
-	p.results.SetLimit(artefacts)
+	p.renders.SetLimit(n * len(render.Formats()))
 }
 
 // Stats returns a snapshot of the pipeline's cache counters.
@@ -302,28 +326,26 @@ func (p *Pipeline) Stats() Stats {
 		s := p.store.Stats()
 		st = &s
 	}
-	results, renders := p.results.Stats(), p.renders.Stats()
+	renders := p.renders.Stats()
 	return Stats{
 		Machine:      p.cache.Stats(),
-		RenderHits:   results.Hits + renders.Hits,
+		RenderHits:   renders.Hits,
 		RenderMisses: renders.Misses,
-		HotHits:      results.Hits,
+		HotHits:      renders.Hits,
 		Store:        st,
 	}
 }
 
-// Purge drops every memoised machine, EFSM and rendered artefact,
-// including the rows and blobs of an attached store.
+// Purge drops every memoised machine, member (with its EFSM) and rendered
+// artefact, including the rows and blobs of an attached store.
 func (p *Pipeline) Purge() {
 	p.advanceEpoch()
 	if p.store != nil {
 		p.store.Purge()
 	}
 	p.cache.Purge()
-	p.results.Purge()
 	p.members.Purge()
 	p.renders.Purge()
-	p.efsms.Purge()
 }
 
 // PurgeModel drops every memoised machine, EFSM and rendered artefact
@@ -354,11 +376,11 @@ func (p *Pipeline) dropMachines(mb *Member) int {
 
 // sweep removes everything derived from the registry entry under name,
 // generated machines excepted, and returns the members the tier held for
-// it. The member tier goes first — in-flight resolutions too, which
-// complete for their waiters and are never findable again — so a member
-// found after the epoch advances was resolved after the registry changed.
-// The store goes next, so an entry created after the tiers below are
-// swept can only have read an already-evicted store.
+// it, their EFSMs leaving with them. The member tier goes first — in-flight
+// resolutions too, which complete for their waiters and are never findable
+// again — so a member found after the epoch advances was resolved after the
+// registry changed. The store goes next, so a render-tier entry created
+// after that tier is swept can only have read an already-evicted store.
 func (p *Pipeline) sweep(name string) map[memberKey]*Member {
 	swept := map[memberKey]*Member{}
 	p.members.Each(func(key memberKey, mb *Member) {
@@ -377,8 +399,6 @@ func (p *Pipeline) sweep(name string) map[memberKey]*Member {
 	if p.store != nil {
 		p.store.EvictModel(name, routes)
 	}
-	p.results.DeleteFunc(func(req Request) bool { return req.Model == name })
-	p.efsms.DeleteFunc(func(fp core.Fingerprint) bool { return fps[fp] })
 	p.renders.DeleteFunc(func(key renderKey) bool { return fps[key.fp] })
 	return swept
 }
@@ -415,12 +435,11 @@ func etagFor(sum [sha256.Size]byte) string {
 	return `"` + hex.EncodeToString(sum[:]) + `"`
 }
 
-// Render produces the artefact for one request. Repeat requests are
-// answered from the result tier; concurrent first requests for the same
-// request coalesce into one computation. Below that, generation is
-// memoised per model fingerprint and rendering per (fingerprint, format),
-// both single-flight, with an optional on-disk store probed before
-// machines are generated.
+// Render produces the artefact for one request: the family member from the
+// member tier, then the artefact from the render tier, so a repeat request
+// is two memo hits and concurrent first requests coalesce in both. Below
+// them generation is memoised per model fingerprint, single-flight, with an
+// optional on-disk store probed before machines are generated.
 //
 // Cancelling ctx aborts an in-flight generation promptly; the aborted
 // computation leaves no cache entry, and Result.Err carries ctx.Err().
@@ -434,42 +453,52 @@ func (p *Pipeline) Render(ctx context.Context, req Request) Result {
 	if err := ctx.Err(); err != nil {
 		return Result{Request: req, Err: err}
 	}
-	return p.serve(ctx, req)
+	return p.render(ctx, req)
 }
 
-// serve answers req from the result tier, computing it on first use.
-func (p *Pipeline) serve(ctx context.Context, req Request) Result {
-	key := p.key(req)
-	// Get before Do: a hit returns here without building Do's closure or
-	// passing the Result through it, which the warm batch path measures.
-	if res, ok := p.results.Get(key); ok {
-		return res
-	}
-	res, err := p.results.Do(ctx, key, func() (Result, error) {
-		res := p.render(ctx, key)
-		return res, res.Err
-	})
-	if err != nil && res.Err == nil {
-		// This caller's own context ended while it waited on another's run.
+// render resolves the request's family member and takes its artefact from
+// the render tier. Get before Do: a hit returns without building the
+// closure, so a warm render allocates nothing. On a miss the leader probes
+// the attached store before producing — a disk hit skips generation
+// entirely — and persists what it produces. The render tier and the store
+// are keyed by the member's fingerprint and the format; the cluster shards
+// on the fingerprint alone, so all seven formats of one family member land
+// on the node that holds its machine, and each propagates on its own.
+func (p *Pipeline) render(ctx context.Context, req Request) Result {
+	epoch := p.currentEpoch() // before resolve reads the member tier
+	mb, err := p.resolve(ctx, req)
+	if err != nil {
 		return Result{Request: req, Err: err}
 	}
-	return res
-}
-
-// key returns the result-tier key for req: the request with a non-positive
-// parameter replaced by the model's default, so the raw and resolved forms
-// of one request share one entry. The key is settled before the entry is
-// created and the entry before resolve looks the member up, so whatever a
-// later PurgeModel or UpdateModel finds under the model's name covers every
-// computation that saw the departing registry entry. An unknown model
-// keeps the raw form; resolve then classifies the failure.
-func (p *Pipeline) key(req Request) Request {
-	if req.Param <= 0 {
-		if _, param, err := p.entryFor(req.Model, req.Param); err == nil {
-			req.Param = param
-		}
+	req.Param = mb.Param
+	key := renderKey{fp: mb.Fingerprint, format: req.Format}
+	out, ok := p.renders.Get(key)
+	if !ok {
+		out, err = p.renders.Do(ctx, key, func() (rendered, error) {
+			skey := store.Key{Model: req.Model, Param: req.Param, Format: req.Format, Fingerprint: mb.route}
+			if p.store != nil {
+				if data, sum, media, ext, ok := p.store.Get(skey); ok {
+					return newRendered(render.Artifact{Format: req.Format, MediaType: media, Ext: ext, Data: data}, sum), nil
+				}
+			}
+			// Producing starts only for a caller still there to want it;
+			// Probe relies on this to take what is warm and never generate.
+			if err := ctx.Err(); err != nil {
+				return rendered{}, err
+			}
+			art, err := p.produce(ctx, mb, req.Format)
+			if err != nil {
+				return rendered{}, err
+			}
+			out := newRendered(art, sha256.Sum256(art.Data))
+			p.persist(epoch, skey, out)
+			return out, nil
+		})
 	}
-	return req
+	return Result{
+		Request: req, Fingerprint: mb.Fingerprint,
+		Artifact: out.art, Sum: out.sum, ETag: out.etag, ContentLength: out.clen, Err: err,
+	}
 }
 
 // resolve classifies req with the package's sentinel errors and returns
@@ -548,50 +577,12 @@ func (p *Pipeline) newMember(entry models.Entry, param int, opts []core.Option) 
 	}, nil
 }
 
-// render is the slow path behind the result tier: resolve the request's
-// family member and take the artefact from the render tier, whose leader
-// probes the attached store before producing — a disk hit skips generation
-// entirely — and persists what it produces. The render tier and the store
-// are keyed by the member's fingerprint, which is also what the cluster
-// shards on: all seven formats of one family member land on the node that
-// holds its machine, and a single propagation warms all of them.
-func (p *Pipeline) render(ctx context.Context, req Request) Result {
-	epoch := p.currentEpoch() // before resolve reads the member tier
-	mb, err := p.resolve(ctx, req)
-	if err != nil {
-		return Result{Request: req, Err: err}
-	}
-	res := Result{Request: req, Fingerprint: mb.Fingerprint}
-	out, err := p.renders.Do(ctx, renderKey{fp: mb.Fingerprint, format: req.Format}, func() (rendered, error) {
-		skey := store.Key{Model: req.Model, Param: mb.Param, Format: req.Format, Fingerprint: mb.route}
-		if p.store != nil {
-			if data, sum, media, ext, ok := p.store.Get(skey); ok {
-				return newRendered(render.Artifact{Format: req.Format, MediaType: media, Ext: ext, Data: data}, sum), nil
-			}
-		}
-		// Producing starts only for a caller still there to want it; Probe
-		// relies on this to take what is warm and never generate.
-		if err := ctx.Err(); err != nil {
-			return rendered{}, err
-		}
-		art, err := p.produce(ctx, mb, req.Format)
-		if err != nil {
-			return rendered{}, err
-		}
-		out := newRendered(art, sha256.Sum256(art.Data))
-		p.persist(epoch, skey, out)
-		return out, nil
-	})
-	res.Artifact, res.Sum, res.ETag, res.ContentLength, res.Err = out.art, out.sum, out.etag, out.clen, err
-	return res
-}
-
 // produce takes the member's machine from the generation cache — or, for
-// an EFSM format, its generalisation from the EFSM tier — and renders it.
+// an EFSM format, the member's generalisation of it — and renders it.
 func (p *Pipeline) produce(ctx context.Context, mb *Member, format string) (render.Artifact, error) {
 	var art render.Artifact
 	if render.IsEFSMFormat(format) {
-		efsm, err := p.efsms.Do(ctx, mb.Fingerprint, func() (*core.EFSM, error) { return generalize(ctx, mb) })
+		efsm, err := mb.generalized(ctx)
 		if err != nil {
 			return art, err
 		}
@@ -616,21 +607,6 @@ func (p *Pipeline) produce(ctx context.Context, mb *Member, format string) (rend
 		return art, fmt.Errorf("%w: %v", ErrRender, err)
 	}
 	return art, nil
-}
-
-// generalize is the EFSM tier's miss path: the family member's one cached
-// machine, coalesced under the entry's abstraction. Every machine the
-// cache can hold generalises soundly.
-func generalize(ctx context.Context, mb *Member) (*core.EFSM, error) {
-	machine, err := mb.Machine(ctx)
-	if err != nil {
-		return nil, err
-	}
-	abs, err := mb.entry.Abstraction(mb.Param)
-	if err != nil {
-		return nil, err
-	}
-	return core.GeneralizeEFSM(machine, abs)
 }
 
 // Machine resolves a model name, parameter and per-call generation options

@@ -8,12 +8,12 @@ import "context"
 // Resolution is memoised in the member tier; errors use the package's
 // sentinel classification.
 func (p *Pipeline) RouteKey(req Request) (string, Request, error) {
-	key := p.key(req)
-	mb, err := p.resolve(context.Background(), key)
+	mb, err := p.resolve(context.Background(), req)
 	if err != nil {
-		return "", key, err
+		return "", req, err
 	}
-	return mb.route, key, nil
+	req.Param = mb.Param
+	return mb.route, req, nil
 }
 
 // cancelled is a context that has already ended.
@@ -24,18 +24,19 @@ var cancelled = func() context.Context {
 }()
 
 // Probe reports the completed Result for req if it is available without
-// rendering: from the result tier, a finished render-tier entry, or the
-// attached store. It never generates and never waits — a clustered
-// replica uses it to decide between serving a warm copy and proxying to
-// the owner — yet what it finds in the store it retains in both tiers, so
-// a warm replica reads and verifies a blob once, not per request.
+// rendering: from a finished render-tier entry or the attached store. It
+// never generates and never waits — a clustered replica uses it to decide
+// between serving a warm copy and proxying to the owner — yet what it
+// finds in the store it retains in the render tier, so a warm replica
+// reads and verifies a blob once, not per request.
 //
 // It is a Render by a caller that has already gone: under an ended
-// context every tier still hands over a completed entry, returns at once
-// from an in-flight one, and as leader the render tier consults the store
-// and stops before producing. The resulting cancellation is retained
-// nowhere, and a live Render coalesced behind it retries as leader.
+// context the member and render tiers still hand over a completed entry
+// and return at once from an in-flight one, and as leader the render tier
+// consults the store and stops before producing. The resulting
+// cancellation is retained nowhere, and a live Render coalesced behind it
+// retries as leader.
 func (p *Pipeline) Probe(req Request) (Result, bool) {
-	res := p.serve(cancelled, req)
+	res := p.render(cancelled, req)
 	return res, res.Err == nil
 }

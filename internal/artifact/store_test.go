@@ -238,7 +238,7 @@ func TestPurgePurgesStore(t *testing.T) {
 }
 
 // TestHotMemoServesRepeatRequests: a repeat request is answered from the
-// hot memo — same shared bytes, precomputed ETag, and a HotHits tick —
+// render tier — same shared bytes, precomputed ETag, and a HotHits tick —
 // for both the raw (param 0) and resolved forms of the request.
 func TestHotMemoServesRepeatRequests(t *testing.T) {
 	ctx := context.Background()

@@ -127,13 +127,13 @@ func TestStragglerNeverRepopulates(t *testing.T) {
 	}
 }
 
-// TestStragglerAcrossReplacement closes the hole the name-keyed EFSM tier
-// left: a render that resolved the departing entry (parked here inside its
-// Build, after the registry read and before any render- or EFSM-tier entry
-// exists) creates those entries only after UpdateModel swept. Every tier
-// below the request-keyed ones is keyed by fingerprint, so what the
-// straggler leaves is addressed by the departed model's content and the
-// replacement never finds it: the next request renders the new model.
+// TestStragglerAcrossReplacement: a render that resolved the departing
+// entry (parked here inside its Build, after the registry read and before
+// any render-tier entry exists) creates that entry only after UpdateModel
+// swept. The render tier is keyed by fingerprint and the EFSM lives on the
+// member the straggler resolved, so what the straggler leaves is addressed
+// by the departed model's content and the replacement never finds it: the
+// next request renders the new model.
 func TestStragglerAcrossReplacement(t *testing.T) {
 	for _, format := range []string{"text", "efsm", "efsm-dot"} {
 		t.Run(format, func(t *testing.T) {
@@ -205,8 +205,8 @@ func TestProbeNeitherWaitsNorGenerates(t *testing.T) {
 	if st := p.Stats().Machine; st.Misses != 0 || st.Cancellations != 0 {
 		t.Fatalf("cold Probe reached the generation cache: %+v", st)
 	}
-	if results, renders := p.results.Stats().Entries, p.renders.Stats().Entries; results+renders != 0 {
-		t.Fatalf("cold Probe retained %d results and %d renders", results, renders)
+	if renders := p.renders.Stats().Entries; renders != 0 {
+		t.Fatalf("cold Probe retained %d renders", renders)
 	}
 
 	done := make(chan Result, 1)
@@ -280,8 +280,8 @@ func TestProbeRetainsStoreHits(t *testing.T) {
 	}
 }
 
-// chainAbstraction coalesces slowModel's chain into one counting state: the
-// EFSM tier holds a view of each member's own machine, keyed like it.
+// chainAbstraction coalesces slowModel's chain into one counting state: each
+// member holds a view of its own machine.
 type chainAbstraction struct{}
 
 func (chainAbstraction) StateLabel(core.Vector) string { return "COUNTING" }
@@ -319,10 +319,8 @@ func TestSetLimitBoundsEveryTier(t *testing.T) {
 			bound   int
 		}{
 			{"machines", p.cache.Stats().Entries, limit},
-			{"efsms", p.efsms.Stats().Entries, limit},
 			{"members", p.members.Stats().Entries, limit},
 			{"renders", p.renders.Stats().Entries, artefacts},
-			{"results", p.results.Stats().Entries, artefacts},
 		} {
 			if tier.entries > tier.bound {
 				t.Errorf("%s: %s tier holds %d entries, bound %d", when, tier.name, tier.entries, tier.bound)
@@ -377,4 +375,33 @@ func TestSetLimitBoundsEveryTier(t *testing.T) {
 		}
 	}
 	checkBounds("after re-requesting evicted keys")
+}
+
+// TestEFSMFormatsShareOneMember: concurrent first renders of both EFSM
+// formats of one member fill its EFSM from several goroutines at once,
+// generate its machine once, and agree with renders made one at a time.
+func TestEFSMFormatsShareOneMember(t *testing.T) {
+	ctx := context.Background()
+	p := New()
+	formats := render.EFSMFormats()
+	results := make([]Result, 8*len(formats))
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i] = p.Render(ctx, Request{Model: "commit", Param: 7, Format: formats[i%len(formats)]})
+		}()
+	}
+	wg.Wait()
+	reference := New()
+	for i, res := range results {
+		want := reference.Render(ctx, Request{Model: "commit", Param: 7, Format: formats[i%len(formats)]})
+		if res.Err != nil || !bytes.Equal(res.Artifact.Data, want.Artifact.Data) {
+			t.Errorf("%s: err %v, or bytes diverge from a render made alone", formats[i%len(formats)], res.Err)
+		}
+	}
+	if st := p.Stats().Machine; st.Generations != 1 {
+		t.Errorf("generations = %d, want the member's one", st.Generations)
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"asagen/internal/chord"
+	"asagen/internal/store"
 )
 
 // stubTransport records sends for inspection.
@@ -178,20 +179,21 @@ func TestGracefulLeaveSupersedesAlive(t *testing.T) {
 	}
 }
 
+// ownedKey returns a key the node owns in its current view.
+func ownedKey(n *Node) string {
+	for i := 0; ; i++ {
+		if k := fmt.Sprintf("key-%d", i); n.Route(k).Relation == RelOwner {
+			return k
+		}
+	}
+}
+
 func TestPropagateCoversSuccessorsViaTree(t *testing.T) {
 	n, tr, _ := newTestNode(t, "node-a", 3)
 	others := []Member{alive("node-b"), alive("node-c"), alive("node-d"), alive("node-e")}
 	inject(t, n, others[0], others...)
 
-	// Find a key this node owns.
-	var key string
-	for i := 0; ; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if n.Route(k).Relation == RelOwner {
-			key = k
-			break
-		}
-	}
+	key := ownedKey(n)
 	blob := Blob{Sum: "00", Media: "text/plain", Ext: ".txt", Data: []byte("x")}
 	n.MaybePropagate(key, blob)
 
@@ -237,6 +239,32 @@ func TestPropagateCoversSuccessorsViaTree(t *testing.T) {
 	n.MaybePropagate(key, blob)
 	if len(tr.sent) == 0 {
 		t.Fatal("ring change did not re-open propagation")
+	}
+}
+
+// TestPropagateDedupsPerFormat: the formats of one family member share a
+// routing key, but each is its own artefact and propagates on its own.
+func TestPropagateDedupsPerFormat(t *testing.T) {
+	n, tr, _ := newTestNode(t, "node-a", 1)
+	inject(t, n, alive("node-b"), alive("node-b"))
+	key := ownedKey(n)
+	for _, format := range []string{"text", "dot", "text"} {
+		n.MaybePropagate(key, Blob{Key: store.Key{Format: format}, Sum: "00", Data: []byte(format)})
+	}
+	if len(tr.sent) != 2 {
+		t.Fatalf("sent %d propagations for text, dot, text; want one per format", len(tr.sent))
+	}
+}
+
+// TestPropagatedStaysBounded: on a stable ring, a stream of distinct owned
+// artefacts cannot grow the propagation dedup past its cap.
+func TestPropagatedStaysBounded(t *testing.T) {
+	n, _, _ := newTestNode(t, "solo", 1)
+	for i := 0; i < 10000; i++ {
+		n.MaybePropagate(fmt.Sprintf("key-%d", i), Blob{Key: store.Key{Format: "text"}})
+	}
+	if got := len(n.propagated); got > maxPropagated {
+		t.Fatalf("the propagation dedup holds %d artefacts, cap %d", got, maxPropagated)
 	}
 }
 
@@ -299,5 +327,22 @@ func TestOracleFlagsForbiddenTransition(t *testing.T) {
 	o.deliver(chord.EvJoin) // joining twice is forbidden by the model
 	if v := o.Violations(); len(v) != 1 {
 		t.Fatalf("violations = %v, want exactly the double join", v)
+	}
+}
+
+// TestOracleKeepsRecentViolations: the count of violations is exact for the
+// oracle's whole life; only the last maxViolations keep their text.
+func TestOracleKeepsRecentViolations(t *testing.T) {
+	o, err := NewOracle(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Join()
+	const rejected = 100
+	for i := 0; i < rejected; i++ {
+		o.deliver(chord.EvJoin)
+	}
+	if o.violations != rejected || len(o.Violations()) != maxViolations {
+		t.Fatalf("%d violations counted, %d kept; want %d and %d", o.violations, len(o.Violations()), rejected, maxViolations)
 	}
 }

@@ -78,7 +78,7 @@ type Node struct {
 	ring       ring
 	rng        *rand.Rand
 	oracle     *Oracle
-	propagated map[string]bool
+	propagated map[artefactID]bool
 	started    bool
 	stopped    bool
 	stats      Stats
@@ -133,7 +133,7 @@ func New(cfg Config) (*Node, error) {
 		seeds:      make(map[string]bool),
 		rng:        rand.New(rand.NewSource(cfg.Seed ^ int64(chord.HashString(cfg.ID)))),
 		oracle:     oracle,
-		propagated: make(map[string]bool),
+		propagated: make(map[artefactID]bool),
 	}
 	n.members[cfg.ID] = &memberState{Member: Member{ID: cfg.ID, URL: cfg.URL, Incarnation: 1, Status: StatusAlive}}
 	for _, p := range cfg.Peers {
@@ -387,8 +387,8 @@ func (n *Node) rebuildLocked(now time.Duration) {
 	n.ring = buildRing(parts)
 	n.stats.RingRebuilds++
 	// A membership epoch invalidates the propagation dedup: the next
-	// serve of each key re-pushes it to the key's current successors.
-	n.propagated = make(map[string]bool)
+	// serve of each artefact re-pushes it to its key's current successors.
+	clear(n.propagated)
 	n.record(now, "ring", fmt.Sprintf("size=%d members=%s", n.ring.size(), strings.Join(n.ring.ids, ",")))
 
 	size := n.ring.size()
@@ -399,10 +399,11 @@ func (n *Node) rebuildLocked(now time.Duration) {
 	if succ < 0 {
 		succ = 0
 	}
-	before := len(n.oracle.Violations())
+	before := n.oracle.violations
 	n.oracle.Observe(succ, size >= 2)
 	n.record(now, "oracle", fmt.Sprintf("state=%s successors=%d predecessor=%t", n.oracle.StateName(), succ, size >= 2))
-	for _, v := range n.oracle.Violations()[before:] {
+	recent := n.oracle.Violations()
+	for _, v := range recent[max(0, len(recent)-(n.oracle.violations-before)):] {
 		n.record(now, "violation", v)
 	}
 }
@@ -434,7 +435,8 @@ func (n *Node) Route(key string) Decision {
 	return d
 }
 
-// Violations returns the routing oracle's recorded protocol violations.
+// Violations returns the routing oracle's most recent recorded protocol
+// violations, oldest first.
 func (n *Node) Violations() []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -29,8 +29,14 @@ type Oracle struct {
 	pred   bool
 
 	deliveries int
-	violations []string
+	// violations counts every rejected delivery over the oracle's life;
+	// recent holds the last maxViolations of them, oldest first.
+	violations int
+	recent     []string
 }
+
+// maxViolations bounds the violations an Oracle keeps the text of.
+const maxViolations = 16
 
 // NewOracle generates the chord-membership machine for successor-list
 // length s from the model registry and wraps it in an interpreter.
@@ -59,7 +65,11 @@ func NewOracle(s int) (*Oracle, error) {
 func (o *Oracle) deliver(msg string) {
 	o.deliveries++
 	if _, err := o.inst.Deliver(msg); err != nil {
-		o.violations = append(o.violations, fmt.Sprintf("%s rejected in %s: %v", msg, o.inst.StateName(), err))
+		o.violations++
+		if len(o.recent) == maxViolations {
+			o.recent = o.recent[:copy(o.recent, o.recent[1:])]
+		}
+		o.recent = append(o.recent, fmt.Sprintf("%s rejected in %s: %v", msg, o.inst.StateName(), err))
 	}
 }
 
@@ -108,5 +118,6 @@ func (o *Oracle) StateName() string { return o.inst.StateName() }
 // Deliveries returns the number of events replayed through the machine.
 func (o *Oracle) Deliveries() int { return o.deliveries }
 
-// Violations returns the recorded protocol violations, oldest first.
-func (o *Oracle) Violations() []string { return o.violations }
+// Violations returns the most recent recorded protocol violations, at
+// most 16, oldest first.
+func (o *Oracle) Violations() []string { return o.recent }

@@ -6,14 +6,25 @@ import (
 	"strings"
 )
 
+// maxPropagated bounds the propagation dedup. Past it the set starts
+// over: pushing an artefact again is harmless, since a replica's store
+// only touches the row of content it already holds.
+const maxPropagated = 4096
+
+// artefactID names one artefact for the propagation dedup: a routing key
+// carries every format of a family member, and each format is its own
+// blob, its own store row and its own propagation.
+type artefactID struct{ key, format string }
+
 // MaybePropagate pushes a freshly rendered artifact to the key's next s
-// ring successors over a binary broadcast tree, once per key per
-// membership epoch. Only the key's owner propagates: a node that
-// rendered under a divergent view would otherwise seed the wrong
+// ring successors over a binary broadcast tree, once per artefact (key and
+// format) per membership epoch. Only the key's owner propagates: a node
+// that rendered under a divergent view would otherwise seed the wrong
 // successor set.
 func (n *Node) MaybePropagate(key string, b Blob) {
+	art := artefactID{key, b.Key.Format}
 	n.mu.Lock()
-	if n.stopped || n.propagated[key] {
+	if n.stopped || n.propagated[art] {
 		n.mu.Unlock()
 		return
 	}
@@ -36,7 +47,10 @@ func (n *Node) MaybePropagate(key string, b Blob) {
 		}
 		targets = append(targets, Member{ID: id, URL: url})
 	}
-	n.propagated[key] = true
+	if len(n.propagated) >= maxPropagated {
+		clear(n.propagated)
+	}
+	n.propagated[art] = true
 	if len(targets) == 0 {
 		n.mu.Unlock()
 		return
@@ -46,7 +60,7 @@ func (n *Node) MaybePropagate(key string, b Blob) {
 	for j, t := range targets {
 		ids[j] = t.ID
 	}
-	n.record(n.cfg.Clock.Now(), "propagate", fmt.Sprintf("key=%s targets=%s", key, strings.Join(ids, ",")))
+	n.record(n.cfg.Clock.Now(), "propagate", fmt.Sprintf("key=%s format=%s targets=%s", key, art.format, strings.Join(ids, ",")))
 	n.mu.Unlock()
 
 	n.forward(targets, propagation{Key: key, Blob: b})

@@ -54,7 +54,7 @@ func (n *Node) Status() Report {
 	rep.Oracle = OracleReport{
 		State:          n.oracle.StateName(),
 		Deliveries:     n.oracle.Deliveries(),
-		ViolationCount: len(n.oracle.Violations()),
+		ViolationCount: n.oracle.violations,
 		Violations:     append([]string(nil), n.oracle.Violations()...),
 	}
 	return rep

@@ -148,8 +148,17 @@ func (cfg genConfig) flags() int {
 
 // OptionFlags returns the flag word FingerprintModel folds in for opts:
 // the machine-changing options as one comparable value, for callers that
-// key a table by them.
-func OptionFlags(opts ...Option) int { return newGenConfig(opts).flags() }
+// key a table by them. No options is answered without building a config,
+// which the options would move to the heap: every warm render keys its
+// member lookup by this.
+func OptionFlags(opts ...Option) int {
+	if len(opts) == 0 {
+		return defaultFlags
+	}
+	return newGenConfig(opts).flags()
+}
+
+var defaultFlags = newGenConfig(nil).flags()
 
 // Fingerprint returns a content hash of the generated machine itself:
 // states in machine order with their annotations and merged-name lists,

@@ -1,8 +1,8 @@
 // Package memo is the one cache table of the repository: a single-flight,
-// LRU-bounded memo of successful computations. The generation cache, the
-// pipeline's result, member, render and EFSM tiers are all instances of it,
-// so the §4.2 policy — generate on first use of a parameter value, then
-// reuse — and every rule around it is stated here once:
+// LRU-bounded memo of successful computations. The generation cache and the
+// pipeline's member and render tiers are all instances of it, so the §4.2
+// policy — generate on first use of a parameter value, then reuse — and
+// every rule around it is stated here once:
 //
 //   - Single-flight. Concurrent first requests for a key share one fn
 //     run, under the context of the request that started it (the leader).
