@@ -945,6 +945,7 @@ func BenchmarkTraceCheck(b *testing.B) {
 				b.Fatal(err)
 			}
 			rep, err := mon.Run(context.Background(), dec)
+			dec.Close()
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -147,7 +147,8 @@ type checkConfig struct {
 }
 
 // WithTraceFormat selects the trace encoding: TraceFormatJSONL (the
-// default, also selected by "") or TraceFormatRegex.
+// default, also selected by "") or TraceFormatRegex. Selecting
+// TraceFormatJSONL together with WithTracePattern is an ErrBadTrace.
 func WithTraceFormat(format string) CheckOption {
 	return func(c *checkConfig) { c.format = format }
 }
@@ -158,10 +159,7 @@ func WithTraceFormat(format string) CheckOption {
 // expanded. Patterns are tried in registration order, first match wins;
 // without any, the first ALL_CAPS token of each line is the message.
 func WithTracePattern(rule string) CheckOption {
-	return func(c *checkConfig) {
-		c.patterns = append(c.patterns, rule)
-		c.format = TraceFormatRegex
-	}
+	return func(c *checkConfig) { c.patterns = append(c.patterns, rule) }
 }
 
 // WithTolerance sets how many rejected deliveries are absorbed before a
@@ -214,10 +212,19 @@ func (c *Client) Check(ctx context.Context, model string, r io.Reader, opts ...C
 		}
 		rules = append(rules, rule)
 	}
-	if cfg.format == "" {
+	switch cfg.format {
+	case "":
 		cfg.format = TraceFormatJSONL
-	}
-	if cfg.format != TraceFormatJSONL && cfg.format != TraceFormatRegex {
+		if len(rules) > 0 {
+			cfg.format = TraceFormatRegex
+		}
+	case TraceFormatJSONL:
+		if len(rules) > 0 {
+			return nil, wrapSentinel(ErrBadTrace,
+				errors.New("asagen: trace patterns decode the regex format, not jsonl"))
+		}
+	case TraceFormatRegex:
+	default:
 		return nil, wrapSentinel(ErrBadTrace,
 			errors.New("asagen: unknown trace format "+cfg.format+" (known: jsonl, regex)"))
 	}
@@ -235,6 +242,7 @@ func (c *Client) Check(ctx context.Context, model string, r io.Reader, opts ...C
 			yield(Verdict{Kind: VerdictAborted, Detail: err.Error()})
 			return
 		}
+		defer dec.Close()
 		monOpts := []trace.MonitorOption{
 			trace.WithTarget("", machine.machine),
 			trace.WithTolerance(cfg.tolerance),

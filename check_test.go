@@ -208,6 +208,17 @@ func TestCheckPreflightErrors(t *testing.T) {
 		asagen.WithTracePattern("([broken")); !errors.Is(err, asagen.ErrBadTrace) {
 		t.Errorf("bad pattern error = %v, want ErrBadTrace", err)
 	}
+	// Patterns decode the regex format: asking for them with JSON Lines
+	// is refused whichever option comes last.
+	for _, opts := range [][]asagen.CheckOption{
+		{asagen.WithTracePattern(`recv (\S+)`), asagen.WithTraceFormat(asagen.TraceFormatJSONL)},
+		{asagen.WithTraceFormat(asagen.TraceFormatJSONL), asagen.WithTracePattern(`recv (\S+)`)},
+	} {
+		if _, err := client.Check(ctx, "commit", strings.NewReader(""), opts...); !errors.Is(err, asagen.ErrBadTrace) ||
+			!strings.Contains(err.Error(), "jsonl") {
+			t.Errorf("patterns with jsonl error = %v, want ErrBadTrace naming jsonl", err)
+		}
+	}
 	// A negative tolerance is refused up front, as the wire route's
 	// preflight 400 does, and before the machine is generated.
 	if _, err := client.Check(ctx, "commit", strings.NewReader(""),

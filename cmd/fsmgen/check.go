@@ -64,7 +64,7 @@ func runCheck(args []string, stdout io.Writer) error {
 		matches   []string
 		specFiles []string
 	)
-	fs.Func("match", "regex transition `pattern` PATTERN or PATTERN=>TEMPLATE (repeatable; implies -format regex)",
+	fs.Func("match", "regex transition `pattern` PATTERN or PATTERN=>TEMPLATE (repeatable; implies -format regex, refused with -format jsonl)",
 		func(rule string) error {
 			matches = append(matches, rule)
 			return nil

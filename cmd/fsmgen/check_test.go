@@ -110,6 +110,20 @@ func TestCheckInvocationErrorsExitTwo(t *testing.T) {
 	}
 }
 
+// TestCheckMatchWithJSONLExitsTwo: -match patterns decode regex traces,
+// so asking for them with -format jsonl is a broken invocation rather
+// than a regex run.
+func TestCheckMatchWithJSONLExitsTwo(t *testing.T) {
+	out, code, err := checkRun(t, "-model", "commit", "-r", "4", "-format", "jsonl",
+		"-match", `recv (\S+)`, "-trace", "../../examples/traces/commit-conforming.jsonl")
+	if code != 2 || err == nil || !strings.Contains(err.Error(), "jsonl") {
+		t.Fatalf("exit code = %d, err %v; want 2 and an error naming jsonl", code, err)
+	}
+	if out != "" {
+		t.Errorf("a refused invocation printed verdicts:\n%s", out)
+	}
+}
+
 func TestCheckRegexTrace(t *testing.T) {
 	out, code, err := checkRun(t, "-model", "commit", "-r", "4",
 		"-format", "regex", "-trace", "../../examples/traces/commit-conforming.log")

@@ -169,7 +169,7 @@ func NewHandler(p *artifact.Pipeline, opts ...HandlerOption) *Handler {
 				"r: model parameter (default: the model's default)",
 				"format: trace encoding, `jsonl` (default) or `regex`",
 				"tolerance: rejected deliveries absorbed before a violation (default 0)",
-				"match: regex transition pattern `PATTERN` or `PATTERN=>TEMPLATE` (repeatable; implies format=regex)",
+				"match: regex transition pattern `PATTERN` or `PATTERN=>TEMPLATE` (repeatable; implies format=regex, and with format=jsonl is a `bad_trace` 400)",
 				"keep_going: `1`/`true` keeps checking past the first violation",
 			},
 			handler: h.handleCheck,

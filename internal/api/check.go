@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"asagen/internal/artifact"
@@ -80,7 +81,13 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 		if len(rules) > 0 {
 			format = trace.FormatRegex
 		}
-	case trace.FormatJSONL, trace.FormatRegex:
+	case trace.FormatJSONL:
+		if len(rules) > 0 {
+			writeError(w, http.StatusBadRequest, CodeBadTrace,
+				"match patterns decode format=regex traces, not jsonl")
+			return
+		}
+	case trace.FormatRegex:
 	default:
 		writeError(w, http.StatusBadRequest, CodeBadTrace,
 			"unknown trace format "+strconv.Quote(format)+" (known: jsonl, regex)")
@@ -100,14 +107,14 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	stream := &eventStream{w: w, rc: http.NewResponseController(w), timeout: h.checkWriteTimeout,
-		// Room for the event that crosses the cap, so a run allocates once.
-		buf: make([]byte, 0, checkFlushBytes+1024)}
+	stream := newEventStream(w, h.checkWriteTimeout)
+	defer stream.release()
 	dec, err := trace.NewDecoder(format, trace.FlushBeforeRead(r.Body, stream.flush), rules)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadTrace, err.Error())
 		return
 	}
+	defer dec.Close()
 
 	// Preflight is clean: commit to the event stream. From here failures
 	// are in-band `error` events, not status codes.
@@ -134,14 +141,15 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if stream.rc.Flush() != nil {
 		return
 	}
-	// Whatever ends the run, the events still buffered go out with it. A
-	// failure here means the client is gone; there is no one to tell.
+	// Whatever ends the run, the events still buffered go out with it,
+	// before the buffer is released. A failure here means the client is
+	// gone; there is no one to tell.
 	defer stream.flush()
 
 	opts := []trace.MonitorOption{
 		trace.WithTarget("", machine),
 		trace.WithTolerance(tolerance),
-		trace.WithObserver(trace.ObserverFunc(stream.verdict)),
+		trace.WithObserver(stream),
 	}
 	if keepGoing {
 		opts = append(opts, trace.WithKeepGoing())
@@ -160,7 +168,7 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 	case r.Context().Err() != nil:
 		// Cancelled mid-run; nothing useful can be written.
 	case err == nil:
-		stream.verdict(trace.Terminal(rep, nil))
+		stream.Observe(trace.Terminal(rep, nil))
 	case errors.As(err, &de):
 		stream.event("error", envelopeJSON(CodeBadTrace, de.Error()))
 	default:
@@ -174,10 +182,26 @@ const (
 	// connection buffers untouched, and with the body close-delimited on
 	// HTTP/1.x it leaves as one write(2).
 	checkFlushBytes = 32 << 10
+	// checkBufSize is an event buffer's capacity: room for the event that
+	// crosses checkFlushBytes, so a run never grows its buffer unless one
+	// event is over a kilobyte.
+	checkBufSize = checkFlushBytes + 1024
 	// checkWriteTimeout bounds each write of the event stream, so a
 	// client that posts a trace and never reads cannot pin the handler.
 	checkWriteTimeout = 30 * time.Second
 )
+
+// eventBufs recycles the event buffers of finished check streams. It only
+// ever holds the checkBufSize arrays it handed out: a buffer that grew
+// past its capacity for an outsized event is the stream's own, and is
+// left to the GC with it.
+var eventBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, checkBufSize)
+	return &b
+}}
+
+// acceptedHead frames an accepted verdict, by far the most frequent.
+const acceptedHead = "event: accepted\ndata: "
 
 // eventStream is the response side of one check run. Events accumulate
 // in buf and go to the client at exactly three points: immediately
@@ -191,14 +215,29 @@ const (
 //
 // Verdicts are encoded straight into buf by the stream's own
 // trace.Encoder, so a transition the stream has already reported costs
-// its line number and a copy.
+// its line number and a copy. buf starts as a buffer borrowed from
+// eventBufs, returned by release when the handler ends.
 type eventStream struct {
 	w       http.ResponseWriter
 	rc      *http.ResponseController
 	timeout time.Duration
+	pooled  *[]byte // the borrowed buffer; nil once released
 	buf     []byte
 	enc     trace.Encoder
 	err     error // first write failure; the stream is dead after it
+}
+
+func newEventStream(w http.ResponseWriter, timeout time.Duration) *eventStream {
+	pooled := eventBufs.Get().(*[]byte)
+	return &eventStream{w: w, rc: http.NewResponseController(w), timeout: timeout,
+		pooled: pooled, buf: (*pooled)[:0]}
+}
+
+// release returns the borrowed buffer to eventBufs; the stream writes
+// nothing afterwards.
+func (s *eventStream) release() {
+	eventBufs.Put(s.pooled)
+	s.pooled, s.buf = nil, nil
 }
 
 // event appends one framed event; false means the stream is dead.
@@ -208,11 +247,15 @@ func (s *eventStream) event(name string, data []byte) bool {
 	return s.end()
 }
 
-// verdict appends one verdict as a framed event named by its kind; false
-// means the stream is dead. It is the check run's trace.Observer.
-func (s *eventStream) verdict(v trace.Verdict) bool {
-	s.begin(v.Kind.String())
-	s.buf = s.enc.Append(s.buf, v)
+// Observe appends one verdict as a framed event named by its kind; false
+// means the stream is dead. The stream is the check run's trace.Observer.
+func (s *eventStream) Observe(v trace.Verdict) bool {
+	if v.Kind == trace.KindAccepted {
+		s.buf = append(s.buf, acceptedHead...)
+	} else {
+		s.begin(v.Kind.String())
+	}
+	s.buf = s.enc.Append(s.buf, &v)
 	return s.end()
 }
 

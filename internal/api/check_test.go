@@ -259,6 +259,9 @@ func TestCheckRoutePreflightErrors(t *testing.T) {
 		{"/v1/models/commit/check?keep_going=maybe", http.StatusBadRequest, CodeBadParameter},
 		{"/v1/models/commit/check?format=xml", http.StatusBadRequest, CodeBadTrace},
 		{"/v1/models/commit/check?match=%28broken", http.StatusBadRequest, CodeBadTrace},
+		// match patterns decode regex traces; with format=jsonl they
+		// would be dropped.
+		{"/v1/models/commit/check?format=jsonl&match=UPDATE", http.StatusBadRequest, CodeBadTrace},
 	} {
 		resp, body := postCheck(t, ts, tc.path, "\"UPDATE\"\n")
 		if resp.StatusCode != tc.status {

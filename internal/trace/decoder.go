@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"regexp"
+	"sync"
 	"unicode/utf8"
 )
 
@@ -31,6 +33,13 @@ type Decoder interface {
 	Next() (Event, error)
 }
 
+// DecodeCloser is a Decoder that holds a pooled line buffer until Close.
+// Both of this package's decoders are one; NewDecoder returns one.
+type DecodeCloser interface {
+	Decoder
+	io.Closer
+}
+
 // DecodeError reports an input line that is not a trace element in the
 // decoder's format.
 type DecodeError struct {
@@ -48,23 +57,54 @@ func (e *DecodeError) Error() string {
 // bounded by this, never by the trace length.
 const maxLineBytes = 1 << 20
 
+// lineBufSize is the line buffer a decoder starts with; a longer line
+// makes bufio.Scanner grow its own copy, up to maxLineBytes.
+const lineBufSize = 64 << 10
+
+// lineBufs recycles the line buffers of closed decoders, so a server
+// checking one short trace after another allocates none. It only ever
+// holds the lineBufSize arrays it handed out: a buffer the scanner grew
+// for a long line is the scanner's own, and is left to the GC with it.
+var lineBufs = sync.Pool{New: func() any {
+	b := make([]byte, lineBufSize)
+	return &b
+}}
+
+// errClosed is what a closed decoder's Next returns.
+var errClosed = errors.New("trace: Next on a closed decoder")
+
 // lineReader is the scanning core shared by the decoders: it hands out
 // one line at a time from a reused buffer, tracking the 1-based line
 // number. Returned slices are valid only until the next call.
 type lineReader struct {
 	sc   *bufio.Scanner
+	buf  *[]byte // borrowed from lineBufs; nil once returned
 	line int
 }
 
 func newLineReader(r io.Reader) *lineReader {
+	buf := lineBufs.Get().(*[]byte)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
-	return &lineReader{sc: sc}
+	sc.Buffer(*buf, maxLineBytes)
+	return &lineReader{sc: sc, buf: buf}
+}
+
+// Close returns the line buffer to the pool. A reader nobody closes
+// leaves its buffer to the GC; one that is closed reads no more.
+func (lr *lineReader) Close() error {
+	if lr.buf != nil {
+		lineBufs.Put(lr.buf)
+		lr.buf, lr.sc = nil, nil
+	}
+	return nil
 }
 
 // next returns the next input line without its terminator. io.EOF marks
 // the end of input; a too-long line is a *DecodeError.
 func (lr *lineReader) next() ([]byte, error) {
+	if lr.sc == nil {
+		return nil, errClosed
+	}
 	if !lr.sc.Scan() {
 		if err := lr.sc.Err(); err != nil {
 			if err == bufio.ErrTooLong {
@@ -152,6 +192,11 @@ type JSONLDecoder struct {
 func NewJSONLDecoder(r io.Reader) *JSONLDecoder {
 	return &JSONLDecoder{lr: newLineReader(r), intern: make(interner)}
 }
+
+// Close returns the decoder's line buffer to a pool shared by every
+// decoder; Next fails afterwards. A decoder that is never closed works
+// the same and leaves the buffer to the GC.
+func (d *JSONLDecoder) Close() error { return d.lr.Close() }
 
 // jsonlEvent is the decoded object form of one JSON Lines event.
 type jsonlEvent struct {
@@ -346,6 +391,10 @@ func NewRegexDecoder(r io.Reader, rules []Rule) *RegexDecoder {
 	return &RegexDecoder{lr: newLineReader(r), rules: rules, intern: make(interner)}
 }
 
+// Close returns the decoder's line buffer to the pool, as
+// JSONLDecoder.Close does.
+func (d *RegexDecoder) Close() error { return d.lr.Close() }
+
 // Next implements Decoder.
 func (d *RegexDecoder) Next() (Event, error) {
 	for {
@@ -395,8 +444,9 @@ func (d *RegexDecoder) Next() (Event, error) {
 // NewDecoder returns the decoder for a named trace format over r:
 // "jsonl" (JSON Lines, the default for an empty name) or "regex" (text
 // via transition patterns; rules may be nil for the defaults). Unknown
-// formats return an error naming the known ones.
-func NewDecoder(format string, r io.Reader, rules []Rule) (Decoder, error) {
+// formats return an error naming the known ones. Closing the decoder
+// returns its line buffer to the pool.
+func NewDecoder(format string, r io.Reader, rules []Rule) (DecodeCloser, error) {
 	switch format {
 	case "", FormatJSONL:
 		return NewJSONLDecoder(r), nil

@@ -114,10 +114,11 @@ func NewMonitor(opts ...MonitorOption) (*Monitor, error) {
 	return m, nil
 }
 
-// emit delivers one verdict to every observer; false means stop.
-func (m *Monitor) emit(v Verdict) bool {
+// emit delivers one verdict to every observer; false means stop. It
+// takes a pointer so the verdict is copied once, into Observe.
+func (m *Monitor) emit(v *Verdict) bool {
 	for _, obs := range m.observers {
-		if !obs.Observe(v) {
+		if !obs.Observe(*v) {
 			return false
 		}
 	}
@@ -161,7 +162,7 @@ func (m *Monitor) Run(ctx context.Context, dec Decoder) (Report, error) {
 		rep.Lines = ev.Line
 		if ev.Skip {
 			rep.Skipped++
-			if !m.emit(Verdict{Line: ev.Line, Kind: KindSkipped,
+			if !m.emit(&Verdict{Line: ev.Line, Kind: KindSkipped,
 				Detail: "no transition pattern matched"}) {
 				return rep, ErrStopped
 			}
@@ -176,13 +177,13 @@ func (m *Monitor) Run(ctx context.Context, dec Decoder) (Report, error) {
 			tr, err := t.inst.Fire(ev.Msg)
 			if err == nil {
 				rep.Accepted++
-				if !m.emit(Verdict{Line: ev.Line, Target: name, Event: ev.Msg,
+				if !m.emit(&Verdict{Line: ev.Line, Target: name, Event: ev.Msg,
 					Kind: KindAccepted, State: tr.Target.Name, Actions: tr.Actions, tr: tr}) {
 					return rep, ErrStopped
 				}
 				if t.inst.Finished() && !t.finished {
 					t.finished = true
-					if !m.emit(Verdict{Line: ev.Line, Target: name, Event: ev.Msg,
+					if !m.emit(&Verdict{Line: ev.Line, Target: name, Event: ev.Msg,
 						Kind: KindFinished, State: t.inst.StateName()}) {
 						return rep, ErrStopped
 					}
@@ -194,7 +195,7 @@ func (m *Monitor) Run(ctx context.Context, dec Decoder) (Report, error) {
 			if t.budget > 0 {
 				t.budget--
 				rep.Ignored++
-				if !m.emit(Verdict{Line: ev.Line, Target: name, Event: ev.Msg,
+				if !m.emit(&Verdict{Line: ev.Line, Target: name, Event: ev.Msg,
 					Kind: KindIgnored, State: t.inst.StateName(), Detail: err.Error()}) {
 					return rep, ErrStopped
 				}
@@ -204,7 +205,7 @@ func (m *Monitor) Run(ctx context.Context, dec Decoder) (Report, error) {
 			if rep.FirstViolation == 0 {
 				rep.FirstViolation = ev.Line
 			}
-			if !m.emit(Verdict{Line: ev.Line, Target: name, Event: ev.Msg,
+			if !m.emit(&Verdict{Line: ev.Line, Target: name, Event: ev.Msg,
 				Kind: KindViolation, State: t.inst.StateName(), Detail: err.Error()}) {
 				return rep, ErrStopped
 			}

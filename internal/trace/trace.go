@@ -210,6 +210,12 @@ func (v Verdict) AppendJSON(dst []byte) []byte {
 // Verdict.AppendJSON and kept, and afterwards the verdict is `{"line":`,
 // its digits and them. Every other verdict is AppendJSON's own.
 //
+// The digits are a counter too: the Encoder keeps the last line number it
+// wrote that way, and the next accepted line is almost always the one
+// after it (or the same line, for a second target), so its digits are
+// incremented in place rather than formatted. Any other line is formatted
+// afresh and becomes the counter's value.
+//
 // The memo is keyed by the transition alone (hashing a pointer costs half
 // of hashing it with a name), so a transition kept for one target is
 // encoded field by field for any other; only a monitor watching one
@@ -218,6 +224,11 @@ func (v Verdict) AppendJSON(dst []byte) []byte {
 // stream and is not safe for concurrent use.
 type Encoder struct {
 	tails map[*core.Transition]encoded
+	// line is the last line number written from the memo, and
+	// digits[start:] its decimal form; line is 0 before the first.
+	line   int
+	start  int
+	digits [20]byte
 }
 
 // encoded is what follows an accepted verdict's line number.
@@ -228,16 +239,16 @@ type encoded struct {
 
 const maxEncoded = 4096
 
-// Append appends the canonical JSON encoding of v to dst and returns the
+// Append appends the canonical JSON encoding of *v to dst and returns the
 // extended slice.
-func (e *Encoder) Append(dst []byte, v Verdict) []byte {
+func (e *Encoder) Append(dst []byte, v *Verdict) []byte {
 	if v.tr == nil || v.Line <= 0 {
 		return v.AppendJSON(dst)
 	}
 	enc, ok := e.tails[v.tr]
 	if ok && enc.target == v.Target {
 		dst = append(dst, `{"line":`...)
-		dst = strconv.AppendInt(dst, int64(v.Line), 10)
+		dst = append(dst, e.lineDigits(v.Line)...)
 		return append(dst, enc.tail...)
 	}
 	start := len(dst)
@@ -252,6 +263,31 @@ func (e *Encoder) Append(dst []byte, v Verdict) []byte {
 		e.tails[v.tr] = encoded{target: v.Target, tail: string(dst[head:])}
 	}
 	return dst
+}
+
+// lineDigits returns the decimal form of line, valid until the next call.
+func (e *Encoder) lineDigits(line int) []byte {
+	switch {
+	case line == e.line:
+	case line == e.line+1 && e.line > 0:
+		i := len(e.digits) - 1
+		for ; i >= e.start && e.digits[i] == '9'; i-- {
+			e.digits[i] = '0'
+		}
+		if i < e.start { // every digit carried: 99 becomes 100
+			e.start--
+			e.digits[e.start] = '1'
+		} else {
+			e.digits[i]++
+		}
+		e.line = line
+	default:
+		n := len(strconv.AppendInt(e.digits[:0], int64(line), 10))
+		e.start = len(e.digits) - n
+		copy(e.digits[e.start:], e.digits[:n])
+		e.line = line
+	}
+	return e.digits[e.start:]
 }
 
 // AppendJSON appends the canonical JSON encoding of the report to dst.
