@@ -243,7 +243,8 @@ func (c *Client) UpdateModel(s *ModelSpec) error {
 	if err != nil {
 		return err
 	}
-	if _, err := c.pipeline.UpdateModel(compiled.Entry(), compiled.DeltaFrom(c.reg)); err != nil {
+	prev, _ := c.reg.Get(compiled.Name())
+	if _, err := c.pipeline.UpdateModel(compiled.Entry(), compiled.DeltaFrom(prev)); err != nil {
 		return wrapSentinel(ErrInvalidSpec, err)
 	}
 	return nil

@@ -377,7 +377,8 @@ func (h *Handler) handleUpdateModel(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("spec name %q does not match path model %q", compiled.Name(), name))
 		return
 	}
-	replaced, err := h.p.UpdateModel(compiled.Entry(), compiled.DeltaFrom(h.reg))
+	prev, _ := h.reg.Get(name)
+	replaced, err := h.p.UpdateModel(compiled.Entry(), compiled.DeltaFrom(prev))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error())
 		return

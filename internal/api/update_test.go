@@ -7,8 +7,12 @@ package api
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
+
+	"asagen/internal/spec"
 )
 
 // TestUpdateModelCreatesThenReplaces: PUT on an unknown name registers
@@ -51,7 +55,15 @@ func TestUpdateModelCreatesThenReplaces(t *testing.T) {
 	}
 
 	// The compatible edit regenerated incrementally, visible in stats.
-	resp, body = do(t, ts, http.MethodGet, "/v1/stats", nil)
+	if got := incremental(t, ts); got != 1 {
+		t.Errorf("Machine.Incremental = %d, want 1", got)
+	}
+}
+
+// incremental reads /v1/stats' count of incremental regenerations.
+func incremental(t *testing.T, ts *httptest.Server) int64 {
+	t.Helper()
+	resp, body := do(t, ts, http.MethodGet, "/v1/stats", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /v1/stats = %d", resp.StatusCode)
 	}
@@ -63,8 +75,36 @@ func TestUpdateModelCreatesThenReplaces(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &stats); err != nil {
 		t.Fatalf("stats body: %v\n%s", err, body)
 	}
-	if stats.Machine.Incremental != 1 {
-		t.Errorf("Machine.Incremental = %d, want 1\n%s", stats.Machine.Incremental, body)
+	return stats.Machine.Incremental
+}
+
+// TestUpdateModelEditsABuiltInIncrementally: a built-in family is a spec
+// document, so a PUT of that document with one rule edited keeps what a
+// render generated and regenerates it incrementally, like any spec's edit.
+func TestUpdateModelEditsABuiltInIncrementally(t *testing.T) {
+	ts, _ := isolatedServer(t)
+	data, err := os.ReadFile("../models/chord.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := spec.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := do(t, ts, http.MethodGet, "/v1/models/chord/artifacts/text", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("render = %d %s", resp.StatusCode, body)
+	}
+	leave := &doc.Rules[len(doc.Rules)-1]
+	leave.Actions = append(leave.Actions, "->farewell")
+	if resp, body := do(t, ts, http.MethodPut, "/v1/models/chord", specJSON(t, doc)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("PUT = %d %s", resp.StatusCode, body)
+	}
+	resp, after := do(t, ts, http.MethodGet, "/v1/models/chord/artifacts/text", nil)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(after, "->farewell") {
+		t.Fatalf("render after the edit = %d, the edited action missing:\n%.300s", resp.StatusCode, after)
+	}
+	if got := incremental(t, ts); got != 1 {
+		t.Errorf("Machine.Incremental = %d, want 1", got)
 	}
 }
 

@@ -1,7 +1,8 @@
 package chord
 
-// Differential conformance for the generated ring-membership machines: the
-// hand-written Ring is driven through randomized churn schedules (joins,
+// Differential conformance for the registry's ring-membership machines
+// (compiled from internal/models/chord.json): the hand-written Ring is
+// driven through randomized churn schedules (joins,
 // fail-stop failures and graceful leaves, scheduled through simnet timers),
 // and a designated node's observed membership state is replayed event for
 // event through the runtime interpreter and the EFSM instance. The
@@ -19,8 +20,15 @@ import (
 	"time"
 
 	"asagen/internal/core"
+	"asagen/internal/models"
 	"asagen/internal/runtime"
 	"asagen/internal/simnet"
+)
+
+// Actions of the membership machine.
+const (
+	actLookup  = "->lookup"
+	actHandoff = "->transfer-keys"
 )
 
 // conformanceSchedules is the number of randomized fault schedules each
@@ -30,9 +38,9 @@ const conformanceSchedules = 120
 // membershipMachines generates the concrete machine (unmerged, so state
 // names are raw component vectors) and the EFSM for one successor-list
 // length.
-func membershipMachines(t *testing.T, s int) (*Model, *core.StateMachine, *core.EFSM) {
+func membershipMachines(t *testing.T, s int) (core.Model, *core.StateMachine, *core.EFSM) {
 	t.Helper()
-	model, err := NewModel(s)
+	model, err := models.Build("chord", s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +74,7 @@ func observeMembership(d *Node, s int) (succ int, pred bool) {
 type replay struct {
 	t     *testing.T
 	seed  int64
-	model *Model
+	model core.Model
 	inst  *runtime.Instance
 	efsm  *core.EFSMInstance
 	succ  int
@@ -116,7 +124,7 @@ func (rp *replay) sync(d *Node, s int) {
 
 	want := core.Vector{1, succ, 0}
 	if pred {
-		want[idxHasPred] = 1
+		want[2] = 1 // has_predecessor
 	}
 	if got, expect := rp.inst.StateName(), want.Name(rp.model.Components()); got != expect {
 		rp.t.Fatalf("seed %d: machine state %s, live node implies %s", rp.seed, got, expect)
@@ -139,7 +147,7 @@ func (rp *replay) sync(d *Node, s int) {
 func TestMembershipModelConformsToRing(t *testing.T) {
 	lengths := []int{2, 3, 4}
 	type generated struct {
-		model   *Model
+		model   core.Model
 		machine *core.StateMachine
 		efsm    *core.EFSM
 	}
@@ -179,8 +187,8 @@ func TestMembershipModelConformsToRing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: join: %v", seed, err)
 		}
-		if actions := rp.deliver(EvJoin); !slices.Contains(actions, ActLookup) {
-			t.Fatalf("seed %d: JOIN actions = %v, want %s", seed, actions, ActLookup)
+		if actions := rp.deliver(EvJoin); !slices.Contains(actions, actLookup) {
+			t.Fatalf("seed %d: JOIN actions = %v, want %s", seed, actions, actLookup)
 		}
 		ring.Stabilize()
 		rp.sync(d, s)
@@ -215,8 +223,8 @@ func TestMembershipModelConformsToRing(t *testing.T) {
 		net.Run(0)
 
 		ring.Leave(d)
-		if actions := rp.deliver(EvLeave); !slices.Contains(actions, ActHandoff) {
-			t.Fatalf("seed %d: LEAVE actions = %v, want %s", seed, actions, ActHandoff)
+		if actions := rp.deliver(EvLeave); !slices.Contains(actions, actHandoff) {
+			t.Fatalf("seed %d: LEAVE actions = %v, want %s", seed, actions, actHandoff)
 		}
 		if !inst.Finished() || !efsmInst.Finished() {
 			t.Fatalf("seed %d: departed node's machine not finished (machine=%v efsm=%v)",
@@ -256,8 +264,8 @@ func TestMembershipModelRejectsOutOfProtocolEvents(t *testing.T) {
 	if actions, err := inst.Deliver(EvSuccFail); err != nil || len(actions) != 0 {
 		t.Fatalf("first SUCC_FAIL: actions=%v err=%v, want silent tolerance", actions, err)
 	}
-	if actions, err := inst.Deliver(EvSuccFail); err != nil || !slices.Contains(actions, ActLookup) {
-		t.Fatalf("exhausting SUCC_FAIL: actions=%v err=%v, want %s", actions, err, ActLookup)
+	if actions, err := inst.Deliver(EvSuccFail); err != nil || !slices.Contains(actions, actLookup) {
+		t.Fatalf("exhausting SUCC_FAIL: actions=%v err=%v, want %s", actions, err, actLookup)
 	}
 	if _, err := inst.Deliver(EvSuccFail); err == nil {
 		t.Error("empty successor list accepted SUCC_FAIL")
@@ -312,15 +320,15 @@ func TestEFSMGenericInSuccessorListLength(t *testing.T) {
 	}
 }
 
-// generateEFSM generalises the family member for s from a generation of
-// its own.
+// generateEFSM generalises the registry's family member for s from a
+// generation of its own.
 func generateEFSM(t *testing.T, s int) *core.EFSM {
 	t.Helper()
-	m, err := NewModel(s)
+	entry, err := models.Get("chord")
 	if err != nil {
 		t.Fatal(err)
 	}
-	efsm, err := core.GenerateEFSM(context.Background(), m, NewAbstraction(m))
+	efsm, err := entry.EFSM(context.Background(), s)
 	if err != nil {
 		t.Fatalf("GenerateEFSM(s=%d): %v", s, err)
 	}

@@ -1,3 +1,10 @@
+// Package consensus holds the tests of the registry's consensus family, a
+// simplified Chandra–Toueg-style single-decree consensus (§5.2 of the
+// paper): a coordinator collects estimates and acknowledgements under
+// majority thresholds that depend on the process count n, so the
+// algorithm is a machine family, not one FSM. The family is the spec
+// document internal/models/consensus.json; this package has no code of
+// its own.
 package consensus
 
 import (
@@ -6,15 +13,36 @@ import (
 	"testing"
 
 	"asagen/internal/core"
+	"asagen/internal/models"
 	"asagen/internal/runtime"
 )
 
+// Messages and actions of the consensus machine.
+const (
+	msgPropose  = "PROPOSE"
+	msgEstimate = "ESTIMATE"
+	msgProposal = "PROPOSAL"
+	msgAck      = "ACK"
+	msgDecide   = "DECIDE"
+
+	actSendEstimate = "->estimate"
+	actSendProposal = "->proposal"
+	actSendAck      = "->ack"
+	actSendDecide   = "->decide"
+)
+
+func newModel(t *testing.T, n int) core.Model {
+	t.Helper()
+	m, err := models.Build("consensus", n)
+	if err != nil {
+		t.Fatalf("consensus n=%d: %v", n, err)
+	}
+	return m
+}
+
 func generate(t *testing.T, n int) *core.StateMachine {
 	t.Helper()
-	m, err := NewModel(n)
-	if err != nil {
-		t.Fatalf("NewModel(%d): %v", n, err)
-	}
+	m := newModel(t, n)
 	machine, err := core.Generate(context.Background(), m)
 	if err != nil {
 		t.Fatalf("Generate(n=%d): %v", n, err)
@@ -23,18 +51,21 @@ func generate(t *testing.T, n int) *core.StateMachine {
 }
 
 func TestNewModelValidation(t *testing.T) {
-	if _, err := NewModel(2); err == nil {
+	if _, err := models.Build("consensus", 2); err == nil {
 		t.Error("n=2 accepted")
 	}
-	m, err := NewModel(5)
-	if err != nil {
-		t.Fatal(err)
+	if m := newModel(t, 5); m.Parameter() != 5 {
+		t.Errorf("Parameter = %d", m.Parameter())
 	}
-	if m.Majority() != 3 {
-		t.Errorf("Majority = %d, want 3", m.Majority())
+	// The majority of five is three, wherever the machine states it.
+	var notes []string
+	for _, s := range generate(t, 5).States {
+		for _, tr := range s.Transitions {
+			notes = append(notes, tr.Annotations...)
+		}
 	}
-	if m.Processes() != 5 {
-		t.Errorf("Processes = %d", m.Processes())
+	if !contains(notes, "Majority (3) of estimates gathered: propose.") {
+		t.Errorf("no majority of 3 among the annotations %v", notes)
 	}
 }
 
@@ -75,28 +106,28 @@ func TestCoordinatorHappyPath(t *testing.T) {
 		}
 	}
 
-	deliver(MsgPropose)
-	if !contains(actions, ActSendEstimate) {
+	deliver(msgPropose)
+	if !contains(actions, actSendEstimate) {
 		t.Fatalf("propose actions = %v", actions)
 	}
 	actions = actions[:0]
 
-	deliver(MsgEstimate) // own + 2 received = majority at the second
-	deliver(MsgEstimate)
-	if !contains(actions, ActSendProposal) {
+	deliver(msgEstimate) // own + 2 received = majority at the second
+	deliver(msgEstimate)
+	if !contains(actions, actSendProposal) {
 		t.Fatalf("estimate majority actions = %v", actions)
 	}
 	actions = actions[:0]
 
-	deliver(MsgProposal) // coordinator acks its own proposal
-	if !contains(actions, ActSendAck) {
+	deliver(msgProposal) // coordinator acks its own proposal
+	if !contains(actions, actSendAck) {
 		t.Fatalf("proposal actions = %v", actions)
 	}
 	actions = actions[:0]
 
-	deliver(MsgAck)
-	deliver(MsgAck) // own + 2 = majority: decide and finish
-	if !contains(actions, ActSendDecide) {
+	deliver(msgAck)
+	deliver(msgAck) // own + 2 = majority: decide and finish
+	if !contains(actions, actSendDecide) {
 		t.Fatalf("ack majority actions = %v", actions)
 	}
 	if !inst.Finished() {
@@ -112,13 +143,13 @@ func TestParticipantDecidesOnAnnouncement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inst.Deliver(MsgPropose); err != nil {
+	if _, err := inst.Deliver(msgPropose); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inst.Deliver(MsgProposal); err != nil {
+	if _, err := inst.Deliver(msgProposal); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inst.Deliver(MsgDecide); err != nil {
+	if _, err := inst.Deliver(msgDecide); err != nil {
 		t.Fatal(err)
 	}
 	if !inst.Finished() {
@@ -127,16 +158,13 @@ func TestParticipantDecidesOnAnnouncement(t *testing.T) {
 }
 
 func TestDuplicateProposeIgnored(t *testing.T) {
-	m, err := NewModel(5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newModel(t, 5)
 	start := m.Start()
-	eff, ok := m.Apply(start, MsgPropose)
+	eff, ok := m.Apply(start, msgPropose)
 	if !ok {
 		t.Fatal("propose not applicable at start")
 	}
-	if _, ok := m.Apply(eff.Target, MsgPropose); ok {
+	if _, ok := m.Apply(eff.Target, msgPropose); ok {
 		t.Error("second propose applicable")
 	}
 	if _, ok := m.Apply(start, "BOGUS"); ok {
@@ -164,7 +192,7 @@ func TestEFSMHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, msg := range []string{MsgPropose, MsgEstimate, MsgEstimate, MsgProposal, MsgAck, MsgAck} {
+	for _, msg := range []string{msgPropose, msgEstimate, msgEstimate, msgProposal, msgAck, msgAck} {
 		inst.Deliver(msg)
 	}
 	if !inst.Finished() {
@@ -173,10 +201,7 @@ func TestEFSMHappyPath(t *testing.T) {
 }
 
 func TestDescribeState(t *testing.T) {
-	m, err := NewModel(5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newModel(t, 5)
 	lines := m.DescribeState(core.Vector{1, 2, 1, 1, 0})
 	joined := strings.Join(lines, "\n")
 	for _, want := range []string{"submitted", "2 estimates", "proposal", "acknowledged"} {
@@ -195,15 +220,15 @@ func contains(list []string, want string) bool {
 	return false
 }
 
-// generateEFSM generalises the family member for n from a generation of
-// its own.
+// generateEFSM generalises the registry's family member for n from a
+// generation of its own.
 func generateEFSM(t *testing.T, n int) *core.EFSM {
 	t.Helper()
-	m, err := NewModel(n)
+	entry, err := models.Get("consensus")
 	if err != nil {
 		t.Fatal(err)
 	}
-	efsm, err := core.GenerateEFSM(context.Background(), m, NewAbstraction(m))
+	efsm, err := entry.EFSM(context.Background(), n)
 	if err != nil {
 		t.Fatalf("GenerateEFSM(n=%d): %v", n, err)
 	}

@@ -5,8 +5,9 @@
 //
 // A registry entry bundles the model builder (parameter → core.Model), the
 // optional EFSM generalisation, and the metadata commands need to present
-// the scenario (parameter semantics, defaults, sweep values). New model
-// packages plug into every command and example by adding one Register call.
+// the scenario (parameter semantics, defaults, sweep values). A built-in
+// family is a spec document embedded in this package and compiled at
+// initialisation; only the commit families are hand-written adapters.
 //
 // Registries are first-class values: the process-wide default registry
 // holds the built-in scenarios, and callers that accept dynamic
@@ -15,96 +16,29 @@
 package models
 
 import (
-	"context"
+	"embed"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
-	"asagen/internal/chord"
 	"asagen/internal/commit"
-	"asagen/internal/consensus"
 	"asagen/internal/core"
-	"asagen/internal/storage"
-	"asagen/internal/termination"
+	"asagen/internal/spec"
 )
 
-// Builder constructs the abstract model for a parameter value.
-type Builder func(param int) (core.Model, error)
-
-// Abstraction returns the EFSM abstraction (§5.3) of the family member for
-// the given parameter value: how core.GeneralizeEFSM coalesces that
-// member's generated machine into the parameter-independent EFSM. It
-// builds its own model instance rather than taking the one Build returned,
-// which a caller may have decorated.
-type Abstraction func(param int) (core.EFSMAbstraction, error)
-
-// Entry describes one registered scenario.
-type Entry struct {
-	// Name is the registry key, e.g. "commit".
-	Name string
-	// Description is a one-line summary shown in command help.
-	Description string
-	// ParamName names the model parameter, e.g. "replication factor".
-	ParamName string
-	// DefaultParam is the parameter used when the caller passes none.
-	DefaultParam int
-	// SweepParams are representative parameter values for sweep tables and
-	// differential tests, in ascending order.
-	SweepParams []int
-	// Build constructs the abstract model for a parameter value.
-	Build Builder
-	// Abstraction names how the family generalises to a
-	// parameter-independent EFSM, or is nil when the model declares none.
-	Abstraction Abstraction
-	// Vocabulary names the message vocabulary the generated machines
-	// react to, e.g. VocabularyCommit for models the version-service
-	// runtime can execute. Empty for models with a vocabulary of their
-	// own that no runtime layer consumes.
-	Vocabulary string
-	// Spec optionally carries the declarative source document the entry
-	// was compiled from (a spec.Doc), opaque to this package to avoid an
-	// import cycle. Layers that replace models in place read it to diff
-	// the old and new documents for incremental regeneration. Nil for
-	// hand-written models.
-	Spec any
-}
+// Entry describes one registered scenario. It is core.Entry, which sits
+// below both this registry and the spec compiler that builds most entries.
+type Entry = core.Entry
 
 // VocabularyCommit marks models whose machines react to the commit
 // protocol's message set (UPDATE, VOTE, COMMIT, FREE, NOT_FREE), which the
 // version-service members dispatch.
 const VocabularyCommit = "commit"
 
-// Model builds the entry's model, substituting DefaultParam when param <= 0.
-func (e Entry) Model(param int) (core.Model, error) {
-	if param <= 0 {
-		param = e.DefaultParam
-	}
-	return e.Build(param)
-}
-
-// EFSM generalises the family member for param from a generation of its
-// own (core.GenerateEFSM). The artefact pipeline generalises the member's
-// cached machine instead; this is the reference that view is compared
-// against.
-func (e Entry) EFSM(ctx context.Context, param int) (*core.EFSM, error) {
-	if e.Abstraction == nil {
-		return nil, fmt.Errorf("models: model %q declares no EFSM abstraction", e.Name)
-	}
-	m, err := e.Build(param)
-	if err != nil {
-		return nil, err
-	}
-	abs, err := e.Abstraction(param)
-	if err != nil {
-		return nil, err
-	}
-	return core.GenerateEFSM(ctx, m, abs)
-}
-
-// abstraction adapts a model package's constructor pair to the Abstraction
-// hook.
-func abstraction[M any, A core.EFSMAbstraction](newModel func(int) (M, error), newAbstraction func(M) A) Abstraction {
+// abstraction adapts a model package's constructor pair to the
+// core.Abstraction hook.
+func abstraction[M any, A core.EFSMAbstraction](newModel func(int) (M, error), newAbstraction func(M) A) core.Abstraction {
 	return func(param int) (core.EFSMAbstraction, error) {
 		m, err := newModel(param)
 		if err != nil {
@@ -284,6 +218,13 @@ func Build(name string, param int) (core.Model, error) {
 	return defaultRegistry.Build(name, param)
 }
 
+// documents are the built-in families other than commit, one spec
+// document each. The commit families stay hand-written adapters;
+// DESIGN.md records why.
+//
+//go:embed *.json
+var documents embed.FS
+
 func newCommit(r int) (*commit.Model, error) { return commit.NewModel(r) }
 
 func newCommitRedundant(r int) (*commit.Model, error) {
@@ -311,40 +252,19 @@ func init() {
 		Abstraction:  abstraction(newCommitRedundant, commit.NewAbstraction),
 		Vocabulary:   VocabularyCommit,
 	})
-	Register(Entry{
-		Name:         "consensus",
-		Description:  "Chandra-Toueg-style single-decree consensus (majority thresholds)",
-		ParamName:    "process count",
-		DefaultParam: 5,
-		SweepParams:  []int{3, 5, 7, 9},
-		Build:        func(n int) (core.Model, error) { return consensus.NewModel(n) },
-		Abstraction:  abstraction(consensus.NewModel, consensus.NewAbstraction),
-	})
-	Register(Entry{
-		Name:         "chord",
-		Description:  "Chord ring-membership lifecycle (successor-list redundancy)",
-		ParamName:    "successor-list length",
-		DefaultParam: 4,
-		SweepParams:  []int{2, 3, 4, 8},
-		Build:        func(s int) (core.Model, error) { return chord.NewModel(s) },
-		Abstraction:  abstraction(chord.NewModel, chord.NewAbstraction),
-	})
-	Register(Entry{
-		Name:         "storage",
-		Description:  "Replicated block-store endpoint protocol (quorum store + verified retrieve)",
-		ParamName:    "replication factor",
-		DefaultParam: 4,
-		SweepParams:  []int{4, 7, 13, 25},
-		Build:        func(r int) (core.Model, error) { return storage.NewModel(r) },
-		Abstraction:  abstraction(storage.NewModel, storage.NewAbstraction),
-	})
-	Register(Entry{
-		Name:         "termination",
-		Description:  "Dijkstra-Scholten-style termination detection (fan-out bound k)",
-		ParamName:    "fan-out bound",
-		DefaultParam: 4,
-		SweepParams:  []int{1, 2, 4, 8},
-		Build:        func(k int) (core.Model, error) { return termination.NewModel(k) },
-		Abstraction:  abstraction(termination.NewModel, termination.NewAbstraction),
-	})
+	files, err := documents.ReadDir(".")
+	if err != nil {
+		panic(err.Error())
+	}
+	for _, f := range files {
+		doc, err := documents.ReadFile(f.Name())
+		if err != nil {
+			panic(err.Error())
+		}
+		compiled, err := spec.ParseAndCompile(doc)
+		if err != nil {
+			panic(err.Error())
+		}
+		Register(compiled.Entry())
+	}
 }

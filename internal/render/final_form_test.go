@@ -2,7 +2,6 @@ package render
 
 import (
 	"bytes"
-	"context"
 	"encoding/xml"
 	"errors"
 	"fmt"
@@ -12,7 +11,6 @@ import (
 	"testing"
 
 	"asagen/internal/core"
-	"asagen/internal/models"
 )
 
 // The renderers write every artefact once, in its final form. The
@@ -20,29 +18,11 @@ import (
 // go/format for the Go source, encoding/xml's reflective marshaller for
 // the diagram document.
 
-// sweepMachines generates every registry model at every sweep parameter.
-func sweepMachines(t testing.TB) map[string]*core.StateMachine {
-	t.Helper()
-	out := map[string]*core.StateMachine{}
-	for _, name := range models.Names() {
-		entry, err := models.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range entry.SweepParams {
-			model, err := entry.Model(p)
-			if err != nil {
-				t.Fatalf("%s/%d: %v", name, p, err)
-			}
-			machine, err := core.Generate(context.Background(), model)
-			if err != nil {
-				t.Fatalf("%s/%d: %v", name, p, err)
-			}
-			out[fmt.Sprintf("%s/r=%d", name, p)] = machine
-		}
-	}
-	return out
-}
+// SweepMachines generates every registry model at every sweep parameter.
+// The external test file sweep_test.go sets it: the registry compiles its
+// spec documents through internal/spec, which imports this package, so
+// only a test outside the package can import the registry.
+var SweepMachines func(testing.TB) map[string]*core.StateMachine
 
 // handMachine builds a machine from state names and edges written as
 // "from|message|to|action...".
@@ -106,7 +86,7 @@ func edgeMachines() map[string]*core.StateMachine {
 }
 
 func allMachines(t testing.TB) map[string]*core.StateMachine {
-	out := sweepMachines(t)
+	out := SweepMachines(t)
 	for name, m := range edgeMachines() {
 		out[name] = m
 	}

@@ -7,7 +7,7 @@ import (
 
 	"asagen/internal/commit"
 	"asagen/internal/core"
-	"asagen/internal/storage"
+	"asagen/internal/models"
 )
 
 // chainModel is a three-state machine: 0 -inc-> 1 -inc-> 2 -inc-> FINISHED,
@@ -183,7 +183,7 @@ func generateModel(t *testing.T, m core.Model) *core.StateMachine {
 }
 
 func TestInstanceUnknownEventOnGeneratedMachine(t *testing.T) {
-	model, err := storage.NewModel(4)
+	model, err := models.Build("storage", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestInstanceUnknownEventOnGeneratedMachine(t *testing.T) {
 }
 
 func TestInstanceGuardRejection(t *testing.T) {
-	model, err := storage.NewModel(4)
+	model, err := models.Build("storage", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +212,14 @@ func TestInstanceGuardRejection(t *testing.T) {
 	// A fetch before the block is durable is guarded out, state unchanged.
 	start := inst.StateName()
 	var ignored *IgnoredError
-	if _, err := inst.Deliver(storage.EvFetch); !errors.As(err, &ignored) {
+	if _, err := inst.Deliver("FETCH"); !errors.As(err, &ignored) {
 		t.Fatalf("premature FETCH = %v, want IgnoredError", err)
 	}
 	if inst.StateName() != start {
 		t.Error("rejected event changed state")
 	}
 	// An acknowledgement with no store in flight is likewise rejected.
-	if _, err := inst.Deliver(storage.EvStoreAck); !errors.As(err, &ignored) {
+	if _, err := inst.Deliver("STORE_ACK"); !errors.As(err, &ignored) {
 		t.Fatalf("unsolicited STORE_ACK = %v, want IgnoredError", err)
 	}
 
@@ -244,47 +244,52 @@ func TestInstanceGuardRejection(t *testing.T) {
 }
 
 func TestInstanceFaultToleranceExhaustion(t *testing.T) {
-	model, err := storage.NewModel(7) // f = 2
+	model, err := models.Build("storage", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := model.(interface{ FaultTolerance() int }).FaultTolerance()
+	if f != 2 {
+		t.Fatalf("r=7: f = %d, want 2", f)
+	}
+	quorum := 7 - f
 	inst, err := New(generateModel(t, model), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inst.Deliver(storage.EvStore); err != nil {
+	if _, err := inst.Deliver("STORE"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < model.StoreQuorum(); i++ {
-		if _, err := inst.Deliver(storage.EvStoreAck); err != nil {
+	for i := 0; i < quorum; i++ {
+		if _, err := inst.Deliver("STORE_ACK"); err != nil {
 			t.Fatalf("ack %d: %v", i+1, err)
 		}
 	}
 	// The quorum discards the pending ack set: a late ack is rejected.
 	var ignored *IgnoredError
-	if _, err := inst.Deliver(storage.EvStoreAck); !errors.As(err, &ignored) {
+	if _, err := inst.Deliver("STORE_ACK"); !errors.As(err, &ignored) {
 		t.Fatalf("post-quorum ack = %v, want IgnoredError", err)
 	}
-	if _, err := inst.Deliver(storage.EvFetch); err != nil {
+	if _, err := inst.Deliver("FETCH"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < model.FaultTolerance(); i++ {
-		if _, err := inst.Deliver(storage.EvFetchMiss); err != nil {
+	for i := 0; i < f; i++ {
+		if _, err := inst.Deliver("FETCH_MISS"); err != nil {
 			t.Fatalf("tolerated miss %d: %v", i+1, err)
 		}
 	}
 	// The f+1-th miss exceeds the redundancy parameter: rejected, and the
 	// machine still completes on the verified reply.
-	if _, err := inst.Deliver(storage.EvFetchMiss); !errors.As(err, &ignored) {
-		t.Fatalf("miss %d with f=%d = %v, want IgnoredError", model.FaultTolerance()+1, model.FaultTolerance(), err)
+	if _, err := inst.Deliver("FETCH_MISS"); !errors.As(err, &ignored) {
+		t.Fatalf("miss %d with f=%d = %v, want IgnoredError", f+1, f, err)
 	}
-	if _, err := inst.Deliver(storage.EvFetchOK); err != nil {
+	if _, err := inst.Deliver("FETCH_OK"); err != nil {
 		t.Fatal(err)
 	}
 	if !inst.Finished() {
 		t.Error("machine not finished after the verified reply")
 	}
-	if _, err := inst.Deliver(storage.EvFetchOK); !errors.Is(err, ErrFinished) {
+	if _, err := inst.Deliver("FETCH_OK"); !errors.Is(err, ErrFinished) {
 		t.Errorf("delivery after finish = %v, want ErrFinished", err)
 	}
 }

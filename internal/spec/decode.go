@@ -276,6 +276,8 @@ var docFields = []field[Doc]{
 		v.SweepParams = list(d, new([]int), func(d *decoder, n *int) { *n = d.int() })
 	}},
 	{"vocabulary", func(d *decoder, v *Doc) { v.Vocabulary = string(d.text()) }},
+	{"derived", func(d *decoder, v *Doc) { v.Derived = objects(d, new([]Derived), derivedFields) }},
+	{"fault_tolerance", func(d *decoder, v *Doc) { v.FaultTolerance = optional(d, valueFields) }},
 	{"components", func(d *decoder, v *Doc) { v.Components = objects(d, new([]Component), componentFields) }},
 	{"messages", func(d *decoder, v *Doc) {
 		v.Messages = list(d, &d.strs, func(d *decoder, s *string) { *s = d.name() })
@@ -288,7 +290,15 @@ var docFields = []field[Doc]{
 
 var valueFields = []field[Value]{
 	{"param", func(d *decoder, v *Value) { v.Param = d.bool() }},
+	{"derived", func(d *decoder, v *Value) { v.Derived = d.name() }},
 	{"offset", func(d *decoder, v *Value) { v.Offset = d.int() }},
+}
+
+var derivedFields = []field[Derived]{
+	{"name", func(d *decoder, v *Derived) { v.Name = d.name() }},
+	{"value", func(d *decoder, v *Derived) { object(d, &v.Value, valueFields) }},
+	{"div", func(d *decoder, v *Derived) { v.Div = d.int() }},
+	{"minus", func(d *decoder, v *Derived) { v.Minus = d.name() }},
 }
 
 var componentFields = []field[Component]{

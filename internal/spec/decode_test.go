@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -167,10 +169,19 @@ func TestParseReadsWhatEncodingJSONRead(t *testing.T) {
 			{"when":[{"value":{"param":null,"offset":null}}]}]}`),
 		"empty lists are not absent ones": []byte(`{"components":[],"messages":[],"rules":[{"when":[],"set":[],"actions":[],"annotations":[]}],
 			"sweep_params":[],"start":[],"describe":[],"abstraction":{"labels":[],"guards":[],"ops":[],"symbols":[]}}`),
+		"null for derived values and the fault tolerance": []byte(`{"derived":[null,{"name":null,"value":null,"div":null,"minus":null},
+			{"name":"h","value":{"derived":null}}],"fault_tolerance":null,"rules":[{"when":[{"value":{"derived":"h"}}]}]}`),
 		"an empty set is a set":      []byte(`{"rules":[{"set":[{"component":"c","set":{}}]}]}`),
 		"a key spelt with an escape": []byte(`{"n\u0061me":"x","\u0072ules":[]}`),
 		"escapes": []byte(`{"name":"a\"b\\c\/d\b\f\n\r\t\u00e9\u003e\ud83d\ude00\uFFFD\u0000 ","description":"plain é 日本 😀",
 			"rules":[{"message":"\u003c","actions":["-\u003ex","->x"]}],"min_param":-0,"default_param":-12}`),
+	}
+	for _, family := range []string{"consensus", "chord", "storage", "termination"} {
+		data, err := os.ReadFile(filepath.Join("..", "models", family+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs["built-in "+family] = data
 	}
 	for name, data := range docs {
 		want, err := parseWithEncodingJSON(data)

@@ -4,19 +4,15 @@ import (
 	"slices"
 
 	"asagen/internal/core"
-	"asagen/internal/models"
 )
 
-// DeltaFrom returns the delta from the entry reg holds under the spec's
-// name to the spec, for replacing that entry in place: Diff of the two
-// documents when the entry was compiled from one, and a full delta when
-// there is no such entry or it is hand-written, about which a document
-// says nothing.
-func (c *Compiled) DeltaFrom(reg *models.Registry) core.ModelDelta {
-	if old, err := reg.Get(c.doc.Name); err == nil {
-		if oldDoc, ok := old.Spec.(Doc); ok {
-			return Diff(oldDoc, c.doc)
-		}
+// DeltaFrom returns the delta from prev, the entry the spec replaces in
+// place, to the spec: Diff of the two documents when prev was compiled
+// from one, and a full delta when it is the zero Entry (nothing to
+// replace) or hand-written, about which a document says nothing.
+func (c *Compiled) DeltaFrom(prev core.Entry) core.ModelDelta {
+	if oldDoc, ok := prev.Spec.(Doc); ok {
+		return Diff(oldDoc, c.doc)
 	}
 	return core.ModelDelta{Full: true}
 }
@@ -28,10 +24,11 @@ func (c *Compiled) DeltaFrom(reg *models.Registry) core.ModelDelta {
 //
 // The comparison is syntactic and conservative:
 //
-//   - Any change to the declared structure — name, model name, components,
-//     messages or start vector — returns a full delta: the state space
-//     itself may differ, so nothing from the old exploration can be
-//     trusted.
+//   - Any change to the declared structure — name, model name, derived
+//     values, components, messages or start vector — returns a full delta:
+//     the state space itself may differ, so nothing from the old
+//     exploration can be trusted. (A derived value may bound a component,
+//     and every rule that names it changes with it.)
 //   - Otherwise the transition rules are compared message by message
 //     (document order preserved, since the first matching rule fires); a
 //     message whose rule list differs in any way — a rule added, removed,
@@ -47,6 +44,7 @@ func (c *Compiled) DeltaFrom(reg *models.Registry) core.ModelDelta {
 func Diff(oldDoc, newDoc Doc) core.ModelDelta {
 	if oldDoc.Name != newDoc.Name ||
 		oldDoc.ModelName != newDoc.ModelName ||
+		!slices.Equal(oldDoc.Derived, newDoc.Derived) ||
 		!slices.Equal(oldDoc.Components, newDoc.Components) ||
 		!slices.Equal(oldDoc.Messages, newDoc.Messages) ||
 		!slices.Equal(oldDoc.Start, newDoc.Start) {

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"asagen/internal/core"
-	"asagen/internal/models"
 )
 
 // editableDoc is the randomized-edit base: a two-counter protocol with
@@ -236,10 +236,10 @@ func TestDiffClassification(t *testing.T) {
 	})
 }
 
-// TestDeltaFromRegistry: what a replacement in place may reuse depends on
-// what the registry holds under the name — nothing, a hand-written entry
-// (both a full delta) or an entry compiled from a document (their Diff).
-func TestDeltaFromRegistry(t *testing.T) {
+// TestDeltaFromPreviousEntry: what a replacement in place may reuse
+// depends on the entry it replaces — none, a hand-written entry (both a
+// full delta) or an entry compiled from a document (their Diff).
+func TestDeltaFromPreviousEntry(t *testing.T) {
 	edited := editableDoc()
 	edited.Rules = append([]Rule(nil), edited.Rules...)
 	edited.Rules[0].Actions = []string{"->req", "->log"}
@@ -247,8 +247,7 @@ func TestDeltaFromRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := models.NewRegistry()
-	if d := next.DeltaFrom(reg); !d.Full {
+	if d := next.DeltaFrom(core.Entry{}); !d.Full {
 		t.Errorf("no previous entry: delta = %+v, want full", d)
 	}
 	base, err := Compile(editableDoc())
@@ -257,17 +256,32 @@ func TestDeltaFromRegistry(t *testing.T) {
 	}
 	handWritten := base.Entry()
 	handWritten.Spec = nil
-	if err := reg.Add(handWritten); err != nil {
-		t.Fatal(err)
-	}
-	if d := next.DeltaFrom(reg); !d.Full {
+	if d := next.DeltaFrom(handWritten); !d.Full {
 		t.Errorf("hand-written previous entry: delta = %+v, want full", d)
 	}
-	if _, err := reg.Replace(base.Entry()); err != nil {
-		t.Fatal(err)
-	}
-	if d := next.DeltaFrom(reg); d.Full || len(d.Messages) != 1 || d.Messages[0] != "REQ" {
+	if d := next.DeltaFrom(base.Entry()); d.Full || len(d.Messages) != 1 || d.Messages[0] != "REQ" {
 		t.Errorf("spec-defined previous entry: delta = %+v, want {Messages:[REQ]}", d)
+	}
+}
+
+// TestDiffDerivedValueIsFull: a derived value may bound a component and
+// every rule that names it, so changing one discards the old exploration.
+func TestDiffDerivedValueIsFull(t *testing.T) {
+	base := terminationDoc()
+	base.Derived = []Derived{{Name: "half", Value: ParamValue(0), Div: 2}}
+	for name, edit := range map[string]func(d *Doc){
+		"its value":   func(d *Doc) { d.Derived[0].Value = ParamValue(1) },
+		"its divisor": func(d *Doc) { d.Derived[0].Div = 3 },
+		"its name":    func(d *Doc) { d.Derived[0].Name = "part" },
+		"one added":   func(d *Doc) { d.Derived = append(d.Derived, Derived{Name: "whole", Value: ParamValue(0)}) },
+		"all removed": func(d *Doc) { d.Derived = nil },
+	} {
+		edited := base
+		edited.Derived = slices.Clone(base.Derived)
+		edit(&edited)
+		if got := Diff(mustCompileDoc(t, base), mustCompileDoc(t, edited)); !got.Full {
+			t.Errorf("%s: delta %+v, want full", name, got)
+		}
 	}
 }
 

@@ -142,7 +142,7 @@ func FuzzParseAgreesWithEncodingJSON(f *testing.F) {
 // compares two decoders measures.
 func smallDomains(d Doc) bool {
 	for _, c := range d.Components {
-		if c.Max.Eval(max(d.DefaultParam, d.MinParam, 1)) > 1<<12 {
+		if c.Max.eval(scopeAt(d.Derived, max(d.DefaultParam, d.MinParam, 1))) > 1<<12 {
 			return false
 		}
 	}
@@ -150,15 +150,27 @@ func smallDomains(d Doc) bool {
 }
 
 // addSeeds is the corpus every target starts from: the termination port,
-// the spec of each checked-in fleetsim scenario that carries one, a
-// minimal counter, shapes the decoder and the validator reject, and free
-// text that tries to leave the comment a renderer places it in.
+// the documents the registry's built-in families are compiled from, the
+// spec of each checked-in fleetsim scenario that carries one, a minimal
+// counter, shapes the decoder and the validator reject, and free text
+// that tries to leave the comment a renderer places it in.
 func addSeeds(f *testing.F) {
 	seed, err := json.Marshal(terminationDoc())
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed)
+	builtins, err := filepath.Glob(filepath.Join("..", "models", "*.json"))
+	if err != nil || len(builtins) != 4 {
+		f.Fatalf("want the four built-in documents, found %v (%v)", builtins, err)
+	}
+	for _, path := range builtins {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(doc)
+	}
 	scenarios, err := filepath.Glob(filepath.Join("..", "..", "examples", "fleetsim", "*.json"))
 	if err != nil || len(scenarios) == 0 {
 		f.Fatalf("no example scenarios: %v", err)

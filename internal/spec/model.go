@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"asagen/internal/core"
-	"asagen/internal/models"
 )
 
 // Compiled is a validated specification ready to instantiate core.Model
@@ -19,6 +18,8 @@ type Compiled struct {
 	rulesByMsg map[string][]Rule
 	// compIdx maps component names to their vector index.
 	compIdx map[string]int
+	// placeholders are the components' "{name}" keys, by vector index.
+	placeholders []string
 	// extra is the behavioural identity material folded into model
 	// fingerprints, so two specs that share declared structure but differ
 	// in rules never collide in the generation cache.
@@ -34,6 +35,7 @@ func newCompiled(d Doc) *Compiled {
 	}
 	for i, comp := range d.Components {
 		c.compIdx[comp.Name] = i
+		c.placeholders = append(c.placeholders, "{"+comp.Name+"}")
 	}
 	for _, r := range d.Rules {
 		c.rulesByMsg[r.Message] = append(c.rulesByMsg[r.Message], r)
@@ -66,7 +68,8 @@ func (c *Compiled) Name() string { return c.doc.Name }
 func (c *Compiled) HasEFSM() bool { return c.doc.Abstraction != nil }
 
 // Model instantiates the family member for a parameter value (<= 0 selects
-// the spec's default parameter).
+// the spec's default parameter). A spec that declares its fault tolerance
+// yields a model with a FaultTolerance method.
 func (c *Compiled) Model(param int) (core.Model, error) {
 	if param <= 0 {
 		param = c.doc.DefaultParam
@@ -74,36 +77,40 @@ func (c *Compiled) Model(param int) (core.Model, error) {
 	if param < c.doc.MinParam {
 		return nil, fmt.Errorf("spec: model %q: %s %d < %d", c.doc.Name, c.doc.ParamName, param, c.doc.MinParam)
 	}
+	s := scopeAt(c.doc.Derived, param)
 	for i, comp := range c.doc.Components {
-		if comp.Kind == KindInt && comp.Max.Eval(param) < 0 {
+		if comp.Kind == KindInt && comp.Max.eval(s) < 0 {
 			return nil, fmt.Errorf("spec: model %q: component %q max %s is negative at %s %d",
 				c.doc.Name, comp.Name, comp.Max, c.doc.ParamName, param)
 		}
 		if i < len(c.doc.Start) {
-			if v := c.doc.Start[i].Eval(param); v < 0 || v > c.maxOf(comp, param) {
+			if v := c.doc.Start[i].eval(s); v < 0 || v > c.maxOf(comp, s) {
 				return nil, fmt.Errorf("spec: model %q: start value %s of component %q is outside [0, %d] at %s %d",
-					c.doc.Name, c.doc.Start[i], comp.Name, c.maxOf(comp, param), c.doc.ParamName, param)
+					c.doc.Name, c.doc.Start[i], comp.Name, c.maxOf(comp, s), c.doc.ParamName, param)
 			}
 		}
 	}
-	m := &specModel{c: c, param: param}
+	m := &specModel{c: c, param: param, scope: s}
 	m.compile()
+	if c.doc.FaultTolerance != nil {
+		return tolerantModel{m}, nil
+	}
 	return m, nil
 }
 
-// maxOf returns the component's largest legal value at the parameter.
-func (c *Compiled) maxOf(comp Component, param int) int {
+// maxOf returns the component's largest legal value in the scope.
+func (c *Compiled) maxOf(comp Component, s scope) int {
 	if comp.Kind == KindBool {
 		return 1
 	}
-	return comp.Max.Eval(param)
+	return comp.Max.eval(s)
 }
 
 // Entry returns the registry entry for the compiled spec, wiring the model
 // builder and — when the spec declares abstraction hints — the EFSM
-// abstraction into the same shape the hand-written adapters use.
-func (c *Compiled) Entry() models.Entry {
-	e := models.Entry{
+// abstraction.
+func (c *Compiled) Entry() core.Entry {
+	e := core.Entry{
 		Name:         c.doc.Name,
 		Description:  c.doc.Description,
 		ParamName:    c.doc.ParamName,
@@ -115,7 +122,7 @@ func (c *Compiled) Entry() models.Entry {
 	}
 	if c.HasEFSM() {
 		e.Abstraction = func(param int) (core.EFSMAbstraction, error) {
-			return &specAbstraction{c: c, param: param}, nil
+			return &specAbstraction{c: c, scope: scopeAt(c.doc.Derived, param)}, nil
 		}
 	}
 	return e
@@ -144,12 +151,15 @@ type cAssign struct {
 // cRule is one rule compiled for a concrete parameter: domain bitsets for
 // the guards, resolved assignments, and the action/annotation lists copied
 // once (empty lists normalised to nil) so Apply returns them without
-// per-call cloning.
+// per-call cloning. The annotations have their parameter and derived
+// placeholders filled in; perTarget marks a rule whose annotations name a
+// component, which Apply fills in from the target state.
 type cRule struct {
 	guards      []cGuard
 	sets        []cAssign
 	actions     []string
 	annotations []string
+	perTarget   bool
 	finish      bool
 }
 
@@ -160,21 +170,25 @@ type cRule struct {
 type specModel struct {
 	c     *Compiled
 	param int
+	scope scope
 	// maxes[i] is component i's largest legal value at the parameter.
 	maxes []int
 	// rules holds the compiled rules per message, in document order.
 	rules map[string][]cRule
+	// describe holds the describe texts with their parameter and derived
+	// placeholders filled in.
+	describe []string
 }
 
-// compile resolves every parameter-affine value and precomputes the guard
-// bitsets by evaluating each condition over its component's full domain.
-// Tautological guards (true for every domain value at this parameter) are
-// dropped entirely.
+// compile resolves every parameter-dependent value and precomputes the
+// guard bitsets by evaluating each condition over its component's full
+// domain. Tautological guards (true for every domain value at this
+// parameter) are dropped entirely.
 func (m *specModel) compile() {
 	d := &m.c.doc
 	m.maxes = make([]int, len(d.Components))
 	for i, comp := range d.Components {
-		m.maxes[i] = m.c.maxOf(comp, m.param)
+		m.maxes[i] = m.c.maxOf(comp, m.scope)
 	}
 	m.rules = make(map[string][]cRule, len(m.c.rulesByMsg))
 	for msg, rs := range m.c.rulesByMsg {
@@ -184,7 +198,7 @@ func (m *specModel) compile() {
 			for _, cond := range r.When {
 				idx := m.c.compIdx[cond.Component]
 				max := m.maxes[idx]
-				want := cond.Value.Eval(m.param)
+				want := cond.Value.eval(m.scope)
 				words := make([]uint64, max>>6+1)
 				all := true
 				for val := 0; val <= max; val++ {
@@ -203,7 +217,7 @@ func (m *specModel) compile() {
 				ca := cAssign{idx: m.c.compIdx[a.Component]}
 				if a.Set != nil {
 					ca.set = true
-					ca.val = a.Set.Eval(m.param)
+					ca.val = a.Set.eval(m.scope)
 				} else {
 					ca.val = a.Add
 				}
@@ -212,12 +226,18 @@ func (m *specModel) compile() {
 			if len(r.Actions) > 0 {
 				cr.actions = append([]string(nil), r.Actions...)
 			}
-			if len(r.Annotations) > 0 {
-				cr.annotations = append([]string(nil), r.Annotations...)
+			for _, note := range r.Annotations {
+				note = m.fill(note)
+				cr.annotations = append(cr.annotations, note)
+				cr.perTarget = cr.perTarget || m.namesComponent(note)
 			}
 			crs = append(crs, cr)
 		}
 		m.rules[msg] = crs
+	}
+	m.describe = make([]string, len(d.Describe))
+	for i, r := range d.Describe {
+		m.describe[i] = m.fill(r.Text)
 	}
 }
 
@@ -239,7 +259,7 @@ func (m *specModel) Components() []core.StateComponent {
 		if comp.Kind == KindBool {
 			out[i] = core.NewBoolComponent(comp.Name)
 		} else {
-			out[i] = core.NewIntComponent(comp.Name, comp.Max.Eval(m.param))
+			out[i] = core.NewIntComponent(comp.Name, m.maxes[i])
 		}
 	}
 	return out
@@ -254,7 +274,7 @@ func (m *specModel) Messages() []string {
 func (m *specModel) Start() core.Vector {
 	v := make(core.Vector, len(m.c.doc.Components))
 	for i, val := range m.c.doc.Start {
-		v[i] = val.Eval(m.param)
+		v[i] = val.eval(m.scope)
 	}
 	return v
 }
@@ -263,7 +283,7 @@ func (m *specModel) Start() core.Vector {
 func (m *specModel) holds(v core.Vector, conds []Cond) bool {
 	for _, c := range conds {
 		idx := m.c.compIdx[c.Component]
-		if !condHolds(c.Op, v[idx], c.Value.Eval(m.param)) {
+		if !condHolds(c.Op, v[idx], c.Value.eval(m.scope)) {
 			return false
 		}
 	}
@@ -280,7 +300,8 @@ func (m *specModel) holds(v core.Vector, conds []Cond) bool {
 // the machine simply stops reacting at the bound.
 //
 // The returned action and annotation slices alias the compiled rule and
-// must not be mutated; they are immutable by construction.
+// must not be mutated; they are immutable by construction. Only a rule
+// whose annotations name a component returns annotations of its own.
 func (m *specModel) Apply(v core.Vector, msg string) (core.Effect, bool) {
 rules:
 	for ri := range m.rules[msg] {
@@ -301,10 +322,17 @@ rules:
 				return core.Effect{}, false
 			}
 		}
+		notes := r.annotations
+		if r.perTarget {
+			notes = make([]string, len(r.annotations))
+			for i, note := range r.annotations {
+				notes[i] = m.expand(note, s)
+			}
+		}
 		return core.Effect{
 			Target:      s,
 			Actions:     r.actions,
-			Annotations: r.annotations,
+			Annotations: notes,
 			Finished:    r.finish,
 		}, true
 	}
@@ -312,27 +340,48 @@ rules:
 }
 
 // DescribeState implements core.Model: every matching describe rule
-// contributes one line, with "{param}" and "{<component>}" placeholders
-// substituted.
+// contributes one line, with its placeholders substituted.
 func (m *specModel) DescribeState(v core.Vector) []string {
 	var lines []string
-	for _, r := range m.c.doc.Describe {
+	for i, r := range m.c.doc.Describe {
 		if !m.holds(v, r.When) {
 			continue
 		}
-		lines = append(lines, m.expand(r.Text, v))
+		lines = append(lines, m.expand(m.describe[i], v))
 	}
 	return lines
 }
 
-// expand substitutes the documentation placeholders in text.
+// fill substitutes the placeholders whose values the parameter fixes:
+// "{param}" and each derived value's.
+func (m *specModel) fill(text string) string {
+	if !strings.Contains(text, "{") {
+		return text
+	}
+	text = strings.ReplaceAll(text, "{"+paramPlaceholder+"}", strconv.Itoa(m.param))
+	for name, val := range m.scope.derived {
+		text = strings.ReplaceAll(text, "{"+name+"}", strconv.Itoa(val))
+	}
+	return text
+}
+
+// namesComponent reports whether text holds a component placeholder.
+func (m *specModel) namesComponent(text string) bool {
+	for _, key := range m.c.placeholders {
+		if strings.Contains(text, key) {
+			return true
+		}
+	}
+	return false
+}
+
+// expand substitutes the component placeholders in a filled text with
+// their values in state v.
 func (m *specModel) expand(text string, v core.Vector) string {
 	if !strings.Contains(text, "{") {
 		return text
 	}
-	text = strings.ReplaceAll(text, "{param}", strconv.Itoa(m.param))
-	for name, idx := range m.c.compIdx {
-		key := "{" + name + "}"
+	for idx, key := range m.c.placeholders {
 		if strings.Contains(text, key) {
 			text = strings.ReplaceAll(text, key, strconv.Itoa(v[idx]))
 		}
@@ -345,11 +394,19 @@ func (m *specModel) expand(text string, v core.Vector) string {
 // even when their declared structure matches.
 func (m *specModel) FingerprintExtra() []string { return m.c.extra }
 
+// tolerantModel is a family member of a spec that declares its fault
+// tolerance; Machine.FaultTolerance and the version service read it
+// through this method.
+type tolerantModel struct{ *specModel }
+
+// FaultTolerance returns the declared fault tolerance at the parameter.
+func (m tolerantModel) FaultTolerance() int { return m.c.doc.FaultTolerance.eval(m.scope) }
+
 // specAbstraction adapts the spec's abstraction hints to
 // core.EFSMAbstraction.
 type specAbstraction struct {
 	c     *Compiled
-	param int
+	scope scope
 }
 
 var _ core.EFSMAbstraction = (*specAbstraction)(nil)
@@ -361,7 +418,7 @@ func (a *specAbstraction) StateLabel(v core.Vector) string {
 		ok := true
 		for _, cond := range l.When {
 			idx := a.c.compIdx[cond.Component]
-			if !condHolds(cond.Op, v[idx], cond.Value.Eval(a.param)) {
+			if !condHolds(cond.Op, v[idx], cond.Value.eval(a.scope)) {
 				ok = false
 				break
 			}
@@ -398,7 +455,7 @@ func (a *specAbstraction) VarOps(msg string) []core.VarOp {
 // value matches wins; unmatched values keep the literal rendering.
 func (a *specAbstraction) Symbol(component, value int) string {
 	for _, s := range a.c.doc.Abstraction.Symbols {
-		if s.Value.Eval(a.param) == value {
+		if s.Value.eval(a.scope) == value {
 			return s.Text
 		}
 	}

@@ -9,27 +9,32 @@
 // flag instead of being hand-written Go adapters inside internal/.
 //
 // A Doc is deliberately a small total language, not a general-purpose one:
-// integer values are at most parameter-affine (offset + parameter), guards
-// are conjunctions of component comparisons, and effects are component
-// assignments and increments. Everything a Doc can express terminates and
-// is deterministic, which keeps the Model contract (side-effect-free,
-// deterministic Apply) true by construction.
+// an integer value is an offset plus, optionally, the parameter and one
+// named derived value; a derived value is a floor division of such a value,
+// less an earlier derived value. Guards are conjunctions of component
+// comparisons, and effects are component assignments and increments.
+// Everything a Doc can express terminates and is deterministic, which keeps
+// the Model contract (side-effect-free, deterministic Apply) true by
+// construction.
 package spec
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 
 	"asagen/internal/render"
 )
 
-// Value is a possibly parameter-affine integer: Offset, plus the model
-// parameter when Param is set. It is the only numeric expression form in a
-// spec, so specs stay trivially total and analysable.
+// Value is an integer resolved per parameter: Offset, plus the model
+// parameter when Param is set, plus the derived value Derived names. It is
+// the only numeric expression form in a spec, so specs stay trivially
+// total and analysable.
 type Value struct {
-	Param  bool `json:"param,omitempty"`
-	Offset int  `json:"offset,omitempty"`
+	Param   bool   `json:"param,omitempty"`
+	Derived string `json:"derived,omitempty"`
+	Offset  int    `json:"offset,omitempty"`
 }
 
 // Lit returns the constant value n.
@@ -38,27 +43,84 @@ func Lit(n int) Value { return Value{Offset: n} }
 // ParamValue returns the value of the model parameter plus offset.
 func ParamValue(offset int) Value { return Value{Param: true, Offset: offset} }
 
-// Eval resolves the value for a concrete parameter.
-func (v Value) Eval(param int) int {
-	if v.Param {
-		return param + v.Offset
-	}
-	return v.Offset
+// scope is what a Value resolves against: a parameter and the derived
+// values at that parameter.
+type scope struct {
+	param   int
+	derived map[string]int
 }
 
-// String renders the value symbolically ("p+1", "3").
+// scopeAt evaluates the derived values at param, in document order.
+func scopeAt(derived []Derived, param int) scope {
+	s := scope{param: param}
+	if len(derived) > 0 {
+		s.derived = make(map[string]int, len(derived))
+		for _, d := range derived {
+			s.derived[d.Name] = d.eval(s)
+		}
+	}
+	return s
+}
+
+// eval resolves the value in a scope.
+func (v Value) eval(s scope) int {
+	n := v.Offset
+	if v.Param {
+		n += s.param
+	}
+	if v.Derived != "" {
+		n += s.derived[v.Derived]
+	}
+	return n
+}
+
+// String renders the value symbolically ("p+1", "majority-1", "3").
 func (v Value) String() string {
-	if !v.Param {
-		return fmt.Sprintf("%d", v.Offset)
+	var terms []string
+	if v.Param {
+		terms = append(terms, "p")
+	}
+	if v.Derived != "" {
+		terms = append(terms, v.Derived)
 	}
 	switch {
+	case len(terms) == 0:
+		return strconv.Itoa(v.Offset)
 	case v.Offset == 0:
-		return "p"
+		return strings.Join(terms, "+")
 	case v.Offset > 0:
-		return fmt.Sprintf("p+%d", v.Offset)
+		return strings.Join(terms, "+") + "+" + strconv.Itoa(v.Offset)
 	default:
-		return fmt.Sprintf("p%d", v.Offset)
+		return strings.Join(terms, "+") + strconv.Itoa(v.Offset)
 	}
+}
+
+// Derived names a value computed once per parameter: ⌊Value / Div⌋, less
+// the derived value Minus names. Value and Minus may refer only to derived
+// values declared before this one, so one pass in document order evaluates
+// them all. A derived value is usable wherever a Value is, and as a
+// "{name}" placeholder in describe texts and rule annotations.
+type Derived struct {
+	Name  string `json:"name"`
+	Value Value  `json:"value"`
+	// Div is the floor divisor, at least 1; absent means 1.
+	Div int `json:"div,omitempty"`
+	// Minus optionally names an earlier derived value to subtract.
+	Minus string `json:"minus,omitempty"`
+}
+
+// eval resolves the derived value in the scope of those before it.
+func (d Derived) eval(s scope) int {
+	n := d.Value.eval(s)
+	if div := max(d.Div, 1); n < 0 {
+		n = -((-n + div - 1) / div) // floor, not truncation
+	} else {
+		n /= div
+	}
+	if d.Minus != "" {
+		n -= s.derived[d.Minus]
+	}
+	return n
 }
 
 // Component kinds.
@@ -137,15 +199,17 @@ type Rule struct {
 	Set []Assign `json:"set,omitempty"`
 	// Actions are the outgoing messages performed, e.g. "->vote".
 	Actions []string `json:"actions,omitempty"`
-	// Annotations document the reaction in generated artefacts.
+	// Annotations document the reaction in generated artefacts. They may
+	// reference "{param}", "{<component>}" and "{<derived>}" placeholders;
+	// a component's is its value in the target state.
 	Annotations []string `json:"annotations,omitempty"`
 	// Finish marks a transition into the synthetic finish state.
 	Finish bool `json:"finish,omitempty"`
 }
 
 // DescribeRule contributes one line of per-state documentation when its
-// conditions hold. The text may reference "{param}" and "{<component>}"
-// placeholders, substituted with the concrete values.
+// conditions hold. The text may reference "{param}", "{<component>}" and
+// "{<derived>}" placeholders, substituted with the concrete values.
 type DescribeRule struct {
 	When []Cond `json:"when,omitempty"`
 	Text string `json:"text"`
@@ -214,6 +278,11 @@ type Doc struct {
 	// Vocabulary optionally names the message vocabulary for runtime
 	// layers (see models.Entry.Vocabulary).
 	Vocabulary string `json:"vocabulary,omitempty"`
+	// Derived are the named values computed from the parameter.
+	Derived []Derived `json:"derived,omitempty"`
+	// FaultTolerance optionally declares the number of faults a family
+	// member tolerates, which generated machines report.
+	FaultTolerance *Value `json:"fault_tolerance,omitempty"`
 	// Components declare the state space dimensions, in state-name order.
 	Components []Component `json:"components"`
 	// Messages list the receivable message types, in canonical order.
@@ -310,6 +379,18 @@ func (d *diags) text(path loc, s string) {
 	}
 }
 
+// value rejects a Value that uses a derived value not in declared.
+func (d *diags) value(at loc, v Value, declared map[string]bool) {
+	if v.Derived != "" && !declared[v.Derived] {
+		at.format += ".derived"
+		d.add(at, "unknown derived value %q", v.Derived)
+	}
+}
+
+// paramPlaceholder is the name "{param}" substitutes: no component and no
+// derived value may take it.
+const paramPlaceholder = "param"
+
 // isName reports whether s is usable as a registry key / URL path segment:
 // it must start with a letter and continue with letters, digits, '-', '_'
 // or '.'.
@@ -364,7 +445,36 @@ func Compile(d Doc) (*Compiled, error) {
 		}
 	}
 
-	// Components.
+	// Derived values. Each may use only those declared before it, so
+	// derived holds the names declared so far while they are checked, and
+	// all of them afterwards.
+	derived := map[string]bool{}
+	for i, dv := range d.Derived {
+		path := loc{"derived[%d].name", i, 0}
+		switch {
+		case !isName(dv.Name):
+			diag.add(path, "must start with a letter and contain only letters, digits, '-', '_' or '.' (got %q)", dv.Name)
+		case dv.Name == paramPlaceholder:
+			diag.add(path, "%q is the parameter's placeholder", dv.Name)
+		case derived[dv.Name]:
+			diag.add(path, "duplicate derived value %q", dv.Name)
+		}
+		diag.value(loc{"derived[%d].value", i, 0}, dv.Value, derived)
+		if dv.Div < 0 {
+			diag.add(loc{"derived[%d].div", i, 0}, "must be >= 1 (got %d)", dv.Div)
+		}
+		if dv.Minus != "" && !derived[dv.Minus] {
+			diag.add(loc{"derived[%d].minus", i, 0}, "derived value %q is not declared before this one", dv.Minus)
+		}
+		derived[dv.Name] = true
+	}
+	if d.FaultTolerance != nil {
+		diag.value(loc{format: "fault_tolerance"}, *d.FaultTolerance, derived)
+	}
+	def := scopeAt(d.Derived, d.DefaultParam)
+
+	// Components. A placeholder names a component, a derived value or the
+	// parameter, so no two of them may share a name.
 	compIdx := map[string]int{}
 	if len(d.Components) == 0 {
 		diag.add(loc{format: "components"}, "at least one state component is required")
@@ -378,10 +488,16 @@ func Compile(d Doc) (*Compiled, error) {
 		} else {
 			compIdx[c.Name] = i
 		}
+		if c.Name == paramPlaceholder {
+			diag.add(loc{"components[%d].name", i, 0}, "%q is the parameter's placeholder", c.Name)
+		} else if derived[c.Name] {
+			diag.add(loc{"components[%d].name", i, 0}, "component %q has the name of a derived value", c.Name)
+		}
 		switch c.Kind {
 		case KindBool:
 		case KindInt:
-			if max := c.Max.Eval(d.DefaultParam); max < 0 {
+			diag.value(loc{"components[%d].max", i, 0}, c.Max, derived)
+			if max := c.Max.eval(def); max < 0 {
 				diag.add(loc{"components[%d].max", i, 0}, "component %q max %s is negative at the default parameter %d", c.Name, c.Max, d.DefaultParam)
 			}
 		default:
@@ -420,15 +536,16 @@ func Compile(d Doc) (*Compiled, error) {
 	if len(d.Start) == len(d.Components) {
 		for i, v := range d.Start {
 			comp := d.Components[i]
+			diag.value(loc{"start[%d]", i, 0}, v, derived)
 			max := 1
 			switch comp.Kind {
 			case KindBool:
 			case KindInt:
-				max = comp.Max.Eval(d.DefaultParam)
+				max = comp.Max.eval(def)
 			default:
 				continue // the kind diagnostic above covers it
 			}
-			if got := v.Eval(d.DefaultParam); got < 0 || got > max {
+			if got := v.eval(def); got < 0 || got > max {
 				diag.add(loc{"start[%d]", i, 0},
 					"value %s of component %q is outside [0, %d] at the default parameter %d",
 					v, comp.Name, max, d.DefaultParam)
@@ -444,6 +561,7 @@ func Compile(d Doc) (*Compiled, error) {
 			if !validOps[c.Op] {
 				diag.add(loc{list + "[%d].when[%d].op", i, j}, "unknown operator %q", c.Op)
 			}
+			diag.value(loc{list + "[%d].when[%d].value", i, j}, c.Value, derived)
 		}
 	}
 
@@ -466,6 +584,8 @@ func Compile(d Doc) (*Compiled, error) {
 			}
 			if a.Set == nil && a.Add == 0 {
 				diag.add(loc{"rules[%d].set[%d]", i, j}, "one of set or add is required")
+			} else if a.Set != nil {
+				diag.value(loc{"rules[%d].set[%d].set", i, j}, *a.Set, derived)
 			}
 		}
 		for j, act := range r.Actions {
@@ -538,6 +658,7 @@ func Compile(d Doc) (*Compiled, error) {
 			if s.Text == "" {
 				diag.add(path, "text must not be empty")
 			}
+			diag.value(loc{"abstraction.symbols[%d].value", i, 0}, s.Value, derived)
 		}
 	}
 

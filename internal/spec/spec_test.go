@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -670,5 +671,115 @@ func TestCompileDiagnosticsByteForByte(t *testing.T) {
 		if !equalStrings(got, c.want) {
 			t.Errorf("%s: diagnostics\n%s\nwant\n%s", c.name, strings.Join(got, "\n"), strings.Join(c.want, "\n"))
 		}
+	}
+}
+
+// TestDerivedValuesAndTargetPlaceholders: derived values evaluate in
+// document order with floor division, bound components, fill placeholders
+// — an annotation's component placeholder with the target state's value —
+// and declare the fault tolerance a member reports.
+func TestDerivedValuesAndTargetPlaceholders(t *testing.T) {
+	doc := Doc{
+		Name: "derived",
+		Derived: []Derived{
+			{Name: "half", Value: ParamValue(0), Div: 2},
+			{Name: "rest", Value: ParamValue(0), Minus: "half"},
+			{Name: "below", Value: ParamValue(-9), Div: 4},
+		},
+		FaultTolerance: &Value{Derived: "half"},
+		Components:     []Component{{Name: "c", Kind: KindInt, Max: Value{Derived: "rest"}}},
+		Messages:       []string{"GO"},
+		Rules: []Rule{{Message: "GO", Set: []Assign{{Component: "c", Add: 1}},
+			Annotations: []string{"{c} of {rest} (p={param}, half={half}, below={below})", "constant"}}},
+		Describe: []DescribeRule{{Text: "{c} of {rest}"}},
+	}
+	c, err := Compile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		param     int
+		max, half int
+		note      string
+	}{
+		{5, 3, 2, "1 of 3 (p=5, half=2, below=-1)"},
+		{3, 2, 1, "1 of 2 (p=3, half=1, below=-2)"}, // ⌊-6/4⌋ is -2, not -1
+		{9, 5, 4, "1 of 5 (p=9, half=4, below=0)"},
+	} {
+		m, err := c.Model(tc.param)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Components()[0].Cardinality() - 1; got != tc.max {
+			t.Errorf("p=%d: max %d, want %d", tc.param, got, tc.max)
+		}
+		eff, ok := m.Apply(core.Vector{0}, "GO")
+		if !ok || !equalStrings(eff.Annotations, []string{tc.note, "constant"}) {
+			t.Errorf("p=%d: GO = %v, %v; want %q", tc.param, eff.Annotations, ok, tc.note)
+		}
+		if got := m.DescribeState(core.Vector{2}); !equalStrings(got, []string{"2 of " + strconv.Itoa(tc.max)}) {
+			t.Errorf("p=%d: DescribeState = %v", tc.param, got)
+		}
+		ft, ok := m.(interface{ FaultTolerance() int })
+		if !ok || ft.FaultTolerance() != tc.half {
+			t.Errorf("p=%d: fault tolerance %v, want %d", tc.param, ft, tc.half)
+		}
+	}
+	doc.FaultTolerance = nil
+	if c, err = Compile(doc); err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := c.Model(5); m == nil {
+		t.Fatal("no model")
+	} else if _, ok := m.(interface{ FaultTolerance() int }); ok {
+		t.Error("a spec that declares no fault tolerance reports one")
+	}
+}
+
+// TestCompileRejectsPlaceholderClashes: "{param}", each component's and
+// each derived value's placeholder share one namespace. A component named
+// param used to compile, and its placeholder printed the parameter.
+func TestCompileRejectsPlaceholderClashes(t *testing.T) {
+	doc := terminationDoc()
+	doc.Components = append(doc.Components, Component{Name: "param", Kind: KindBool})
+	doc.Describe = append(doc.Describe, DescribeRule{Text: "param is {param}"})
+	doc.Derived = []Derived{
+		{Name: "param", Value: ParamValue(0)},
+		{Name: "active", Value: Lit(1)},
+		{Name: "early", Value: Value{Derived: "late"}, Minus: "late", Div: -1},
+		{Name: "late", Value: Lit(2)},
+		{Name: "late", Value: Lit(3)},
+		{Name: "9lives", Value: Lit(9)},
+	}
+	doc.FaultTolerance = &Value{Derived: "nowhere"}
+	doc.Rules[0].When[0].Value = Value{Derived: "nowhere"}
+	doc.Abstraction.Symbols[0].Value = Value{Derived: "nowhere", Offset: -1}
+	_, err := Compile(doc)
+	var serr *Error
+	if !errors.As(err, &serr) {
+		t.Fatalf("Compile error = %T (%v), want *Error", err, err)
+	}
+	var got []string
+	for _, d := range serr.Diagnostics {
+		got = append(got, d.String())
+	}
+	want := []string{
+		`derived[0].name: "param" is the parameter's placeholder`,
+		`derived[2].value.derived: unknown derived value "late"`,
+		`derived[2].div: must be >= 1 (got -1)`,
+		`derived[2].minus: derived value "late" is not declared before this one`,
+		`derived[4].name: duplicate derived value "late"`,
+		`derived[5].name: must start with a letter and contain only letters, digits, '-', '_' or '.' (got "9lives")`,
+		`fault_tolerance.derived: unknown derived value "nowhere"`,
+		`components[0].name: component "active" has the name of a derived value`,
+		`components[2].name: "param" is the parameter's placeholder`,
+		`rules[0].when[0].value.derived: unknown derived value "nowhere"`,
+		`abstraction.symbols[0].value.derived: unknown derived value "nowhere"`,
+	}
+	if !equalStrings(got, want) {
+		t.Errorf("diagnostics\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if s := (Value{Param: true, Derived: "f", Offset: -1}).String(); s != "p+f-1" {
+		t.Errorf("String() = %q", s)
 	}
 }

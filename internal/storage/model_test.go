@@ -1,7 +1,7 @@
 package storage
 
-// Differential conformance for the generated storage-endpoint machines:
-// the hand-written Endpoint runs real store/retrieve operations over simnet
+// Differential conformance for the registry's storage-endpoint machines
+// (compiled from internal/models/storage.json): the hand-written Endpoint runs real store/retrieve operations over simnet
 // against replica nodes with randomized Byzantine behaviours (silent,
 // lying, corrupting — at most f faulty per schedule), and the observed
 // protocol events — acknowledgements counted to quorum, fetch attempts
@@ -22,8 +22,21 @@ import (
 
 	"asagen/internal/chord"
 	"asagen/internal/core"
+	"asagen/internal/models"
 	"asagen/internal/runtime"
 	"asagen/internal/simnet"
+)
+
+// Messages and actions of the endpoint machine.
+const (
+	evStore     = "STORE"
+	evStoreAck  = "STORE_ACK"
+	evFetch     = "FETCH"
+	evFetchMiss = "FETCH_MISS"
+	evFetchOK   = "FETCH_OK"
+
+	actStoreBlock   = "->store"
+	actFetchReplica = "->fetch"
 )
 
 // conformanceSchedules is the number of randomized fault schedules the
@@ -33,9 +46,9 @@ const conformanceSchedules = 110
 // endpointMachines generates the concrete machine (unmerged, so state
 // names are raw component vectors) and the EFSM for one replication
 // factor.
-func endpointMachines(t *testing.T, r int) (*Model, *core.StateMachine, *core.EFSM) {
+func endpointMachines(t *testing.T, r int) (core.Model, *core.StateMachine, *core.EFSM) {
 	t.Helper()
-	model, err := NewModel(r)
+	model, err := models.Build("storage", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +100,13 @@ func (tw *twin) rejected(msg, why string) {
 // runSchedule exercises one randomized fault schedule end to end. It
 // reports false when the schedule is skipped because the block's replica
 // keys collide on the overlay (the machine models r distinct replicas).
-func runSchedule(t *testing.T, seed int64, models map[int]*Model, machines map[int]*core.StateMachine, efsms map[int]*core.EFSM) bool {
+func runSchedule(t *testing.T, seed int64, byR map[int]core.Model, machines map[int]*core.StateMachine, efsms map[int]*core.EFSM) bool {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	rs := []int{4, 7}
 	r := rs[rng.Intn(len(rs))]
-	model := models[r]
-	f := model.FaultTolerance()
-	quorum := model.StoreQuorum()
+	model := byR[r]
+	f, quorum := tolerance(model)
 
 	net := simnet.New(seed)
 	ring, err := chord.Build(seed, 48)
@@ -160,19 +172,19 @@ func runSchedule(t *testing.T, seed int64, models map[int]*Model, machines map[i
 	tw := &twin{t: t, seed: seed, inst: inst, efsm: efsmInst}
 
 	// Out-of-protocol prefixes must be rejected before the store begins.
-	tw.rejected(EvStoreAck, "ack before store")
-	tw.rejected(EvFetch, "fetch before the block is durable")
+	tw.rejected(evStoreAck, "ack before store")
+	tw.rejected(evFetch, "fetch before the block is durable")
 
 	// Store: the live endpoint collects exactly r−f acknowledgements (with
 	// at most f silent or lying replicas the quorum always completes).
 	if _, err := endpoint.Store(data); err != nil {
 		t.Fatalf("seed %d: Store: %v", seed, err)
 	}
-	if actions := tw.deliver(EvStore); !slices.Contains(actions, ActStoreBlock) {
-		t.Fatalf("seed %d: STORE actions = %v, want %s", seed, actions, ActStoreBlock)
+	if actions := tw.deliver(evStore); !slices.Contains(actions, actStoreBlock) {
+		t.Fatalf("seed %d: STORE actions = %v, want %s", seed, actions, actStoreBlock)
 	}
 	for i := 0; i < quorum; i++ {
-		tw.deliver(EvStoreAck)
+		tw.deliver(evStoreAck)
 	}
 	want := core.Vector{1, quorum, 0, 0}.Name(model.Components())
 	if got := inst.StateName(); got != want {
@@ -183,7 +195,7 @@ func runSchedule(t *testing.T, seed int64, models map[int]*Model, machines map[i
 	}
 	// The endpoint discards the pending ack set at quorum; a late ack must
 	// be rejected, not counted.
-	tw.rejected(EvStoreAck, "ack after quorum")
+	tw.rejected(evStoreAck, "ack after quorum")
 
 	// Drain in-flight deliveries (replica copies still propagating) so the
 	// retrieve runs against the settled store, then count its attempts.
@@ -204,15 +216,15 @@ func runSchedule(t *testing.T, seed int64, models map[int]*Model, machines map[i
 		t.Fatalf("seed %d: live endpoint needed %d attempts with f=%d — outside the machine's fault envelope",
 			seed, attempts, f)
 	}
-	if actions := tw.deliver(EvFetch); !slices.Contains(actions, ActFetchReplica) {
-		t.Fatalf("seed %d: FETCH actions = %v, want %s", seed, actions, ActFetchReplica)
+	if actions := tw.deliver(evFetch); !slices.Contains(actions, actFetchReplica) {
+		t.Fatalf("seed %d: FETCH actions = %v, want %s", seed, actions, actFetchReplica)
 	}
 	for i := 0; i < misses; i++ {
-		if actions := tw.deliver(EvFetchMiss); !slices.Contains(actions, ActFetchReplica) {
-			t.Fatalf("seed %d: FETCH_MISS actions = %v, want retry %s", seed, actions, ActFetchReplica)
+		if actions := tw.deliver(evFetchMiss); !slices.Contains(actions, actFetchReplica) {
+			t.Fatalf("seed %d: FETCH_MISS actions = %v, want retry %s", seed, actions, actFetchReplica)
 		}
 	}
-	tw.deliver(EvFetchOK)
+	tw.deliver(evFetchOK)
 	if !inst.Finished() || !efsmInst.Finished() {
 		t.Fatalf("seed %d: retrieve complete but machine not finished (machine=%v efsm=%v)",
 			seed, inst.Finished(), efsmInst.Finished())
@@ -225,16 +237,16 @@ func runSchedule(t *testing.T, seed int64, models map[int]*Model, machines map[i
 // real quorum store plus verified retrieve replayed through the generated
 // machine.
 func TestEndpointModelConformsToSimulation(t *testing.T) {
-	models := map[int]*Model{}
+	byR := map[int]core.Model{}
 	machines := map[int]*core.StateMachine{}
 	efsms := map[int]*core.EFSM{}
 	for _, r := range []int{4, 7} {
-		models[r], machines[r], efsms[r] = endpointMachines(t, r)
+		byR[r], machines[r], efsms[r] = endpointMachines(t, r)
 	}
 
 	valid := 0
 	for seed := int64(0); valid < conformanceSchedules && seed < 4*conformanceSchedules; seed++ {
-		if runSchedule(t, seed, models, machines, efsms) {
+		if runSchedule(t, seed, byR, machines, efsms) {
 			valid++
 		}
 	}
@@ -259,16 +271,17 @@ func TestEndpointModelFaultExhaustion(t *testing.T) {
 	}
 	tw := &twin{t: t, seed: -1, inst: inst, efsm: efsmInst}
 
-	tw.deliver(EvStore)
-	for i := 0; i < model.StoreQuorum(); i++ {
-		tw.deliver(EvStoreAck)
+	f, quorum := tolerance(model)
+	tw.deliver(evStore)
+	for i := 0; i < quorum; i++ {
+		tw.deliver(evStoreAck)
 	}
-	tw.deliver(EvFetch)
-	for i := 0; i < model.FaultTolerance(); i++ {
-		tw.deliver(EvFetchMiss)
+	tw.deliver(evFetch)
+	for i := 0; i < f; i++ {
+		tw.deliver(evFetchMiss)
 	}
-	tw.rejected(EvFetchMiss, fmt.Sprintf("miss %d with f=%d", model.FaultTolerance()+1, model.FaultTolerance()))
-	tw.deliver(EvFetchOK)
+	tw.rejected(evFetchMiss, fmt.Sprintf("miss %d with f=%d", f+1, f))
+	tw.deliver(evFetchOK)
 	if !inst.Finished() {
 		t.Fatal("machine not finished after the verified reply")
 	}
@@ -322,15 +335,22 @@ func TestEFSMGenericInReplicationFactor(t *testing.T) {
 	}
 }
 
-// generateEFSM generalises the family member for r from a generation of
-// its own.
+// tolerance returns the fault tolerance f the endpoint model declares and
+// its store quorum r−f.
+func tolerance(model core.Model) (f, quorum int) {
+	f = model.(interface{ FaultTolerance() int }).FaultTolerance()
+	return f, model.Parameter() - f
+}
+
+// generateEFSM generalises the registry's family member for r from a
+// generation of its own.
 func generateEFSM(t *testing.T, r int) *core.EFSM {
 	t.Helper()
-	m, err := NewModel(r)
+	entry, err := models.Get("storage")
 	if err != nil {
 		t.Fatal(err)
 	}
-	efsm, err := core.GenerateEFSM(context.Background(), m, NewAbstraction(m))
+	efsm, err := entry.EFSM(context.Background(), r)
 	if err != nil {
 		t.Fatalf("GenerateEFSM(r=%d): %v", r, err)
 	}

@@ -3,7 +3,11 @@ package asagen_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 
@@ -438,5 +442,93 @@ func TestUpdateModelRegistersWhenAbsent(t *testing.T) {
 	}
 	if err := client.UpdateModel(&asagen.ModelSpec{}); err == nil {
 		t.Error("UpdateModel accepted an empty spec")
+	}
+}
+
+// TestUpdateModelEditsABuiltInIncrementally: the built-in families other
+// than commit are spec documents, so the SDK's UpdateModel with a built-in
+// document whose one rule is edited regenerates the rendered member
+// incrementally, as for any spec.
+func TestUpdateModelEditsABuiltInIncrementally(t *testing.T) {
+	data, err := os.ReadFile("internal/models/chord.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := bytes.Replace(data, []byte(`"actions": ["->transfer-keys"]`), []byte(`"actions": ["->transfer-keys", "->farewell"]`), 1)
+	s, err := asagen.ParseModelSpec(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	client := asagen.NewClient(asagen.WithIsolatedRegistry())
+	req := asagen.Request{Model: "chord", Format: "text"}
+	if _, err := client.Render(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.UpdateModel(s); err != nil {
+		t.Fatal(err)
+	}
+	res, err := client.Render(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(res.Data, []byte("->farewell")) {
+		t.Error("the edited action is missing from the artefact")
+	}
+	if got := client.Stats().IncrementalGenerations; got != 1 {
+		t.Errorf("IncrementalGenerations = %d, want 1", got)
+	}
+}
+
+// TestShippedSpecsKeepTheirIdentity pins the canonical JSON and the
+// default member's fingerprint of the spec documents the repository
+// ships outside the registry: the language grew derived values, target
+// placeholders and a declared fault tolerance, and a document that uses
+// none of them must not move (examples/customspec pins its own).
+func TestShippedSpecsKeepTheirIdentity(t *testing.T) {
+	scenario, err := os.ReadFile("examples/fleetsim/leader-lease.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lease struct{ Spec json.RawMessage }
+	if err := json.Unmarshal(scenario, &lease); err != nil {
+		t.Fatal(err)
+	}
+	leaseSpec, err := asagen.ParseModelSpec(lease.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		spec              *asagen.ModelSpec
+		json, fingerprint string
+	}{
+		{terminationSpec("termination-spec"),
+			"1b546d774ed4f3e52d733927b7501b5d0feb233ceace9caf85853bacc4982e4c",
+			"c6960fe30b86dc1394ee18b160a8728ceac437593166619cc8626f443c05983f"},
+		{leaseSpec,
+			"eb30a313758e3c761de160179f15f2c617c3b0ad8662c92dc74b5404ceda323a",
+			"696bbe917eac70ac2ee60c87d67682ad87ff5525e52de28eab2d64caa2a120ff"},
+	} {
+		data, err := c.spec.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != c.json {
+			t.Errorf("%s: canonical JSON sha256 %x, pinned %s", c.spec.Name(), sum, c.json)
+		}
+		client := asagen.NewClient(asagen.WithIsolatedRegistry())
+		if err := client.RegisterModel(c.spec); err != nil {
+			t.Fatal(err)
+		}
+		m, err := client.Generate(context.Background(), c.spec.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Fingerprint() != c.fingerprint {
+			t.Errorf("%s: fingerprint %s, pinned %s", c.spec.Name(), m.Fingerprint(), c.fingerprint)
+		}
+		if _, ok := m.FaultTolerance(); ok {
+			t.Errorf("%s: declares no fault tolerance, yet reports one", c.spec.Name())
+		}
 	}
 }
