@@ -196,6 +196,76 @@ func BenchmarkRenderXML(b *testing.B) { benchRender(b, render.NewXMLRenderer()) 
 // is the informative column — about one per state.
 func BenchmarkRenderGoSource(b *testing.B) { benchRender(b, render.NewGoSourceRenderer("bench")) }
 
+// BenchmarkRenderSweep is the render share of a cold-sweep lap, one format
+// per sub-benchmark (E18): every registry model at every sweep parameter
+// (26 machines, and the EFSM each generalises to), generated before the
+// timer starts, rendered with no hashing. An op is the whole sweep; MB/s
+// is artefact bytes written.
+func BenchmarkRenderSweep(b *testing.B) {
+	type member struct {
+		machine *core.StateMachine
+		efsm    *core.EFSM
+	}
+	var sweep []member
+	for _, name := range models.Names() {
+		entry, err := models.Get(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range entry.SweepParams {
+			model, err := entry.Model(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			machine, err := core.Generate(context.Background(), model)
+			if err != nil {
+				b.Fatal(err)
+			}
+			abs, err := entry.Abstraction(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			efsm, err := core.GeneralizeEFSM(machine, abs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sweep = append(sweep, member{machine, efsm})
+		}
+	}
+	for _, format := range render.Formats() {
+		b.Run(format, func(b *testing.B) {
+			var renderOne func(member) (render.Artifact, error)
+			if render.IsEFSMFormat(format) {
+				r, err := render.NewEFSM(format)
+				if err != nil {
+					b.Fatal(err)
+				}
+				renderOne = func(m member) (render.Artifact, error) { return r.RenderEFSM(m.efsm) }
+			} else {
+				r, err := render.New(format)
+				if err != nil {
+					b.Fatal(err)
+				}
+				renderOne = func(m member) (render.Artifact, error) { return r.Render(m.machine) }
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var written int64
+			for i := 0; i < b.N; i++ {
+				written = 0
+				for _, m := range sweep {
+					art, err := renderOne(m)
+					if err != nil {
+						b.Fatal(err)
+					}
+					written += int64(len(art.Data))
+				}
+			}
+			b.SetBytes(written)
+		})
+	}
+}
+
 // BenchmarkGenerateEFSM measures §5.3 EFSM generalisation across models
 // (E5).
 func BenchmarkGenerateEFSM(b *testing.B) {

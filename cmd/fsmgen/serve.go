@@ -4,7 +4,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"strings"
 	"time"
 
@@ -27,6 +29,9 @@ import (
 // cluster): artifact requests shard across nodes by consistent hashing
 // on machine fingerprints, membership spreads by gossip, and rendered
 // artifacts propagate to the next -replicas ring successors.
+//
+// With -debug-addr, net/http/pprof's profiles are served on a listener of
+// their own, never on the public one.
 
 // runServe parses serve-mode flags and blocks serving HTTP.
 func runServe(args []string, stdout io.Writer) error {
@@ -42,9 +47,20 @@ func runServe(args []string, stdout io.Writer) error {
 		advertise  = fs.String("advertise", "", "base URL peers reach this node at (default: http://localhost<addr>)")
 		replicas   = fs.Int("replicas", 2, "successor-list length s: each artifact is pushed to its owner's next s ring successors (cluster mode)")
 		seed       = fs.Int64("cluster-seed", 1, "seed for gossip target selection (cluster mode)")
+		debugAddr  = fs.String("debug-addr", "", "listen address for net/http/pprof's /debug/pprof/ routes, apart from -addr (empty = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *debugAddr != "" {
+		ln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			return fmt.Errorf("debug listener: %w", err)
+		}
+		debug := &http.Server{Handler: debugHandler(), ReadHeaderTimeout: 10 * time.Second}
+		go debug.Serve(ln) // returns once Close stops it; a failed debug listener leaves the public one up
+		defer debug.Close()
+		fmt.Fprintf(stdout, "fsmgen serve: pprof on %s\n", ln.Addr())
 	}
 	// Every serve instance owns a clone of the built-in registry, so
 	// POST /v1/models registrations are never shared between concurrent
@@ -121,6 +137,19 @@ func runServe(args []string, stdout io.Writer) error {
 		IdleTimeout:       2 * time.Minute,
 	}
 	return srv.ListenAndServe()
+}
+
+// debugHandler routes net/http/pprof's handlers. That package registers
+// them on http.DefaultServeMux as well, which nothing here serves: the
+// public handler is api's own mux.
+func debugHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // splitList splits a comma-separated flag value, dropping empty items.

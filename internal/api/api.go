@@ -158,7 +158,7 @@ func NewHandler(p *artifact.Pipeline, opts ...HandlerOption) *Handler {
 			Method:  "GET",
 			Pattern: "/v1/models/{model}/artifacts/{format}",
 			Summary: "Generate and render one artefact; cancelling the request aborts the generation.",
-			Query:   []string{"r: model parameter (default: the model's default)"},
+			Query:   []string{"r: model parameter, a positive integer (absent: the model's default)"},
 			handler: h.handleArtifact,
 		},
 		{
@@ -166,7 +166,7 @@ func NewHandler(p *artifact.Pipeline, opts ...HandlerOption) *Handler {
 			Pattern: "/v1/models/{model}/check",
 			Summary: "Check a streamed trace against the model's machine; verdicts arrive as Server-Sent Events.",
 			Query: []string{
-				"r: model parameter (default: the model's default)",
+				"r: model parameter, a positive integer (absent: the model's default)",
 				"format: trace encoding, `jsonl` (default) or `regex`",
 				"tolerance: rejected deliveries absorbed before a violation (default 0)",
 				"match: regex transition pattern `PATTERN` or `PATTERN=>TEMPLATE` (repeatable; implies format=regex, and with format=jsonl is a `bad_trace` 400)",
@@ -424,16 +424,11 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 // models and formats are missing resources (404); parameter problems are
 // caller mistakes (400).
 func (h *Handler) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	req := artifact.Request{Model: r.PathValue("model"), Format: r.PathValue("format")}
-	if rs := r.URL.Query().Get("r"); rs != "" {
-		param, err := strconv.Atoi(rs)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadParameter,
-				fmt.Sprintf("bad parameter %q: %v", rs, err))
-			return
-		}
-		req.Param = param
+	param, ok := queryParam(w, r.URL.Query().Get("r"))
+	if !ok {
+		return
 	}
+	req := artifact.Request{Model: r.PathValue("model"), Format: r.PathValue("format"), Param: param}
 
 	if h.cluster != nil {
 		h.serveClustered(w, r, req)
@@ -446,6 +441,25 @@ func (h *Handler) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h.writeArtifact(w, r, res, "")
+}
+
+// queryParam reads the value of an r query parameter. Absent, it is 0:
+// the model's default. Present, it must be a positive integer; the default
+// is never served for an explicit value, which the response would not
+// name. On false the 400 is written.
+func queryParam(w http.ResponseWriter, rs string) (int, bool) {
+	if rs == "" {
+		return 0, true
+	}
+	param, err := strconv.Atoi(rs)
+	if err == nil && param <= 0 {
+		err = errors.New("want a positive integer, or no r for the model's default")
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadParameter, fmt.Sprintf("bad parameter %q: %v", rs, err))
+		return 0, false
+	}
+	return param, true
 }
 
 // writeArtifact writes a successful render. relation, when non-empty, is

@@ -202,6 +202,9 @@ func TestErrorEnvelope(t *testing.T) {
 		{"/v1/models/commit/artifacts/nonsense", http.StatusNotFound, CodeUnknownFormat},
 		{"/v1/models/commit/artifacts/text?r=notanumber", http.StatusBadRequest, CodeBadParameter},
 		{"/v1/models/commit/artifacts/text?r=3", http.StatusBadRequest, CodeBadParameter},
+		// An explicit value is never served as the default member.
+		{"/v1/models/commit/artifacts/text?r=-7", http.StatusBadRequest, CodeBadParameter},
+		{"/v1/models/commit/artifacts/text?r=0", http.StatusBadRequest, CodeBadParameter},
 		{"/nonsense", http.StatusNotFound, CodeNotFound},
 		// The pre-/v1 paths are gone, not redirected.
 		{"/machine/commit", http.StatusNotFound, CodeNotFound},

@@ -36,14 +36,9 @@ import (
 // its `stats` — ends with a `summary` event.
 func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	param := 0
-	if rs := q.Get("r"); rs != "" {
-		var err error
-		if param, err = strconv.Atoi(rs); err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadParameter,
-				"bad parameter "+strconv.Quote(rs)+": "+err.Error())
-			return
-		}
+	param, ok := queryParam(w, q.Get("r"))
+	if !ok {
+		return
 	}
 	tolerance := 0
 	if ts := q.Get("tolerance"); ts != "" {

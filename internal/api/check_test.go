@@ -255,6 +255,8 @@ func TestCheckRoutePreflightErrors(t *testing.T) {
 	}{
 		{"/v1/models/nonsense/check", http.StatusNotFound, CodeUnknownModel},
 		{"/v1/models/commit/check?r=banana", http.StatusBadRequest, CodeBadParameter},
+		{"/v1/models/commit/check?r=0", http.StatusBadRequest, CodeBadParameter},
+		{"/v1/models/commit/check?r=-7", http.StatusBadRequest, CodeBadParameter},
 		{"/v1/models/commit/check?tolerance=-1", http.StatusBadRequest, CodeBadParameter},
 		{"/v1/models/commit/check?keep_going=maybe", http.StatusBadRequest, CodeBadParameter},
 		{"/v1/models/commit/check?format=xml", http.StatusBadRequest, CodeBadTrace},

@@ -278,12 +278,15 @@ func TestConformingTrace(t *testing.T) {
 
 // TestLive drives the live mode against an in-process /v1 server: render
 // GETs and /check POSTs both succeed, and the report carries the same
-// accounting shape as the simulation.
+// accounting shape as the simulation. The scenario leaves the parameter
+// to the model's default, and the server refuses an explicit ?r=0: the
+// requests must name the default's value.
 func TestLive(t *testing.T) {
 	ts := httptest.NewServer(api.NewHandler(artifact.New(artifact.WithRegistry(models.Default().Clone()))))
 	defer ts.Close()
 
 	sc := smallScenario()
+	sc.Param = 0
 	sc.Instances = 30
 	sc.Arrival = Arrival{Process: ArrivalConstant, RatePerSec: 500}
 	sc.DurationMS = 10000

@@ -61,17 +61,19 @@ func Live(ctx context.Context, sc Scenario, baseURL string, workers int) (*Repor
 	}
 
 	// Render URLs are ordered base-fastest, so the render rotation cycles
-	// across the servers before repeating a format.
+	// across the servers before repeating a format. Both lists name the
+	// machine's parameter, never a scenario's 0 for the default: the server
+	// refuses an explicit ?r= ≤ 0.
 	renderURLs := make([]string, 0, len(sc.Formats)*len(bases))
 	for _, format := range sc.Formats {
 		for _, base := range bases {
 			renderURLs = append(renderURLs,
-				fmt.Sprintf("%s/v1/models/%s/artifacts/%s?r=%d", base, sc.Model, format, sc.Param))
+				fmt.Sprintf("%s/v1/models/%s/artifacts/%s?r=%d", base, sc.Model, format, machine.Parameter))
 		}
 	}
 	checkURLs := make([]string, len(bases))
 	for i, base := range bases {
-		checkURLs[i] = fmt.Sprintf("%s/v1/models/%s/check?r=%d&tolerance=%d", base, sc.Model, sc.Param, sc.Tolerance)
+		checkURLs[i] = fmt.Sprintf("%s/v1/models/%s/check?r=%d&tolerance=%d", base, sc.Model, machine.Parameter, sc.Tolerance)
 	}
 	checkTrace := ConformingTrace(machine, sc.Seed, 128)
 

@@ -77,29 +77,34 @@ func weigh(m *core.StateMachine) weights {
 	return w
 }
 
-func (b *Buffer) writeIndent() {
-	if !b.atLineStart {
-		return
-	}
+// appendIndent appends the current indentation to buf and returns it; the
+// line is no longer at its start.
+func (b *Buffer) appendIndent(buf []byte) []byte {
 	unit := b.IndentWith
 	if unit == "" {
 		unit = "\t"
 	}
 	for i := 0; i < b.indent; i++ {
-		b.buf = append(b.buf, unit...)
+		buf = append(buf, unit...)
 	}
 	b.atLineStart = false
+	return buf
 }
 
-// Add appends the items to the output buffer.
+// Add appends the items to the output buffer. It appends into a local
+// slice and stores it back once, not once per item.
 func (b *Buffer) Add(items ...string) {
+	buf := b.buf
 	for _, it := range items {
 		if it == "" {
 			continue
 		}
-		b.writeIndent()
-		b.buf = append(b.buf, it...)
+		if b.atLineStart {
+			buf = b.appendIndent(buf)
+		}
+		buf = append(buf, it...)
 	}
+	b.buf = buf
 }
 
 // AddLn appends the items to the output buffer followed by a newline.

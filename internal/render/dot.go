@@ -123,8 +123,12 @@ func (b *Buffer) dotEdge(from, to string, label []string, bold bool) {
 }
 
 // escapeDot escapes a string for a double-quoted DOT identifier; a
-// backslash-n in it stays the line break DOT reads it as.
+// backslash-n in it stays the line break DOT reads it as. A string with
+// neither a backslash nor a quote is returned as it is.
 func escapeDot(s string) string {
+	if strings.IndexAny(s, `\"`) < 0 {
+		return s
+	}
 	s = strings.ReplaceAll(s, "\\", "\\\\")
 	s = strings.ReplaceAll(s, "\\\\n", "\\n")
 	return strings.ReplaceAll(s, "\"", "\\\"")

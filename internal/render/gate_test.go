@@ -191,17 +191,32 @@ func gateCorpus() []gateCase {
 	return corpus
 }
 
+// commentSeeds are the texts the one-pass comment gate hands to its slow
+// path: byte order marks, invalid UTF-8, +build lines and a NUL before a
+// line break.
+var commentSeeds = []string{"\ufeff", "x\ufeffy", "\xef\xbb", "a\xc3", "\xed\xa0\x80", "+build", " +build x", "\t+build\t", "+buildx", "a\x00b\nc", "\x00\r"}
+
 // FuzzGoSourceGate is the licence for rendering without a parse: whatever
 // the gate lets through, in any slot and under any structural fault,
-// go/parser (with comments), gofmt and go/types accept as it stands.
+// go/parser (with comments), gofmt and go/types accept as it stands. The
+// comment gate also agrees with its four-scan reference on every slot.
 //
 //	go test ./internal/render -run='^$' -fuzz=FuzzGoSourceGate -fuzztime=5m
 func FuzzGoSourceGate(f *testing.F) {
 	for _, h := range gateCorpus() {
 		f.Add(h.model, h.component, h.msg1, h.msg2, h.state1, h.state2, h.note, h.act1, h.act2, h.pkg, h.method, h.faults)
 	}
+	for _, text := range commentSeeds {
+		h := benign.with("note", text).with("model", text)
+		f.Add(h.model, h.component, h.msg1, h.msg2, h.state1, h.state2, h.note, h.act1, h.act2, h.pkg, h.method, h.faults)
+	}
 	f.Fuzz(func(t *testing.T, model, component, msg1, msg2, state1, state2, note, act1, act2, pkg, method string, faults uint16) {
 		h := hostile{model, component, msg1, msg2, state1, state2, note, act1, act2, pkg, method, faults}
+		for _, s := range h.slots() {
+			if got, want := fmt.Sprint(CommentText(*s)), fmt.Sprint(refCommentText(*s)); got != want {
+				t.Fatalf("CommentText(%q) = %s, want %s", *s, got, want)
+			}
+		}
 		r, m := h.build()
 		g, err := r.emit(m)
 		if err != nil {

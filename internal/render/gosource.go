@@ -252,6 +252,19 @@ func (g *goWriter) check(text []string) {
 	}
 }
 
+// commentSuspect marks the bytes that may make comment text unwritable: a
+// line break, NUL, and every byte of a non-ASCII rune, the byte order mark
+// and invalid UTF-8 included.
+var commentSuspect = func() (suspect [256]bool) {
+	for _, c := range []byte{'\n', '\r', '\f', 0} {
+		suspect[c] = true
+	}
+	for c := 0x80; c < 0x100; c++ {
+		suspect[c] = true
+	}
+	return suspect
+}()
+
 // CommentText reports why text cannot be written after "// " as a line
 // comment of generated Go source, nil when it can. A line break would end
 // the comment and continue as code that may well parse (a form feed is a
@@ -261,12 +274,20 @@ func (g *goWriter) check(text []string) {
 // its head, as a build constraint. Everything else is comment text: the
 // slashes and the blank written before it keep it from being a //line or
 // //go: directive.
+//
+// The text is read once, byte by byte; only a line break, NUL or a byte
+// outside ASCII sends it through the checks that name the fault.
 func CommentText(text string) error {
-	switch {
-	case strings.ContainsAny(text, "\n\r\f"):
-		return fmt.Errorf("comment text %q contains a line break", text)
-	case strings.IndexByte(text, 0) >= 0 || strings.Contains(text, "\ufeff") || !utf8.ValidString(text):
-		return fmt.Errorf("comment text %q contains NUL, a byte order mark or invalid UTF-8", text)
+	for i := 0; i < len(text); i++ {
+		if commentSuspect[text[i]] {
+			switch {
+			case strings.ContainsAny(text, "\n\r\f"):
+				return fmt.Errorf("comment text %q contains a line break", text)
+			case strings.IndexByte(text, 0) >= 0 || strings.Contains(text, "\ufeff") || !utf8.ValidString(text):
+				return fmt.Errorf("comment text %q contains NUL, a byte order mark or invalid UTF-8", text)
+			}
+			break
+		}
 	}
 	if rest, ok := strings.CutPrefix(strings.TrimSpace(text), "+build"); ok {
 		if r, _ := utf8.DecodeRuneInString(rest); rest == "" || unicode.IsSpace(r) {

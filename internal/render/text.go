@@ -99,10 +99,11 @@ func (r *TextRenderer) renderState(b *Buffer, m *core.StateMachine, s *core.Stat
 // underlined writes a heading and a rule of dashes as long under it.
 func (b *Buffer) underlined(label, name string) {
 	b.AddLn(label, name)
-	b.writeIndent()
+	buf := b.appendIndent(b.buf)
 	for range len(label) + len(name) {
-		b.buf = append(b.buf, '-')
+		buf = append(buf, '-')
 	}
+	b.buf = buf
 	b.BlankLn()
 }
 

@@ -148,12 +148,22 @@ func (x *xmlWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// xmlPlain marks the bytes xml.EscapeText writes as they are and that
+// need no look at their neighbours: printable ASCII outside the five
+// markup characters.
+var xmlPlain = func() (plain [256]bool) {
+	for c := ' '; c < 0x7f; c++ {
+		plain[c] = !strings.ContainsRune(`"'&<>`, c)
+	}
+	return plain
+}()
+
 // text appends s escaped as encoding/xml escapes attribute values and
-// character data alike. Printable ASCII outside the five markup characters
-// is appended as it is; anything else is left to xml.EscapeText.
+// character data alike. A text of plain bytes is appended as it is;
+// anything else is left to xml.EscapeText.
 func (x *xmlWriter) text(s string) {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c >= 0x7f || strings.IndexByte(`"'&<>`, c) >= 0 {
+		if !xmlPlain[s[i]] {
 			x.scratch = append(x.scratch[:0], s...)
 			xml.EscapeText(x, x.scratch) // appending to the buffer cannot fail
 			return
