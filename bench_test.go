@@ -1010,10 +1010,7 @@ func BenchmarkTraceCheck(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			dec, err := trace.NewDecoder(format, bytes.NewReader(data), nil)
-			if err != nil {
-				b.Fatal(err)
-			}
+			dec := trace.Check{Format: format}.Decoder(bytes.NewReader(data))
 			rep, err := mon.Run(context.Background(), dec)
 			dec.Close()
 			if err != nil {

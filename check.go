@@ -96,23 +96,15 @@ func (v Verdict) MarshalJSON() ([]byte, error) {
 		Detail:  v.Detail,
 	}
 	if v.Stats != nil {
-		out.Stats = &trace.Report{
-			Lines:          v.Stats.Lines,
-			Events:         v.Stats.Events,
-			Accepted:       v.Stats.Accepted,
-			Ignored:        v.Stats.Ignored,
-			Skipped:        v.Stats.Skipped,
-			Violations:     v.Stats.Violations,
-			FirstViolation: v.Stats.FirstViolation,
-			Finished:       v.Stats.Finished,
-			FinalState:     v.Stats.FinalState,
-		}
+		stats := trace.Report(*v.Stats)
+		out.Stats = &stats
 	}
 	return out.AppendJSON(nil), nil
 }
 
 // CheckStats is the aggregate report of one Check run, carried by the
-// summary verdict.
+// summary verdict. Its fields are the monitor's report's, in order, so
+// each converts to the other.
 type CheckStats struct {
 	// Lines counts trace lines consumed, including blank and skipped
 	// ones; Events counts decoded events delivered to the machine.
@@ -204,61 +196,19 @@ func (c *Client) Check(ctx context.Context, model string, r io.Reader, opts ...C
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	var rules []trace.Rule
-	for _, p := range cfg.patterns {
-		rule, err := trace.ParseRule(p)
-		if err != nil {
-			return nil, wrapSentinel(ErrBadTrace, err)
-		}
-		rules = append(rules, rule)
+	chk, err := trace.ParseCheck(cfg.format, cfg.patterns, cfg.tolerance)
+	if err != nil {
+		return nil, wrapSentinel(ErrBadTrace, err)
 	}
-	switch cfg.format {
-	case "":
-		cfg.format = TraceFormatJSONL
-		if len(rules) > 0 {
-			cfg.format = TraceFormatRegex
-		}
-	case TraceFormatJSONL:
-		if len(rules) > 0 {
-			return nil, wrapSentinel(ErrBadTrace,
-				errors.New("asagen: trace patterns decode the regex format, not jsonl"))
-		}
-	case TraceFormatRegex:
-	default:
-		return nil, wrapSentinel(ErrBadTrace,
-			errors.New("asagen: unknown trace format "+cfg.format+" (known: jsonl, regex)"))
-	}
-	if cfg.tolerance < 0 {
-		return nil, wrapSentinel(ErrBadTrace,
-			fmt.Errorf("asagen: negative tolerance %d", cfg.tolerance))
-	}
+	chk.KeepGoing = cfg.keepGoing
 	machine, err := c.Generate(ctx, model, WithParam(cfg.param))
 	if err != nil {
 		return nil, err
 	}
 	return func(yield func(Verdict) bool) {
-		dec, err := trace.NewDecoder(cfg.format, r, rules)
-		if err != nil {
-			yield(Verdict{Kind: VerdictAborted, Detail: err.Error()})
-			return
-		}
-		defer dec.Close()
-		monOpts := []trace.MonitorOption{
-			trace.WithTarget("", machine.machine),
-			trace.WithTolerance(cfg.tolerance),
-			trace.WithObserver(trace.ObserverFunc(func(v trace.Verdict) bool {
-				return yield(publicVerdict(v))
-			})),
-		}
-		if cfg.keepGoing {
-			monOpts = append(monOpts, trace.WithKeepGoing())
-		}
-		mon, err := trace.NewMonitor(monOpts...)
-		if err != nil {
-			yield(Verdict{Kind: VerdictAborted, Detail: err.Error()})
-			return
-		}
-		rep, err := mon.Run(ctx, dec)
+		rep, err := chk.Run(ctx, machine.machine, r, trace.ObserverFunc(func(v trace.Verdict) bool {
+			return yield(publicVerdict(v))
+		}))
 		if errors.Is(err, trace.ErrStopped) {
 			return // the consumer broke out of the loop
 		}
@@ -277,17 +227,8 @@ func publicVerdict(v trace.Verdict) Verdict {
 		Detail:  v.Detail,
 	}
 	if v.Stats != nil {
-		out.Stats = &CheckStats{
-			Lines:          v.Stats.Lines,
-			Events:         v.Stats.Events,
-			Accepted:       v.Stats.Accepted,
-			Ignored:        v.Stats.Ignored,
-			Skipped:        v.Stats.Skipped,
-			Violations:     v.Stats.Violations,
-			FirstViolation: v.Stats.FirstViolation,
-			Finished:       v.Stats.Finished,
-			FinalState:     v.Stats.FinalState,
-		}
+		stats := CheckStats(*v.Stats)
+		out.Stats = &stats
 	}
 	return out
 }

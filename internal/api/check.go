@@ -43,7 +43,7 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 	tolerance := 0
 	if ts := q.Get("tolerance"); ts != "" {
 		n, err := strconv.Atoi(ts)
-		if err != nil || n < 0 {
+		if err != nil {
 			writeError(w, http.StatusBadRequest, CodeBadParameter,
 				"bad tolerance "+strconv.Quote(ts)+": want a non-negative integer")
 			return
@@ -60,34 +60,16 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 			"bad keep_going "+strconv.Quote(kg)+": want 1/true or 0/false")
 		return
 	}
-	var rules []trace.Rule
-	for _, pattern := range q["match"] {
-		rule, err := trace.ParseRule(pattern)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadTrace, err.Error())
-			return
+	chk, err := trace.ParseCheck(q.Get("format"), q["match"], tolerance)
+	if err != nil {
+		code := CodeBadTrace
+		if errors.Is(err, trace.ErrNegativeTolerance) {
+			code = CodeBadParameter
 		}
-		rules = append(rules, rule)
-	}
-	format := q.Get("format")
-	switch format {
-	case "":
-		format = trace.FormatJSONL
-		if len(rules) > 0 {
-			format = trace.FormatRegex
-		}
-	case trace.FormatJSONL:
-		if len(rules) > 0 {
-			writeError(w, http.StatusBadRequest, CodeBadTrace,
-				"match patterns decode format=regex traces, not jsonl")
-			return
-		}
-	case trace.FormatRegex:
-	default:
-		writeError(w, http.StatusBadRequest, CodeBadTrace,
-			"unknown trace format "+strconv.Quote(format)+" (known: jsonl, regex)")
+		writeError(w, http.StatusBadRequest, code, err.Error())
 		return
 	}
+	chk.KeepGoing = keepGoing
 
 	machine, _, _, err := h.p.Machine(r.Context(), r.PathValue("model"), param)
 	if err != nil {
@@ -104,12 +86,6 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	stream := newEventStream(w, h.checkWriteTimeout)
 	defer stream.release()
-	dec, err := trace.NewDecoder(format, trace.FlushBeforeRead(r.Body, stream.flush), rules)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadTrace, err.Error())
-		return
-	}
-	defer dec.Close()
 
 	// Preflight is clean: commit to the event stream. From here failures
 	// are in-band `error` events, not status codes.
@@ -141,21 +117,7 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 	// gone; there is no one to tell.
 	defer stream.flush()
 
-	opts := []trace.MonitorOption{
-		trace.WithTarget("", machine),
-		trace.WithTolerance(tolerance),
-		trace.WithObserver(stream),
-	}
-	if keepGoing {
-		opts = append(opts, trace.WithKeepGoing())
-	}
-	mon, err := trace.NewMonitor(opts...)
-	if err != nil {
-		stream.event("error", envelopeJSON(CodeBadTrace, err.Error()))
-		return
-	}
-
-	rep, err := mon.Run(r.Context(), dec)
+	rep, err := chk.Run(r.Context(), machine, trace.FlushBeforeRead(r.Body, stream.flush), stream)
 	var de *trace.DecodeError
 	switch {
 	case stream.err != nil:

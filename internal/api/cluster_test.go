@@ -149,8 +149,8 @@ func TestClusterTwoNodeEndToEnd(t *testing.T) {
 
 	// Clean bill of health from the routing oracle on both nodes.
 	for _, n := range []*cluster.Node{nodeA, nodeB} {
-		if v := n.Violations(); len(v) != 0 {
-			t.Fatalf("node %s oracle violations: %v", n.ID(), v)
+		if o := n.Status().Oracle; o.ViolationCount != 0 {
+			t.Fatalf("node %s oracle violations: %d, recent %v", n.ID(), o.ViolationCount, o.Violations)
 		}
 	}
 	resp, body := get(t, tsA, "/v1/cluster", nil)

@@ -37,11 +37,7 @@ func referenceStream(t *testing.T, p *artifact.Pipeline, format, body string) st
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := trace.NewDecoder(format, strings.NewReader(body), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := mon.Run(context.Background(), dec)
+	rep, err := mon.Run(context.Background(), trace.Check{Format: format}.Decoder(strings.NewReader(body)))
 	var de *trace.DecodeError
 	switch {
 	case err == nil:

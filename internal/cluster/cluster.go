@@ -7,7 +7,7 @@
 // next s successors over a broadcast tree so replicas answer warm.
 //
 // The subsystem dogfoods the reproduction itself: every membership change
-// is replayed through a runtime.Instance of the registry's generated
+// is judged by a trace.Judge over the registry's generated
 // chord-membership machine, which acts as the routing oracle — a delivery
 // the machine rejects is a protocol violation, surfaced on /v1/cluster
 // and gated to zero in CI.

@@ -272,8 +272,8 @@ func runClusterScenario(t *testing.T, seed int64) []byte {
 	// No node — including the crashed and the departed — may have driven
 	// the chord routing oracle through a forbidden transition.
 	for id, n := range e.nodes {
-		if v := n.Violations(); len(v) != 0 {
-			t.Errorf("node %s oracle violations: %v", id, v)
+		if o := n.Status().Oracle; o.ViolationCount != 0 {
+			t.Errorf("node %s oracle violations: %d, recent %v", id, o.ViolationCount, o.Violations)
 		}
 	}
 	return e.log.Bytes()

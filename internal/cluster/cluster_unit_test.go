@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -304,16 +305,16 @@ func TestOracleTracksLifecycleWithoutViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Join()
-	o.Observe(1, true)
-	o.Observe(2, true)
-	o.Observe(0, false)
-	o.Observe(2, true)
-	o.Leave()
-	if v := o.Violations(); len(v) != 0 {
-		t.Fatalf("violations = %v", v)
+	recorded := o.Join()
+	recorded = append(recorded, o.Observe(1, true)...)
+	recorded = append(recorded, o.Observe(2, true)...)
+	recorded = append(recorded, o.Observe(0, false)...)
+	recorded = append(recorded, o.Observe(2, true)...)
+	recorded = append(recorded, o.Leave()...)
+	if rep := o.Report(); len(recorded) != 0 || len(rep.Violations) != 0 {
+		t.Fatalf("violations = %v, report %+v", recorded, rep)
 	}
-	if o.Deliveries() == 0 {
+	if o.Report().Deliveries == 0 {
 		t.Fatal("no deliveries recorded")
 	}
 }
@@ -324,25 +325,31 @@ func TestOracleFlagsForbiddenTransition(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Join()
-	o.deliver(chord.EvJoin) // joining twice is forbidden by the model
-	if v := o.Violations(); len(v) != 1 {
-		t.Fatalf("violations = %v, want exactly the double join", v)
+	// Joining twice is forbidden by the model; Join returns what it
+	// recorded, for the node to log.
+	if v := o.Join(); len(v) != 1 || !reflect.DeepEqual(v, o.Report().Violations) {
+		t.Fatalf("second join recorded %v, report %v; want exactly the double join", v, o.Report().Violations)
 	}
 }
 
 // TestOracleKeepsRecentViolations: the count of violations is exact for the
-// oracle's whole life; only the last maxViolations keep their text.
+// oracle's whole life; only the last maxViolations keep their text. The
+// node's status report carries all three.
 func TestOracleKeepsRecentViolations(t *testing.T) {
-	o, err := NewOracle(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Join()
+	n, _, _ := newTestNode(t, "node-a", 1)
+	inject(t, n, alive("node-b"), alive("node-b")) // STABILIZE, NOTIFY
 	const rejected = 100
 	for i := 0; i < rejected; i++ {
-		o.deliver(chord.EvJoin)
+		n.oracle.deliver(chord.EvJoin, nil)
 	}
-	if o.violations != rejected || len(o.Violations()) != maxViolations {
-		t.Fatalf("%d violations counted, %d kept; want %d and %d", o.violations, len(o.Violations()), rejected, maxViolations)
+	const v = "JOIN rejected in T/1/T: runtime: message JOIN not applicable in state T/1/T"
+	want := OracleReport{
+		State:          "T/1/T",
+		Deliveries:     103,
+		ViolationCount: rejected,
+		Violations:     []string{v, v, v, v, v, v, v, v, v, v, v, v, v, v, v, v},
+	}
+	if got := n.Status().Oracle; !reflect.DeepEqual(got, want) {
+		t.Fatalf("oracle report = %+v\nwant %+v", got, want)
 	}
 }

@@ -157,8 +157,9 @@ func (n *Node) Start() {
 	}
 	n.started = true
 	now := n.cfg.Clock.Now()
-	n.oracle.Join()
+	violations := n.oracle.Join()
 	n.record(now, "join", fmt.Sprintf("url=%s replicas=%d", n.cfg.URL, n.cfg.Replicas))
+	n.recordViolations(now, violations)
 	n.rebuildLocked(now)
 	payload := n.snapshotPayloadLocked()
 	targets := sortedKeys(n.seeds)
@@ -185,8 +186,9 @@ func (n *Node) Stop() {
 	self := n.members[n.cfg.ID]
 	self.Incarnation++
 	self.Status = StatusLeft
-	n.oracle.Leave()
+	violations := n.oracle.Leave()
 	n.record(now, "leave", fmt.Sprintf("incarnation=%d", self.Incarnation))
+	n.recordViolations(now, violations)
 	payload := n.snapshotPayloadLocked()
 	var targets []string
 	for _, id := range sortedMemberIDs(n.members) {
@@ -399,13 +401,9 @@ func (n *Node) rebuildLocked(now time.Duration) {
 	if succ < 0 {
 		succ = 0
 	}
-	before := n.oracle.violations
-	n.oracle.Observe(succ, size >= 2)
-	n.record(now, "oracle", fmt.Sprintf("state=%s successors=%d predecessor=%t", n.oracle.StateName(), succ, size >= 2))
-	recent := n.oracle.Violations()
-	for _, v := range recent[max(0, len(recent)-(n.oracle.violations-before)):] {
-		n.record(now, "violation", v)
-	}
+	violations := n.oracle.Observe(succ, size >= 2)
+	n.record(now, "oracle", fmt.Sprintf("state=%s successors=%d predecessor=%t", n.oracle.judge.State().Name, succ, size >= 2))
+	n.recordViolations(now, violations)
 }
 
 // Route classifies this node's responsibility for a routing key against
@@ -435,14 +433,6 @@ func (n *Node) Route(key string) Decision {
 	return d
 }
 
-// Violations returns the routing oracle's most recent recorded protocol
-// violations, oldest first.
-func (n *Node) Violations() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]string(nil), n.oracle.Violations()...)
-}
-
 // snapshotPayloadLocked marshals the current view for gossip.
 func (n *Node) snapshotPayloadLocked() []byte {
 	v := view{From: n.members[n.cfg.ID].Member}
@@ -460,6 +450,13 @@ func (n *Node) snapshotPayloadLocked() []byte {
 // record appends one event to the configured log.
 func (n *Node) record(now time.Duration, kind, detail string) {
 	n.cfg.Log.Record(now, n.cfg.ID, kind, detail)
+}
+
+// recordViolations logs the routing oracle's violations, one event each.
+func (n *Node) recordViolations(now time.Duration, violations []string) {
+	for _, v := range violations {
+		n.record(now, "violation", v)
+	}
 }
 
 func sortedMemberIDs(m map[string]*memberState) []string {

@@ -43,6 +43,7 @@ func (n *Node) Status() Report {
 		Stats:    n.stats,
 		Events:   n.cfg.Log.Total(),
 		Recent:   n.cfg.Log.Recent(16),
+		Oracle:   n.oracle.Report(),
 	}
 	for _, id := range sortedMemberIDs(n.members) {
 		rep.Members = append(rep.Members, n.members[id].Member)
@@ -50,12 +51,6 @@ func (n *Node) Status() Report {
 	for i := 0; i < n.ring.size(); i++ {
 		id, _ := n.ring.at(i)
 		rep.Ring = append(rep.Ring, RingEntry{ID: id, Position: fmt.Sprintf("%016x", n.ring.hashes[i])})
-	}
-	rep.Oracle = OracleReport{
-		State:          n.oracle.StateName(),
-		Deliveries:     n.oracle.Deliveries(),
-		ViolationCount: n.oracle.violations,
-		Violations:     append([]string(nil), n.oracle.Violations()...),
 	}
 	return rep
 }

@@ -11,7 +11,6 @@ import (
 
 	"asagen/internal/core"
 	"asagen/internal/latency"
-	"asagen/internal/runtime"
 	"asagen/internal/trace"
 )
 
@@ -186,20 +185,14 @@ func registerSpec(ctx context.Context, client *http.Client, base string, doc []b
 // or after maxLines deliveries.
 func ConformingTrace(machine *core.StateMachine, seed int64, maxLines int) []byte {
 	rng := rand.New(rand.NewSource(seed))
-	inst, err := runtime.New(machine, nil)
-	if err != nil {
-		return nil
-	}
 	var buf bytes.Buffer
-	for line := 0; line < maxLines && !inst.Finished(); line++ {
-		applicable := inst.State().SortedMessages(machine.Messages)
+	for state, line := machine.Start, 0; state != nil && !state.Final && line < maxLines; line++ {
+		applicable := state.SortedMessages(machine.Messages)
 		if len(applicable) == 0 {
 			break
 		}
 		msg := applicable[rng.Intn(len(applicable))]
-		if _, err := inst.Deliver(msg); err != nil {
-			break
-		}
+		state = state.Transition(msg).Target
 		fmt.Fprintf(&buf, "{\"msg\":%q}\n", msg)
 	}
 	return buf.Bytes()

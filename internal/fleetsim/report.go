@@ -77,8 +77,8 @@ type Report struct {
 	// Verdicts counts every judged delivery by trace verdict kind.
 	Verdicts *trace.Tally `json:"verdicts"`
 	// ExpectedViolations counts violations caused by the fault schedule:
-	// injected or duplicated messages the machine rightly rejected past
-	// the tolerance budget.
+	// injected or duplicated messages the machine rightly rejected once
+	// Tolerance was used up.
 	ExpectedViolations int64 `json:"expected_violations"`
 	// UnexpectedViolations counts rejections of legitimately scheduled
 	// deliveries — zero unless the generated machine or its interpreter

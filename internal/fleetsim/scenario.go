@@ -66,7 +66,7 @@ type Faults struct {
 	DropRate float64 `json:"drop_rate,omitempty"`
 	// DuplicateRate redelivers an accepted event immediately, modelling a
 	// duplicated network message. The redelivery is judged like any fault
-	// injection: tolerated while the budget lasts, a violation afterwards
+	// injection: ignored while within Tolerance, a violation afterwards
 	// — unless the machine genuinely accepts the duplicate.
 	DuplicateRate float64 `json:"duplicate_rate,omitempty"`
 	// InvalidRate injects a message from the machine's vocabulary that is
@@ -113,8 +113,8 @@ type Scenario struct {
 	Net Interval `json:"net,omitempty"`
 	// Faults is the fault schedule.
 	Faults Faults `json:"faults,omitempty"`
-	// Tolerance is each instance's rejected-delivery budget before a
-	// further rejection becomes a violation (the trace monitor's
+	// Tolerance is how many rejected deliveries each instance absorbs
+	// before a further rejection becomes a violation (the trace monitor's
 	// vocabulary).
 	Tolerance int `json:"tolerance,omitempty"`
 	// MaxSteps caps deliveries per instance; 0 means bounded only by

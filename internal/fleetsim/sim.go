@@ -10,7 +10,6 @@ import (
 	"asagen/internal/core"
 	"asagen/internal/latency"
 	"asagen/internal/models"
-	"asagen/internal/runtime"
 	"asagen/internal/simnet"
 	"asagen/internal/spec"
 	"asagen/internal/trace"
@@ -145,16 +144,15 @@ type shardRun struct {
 	deadEnd    int
 }
 
-// instance is one fleet member: a running machine instance plus its
-// driver state.
+// instance is one fleet member: the judge of its machine plus its driver
+// state.
 type instance struct {
-	s      *shardRun
-	inst   *runtime.Instance
-	node   simnet.NodeID
-	birth  time.Duration
-	budget int
-	steps  int
-	done   bool
+	s     *shardRun
+	judge *trace.Judge
+	node  simnet.NodeID
+	birth time.Duration
+	steps int
+	done  bool
 }
 
 // Run executes the scenario as a deterministic simulation and returns its
@@ -274,7 +272,7 @@ func runShard(ctx context.Context, sc *Scenario, machine *core.StateMachine,
 
 // start births one instance and sends its first step event.
 func (s *shardRun) start(id int, birth time.Duration) {
-	ri, err := runtime.New(s.machine, nil)
+	judge, err := trace.NewJudge(s.machine, s.sc.Tolerance)
 	if err != nil {
 		// Generation guarantees a start state; a failure here is a
 		// driver bug surfaced by the accounting invariants.
@@ -282,11 +280,10 @@ func (s *shardRun) start(id int, birth time.Duration) {
 		return
 	}
 	in := &instance{
-		s:      s,
-		inst:   ri,
-		node:   simnet.NodeID(fmt.Sprintf("i%d", id)),
-		birth:  birth,
-		budget: s.sc.Tolerance,
+		s:     s,
+		judge: judge,
+		node:  simnet.NodeID(fmt.Sprintf("i%d", id)),
+		birth: birth,
 	}
 	if err := s.net.AddNode(in.node, simnet.HandlerFunc(in.handle)); err != nil {
 		s.deadEnd++
@@ -325,7 +322,7 @@ func (in *instance) handle(_ *simnet.Network, msg simnet.Message) {
 	s.delivery.Record(now - step.sentAt)
 
 	rng := s.net.Rand()
-	sm := s.index[in.inst.State()]
+	sm := s.index[in.judge.State()]
 	roll := rng.Float64()
 	f := s.sc.Faults
 	switch {
@@ -380,36 +377,30 @@ func (in *instance) thinkDelay(rng *rand.Rand) time.Duration {
 	return in.s.thinkMin + time.Duration(rng.Int63n(int64(span)+1))
 }
 
-// deliver feeds one event to the machine and classifies the outcome.
+// deliver feeds one event to the machine's judge and counts its verdict.
 // legit marks an event the driver chose from the applicable set: its
 // rejection would mean the generated machine and its interpreter disagree
 // — the unexpected-violation count the CI gate keeps at zero. Fault
-// injections are expected to be rejected: tolerated while the budget
-// lasts, expected violations afterwards.
+// injections are expected to be rejected: the first Tolerance of them are
+// ignored, and the rest are expected violations.
 func (in *instance) deliver(event string, legit bool) {
 	s := in.s
 	s.events++
-	_, err := in.inst.Deliver(event)
-	if err == nil {
-		s.tally.Add(trace.KindAccepted)
-		if in.inst.Finished() {
-			s.tally.Add(trace.KindFinished)
-			s.completion.Record(s.net.Now() - in.birth)
-			s.finished++
-			in.done = true
-		}
-		return
-	}
+	judge := in.judge.Deliver
 	if legit {
+		judge = in.judge.Expect
+	}
+	d := judge(event)
+	s.tally.Add(d.Kind)
+	switch {
+	case d.Finished:
+		s.tally.Add(trace.KindFinished)
+		s.completion.Record(s.net.Now() - in.birth)
+		s.finished++
+		in.done = true
+	case d.Kind == trace.KindViolation && legit:
 		s.unexpected++
-		s.tally.Add(trace.KindViolation)
-		return
+	case d.Kind == trace.KindViolation:
+		s.expected++
 	}
-	if in.budget > 0 {
-		in.budget--
-		s.tally.Add(trace.KindIgnored)
-		return
-	}
-	s.expected++
-	s.tally.Add(trace.KindViolation)
 }

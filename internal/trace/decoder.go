@@ -34,7 +34,7 @@ type Decoder interface {
 }
 
 // DecodeCloser is a Decoder that holds a pooled line buffer until Close.
-// Both of this package's decoders are one; NewDecoder returns one.
+// Both of this package's decoders are one; Check.Decoder returns one.
 type DecodeCloser interface {
 	Decoder
 	io.Closer
@@ -440,27 +440,3 @@ func (d *RegexDecoder) Next() (Event, error) {
 		return Event{Line: d.lr.line, Skip: true}, nil
 	}
 }
-
-// NewDecoder returns the decoder for a named trace format over r:
-// "jsonl" (JSON Lines, the default for an empty name) or "regex" (text
-// via transition patterns; rules may be nil for the defaults). Unknown
-// formats return an error naming the known ones. Closing the decoder
-// returns its line buffer to the pool.
-func NewDecoder(format string, r io.Reader, rules []Rule) (DecodeCloser, error) {
-	switch format {
-	case "", FormatJSONL:
-		return NewJSONLDecoder(r), nil
-	case FormatRegex:
-		return NewRegexDecoder(r, rules), nil
-	default:
-		return nil, fmt.Errorf("trace: unknown trace format %q (known: %s, %s)",
-			format, FormatJSONL, FormatRegex)
-	}
-}
-
-// Trace format names accepted by NewDecoder, the check CLI and the
-// check API route.
-const (
-	FormatJSONL = "jsonl"
-	FormatRegex = "regex"
-)

@@ -1,13 +1,13 @@
 package trace
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 
 	"asagen/internal/core"
-	"asagen/internal/runtime"
 )
 
 // ErrStopped is returned by Monitor.Run when an observer ended the run
@@ -28,21 +28,19 @@ type ObserverFunc func(Verdict) bool
 // Observe implements Observer.
 func (f ObserverFunc) Observe(v Verdict) bool { return f(v) }
 
-// target is one machine under observation, with its per-run state.
+// target is one machine under observation and its judge.
 type target struct {
-	name     string
-	machine  *core.StateMachine
-	inst     *runtime.Instance
-	budget   int
-	finished bool
+	name  string
+	judge *Judge
 }
 
 // Monitor drives one or more generated machines over a decoded event
-// stream at line rate, judging every delivery. A Monitor is reusable —
-// each Run starts every machine from its start state — but not safe for
-// concurrent Runs.
+// stream at line rate, one Judge per machine, and turns every judgement
+// into a Verdict for its observers. A Monitor is reusable — each Run
+// starts every machine from its start state — but not safe for concurrent
+// Runs.
 type Monitor struct {
-	targets   []*target
+	targets   []target
 	observers []Observer
 	tolerance int
 	keepGoing bool
@@ -56,14 +54,11 @@ type MonitorOption func(*Monitor) error
 // the label is omitted from verdicts entirely.
 func WithTarget(name string, machine *core.StateMachine) MonitorOption {
 	return func(m *Monitor) error {
-		if machine == nil {
-			return fmt.Errorf("trace: nil machine for target %q", name)
-		}
-		inst, err := runtime.New(machine, nil)
+		j, err := NewJudge(machine, 0)
 		if err != nil {
 			return fmt.Errorf("trace: target %q: %w", name, err)
 		}
-		m.targets = append(m.targets, &target{name: name, machine: machine, inst: inst})
+		m.targets = append(m.targets, target{name: name, judge: j})
 		return nil
 	}
 }
@@ -74,7 +69,7 @@ func WithTarget(name string, machine *core.StateMachine) MonitorOption {
 func WithTolerance(n int) MonitorOption {
 	return func(m *Monitor) error {
 		if n < 0 {
-			return fmt.Errorf("trace: negative tolerance %d", n)
+			return fmt.Errorf("%w %d", ErrNegativeTolerance, n)
 		}
 		m.tolerance = n
 		return nil
@@ -111,6 +106,9 @@ func NewMonitor(opts ...MonitorOption) (*Monitor, error) {
 	if len(m.targets) == 0 {
 		return nil, errors.New("trace: monitor needs at least one target machine")
 	}
+	if len(m.targets) == 1 {
+		m.targets[0].name = "" // a single target's verdicts carry no label
+	}
 	return m, nil
 }
 
@@ -135,11 +133,8 @@ func (m *Monitor) emit(v *Verdict) bool {
 func (m *Monitor) Run(ctx context.Context, dec Decoder) (Report, error) {
 	var rep Report
 	for _, t := range m.targets {
-		t.inst.Reset()
-		t.budget = m.tolerance
-		t.finished = false
+		t.judge.Reset(m.tolerance)
 	}
-	single := len(m.targets) == 1
 	done := ctx.Done()
 	for {
 		select {
@@ -170,64 +165,48 @@ func (m *Monitor) Run(ctx context.Context, dec Decoder) (Report, error) {
 		}
 		rep.Events++
 		for _, t := range m.targets {
-			name := t.name
-			if single {
-				name = ""
+			d := t.judge.Deliver(ev.Msg)
+			// Built in place: a Verdict variable initialised from a
+			// literal is a copy, a tenth of a line's cost.
+			v := &Verdict{Line: ev.Line, Target: t.name, Event: ev.Msg, Kind: d.Kind,
+				State: t.judge.State().Name}
+			if d.Err != nil {
+				v.Detail = d.Err.Error()
 			}
-			tr, err := t.inst.Fire(ev.Msg)
-			if err == nil {
+			switch d.Kind {
+			case KindAccepted:
 				rep.Accepted++
-				if !m.emit(&Verdict{Line: ev.Line, Target: name, Event: ev.Msg,
-					Kind: KindAccepted, State: tr.Target.Name, Actions: tr.Actions, tr: tr}) {
-					return rep, ErrStopped
-				}
-				if t.inst.Finished() && !t.finished {
-					t.finished = true
-					if !m.emit(&Verdict{Line: ev.Line, Target: name, Event: ev.Msg,
-						Kind: KindFinished, State: t.inst.StateName()}) {
-						return rep, ErrStopped
-					}
-				}
-				continue
-			}
-			// Rejected delivery: tolerated while the budget lasts,
-			// a violation afterwards.
-			if t.budget > 0 {
-				t.budget--
+				v.Actions, v.tr = d.Tr.Actions, d.Tr
+			case KindIgnored:
 				rep.Ignored++
-				if !m.emit(&Verdict{Line: ev.Line, Target: name, Event: ev.Msg,
-					Kind: KindIgnored, State: t.inst.StateName(), Detail: err.Error()}) {
-					return rep, ErrStopped
-				}
-				continue
+			case KindViolation:
+				rep.Violations++
+				rep.FirstViolation = cmp.Or(rep.FirstViolation, ev.Line)
 			}
-			rep.Violations++
-			if rep.FirstViolation == 0 {
-				rep.FirstViolation = ev.Line
-			}
-			if !m.emit(&Verdict{Line: ev.Line, Target: name, Event: ev.Msg,
-				Kind: KindViolation, State: t.inst.StateName(), Detail: err.Error()}) {
+			if !m.emit(v) {
 				return rep, ErrStopped
 			}
-			if !m.keepGoing {
-				m.finalize(&rep, single)
+			if d.Finished && !m.emit(&Verdict{Line: ev.Line, Target: t.name, Event: ev.Msg,
+				Kind: KindFinished, State: v.State}) {
+				return rep, ErrStopped
+			}
+			if d.Kind == KindViolation && !m.keepGoing {
+				m.finalize(&rep)
 				return rep, nil
 			}
 		}
 	}
-	m.finalize(&rep, single)
+	m.finalize(&rep)
 	return rep, nil
 }
 
 // finalize fills the report fields derived from the targets' end state.
-func (m *Monitor) finalize(rep *Report, single bool) {
+func (m *Monitor) finalize(rep *Report) {
 	rep.Finished = true
 	for _, t := range m.targets {
-		if !t.inst.Finished() {
-			rep.Finished = false
-		}
+		rep.Finished = rep.Finished && t.judge.State().Final
 	}
-	if single {
-		rep.FinalState = m.targets[0].inst.StateName()
+	if len(m.targets) == 1 {
+		rep.FinalState = m.targets[0].judge.State().Name
 	}
 }

@@ -12,10 +12,12 @@
 //   - Decoders turn an io.Reader into a stream of Events, one per input
 //     line: JSON Lines for structured traces, and a regex front-end that
 //     maps captured text lines to machine messages (go-rst style).
-//   - A Monitor feeds the events to one or more runtime.Instances,
-//     emitting a Verdict per delivery to registered observers and
-//     accumulating a Report (lines, verdicts, violations,
-//     first-violation position).
+//   - A Judge turns each delivery to one machine into a verdict kind; it
+//     is the only code that does, for the fleet simulation and the
+//     cluster's routing oracle too. A Monitor feeds the events to one
+//     Judge per target machine, emitting a Verdict per delivery to
+//     registered observers and accumulating a Report (lines, verdicts,
+//     violations, first-violation position).
 //   - A canonical JSON encoding of verdicts shared by every consumer
 //     (SSE wire stream, CLI, SDK iterator), so the same trace always
 //     produces byte-identical verdict streams on every path. An Encoder
