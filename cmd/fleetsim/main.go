@@ -7,9 +7,13 @@
 // byte-identical reports, so checked-in golden reports are diffable in CI
 // and any drift — or any unexpected violation — fails the gate.
 //
-// With -url the same scenario instead drives live /v1 servers: its
-// arrival schedule issues real render GETs and /check POSTs through the
-// load engine loadgen uses, as a named, checked-in mix.
+// With -url the same scenario instead drives live /v1 servers, as a
+// named, checked-in mix: its arrival schedule issues real render GETs
+// and /check POSTs open-loop, each measured from its scheduled arrival
+// (no coordinated omission), and an inline spec is PUT to every server
+// first, replacing any older document under the model's name. This is
+// the repository's one command-line load driver; the report embeds the
+// full latency histograms.
 //
 // Examples:
 //

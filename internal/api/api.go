@@ -105,16 +105,6 @@ func WithCluster(n *cluster.Node) HandlerOption {
 	return func(h *Handler) { h.cluster = n }
 }
 
-// WithProxyClient substitutes the HTTP client used to proxy artifact
-// requests to owning nodes (default: 10-second timeout).
-func WithProxyClient(c *http.Client) HandlerOption {
-	return func(h *Handler) {
-		if c != nil {
-			h.proxyClient = c
-		}
-	}
-}
-
 // NewHandler returns the HTTP handler serving the /v1 API over the
 // pipeline.
 func NewHandler(p *artifact.Pipeline, opts ...HandlerOption) *Handler {

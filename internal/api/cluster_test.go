@@ -167,6 +167,18 @@ func TestClusterTwoNodeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestClusterPeerWithTrailingSlash: a peer given as "http://host:port/"
+// forms a ring. Appended to it untrimmed, "/v1/cluster/gossip" is a "//"
+// path the mux redirects, and the redirected request arrives as a GET the
+// gossip route refuses.
+func TestClusterPeerWithTrailingSlash(t *testing.T) {
+	tsA, nodeA := startClusterNode(t, "node-a", nil)
+	_, nodeB := startClusterNode(t, "node-b", func() string { return tsA.URL + "/" })
+	waitFor(t, 5*time.Second, "membership convergence", func() bool {
+		return len(nodeA.Status().Ring) == 2 && len(nodeB.Status().Ring) == 2
+	})
+}
+
 // TestClusterPropagatesEveryFormat: all formats of one family member shard
 // on one routing key, yet each is its own artefact, so each reaches the
 // owner's replica, not only the first one rendered.

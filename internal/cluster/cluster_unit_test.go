@@ -141,6 +141,30 @@ func TestRouteStandaloneOwnsEverything(t *testing.T) {
 	}
 }
 
+// TestNewTrimsTrailingSlashes: an advertised URL or a peer written with a
+// trailing slash is the same base address without it, so every path
+// appended to it is well-formed and a peer naming this node is no seed.
+func TestNewTrimsTrailingSlashes(t *testing.T) {
+	tr := &stubTransport{}
+	n, err := New(Config{
+		ID: "node-a", URL: "http://node-a/", Peers: []string{"http://node-a/", "http://node-b/"},
+		Transport: tr, Clock: &stubClock{}, Log: NewLog(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Start()
+	if got := n.Status().URL; got != "http://node-a" {
+		t.Fatalf("advertised URL = %q, want http://node-a", got)
+	}
+	if len(tr.sent) != 1 || tr.sent[0].to != "http://node-b" {
+		t.Fatalf("start-up sends = %+v, want one to http://node-b", tr.sent)
+	}
+	if d := n.Route("any-key"); d.OwnerURL != "http://node-a" {
+		t.Fatalf("Route owner URL = %q, want http://node-a", d.OwnerURL)
+	}
+}
+
 func TestRefutationOutlivesRumour(t *testing.T) {
 	n, _, _ := newTestNode(t, "node-a", 1)
 	inject(t, n, alive("node-b"), alive("node-b"),

@@ -102,6 +102,10 @@ type propagation struct {
 // New validates cfg, generates the routing oracle and returns a node
 // whose view contains only itself. Call Start to join the peer set.
 func New(cfg Config) (*Node, error) {
+	// Paths are appended to these base URLs, and "…//v1/cluster/gossip"
+	// is a redirect the POST does not survive: trim the trailing slash
+	// here, once, for gossip, propagation and proxying alike.
+	cfg.URL = strings.TrimRight(cfg.URL, "/")
 	if cfg.ID == "" || cfg.URL == "" {
 		return nil, errors.New("cluster: node needs an ID and a URL")
 	}
@@ -137,7 +141,7 @@ func New(cfg Config) (*Node, error) {
 	}
 	n.members[cfg.ID] = &memberState{Member: Member{ID: cfg.ID, URL: cfg.URL, Incarnation: 1, Status: StatusAlive}}
 	for _, p := range cfg.Peers {
-		if p != "" && p != cfg.URL {
+		if p = strings.TrimRight(p, "/"); p != "" && p != cfg.URL {
 			n.seeds[p] = true
 		}
 	}

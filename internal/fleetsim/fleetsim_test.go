@@ -3,10 +3,12 @@ package fleetsim
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -415,5 +417,81 @@ func TestLiveInlineSpec(t *testing.T) {
 	}
 	if rep.Fleet.Born != 12 || rep.UnexpectedViolations != 0 {
 		t.Fatalf("live inline-spec run: born %d, unexpected %d", rep.Fleet.Born, rep.UnexpectedViolations)
+	}
+}
+
+// TestLiveReplacesAStaleSpec: a server that already holds an older
+// document under the scenario's model name is given the scenario's own,
+// so the run renders and checks the machine its report describes.
+func TestLiveReplacesAStaleSpec(t *testing.T) {
+	ts := httptest.NewServer(api.NewHandler(artifact.New(artifact.WithRegistry(models.Default().Clone()))))
+	defer ts.Close()
+
+	sc, err := Load(filepath.Join("..", "..", "examples", "fleetsim", "leader-lease.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want struct {
+		Description string `json:"description"`
+	}
+	if err := json.Unmarshal(sc.Spec, &want); err != nil {
+		t.Fatal(err)
+	}
+	stale := bytes.Replace(sc.Spec, []byte(want.Description), []byte("an older lease protocol"), 1)
+	resp, err := http.Post(ts.URL+"/v1/models", "application/json", bytes.NewReader(stale))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("pre-register the stale document: %s", resp.Status)
+	}
+
+	sc.Instances = 12
+	sc.Arrival = Arrival{Process: ArrivalConstant, RatePerSec: 500}
+	sc.DurationMS = 10000
+	if _, err := Live(context.Background(), sc, ts.URL, 2); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Get(ts.URL + "/v1/models/" + sc.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got struct {
+		Description string `json:"description"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Description != want.Description {
+		t.Fatalf("server describes %q after the run, want the scenario's %q", got.Description, want.Description)
+	}
+}
+
+// TestLiveProbeFailsFastOnBadMix: a format the server does not know fails
+// the probe before the measurement window opens, so no arrival is sent.
+func TestLiveProbeFailsFastOnBadMix(t *testing.T) {
+	h := api.NewHandler(artifact.New(artifact.WithRegistry(models.Default().Clone())))
+	var mu sync.Mutex
+	var seen []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen = append(seen, r.Method+" "+r.URL.Path)
+		mu.Unlock()
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	sc := smallScenario()
+	sc.Formats = []string{"no-such-format"}
+	_, err := Live(context.Background(), sc, ts.URL, 2)
+	if err == nil || !strings.Contains(err.Error(), "probe") {
+		t.Fatalf("err = %v, want a probe failure", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"GET /v1/models/commit/artifacts/no-such-format"}; !slices.Equal(seen, want) {
+		t.Fatalf("server saw %v, want only the probe %v", seen, want)
 	}
 }

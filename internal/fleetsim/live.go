@@ -53,7 +53,7 @@ func Live(ctx context.Context, sc Scenario, baseURL string, workers int) (*Repor
 		// Registrations are per serving instance, so an inline spec must
 		// land on every target.
 		for _, base := range bases {
-			if err := registerSpec(ctx, client, base, sc.Spec); err != nil {
+			if err := putSpec(ctx, client, base, sc.Model, sc.Spec); err != nil {
 				return nil, err
 			}
 		}
@@ -159,10 +159,13 @@ func postCheck(ctx context.Context, client *http.Client, url string, trace []byt
 	return nil
 }
 
-// registerSpec registers the scenario's inline spec document on the live
-// server; an already-registered model (409) is fine.
-func registerSpec(ctx context.Context, client *http.Client, base string, doc []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/models", bytes.NewReader(doc))
+// putSpec registers the scenario's inline spec document on the live
+// server under the scenario's model name, replacing whatever document the
+// server held there: the run must render and check the machine the report
+// describes, never an older one. Only 201 (registered) and 200 (replaced)
+// succeed.
+func putSpec(ctx context.Context, client *http.Client, base, model string, doc []byte) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPut, base+"/v1/models/"+model, bytes.NewReader(doc))
 	if err != nil {
 		return err
 	}
@@ -173,8 +176,8 @@ func registerSpec(ctx context.Context, client *http.Client, base string, doc []b
 	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusConflict {
-		return fmt.Errorf("fleetsim: register inline spec: status %s", resp.Status)
+	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("fleetsim: put inline spec %s: status %s", model, resp.Status)
 	}
 	return nil
 }

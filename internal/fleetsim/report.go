@@ -98,7 +98,7 @@ type Report struct {
 	// (sim), or the /check request subset (live).
 	Completion Percentiles `json:"completion"`
 	// DeliveryHistogram and CompletionHistogram embed the full sparse
-	// histograms so reports merge offline like loadgen artifacts.
+	// histograms so reports merge offline.
 	DeliveryHistogram   *latency.Histogram `json:"delivery_histogram"`
 	CompletionHistogram *latency.Histogram `json:"completion_histogram"`
 }

@@ -18,9 +18,11 @@
 //
 // The same scenario can instead be pointed at a live /v1 server (Live):
 // the arrival schedule then drives real HTTP requests against the render
-// and /check routes through the load engine cmd/loadgen also runs on
-// (latency.Drive). Live reports share the report shape but measure
-// wall-clock latency, so they are not byte-reproducible.
+// and /check routes through the load engine (latency.Drive), open-loop,
+// each request measured from its scheduled arrival. It is the one
+// command-line live driver (fleetsim -url). Live reports share the
+// report shape but measure wall-clock latency, so they are not
+// byte-reproducible.
 package fleetsim
 
 import (

@@ -1,5 +1,5 @@
-// Package latency is the serve path's load engine, Drive (behind loadgen
-// and fleetsim's live mode), and the HDR-style histogram its workers
+// Package latency is the serve path's load engine, Drive (behind
+// fleetsim's live mode), and the HDR-style histogram its workers
 // record one value per request into, merged at the end, with the
 // p50/p95/p99 rows read off the merged distribution. Buckets are
 // log-linear — 32 linear sub-buckets per power of two — so quantiles

@@ -165,22 +165,6 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// NamesWithVocabulary returns the sorted names of entries registered with
-// the given vocabulary, so commands can present — and validate against —
-// exactly the subset a runtime layer can execute.
-func (r *Registry) NamesWithVocabulary(vocabulary string) []string {
-	r.mu.RLock()
-	var names []string
-	for name, e := range r.entries {
-		if e.Vocabulary == vocabulary {
-			names = append(names, name)
-		}
-	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-	return names
-}
-
 // Build constructs the named model for a parameter value (<= 0 selects the
 // entry's default parameter).
 func (r *Registry) Build(name string, param int) (core.Model, error) {
@@ -205,12 +189,6 @@ func Get(name string) (Entry, error) { return defaultRegistry.Get(name) }
 
 // Names returns all names registered in the default registry, sorted.
 func Names() []string { return defaultRegistry.Names() }
-
-// NamesWithVocabulary returns the default registry's sorted names of
-// entries registered with the given vocabulary.
-func NamesWithVocabulary(vocabulary string) []string {
-	return defaultRegistry.NamesWithVocabulary(vocabulary)
-}
 
 // Build constructs the named model from the default registry for a
 // parameter value (<= 0 selects the entry's default parameter).

@@ -3,6 +3,7 @@ package models
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -97,19 +98,22 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 	Register(Entry{Name: "commit", Build: func(int) (core.Model, error) { return nil, nil }})
 }
 
+// TestNamesWithVocabulary: the entries tagged with the commit vocabulary
+// are exactly the two commit families, the subset the version service
+// can execute.
 func TestNamesWithVocabulary(t *testing.T) {
-	got := NamesWithVocabulary(VocabularyCommit)
-	want := []string{"commit", "commit-redundant"}
-	if len(got) != len(want) {
-		t.Fatalf("NamesWithVocabulary(commit) = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("NamesWithVocabulary(commit) = %v, want %v", got, want)
+	var got []string
+	for _, name := range Names() {
+		e, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Vocabulary == VocabularyCommit {
+			got = append(got, name)
 		}
 	}
-	if names := NamesWithVocabulary("nonsense"); len(names) != 0 {
-		t.Errorf("NamesWithVocabulary(nonsense) = %v, want empty", names)
+	if want := []string{"commit", "commit-redundant"}; !slices.Equal(got, want) {
+		t.Fatalf("commit-vocabulary entries = %v, want %v", got, want)
 	}
 }
 
@@ -220,7 +224,6 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 			t.Fatal(err)
 		}
 		Names()
-		NamesWithVocabulary(VocabularyCommit)
 	}
 	<-done
 	if _, err := Get(name); err != nil {
