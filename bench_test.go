@@ -14,16 +14,23 @@ package asagen_test
 //	E8  BenchmarkStoreRetrieve        storage quorum write + verified read
 //	E9  BenchmarkChordLookup          routing hops vs overlay size
 //	E11 BenchmarkPipelineStages       pruning/merging ablation
+//	E18 BenchmarkColdSweep            a cold-sweep lap: 182 golden keys, fresh pipeline
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -609,6 +616,47 @@ func BenchmarkRenderAll(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkColdSweep is a whole cold-sweep lap in process (E18): a fresh
+// Pipeline per op renders the 182 keys of bench/golden/digests.json, one
+// at a time, so every op pays the 26 generations, each machine's
+// transition table and EFSM, and the 182 renders and hashes. MB/s is
+// artefact bytes written.
+func BenchmarkColdSweep(b *testing.B) {
+	data, err := os.ReadFile(filepath.Join("bench", "golden", "digests.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var golden struct {
+		Digests map[string]string `json:"digests"`
+	}
+	if err := json.Unmarshal(data, &golden); err != nil {
+		b.Fatal(err)
+	}
+	var reqs []artifact.Request
+	for _, key := range slices.Sorted(maps.Keys(golden.Digests)) {
+		parts := strings.Split(key, "/")
+		param, err := strconv.Atoi(parts[1])
+		if len(parts) != 3 || err != nil {
+			b.Fatalf("malformed manifest key %q", key)
+		}
+		reqs = append(reqs, artifact.Request{Model: parts[0], Param: param, Format: parts[2]})
+	}
+	b.ReportAllocs()
+	var written int64
+	for i := 0; i < b.N; i++ {
+		written = 0
+		p := artifact.New()
+		for _, req := range reqs {
+			res := p.Render(context.Background(), req)
+			if res.Err != nil {
+				b.Fatal(res.Err)
+			}
+			written += int64(len(res.Artifact.Data))
+		}
+	}
+	b.SetBytes(written)
 }
 
 // BenchmarkCacheHitMiss isolates the fingerprint-keyed generation cache:

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -115,6 +116,54 @@ func TestWarmRenderAllocatesNothing(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(100, func() { p.Render(ctx, req) }); n != 0 {
 			t.Errorf("%+v: a warm render allocates %v times, want 0", req, n)
+		}
+	}
+}
+
+// TestConcurrentFirstRendersMatchGolden: the first renders of one member,
+// all seven formats at once on a new Pipeline, race to compute the
+// machine's transition table and its EFSM; every one of them is still the
+// manifest's bytes. Run it with -race.
+func TestConcurrentFirstRendersMatchGolden(t *testing.T) {
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden struct {
+		Digests map[string]string `json:"digests"`
+	}
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	const model, param, member = "commit", 13, "commit/13/"
+	var formats []string
+	for key := range golden.Digests {
+		if format, ok := strings.CutPrefix(key, member); ok {
+			formats = append(formats, format)
+		}
+	}
+	if len(formats) != 7 {
+		t.Fatalf("the manifest has %d formats of %s, want 7", len(formats), member)
+	}
+	p := New()
+	results := make([]Result, len(formats))
+	var wg sync.WaitGroup
+	for i, format := range formats {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i] = p.Render(context.Background(), Request{Model: model, Param: param, Format: format})
+		}()
+	}
+	wg.Wait()
+	for i, res := range results {
+		key := member + formats[i]
+		if res.Err != nil {
+			t.Errorf("%s: %v", key, res.Err)
+			continue
+		}
+		if sum := sha256.Sum256(res.Artifact.Data); hex.EncodeToString(sum[:]) != golden.Digests[key] {
+			t.Errorf("%s: the bytes are not the manifest's", key)
 		}
 	}
 }

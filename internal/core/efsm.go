@@ -164,6 +164,10 @@ type outcome struct {
 // message with the same actions and the same target label, and the guard
 // values selecting each outcome must form a contiguous interval.
 func GeneralizeEFSM(machine *StateMachine, abs EFSMAbstraction) (*EFSM, error) {
+	table, err := machine.Table()
+	if err != nil {
+		return nil, fmt.Errorf("core: efsm: %w", err)
+	}
 	efsm := &EFSM{
 		ModelName: machine.ModelName,
 		Parameter: machine.Parameter,
@@ -172,8 +176,11 @@ func GeneralizeEFSM(machine *StateMachine, abs EFSMAbstraction) (*EFSM, error) {
 
 	// Collect the counter variable names in component order.
 	seenVar := map[string]bool{}
-	for _, msg := range machine.Messages {
-		if c := abs.GuardComponent(msg); c >= 0 {
+	guardComps := make([]int, len(machine.Messages))
+	for i, msg := range machine.Messages {
+		c := abs.GuardComponent(msg)
+		guardComps[i] = c
+		if c >= 0 {
 			name := machine.Components[c].Name()
 			if !seenVar[name] {
 				seenVar[name] = true
@@ -190,7 +197,7 @@ func GeneralizeEFSM(machine *StateMachine, abs EFSMAbstraction) (*EFSM, error) {
 
 	// Group concrete states by label, preserving first-seen order.
 	states := map[string]*EState{}
-	labelOf := map[*State]string{}
+	labelOf := make([]string, len(machine.States)) // by state position
 	addState := func(label string, final bool) *EState {
 		if s, ok := states[label]; ok {
 			return s
@@ -200,12 +207,12 @@ func GeneralizeEFSM(machine *StateMachine, abs EFSMAbstraction) (*EFSM, error) {
 		efsm.States = append(efsm.States, s)
 		return s
 	}
-	for _, s := range machine.States {
+	for i, s := range machine.States {
 		label := FinishStateName
 		if !s.Final {
 			label = abs.StateLabel(s.Vector)
 		}
-		labelOf[s] = label
+		labelOf[i] = label
 		es := addState(label, s.Final)
 		if s == machine.Start {
 			efsm.Start = es
@@ -225,25 +232,22 @@ func GeneralizeEFSM(machine *StateMachine, abs EFSMAbstraction) (*EFSM, error) {
 		msg   string
 	}
 	groups := map[groupKey]map[int]outcome{}
-	for _, s := range machine.States {
+	for i, s := range machine.States {
 		if s.Final {
 			continue
 		}
-		label := labelOf[s]
-		for _, msg := range machine.Messages {
-			tr := s.Transition(msg)
-			if tr == nil {
-				continue
-			}
-			guardComp := abs.GuardComponent(msg)
+		label := labelOf[i]
+		for _, e := range table.Out(i) {
+			msg := machine.Messages[e.Msg]
+			guardComp := guardComps[e.Msg]
 			val := 0
 			if guardComp >= 0 {
 				val = s.Vector[guardComp]
 			}
 			out := outcome{
-				targetLabel: labelOf[tr.Target],
-				actionsKey:  strings.Join(tr.Actions, ","),
-				actions:     tr.Actions,
+				targetLabel: labelOf[e.To],
+				actionsKey:  strings.Join(e.Actions, ","),
+				actions:     e.Actions,
 			}
 			key := groupKey{label, msg}
 			byVal, ok := groups[key]

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"sort"
+	"sync/atomic"
+)
 
 // FinishStateName is the name given to the synthetic terminal state that a
 // model's finishing transitions target. The commit protocol, for example,
@@ -38,6 +41,8 @@ type StateMachine struct {
 	// Regenerate can patch it under a ModelDelta instead of re-exploring
 	// from scratch. Nil on GenerateEnumerated machines.
 	explored *exploration
+	// table is the transition table, once Table has computed it.
+	table atomic.Pointer[Table]
 }
 
 // Stats records the size of the state space at each stage of the generation

@@ -11,7 +11,11 @@
 // become Artifact.Data.
 package render
 
-import "asagen/internal/core"
+import (
+	"fmt"
+
+	"asagen/internal/core"
+)
 
 // Buffer accumulates generated text with managed indentation, providing the
 // utility methods of the paper's Fig. 18.
@@ -42,39 +46,14 @@ func (b *Buffer) artifact(format, mediaType, ext string) Artifact {
 	return Artifact{Format: format, MediaType: mediaType, Ext: ext, Data: b.buf}
 }
 
-// weights are the sums every artefact's size is linear in; each renderer
-// states its own bytes per item where it sizes its buffer.
-type weights struct {
-	states, stateNames         int // states and the bytes of their names
-	annotations, annotationLen int
-	edges                      int // transitions
-	edgeSources, edgeTargets   int // bytes of their source and target state names
-	edgeMessages               int
-	actions, actionLen         int // actions on transitions and their bytes
-}
-
-func weigh(m *core.StateMachine) weights {
-	w := weights{states: len(m.States)}
-	for _, s := range m.States {
-		w.stateNames += len(s.Name)
-		w.annotations += len(s.Annotations)
-		for _, a := range s.Annotations {
-			w.annotationLen += len(a)
-		}
-		w.edges += len(s.Transitions)
-		w.edgeSources += len(s.Transitions) * len(s.Name)
-		for msg, tr := range s.Transitions {
-			w.edgeMessages += len(msg)
-			if tr.Target != nil { // a hand-built machine; the Go renderer refuses it
-				w.edgeTargets += len(tr.Target.Name)
-			}
-			w.actions += len(tr.Actions)
-			for _, a := range tr.Actions {
-				w.actionLen += len(a)
-			}
-		}
+// table returns the machine's transition table for a renderer, or its
+// error naming a reference the machine cannot resolve.
+func table(format string, m *core.StateMachine) (*core.Table, error) {
+	t, err := m.Table()
+	if err != nil {
+		return nil, fmt.Errorf("render: %s for %s: %w", format, m.ModelName, err)
 	}
-	return w
+	return t, nil
 }
 
 // appendIndent appends the current indentation to buf and returns it; the

@@ -25,9 +25,13 @@ func (r *DocRenderer) Name() string { return "doc" }
 
 // Render produces the markdown document.
 func (r *DocRenderer) Render(m *core.StateMachine) (Artifact, error) {
-	w := weigh(m)
-	b := newBuffer(512 + 58*w.states + w.stateNames + 3*w.annotations + w.annotationLen +
-		21*w.edges + w.edgeMessages + w.edgeTargets + 4*w.actions + w.actionLen)
+	t, err := table(r.Name(), m)
+	if err != nil {
+		return Artifact{}, err
+	}
+	z := t.Sizes
+	b := newBuffer(512 + 58*z.States + z.StateNames + 3*z.Annotations + z.AnnotationLen +
+		21*z.Edges + z.EdgeMessages + z.EdgeTargets + 4*z.Actions + z.ActionLen)
 	title := r.Title
 	if title == "" {
 		title = "State machine `" + m.ModelName + "` (parameter " + strconv.Itoa(m.Parameter) + ")"
@@ -57,7 +61,7 @@ func (r *DocRenderer) Render(m *core.StateMachine) (Artifact, error) {
 
 	b.AddLn("## States")
 	b.BlankLn()
-	for _, s := range m.States {
+	for i, s := range m.States {
 		b.AddLn("### `", s.Name, "`")
 		b.BlankLn()
 		if len(s.MergedNames) > 1 {
@@ -83,17 +87,13 @@ func (r *DocRenderer) Render(m *core.StateMachine) (Artifact, error) {
 		}
 		b.AddLn("| Message | Actions | Next state |")
 		b.AddLn("|---|---|---|")
-		for _, msg := range m.Messages {
-			tr := s.Transitions[msg]
-			if tr == nil {
-				continue
-			}
-			b.Add("| `", msg, "` | ")
-			if len(tr.Actions) == 0 {
+		for _, e := range t.Out(i) {
+			b.Add("| `", m.Messages[e.Msg], "` | ")
+			if len(e.Actions) == 0 {
 				b.Add("—")
 			}
-			b.codeList(tr.Actions)
-			b.AddLn(" | `", tr.Target.Name, "` |")
+			b.codeList(e.Actions)
+			b.AddLn(" | `", e.Target.Name, "` |")
 		}
 		b.BlankLn()
 	}

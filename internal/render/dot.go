@@ -28,34 +28,37 @@ func (r *DotRenderer) Name() string { return "dot" }
 
 // Render produces the DOT document.
 func (r *DotRenderer) Render(m *core.StateMachine) (Artifact, error) {
-	w := weigh(m)
-	b := newBuffer(256 + 6*w.states + w.stateNames +
-		25*w.edges + w.edgeSources + w.edgeTargets + w.edgeMessages + 16*w.actions + w.actionLen)
+	t, err := table(r.Name(), m)
+	if err != nil {
+		return Artifact{}, err
+	}
+	z := t.Sizes
+	b := newBuffer(256 + 6*z.States + z.StateNames +
+		25*z.Edges + z.EdgeSources + z.EdgeTargets + z.EdgeMessages + 16*z.Actions + z.ActionLen)
 	rank := r.RankDir
 	if rank == "" {
 		rank = "LR"
 	}
 	b.dotOpen(m.ModelName, rank)
-	for _, s := range m.States {
-		b.dotNode(s.Name, s == m.Start, s.Final)
+	// Each state name is escaped once, and one label head is made per
+	// message, not one per edge.
+	names := make([]string, len(m.States))
+	for i, s := range m.States {
+		names[i] = escapeDot(s.Name)
+		b.dotNode(names[i], s == m.Start, s.Final)
 	}
-	// One label head per message, not one per edge.
 	heads := make([]string, len(m.Messages))
 	for i, msg := range m.Messages {
 		heads[i] = "<-" + strings.ToLower(msg)
 	}
 	var label []string
-	for _, s := range m.States {
-		for i, msg := range m.Messages {
-			tr := s.Transitions[msg]
-			if tr == nil {
-				continue
-			}
-			label = append(label[:0], heads[i])
+	for i := range m.States {
+		for _, e := range t.Out(i) {
+			label = append(label[:0], heads[e.Msg])
 			if r.IncludeActions {
-				label = append(label, tr.Actions...)
+				label = append(label, e.Actions...)
 			}
-			b.dotEdge(s.Name, tr.Target.Name, label, tr.IsPhase())
+			b.dotEdge(names[i], names[e.To], label, e.IsPhase())
 		}
 	}
 	b.ExitBlock()
@@ -69,7 +72,7 @@ func efsmDot(e *core.EFSM) *Buffer {
 	b := NewBuffer()
 	b.dotOpen(e.ModelName+"-efsm", "LR")
 	for _, s := range e.States {
-		b.dotNode(s.Name, s == e.Start, s.Final)
+		b.dotNode(escapeDot(s.Name), s == e.Start, s.Final)
 	}
 	for _, s := range e.States {
 		for _, tr := range s.Transitions {
@@ -80,7 +83,7 @@ func efsmDot(e *core.EFSM) *Buffer {
 			for _, op := range tr.VarOps {
 				label = append(label, op.String())
 			}
-			b.dotEdge(s.Name, tr.Target.Name, append(label, tr.Actions...), len(tr.Actions) > 0)
+			b.dotEdge(escapeDot(s.Name), escapeDot(tr.Target.Name), append(label, tr.Actions...), len(tr.Actions) > 0)
 		}
 	}
 	b.ExitBlock()
@@ -94,8 +97,9 @@ func (b *Buffer) dotOpen(name, rankDir string) {
 	b.AddLn("node [shape=box, fontname=\"Helvetica\"];")
 }
 
+// dotNode writes one node; name is escaped already.
 func (b *Buffer) dotNode(name string, start, final bool) {
-	b.Add("\"", escapeDot(name), "\"")
+	b.Add("\"", name, "\"")
 	switch {
 	case start:
 		b.Add(" [style=filled, fillcolor=lightblue]")
@@ -105,10 +109,10 @@ func (b *Buffer) dotNode(name string, start, final bool) {
 	b.AddLn(";")
 }
 
-// dotEdge writes one edge, its label parts on lines of their own; bold
-// marks a phase transition with a thick arrow.
+// dotEdge writes one edge between two escaped names, its label parts on
+// lines of their own; bold marks a phase transition with a thick arrow.
 func (b *Buffer) dotEdge(from, to string, label []string, bold bool) {
-	b.Add("\"", escapeDot(from), "\" -> \"", escapeDot(to), "\" [label=\"")
+	b.Add("\"", from, "\" -> \"", to, "\" [label=\"")
 	for i, part := range label {
 		if i > 0 {
 			b.Add("\\n")

@@ -191,9 +191,13 @@ func TestGoSourceRefusesBrokenOutput(t *testing.T) {
 
 // TestXMLMatchesMarshalIndent: the direct writer's bytes are those of
 // encoding/xml marshalling the Document, and they load back to the same
-// machine.
+// machine. A machine with an edge to a state it does not list has no
+// document (TestDanglingTargetsAreRefused).
 func TestXMLMatchesMarshalIndent(t *testing.T) {
 	for name, m := range allMachines(t) {
+		if name == "foreign-target" {
+			continue
+		}
 		for _, r := range []*XMLRenderer{NewXMLRenderer(), {}} {
 			art, err := r.Render(m)
 			if err != nil {
@@ -208,8 +212,8 @@ func TestXMLMatchesMarshalIndent(t *testing.T) {
 				t.Errorf("%s: differs from xml.MarshalIndent:\n%s", name, firstDifference(art.Data, want))
 			}
 		}
-		if name == "markup" || name == "foreign-target" {
-			continue // invalid UTF-8 and a foreign target do not survive the format
+		if name == "markup" {
+			continue // invalid UTF-8 does not survive the format
 		}
 		art, _ := NewXMLRenderer().Render(m)
 		doc, err := ParseXML(art.Data)

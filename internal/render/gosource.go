@@ -100,7 +100,8 @@ func (r *GoSourceRenderer) Name() string { return "go" }
 // render.
 type goWriter struct {
 	*Buffer
-	consts  map[*core.State]string
+	table   *core.Table
+	consts  []string // by state position
 	methods map[string]string
 	names   GoNames
 	// fault is the first slot the gate refused; nil when there is none.
@@ -161,29 +162,33 @@ func (r *GoSourceRenderer) emit(m *core.StateMachine) (*goWriter, error) {
 		pkg = DefaultPackageName(m)
 	}
 	param := strconv.Itoa(m.Parameter)
-	w := weigh(m)
+	// The table's error refuses a reference to a state the machine does
+	// not list; the file is still written, the reference as nothing (see
+	// ref), and thrown away.
+	t, err := m.Table()
+	z := t.Sizes
 	g := &goWriter{
-		Buffer: newBuffer(2048 + 256*len(m.Messages) + 22*w.states + 3*w.stateNames + 5*w.annotations + w.annotationLen +
-			34*w.edges + w.edgeSources + w.edgeTargets + 17*w.actions + w.actionLen),
-		consts:  make(map[*core.State]string, len(m.States)),
+		Buffer: newBuffer(2048 + 256*len(m.Messages) + 22*z.States + 3*z.StateNames + 5*z.Annotations + z.AnnotationLen +
+			34*z.Edges + z.EdgeSources + z.EdgeTargets + 17*z.Actions + z.ActionLen),
+		table:   t,
+		consts:  make([]string, len(m.States)),
 		methods: map[string]string{},
 		names:   make(GoNames, len(m.States)+len(m.Messages)+8),
 	}
+	g.fail(err)
 	g.fail(g.names.Declare("package name", "package ", pkg, pkg))
-	for _, s := range m.States {
-		g.consts[s] = stateConst(s)
-		g.fail(g.names.Declare("state", "", g.consts[s], s.Name))
+	for i, s := range m.States {
+		g.consts[i] = stateConst(s)
+		g.fail(g.names.Declare("state", "", g.consts[i], s.Name))
 	}
 	var actions []string // in first-use order
-	for _, s := range m.States {
-		for _, msg := range m.Messages {
-			if tr := s.Transitions[msg]; tr != nil {
-				for _, a := range tr.Actions {
-					if _, seen := g.methods[a]; !seen {
-						g.methods[a] = method(a)
-						g.fail(g.names.Declare("action", "Actions.", g.methods[a], a))
-						actions = append(actions, a)
-					}
+	for i := range m.States {
+		for _, e := range t.Out(i) {
+			for _, a := range e.Actions {
+				if _, seen := g.methods[a]; !seen {
+					g.methods[a] = method(a)
+					g.fail(g.names.Declare("action", "Actions.", g.methods[a], a))
+					actions = append(actions, a)
 				}
 			}
 		}
@@ -220,19 +225,15 @@ func (g *goWriter) fail(err error) {
 	}
 }
 
-// ref returns the constant of a state the machine refers to — its start,
-// its finish, the target of an edge. A nil state, or one the machine does
-// not list, has none, and an assignment with nothing after it is not Go.
-func (g *goWriter) ref(s *core.State) string {
-	c, ok := g.consts[s]
-	if !ok {
-		name := "<nil>"
-		if s != nil {
-			name = s.Name
-		}
-		g.fail(fmt.Errorf("state %q is referred to but is not one of the machine's states", name))
+// ref returns the constant of the state at a position the table gives for
+// a reference — the start, the finish, the target of an edge. A reference
+// the table could not resolve (position -1) has none, and an assignment
+// with nothing after it is not Go.
+func (g *goWriter) ref(pos int) string {
+	if pos < 0 {
+		return ""
 	}
-	return c
+	return g.consts[pos]
 }
 
 // comment writes one line comment as gofmt leaves it: trailing white space
@@ -343,13 +344,13 @@ func (g *goWriter) emitStates(states []*core.State, annotate bool) {
 	g.AddLn("const (")
 	g.IncreaseIndent()
 	g.AddLn("StateInvalid State = iota")
-	for _, s := range states {
+	for i, s := range states {
 		if annotate {
 			for _, line := range s.Annotations {
 				g.comment(line)
 			}
 		}
-		g.AddLn(g.consts[s])
+		g.AddLn(g.consts[i])
 	}
 	g.DecreaseIndent()
 	g.AddLn(")")
@@ -357,32 +358,32 @@ func (g *goWriter) emitStates(states []*core.State, annotate bool) {
 	g.AddLn("// stateNames maps states to their encoded names.")
 	g.AddLn("var stateNames = map[State]string{")
 	g.IncreaseIndent()
-	section := func(states []*core.State) {
+	section := func(from, to int) {
 		column := 0
-		for _, s := range states {
-			column = max(column, utf8.RuneCountInString(g.consts[s]))
+		for _, c := range g.consts[from:to] {
+			column = max(column, utf8.RuneCountInString(c))
 		}
-		for _, s := range states {
-			g.Add(g.consts[s], ":")
-			g.pad(utf8.RuneCountInString(g.consts[s]), column)
-			g.buf = strconv.AppendQuote(g.buf, s.Name)
+		for i, c := range g.consts[from:to] {
+			g.Add(c, ":")
+			g.pad(utf8.RuneCountInString(c), column)
+			g.buf = strconv.AppendQuote(g.buf, states[from+i].Name)
 			g.AddLn(",")
 		}
 	}
 	const smallSize, r = 40, 2.5 // go/printer's constants
 	start, lnsum := 0, 0.0
-	for i, s := range states {
-		size := len(g.consts[s])
-		if i > 0 && (size > smallSize || len(g.consts[states[i-1]]) > smallSize) {
+	for i, c := range g.consts {
+		size := len(c)
+		if i > 0 && (size > smallSize || len(g.consts[i-1]) > smallSize) {
 			ratio := float64(size) / math.Exp(lnsum/float64(i-start))
 			if r*ratio <= 1 || r <= ratio {
-				section(states[start:i])
+				section(start, i)
 				start, lnsum = i, 0
 			}
 		}
 		lnsum += math.Log(float64(size))
 	}
-	section(states[start:])
+	section(start, len(g.consts))
 	g.DecreaseIndent()
 	g.Add(`}
 
@@ -457,7 +458,7 @@ func New(actions Actions) *Machine {
 	if actions == nil {
 		actions = NopActions{}
 	}
-	return &Machine{state: `, g.ref(m.Start), `, actions: actions}
+	return &Machine{state: `, g.ref(g.table.Start), `, actions: actions}
 }
 
 // State returns the current machine state.
@@ -466,7 +467,7 @@ func (m *Machine) State() State { return m.state }
 `)
 	if m.Finish != nil {
 		g.AddLn("// Finished reports whether the machine has reached the finish state.")
-		g.shortFunc("func (m *Machine) Finished() bool", "return m.state == "+g.ref(m.Finish))
+		g.shortFunc("func (m *Machine) Finished() bool", "return m.state == "+g.ref(g.table.Finish))
 	} else {
 		g.AddLn("// Finished reports whether the machine has reached a terminal state;")
 		g.AddLn("// this machine has none.")
@@ -479,6 +480,10 @@ func (m *Machine) State() State { return m.state }
 // over them.
 func (g *goWriter) emitHandlers(m *core.StateMachine) {
 	receive := make([]string, len(m.Messages))
+	// next[p] is the first edge of the state at position p that no handler
+	// has written yet: the handlers go in message order, and so do a
+	// state's edges.
+	next := make([]int, len(m.States))
 	for i, msg := range m.Messages {
 		receive[i] = ReceiveMethod(msg)
 		g.fail(g.names.Declare("message", "Machine.", receive[i], msg))
@@ -487,17 +492,19 @@ func (g *goWriter) emitHandlers(m *core.StateMachine) {
 		g.EnterBlock("func (m *Machine) ", receive[i], "()")
 		g.AddLn("switch m.state {")
 		g.BlankLn()
-		for _, s := range m.States {
-			tr := s.Transitions[msg]
-			if tr == nil {
+		for p := range m.States {
+			out := g.table.Out(p)
+			if next[p] == len(out) || out[next[p]].Msg != int32(i) {
 				continue
 			}
-			g.AddLn("case ", g.consts[s], ":")
+			e := out[next[p]]
+			next[p]++
+			g.AddLn("case ", g.consts[p], ":")
 			g.IncreaseIndent()
-			for _, a := range tr.Actions {
+			for _, a := range e.Actions {
 				g.AddLn("m.actions.", g.methods[a], "()")
 			}
-			g.AddLn("m.state = ", g.ref(tr.Target))
+			g.AddLn("m.state = ", g.ref(int(e.To)))
 			g.DecreaseIndent()
 			g.BlankLn()
 		}

@@ -2,6 +2,7 @@ package render
 
 import (
 	"context"
+	"fmt"
 	"go/parser"
 	"go/token"
 	"strings"
@@ -62,12 +63,18 @@ func TestTextRendererFig14Shape(t *testing.T) {
 func TestTextRendererSingleState(t *testing.T) {
 	machine := commitMachine(t, 4)
 	s := machine.Start
-	out := NewTextRenderer().RenderState(machine, s)
+	out, err := NewTextRenderer().RenderState(machine, s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.HasPrefix(out, "state: "+s.Name+"\n") {
 		t.Errorf("RenderState output starts with %q", out[:40])
 	}
 	if !strings.Contains(out, "Transitions:") {
 		t.Error("missing transitions section")
+	}
+	if _, err := NewTextRenderer().RenderState(machine, &core.State{Name: "elsewhere"}); err == nil {
+		t.Error("RenderState rendered a state the machine does not list")
 	}
 }
 
@@ -325,4 +332,39 @@ func commitEFSM(t *testing.T, r int) *core.EFSM {
 		t.Fatal(err)
 	}
 	return efsm
+}
+
+// TestDanglingTargetsAreRefused: an edge whose target is nil, or a state
+// the machine does not list, is refused by every machine format with the
+// machine's transition table's error, not written, dropped or panicked on.
+func TestDanglingTargetsAreRefused(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		target *core.State
+		named  string
+	}{
+		{"nil", nil, `"<nil>"`},
+		{"foreign", &core.State{Name: "elsewhere"}, `"elsewhere"`},
+	} {
+		for _, format := range MachineFormats() {
+			m := handMachine("dangling", []string{"GO", "STOP"}, []string{"a", "b"}, "a|GO|b|->x")
+			m.States[1].Transitions["STOP"] = &core.Transition{Message: "STOP", Target: c.target}
+			r, err := New(format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			art, err := func() (art Artifact, err error) {
+				defer func() {
+					if p := recover(); p != nil {
+						err = fmt.Errorf("panic: %v", p)
+					}
+				}()
+				return r.Render(m)
+			}()
+			want := c.named + " is referred to but is not one of the machine's states"
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s target, %s: err = %v, want %s\n%s", c.name, format, err, want, art.Data)
+			}
+		}
+	}
 }

@@ -1,6 +1,8 @@
 package render
 
 import (
+	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -28,28 +30,41 @@ func (r *TextRenderer) Name() string { return "text" }
 
 // Render produces the textual representation of the whole machine.
 func (r *TextRenderer) Render(m *core.StateMachine) (Artifact, error) {
-	w := weigh(m)
-	b := newBuffer(256 + 45*w.states + 2*w.stateNames + w.annotations + w.annotationLen +
-		30*w.edges + w.edgeMessages + w.edgeTargets + 11*w.actions + w.actionLen)
+	t, err := table(r.Name(), m)
+	if err != nil {
+		return Artifact{}, err
+	}
+	z := t.Sizes
+	b := newBuffer(256 + 45*z.States + 2*z.StateNames + z.Annotations + z.AnnotationLen +
+		30*z.Edges + z.EdgeMessages + z.EdgeTargets + 11*z.Actions + z.ActionLen)
 	b.AddLn("state machine: ", m.ModelName)
 	b.AddLn("parameter: ", strconv.Itoa(m.Parameter))
 	b.AddLn("messages: ", strings.Join(m.Messages, ", "))
 	b.AddLn("states: ", strconv.Itoa(len(m.States)))
 	b.BlankLn()
-	for _, s := range m.States {
-		r.renderState(b, m, s)
+	for i, s := range m.States {
+		r.renderState(b, m, s, t.Out(i))
 	}
 	return b.artifact(r.Name(), "text/plain; charset=utf-8", ".txt"), nil
 }
 
-// RenderState produces the Fig. 14 style section for a single state.
-func (r *TextRenderer) RenderState(m *core.StateMachine, s *core.State) string {
+// RenderState produces the Fig. 14 style section for one of the machine's
+// states.
+func (r *TextRenderer) RenderState(m *core.StateMachine, s *core.State) (string, error) {
+	t, err := table(r.Name(), m)
+	if err != nil {
+		return "", err
+	}
+	i := slices.Index(m.States, s)
+	if i < 0 {
+		return "", fmt.Errorf("render: state %q is not one of the machine's states", s.Name)
+	}
 	b := NewBuffer()
-	r.renderState(b, m, s)
-	return b.String()
+	r.renderState(b, m, s, t.Out(i))
+	return b.String(), nil
 }
 
-func (r *TextRenderer) renderState(b *Buffer, m *core.StateMachine, s *core.State) {
+func (r *TextRenderer) renderState(b *Buffer, m *core.StateMachine, s *core.State, out []core.Edge) {
 	b.underlined("state: ", s.Name)
 
 	if r.IncludeMergedNames && len(s.MergedNames) > 1 {
@@ -78,18 +93,14 @@ func (r *TextRenderer) renderState(b *Buffer, m *core.StateMachine, s *core.Stat
 		b.BlankLn()
 		return
 	}
-	for _, msg := range m.Messages {
-		tr := s.Transitions[msg]
-		if tr == nil {
-			continue
-		}
+	for _, e := range out {
 		b.IncreaseIndent()
-		b.AddLn("message: ", msg)
+		b.AddLn("message: ", m.Messages[e.Msg])
 		b.IncreaseIndent()
-		for _, a := range tr.Actions {
+		for _, a := range e.Actions {
 			b.AddLn("action: ", a)
 		}
-		b.AddLn("transition to: ", tr.Target.Name)
+		b.AddLn("transition to: ", e.Target.Name)
 		b.DecreaseIndent()
 		b.DecreaseIndent()
 		b.BlankLn()

@@ -62,12 +62,12 @@ func (r *XMLRenderer) Document(m *core.StateMachine) *XMLDiagram {
 		Parameter: m.Parameter,
 		Messages:  append([]string(nil), m.Messages...),
 	}
-	ids := make(map[*core.State]string, len(m.States))
+	t, _ := m.Table()
+	ids := make([]string, len(m.States))
 	for i, s := range m.States {
-		id := fmt.Sprintf("s%d", i)
-		ids[s] = id
+		ids[i] = fmt.Sprintf("s%d", i)
 		st := XMLState{
-			ID:    id,
+			ID:    ids[i],
 			Name:  s.Name,
 			Start: s == m.Start,
 			Final: s.Final,
@@ -77,15 +77,18 @@ func (r *XMLRenderer) Document(m *core.StateMachine) *XMLDiagram {
 		}
 		doc.States = append(doc.States, st)
 	}
-	for _, s := range m.States {
-		for _, msg := range s.SortedMessages(m.Messages) {
-			tr := s.Transitions[msg]
+	for i := range m.States {
+		for _, e := range t.Out(i) {
+			to := "" // a target that is not one of the machine's states has no id
+			if e.To >= 0 {
+				to = ids[e.To]
+			}
 			doc.Edges = append(doc.Edges, XMLTransition{
-				From:    ids[s],
-				To:      ids[tr.Target],
-				Message: msg,
-				Phase:   tr.IsPhase(),
-				Actions: append([]string(nil), tr.Actions...),
+				From:    ids[i],
+				To:      to,
+				Message: m.Messages[e.Msg],
+				Phase:   e.IsPhase(),
+				Actions: append([]string(nil), e.Actions...),
 			})
 		}
 	}
@@ -174,14 +177,18 @@ func (x *xmlWriter) text(s string) {
 
 // Render writes the machine's diagram document.
 func (r *XMLRenderer) Render(m *core.StateMachine) (Artifact, error) {
-	w := weigh(m)
-	x := &xmlWriter{Buffer: newBuffer(512 + 44*w.states + w.stateNames + 32*w.annotations + w.annotationLen +
-		66*w.edges + w.edgeMessages + 48*w.actions + w.actionLen)}
+	t, err := table(r.Name(), m)
+	if err != nil {
+		return Artifact{}, err
+	}
+	z := t.Sizes
+	x := &xmlWriter{Buffer: newBuffer(512 + 44*z.States + z.StateNames + 32*z.Annotations + z.AnnotationLen +
+		66*z.Edges + z.EdgeMessages + 48*z.Actions + z.ActionLen)}
 	x.IndentWith = "  "
-	ids := make(map[*core.State]string, len(m.States))
+	ids := make([]string, len(m.States))
 	var id [24]byte
-	for i, s := range m.States {
-		ids[s] = string(strconv.AppendInt(append(id[:0], 's'), int64(i), 10))
+	for i := range ids {
+		ids[i] = string(strconv.AppendInt(append(id[:0], 's'), int64(i), 10))
 	}
 	x.buf = append(x.buf, xml.Header...)
 	x.open("stateMachineDiagram", "model", m.ModelName, "parameter", strconv.Itoa(m.Parameter))
@@ -192,8 +199,8 @@ func (r *XMLRenderer) Render(m *core.StateMachine) (Artifact, error) {
 	x.close("messages")
 	x.open("states")
 	x.Add(">")
-	for _, s := range m.States {
-		x.open("state", "id", ids[s], "name", s.Name)
+	for i, s := range m.States {
+		x.open("state", "id", ids[i], "name", s.Name)
 		if s == m.Start {
 			x.Add(` start="true"`)
 		}
@@ -209,18 +216,14 @@ func (r *XMLRenderer) Render(m *core.StateMachine) (Artifact, error) {
 	x.close("states")
 	x.open("transitions")
 	x.Add(">")
-	for _, s := range m.States {
-		for _, msg := range m.Messages {
-			tr := s.Transitions[msg]
-			if tr == nil {
-				continue
-			}
-			x.open("transition", "from", ids[s], "to", ids[tr.Target], "message", msg)
-			if tr.IsPhase() {
+	for i := range m.States {
+		for _, e := range t.Out(i) {
+			x.open("transition", "from", ids[i], "to", ids[e.To], "message", m.Messages[e.Msg])
+			if e.IsPhase() {
 				x.Add(` phase="true"`)
 			}
 			x.Add(">")
-			x.leaves("action", tr.Actions, true)
+			x.leaves("action", e.Actions, true)
 			x.close("transition")
 		}
 	}
