@@ -122,6 +122,30 @@ func BenchmarkGenerateFrontier(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerateChain generates termination at r=4000, a chain of 8 003
+// states none of which merge, but whose refinement splits one state off
+// per round: the shape on which step 4 must stay linear.
+func BenchmarkGenerateChain(b *testing.B) {
+	entry, err := models.Get("termination")
+	if err != nil {
+		b.Fatal(err)
+	}
+	model, err := entry.Build(4000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var machine *core.StateMachine
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		machine, err = core.Generate(context.Background(), model, core.WithoutDescriptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(machine.Stats.ReachableStates), "reachable-states")
+	b.ReportMetric(float64(machine.Stats.FinalStates), "final-states")
+}
+
 // BenchmarkPipelineStages is the E11 ablation: generation cost without
 // pruning (the enumerated reference), without merging, and full, on the
 // redundant reading whose machines actually shrink under merging.

@@ -15,6 +15,8 @@ import (
 type slowModel struct {
 	states int
 	delay  time.Duration
+	// finish, when set, is called by the finishing transition.
+	finish func()
 }
 
 func (m *slowModel) Name() string   { return "slow" }
@@ -33,6 +35,9 @@ func (m *slowModel) Apply(v Vector, msg string) (Effect, bool) {
 		time.Sleep(m.delay)
 	}
 	if v[0] == m.states {
+		if m.finish != nil {
+			m.finish()
+		}
 		return Effect{Finished: true}, true
 	}
 	return Effect{Target: Vector{v[0] + 1}}, true
@@ -55,8 +60,8 @@ func TestGenerateCancellation(t *testing.T) {
 				cancel()
 			}()
 			start := time.Now()
-			// WithoutMerging keeps the worst case bounded: merge cost on a
-			// long chain is quadratic and irrelevant to cancellation.
+			// WithoutMerging keeps the test about the exploration: the
+			// cancel arrives long before it ends.
 			_, err := generate(ctx, m, WithoutDescriptions(), WithoutMerging())
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("error = %v, want context.Canceled", err)
@@ -66,6 +71,55 @@ func TestGenerateCancellation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGenerateCancelledAfterExploration: a cancel that arrives once the
+// exploration is over still aborts the generation. The chain's finishing
+// transition, the last Apply the exploration makes, cancels the context;
+// merging and building the 8 001-state machine must notice, for every
+// entry point, and the cache must count a cancellation.
+func TestGenerateCancelledAfterExploration(t *testing.T) {
+	const states = 8000
+	cancelling := func() (context.Context, *slowModel) {
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		return ctx, &slowModel{states: states, finish: cancel}
+	}
+	for name, generate := range map[string]func(context.Context, Model, ...Option) (*StateMachine, error){
+		"serial": Generate, "enumerated": GenerateEnumerated,
+	} {
+		t.Run(name, func(t *testing.T) {
+			ctx, m := cancelling()
+			if _, err := generate(ctx, m); !errors.Is(err, context.Canceled) {
+				t.Fatalf("error = %v, want context.Canceled", err)
+			}
+		})
+	}
+	t.Run("incremental", func(t *testing.T) {
+		old, err := Generate(context.Background(), &slowModel{states: states})
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta := ModelDelta{Messages: []string{"next"}}
+		// Uncancelled, the same edit takes the incremental path.
+		if _, incremental, err := regenerate(context.Background(), old, &slowModel{states: states}, delta, nil); err != nil || !incremental {
+			t.Fatalf("regenerate = incremental %v, error %v; want the incremental path", incremental, err)
+		}
+		ctx, m := cancelling()
+		if _, err := Regenerate(ctx, old, m, delta); !errors.Is(err, context.Canceled) {
+			t.Fatalf("error = %v, want context.Canceled", err)
+		}
+	})
+	t.Run("cache", func(t *testing.T) {
+		cache := NewGenerationCache()
+		ctx, m := cancelling()
+		if _, err := cache.MachineFor(ctx, m); !errors.Is(err, context.Canceled) {
+			t.Fatalf("error = %v, want context.Canceled", err)
+		}
+		if st := cache.Stats(); st.Cancellations != 1 || st.Generations != 0 || cache.Len() != 0 {
+			t.Errorf("stats = %+v with %d entries, want 1 cancellation, no generation and no entry", st, cache.Len())
+		}
+	})
 }
 
 // TestGenerateDeadline: an expired deadline surfaces as

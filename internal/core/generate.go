@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -95,9 +97,9 @@ func declared(m Model) ([]StateComponent, []string, Vector, error) {
 // then combined to a fixpoint (step 4).
 //
 // Generation honours ctx: cancellation is observed between state
-// expansions, so a long-running generation for a large parameter value
-// aborts promptly with ctx.Err(). A nil ctx is treated as
-// context.Background().
+// expansions, between merge rounds and while the machine is built, so a
+// long-running generation for a large parameter value aborts promptly with
+// ctx.Err(). A nil ctx is treated as context.Background().
 func Generate(ctx context.Context, m Model, opts ...Option) (*StateMachine, error) {
 	return generate(ctx, m, opts, 0)
 }
@@ -110,7 +112,23 @@ func generate(ctx context.Context, m Model, opts []Option, sizeHint int) (*State
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg := newGenConfig(opts)
+	ex, err := explore(ctx, m, sizeHint)
+	if err != nil {
+		return nil, err
+	}
+	// Every explored state is reachable, the finish state included.
+	machine, err := assemble(ctx, m, newGenConfig(opts), ex, nil, ex.hasFinish, 0)
+	if err != nil {
+		return nil, err
+	}
+	// Retained for incremental regeneration.
+	machine.explored = ex
+	return machine, nil
+}
+
+// explore runs the frontier exploration of Generate: the start vector is
+// id 0, and every explored id is reachable.
+func explore(ctx context.Context, m Model, sizeHint int) (*exploration, error) {
 	components, messages, start, err := declared(m)
 	if err != nil {
 		return nil, err
@@ -125,11 +143,7 @@ func generate(ctx context.Context, m Model, opts []Option, sizeHint int) (*State
 			return nil, err
 		}
 	}
-	// Every explored state is reachable, the finish state included.
-	machine := assemble(m, cfg, ex, nil, ex.hasFinish, 0)
-	// Retained for incremental regeneration.
-	machine.explored = ex
-	return machine, nil
+	return ex, nil
 }
 
 // GenerateEnumerated is the paper's literal §3.4 pipeline, kept as the
@@ -146,194 +160,269 @@ func GenerateEnumerated(ctx context.Context, m Model, opts ...Option) (*StateMac
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg := newGenConfig(opts)
-	components, messages, start, err := declared(m)
+	ex, startID, err := enumerate(ctx, m)
 	if err != nil {
 		return nil, err
+	}
+	return assemble(ctx, m, newGenConfig(opts), ex, nil, ex.hasFinish, startID)
+}
+
+// enumerate runs the exploration of GenerateEnumerated and returns it with
+// the start state's id.
+func enumerate(ctx context.Context, m Model) (*exploration, int, error) {
+	components, messages, start, err := declared(m)
+	if err != nil {
+		return nil, 0, err
 	}
 	size, err := stateSpaceSize(components)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	startID, err := start.index(components)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	ex := newExploration(len(components), len(messages), size)
 	for idx := 0; idx < size; idx++ {
 		if idx&1023 == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		}
 		ex.arena.intern(vectorFromIndex(idx, components))
 	}
 	for id := 0; id < size; id++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := ex.expandState(m, components, messages, id); err != nil {
+			return nil, 0, err
+		}
+	}
+	return ex, startID, nil
+}
+
+// assemble turns an exploration into the finished machine. reach lists the
+// arena ids to include in ascending order (nil selects every id); startID
+// must be among them. Step 4 runs on the exploration itself, so only the
+// final machine's states are ever built:
+//
+//  1. refine the states into classes of equivalent states (see refine;
+//     without merging, every state is its own class);
+//  2. pick each class's representative: the start state wins its class,
+//     otherwise the member with the smallest vector;
+//  3. order the representatives: the start state first, the rest in
+//     lexicographic vector order (identical to enumeration-index order,
+//     but defined even when the cross product overflows an int), the
+//     finish state last;
+//  4. materialise them: one block of States, one of Transitions, each
+//     transition aimed at its target's representative, and a merged
+//     class's names gathered on its representative.
+//
+// ctx is observed between refinement rounds and while states are built.
+func assemble(ctx context.Context, m Model, cfg genConfig, ex *exploration, reach []int32, finishReachable bool, startID int) (*StateMachine, error) {
+	f, posOf := flatten(ex, reach, finishReachable, cfg.merge)
+	n, nm := f.n, f.nm // n counts the finish state
+	class, classes := f.identity(), n
+	if cfg.merge {
+		var err error
+		if class, classes, err = refine(ctx, f); err != nil {
 			return nil, err
 		}
 	}
-	return assemble(m, cfg, ex, nil, ex.hasFinish, startID), nil
-}
-
-// assemble turns an exploration into the finished machine: materialise the
-// states (see buildMachine), record the Table 1 stage sizes, combine
-// equivalent states (step 4) and sort.
-func assemble(m Model, cfg genConfig, ex *exploration, reach []int32, finishReachable bool, startID int) *StateMachine {
-	machine := buildMachine(m, cfg, ex, reach, finishReachable, startID)
-	crossSize, err := stateSpaceSize(machine.Components)
-	if err != nil {
-		crossSize, machine.Stats.InitialOverflow = math.MaxInt, true
+	idOf := func(p int32) int {
+		if reach != nil {
+			return int(reach[p])
+		}
+		return int(p)
 	}
-	machine.Stats.InitialStates = crossSize
-	machine.Stats.ReachableStates = len(machine.States)
-	if cfg.merge {
-		mergeEquivalent(machine)
+	start := int32(startID)
+	if posOf != nil {
+		start = posOf[startID]
 	}
-	machine.Stats.FinalStates = len(machine.States)
-	machine.sortStates()
-	return machine
-}
-
-// buildMachine materialises State and Transition objects for the explored
-// states. reach lists the arena ids to materialise in ascending order (nil
-// selects every id); startID must be among them. States and transitions
-// are block-allocated, and action/annotation slices alias the effect cells
-// rather than being copied.
-func buildMachine(m Model, cfg genConfig, ex *exploration, reach []int32, finishReachable bool, startID int) *StateMachine {
+	named := n // the states with a vector and a name: all but the finish state
+	if f.finish >= 0 {
+		named--
+	}
 	components := m.Components()
+	crossSize, sizeErr := stateSpaceSize(components)
+
+	// Vectors compare lexicographically, which is the order of their
+	// enumeration indices when the cross product fits an int.
+	compare := func(a, b int32) int { return ex.arena.vec(idOf(a)).Compare(ex.arena.vec(idOf(b))) }
+	if sizeErr == nil {
+		cards := make([]int, len(components))
+		for i, c := range components {
+			cards[i] = c.Cardinality()
+		}
+		key := make([]int, named)
+		for p := range key {
+			k := 0
+			for i, x := range ex.arena.vec(idOf(int32(p))) {
+				k = k*cards[i] + x
+			}
+			key[p] = k
+		}
+		compare = func(a, b int32) int { return cmp.Compare(key[a], key[b]) }
+	}
+
+	// Steps 2 and 3: order[k] is the position of the machine's k-th state,
+	// rank[c] the index in order of class c's representative.
+	rep := make([]int32, classes)
+	for c := range rep {
+		rep[c] = -1
+	}
+	for p := int32(0); p < int32(named); p++ {
+		c := class[p]
+		switch r := rep[c]; {
+		case r < 0, p == start:
+			rep[c] = p
+		case r != start && compare(p, r) < 0:
+			rep[c] = p
+		}
+	}
+	order := make([]int32, 0, classes)
+	order = append(order, start)
+	for _, p := range rep {
+		if p != start && p >= 0 {
+			order = append(order, p)
+		}
+	}
+	slices.SortFunc(order[1:], compare)
+	if f.finish >= 0 {
+		order = append(order, f.finish)
+	}
+	rank := make([]int32, classes)
+	for k, p := range order {
+		rank[class[p]] = int32(k)
+	}
+
+	// Step 4. Every state name is a substring of one string.
+	var buf []byte
+	nameBlock := make([]string, named)
+	ends := make([]int, named)
+	for p := range ends {
+		buf = ex.arena.vec(idOf(int32(p))).appendName(buf, components)
+		ends[p] = len(buf)
+	}
+	allNames := string(buf)
+	for p, e := range ends {
+		from := 0
+		if p > 0 {
+			from = ends[p-1]
+		}
+		nameBlock[p] = allNames[from:e]
+	}
+	// A merged class's names, sorted, are merged[first[c]:first[c+1]].
+	var merged []string
+	var first []int32
+	if classes < n {
+		first = make([]int32, classes+1)
+		for _, c := range class {
+			first[c+1]++
+		}
+		for c := 0; c < classes; c++ {
+			if first[c+1] == 1 {
+				first[c+1] = 0
+			}
+			first[c+1] += first[c]
+		}
+		merged = make([]string, first[classes])
+		fill := append([]int32(nil), first[:classes]...)
+		for p, name := range nameBlock {
+			if c := class[p]; first[c+1] > first[c] {
+				merged[fill[c]] = name
+				fill[c]++
+			}
+		}
+		for c := 0; c < classes; c++ {
+			slices.Sort(merged[first[c]:first[c+1]])
+		}
+	}
+
 	machine := &StateMachine{
 		ModelName:  m.Name(),
 		Parameter:  m.Parameter(),
 		Components: components,
 		Messages:   append([]string(nil), m.Messages()...),
+		States:     make([]*State, len(order)),
+		Stats:      Stats{InitialStates: crossSize, ReachableStates: n, FinalStates: classes},
 	}
-	nm := len(machine.Messages)
-
-	n := ex.arena.n
-	if reach != nil {
-		n = len(reach)
+	if sizeErr != nil {
+		machine.Stats.InitialStates, machine.Stats.InitialOverflow = math.MaxInt, true
 	}
-	idFor := func(k int) int32 {
-		if reach != nil {
-			return reach[k]
-		}
-		return int32(k)
+	stateBlock := make([]State, len(order))
+	for k := range order {
+		machine.States[k] = &stateBlock[k]
 	}
-	// posOf maps arena id -> machine state index.
-	var posOf []int32
-	if reach != nil {
-		posOf = make([]int32, ex.arena.n)
-		for i := range posOf {
-			posOf[i] = -1
-		}
-		for k, id := range reach {
-			posOf[id] = int32(k)
-		}
-	}
-
-	// Count transitions up front so the transition block never reallocates;
-	// handed-out pointers must stay stable.
-	total := 0
-	for k := 0; k < n; k++ {
-		id := idFor(k)
-		for mi := 0; mi < nm; mi++ {
-			if ex.cols[mi][id].target != cellNone {
-				total++
+	// State k's transitions are transBlock[transFirst[k]:transFirst[k+1]].
+	transFirst := make([]int32, len(order)+1)
+	for k, p := range order {
+		transFirst[k+1] = transFirst[k]
+		for _, t := range f.target[int(p)*nm : int(p+1)*nm] {
+			if t >= 0 {
+				transFirst[k+1]++
 			}
 		}
 	}
-
-	stateBlock := make([]State, n)
-	states := make([]*State, n)
-	transBlock := make([]Transition, 0, total)
-	// One backing array serves every state's initial single-entry
-	// MergedNames list; merging replaces whole slices, never appends in
-	// place, so full slice expressions keep the views independent.
-	nameBlock := make([]string, n)
-	var nameBuf []byte
-
-	for k := 0; k < n; k++ {
-		id := idFor(k)
-		v := ex.arena.vec(int(id))
-		cnt := 0
-		for mi := 0; mi < nm; mi++ {
-			if ex.cols[mi][id].target != cellNone {
-				cnt++
+	transBlock := make([]Transition, transFirst[len(order)])
+	// Representatives are built in position order, which reads the
+	// exploration's columns in order.
+	for p := int32(0); p < int32(named); p++ {
+		if p&1023 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
 		}
+		c := class[p]
+		if rep[c] != p {
+			continue
+		}
+		k := rank[c]
 		s := &stateBlock[k]
-		nameBuf = v.appendName(nameBuf[:0], components)
-		s.Name = string(nameBuf)
-		s.Vector = v
-		s.Transitions = make(map[string]*Transition, cnt)
+		id := idOf(p)
+		s.Name = nameBlock[p]
+		s.Vector = ex.arena.vec(id)
+		if first != nil && first[c+1] > first[c] {
+			s.MergedNames = merged[first[c]:first[c+1]:first[c+1]]
+		} else {
+			s.MergedNames = nameBlock[p : p+1 : p+1]
+		}
 		if cfg.describe {
-			s.Annotations = m.DescribeState(v)
+			s.Annotations = m.DescribeState(s.Vector)
 		}
-		nameBlock[k] = s.Name
-		s.MergedNames = nameBlock[k : k+1 : k+1]
-		states[k] = s
-		machine.States = append(machine.States, s)
-	}
-
-	var finish *State
-	if finishReachable {
-		finish = &State{
-			Name:        FinishStateName,
-			Final:       true,
-			Transitions: map[string]*Transition{},
-			MergedNames: []string{FinishStateName},
-			Annotations: []string{"The algorithm instance has completed."},
-		}
-		machine.States = append(machine.States, finish)
-		machine.Finish = finish
-	}
-
-	for k := 0; k < n; k++ {
-		id := idFor(k)
-		s := states[k]
-		for mi := 0; mi < nm; mi++ {
-			cell := ex.cols[mi][id]
-			if cell.target == cellNone {
+		trans := transBlock[transFirst[k]:transFirst[k+1]]
+		s.Transitions = make(map[string]*Transition, len(trans))
+		row := int(p) * nm
+		for j, t := range f.target[row : row+nm] {
+			if t < 0 {
 				continue
 			}
-			var target *State
-			switch {
-			case cell.target == cellFinish:
-				target = finish
-			case reach != nil:
-				target = states[posOf[cell.target]]
-			default:
-				target = states[cell.target]
+			cell := &ex.cols[j][id]
+			tr := &trans[0]
+			trans = trans[1:]
+			tr.Message = machine.Messages[j]
+			tr.Target = machine.States[rank[class[t]]]
+			if len(cell.actions) > 0 {
+				tr.Actions = cell.actions
 			}
-			actions := cell.actions
-			if len(actions) == 0 {
-				actions = nil
+			if len(cell.annotations) > 0 {
+				tr.Annotations = cell.annotations
 			}
-			annotations := cell.annotations
-			if len(annotations) == 0 {
-				annotations = nil
-			}
-			msg := machine.Messages[mi]
-			transBlock = append(transBlock, Transition{
-				Message:     msg,
-				Target:      target,
-				Actions:     actions,
-				Annotations: annotations,
-			})
-			s.Transitions[msg] = &transBlock[len(transBlock)-1]
+			s.Transitions[tr.Message] = tr
 		}
 	}
-
-	if reach != nil {
-		machine.Start = states[posOf[startID]]
-	} else {
-		machine.Start = states[startID]
+	machine.Start = machine.States[0]
+	if f.finish >= 0 {
+		s := machine.States[len(order)-1]
+		s.Name = FinishStateName
+		s.Final = true
+		s.Transitions = map[string]*Transition{}
+		s.MergedNames = []string{FinishStateName}
+		s.Annotations = []string{"The algorithm instance has completed."}
+		machine.Finish = s
 	}
-	return machine
+	return machine, nil
 }
 
 func checkUnique(messages []string) error {

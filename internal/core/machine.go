@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // FinishStateName is the name given to the synthetic terminal state that a
 // model's finishing transitions target. The commit protocol, for example,
@@ -159,25 +156,4 @@ func (m *StateMachine) StateNames() []string {
 		names[i] = s.Name
 	}
 	return names
-}
-
-// sortStates orders states deterministically: start first, finish last,
-// remainder in lexicographic vector order (identical to enumeration-index
-// order, but defined even when the cross product overflows an int).
-func (m *StateMachine) sortStates() {
-	sort.SliceStable(m.States, func(i, j int) bool {
-		si, sj := m.States[i], m.States[j]
-		switch {
-		case si == m.Start:
-			return sj != m.Start
-		case sj == m.Start:
-			return false
-		case si.Final:
-			return false
-		case sj.Final:
-			return true
-		default:
-			return si.Vector.Compare(sj.Vector) < 0
-		}
-	})
 }

@@ -1,268 +1,417 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
-	"sort"
 )
 
-// mergeEquivalent combines sets of equivalent states (§3.4 step 4): states
-// are equivalent when the outgoing transitions from each perform the same
-// actions and lead to the same destination state. Because combining two
-// states can make their predecessors newly equivalent, the relation is
-// computed by partition refinement to a fixpoint (Moore-style DFA
-// minimisation).
-//
-// The refinement works on a flattened integer view of the machine —
-// transition targets as state indices and action lists interned to small
-// ids — so each round builds compact byte signatures in a reused buffer
-// instead of per-state strings; only distinct signatures (bounded by the
-// final class count) are ever copied into the lookup map.
-func mergeEquivalent(machine *StateMachine) {
-	states := machine.States
-	n := len(states)
-	if n == 0 {
-		return
+// flatMachine is an exploration in the integer form step 4 works on. Its
+// states are positions: the explored ids in ascending order, then the
+// finish state when it is reachable. Each state has one row of nm cells,
+// one per message in the model's order.
+type flatMachine struct {
+	n, nm int
+	// target[i*nm+j] is the position message j leads to from state i, -1
+	// when the message is not applicable there.
+	target []int32
+	// action[i*nm+j] is the interned id of that transition's action list
+	// (equal ids, equal lists), 0 where there is no transition.
+	action []int32
+	// finish is the finish state's position, -1 when it is unreachable.
+	finish int32
+}
+
+// flatten lays the explored states out as a flatMachine: reach lists the
+// ids to include in ascending order (nil selects every id), and reach must
+// be closed under the exploration's targets. Action lists are interned
+// only when actions is set; otherwise action is nil. The second result
+// maps an arena id to its position, nil when the two coincide.
+func flatten(ex *exploration, reach []int32, finishReachable, actions bool) (*flatMachine, []int32) {
+	n := ex.arena.n
+	var posOf []int32
+	if reach != nil {
+		n = len(reach)
+		posOf = make([]int32, ex.arena.n)
+		for k, id := range reach {
+			posOf[id] = int32(k)
+		}
 	}
-
-	msgs := machine.Messages
-	nm := len(msgs)
-
-	pos := make(map[*State]int, n)
-	for i, s := range states {
-		pos[s] = i
+	f := &flatMachine{n: n, nm: len(ex.cols), finish: -1}
+	if finishReachable {
+		f.finish = int32(n)
+		f.n++
 	}
-
-	// Flatten the transition structure once: targetOf[i*nm+j] is the state
-	// index message j leads to from state i (-1 when not applicable), and
-	// actIDOf[i*nm+j] the interned id of the transition's action list.
-	targetOf := make([]int32, n*nm)
-	actIDOf := make([]int32, n*nm)
-	actIDs := make(map[string]int32, 8)
+	nm := f.nm
+	f.target = make([]int32, f.n*nm)
+	if actions {
+		f.action = make([]int32, f.n*nm)
+	}
+	// Action list 0 is the empty list, by far the most common one.
+	actIDs := map[string]int32{"": 0}
 	var buf []byte
-	for i, s := range states {
-		base := i * nm
-		for j, msg := range msgs {
-			t, ok := s.Transitions[msg]
-			if !ok {
-				targetOf[base+j] = -1
-				actIDOf[base+j] = -1
+	for k := 0; k < n; k++ {
+		id := k
+		if reach != nil {
+			id = int(reach[k])
+		}
+		row := k * nm
+		for j, col := range ex.cols {
+			cell := &col[id]
+			switch tgt := cell.target; {
+			case tgt == cellNone:
+				f.target[row+j] = -1
 				continue
+			case tgt == cellFinish:
+				f.target[row+j] = f.finish
+			case posOf != nil:
+				f.target[row+j] = posOf[tgt]
+			default:
+				f.target[row+j] = tgt
 			}
-			targetOf[base+j] = int32(pos[t.Target])
+			if !actions || len(cell.actions) == 0 {
+				continue // action id 0
+			}
 			buf = buf[:0]
-			for _, a := range t.Actions {
+			for _, a := range cell.actions {
 				buf = binary.AppendUvarint(buf, uint64(len(a)))
 				buf = append(buf, a...)
 			}
-			id, seen := actIDs[string(buf)]
+			aid, seen := actIDs[string(buf)]
 			if !seen {
-				id = int32(len(actIDs))
-				actIDs[string(buf)] = id
+				aid = int32(len(actIDs))
+				actIDs[string(buf)] = aid
 			}
-			actIDOf[base+j] = id
+			f.action[row+j] = aid
+		}
+	}
+	if f.finish >= 0 {
+		for j := int(f.finish) * nm; j < f.n*nm; j++ {
+			f.target[j] = -1
+		}
+	}
+	return f, posOf
+}
+
+// identity is the partition WithoutMerging asks for: every state its own
+// class.
+func (f *flatMachine) identity() []int32 {
+	class := make([]int32, f.n)
+	for i := range class {
+		class[i] = int32(i)
+	}
+	return class
+}
+
+// refineWork is how many signature cells a refinement signs between two
+// looks at its context.
+const refineWork = 1 << 14
+
+// refine computes the paper's step 4 partition (§3.4: combine equivalent
+// states): two states are equivalent when, for every message, both lack a
+// transition or both perform the same actions and lead to equivalent
+// states; the finish state is equivalent to no other state. It returns
+// each state's class and the number of classes.
+//
+// This is Moore's refinement, from the partition {finish} and the rest to
+// its fixpoint, with a worklist. Round r re-signs only the states one of
+// whose targets changed class in round r−1, found through a reverse-edge
+// index. Within a class the states not re-signed still share one
+// signature, so they stay together and keep the class id; the re-signed
+// states whose signature differs split off. The largest part keeps the id,
+// so a state changes class at most log₂ n times, and no round does work
+// beyond the states it re-signs and the edges into the states it moves: a
+// chain, n rounds of one state each, costs linear time.
+//
+// ctx is observed between rounds, after about refineWork cells of work.
+func refine(ctx context.Context, f *flatMachine) ([]int32, int, error) {
+	n, nm := f.n, f.nm
+	r := &refinement{
+		f:       f,
+		class:   make([]int32, n),
+		elems:   make([]int32, n),
+		loc:     make([]int32, n),
+		next:    make([]int32, n),
+		classes: make([]classRange, 0, n),
+	}
+
+	// The reverse-edge index: the predecessors of state t are
+	// preds[predFirst[t]:predFirst[t+1]].
+	predFirst := make([]int32, n+1)
+	for _, t := range f.target {
+		if t >= 0 {
+			predFirst[t+1]++
+		}
+	}
+	for t := 0; t < n; t++ {
+		predFirst[t+1] += predFirst[t]
+	}
+	preds := make([]int32, predFirst[n])
+	fill := append([]int32(nil), predFirst[:n]...)
+	for i := 0; i < n; i++ {
+		for _, t := range f.target[i*nm : (i+1)*nm] {
+			if t >= 0 {
+				preds[fill[t]] = int32(i)
+				fill[t]++
+			}
 		}
 	}
 
-	// class[i] is the equivalence class of states[i]. Initially all states
-	// are in one class except the finish state, which is observably
-	// distinct (it terminates the machine).
-	class := make([]int32, n)
-	classes := 1
-	if machine.Finish != nil {
-		for i, s := range states {
-			if s.Final {
-				class[i] = 1
-			}
+	// The initial partition: class 0 is every state but the finish state,
+	// class 1 the finish state alone.
+	k := 0
+	for i := 0; i < n; i++ {
+		if int32(i) != f.finish {
+			r.elems[k], r.loc[i] = int32(i), int32(k)
+			k++
 		}
-		classes = 2
+	}
+	r.addClass(0, int32(k))
+	if f.finish >= 0 {
+		r.elems[k], r.loc[f.finish] = f.finish, int32(k)
+		r.class[f.finish] = 1
+		r.addClass(int32(k), int32(n))
 	}
 
-	next := make([]int32, n)
-	sigs := newSigSet(n)
-	for {
-		// Refine: two states stay together only if for every message they
-		// either both lack a transition, or both have one with identical
-		// actions leading into the same class.
-		sigs.reset()
-		stable := true
-		for i := 0; i < n; i++ {
-			buf = binary.AppendUvarint(buf[:0], uint64(class[i]))
-			base := i * nm
-			for j := 0; j < nm; j++ {
-				tgt := targetOf[base+j]
-				if tgt < 0 {
-					buf = append(buf, 0)
-					continue
+	// The first round signs every state.
+	dirty := append([]int32(nil), r.elems...)
+	queued := fill // the last round a state was queued after
+	clear(queued)
+	work := 0
+	for round := int32(1); len(dirty) > 0; round++ {
+		if work += len(dirty) * (nm + 1); work >= refineWork {
+			if err := ctx.Err(); err != nil {
+				return nil, 0, err
+			}
+			work = 0
+		}
+		changed := r.split(dirty, round)
+		dirty = dirty[:0]
+		for _, s := range changed {
+			for _, p := range preds[predFirst[s]:predFirst[s+1]] {
+				if queued[p] != round {
+					queued[p] = round
+					dirty = append(dirty, p)
 				}
-				buf = binary.AppendUvarint(buf, uint64(actIDOf[base+j])+1)
-				buf = binary.AppendUvarint(buf, uint64(class[tgt])+1)
-			}
-			id := sigs.intern(buf)
-			next[i] = id
-			if id != class[i] {
-				stable = false
 			}
 		}
-		if sigs.len() == classes && stable {
-			break
+		work += len(changed)
+	}
+	return r.class, len(r.classes), nil
+}
+
+// refinement is the state of refine. The classes are contiguous ranges of
+// elems, and loc is the inverse of elems.
+type refinement struct {
+	f       *flatMachine
+	class   []int32
+	elems   []int32
+	loc     []int32
+	classes []classRange
+
+	// Groups of re-signed states with one signature within one class.
+	// Members are linked through next.
+	groups []group
+	next   []int32
+	// table maps a signature to its group+1, open-addressed; a round uses
+	// the prefix its size needs and clears only that.
+	table []int32
+
+	// Reused by every round: the classes it touched, the parts of the
+	// class being split and the states it moved to another class.
+	touched []int32
+	parts   []span
+	changed []int32
+}
+
+// span is a range of elems.
+type span struct{ first, end int32 }
+
+// classRange is one class: its members are elems[first:end]. The other
+// fields are valid in the round stamp only: the class's last mark members
+// are the states that round re-signs, head is its first group and clean
+// the group of its members not re-signed (-1 for none).
+type classRange struct {
+	first, end, mark int32
+	stamp            int32
+	head, clean      int32
+}
+
+// group is one signature among the states a round re-signs in one class.
+type group struct {
+	state  int32 // the member signatures are compared with
+	hash   uint64
+	first  int32 // first member, -1 for none
+	nextIn int32 // the class's next group, -1 for none
+}
+
+func (r *refinement) addClass(first, end int32) int32 {
+	r.classes = append(r.classes, classRange{first: first, end: end})
+	return int32(len(r.classes) - 1)
+}
+
+// hash mixes state i's signature: its class and, per message, the action
+// id and the target's class.
+func (r *refinement) hash(i int32) uint64 {
+	nm := r.f.nm
+	h := uint64(r.class[i])*0x9E3779B97F4A7C15 + 1
+	row := int(i) * nm
+	for j, t := range r.f.target[row : row+nm] {
+		x := uint64(uint32(r.f.action[row+j]))
+		if t >= 0 {
+			x |= uint64(uint32(r.class[t])) << 32
+		} else {
+			x |= uint64(0xFFFFFFFF) << 32
 		}
-		class, next = next, class
-		classes = sigs.len()
+		h ^= x
+		h *= 0xBF58476D1CE4E5B9
+		h ^= h >> 29
 	}
-
-	collapse(machine, class, classes, pos)
+	return h
 }
 
-// sigSet interns byte-slice signatures to dense int32 ids without copying
-// each key into a map: keys are appended to one flat buffer, looked up via
-// an open-addressed table, and everything is reused across refinement
-// rounds, so steady-state interning allocates nothing.
-type sigSet struct {
-	data  []byte
-	offs  []int32 // offs[i]..offs[i+1] is key i's slice of data
-	table []int32 // id+1 per occupied slot; 0 = empty
-	mask  uint64
-}
-
-func newSigSet(n int) *sigSet {
-	size := 64
-	for size < n*2 {
-		size <<= 1
+// same reports whether states i and j have equal signatures.
+func (r *refinement) same(i, j int32) bool {
+	if r.class[i] != r.class[j] {
+		return false
 	}
-	return &sigSet{
-		offs:  make([]int32, 1, n+1),
-		table: make([]int32, size),
-		mask:  uint64(size - 1),
+	nm := r.f.nm
+	ri, rj := int(i)*nm, int(j)*nm
+	for m := 0; m < nm; m++ {
+		if r.f.action[ri+m] != r.f.action[rj+m] {
+			return false
+		}
+		ti, tj := r.f.target[ri+m], r.f.target[rj+m]
+		if (ti < 0) != (tj < 0) || ti >= 0 && r.class[ti] != r.class[tj] {
+			return false
+		}
 	}
+	return true
 }
 
-func (s *sigSet) len() int { return len(s.offs) - 1 }
-
-func (s *sigSet) reset() {
-	s.data = s.data[:0]
-	s.offs = s.offs[:1]
-	clear(s.table)
-}
-
-func (s *sigSet) key(id int32) []byte {
-	return s.data[s.offs[id]:s.offs[id+1]]
-}
-
-func (s *sigSet) intern(key []byte) int32 {
-	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	for i := h & s.mask; ; i = (i + 1) & s.mask {
-		e := s.table[i]
+// find returns the group of state i's signature, adding an empty one when
+// create is set; -1 when it is absent and create is not.
+func (r *refinement) find(i int32, create bool) int32 {
+	h := r.hash(i)
+	mask := uint64(len(r.table) - 1)
+	for p := h & mask; ; p = (p + 1) & mask {
+		e := r.table[p]
 		if e == 0 {
-			id := int32(s.len())
-			s.data = append(s.data, key...)
-			s.offs = append(s.offs, int32(len(s.data)))
-			s.table[i] = id + 1
-			if uint64(s.len())*2 > s.mask {
-				s.grow()
+			if !create {
+				return -1
 			}
-			return id
+			g := int32(len(r.groups))
+			r.groups = append(r.groups, group{state: i, hash: h, first: -1, nextIn: -1})
+			r.table[p] = g + 1
+			return g
 		}
-		if string(s.key(e-1)) == string(key) {
+		if g := &r.groups[e-1]; g.hash == h && r.same(g.state, i) {
 			return e - 1
 		}
 	}
 }
 
-func (s *sigSet) grow() {
-	size := len(s.table) * 2
-	table := make([]int32, size)
-	mask := uint64(size - 1)
-	for id := int32(0); id < int32(s.len()); id++ {
-		k := s.key(id)
-		h := uint64(14695981039346656037)
-		for _, b := range k {
-			h ^= uint64(b)
-			h *= 1099511628211
+// split runs one round over the dirty states, which must be distinct, and
+// returns the states whose class changed. Signatures are all read before
+// any class changes, so the round sees one partition.
+func (r *refinement) split(dirty []int32, round int32) []int32 {
+	// A table at most a quarter full.
+	size := 64
+	for size < 4*len(dirty) {
+		size <<= 1
+	}
+	if size > cap(r.table) {
+		r.table = make([]int32, size)
+	} else {
+		r.table = r.table[:size]
+		clear(r.table)
+	}
+	r.groups = r.groups[:0]
+
+	r.touched = r.touched[:0]
+	for _, i := range dirty {
+		c := r.class[i]
+		cr := &r.classes[c]
+		if cr.stamp != round {
+			*cr = classRange{first: cr.first, end: cr.end, stamp: round, head: -1, clean: -1}
+			r.touched = append(r.touched, c)
 		}
-		for i := h & mask; ; i = (i + 1) & mask {
-			if table[i] == 0 {
-				table[i] = id + 1
-				break
-			}
+		// Gather i at the end of its class's range.
+		cr.mark++
+		p, q := cr.end-cr.mark, r.loc[i]
+		j := r.elems[p]
+		r.elems[p], r.elems[q] = i, j
+		r.loc[i], r.loc[j] = p, q
+
+		g := r.find(i, true)
+		gr := &r.groups[g]
+		if gr.first < 0 {
+			gr.nextIn, cr.head = cr.head, g
+		}
+		r.next[i], gr.first = gr.first, i
+	}
+	// The states of a class not re-signed share one signature: look it up
+	// through any one of them.
+	for _, c := range r.touched {
+		if cr := &r.classes[c]; cr.first < cr.end-cr.mark {
+			cr.clean = r.find(r.elems[cr.first], false)
 		}
 	}
-	s.table, s.mask = table, mask
+
+	r.changed = r.changed[:0]
+	for _, c := range r.touched {
+		r.splitClass(c)
+	}
+	return r.changed
 }
 
-// collapse rewrites the machine so each equivalence class is represented by
-// a single state: the lexicographically smallest member (the start
-// state wins its class outright so the entry point is stable). Transition
-// targets are redirected to class representatives and merged-away names are
-// recorded on the representative.
-func collapse(machine *StateMachine, class []int32, classes int, pos map[*State]int) {
-	states := machine.States
-	if classes == len(states) {
-		// Identity partition: every state is its own representative and no
-		// transition needs redirecting.
+// splitClass splits class c into its parts after a round: the states not
+// re-signed together with the re-signed ones that kept their signature,
+// then one part per other signature. The largest part keeps the id c; the
+// states of every other part get a new class and are recorded as changed.
+func (r *refinement) splitClass(c int32) {
+	cr := r.classes[c]
+	// The clean states are elems[cr.first:pos]. Lay the re-signed states
+	// out after them, the clean signature's first, each group contiguous.
+	pos := cr.end - cr.mark
+	place := func(g int32) {
+		for i := r.groups[g].first; i >= 0; i = r.next[i] {
+			r.elems[pos], r.loc[i] = i, pos
+			pos++
+		}
+	}
+	r.parts = r.parts[:0]
+	if cr.clean >= 0 {
+		place(cr.clean)
+	}
+	if pos > cr.first {
+		r.parts = append(r.parts, span{cr.first, pos})
+	}
+	for g := cr.head; g >= 0; g = r.groups[g].nextIn {
+		if g != cr.clean {
+			from := pos
+			place(g)
+			r.parts = append(r.parts, span{from, pos})
+		}
+	}
+	if len(r.parts) == 1 {
 		return
 	}
 
-	rep := make([]int32, classes)
-	size := make([]int32, classes)
-	for i := range rep {
-		rep[i] = -1
-	}
-	for i, s := range states {
-		c := class[i]
-		size[c]++
-		switch r := rep[c]; {
-		case r < 0:
-			rep[c] = int32(i)
-		case s == machine.Start:
-			rep[c] = int32(i)
-		case states[r] == machine.Start:
-			// keep current
-		case !s.Final && s.Vector.Compare(states[r].Vector) < 0:
-			rep[c] = int32(i)
+	keep := 0
+	for p, pt := range r.parts {
+		if pt.end-pt.first > r.parts[keep].end-r.parts[keep].first {
+			keep = p
 		}
 	}
-
-	// Gather merged-away names per class; singleton classes keep their
-	// existing single-entry MergedNames untouched.
-	var classNames [][]string
-	for i, s := range states {
-		c := class[i]
-		if size[c] == 1 {
+	for p, pt := range r.parts {
+		if p == keep {
+			r.classes[c].first, r.classes[c].end = pt.first, pt.end
 			continue
 		}
-		if classNames == nil {
-			classNames = make([][]string, classes)
+		nc := r.addClass(pt.first, pt.end)
+		for _, i := range r.elems[pt.first:pt.end] {
+			r.class[i] = nc
+			r.changed = append(r.changed, i)
 		}
-		classNames[c] = append(classNames[c], s.MergedNames...)
-	}
-
-	kept := make([]*State, 0, classes)
-	for i, s := range states {
-		c := class[i]
-		if rep[c] != int32(i) {
-			continue
-		}
-		if size[c] > 1 {
-			names := classNames[c]
-			sort.Strings(names)
-			s.MergedNames = names
-		}
-		kept = append(kept, s)
-	}
-
-	for _, s := range kept {
-		for _, t := range s.Transitions {
-			t.Target = states[rep[class[pos[t.Target]]]]
-		}
-	}
-
-	machine.States = kept
-	machine.Start = states[rep[class[pos[machine.Start]]]]
-	if machine.Finish != nil {
-		machine.Finish = states[rep[class[pos[machine.Finish]]]]
 	}
 }

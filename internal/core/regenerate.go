@@ -148,7 +148,10 @@ func regenerate(ctx context.Context, old *StateMachine, m Model, delta ModelDelt
 	}
 	reach, finishReachable := reachableFrom(ex, int32(startID))
 
-	machine := assemble(m, newGenConfig(opts), ex, reach, finishReachable, startID)
+	machine, err := assemble(ctx, m, newGenConfig(opts), ex, reach, finishReachable, startID)
+	if err != nil {
+		return nil, false, err
+	}
 	machine.explored = ex
 	return machine, true, nil
 }
