@@ -20,5 +20,21 @@ func RefinementsAgree(m Model, enumerated bool) error {
 	return refinementsAgree(ex, nil, ex.hasFinish)
 }
 
+// RefineSignatures explores m as Generate does and returns how many
+// signatures step 4's refinement computes over all its rounds, with the
+// number of states it refines.
+func RefineSignatures(m Model) (signed, states int, err error) {
+	ex, err := explore(context.Background(), m, 0)
+	if err != nil {
+		return 0, 0, err
+	}
+	f, _ := flatten(ex, nil, ex.hasFinish, true)
+	r := newRefinement(f)
+	if err := r.run(context.Background()); err != nil {
+		return 0, 0, err
+	}
+	return r.signed, f.n, nil
+}
+
 // TwinModels are the models of the merge twin tests.
 var TwinModels = []Model{twinModel{}, trueTwinModel{}}

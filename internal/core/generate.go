@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -250,21 +249,6 @@ func assemble(ctx context.Context, m Model, cfg genConfig, ex *exploration, reac
 	// Vectors compare lexicographically, which is the order of their
 	// enumeration indices when the cross product fits an int.
 	compare := func(a, b int32) int { return ex.arena.vec(idOf(a)).Compare(ex.arena.vec(idOf(b))) }
-	if sizeErr == nil {
-		cards := make([]int, len(components))
-		for i, c := range components {
-			cards[i] = c.Cardinality()
-		}
-		key := make([]int, named)
-		for p := range key {
-			k := 0
-			for i, x := range ex.arena.vec(idOf(int32(p))) {
-				k = k*cards[i] + x
-			}
-			key[p] = k
-		}
-		compare = func(a, b int32) int { return cmp.Compare(key[a], key[b]) }
-	}
 
 	// Steps 2 and 3: order[k] is the position of the machine's k-th state,
 	// rank[c] the index in order of class c's representative.
@@ -313,30 +297,24 @@ func assemble(ctx context.Context, m Model, cfg genConfig, ex *exploration, reac
 		}
 		nameBlock[p] = allNames[from:e]
 	}
-	// A merged class's names, sorted, are merged[first[c]:first[c+1]].
-	var merged []string
-	var first []int32
+	// A merged class's names, sorted, go to its representative.
+	var classNames [][]string
 	if classes < n {
-		first = make([]int32, classes+1)
+		size := make([]int32, classes)
 		for _, c := range class {
-			first[c+1]++
+			size[c]++
 		}
-		for c := 0; c < classes; c++ {
-			if first[c+1] == 1 {
-				first[c+1] = 0
-			}
-			first[c+1] += first[c]
-		}
-		merged = make([]string, first[classes])
-		fill := append([]int32(nil), first[:classes]...)
+		classNames = make([][]string, classes)
 		for p, name := range nameBlock {
-			if c := class[p]; first[c+1] > first[c] {
-				merged[fill[c]] = name
-				fill[c]++
+			if c := class[p]; size[c] > 1 {
+				if classNames[c] == nil {
+					classNames[c] = make([]string, 0, size[c])
+				}
+				classNames[c] = append(classNames[c], name)
 			}
 		}
-		for c := 0; c < classes; c++ {
-			slices.Sort(merged[first[c]:first[c+1]])
+		for _, names := range classNames {
+			slices.Sort(names)
 		}
 	}
 
@@ -383,8 +361,8 @@ func assemble(ctx context.Context, m Model, cfg genConfig, ex *exploration, reac
 		id := idOf(p)
 		s.Name = nameBlock[p]
 		s.Vector = ex.arena.vec(id)
-		if first != nil && first[c+1] > first[c] {
-			s.MergedNames = merged[first[c]:first[c+1]:first[c+1]]
+		if classNames != nil && classNames[c] != nil {
+			s.MergedNames = classNames[c]
 		} else {
 			s.MergedNames = nameBlock[p : p+1 : p+1]
 		}

@@ -124,15 +124,28 @@ const refineWork = 1 << 14
 //
 // ctx is observed between rounds, after about refineWork cells of work.
 func refine(ctx context.Context, f *flatMachine) ([]int32, int, error) {
-	n, nm := f.n, f.nm
-	r := &refinement{
-		f:       f,
-		class:   make([]int32, n),
-		elems:   make([]int32, n),
-		loc:     make([]int32, n),
-		next:    make([]int32, n),
-		classes: make([]classRange, 0, n),
+	r := newRefinement(f)
+	if err := r.run(ctx); err != nil {
+		return nil, 0, err
 	}
+	return r.class, len(r.classes), nil
+}
+
+func newRefinement(f *flatMachine) *refinement {
+	return &refinement{
+		f:       f,
+		class:   make([]int32, f.n),
+		elems:   make([]int32, f.n),
+		loc:     make([]int32, f.n),
+		next:    make([]int32, f.n),
+		classes: make([]classRange, 0, f.n),
+	}
+}
+
+// run refines r's machine from the initial partition to the fixpoint.
+func (r *refinement) run(ctx context.Context) error {
+	f := r.f
+	n, nm := f.n, f.nm
 
 	// The reverse-edge index: the predecessors of state t are
 	// preds[predFirst[t]:predFirst[t+1]].
@@ -180,10 +193,11 @@ func refine(ctx context.Context, f *flatMachine) ([]int32, int, error) {
 	for round := int32(1); len(dirty) > 0; round++ {
 		if work += len(dirty) * (nm + 1); work >= refineWork {
 			if err := ctx.Err(); err != nil {
-				return nil, 0, err
+				return err
 			}
 			work = 0
 		}
+		r.signed += len(dirty)
 		changed := r.split(dirty, round)
 		dirty = dirty[:0]
 		for _, s := range changed {
@@ -196,7 +210,7 @@ func refine(ctx context.Context, f *flatMachine) ([]int32, int, error) {
 		}
 		work += len(changed)
 	}
-	return r.class, len(r.classes), nil
+	return nil
 }
 
 // refinement is the state of refine. The classes are contiguous ranges of
@@ -207,6 +221,8 @@ type refinement struct {
 	elems   []int32
 	loc     []int32
 	classes []classRange
+	// signed counts the signatures computed over all rounds.
+	signed int
 
 	// Groups of re-signed states with one signature within one class.
 	// Members are linked through next.
