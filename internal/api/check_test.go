@@ -191,6 +191,43 @@ func TestCheckRouteMalformedTrace(t *testing.T) {
 	}
 }
 
+// TestCheckRouteLineLimit: a trace line may be 1 MiB long, not counting
+// its terminator; one byte more ends the stream with an in-band bad_trace
+// error naming the line, after the verdicts of the lines before it.
+func TestCheckRouteLineLimit(t *testing.T) {
+	ts := httptest.NewServer(NewHandler(artifact.New()))
+	defer ts.Close()
+
+	const limit = 1 << 20
+	line := func(n int) string {
+		const head, tail = `{"msg":"VOTE","pad":"`, `"}`
+		return head + strings.Repeat("x", n-len(head)-len(tail)) + tail
+	}
+	_, body := postCheck(t, ts, "/v1/models/commit/check?r=4", "{\"msg\":\"FREE\"}\r\n\"UPDATE\"\r\n"+line(limit)+"\r\n\"VOTE\"\r\n")
+	events := parseSSE(t, body)
+	if len(events) != 5 || events[2].name != "accepted" || events[4].name != "summary" {
+		t.Fatalf("a %d-byte line: events = %+v, want four accepted lines and the summary", limit, events)
+	}
+
+	_, body = postCheck(t, ts, "/v1/models/commit/check?r=4", "{\"msg\":\"FREE\"}\n\"UPDATE\"\n"+line(limit+1)+"\n\"VOTE\"\n")
+	events = parseSSE(t, body)
+	if len(events) != 3 || events[0].name != "accepted" || events[1].name != "accepted" || events[2].name != "error" {
+		t.Fatalf("a %d-byte line: events = %+v, want two accepted lines and an error", limit+1, events)
+	}
+	var envelope struct {
+		Error struct {
+			Code    string `json:"code"`
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	if err := json.Unmarshal([]byte(events[2].data), &envelope); err != nil {
+		t.Fatalf("error data %q: %v", events[2].data, err)
+	}
+	if envelope.Error.Code != CodeBadTrace || envelope.Error.Message != "trace: line 3: line exceeds 1048576 bytes" {
+		t.Errorf("error envelope = %+v, want bad_trace at line 3", envelope.Error)
+	}
+}
+
 // TestCheckRouteInvalidUTF8: text/event-stream is UTF-8, so a message
 // that is not ends the stream with a bad_trace error event instead of
 // reaching the verdicts' event and detail as a raw byte.

@@ -84,7 +84,7 @@ func poolCases() []poolCase {
 }
 
 // TestCheckStreamsSharePools runs eight concurrent check streams on one
-// handler, round after round, so every stream works in scanner and event
+// handler, round after round, so every stream works in line and event
 // buffers other streams have returned: conforming and regex streams,
 // one stopped by a violation, one ended by a decode error, and two the
 // client abandons half-way. Each complete stream is byte-identical to
@@ -170,7 +170,7 @@ func checkStream(url string, c poolCase, want string) error {
 	return nil
 }
 
-// TestCheckStreamLongLines: a trace line longer than the pooled scanner
+// TestCheckStreamLongLines: a trace line longer than the pooled line
 // buffer is judged like any other, and a verdict longer than the pooled
 // event buffer reaches the client whole; the grown event buffer is not
 // pooled, so the next stream starts from a checkBufSize one again.

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Table indexes a machine's transitions by position: per state, in the
 // order of StateMachine.States, its outgoing transitions in the machine's
@@ -18,6 +21,10 @@ type Table struct {
 	edges []Edge
 	first []int32 // state i's edges are edges[first[i]:first[i+1]]
 	err   error
+
+	states   []*State
+	messages []string
+	delivery atomic.Pointer[Delivery]
 }
 
 // Edge is one transition in a Table.
@@ -46,6 +53,80 @@ type Sizes struct {
 // order.
 func (t *Table) Out(i int) []Edge { return t.edges[t.first[i]:t.first[i+1]] }
 
+// Edge returns the transition at position e of the table, counting every
+// state's edges in state order: the position Delivery.Next returns.
+func (t *Table) Edge(e int) *Edge { return &t.edges[e] }
+
+// Delivery is a Table's index for the interpreter: the machine's messages
+// by name, and a dense column from (state position, message index) to the
+// edge that state takes on that message. Table.Delivery builds it on first
+// use, so a machine that is only rendered never pays for it.
+type Delivery struct {
+	msgs  map[string]int32
+	next  []int32 // next[s*width+m]: the edge position, -1 for none
+	width int
+	err   error
+}
+
+// Message returns the index of msg in the machine's Messages; -1 when it
+// is not one of them.
+func (d *Delivery) Message(msg string) int {
+	if i, ok := d.msgs[msg]; ok {
+		return int(i)
+	}
+	return -1
+}
+
+// Next returns the position (see Table.Edge) of the transition the state
+// at position s takes on the message at index m, or -1 when it has none.
+func (d *Delivery) Next(s, m int) int { return int(d.next[s*d.width+m]) }
+
+// Delivery returns the table's delivery index, building it on first use;
+// first uses that race may each build it.
+//
+// The error is the table's own, or names a message the machine declares
+// twice, or a transition on a message it does not declare: the column
+// would miss that transition, so such a machine cannot be executed
+// through it.
+func (t *Table) Delivery() (*Delivery, error) {
+	d := t.delivery.Load()
+	if d == nil {
+		d = t.indexDelivery()
+		t.delivery.Store(d)
+	}
+	return d, d.err
+}
+
+func (t *Table) indexDelivery() *Delivery {
+	d := &Delivery{msgs: make(map[string]int32, len(t.messages)), width: len(t.messages), err: t.err}
+	for i, msg := range t.messages {
+		if _, dup := d.msgs[msg]; dup && d.err == nil {
+			d.err = fmt.Errorf("message %q is declared twice", msg)
+		}
+		d.msgs[msg] = int32(i)
+	}
+	d.next = make([]int32, len(t.states)*d.width)
+	for i := range d.next {
+		d.next[i] = -1
+	}
+	for i, s := range t.states {
+		row := d.next[i*d.width : (i+1)*d.width]
+		for e := t.first[i]; e < t.first[i+1]; e++ {
+			row[t.edges[e].Msg] = e
+		}
+		if d.err == nil && len(s.Transitions) != int(t.first[i+1]-t.first[i]) {
+			undeclared := ""
+			for msg := range s.Transitions {
+				if _, ok := d.msgs[msg]; !ok && (undeclared == "" || msg < undeclared) {
+					undeclared = msg
+				}
+			}
+			d.err = fmt.Errorf("state %q has a transition on %q, which is not one of the machine's messages", s.Name, undeclared)
+		}
+	}
+	return d
+}
+
 // Table returns the machine's transition table, computing it on first use;
 // first uses that race may each compute it. A machine is not changed once
 // it is in use, so the table stays true to it.
@@ -68,7 +149,7 @@ func (m *StateMachine) index() *Table {
 	for i, s := range m.States {
 		pos[s] = int32(i)
 	}
-	t := &Table{first: make([]int32, len(m.States)+1)}
+	t := &Table{first: make([]int32, len(m.States)+1), states: m.States, messages: m.Messages}
 	at := func(s *State) int32 {
 		p, ok := pos[s]
 		if !ok {

@@ -28,6 +28,16 @@ func MachineFromDocument(doc *XMLDiagram) (*core.StateMachine, error) {
 		Parameter: doc.Parameter,
 		Messages:  append([]string(nil), doc.Messages...),
 	}
+	// Every renderer and the runtime walk the machine in message order,
+	// so an edge on a message the diagram does not declare, or a message
+	// declared twice, would be dropped or doubled there.
+	declared := make(map[string]bool, len(doc.Messages))
+	for _, msg := range doc.Messages {
+		if declared[msg] {
+			return nil, fmt.Errorf("render: message %q is declared twice", msg)
+		}
+		declared[msg] = true
+	}
 	byID := make(map[string]*core.State, len(doc.States))
 	for _, xs := range doc.States {
 		if xs.ID == "" {
@@ -70,6 +80,9 @@ func MachineFromDocument(doc *XMLDiagram) (*core.StateMachine, error) {
 		}
 		if e.Message == "" {
 			return nil, fmt.Errorf("render: edge %s->%s has no message", e.From, e.To)
+		}
+		if !declared[e.Message] {
+			return nil, fmt.Errorf("render: edge %s->%s on %q: the message is not one of the diagram's messages", e.From, e.To, e.Message)
 		}
 		if _, dup := from.Transitions[e.Message]; dup {
 			return nil, fmt.Errorf("render: state %q has two transitions for %q", from.Name, e.Message)

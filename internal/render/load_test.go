@@ -119,7 +119,8 @@ func TestLoadMachineXMLErrors(t *testing.T) {
 			Edges:  []XMLTransition{{From: "s0", To: "s0"}},
 		}},
 		{"duplicate message edge", XMLDiagram{
-			States: []XMLState{{ID: "s0", Name: "a", Start: true}},
+			Messages: []string{"m"},
+			States:   []XMLState{{ID: "s0", Name: "a", Start: true}},
 			Edges: []XMLTransition{
 				{From: "s0", To: "s0", Message: "m"},
 				{From: "s0", To: "s0", Message: "m"},
@@ -133,6 +134,32 @@ func TestLoadMachineXMLErrors(t *testing.T) {
 				t.Error("malformed document accepted")
 			}
 		})
+	}
+}
+
+// TestLoadRefusesUndeclaredAndDuplicateMessages: every renderer and the
+// runtime walk a machine in the order of its messages, so a diagram with
+// an edge on a message it does not declare, or a message declared twice,
+// is refused with an error naming the edge or the message, instead of
+// loading a machine whose artefacts drop or double that edge.
+func TestLoadRefusesUndeclaredAndDuplicateMessages(t *testing.T) {
+	states := []XMLState{{ID: "s0", Name: "a", Start: true}, {ID: "s1", Name: "b"}}
+	edges := []XMLTransition{{From: "s0", To: "s1", Message: "A"}, {From: "s1", To: "s0", Message: "B"}}
+	for _, tc := range []struct {
+		messages []string
+		want     string
+	}{
+		{[]string{"A"}, `render: edge s1->s0 on "B": the message is not one of the diagram's messages`},
+		{[]string{"A", "B", "A"}, `render: message "A" is declared twice`},
+	} {
+		doc := XMLDiagram{Messages: tc.messages, States: states, Edges: edges}
+		if _, err := MachineFromDocument(&doc); err == nil || err.Error() != tc.want {
+			t.Errorf("messages %q: MachineFromDocument = %v, want %s", tc.messages, err, tc.want)
+		}
+	}
+	doc := XMLDiagram{Messages: []string{"B", "A"}, States: states, Edges: edges}
+	if _, err := MachineFromDocument(&doc); err != nil {
+		t.Errorf("a diagram declaring both messages is refused: %v", err)
 	}
 }
 

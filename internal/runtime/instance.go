@@ -66,15 +66,23 @@ func (NopHandler) Act(string) {}
 var _ ActionHandler = NopHandler{}
 
 // Instance is a running occurrence of a generated state machine: current
-// state plus the machine structure it walks.
+// state plus the machine structure it walks. The state is a position in
+// the machine's core.Table, and every delivery fires through the table's
+// delivery column: one array index per (state, message).
 type Instance struct {
-	machine *core.StateMachine
-	state   *core.State
-	handler ActionHandler
+	machine  *core.StateMachine
+	table    *core.Table
+	delivery *core.Delivery
+	state    int         // position of the current state in machine.States
+	current  *core.State // machine.States[state]
+	handler  ActionHandler
 }
 
 // New returns an Instance positioned at the machine's start state. A nil
-// handler discards actions.
+// handler discards actions. A machine its table cannot index fully is
+// refused: one that refers to a state that is not one of its States, or
+// declares a message twice, or has a transition on a message it does not
+// declare.
 func New(machine *core.StateMachine, handler ActionHandler) (*Instance, error) {
 	if machine == nil {
 		return nil, errors.New("runtime: nil machine")
@@ -82,23 +90,34 @@ func New(machine *core.StateMachine, handler ActionHandler) (*Instance, error) {
 	if machine.Start == nil {
 		return nil, errors.New("runtime: machine has no start state")
 	}
+	table, _ := machine.Table() // Delivery reports the table's error too
+	delivery, err := table.Delivery()
+	if err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
+	}
 	if handler == nil {
 		handler = NopHandler{}
 	}
-	return &Instance{machine: machine, state: machine.Start, handler: handler}, nil
+	in := &Instance{machine: machine, table: table, delivery: delivery, handler: handler}
+	in.Reset()
+	return in, nil
 }
 
 // State returns the machine's current state.
-func (in *Instance) State() *core.State { return in.state }
+func (in *Instance) State() *core.State { return in.current }
 
 // StateName returns the name of the current state.
-func (in *Instance) StateName() string { return in.state.Name }
+func (in *Instance) StateName() string { return in.current.Name }
 
 // Finished reports whether the machine has reached its finish state.
-func (in *Instance) Finished() bool { return in.state.Final }
+func (in *Instance) Finished() bool { return in.current.Final }
 
 // Machine returns the machine definition being executed.
 func (in *Instance) Machine() *core.StateMachine { return in.machine }
+
+// Table returns the machine's transition table, whose edge positions Step
+// returns.
+func (in *Instance) Table() *core.Table { return in.table }
 
 // Deliver feeds one message to the machine. It returns the actions
 // performed (already dispatched to the handler, in order). A message that
@@ -116,19 +135,47 @@ func (in *Instance) Deliver(msg string) ([]string, error) {
 // Fire is Deliver returning the transition taken instead of its actions,
 // for callers that key work on the transition itself.
 func (in *Instance) Fire(msg string) (*core.Transition, error) {
-	if in.state.Final {
-		return nil, ErrFinished
+	e, err := in.fire(in.delivery.Message(msg), msg)
+	if err != nil {
+		return nil, err
 	}
-	tr := in.state.Transition(msg)
-	if tr == nil {
-		return nil, &IgnoredError{StateName: in.state.Name, Message: msg}
+	return in.table.Edge(e).Transition, nil
+}
+
+// Message returns the index of msg in the machine's Messages, the index
+// Step takes; -1 when the machine has no such message.
+func (in *Instance) Message(msg string) int { return in.delivery.Message(msg) }
+
+// Step is Fire for the message at index i of the machine's Messages (see
+// Message; i must be one of its indices), returning the position of the
+// transition taken in the machine's Table. It is how a caller that
+// resolved a message once delivers it many times.
+func (in *Instance) Step(i int) (int, error) { return in.fire(i, "") }
+
+// fire is the one delivery path, for the message at index i of the
+// machine's Messages, or for msg, one the machine does not have, when i
+// is -1.
+func (in *Instance) fire(i int, msg string) (int, error) {
+	if in.current.Final {
+		return -1, ErrFinished
 	}
-	in.state = tr.Target
-	for _, a := range tr.Actions {
+	e := -1
+	if i >= 0 {
+		e = in.delivery.Next(in.state, i)
+	}
+	if e < 0 {
+		if i >= 0 {
+			msg = in.machine.Messages[i]
+		}
+		return -1, &IgnoredError{StateName: in.current.Name, Message: msg}
+	}
+	edge := in.table.Edge(e)
+	in.state, in.current = int(edge.To), edge.Target
+	for _, a := range edge.Actions {
 		in.handler.Act(a)
 	}
-	return tr, nil
+	return e, nil
 }
 
 // Reset returns the machine to its start state.
-func (in *Instance) Reset() { in.state = in.machine.Start }
+func (in *Instance) Reset() { in.state, in.current = in.table.Start, in.machine.Start }

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"asagen/internal/commit"
@@ -291,5 +292,79 @@ func TestInstanceFaultToleranceExhaustion(t *testing.T) {
 	}
 	if _, err := inst.Deliver("FETCH_OK"); !errors.Is(err, ErrFinished) {
 		t.Errorf("delivery after finish = %v, want ErrFinished", err)
+	}
+}
+
+// TestNewRefusesWhatItsTableCannotIndex: a machine that refers to a state
+// that is not one of its States, declares a message twice, or has a
+// transition on a message it does not declare is refused, naming what
+// is wrong; the delivery column would otherwise lose or misroute a
+// transition.
+func TestNewRefusesWhatItsTableCannotIndex(t *testing.T) {
+	build := func(messages []string, on string, target *core.State) *core.StateMachine {
+		a := &core.State{Name: "a", Transitions: map[string]*core.Transition{}}
+		b := &core.State{Name: "b", Transitions: map[string]*core.Transition{}}
+		if target == nil {
+			target = b
+		}
+		a.Transitions[on] = &core.Transition{Message: on, Target: target}
+		return &core.StateMachine{Messages: messages, States: []*core.State{a, b}, Start: a}
+	}
+	stray := &core.State{Name: "stray"}
+	for _, tc := range []struct {
+		name    string
+		machine *core.StateMachine
+		want    string
+	}{
+		{"dangling target", build([]string{"go"}, "go", stray), `state "stray" is referred to but is not one of the machine's states`},
+		{"undeclared message", build([]string{"go"}, "stop", nil), `state "a" has a transition on "stop", which is not one of the machine's messages`},
+		{"message declared twice", build([]string{"go", "go"}, "go", nil), `message "go" is declared twice`},
+	} {
+		if _, err := New(tc.machine, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New = %v, want an error containing %s", tc.name, err, tc.want)
+		}
+	}
+	if _, err := New(build([]string{"stop", "go"}, "go", nil), nil); err != nil {
+		t.Errorf("a well-formed machine is refused: %v", err)
+	}
+}
+
+// TestDeliveryColumnAgreesWithTransitions: on every registry model at its
+// default parameter, each (state, message) cell of the delivery column
+// names the transition State.Transitions holds, and Step walks to its
+// target.
+func TestDeliveryColumnAgreesWithTransitions(t *testing.T) {
+	for _, name := range models.Names() {
+		model, err := models.Build(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		machine := generateModel(t, model)
+		inst, err := New(machine, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		d, err := inst.Table().Delivery()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, state := range machine.States {
+			for m, msg := range machine.Messages {
+				if inst.Message(msg) != m {
+					t.Fatalf("%s: Message(%q) = %d, want %d", name, msg, inst.Message(msg), m)
+				}
+				tr, e := state.Transitions[msg], d.Next(s, m)
+				if (tr == nil) != (e < 0) || tr != nil && inst.Table().Edge(e).Transition != tr {
+					t.Fatalf("%s: state %s on %s: column cell %d, transition %v", name, state.Name, msg, e, tr)
+				}
+				if tr == nil || state.Final {
+					continue
+				}
+				inst.state, inst.current = s, state
+				if got, err := inst.Step(m); err != nil || got != e || inst.State() != tr.Target {
+					t.Fatalf("%s: Step from %s on %s = %d, %v in %s", name, state.Name, msg, got, err, inst.StateName())
+				}
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -24,6 +23,12 @@ type Event struct {
 	// (e.g. no transition pattern matched); the monitor reports it as a
 	// skipped verdict instead of a delivery.
 	Skip bool
+
+	// sym is the decoder's symbol for Msg: one decoder gives equal
+	// messages the same symbol, numbered from 1 in the order it first
+	// saw them, so a Judge resolves each message once per run. 0 when the
+	// decoder gave the message none (a slow path, or a full interner).
+	sym int32
 }
 
 // Decoder produces the event stream of one trace. Next returns io.EOF at
@@ -53,18 +58,20 @@ func (e *DecodeError) Error() string {
 	return fmt.Sprintf("trace: line %d: %s", e.Line, e.Reason)
 }
 
-// maxLineBytes bounds a single trace line. The monitor's memory use is
-// bounded by this, never by the trace length.
+// maxLineBytes bounds a single trace line, not counting its terminator
+// (\n or \r\n). The monitor's memory use is bounded by this, never by the
+// trace length.
 const maxLineBytes = 1 << 20
 
 // lineBufSize is the line buffer a decoder starts with; a longer line
-// makes bufio.Scanner grow its own copy, up to maxLineBytes.
+// makes the decoder's lineReader grow a copy of its own, up to
+// maxLineBytes and a terminator.
 const lineBufSize = 64 << 10
 
 // lineBufs recycles the line buffers of closed decoders, so a server
 // checking one short trace after another allocates none. It only ever
-// holds the lineBufSize arrays it handed out: a buffer the scanner grew
-// for a long line is the scanner's own, and is left to the GC with it.
+// holds the lineBufSize arrays it handed out: a buffer a lineReader grew
+// for a long line is that reader's own, and is left to the GC with it.
 var lineBufs = sync.Pool{New: func() any {
 	b := make([]byte, lineBufSize)
 	return &b
@@ -73,57 +80,123 @@ var lineBufs = sync.Pool{New: func() any {
 // errClosed is what a closed decoder's Next returns.
 var errClosed = errors.New("trace: Next on a closed decoder")
 
-// lineReader is the scanning core shared by the decoders: it hands out
+// lineReader is the line splitter shared by the decoders: it hands out
 // one line at a time from a reused buffer, tracking the 1-based line
-// number. Returned slices are valid only until the next call.
+// number, and reads only when the buffer holds no complete line. Lines
+// end in \n; a \r before it, or before the end of the input, is dropped.
+// Returned slices are valid only until the next call.
 type lineReader struct {
-	sc   *bufio.Scanner
-	buf  *[]byte // borrowed from lineBufs; nil once returned
-	line int
+	r      io.Reader
+	pooled *[]byte // borrowed from lineBufs; nil once returned
+	buf    []byte  // *pooled, or a larger array grown for a long line; nil once closed
+	start  int     // buf[start:end] is read and not yet handed out
+	end    int
+	err    error // the reader's error once it returned one, or a too-long line's
+	line   int
 }
 
-func newLineReader(r io.Reader) *lineReader {
+// maxConsecutiveEmptyReads is how many (0, nil) reads in a row a
+// lineReader puts up with before it fails with io.ErrNoProgress, as
+// bufio.Scanner does.
+const maxConsecutiveEmptyReads = 100
+
+func newLineReader(r io.Reader) lineReader {
 	buf := lineBufs.Get().(*[]byte)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(*buf, maxLineBytes)
-	return &lineReader{sc: sc, buf: buf}
+	return lineReader{r: r, pooled: buf, buf: *buf}
 }
 
 // Close returns the line buffer to the pool. A reader nobody closes
 // leaves its buffer to the GC; one that is closed reads no more.
 func (lr *lineReader) Close() error {
-	if lr.buf != nil {
-		lineBufs.Put(lr.buf)
-		lr.buf, lr.sc = nil, nil
+	if lr.pooled != nil {
+		lineBufs.Put(lr.pooled)
+		lr.pooled, lr.buf, lr.r = nil, nil, nil
 	}
 	return nil
 }
 
 // next returns the next input line without its terminator. io.EOF marks
-// the end of input; a too-long line is a *DecodeError.
+// the end of input; a line longer than maxLineBytes is a *DecodeError,
+// and so is every call after it.
 func (lr *lineReader) next() ([]byte, error) {
-	if lr.sc == nil {
+	if lr.buf == nil {
 		return nil, errClosed
 	}
-	if !lr.sc.Scan() {
-		if err := lr.sc.Err(); err != nil {
-			if err == bufio.ErrTooLong {
-				return nil, &DecodeError{Line: lr.line + 1,
-					Reason: fmt.Sprintf("line exceeds %d bytes", maxLineBytes)}
-			}
-			return nil, fmt.Errorf("trace: read line %d: %w", lr.line+1, err)
+	for empty := 0; ; {
+		if i := bytes.IndexByte(lr.buf[lr.start:lr.end], '\n'); i >= 0 {
+			line := lr.buf[lr.start : lr.start+i]
+			lr.start += i + 1
+			return lr.take(line)
 		}
-		return nil, io.EOF
+		if lr.err != nil {
+			if lr.start < lr.end { // the last line has no terminator
+				line := lr.buf[lr.start:lr.end]
+				lr.start = lr.end
+				return lr.take(line)
+			}
+			if _, tooLong := lr.err.(*DecodeError); tooLong || lr.err == io.EOF {
+				return nil, lr.err
+			}
+			return nil, fmt.Errorf("trace: read line %d: %w", lr.line+1, lr.err)
+		}
+		if lr.end == len(lr.buf) {
+			switch {
+			case lr.start > 0:
+				lr.end = copy(lr.buf, lr.buf[lr.start:lr.end])
+				lr.start = 0
+			case len(lr.buf) >= maxLineBytes+len("\r\n"):
+				// Not even a \r\n at the end would bring this line
+				// within the limit.
+				return nil, lr.tooLong()
+			default:
+				grown := make([]byte, min(2*len(lr.buf), maxLineBytes+len("\r\n")))
+				lr.end = copy(grown, lr.buf[lr.start:lr.end])
+				lr.buf = grown
+			}
+		}
+		n, err := lr.r.Read(lr.buf[lr.end:])
+		switch {
+		case n < 0 || n > len(lr.buf)-lr.end:
+			lr.err = errors.New("trace: reader returned an impossible count")
+		case err != nil:
+			lr.end += n
+			lr.err = err
+		case n > 0:
+			lr.end += n
+			empty = 0
+		default:
+			if empty++; empty >= maxConsecutiveEmptyReads {
+				lr.err = io.ErrNoProgress
+			}
+		}
+	}
+}
+
+// take hands out one line: its trailing \r dropped, held to the limit.
+func (lr *lineReader) take(line []byte) ([]byte, error) {
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	if len(line) > maxLineBytes {
+		return nil, lr.tooLong()
 	}
 	lr.line++
-	return lr.sc.Bytes(), nil
+	return line, nil
+}
+
+// tooLong fails the reader at the next line: this call and every later
+// one return the same *DecodeError.
+func (lr *lineReader) tooLong() error {
+	lr.err = &DecodeError{Line: lr.line + 1, Reason: fmt.Sprintf("line exceeds %d bytes", maxLineBytes)}
+	lr.start, lr.end = 0, 0
+	return lr.err
 }
 
 // FlushBeforeRead returns a reader over r that calls flush immediately
 // before every Read of r, and fails the Read with flush's error. Wrapped
-// around a decoder's input it flushes on input idleness: the decoders'
-// scanner only reads when its buffer holds no complete line, so "about
-// to Read" means every line that has arrived has been judged and nothing
+// around a decoder's input it flushes on input idleness: a decoder only
+// reads when its line buffer holds no complete line, so "about to Read"
+// means every line that has arrived has been judged and nothing
 // more can be done without blocking. A producer of one line at a time
 // sees each verdict before its next line is asked for; a trace that
 // arrives in one piece is answered in as few writes as it took reads.
@@ -145,13 +218,20 @@ func (f *flushingReader) Read(p []byte) (int, error) {
 
 // interner deduplicates message strings so steady-state decoding of a
 // trace over a machine's (small) vocabulary performs no per-line
-// allocation. The table is bounded; an adversarial stream of distinct
-// messages falls back to plain allocation rather than growing memory.
+// allocation, and gives each distinct message a symbol (Event.sym). The
+// table is bounded; an adversarial stream of distinct messages falls back
+// to plain allocation, and no symbol, rather than growing memory.
 //
 // It is also where a message is held to valid UTF-8: verdicts carry the
 // message into text/event-stream and JSON output, which must be UTF-8.
 // Only a miss is checked, so a recurring message pays nothing.
-type interner map[string]string
+type interner map[string]symbol
+
+// symbol is an interned message and its symbol.
+type symbol struct {
+	msg string
+	sym int32
+}
 
 const maxInterned = 1024
 
@@ -159,21 +239,23 @@ const maxInterned = 1024
 // valid UTF-8.
 const notUTF8 = "message is not valid UTF-8"
 
-// get returns b as a string; ok is false when b is not valid UTF-8.
-func (in interner) get(b []byte) (s string, ok bool) {
+// get returns b as a string and its symbol, 0 once the table is full; ok
+// is false when b is not valid UTF-8.
+func (in interner) get(b []byte) (s string, sym int32, ok bool) {
 	// The string(b) conversions in the map index expressions do not
 	// allocate (compiler-recognised pattern).
-	if s, ok := in[string(b)]; ok {
-		return s, true
+	if e, ok := in[string(b)]; ok {
+		return e.msg, e.sym, true
 	}
 	if !utf8.Valid(b) {
-		return "", false
+		return "", 0, false
 	}
 	s = string(b)
 	if len(in) < maxInterned {
-		in[s] = s
+		sym = int32(len(in)) + 1
+		in[s] = symbol{s, sym}
 	}
-	return s, true
+	return s, sym, true
 }
 
 // JSONLDecoder decodes JSON Lines traces: one event per line, either a
@@ -184,7 +266,7 @@ func (in interner) get(b []byte) (s string, ok bool) {
 // so is any line that is not, except that a line starting {"msg":"...",
 // with no escape in the message, is read no further than that member.
 type JSONLDecoder struct {
-	lr     *lineReader
+	lr     lineReader
 	intern interner
 }
 
@@ -223,11 +305,11 @@ func (d *JSONLDecoder) Next() (Event, error) {
 			// without invoking the JSON decoder. It reads nothing after
 			// the first msg member.
 			if raw, ok := fastMsg(b); ok {
-				msg, ok := d.intern.get(raw)
+				msg, sym, ok := d.intern.get(raw)
 				if !ok {
 					return Event{}, &DecodeError{Line: d.lr.line, Reason: notUTF8}
 				}
-				return Event{Line: d.lr.line, Msg: msg}, nil
+				return Event{Line: d.lr.line, Msg: msg, sym: sym}, nil
 			}
 			if !utf8.Valid(b) {
 				return Event{}, &DecodeError{Line: d.lr.line, Reason: "JSON event is not valid UTF-8"}
@@ -375,7 +457,7 @@ func matchDefault(line []byte) (start, end int, ok bool) {
 // decode to skip events; blank lines are skipped silently. A message that
 // is not valid UTF-8 is a DecodeError.
 type RegexDecoder struct {
-	lr     *lineReader
+	lr     lineReader
 	rules  []Rule
 	intern interner
 	buf    []byte
@@ -431,11 +513,11 @@ func (d *RegexDecoder) Next() (Event, error) {
 				return Event{}, &DecodeError{Line: d.lr.line,
 					Reason: fmt.Sprintf("match rule %q produced an empty message", rule.Pattern)}
 			}
-			msg, ok := d.intern.get(d.buf)
+			msg, sym, ok := d.intern.get(d.buf)
 			if !ok {
 				return Event{}, &DecodeError{Line: d.lr.line, Reason: notUTF8}
 			}
-			return Event{Line: d.lr.line, Msg: msg}, nil
+			return Event{Line: d.lr.line, Msg: msg, sym: sym}, nil
 		}
 		return Event{Line: d.lr.line, Skip: true}, nil
 	}

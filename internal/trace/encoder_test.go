@@ -137,8 +137,8 @@ func TestEncoderMatchesAppendJSON(t *testing.T) {
 		if accepted := encodeBothWays(t, &enc, jsonl, traces, WithTarget("", m)); accepted <= transitions {
 			t.Fatalf("%s: %d accepted verdicts for %d transitions: the memo was never hit", name, accepted, transitions)
 		}
-		if len(enc.tails) != transitions {
-			t.Errorf("%s: the memo holds %d transitions, want all %d", name, len(enc.tails), transitions)
+		if kept := memoised(&enc); kept != transitions {
+			t.Errorf("%s: the memo holds %d transitions, want all %d", name, kept, transitions)
 		}
 		if name == "escaping" {
 			var tails strings.Builder
@@ -154,12 +154,13 @@ func TestEncoderMatchesAppendJSON(t *testing.T) {
 	}
 
 	// Two targets: each verdict carries a "target" key. Over two machines
-	// both targets' transitions are kept; over one machine, the second
-	// target's verdicts take the field-by-field path.
+	// each table position is kept for the first transition that fires at
+	// it, whichever machine's; over one machine, the second target's
+	// verdicts take the field-by-field path.
 	commit, chord := machines["commit"], machines["chord"]
 	var enc Encoder
 	encodeBothWays(t, &enc, jsonl, everyTransition(t, commit), WithTarget("a \"é\"", commit), WithTarget("b", chord))
-	if len(enc.tails) == 0 {
+	if memoised(&enc) == 0 {
 		t.Error("a two-target run kept no transition")
 	}
 	encodeBothWays(t, &enc, jsonl, everyTransition(t, commit), WithTarget("a", commit), WithTarget("b", commit))
@@ -187,7 +188,8 @@ func TestEncoderMatchesAppendJSON(t *testing.T) {
 	}
 	regex := func(r io.Reader) Decoder { return NewRegexDecoder(r, nil) }
 	// A second commit machine accepts the same messages through
-	// transitions of its own, so both targets' verdicts come from the memo.
+	// transitions of its own; where the first machine's hold the same
+	// table positions, its verdicts are encoded field by field.
 	entry, err := models.Get("commit")
 	if err != nil {
 		t.Fatal(err)
@@ -216,6 +218,17 @@ func TestEncoderMatchesAppendJSON(t *testing.T) {
 			t.Fatalf("no accepted verdict in %.40q", run.trace)
 		}
 	}
+}
+
+// memoised counts the transitions an Encoder's memo holds.
+func memoised(enc *Encoder) int {
+	n := 0
+	for _, e := range enc.tails {
+		if e.tr != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // conformingCommitPrefix is a short commit trace that starts from line 1.

@@ -15,7 +15,15 @@ import (
 type Judge struct {
 	inst   *runtime.Instance
 	budget int
+	// syms maps the symbols of the run's decoder (Event.sym) to the
+	// machine's message indices, unseen until a symbol's first delivery.
+	// Symbols belong to one decoder, so Reset forgets them.
+	syms []int32
 }
+
+// unseen marks a symbol a Judge has not resolved yet; -1 is a message the
+// machine does not have.
+const unseen = -2
 
 // Judgement is a Judge's ruling on one delivery: its Kind (KindAccepted,
 // KindIgnored or KindViolation), the transition Tr an accepted delivery
@@ -27,6 +35,8 @@ type Judgement struct {
 	Tr       *core.Transition
 	Finished bool
 	Err      error
+
+	edge int32 // Tr's position in the machine's core.Table
 }
 
 // NewJudge returns a judge of deliveries to machine, positioned at its
@@ -41,15 +51,52 @@ func NewJudge(machine *core.StateMachine, tolerance int) (*Judge, error) {
 
 // Deliver judges one delivery of msg.
 func (j *Judge) Deliver(msg string) Judgement {
-	tr, err := j.inst.Fire(msg)
+	var d Judgement
+	j.judge(j.inst.Message(msg), msg, &d)
+	return d
+}
+
+// index resolves an event's message to its index in the machine's
+// Messages (-1 when it has none), by its symbol once per run.
+func (j *Judge) index(ev *Event) int {
+	if ev.sym <= 0 {
+		return j.inst.Message(ev.Msg)
+	}
+	for int(ev.sym) >= len(j.syms) {
+		j.syms = append(j.syms, unseen)
+	}
+	i := j.syms[ev.sym]
+	if i == unseen {
+		i = int32(j.inst.Message(ev.Msg))
+		j.syms[ev.sym] = i
+	}
+	return int(i)
+}
+
+// judge judges one delivery of msg, the message at index i of the
+// machine's Messages (-1 when it has none), into *d. It writes the
+// judgement in place: returned by value, it is spilled and copied back
+// in wider words than it was written in, a stall a line.
+func (j *Judge) judge(i int, msg string, d *Judgement) {
+	var (
+		e   int
+		err error
+	)
+	if i >= 0 {
+		e, err = j.inst.Step(i)
+	} else {
+		_, err = j.inst.Fire(msg) // refused: not one of the machine's messages
+	}
 	switch {
 	case err == nil:
-		return Judgement{Kind: KindAccepted, Tr: tr, Finished: tr.Target.Final}
+		tr := j.inst.Table().Edge(e).Transition
+		*d = Judgement{Kind: KindAccepted, Tr: tr, Finished: tr.Target.Final, edge: int32(e)}
 	case j.budget > 0:
 		j.budget--
-		return Judgement{Kind: KindIgnored, Err: err}
+		*d = Judgement{Kind: KindIgnored, Err: err}
+	default:
+		*d = Judgement{Kind: KindViolation, Err: err}
 	}
-	return Judgement{Kind: KindViolation, Err: err}
 }
 
 // Expect judges a delivery the caller took from the current state's own
@@ -64,10 +111,12 @@ func (j *Judge) Expect(msg string) Judgement {
 	return d
 }
 
-// Reset returns the machine to its start state with a fresh tolerance.
+// Reset returns the machine to its start state with a fresh tolerance,
+// for a run over a new decoder.
 func (j *Judge) Reset(tolerance int) {
 	j.inst.Reset()
 	j.budget = tolerance
+	j.syms = j.syms[:0]
 }
 
 // State returns the machine's current state, Final once it has finished.

@@ -1,9 +1,15 @@
 package trace
 
 import (
+	"context"
 	"errors"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
+	"asagen/internal/core"
+	"asagen/internal/models"
 	"asagen/internal/runtime"
 )
 
@@ -98,5 +104,113 @@ func TestJudgeExpectSparesTheBudget(t *testing.T) {
 func TestNewJudgeRefusesNilMachine(t *testing.T) {
 	if _, err := NewJudge(nil, 0); err == nil {
 		t.Error("nil machine accepted")
+	}
+}
+
+// registryMachine generates a registry model at its default parameter.
+func registryMachine(t *testing.T, name string) *core.StateMachine {
+	t.Helper()
+	entry, err := models.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := entry.Model(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.Generate(context.Background(), model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestSymbolsBelongToOneRun: a decoder numbers messages in the order it
+// first sees them, and a Judge resolves each number once per run. One
+// Monitor over two machines with different vocabularies (commit and
+// chord) runs traces whose first-seen orders differ, with messages
+// outside both vocabularies and with lines the decoders read on their
+// slow paths (bare JSON strings, escaped messages), which carry no
+// symbol. Every verdict encodes to Verdict.AppendJSON's bytes, and each
+// run's stream is the stream of a fresh Monitor over the same trace, so
+// a judge that kept one decoder's symbols into the next run fails here.
+func TestSymbolsBelongToOneRun(t *testing.T) {
+	commit, chord := registryMachine(t, "commit"), registryMachine(t, "chord")
+	var enc Encoder
+	var stream, encoded []byte
+	newMonitor := func() *Monitor {
+		mon, err := NewMonitor(WithTarget("commit", commit), WithTarget("chord", chord),
+			WithTolerance(1<<20), WithKeepGoing(),
+			WithObserver(ObserverFunc(func(v Verdict) bool {
+				m, n := len(stream), len(encoded)
+				stream = v.AppendJSON(stream)
+				encoded = enc.Append(encoded, &v)
+				if string(encoded[n:]) != string(stream[m:]) {
+					t.Fatalf("Encoder.Append = %s\nAppendJSON     = %s", encoded[n:], stream[m:])
+				}
+				return true
+			})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mon
+	}
+	run := func(mon *Monitor, dec Decoder) string {
+		enc, stream, encoded = Encoder{}, stream[:0], encoded[:0]
+		rep, err := mon.Run(context.Background(), dec)
+		stream = Terminal(rep, err).AppendJSON(stream)
+		return string(stream)
+	}
+	// jsonl writes each message in turn as a fast-path object, a bare
+	// string and an object whose message is escaped.
+	jsonl := func(msgs ...string) string {
+		var b strings.Builder
+		for i, msg := range msgs {
+			switch i % 3 {
+			case 0:
+				b.WriteString(`{"msg":"` + msg + `","seq":` + strconv.Itoa(i) + "}\n")
+			case 1:
+				b.WriteString(`"` + msg + `"` + "\n")
+			default:
+				b.WriteString(`{"msg":"\u00` + strconv.FormatInt(int64(msg[0]), 16) + msg[1:] + `"}` + "\n")
+			}
+		}
+		return b.String()
+	}
+	text := func(msgs ...string) string {
+		var b strings.Builder
+		for _, msg := range msgs {
+			b.WriteString("12:00 recv " + msg + " from n1\n")
+		}
+		return b.String()
+	}
+	forward := []string{"FREE", "JOIN", "NOPE", "UPDATE", "STABILIZE", "VOTE", "NOTIFY", "VOTE", "COMMIT", "LEAVE", "COMMIT"}
+	backward := slices.Clone(forward)
+	slices.Reverse(backward)
+	mixed := append(append(slices.Clone(backward), forward...), backward...)
+	shared := newMonitor()
+	for i, tc := range []struct {
+		regex bool
+		trace string
+	}{
+		{false, jsonl(forward...) + jsonl(forward...)},
+		{false, jsonl(backward...) + jsonl(forward...)},
+		{true, text(mixed...)},
+		{true, text(forward...)},
+		{false, jsonl(mixed...)},
+	} {
+		decode := func() Decoder {
+			if tc.regex {
+				return NewRegexDecoder(strings.NewReader(tc.trace), nil)
+			}
+			return NewJSONLDecoder(strings.NewReader(tc.trace))
+		}
+		got := run(shared, decode())
+		if want := run(newMonitor(), decode()); got != want {
+			t.Fatalf("run %d: the reused monitor's stream\n%s\ndiffers from a fresh monitor's\n%s", i, got, want)
+		}
+		if !strings.Contains(got, `"kind":"accepted"`) || !strings.Contains(got, `"kind":"ignored"`) {
+			t.Fatalf("run %d: stream %s lacks accepted or ignored verdicts", i, got)
+		}
 	}
 }

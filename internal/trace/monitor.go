@@ -136,6 +136,7 @@ func (m *Monitor) Run(ctx context.Context, dec Decoder) (Report, error) {
 		t.judge.Reset(m.tolerance)
 	}
 	done := ctx.Done()
+	var d Judgement
 	for {
 		select {
 		case <-done:
@@ -165,7 +166,7 @@ func (m *Monitor) Run(ctx context.Context, dec Decoder) (Report, error) {
 		}
 		rep.Events++
 		for _, t := range m.targets {
-			d := t.judge.Deliver(ev.Msg)
+			t.judge.judge(t.judge.index(&ev), ev.Msg, &d)
 			// Built in place: a Verdict variable initialised from a
 			// literal is a copy, a tenth of a line's cost.
 			v := &Verdict{Line: ev.Line, Target: t.name, Event: ev.Msg, Kind: d.Kind,
@@ -176,7 +177,7 @@ func (m *Monitor) Run(ctx context.Context, dec Decoder) (Report, error) {
 			switch d.Kind {
 			case KindAccepted:
 				rep.Accepted++
-				v.Actions, v.tr = d.Tr.Actions, d.Tr
+				v.Actions, v.tr, v.edge = d.Tr.Actions, d.Tr, d.edge
 			case KindIgnored:
 				rep.Ignored++
 			case KindViolation:

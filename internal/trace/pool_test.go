@@ -10,7 +10,7 @@ import (
 // TestDecoderCloseReturnsLineBuffer: a line longer than the pooled
 // buffer (but under maxLineBytes) decodes, Close hands the buffer back
 // and makes the decoder read no more, and the pool never gives out the
-// larger buffer the scanner grew for that line.
+// larger buffer the decoder grew for that line.
 func TestDecoderCloseReturnsLineBuffer(t *testing.T) {
 	long := `{"msg":"VOTE","pad":"` + strings.Repeat("x", 3*lineBufSize) + `"}`
 	in := "\"UPDATE\"\n" + long + "\n\"COMMIT\"\n"

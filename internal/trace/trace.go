@@ -108,6 +108,10 @@ type Verdict struct {
 	Event string
 	// Kind classifies the verdict.
 	Kind Kind
+	// edge is tr's position in its machine's core.Table, the Encoder's
+	// memo index. It sits in Kind's padding, so a Verdict, which every
+	// Observe copies, is no larger for it.
+	edge int32
 	// State is the machine state after the delivery (unchanged for
 	// rejections).
 	State string
@@ -218,14 +222,17 @@ func (v Verdict) AppendJSON(dst []byte) []byte {
 // incremented in place rather than formatted. Any other line is formatted
 // afresh and becomes the counter's value.
 //
-// The memo is keyed by the transition alone (hashing a pointer costs half
-// of hashing it with a name), so a transition kept for one target is
-// encoded field by field for any other; only a monitor watching one
-// machine under two names sees that. Like the decoders' interner the memo
-// is bounded. The zero value is ready to use; an Encoder belongs to one
-// stream and is not safe for concurrent use.
+// The memo is a slice indexed by the transition's position in its
+// machine's core.Table, and an entry is used only for the transition and
+// target it was written for. So a position kept for one target is encoded
+// field by field for any other, and one kept for a transition of one
+// machine for the same position in another; only a monitor watching
+// several machines sees that. The memo is bounded: positions from
+// maxEncoded on are always encoded field by field. The zero value is
+// ready to use; an Encoder belongs to one stream and is not safe for
+// concurrent use.
 type Encoder struct {
-	tails map[*core.Transition]encoded
+	tails []encoded
 	// line is the last line number written from the memo, and
 	// digits[start:] its decimal form; line is 0 before the first.
 	line   int
@@ -233,8 +240,10 @@ type Encoder struct {
 	digits [20]byte
 }
 
-// encoded is what follows an accepted verdict's line number.
+// encoded is what follows an accepted verdict's line number, for the
+// transition and target it was written for.
 type encoded struct {
+	tr     *core.Transition
 	target string
 	tail   string
 }
@@ -247,22 +256,25 @@ func (e *Encoder) Append(dst []byte, v *Verdict) []byte {
 	if v.tr == nil || v.Line <= 0 {
 		return v.AppendJSON(dst)
 	}
-	enc, ok := e.tails[v.tr]
-	if ok && enc.target == v.Target {
-		dst = append(dst, `{"line":`...)
-		dst = append(dst, e.lineDigits(v.Line)...)
-		return append(dst, enc.tail...)
+	if int(v.edge) < len(e.tails) {
+		if enc := &e.tails[v.edge]; enc.tr == v.tr && enc.target == v.Target {
+			dst = append(dst, `{"line":`...)
+			dst = append(dst, e.lineDigits(v.Line)...)
+			return append(dst, enc.tail...)
+		}
 	}
 	start := len(dst)
 	dst = v.AppendJSON(dst)
-	if !ok && len(e.tails) < maxEncoded {
-		if e.tails == nil {
-			e.tails = make(map[*core.Transition]encoded)
+	if v.edge < maxEncoded {
+		if n := int(v.edge) + 1; n > len(e.tails) {
+			e.tails = append(e.tails, make([]encoded, n-len(e.tails))...)
 		}
-		// The tail starts at the comma that ends the line number.
-		head := start + len(`{"line":`)
-		head += bytes.IndexByte(dst[head:], ',')
-		e.tails[v.tr] = encoded{target: v.Target, tail: string(dst[head:])}
+		if enc := &e.tails[v.edge]; enc.tr == nil {
+			// The tail starts at the comma that ends the line number.
+			head := start + len(`{"line":`)
+			head += bytes.IndexByte(dst[head:], ',')
+			*enc = encoded{tr: v.tr, target: v.Target, tail: string(dst[head:])}
+		}
 	}
 	return dst
 }
