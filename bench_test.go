@@ -747,8 +747,9 @@ func BenchmarkSpecCompile(b *testing.B) {
 		}
 	})
 	// The 457-rule counter grid: a document that compiles formats no
-	// diagnostic path, so what is left is the validation itself and the
-	// canonical json.Marshal the fingerprint is pinned to.
+	// diagnostic path, so what is left is the validation itself, the
+	// per-message guard index and the canonical encoding the fingerprint
+	// is pinned to.
 	b.Run("grid", func(b *testing.B) {
 		doc, wire := gridWireForm(b, []string{"->done"})
 		b.SetBytes(int64(len(wire)))
@@ -826,22 +827,58 @@ func BenchmarkSpecDiff(b *testing.B) {
 // BenchmarkGenerateSpecModel compares machine generation through a
 // compiled declarative spec against the hand-written adapter it ports, on
 // the uncached path — the rule-interpretation overhead of the authoring
-// layer.
+// layer. The termination port has six rules, so a message's first rule
+// is found at once; grid is the counter grid, whose every message has 56
+// single-state carve-outs ahead of its general rule, so generating it is
+// mostly picking the rule that fires.
 func BenchmarkGenerateSpecModel(b *testing.B) {
 	client := asagen.NewClient(asagen.WithIsolatedRegistry())
 	if err := client.RegisterModel(terminationSpec("termination-spec")); err != nil {
 		b.Fatal(err)
 	}
+	_, wire := gridWireForm(b, []string{"->done"})
+	grid, err := asagen.ParseModelSpec(wire)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := client.RegisterModel(grid); err != nil {
+		b.Fatal(err)
+	}
 	ctx := context.Background()
-	for _, bench := range []struct{ name, model string }{
-		{"spec/k=8", "termination-spec"},
-		{"adapter/k=8", "termination"},
+	for _, bench := range []struct {
+		name, model string
+		param       int
+	}{
+		{"spec/k=8", "termination-spec", 8},
+		{"adapter/k=8", "termination", 8},
+		{"grid", "regen-bench", 3},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := client.Generate(ctx, bench.model,
-					asagen.WithParam(8), asagen.WithoutCache()); err != nil {
+					asagen.WithParam(bench.param), asagen.WithoutCache()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSpecMember measures instantiating a family member of the
+// counter grid, Compiled.Model: resolving the parameter and building each
+// message's dispatch tables. What that costs depends on the number of
+// guards, not on the parameter, so r=1048576 costs what r=8 does.
+func BenchmarkSpecMember(b *testing.B) {
+	c, err := spec.Compile(regenDoc(3, []string{"->done"}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, r := range []int{8, 1 << 20} {
+		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Model(r); err != nil {
 					b.Fatal(err)
 				}
 			}

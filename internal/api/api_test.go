@@ -394,3 +394,53 @@ func TestStatsEndpointReportsCancellationsField(t *testing.T) {
 		t.Errorf("/v1/stats missing the Cancellations counter: %s", body)
 	}
 }
+
+// TestHugeParameterLeavesTheServerUp: a GET whose ?r= is 2^40 must cost the
+// server no more than the client waits for. Building the family member
+// once sized a bitset over each guarded component's domain — 2^34 words
+// here — and the server died with "runtime: out of memory" before
+// generation ever looked at the request's context. Now the member costs
+// what its guards cost, the client gives up once generation is under way,
+// the generation is cancelled, and the server goes on serving.
+func TestHugeParameterLeavesTheServerUp(t *testing.T) {
+	p := artifact.New()
+	ts := httptest.NewServer(NewHandler(p))
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+		ts.URL+"/v1/models/termination/artifacts/text?r=1099511627776", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := ts.Client().Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+	for p.Stats().Machine.Misses < 1 {
+		if ctx.Err() != nil {
+			t.Fatalf("generation did not start before the client's deadline; stats = %+v", p.Stats().Machine)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-errc; err == nil {
+		t.Fatal("GET ?r=2^40 was answered; want the client's cancellation to end it")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for p.Stats().Machine.Cancellations < 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the abandoned generation was not cancelled; stats = %+v", p.Stats().Machine)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	resp, body := get(t, ts, "/v1/models/termination/artifacts/text?r=4", nil)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "termination") {
+		t.Fatalf("GET ?r=4 after the huge request = %d:\n%s", resp.StatusCode, body)
+	}
+}

@@ -159,25 +159,6 @@ type Cond struct {
 	Value     Value  `json:"value"`
 }
 
-// holds evaluates the condition against a component value.
-func condHolds(op string, have, want int) bool {
-	switch op {
-	case OpEq:
-		return have == want
-	case OpNe:
-		return have != want
-	case OpLt:
-		return have < want
-	case OpLe:
-		return have <= want
-	case OpGt:
-		return have > want
-	case OpGe:
-		return have >= want
-	}
-	return false
-}
-
 // Assign updates one component: Set overwrites with a value, otherwise Add
 // is added to the current value.
 type Assign struct {
