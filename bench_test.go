@@ -227,6 +227,10 @@ func BenchmarkRenderXML(b *testing.B) { benchRender(b, render.NewXMLRenderer()) 
 // is the informative column — about one per state.
 func BenchmarkRenderGoSource(b *testing.B) { benchRender(b, render.NewGoSourceRenderer("bench")) }
 
+// BenchmarkRenderDoc measures the markdown documentation artefact: mostly
+// the copying of each state's commentary, and a code span per name.
+func BenchmarkRenderDoc(b *testing.B) { benchRender(b, render.NewDocRenderer()) }
+
 // BenchmarkRenderSweep is the render share of a cold-sweep lap, one format
 // per sub-benchmark (E18): every registry model at every sweep parameter
 // (26 machines, and the EFSM each generalises to), generated before the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/xml"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
@@ -85,14 +86,24 @@ func TestEscapeDotMatchesReplaceAll(t *testing.T) {
 // text, is written as xml.EscapeText writes it.
 func TestXMLTextMatchesEscapeText(t *testing.T) {
 	for _, text := range byteTexts() {
-		x := &xmlWriter{Buffer: NewBuffer()}
-		x.text(text)
+		var x xmlWriter
+		got := x.text([]byte("<"), text)[1:]
 		var want bytes.Buffer
 		if err := xml.EscapeText(&want, []byte(text)); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(x.buf, want.Bytes()) {
-			t.Errorf("text(%q) = %q, want %q", text, x.buf, want.Bytes())
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("text(%q) = %q, want %q", text, got, want.Bytes())
+		}
+	}
+}
+
+// TestAppendQuoteMatchesStrconv: the shortcut for printable ASCII quotes
+// as strconv.Quote does, every byte value alone and inside ASCII text.
+func TestAppendQuoteMatchesStrconv(t *testing.T) {
+	for _, text := range byteTexts() {
+		if got, want := string(appendQuote(nil, text)), strconv.Quote(text); got != want {
+			t.Errorf("appendQuote(%q) = %s, want %s", text, got, want)
 		}
 	}
 }

@@ -4,47 +4,22 @@
 // source implementing the protocol (Fig. 16), and markdown documentation.
 //
 // Generative code is notoriously hard to read; following §4.1 the package
-// restricts itself to string manipulation structured by a small set of
-// buffer utilities (add, addLn, enterBlock, exitBlock — Fig. 18) that keep
-// both the generative and the generated code legible. Every renderer
-// writes its artefact once, in its final form, into one Buffer whose bytes
-// become Artifact.Data.
+// restricts itself to string manipulation, and writes each artefact in
+// frames: straight-line appends to the artefact's bytes, where every run
+// of fixed text between two model slots — indentation included — is one
+// constant, and a fragment that repeats per message or per state is built
+// once per render. The bytes become Artifact.Data as they are. The
+// indenting buffer of the paper's Fig. 18 (add, addLn, enterBlock,
+// exitBlock) writes the same artefacts piece by piece in the tests, as
+// the oracle the frames are held to.
 package render
 
 import (
 	"fmt"
+	"strconv"
 
 	"asagen/internal/core"
 )
-
-// Buffer accumulates generated text with managed indentation, providing the
-// utility methods of the paper's Fig. 18.
-type Buffer struct {
-	buf    []byte
-	indent int
-	// IndentWith is the string emitted per indentation level; tab when
-	// empty.
-	IndentWith  string
-	atLineStart bool
-}
-
-// NewBuffer returns an empty buffer at indentation level zero.
-func NewBuffer() *Buffer {
-	return &Buffer{atLineStart: true}
-}
-
-// newBuffer returns a buffer with room for size bytes: an artefact whose
-// size was estimated well is written without regrowing, and its bytes
-// become Artifact.Data as they are.
-func newBuffer(size int) *Buffer {
-	return &Buffer{buf: make([]byte, 0, size), atLineStart: true}
-}
-
-// artifact hands the accumulated bytes over as the artefact's data; the
-// buffer is not written to again.
-func (b *Buffer) artifact(format, mediaType, ext string) Artifact {
-	return Artifact{Format: format, MediaType: mediaType, Ext: ext, Data: b.buf}
-}
 
 // table returns the machine's transition table for a renderer, or its
 // error naming a reference the machine cannot resolve.
@@ -56,80 +31,42 @@ func table(format string, m *core.StateMachine) (*core.Table, error) {
 	return t, nil
 }
 
-// appendIndent appends the current indentation to buf and returns it; the
-// line is no longer at its start.
-func (b *Buffer) appendIndent(buf []byte) []byte {
-	unit := b.IndentWith
-	if unit == "" {
-		unit = "\t"
-	}
-	for i := 0; i < b.indent; i++ {
-		buf = append(buf, unit...)
-	}
-	b.atLineStart = false
-	return buf
+// frags holds one fragment per index — per message — built once per
+// render: fragment i is data[end[i]:end[i+1]]. A renderer backs it with
+// arrays in its own frame and appends to it there, so a machine with few
+// messages allocates nothing for it.
+type frags struct {
+	data []byte
+	end  []int
 }
 
-// Add appends the items to the output buffer. It appends into a local
-// slice and stores it back once, not once per item.
-func (b *Buffer) Add(items ...string) {
-	buf := b.buf
-	for _, it := range items {
-		if it == "" {
-			continue
-		}
-		if b.atLineStart {
-			buf = b.appendIndent(buf)
+func (f *frags) at(i int32) []byte { return f.data[f.end[i]:f.end[i+1]] }
+
+// appendJoined appends the items separated by sep.
+func appendJoined(buf []byte, items []string, sep string) []byte {
+	for i, it := range items {
+		if i > 0 {
+			buf = append(buf, sep...)
 		}
 		buf = append(buf, it...)
 	}
-	b.buf = buf
+	return buf
 }
 
-// AddLn appends the items to the output buffer followed by a newline.
-func (b *Buffer) AddLn(items ...string) {
-	b.Add(items...)
-	b.BlankLn()
-}
+// Runs of one byte that appendRepeat copies from.
+const (
+	dashes    = "----------------------------------------------------------------"
+	blanks    = "                                                                "
+	backticks = "````````````````"
+)
 
-// BlankLn emits an empty line.
-func (b *Buffer) BlankLn() {
-	b.buf = append(b.buf, '\n')
-	b.atLineStart = true
-}
-
-// EnterBlock opens a new brace block and increases the indent level.
-func (b *Buffer) EnterBlock(header ...string) {
-	b.Add(header...)
-	if len(header) > 0 {
-		b.Add(" ")
+// appendRepeat appends n bytes of run, which is one byte repeated.
+func appendRepeat(buf []byte, run string, n int) []byte {
+	for ; n > len(run); n -= len(run) {
+		buf = append(buf, run...)
 	}
-	b.AddLn("{")
-	b.IncreaseIndent()
+	return append(buf, run[:max(n, 0)]...)
 }
 
-// ExitBlock closes the current brace block and decreases the indent level.
-func (b *Buffer) ExitBlock(trailer ...string) {
-	b.DecreaseIndent()
-	b.Add("}")
-	b.AddLn(trailer...)
-}
-
-// IncreaseIndent increases the indentation level.
-func (b *Buffer) IncreaseIndent() { b.indent++ }
-
-// DecreaseIndent decreases the indentation level; it saturates at zero.
-func (b *Buffer) DecreaseIndent() {
-	if b.indent > 0 {
-		b.indent--
-	}
-}
-
-// ResetIndent returns the indentation level to zero.
-func (b *Buffer) ResetIndent() { b.indent = 0 }
-
-// Len returns the number of bytes accumulated.
-func (b *Buffer) Len() int { return len(b.buf) }
-
-// String returns the accumulated output.
-func (b *Buffer) String() string { return string(b.buf) }
+// appendInt appends n in decimal.
+func appendInt(buf []byte, n int) []byte { return strconv.AppendInt(buf, int64(n), 10) }

@@ -1,7 +1,7 @@
 package render
 
 import (
-	"strconv"
+	"strings"
 
 	"asagen/internal/core"
 )
@@ -30,82 +30,144 @@ func (r *DocRenderer) Render(m *core.StateMachine) (Artifact, error) {
 		return Artifact{}, err
 	}
 	z := t.Sizes
-	b := newBuffer(512 + 58*z.States + z.StateNames + 3*z.Annotations + z.AnnotationLen +
-		21*z.Edges + z.EdgeMessages + z.EdgeTargets + 4*z.Actions + z.ActionLen)
-	title := r.Title
-	if title == "" {
-		title = "State machine `" + m.ModelName + "` (parameter " + strconv.Itoa(m.Parameter) + ")"
+	buf := make([]byte, 0, 512+58*z.States+z.StateNames+3*z.Annotations+z.AnnotationLen+
+		21*z.Edges+z.EdgeMessages+z.EdgeTargets+4*z.Actions+z.ActionLen)
+	buf = append(buf, "# "...)
+	if r.Title != "" {
+		buf = append(buf, r.Title...)
+	} else {
+		buf = append(buf, "State machine "...)
+		buf = appendCode(buf, m.ModelName, false)
+		buf = append(buf, " (parameter "...)
+		buf = appendInt(buf, m.Parameter)
+		buf = append(buf, ')')
 	}
-	b.AddLn("# ", title)
-	b.BlankLn()
-	b.AddLn("Generated from the abstract model; do not edit.")
-	b.BlankLn()
-	b.AddLn("| Property | Value |")
-	b.AddLn("|---|---|")
-	b.AddLn("| Model | `", m.ModelName, "` |")
-	b.AddLn("| Parameter | ", strconv.Itoa(m.Parameter), " |")
-	b.Add("| Messages | ")
-	b.codeList(m.Messages)
-	b.AddLn(" |")
-	b.AddLn("| States (raw) | ", strconv.Itoa(m.Stats.InitialStates), " |")
-	b.AddLn("| States (reachable) | ", strconv.Itoa(m.Stats.ReachableStates), " |")
-	b.AddLn("| States (merged) | ", strconv.Itoa(m.Stats.FinalStates), " |")
-	b.AddLn("| Transitions | ", strconv.Itoa(m.TransitionCount()), " |")
-	b.AddLn("| Start state | `", m.Start.Name, "` |")
+	buf = append(buf, "\n\nGenerated from the abstract model; do not edit.\n\n"+
+		"| Property | Value |\n|---|---|\n| Model | "...)
+	buf = appendCode(buf, m.ModelName, true)
+	buf = append(buf, " |\n| Parameter | "...)
+	buf = appendInt(buf, m.Parameter)
+	buf = append(buf, " |\n| Messages | "...)
+	buf = appendCodeList(buf, m.Messages, true)
+	buf = append(buf, " |\n| States (raw) | "...)
+	buf = appendInt(buf, m.Stats.InitialStates)
+	buf = append(buf, " |\n| States (reachable) | "...)
+	buf = appendInt(buf, m.Stats.ReachableStates)
+	buf = append(buf, " |\n| States (merged) | "...)
+	buf = appendInt(buf, m.Stats.FinalStates)
+	buf = append(buf, " |\n| Transitions | "...)
+	buf = appendInt(buf, m.TransitionCount())
+	buf = append(buf, " |\n| Start state | "...)
+	buf = appendCode(buf, m.Start.Name, true)
 	if m.Finish != nil {
-		b.AddLn("| Finish state | `", m.Finish.Name, "` |")
+		buf = append(buf, " |\n| Finish state | "...)
+		buf = appendCode(buf, m.Finish.Name, true)
 	}
-	b.BlankLn()
-	b.AddLn("Component encoding of state names: `", componentList(m), "`.")
-	b.BlankLn()
+	buf = append(buf, " |\n\nComponent encoding of state names: "...)
+	buf = appendCode(buf, componentList(m), false)
+	buf = append(buf, ".\n\n## States\n\n"...)
 
-	b.AddLn("## States")
-	b.BlankLn()
+	// Each message's first cell is written once.
+	var data [512]byte
+	var end [17]int
+	cells := frags{data[:0], append(end[:0], 0)}
+	for _, msg := range m.Messages {
+		cells.data = append(cells.data, "| "...)
+		cells.data = appendCode(cells.data, msg, true)
+		cells.data = append(cells.data, " | "...)
+		cells.end = append(cells.end, len(cells.data))
+	}
 	for i, s := range m.States {
-		b.AddLn("### `", s.Name, "`")
-		b.BlankLn()
+		buf = append(buf, "### "...)
+		buf = appendCode(buf, s.Name, false)
+		buf = append(buf, "\n\n"...)
 		if len(s.MergedNames) > 1 {
-			b.Add("Combines equivalent states: ")
-			b.codeList(s.MergedNames)
-			b.AddLn(".")
-			b.BlankLn()
+			buf = append(buf, "Combines equivalent states: "...)
+			buf = appendCodeList(buf, s.MergedNames, false)
+			buf = append(buf, ".\n\n"...)
 		}
 		for _, line := range s.Annotations {
-			b.AddLn(line, "  ") // two-space markdown line break
+			buf = append(buf, line...)
+			buf = append(buf, "  \n"...) // two-space markdown line break
 		}
 		if len(s.Annotations) > 0 {
-			b.BlankLn()
+			buf = append(buf, '\n')
 		}
-		if len(s.Transitions) == 0 {
-			if s.Final {
-				b.AddLn("_Terminal state._")
-			} else {
-				b.AddLn("_No outgoing transitions._")
-			}
-			b.BlankLn()
+		switch {
+		case len(s.Transitions) > 0:
+			buf = append(buf, "| Message | Actions | Next state |\n|---|---|---|\n"...)
+		case s.Final:
+			buf = append(buf, "_Terminal state._\n\n"...)
+			continue
+		default:
+			buf = append(buf, "_No outgoing transitions._\n\n"...)
 			continue
 		}
-		b.AddLn("| Message | Actions | Next state |")
-		b.AddLn("|---|---|---|")
 		for _, e := range t.Out(i) {
-			b.Add("| `", m.Messages[e.Msg], "` | ")
+			buf = append(buf, cells.at(e.Msg)...)
 			if len(e.Actions) == 0 {
-				b.Add("—")
+				buf = append(buf, "—"...)
 			}
-			b.codeList(e.Actions)
-			b.AddLn(" | `", e.Target.Name, "` |")
+			buf = appendCodeList(buf, e.Actions, true)
+			buf = append(buf, " | "...)
+			buf = appendCode(buf, e.Target.Name, true)
+			buf = append(buf, " |\n"...)
 		}
-		b.BlankLn()
+		buf = append(buf, '\n')
 	}
-	return b.artifact(r.Name(), "text/markdown; charset=utf-8", ".md"), nil
+	return Artifact{Format: r.Name(), MediaType: "text/markdown; charset=utf-8", Ext: ".md", Data: buf}, nil
 }
 
-// codeList writes the items as code spans separated by commas.
-func (b *Buffer) codeList(items []string) {
+// appendCodeList writes the items as code spans separated by commas.
+func appendCodeList(buf []byte, items []string, cell bool) []byte {
 	for i, it := range items {
 		if i > 0 {
-			b.Add(", ")
+			buf = append(buf, ", "...)
 		}
-		b.Add("`", it, "`")
+		buf = appendCode(buf, it, cell)
 	}
+	return buf
+}
+
+// appendCode writes text as a markdown code span (CommonMark §6.1), fenced
+// by one backtick more than the longest run of backticks in it. A blank
+// goes inside each fence where the text starts or ends with a backtick, or
+// starts and ends with a blank: a reader strips one blank from each end.
+// In a table cell (cell) every '|' is escaped, which GFM reads back as a
+// '|' of the code span.
+func appendCode(buf []byte, text string, cell bool) []byte {
+	fence, run, pipes := 1, 0, false
+	for i := 0; i < len(text); i++ {
+		switch text[i] {
+		case '`':
+			run++
+			fence = max(fence, run+1)
+			continue
+		case '|':
+			pipes = pipes || cell
+		}
+		run = 0
+	}
+	n := len(text)
+	pad := n > 0 && (text[0] == '`' || text[n-1] == '`') ||
+		n > 1 && text[0] == ' ' && text[n-1] == ' ' && strings.Trim(text, " ") != ""
+	if fence == 1 && !pad && !pipes {
+		buf = append(buf, '`')
+		buf = append(buf, text...)
+		return append(buf, '`')
+	}
+	buf = appendRepeat(buf, backticks, fence)
+	if pad {
+		buf = append(buf, ' ')
+	}
+	for i := 0; i < len(text); i++ {
+		if text[i] == '|' && cell {
+			buf = append(buf, '\\')
+		}
+		buf = append(buf, text[i])
+	}
+	if pad {
+		buf = append(buf, ' ')
+	}
+	return appendRepeat(buf, backticks, fence)
 }

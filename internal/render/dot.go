@@ -33,97 +33,125 @@ func (r *DotRenderer) Render(m *core.StateMachine) (Artifact, error) {
 		return Artifact{}, err
 	}
 	z := t.Sizes
-	b := newBuffer(256 + 6*z.States + z.StateNames +
-		25*z.Edges + z.EdgeSources + z.EdgeTargets + z.EdgeMessages + 16*z.Actions + z.ActionLen)
+	buf := make([]byte, 0, 256+6*z.States+z.StateNames+
+		25*z.Edges+z.EdgeSources+z.EdgeTargets+z.EdgeMessages+16*z.Actions+z.ActionLen)
 	rank := r.RankDir
 	if rank == "" {
 		rank = "LR"
 	}
-	b.dotOpen(m.ModelName, rank)
+	buf = appendDotOpen(buf, m.ModelName, "", rank)
 	// Each state name is escaped once, and one label head is made per
 	// message, not one per edge.
 	names := make([]string, len(m.States))
 	for i, s := range m.States {
 		names[i] = escapeDot(s.Name)
-		b.dotNode(names[i], s == m.Start, s.Final)
+		buf = appendDotNode(buf, names[i], s == m.Start, s.Final)
 	}
-	heads := make([]string, len(m.Messages))
-	for i, msg := range m.Messages {
-		heads[i] = "<-" + strings.ToLower(msg)
+	var data [256]byte
+	var end [17]int
+	heads := frags{data[:0], append(end[:0], 0)}
+	for _, msg := range m.Messages {
+		heads.data = appendDotLabelHead(heads.data, msg)
+		heads.end = append(heads.end, len(heads.data))
 	}
-	var label []string
 	for i := range m.States {
 		for _, e := range t.Out(i) {
-			label = append(label[:0], heads[e.Msg])
+			buf = appendDotEdgeHead(buf, names[i], names[e.To])
+			buf = append(buf, heads.at(e.Msg)...)
 			if r.IncludeActions {
-				label = append(label, e.Actions...)
+				buf = appendDotLabels(buf, e.Actions)
 			}
-			b.dotEdge(names[i], names[e.To], label, e.IsPhase())
+			buf = appendDotEdgeEnd(buf, e.IsPhase())
 		}
 	}
-	b.ExitBlock()
-	return b.artifact(r.Name(), "text/vnd.graphviz; charset=utf-8", ".dot"), nil
+	buf = append(buf, "}\n"...)
+	return Artifact{Format: r.Name(), MediaType: "text/vnd.graphviz; charset=utf-8", Ext: ".dot", Data: buf}, nil
 }
 
 // RenderEFSMDot renders an EFSM as a DOT diagram with guard/update labels.
-func RenderEFSMDot(e *core.EFSM) string { return efsmDot(e).String() }
+func RenderEFSMDot(e *core.EFSM) string { return string(efsmDot(e)) }
 
-func efsmDot(e *core.EFSM) *Buffer {
-	b := NewBuffer()
-	b.dotOpen(e.ModelName+"-efsm", "LR")
+func efsmDot(e *core.EFSM) []byte {
+	buf := appendDotOpen(nil, e.ModelName, "-efsm", "LR")
 	for _, s := range e.States {
-		b.dotNode(escapeDot(s.Name), s == e.Start, s.Final)
+		buf = appendDotNode(buf, escapeDot(s.Name), s == e.Start, s.Final)
 	}
 	for _, s := range e.States {
 		for _, tr := range s.Transitions {
-			label := []string{"<-" + strings.ToLower(tr.Message)}
+			buf = appendDotEdgeHead(buf, escapeDot(s.Name), escapeDot(tr.Target.Name))
+			buf = appendDotLabelHead(buf, tr.Message)
 			if !tr.Guard.Unconditional() {
-				label = append(label, "["+tr.Guard.String()+"]")
+				buf = append(buf, `\n`...)
+				buf = append(buf, escapeDot("["+tr.Guard.String()+"]")...)
 			}
 			for _, op := range tr.VarOps {
-				label = append(label, op.String())
+				buf = append(buf, `\n`...)
+				buf = append(buf, escapeDot(op.String())...)
 			}
-			b.dotEdge(escapeDot(s.Name), escapeDot(tr.Target.Name), append(label, tr.Actions...), len(tr.Actions) > 0)
+			buf = appendDotLabels(buf, tr.Actions)
+			buf = appendDotEdgeEnd(buf, len(tr.Actions) > 0)
 		}
 	}
-	b.ExitBlock()
-	return b
+	return append(buf, "}\n"...)
 }
 
-func (b *Buffer) dotOpen(name, rankDir string) {
-	b.IndentWith = "  "
-	b.EnterBlock("digraph \"" + escapeDot(name) + "\"")
-	b.AddLn("rankdir=", rankDir, ";")
-	b.AddLn("node [shape=box, fontname=\"Helvetica\"];")
+// appendDotLabelHead writes a label's first line, the message received. "<-"
+// holds no backslash and no quote, so it is escaped apart from the message
+// to the same bytes.
+func appendDotLabelHead(buf []byte, msg string) []byte {
+	buf = append(buf, "<-"...)
+	return append(buf, escapeDot(strings.ToLower(msg))...)
 }
 
-// dotNode writes one node; name is escaped already.
-func (b *Buffer) dotNode(name string, start, final bool) {
-	b.Add("\"", name, "\"")
+// appendDotOpen opens the graph named name+suffix.
+func appendDotOpen(buf []byte, name, suffix, rankDir string) []byte {
+	buf = append(buf, `digraph "`...)
+	buf = append(buf, escapeDot(name+suffix)...)
+	buf = append(buf, "\" {\n  rankdir="...)
+	buf = append(buf, rankDir...)
+	return append(buf, ";\n  node [shape=box, fontname=\"Helvetica\"];\n"...)
+}
+
+// appendDotNode writes one node; name is escaped already.
+func appendDotNode(buf []byte, name string, start, final bool) []byte {
+	buf = append(buf, "  \""...)
+	buf = append(buf, name...)
 	switch {
 	case start:
-		b.Add(" [style=filled, fillcolor=lightblue]")
+		return append(buf, "\" [style=filled, fillcolor=lightblue];\n"...)
 	case final:
-		b.Add(" [shape=doublecircle]")
+		return append(buf, "\" [shape=doublecircle];\n"...)
 	}
-	b.AddLn(";")
+	return append(buf, "\";\n"...)
 }
 
-// dotEdge writes one edge between two escaped names, its label parts on
-// lines of their own; bold marks a phase transition with a thick arrow.
-func (b *Buffer) dotEdge(from, to string, label []string, bold bool) {
-	b.Add("\"", from, "\" -> \"", to, "\" [label=\"")
-	for i, part := range label {
-		if i > 0 {
-			b.Add("\\n")
-		}
-		b.Add(escapeDot(part))
+// appendDotEdgeHead opens an edge between two escaped names up to its
+// label's text; the label's first line, its further lines (see
+// appendDotLabels) and appendDotEdgeEnd follow.
+func appendDotEdgeHead(buf []byte, from, to string) []byte {
+	buf = append(buf, "  \""...)
+	buf = append(buf, from...)
+	buf = append(buf, "\" -> \""...)
+	buf = append(buf, to...)
+	return append(buf, "\" [label=\""...)
+}
+
+// appendDotLabels writes each part escaped on a label line of its own.
+func appendDotLabels(buf []byte, parts []string) []byte {
+	for _, part := range parts {
+		buf = append(buf, `\n`...)
+		buf = append(buf, escapeDot(part)...)
 	}
-	b.Add("\"")
+	return buf
+}
+
+// appendDotEdgeEnd closes an edge's label and the edge; bold marks a phase
+// transition with a thick arrow.
+func appendDotEdgeEnd(buf []byte, bold bool) []byte {
 	if bold {
-		b.Add(", penwidth=2.2")
+		return append(buf, "\", penwidth=2.2];\n"...)
 	}
-	b.AddLn("];")
+	return append(buf, "\"];\n"...)
 }
 
 // escapeDot escapes a string for a double-quoted DOT identifier; a

@@ -18,7 +18,7 @@ func (r *EFSMTextRenderer) Name() string { return "efsm" }
 
 // RenderEFSM implements EFSMRenderer.
 func (r *EFSMTextRenderer) RenderEFSM(e *core.EFSM) (Artifact, error) {
-	return efsmText(e).artifact(r.Name(), "text/plain; charset=utf-8", ".txt"), nil
+	return Artifact{Format: r.Name(), MediaType: "text/plain; charset=utf-8", Ext: ".txt", Data: efsmText(e)}, nil
 }
 
 // EFSMDotRenderer renders an EFSM as a Graphviz DOT diagram with
@@ -33,5 +33,5 @@ func (r *EFSMDotRenderer) Name() string { return "efsm-dot" }
 
 // RenderEFSM implements EFSMRenderer.
 func (r *EFSMDotRenderer) RenderEFSM(e *core.EFSM) (Artifact, error) {
-	return efsmDot(e).artifact(r.Name(), "text/vnd.graphviz; charset=utf-8", ".dot"), nil
+	return Artifact{Format: r.Name(), MediaType: "text/vnd.graphviz; charset=utf-8", Ext: ".dot", Data: efsmDot(e)}, nil
 }

@@ -87,19 +87,20 @@ func SanitizePackageName(name string) string {
 // Name implements Renderer.
 func (r *GoSourceRenderer) Name() string { return "go" }
 
-// goWriter is the Buffer plus what the sections of one Go artefact share:
-// identifiers derived once per state and action, not once per transition.
+// goWriter is the artefact's bytes plus what the sections of one Go
+// artefact share: identifiers derived once per state and action, not once
+// per transition.
 //
 // It is also the gate between the model and the artefact. The emitted file
 // is a fixed skeleton of Go tokens; the only bytes a model controls are
 // identifiers (names.Declare), quoted string literals (strconv.Quote,
-// always a literal), line-comment text (check) and references to states
+// always a literal), line-comment text (CommentText) and references to states
 // (ref). A file whose every slot passed its gate parses and type-checks,
 // so nothing parses it again: go/parser, go/format and go/types are the
 // test and fuzz oracles of that claim (FuzzGoSourceGate), not part of the
 // render.
 type goWriter struct {
-	*Buffer
+	buf     []byte // the file; each section appends to it and returns it
 	table   *core.Table
 	consts  []string // by state position
 	methods map[string]string
@@ -145,7 +146,7 @@ func (r *GoSourceRenderer) Render(m *core.StateMachine) (Artifact, error) {
 	if err != nil {
 		return Artifact{}, err
 	}
-	return g.artifact(r.Name(), "text/x-go; charset=utf-8", ".go"), nil
+	return Artifact{Format: r.Name(), MediaType: "text/x-go; charset=utf-8", Ext: ".go", Data: g.buf}, nil
 }
 
 // emit writes the source, every slot through its gate.
@@ -168,17 +169,16 @@ func (r *GoSourceRenderer) emit(m *core.StateMachine) (*goWriter, error) {
 	t, err := m.Table()
 	z := t.Sizes
 	g := &goWriter{
-		Buffer: newBuffer(2048 + 256*len(m.Messages) + 22*z.States + 3*z.StateNames + 5*z.Annotations + z.AnnotationLen +
-			34*z.Edges + z.EdgeSources + z.EdgeTargets + 17*z.Actions + z.ActionLen),
+		buf: make([]byte, 0, 2048+256*len(m.Messages)+22*z.States+3*z.StateNames+5*z.Annotations+z.AnnotationLen+
+			34*z.Edges+z.EdgeSources+z.EdgeTargets+17*z.Actions+z.ActionLen),
 		table:   t,
-		consts:  make([]string, len(m.States)),
+		consts:  stateConsts(m.States, z.StateNames),
 		methods: map[string]string{},
 		names:   make(GoNames, len(m.States)+len(m.Messages)+8),
 	}
 	g.fail(err)
 	g.fail(g.names.Declare("package name", "package ", pkg, pkg))
 	for i, s := range m.States {
-		g.consts[i] = stateConst(s)
 		g.fail(g.names.Declare("state", "", g.consts[i], s.Name))
 	}
 	var actions []string // in first-use order
@@ -194,20 +194,25 @@ func (r *GoSourceRenderer) emit(m *core.StateMachine) (*goWriter, error) {
 		}
 	}
 
-	g.comment("Code generated by asagen fsmgen (model ", m.ModelName, ", parameter ", param, "). DO NOT EDIT.")
-	g.BlankLn()
-	g.docComment("Package "+pkg+" is a generated state-machine implementation of the",
+	g.fail(CommentText(m.ModelName))
+	buf := g.buf
+	buf = append(buf, "// Code generated by asagen fsmgen (model "...)
+	buf = append(buf, m.ModelName...)
+	buf = append(buf, ", parameter "...)
+	buf = append(buf, param...)
+	buf = append(buf, "). DO NOT EDIT.\n\n"...)
+	buf = g.docComment(buf, "Package "+pkg+" is a generated state-machine implementation of the",
 		m.ModelName+" protocol for parameter "+param+".")
-	g.AddLn("package ", pkg)
-	g.BlankLn()
-	g.docComment("State enumerates the machine states. State names encode the values of",
+	buf = append(buf, "package "...)
+	buf = append(buf, pkg...)
+	buf = append(buf, "\n\n"...)
+	buf = g.docComment(buf, "State enumerates the machine states. State names encode the values of",
 		"the model's state components: "+componentList(m)+".")
-	g.AddLn("type State int")
-	g.BlankLn()
-	g.emitStates(m.States, r.IncludeComments)
-	g.emitActions(actions)
-	g.emitMachine(m)
-	g.emitHandlers(m)
+	buf = append(buf, "type State int\n\n"...)
+	buf = g.emitStates(buf, m.States, r.IncludeComments)
+	buf = g.emitActions(buf, actions)
+	buf = g.emitMachine(buf, m)
+	g.buf = g.emitHandlers(buf, m)
 
 	if g.fault != nil {
 		// The refused text comes back too: the tests hold it up to
@@ -236,21 +241,16 @@ func (g *goWriter) ref(pos int) string {
 	return g.consts[pos]
 }
 
-// comment writes one line comment as gofmt leaves it: trailing white space
-// trimmed.
-func (g *goWriter) comment(text ...string) {
-	g.check(text)
-	g.Add("// ")
-	g.Add(text...)
-	g.buf = bytes.TrimRightFunc(g.buf, unicode.IsSpace)
-	g.BlankLn()
-}
-
-// check holds every piece of comment text to CommentText.
-func (g *goWriter) check(text []string) {
-	for _, t := range text {
-		g.fail(CommentText(t))
+// comment writes one line comment, its indentation and slashes given as
+// head, as gofmt leaves it: trailing white space trimmed.
+func (g *goWriter) comment(buf []byte, head, text string) []byte {
+	g.fail(CommentText(text))
+	buf = append(buf, head...)
+	buf = append(buf, text...)
+	if c := buf[len(buf)-1]; c == ' ' || '\t' <= c && c <= '\r' || c >= utf8.RuneSelf {
+		buf = bytes.TrimRightFunc(buf, unicode.IsSpace)
 	}
+	return append(buf, '\n')
 }
 
 // commentSuspect marks the bytes that may make comment text unwritable: a
@@ -302,27 +302,30 @@ func CommentText(text string) error {
 // These are the comments gofmt lays out again through go/doc/comment
 // (“quotes”, lists, indented text as code blocks), so the same library
 // lays them out here, on two lines instead of the whole file.
-func (g *goWriter) docComment(lines ...string) {
-	g.check(lines)
+func (g *goWriter) docComment(buf []byte, lines ...string) []byte {
+	for _, line := range lines {
+		g.fail(CommentText(line))
+	}
 	var p comment.Parser
 	var pr comment.Printer
 	out := strings.TrimSuffix(string(pr.Comment(p.Parse(strings.Join(lines, "\n")+"\n"))), "\n")
 	for _, line := range strings.Split(out, "\n") {
 		if strings.HasPrefix(line, "\t") { // a code block: the tab follows the slashes
-			g.check([]string{line})
-			g.AddLn("//", strings.TrimRightFunc(line, unicode.IsSpace))
+			g.fail(CommentText(line))
+			buf = append(buf, "//"...)
+			buf = append(buf, strings.TrimRightFunc(line, unicode.IsSpace)...)
+			buf = append(buf, '\n')
 		} else {
-			g.comment(line)
+			buf = g.comment(buf, "// ", line)
 		}
 	}
+	return buf
 }
 
 // pad appends the blanks that fill a cell of the given rune width up to
 // its column's width, plus the one blank that separates columns.
-func (g *goWriter) pad(cell, column int) {
-	for ; cell <= column; cell++ {
-		g.buf = append(g.buf, ' ')
-	}
+func pad(buf []byte, cell, column int) []byte {
+	return appendRepeat(buf, blanks, column-cell+1)
 }
 
 func componentList(m *core.StateMachine) string {
@@ -339,36 +342,33 @@ func componentList(m *core.StateMachine) string {
 // key that is not small (it or the previous key is over 40 bytes) and
 // whose size is at least 2.5 times, or at most 1/2.5 of, the geometric
 // mean of the key sizes before it in the section.
-func (g *goWriter) emitStates(states []*core.State, annotate bool) {
-	g.AddLn("// Machine states. The zero State is invalid.")
-	g.AddLn("const (")
-	g.IncreaseIndent()
-	g.AddLn("StateInvalid State = iota")
+func (g *goWriter) emitStates(buf []byte, states []*core.State, annotate bool) []byte {
+	buf = append(buf, "// Machine states. The zero State is invalid.\nconst (\n\tStateInvalid State = iota\n"...)
 	for i, s := range states {
 		if annotate {
 			for _, line := range s.Annotations {
-				g.comment(line)
+				buf = g.comment(buf, "\t// ", line)
 			}
 		}
-		g.AddLn(g.consts[i])
+		buf = append(buf, '\t')
+		buf = append(buf, g.consts[i]...)
+		buf = append(buf, '\n')
 	}
-	g.DecreaseIndent()
-	g.AddLn(")")
-	g.BlankLn()
-	g.AddLn("// stateNames maps states to their encoded names.")
-	g.AddLn("var stateNames = map[State]string{")
-	g.IncreaseIndent()
-	section := func(from, to int) {
+	buf = append(buf, ")\n\n// stateNames maps states to their encoded names.\nvar stateNames = map[State]string{\n"...)
+	section := func(buf []byte, from, to int) []byte {
 		column := 0
 		for _, c := range g.consts[from:to] {
 			column = max(column, utf8.RuneCountInString(c))
 		}
 		for i, c := range g.consts[from:to] {
-			g.Add(c, ":")
-			g.pad(utf8.RuneCountInString(c), column)
-			g.buf = strconv.AppendQuote(g.buf, states[from+i].Name)
-			g.AddLn(",")
+			buf = append(buf, '\t')
+			buf = append(buf, c...)
+			buf = append(buf, ':')
+			buf = pad(buf, utf8.RuneCountInString(c), column)
+			buf = appendQuote(buf, states[from+i].Name)
+			buf = append(buf, ",\n"...)
 		}
+		return buf
 	}
 	const smallSize, r = 40, 2.5 // go/printer's constants
 	start, lnsum := 0, 0.0
@@ -377,15 +377,14 @@ func (g *goWriter) emitStates(states []*core.State, annotate bool) {
 		if i > 0 && (size > smallSize || len(g.consts[i-1]) > smallSize) {
 			ratio := float64(size) / math.Exp(lnsum/float64(i-start))
 			if r*ratio <= 1 || r <= ratio {
-				section(start, i)
+				buf = section(buf, start, i)
 				start, lnsum = i, 0
 			}
 		}
 		lnsum += math.Log(float64(size))
 	}
-	section(start, len(g.consts))
-	g.DecreaseIndent()
-	g.Add(`}
+	buf = section(buf, start, len(g.consts))
+	buf = append(buf, `}
 
 // String returns the encoded state name.
 func (s State) String() string {
@@ -395,57 +394,64 @@ func (s State) String() string {
 	return "INVALID"
 }
 
-`)
+`...)
+	return buf
 }
 
 // emitActions writes the Actions interface, the trailing comments in one
 // column a blank past the widest method (go/printer separates a trailing
 // comment with a tab cell), and the no-op implementation.
-func (g *goWriter) emitActions(actions []string) {
-	g.AddLn("// Actions receives the outgoing messages sent on phase transitions. The")
-	g.AddLn("// embedding application supplies the transport.")
-	g.EnterBlock("type Actions interface")
+func (g *goWriter) emitActions(buf []byte, actions []string) []byte {
+	buf = append(buf, `// Actions receives the outgoing messages sent on phase transitions. The
+// embedding application supplies the transport.
+type Actions interface {
+`...)
 	column := 0
 	for _, a := range actions {
 		column = max(column, utf8.RuneCountInString(g.methods[a]))
 	}
 	for _, a := range actions {
-		g.Add(g.methods[a], "()")
-		g.pad(utf8.RuneCountInString(g.methods[a]), column)
-		g.comment(a)
+		buf = append(buf, '\t')
+		buf = append(buf, g.methods[a]...)
+		buf = append(buf, "()"...)
+		buf = pad(buf, utf8.RuneCountInString(g.methods[a]), column)
+		buf = g.comment(buf, "// ", a)
 	}
-	g.ExitBlock()
-	g.BlankLn()
-	g.AddLn("// NopActions discards all actions.")
-	g.AddLn("type NopActions struct{}")
-	g.BlankLn()
+	buf = append(buf, "}\n\n// NopActions discards all actions.\ntype NopActions struct{}\n\n"...)
 	for _, a := range actions {
-		g.AddLn("// ", g.methods[a], " implements Actions.")
-		g.shortFunc("func (NopActions) "+g.methods[a]+"()", "")
-		g.BlankLn()
+		buf = append(buf, "// "...)
+		buf = append(buf, g.methods[a]...)
+		buf = append(buf, " implements Actions.\n"...)
+		buf = shortFunc(buf, "func (NopActions) "+g.methods[a]+"()", "")
+		buf = append(buf, '\n')
 	}
+	return buf
 }
 
 // shortFunc writes a function of at most one statement as go/printer
 // does: on one line while header, the blank after it and the statement are
 // within 100 bytes (funcBody's maxSize), as a block otherwise.
-func (g *goWriter) shortFunc(header, stmt string) {
+func shortFunc(buf []byte, header, stmt string) []byte {
+	buf = append(buf, header...)
 	switch {
+	case len(header)+1+len(stmt) > 100 && stmt == "":
+		buf = append(buf, " {\n}\n"...)
 	case len(header)+1+len(stmt) > 100:
-		g.EnterBlock(header)
-		if stmt != "" {
-			g.AddLn(stmt)
-		}
-		g.ExitBlock()
+		buf = append(buf, " {\n\t"...)
+		buf = append(buf, stmt...)
+		buf = append(buf, "\n}\n"...)
 	case stmt == "":
-		g.AddLn(header, " {}")
+		buf = append(buf, " {}\n"...)
 	default:
-		g.AddLn(header, " { ", stmt, " }")
+		buf = append(buf, " { "...)
+		buf = append(buf, stmt...)
+		buf = append(buf, " }\n"...)
 	}
+	return buf
 }
 
-func (g *goWriter) emitMachine(m *core.StateMachine) {
-	g.Add(`// Machine is the generated protocol implementation: the current state plus
+func (g *goWriter) emitMachine(buf []byte, m *core.StateMachine) []byte {
+	buf = append(buf, `// Machine is the generated protocol implementation: the current state plus
 // the action sink.
 type Machine struct {
 	state   State
@@ -458,27 +464,30 @@ func New(actions Actions) *Machine {
 	if actions == nil {
 		actions = NopActions{}
 	}
-	return &Machine{state: `, g.ref(g.table.Start), `, actions: actions}
+	return &Machine{state: `...)
+	buf = append(buf, g.ref(g.table.Start)...)
+	buf = append(buf, `, actions: actions}
 }
 
 // State returns the current machine state.
 func (m *Machine) State() State { return m.state }
 
-`)
+`...)
 	if m.Finish != nil {
-		g.AddLn("// Finished reports whether the machine has reached the finish state.")
-		g.shortFunc("func (m *Machine) Finished() bool", "return m.state == "+g.ref(g.table.Finish))
+		buf = append(buf, "// Finished reports whether the machine has reached the finish state.\n"...)
+		buf = shortFunc(buf, "func (m *Machine) Finished() bool", "return m.state == "+g.ref(g.table.Finish))
 	} else {
-		g.AddLn("// Finished reports whether the machine has reached a terminal state;")
-		g.AddLn("// this machine has none.")
-		g.AddLn("func (m *Machine) Finished() bool { return false }")
+		buf = append(buf, `// Finished reports whether the machine has reached a terminal state;
+// this machine has none.
+func (m *Machine) Finished() bool { return false }
+`...)
 	}
-	g.BlankLn()
+	return append(buf, '\n')
 }
 
 // emitHandlers writes one Receive method per message and the dispatcher
 // over them.
-func (g *goWriter) emitHandlers(m *core.StateMachine) {
+func (g *goWriter) emitHandlers(buf []byte, m *core.StateMachine) []byte {
 	receive := make([]string, len(m.Messages))
 	// next[p] is the first edge of the state at position p that no handler
 	// has written yet: the handlers go in message order, and so do a
@@ -487,11 +496,11 @@ func (g *goWriter) emitHandlers(m *core.StateMachine) {
 	for i, msg := range m.Messages {
 		receive[i] = ReceiveMethod(msg)
 		g.fail(g.names.Declare("message", "Machine.", receive[i], msg))
-		g.docComment(receive[i]+" handles an incoming "+msg+" message. States in which",
+		buf = g.docComment(buf, receive[i]+" handles an incoming "+msg+" message. States in which",
 			"the message is not applicable ignore it.")
-		g.EnterBlock("func (m *Machine) ", receive[i], "()")
-		g.AddLn("switch m.state {")
-		g.BlankLn()
+		buf = append(buf, "func (m *Machine) "...)
+		buf = append(buf, receive[i]...)
+		buf = append(buf, "() {\n\tswitch m.state {\n\n"...)
 		for p := range m.States {
 			out := g.table.Out(p)
 			if next[p] == len(out) || out[next[p]].Msg != int32(i) {
@@ -499,52 +508,79 @@ func (g *goWriter) emitHandlers(m *core.StateMachine) {
 			}
 			e := out[next[p]]
 			next[p]++
-			g.AddLn("case ", g.consts[p], ":")
-			g.IncreaseIndent()
+			buf = append(buf, "\tcase "...)
+			buf = append(buf, g.consts[p]...)
+			buf = append(buf, ":\n"...)
 			for _, a := range e.Actions {
-				g.AddLn("m.actions.", g.methods[a], "()")
+				buf = append(buf, "\t\tm.actions."...)
+				buf = append(buf, g.methods[a]...)
+				buf = append(buf, "()\n"...)
 			}
-			g.AddLn("m.state = ", g.ref(int(e.To)))
-			g.DecreaseIndent()
-			g.BlankLn()
+			buf = append(buf, "\t\tm.state = "...)
+			buf = append(buf, g.ref(int(e.To))...)
+			buf = append(buf, "\n\n"...)
 		}
-		g.AddLn("}")
-		g.ExitBlock()
-		g.BlankLn()
+		buf = append(buf, "\t}\n}\n\n"...)
 	}
-	g.AddLn("// Receive dispatches a message by its model name. It reports whether the")
-	g.AddLn("// message type is known to the machine.")
-	g.EnterBlock("func (m *Machine) Receive(msg string) bool")
-	g.AddLn("switch msg {")
+	buf = append(buf, `// Receive dispatches a message by its model name. It reports whether the
+// message type is known to the machine.
+func (m *Machine) Receive(msg string) bool {
+	switch msg {
+`...)
 	for i, msg := range m.Messages {
-		g.AddLn("case ", strconv.Quote(msg), ":")
-		g.AddLn("\tm.", receive[i], "()")
+		buf = append(buf, "\tcase "...)
+		buf = strconv.AppendQuote(buf, msg)
+		buf = append(buf, ":\n\t\tm."...)
+		buf = append(buf, receive[i]...)
+		buf = append(buf, "()\n"...)
 	}
-	g.AddLn("default:")
-	g.AddLn("\treturn false")
-	g.AddLn("}")
-	g.AddLn("return true")
-	g.ExitBlock()
+	buf = append(buf, "\tdefault:\n\t\treturn false\n\t}\n\treturn true\n}\n"...)
+	return buf
+}
+
+// appendQuote appends s as strconv.Quote writes it: printable ASCII other
+// than a quote or a backslash, which is all a state name usually holds,
+// stands for itself.
+func appendQuote(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(buf, s)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
 }
 
 // ReceiveMethod returns the name of the handler method generated for a
 // message: "NOT_FREE" becomes "ReceiveNotFree".
 func ReceiveMethod(msg string) string { return "Receive" + camel(msg) }
 
-// stateConst returns the Go constant name for a state: the encoded state
-// name with every non-alphanumeric rune mapped to '_'.
-func stateConst(s *core.State) string {
+// stateConsts returns the Go constant name of each state, all cut from
+// one string: the encoded state name with every non-alphanumeric rune
+// mapped to '_'. nameLen is the bytes of the state names, which the
+// constants do not outgrow but by their prefix.
+func stateConsts(states []*core.State, nameLen int) []string {
 	var b strings.Builder
-	b.Grow(len("State_") + len(s.Name))
-	b.WriteString("State_")
-	for _, r := range s.Name {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			b.WriteRune(r)
-		} else {
-			b.WriteRune('_')
+	b.Grow(len("State_")*len(states) + nameLen)
+	consts := make([]string, len(states))
+	end := make([]int, len(states))
+	for i, s := range states {
+		b.WriteString("State_")
+		for _, r := range s.Name {
+			if unicode.IsLetter(r) || unicode.IsDigit(r) {
+				b.WriteRune(r)
+			} else {
+				b.WriteByte('_')
+			}
 		}
+		end[i] = b.Len()
 	}
-	return b.String()
+	all, start := b.String(), 0
+	for i := range consts {
+		consts[i], start = all[start:end[i]], end[i]
+	}
+	return consts
 }
 
 // camel converts a model identifier ("not free", "NOT_FREE") to CamelCase

@@ -3,6 +3,7 @@ package render_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"asagen/internal/core"
@@ -10,7 +11,10 @@ import (
 	"asagen/internal/render"
 )
 
-func init() { render.SweepMachines = sweepMachines }
+func init() {
+	render.SweepMachines = sweepMachines
+	render.SweepEFSMs = sweepEFSMs
+}
 
 // sweepMachines generates every registry model at every sweep parameter.
 func sweepMachines(t testing.TB) map[string]*core.StateMachine {
@@ -31,6 +35,26 @@ func sweepMachines(t testing.TB) map[string]*core.StateMachine {
 				t.Fatalf("%s/%d: %v", name, p, err)
 			}
 			out[fmt.Sprintf("%s/r=%d", name, p)] = machine
+		}
+	}
+	return out
+}
+
+// sweepEFSMs generalises every registry model at every sweep parameter.
+func sweepEFSMs(t testing.TB) map[string]*core.EFSM {
+	t.Helper()
+	out := map[string]*core.EFSM{}
+	for key, machine := range sweepMachines(t) {
+		entry, err := models.Get(strings.Split(key, "/")[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		abs, err := entry.Abstraction(machine.Parameter)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if out[key], err = core.GeneralizeEFSM(machine, abs); err != nil {
+			t.Fatalf("%s: %v", key, err)
 		}
 	}
 	return out

@@ -3,8 +3,6 @@ package render
 import (
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 
 	"asagen/internal/core"
 )
@@ -35,17 +33,35 @@ func (r *TextRenderer) Render(m *core.StateMachine) (Artifact, error) {
 		return Artifact{}, err
 	}
 	z := t.Sizes
-	b := newBuffer(256 + 45*z.States + 2*z.StateNames + z.Annotations + z.AnnotationLen +
-		30*z.Edges + z.EdgeMessages + z.EdgeTargets + 11*z.Actions + z.ActionLen)
-	b.AddLn("state machine: ", m.ModelName)
-	b.AddLn("parameter: ", strconv.Itoa(m.Parameter))
-	b.AddLn("messages: ", strings.Join(m.Messages, ", "))
-	b.AddLn("states: ", strconv.Itoa(len(m.States)))
-	b.BlankLn()
+	buf := make([]byte, 0, 256+45*z.States+2*z.StateNames+z.Annotations+z.AnnotationLen+
+		30*z.Edges+z.EdgeMessages+z.EdgeTargets+11*z.Actions+z.ActionLen)
+	buf = append(buf, "state machine: "...)
+	buf = append(buf, m.ModelName...)
+	buf = append(buf, "\nparameter: "...)
+	buf = appendInt(buf, m.Parameter)
+	buf = append(buf, "\nmessages: "...)
+	buf = appendJoined(buf, m.Messages, ", ")
+	buf = append(buf, "\nstates: "...)
+	buf = appendInt(buf, len(m.States))
+	buf = append(buf, "\n\n"...)
+	var data [512]byte
+	var end [17]int
+	heads := messageHeads(frags{data[:0], append(end[:0], 0)}, m.Messages)
 	for i, s := range m.States {
-		r.renderState(b, m, s, t.Out(i))
+		buf = r.appendState(buf, s, t.Out(i), &heads)
 	}
-	return b.artifact(r.Name(), "text/plain; charset=utf-8", ".txt"), nil
+	return Artifact{Format: r.Name(), MediaType: "text/plain; charset=utf-8", Ext: ".txt", Data: buf}, nil
+}
+
+// messageHeads makes each message's first line of an edge.
+func messageHeads(f frags, messages []string) frags {
+	for _, msg := range messages {
+		f.data = append(f.data, "\tmessage: "...)
+		f.data = append(f.data, msg...)
+		f.data = append(f.data, '\n')
+		f.end = append(f.end, len(f.data))
+	}
+	return f
 }
 
 // RenderState produces the Fig. 14 style section for one of the machine's
@@ -59,103 +75,96 @@ func (r *TextRenderer) RenderState(m *core.StateMachine, s *core.State) (string,
 	if i < 0 {
 		return "", fmt.Errorf("render: state %q is not one of the machine's states", s.Name)
 	}
-	b := NewBuffer()
-	r.renderState(b, m, s, t.Out(i))
-	return b.String(), nil
+	heads := messageHeads(frags{end: []int{0}}, m.Messages)
+	return string(r.appendState(nil, s, t.Out(i), &heads)), nil
 }
 
-func (r *TextRenderer) renderState(b *Buffer, m *core.StateMachine, s *core.State, out []core.Edge) {
-	b.underlined("state: ", s.Name)
-
+func (r *TextRenderer) appendState(buf []byte, s *core.State, out []core.Edge, heads *frags) []byte {
+	buf = appendUnderlined(buf, "state: ", s.Name)
 	if r.IncludeMergedNames && len(s.MergedNames) > 1 {
-		b.AddLn("Combines: ", strings.Join(s.MergedNames, ", "))
+		buf = append(buf, "Combines: "...)
+		buf = appendJoined(buf, s.MergedNames, ", ")
+		buf = append(buf, '\n')
 	}
-
 	if r.IncludeDescriptions && len(s.Annotations) > 0 {
-		b.AddLn("Description:")
-		b.BlankLn()
+		buf = append(buf, "Description:\n\n"...)
 		for _, line := range s.Annotations {
-			b.AddLn(line)
+			buf = append(buf, line...)
+			buf = append(buf, '\n')
 		}
-		b.BlankLn()
+		buf = append(buf, '\n')
 	}
-
-	b.AddLn("Transitions:")
-	b.BlankLn()
-	if len(s.Transitions) == 0 {
-		b.IncreaseIndent()
-		if s.Final {
-			b.AddLn("(terminal state)")
-		} else {
-			b.AddLn("(none)")
-		}
-		b.DecreaseIndent()
-		b.BlankLn()
-		return
+	switch {
+	case len(s.Transitions) > 0:
+		buf = append(buf, "Transitions:\n\n"...)
+	case s.Final:
+		return append(buf, "Transitions:\n\n\t(terminal state)\n\n"...)
+	default:
+		return append(buf, "Transitions:\n\n\t(none)\n\n"...)
 	}
 	for _, e := range out {
-		b.IncreaseIndent()
-		b.AddLn("message: ", m.Messages[e.Msg])
-		b.IncreaseIndent()
-		for _, a := range e.Actions {
-			b.AddLn("action: ", a)
-		}
-		b.AddLn("transition to: ", e.Target.Name)
-		b.DecreaseIndent()
-		b.DecreaseIndent()
-		b.BlankLn()
+		buf = append(buf, heads.at(e.Msg)...)
+		buf = appendEdgeTail(buf, e.Actions, e.Target.Name)
 	}
+	return buf
 }
 
-// underlined writes a heading and a rule of dashes as long under it.
-func (b *Buffer) underlined(label, name string) {
-	b.AddLn(label, name)
-	buf := b.appendIndent(b.buf)
-	for range len(label) + len(name) {
-		buf = append(buf, '-')
+// appendEdgeTail writes an edge's lines after its message: its actions and
+// its target, and the blank line after it.
+func appendEdgeTail(buf []byte, actions []string, target string) []byte {
+	for _, a := range actions {
+		buf = append(buf, "\t\taction: "...)
+		buf = append(buf, a...)
+		buf = append(buf, '\n')
 	}
-	b.buf = buf
-	b.BlankLn()
+	buf = append(buf, "\t\ttransition to: "...)
+	buf = append(buf, target...)
+	return append(buf, "\n\n"...)
+}
+
+// appendUnderlined writes a heading and a rule of dashes as long under it.
+func appendUnderlined(buf []byte, label, name string) []byte {
+	buf = append(buf, label...)
+	buf = append(buf, name...)
+	buf = append(buf, '\n')
+	buf = appendRepeat(buf, dashes, len(label)+len(name))
+	return append(buf, '\n')
 }
 
 // RenderEFSMText renders an EFSM as a textual catalogue: per state, the
 // guarded transitions with variable updates and actions.
-func RenderEFSMText(e *core.EFSM) string { return efsmText(e).String() }
+func RenderEFSMText(e *core.EFSM) string { return string(efsmText(e)) }
 
-func efsmText(e *core.EFSM) *Buffer {
-	b := NewBuffer()
-	b.AddLn("extended state machine: ", e.ModelName)
-	b.AddLn("generalised from parameter: ", strconv.Itoa(e.Parameter))
-	b.AddLn("variables: ", strings.Join(e.Variables, ", "))
-	b.AddLn("states: ", strconv.Itoa(len(e.States)))
-	b.BlankLn()
+func efsmText(e *core.EFSM) []byte {
+	buf := append([]byte(nil), "extended state machine: "...)
+	buf = append(buf, e.ModelName...)
+	buf = append(buf, "\ngeneralised from parameter: "...)
+	buf = appendInt(buf, e.Parameter)
+	buf = append(buf, "\nvariables: "...)
+	buf = appendJoined(buf, e.Variables, ", ")
+	buf = append(buf, "\nstates: "...)
+	buf = appendInt(buf, len(e.States))
+	buf = append(buf, "\n\n"...)
 	for _, s := range e.States {
-		b.underlined("state: ", s.Name)
+		buf = appendUnderlined(buf, "state: ", s.Name)
 		if s.Final {
-			b.IncreaseIndent()
-			b.AddLn("(terminal state)")
-			b.DecreaseIndent()
-			b.BlankLn()
+			buf = append(buf, "\t(terminal state)\n\n"...)
 			continue
 		}
 		for _, tr := range s.Transitions {
-			b.IncreaseIndent()
-			b.AddLn("message: ", tr.Message)
-			b.IncreaseIndent()
+			buf = append(buf, "\tmessage: "...)
+			buf = append(buf, tr.Message...)
 			if !tr.Guard.Unconditional() {
-				b.AddLn("guard: ", tr.Guard.String())
+				buf = append(buf, "\n\t\tguard: "...)
+				buf = append(buf, tr.Guard.String()...)
 			}
 			for _, op := range tr.VarOps {
-				b.AddLn("update: ", op.String())
+				buf = append(buf, "\n\t\tupdate: "...)
+				buf = append(buf, op.String()...)
 			}
-			for _, a := range tr.Actions {
-				b.AddLn("action: ", a)
-			}
-			b.AddLn("transition to: ", tr.Target.Name)
-			b.DecreaseIndent()
-			b.DecreaseIndent()
-			b.BlankLn()
+			buf = append(buf, '\n')
+			buf = appendEdgeTail(buf, tr.Actions, tr.Target.Name)
 		}
 	}
-	return b
+	return buf
 }

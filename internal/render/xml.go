@@ -3,7 +3,6 @@ package render
 import (
 	"encoding/xml"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"asagen/internal/core"
@@ -98,56 +97,16 @@ func (r *XMLRenderer) Document(m *core.StateMachine) *XMLDiagram {
 // Name implements Renderer.
 func (r *XMLRenderer) Name() string { return "xml" }
 
-// xmlWriter writes a document tag by tag, laid out as encoding/xml indents
-// one: every start tag on a line of its own, an end tag on its own line
-// unless it closes an element without child elements.
+// xmlWriter escapes text as encoding/xml does; the text that needs more
+// than copying goes through xml.EscapeText, from a scratch copy into out,
+// and is copied from there.
 type xmlWriter struct {
-	*Buffer
-	children bool   // the open element has a child element
-	scratch  []byte // text on its way through xml.EscapeText
+	scratch, out []byte
 }
 
-// open starts an element and writes the attributes given as name, value
-// pairs; the caller adds any others and the closing ">".
-func (x *xmlWriter) open(name string, attrs ...string) {
-	if !x.atLineStart {
-		x.BlankLn()
-	}
-	x.Add("<", name)
-	for i := 0; i < len(attrs); i += 2 {
-		x.Add(" ", attrs[i], `="`)
-		x.text(attrs[i+1])
-		x.Add(`"`)
-	}
-	x.IncreaseIndent()
-	x.children = false
-}
-
-func (x *xmlWriter) close(name string) {
-	x.DecreaseIndent()
-	if x.children {
-		x.BlankLn()
-	}
-	x.Add("</", name, ">")
-	x.children = true // of the parent, from here on
-}
-
-// leaves writes one child element per text. With omitEmpty an empty text
-// has none, which is what omitempty on a []string field comes to.
-func (x *xmlWriter) leaves(name string, texts []string, omitEmpty bool) {
-	for _, t := range texts {
-		if t != "" || !omitEmpty {
-			x.open(name)
-			x.Add(">")
-			x.text(t)
-			x.close(name)
-		}
-	}
-}
-
-// Write lets xml.EscapeText append to the buffer.
+// Write lets xml.EscapeText append to out.
 func (x *xmlWriter) Write(p []byte) (int, error) {
-	x.buf = append(x.buf, p...)
+	x.out = append(x.out, p...)
 	return len(p), nil
 }
 
@@ -161,18 +120,45 @@ var xmlPlain = func() (plain [256]bool) {
 	return plain
 }()
 
-// text appends s escaped as encoding/xml escapes attribute values and
-// character data alike. A text of plain bytes is appended as it is;
+// text appends s to buf escaped as encoding/xml escapes attribute values
+// and character data alike. A text of plain bytes is appended as it is;
 // anything else is left to xml.EscapeText.
-func (x *xmlWriter) text(s string) {
+func (x *xmlWriter) text(buf []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if !xmlPlain[s[i]] {
 			x.scratch = append(x.scratch[:0], s...)
-			xml.EscapeText(x, x.scratch) // appending to the buffer cannot fail
-			return
+			x.out = x.out[:0]
+			xml.EscapeText(x, x.scratch) // appending to a slice cannot fail
+			return append(buf, x.out...)
 		}
 	}
-	x.buf = append(x.buf, s...)
+	return append(buf, s...)
+}
+
+// elements writes one element per non-empty text: open is the line
+// break, indentation and start tag before it, close its end tag. It
+// reports whether it wrote any, as omitempty on a []string field comes to.
+func (x *xmlWriter) elements(buf []byte, texts []string, open, close string) ([]byte, bool) {
+	wrote := false
+	for _, t := range texts {
+		if t != "" {
+			buf = append(buf, open...)
+			buf = x.text(buf, t)
+			buf = append(buf, close...)
+			wrote = true
+		}
+	}
+	return buf, wrote
+}
+
+// appendEnd writes an end tag given with the line break and indentation it
+// takes after child elements; an element with none closes on its start
+// tag's line, as encoding/xml lays it out.
+func appendEnd(buf []byte, children bool, end string) []byte {
+	if !children {
+		end = end[strings.IndexByte(end, '<'):]
+	}
+	return append(buf, end...)
 }
 
 // Render writes the machine's diagram document.
@@ -182,55 +168,73 @@ func (r *XMLRenderer) Render(m *core.StateMachine) (Artifact, error) {
 		return Artifact{}, err
 	}
 	z := t.Sizes
-	x := &xmlWriter{Buffer: newBuffer(512 + 44*z.States + z.StateNames + 32*z.Annotations + z.AnnotationLen +
-		66*z.Edges + z.EdgeMessages + 48*z.Actions + z.ActionLen)}
-	x.IndentWith = "  "
-	ids := make([]string, len(m.States))
-	var id [24]byte
-	for i := range ids {
-		ids[i] = string(strconv.AppendInt(append(id[:0], 's'), int64(i), 10))
+	x := &xmlWriter{}
+	buf := make([]byte, 0, 512+44*z.States+z.StateNames+32*z.Annotations+z.AnnotationLen+
+		66*z.Edges+z.EdgeMessages+48*z.Actions+z.ActionLen)
+	buf = append(buf, xml.Header+`<stateMachineDiagram model="`...)
+	buf = x.text(buf, m.ModelName)
+	buf = append(buf, `" parameter="`...)
+	buf = appendInt(buf, m.Parameter)
+	buf = append(buf, `">`+"\n  <messages>"...)
+	for _, msg := range m.Messages {
+		buf = append(buf, "\n    <message>"...)
+		buf = x.text(buf, msg)
+		buf = append(buf, "</message>"...)
 	}
-	x.buf = append(x.buf, xml.Header...)
-	x.open("stateMachineDiagram", "model", m.ModelName, "parameter", strconv.Itoa(m.Parameter))
-	x.Add(">")
-	x.open("messages")
-	x.Add(">")
-	x.leaves("message", m.Messages, false)
-	x.close("messages")
-	x.open("states")
-	x.Add(">")
+	buf = appendEnd(buf, len(m.Messages) > 0, "\n  </messages>")
+	buf = append(buf, "\n  <states>"...)
 	for i, s := range m.States {
-		x.open("state", "id", ids[i], "name", s.Name)
+		buf = append(buf, "\n    <state id=\"s"...)
+		buf = appendInt(buf, i)
+		buf = append(buf, `" name="`...)
+		buf = x.text(buf, s.Name)
+		buf = append(buf, '"')
 		if s == m.Start {
-			x.Add(` start="true"`)
+			buf = append(buf, ` start="true"`...)
 		}
 		if s.Final {
-			x.Add(` final="true"`)
+			buf = append(buf, ` final="true"`...)
 		}
-		x.Add(">")
+		buf = append(buf, '>')
+		annotated := false
 		if r.IncludeAnnotations {
-			x.leaves("annotation", s.Annotations, true)
+			buf, annotated = x.elements(buf, s.Annotations, "\n      <annotation>", "</annotation>")
 		}
-		x.close("state")
+		buf = appendEnd(buf, annotated, "\n    </state>")
 	}
-	x.close("states")
-	x.open("transitions")
-	x.Add(">")
+	buf = appendEnd(buf, len(m.States) > 0, "\n  </states>")
+	// Each message's attribute, with the quote that closes the one before
+	// it, is escaped once.
+	var data [512]byte
+	var end [17]int
+	msgs := frags{data[:0], append(end[:0], 0)}
+	for _, msg := range m.Messages {
+		msgs.data = append(msgs.data, `" message="`...)
+		msgs.data = x.text(msgs.data, msg)
+		msgs.data = append(msgs.data, '"')
+		msgs.end = append(msgs.end, len(msgs.data))
+	}
+	buf = append(buf, "\n  <transitions>"...)
 	for i := range m.States {
 		for _, e := range t.Out(i) {
-			x.open("transition", "from", ids[i], "to", ids[e.To], "message", m.Messages[e.Msg])
+			buf = append(buf, "\n    <transition from=\"s"...)
+			buf = appendInt(buf, i)
+			buf = append(buf, `" to="s`...)
+			buf = appendInt(buf, int(e.To))
+			buf = append(buf, msgs.at(e.Msg)...)
 			if e.IsPhase() {
-				x.Add(` phase="true"`)
+				buf = append(buf, ` phase="true">`...)
+			} else {
+				buf = append(buf, '>')
 			}
-			x.Add(">")
-			x.leaves("action", e.Actions, true)
-			x.close("transition")
+			var acted bool
+			buf, acted = x.elements(buf, e.Actions, "\n      <action>", "</action>")
+			buf = appendEnd(buf, acted, "\n    </transition>")
 		}
 	}
-	x.close("transitions")
-	x.close("stateMachineDiagram")
-	x.BlankLn()
-	return x.artifact(r.Name(), "application/xml; charset=utf-8", ".xml"), nil
+	buf = appendEnd(buf, z.Edges > 0, "\n  </transitions>")
+	buf = append(buf, "\n</stateMachineDiagram>\n"...)
+	return Artifact{Format: r.Name(), MediaType: "application/xml; charset=utf-8", Ext: ".xml", Data: buf}, nil
 }
 
 // ParseXML decodes a diagram document produced by Render, for round-trip
