@@ -196,14 +196,14 @@ func buildCommitMachine(b *testing.B, r int) *core.StateMachine {
 // benchRender measures one renderer on the smallest and the largest
 // Table 1 member: r=46 is where a cold sweep spends its time, r=4 alone
 // would not see it. MB/s is artefact bytes written.
-func benchRender(b *testing.B, r render.Renderer) {
+func benchRender(b *testing.B, renderOne func(*core.StateMachine) (render.Artifact, error)) {
 	for _, param := range []int{4, 46} {
 		b.Run(fmt.Sprintf("r=%d", param), func(b *testing.B) {
 			machine := buildCommitMachine(b, param)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				art, err := r.Render(machine)
+				art, err := renderOne(machine)
 				if err != nil || len(art.Data) == 0 {
 					b.Fatalf("empty artefact (%v)", err)
 				}
@@ -213,23 +213,34 @@ func benchRender(b *testing.B, r render.Renderer) {
 	}
 }
 
+// machineFormat returns the machine format's writer.
+func machineFormat(b *testing.B, name string) func(*core.StateMachine) (render.Artifact, error) {
+	f, err := render.New(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return f.Render
+}
+
 // BenchmarkRenderText measures the Fig. 14 textual artefact (E2).
-func BenchmarkRenderText(b *testing.B) { benchRender(b, render.NewTextRenderer()) }
+func BenchmarkRenderText(b *testing.B) { benchRender(b, machineFormat(b, "text")) }
 
 // BenchmarkRenderDot measures the Fig. 15 DOT artefact (E3).
-func BenchmarkRenderDot(b *testing.B) { benchRender(b, render.NewDotRenderer()) }
+func BenchmarkRenderDot(b *testing.B) { benchRender(b, machineFormat(b, "dot")) }
 
 // BenchmarkRenderXML measures the Fig. 15 XML artefact (E3).
-func BenchmarkRenderXML(b *testing.B) { benchRender(b, render.NewXMLRenderer()) }
+func BenchmarkRenderXML(b *testing.B) { benchRender(b, machineFormat(b, "xml")) }
 
 // BenchmarkRenderGoSource measures the Fig. 16 generated implementation
 // (E4): one write through the per-slot gate, nothing read back. allocs/op
 // is the informative column — about one per state.
-func BenchmarkRenderGoSource(b *testing.B) { benchRender(b, render.NewGoSourceRenderer("bench")) }
+func BenchmarkRenderGoSource(b *testing.B) {
+	benchRender(b, func(m *core.StateMachine) (render.Artifact, error) { return render.GoSource(m, "bench") })
+}
 
 // BenchmarkRenderDoc measures the markdown documentation artefact: mostly
 // the copying of each state's commentary, and a code span per name.
-func BenchmarkRenderDoc(b *testing.B) { benchRender(b, render.NewDocRenderer()) }
+func BenchmarkRenderDoc(b *testing.B) { benchRender(b, machineFormat(b, "doc")) }
 
 // BenchmarkRenderSweep is the render share of a cold-sweep lap, one format
 // per sub-benchmark (E18): every registry model at every sweep parameter

@@ -170,10 +170,10 @@ func (c *Client) Model(name string) (ModelInfo, error) {
 	}, nil
 }
 
-// Formats returns the registered artefact format names, sorted.
+// Formats returns the artefact format names, sorted.
 func (c *Client) Formats() []string { return render.Formats() }
 
-// IsEFSMFormat reports whether the registered format renders the
+// IsEFSMFormat reports whether the format renders the
 // parameter-independent EFSM generalisation rather than a concrete
 // machine. EFSM artefacts are produced through Render; Machine.Render
 // handles only concrete-machine formats.

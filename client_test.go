@@ -266,8 +266,18 @@ func TestClientRenderGoPackage(t *testing.T) {
 			t.Errorf("WithGoPackage(%q): err = %v, %d bytes; want ErrRender and none", pkg, err, len(res.Data))
 		}
 	}
-	if _, err := machine.Render("efsm"); err == nil {
-		t.Error("Machine.Render accepted an EFSM format")
+	// An EFSM format is the family's, not one member's: the error is the
+	// unknown-format sentinel and points at the public call that serves
+	// it, not at an internal one.
+	for _, format := range []string{"efsm", "efsm-dot"} {
+		_, err := machine.Render(format)
+		if !errors.Is(err, asagen.ErrUnknownFormat) || !strings.Contains(err.Error(), "Client.Render") ||
+			strings.Contains(err.Error(), "NewEFSM") || strings.Contains(err.Error(), "render:") {
+			t.Errorf("Machine.Render(%q): err = %v; want ErrUnknownFormat naming Client.Render", format, err)
+		}
+	}
+	if _, err := machine.Render("nonsense"); !errors.Is(err, asagen.ErrUnknownFormat) {
+		t.Errorf("Machine.Render(nonsense): err = %v; want ErrUnknownFormat", err)
 	}
 }
 

@@ -7,7 +7,7 @@
 // documentary and source-code artefacts — are generated.
 //
 // The facade is Client: it exposes the scenario registry (Models), the
-// artefact format registry (Formats), context-aware machine generation
+// artefact formats (Formats), context-aware machine generation
 // (Generate), memoised artefact rendering (Render, and the RenderAll /
 // Stream iterators), and interpreter execution of generated machines
 // (Machine.NewInstance). Generation is reachability-first and memoised

@@ -16,8 +16,10 @@ var (
 	// ErrUnknownModel reports a model name absent from the registry. The
 	// error message names the registered models.
 	ErrUnknownModel = errors.New("asagen: unknown model")
-	// ErrUnknownFormat reports an artefact format absent from the
-	// registry. The error message names the registered formats.
+	// ErrUnknownFormat reports an artefact format absent from the format
+	// table (the error message names the known formats), or an EFSM
+	// format asked of Machine.Render, which renders one family member:
+	// EFSM formats generalise the family and come from Client.Render.
 	ErrUnknownFormat = errors.New("asagen: unknown format")
 	// ErrNoEFSM reports an EFSM artefact requested for a model that
 	// declares no EFSM generalisation.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -24,9 +25,10 @@ func TestCrossProductRenders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantLen += len(render.MachineFormats())
-		if entry.Abstraction != nil {
-			wantLen += len(render.EFSMFormats())
+		for _, format := range render.Formats() {
+			if entry.Abstraction != nil || !render.IsEFSMFormat(format) {
+				wantLen++
+			}
 		}
 	}
 	if len(reqs) != wantLen {
@@ -63,6 +65,35 @@ func TestCrossProductRenders(t *testing.T) {
 	}
 	if st.RenderHits != 0 || st.RenderMisses != int64(len(reqs)) {
 		t.Errorf("render hits/misses = %d/%d, want 0/%d", st.RenderHits, st.RenderMisses, len(reqs))
+	}
+}
+
+// TestResultCarriesWireMetadata: every format's Content-Type and
+// extension, as served, stored and put into file names, is pinned here;
+// a slip in the format table changes them without any byte of an
+// artefact moving.
+func TestResultCarriesWireMetadata(t *testing.T) {
+	p := New()
+	for _, w := range []struct{ format, mediaType, ext string }{
+		{"doc", "text/markdown; charset=utf-8", ".md"},
+		{"dot", "text/vnd.graphviz; charset=utf-8", ".dot"},
+		{"efsm", "text/plain; charset=utf-8", ".txt"},
+		{"efsm-dot", "text/vnd.graphviz; charset=utf-8", ".dot"},
+		{"go", "text/x-go; charset=utf-8", ".go"},
+		{"text", "text/plain; charset=utf-8", ".txt"},
+		{"xml", "application/xml; charset=utf-8", ".xml"},
+	} {
+		res := p.Render(context.Background(), Request{Model: "commit", Param: 4, Format: w.format})
+		if res.Err != nil {
+			t.Fatalf("%s: %v", w.format, res.Err)
+		}
+		a := res.Artifact
+		if a.Format != w.format || a.MediaType != w.mediaType || a.Ext != w.ext || !strings.HasSuffix(res.FileName(), w.ext) {
+			t.Errorf("%s: %q %q %q, file %s; want %q %q", w.format, a.Format, a.MediaType, a.Ext, res.FileName(), w.mediaType, w.ext)
+		}
+	}
+	if got := len(render.Formats()); got != 7 {
+		t.Errorf("%d formats, want the seven pinned here", got)
 	}
 }
 
@@ -105,7 +136,7 @@ func TestDeterminism(t *testing.T) {
 func TestConcurrentSingleFlight(t *testing.T) {
 	p := New()
 	var wg sync.WaitGroup
-	formats := render.MachineFormats()
+	formats := slices.DeleteFunc(render.Formats(), render.IsEFSMFormat)
 	for i := 0; i < 8; i++ {
 		for _, format := range formats {
 			wg.Add(1)

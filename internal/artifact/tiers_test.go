@@ -3,6 +3,7 @@ package artifact
 import (
 	"bytes"
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -383,7 +384,7 @@ func TestSetLimitBoundsEveryTier(t *testing.T) {
 func TestEFSMFormatsShareOneMember(t *testing.T) {
 	ctx := context.Background()
 	p := New()
-	formats := render.EFSMFormats()
+	formats := slices.DeleteFunc(render.Formats(), func(f string) bool { return !render.IsEFSMFormat(f) })
 	results := make([]Result, 8*len(formats))
 	var wg sync.WaitGroup
 	for i := range results {

@@ -88,7 +88,7 @@ func TestGeneratedSourceMatchesInterpreter(t *testing.T) {
 // the abstract model.
 func TestGeneratedSourceIsCurrent(t *testing.T) {
 	machine := mustGenerate(t, 4)
-	src, err := render.NewGoSourceRenderer("commitfsm4").Render(machine)
+	src, err := render.GoSource(machine, "commitfsm4")
 	if err != nil {
 		t.Fatalf("Render: %v", err)
 	}

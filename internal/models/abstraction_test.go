@@ -13,7 +13,7 @@ import (
 func efsmBytes(t *testing.T, e *core.EFSM) []byte {
 	t.Helper()
 	var out []byte
-	for _, format := range render.EFSMFormats() {
+	for _, format := range []string{"efsm", "efsm-dot"} {
 		r, err := render.NewEFSM(format)
 		if err != nil {
 			t.Fatal(err)

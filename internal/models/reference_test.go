@@ -103,15 +103,14 @@ func renderFormat(t *testing.T, format string, m *core.StateMachine, e *core.EFS
 	t.Helper()
 	var art render.Artifact
 	var err error
+	var f *render.Format
 	if render.IsEFSMFormat(format) {
-		var r render.EFSMRenderer
-		if r, err = render.NewEFSM(format); err == nil {
-			art, err = r.RenderEFSM(e)
+		if f, err = render.NewEFSM(format); err == nil {
+			art, err = f.RenderEFSM(e)
 		}
 	} else {
-		var r render.Renderer
-		if r, err = render.New(format); err == nil {
-			art, err = r.Render(m)
+		if f, err = render.New(format); err == nil {
+			art, err = f.Render(m)
 		}
 	}
 	if err != nil {

@@ -109,34 +109,28 @@ func TestAppendQuoteMatchesStrconv(t *testing.T) {
 }
 
 // FuzzXMLMatchesMarshalIndent: whatever text a machine carries in its
-// model name, state names, annotations, messages and actions, Render
-// writes what xml.MarshalIndent makes of its Document.
+// model name, state names, annotations, messages and actions, the xml
+// format writes what xml.MarshalIndent makes of its Document.
 //
 //	go test ./internal/render -run='^$' -fuzz=FuzzXMLMatchesMarshalIndent -fuzztime=1m
 func FuzzXMLMatchesMarshalIndent(f *testing.F) {
-	f.Add("m", "a", "b", "a note", "GO", "STOP", "->x", true)
-	f.Add(`<m a="1" b='2'>&amp;`, `"q"`, "t\tab", `<a href="x">&'`, "<GO>", "A&B", `->"w"&`, true)
-	f.Add("bad\xffutf8", " ", "\r\n", "\x00", "", "", "", false)
-	f.Add("\ufeff", "é", "日本語/ok", "]]>", "GO", "GO", "\x7f", true)
-	f.Fuzz(func(t *testing.T, model, state1, state2, note, msg1, msg2, act string, annotations bool) {
+	f.Add("m", "a", "b", "a note", "GO", "STOP", "->x")
+	f.Add(`<m a="1" b='2'>&amp;`, `"q"`, "t\tab", `<a href="x">&'`, "<GO>", "A&B", `->"w"&`)
+	f.Add("bad\xffutf8", " ", "\r\n", "\x00", "", "", "")
+	f.Add("\ufeff", "é", "日本語/ok", "]]>", "GO", "GO", "\x7f")
+	f.Fuzz(func(t *testing.T, model, state1, state2, note, msg1, msg2, act string) {
 		a := &core.State{Name: state1, Annotations: []string{note, ""}, Transitions: map[string]*core.Transition{}}
 		b := &core.State{Name: state2, Annotations: []string{act}, Transitions: map[string]*core.Transition{}, Final: true}
 		a.Transitions[msg1] = &core.Transition{Message: msg1, Target: b, Actions: []string{act, "", note}}
 		b.Transitions[msg2] = &core.Transition{Message: msg2, Target: a}
 		m := &core.StateMachine{ModelName: model, Parameter: len(note), Messages: []string{msg1, msg2},
 			States: []*core.State{a, b}, Start: a, Finish: b}
-		r := &XMLRenderer{IncludeAnnotations: annotations}
-		art, err := r.Render(m)
+		data, err := renderXML(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := xml.MarshalIndent(r.Document(m), "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := append(append([]byte(xml.Header), body...), '\n')
-		if !bytes.Equal(art.Data, want) {
-			t.Fatalf("differs from xml.MarshalIndent:\n%s", firstDifference(art.Data, want))
+		if want := marshalIndent(t, m); !bytes.Equal(data, want) {
+			t.Fatalf("differs from xml.MarshalIndent:\n%s", firstDifference(data, want))
 		}
 	})
 }

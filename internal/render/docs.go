@@ -6,43 +6,24 @@ import (
 	"asagen/internal/core"
 )
 
-// DocRenderer renders a generated machine as a markdown document: an
-// overview table followed by a catalogue of states with their generated
-// commentary and transitions. This is the paper's "documentation" artefact
-// class (§1: "various artefacts are generated ... including diagrams,
-// source-level protocol implementations and documentation").
-type DocRenderer struct {
-	// Title overrides the document title; derived from the model when
-	// empty.
-	Title string
-}
-
-// NewDocRenderer returns a DocRenderer with default settings.
-func NewDocRenderer() *DocRenderer { return &DocRenderer{} }
-
-// Name implements Renderer.
-func (r *DocRenderer) Name() string { return "doc" }
-
-// Render produces the markdown document.
-func (r *DocRenderer) Render(m *core.StateMachine) (Artifact, error) {
-	t, err := table(r.Name(), m)
+// renderDoc writes the machine as a markdown document: an overview table
+// followed by a catalogue of states with their generated commentary and
+// transitions. This is the paper's "documentation" artefact class (§1:
+// "various artefacts are generated ... including diagrams, source-level
+// protocol implementations and documentation").
+func renderDoc(m *core.StateMachine) ([]byte, error) {
+	t, err := table("doc", m)
 	if err != nil {
-		return Artifact{}, err
+		return nil, err
 	}
 	z := t.Sizes
 	buf := make([]byte, 0, 512+58*z.States+z.StateNames+3*z.Annotations+z.AnnotationLen+
 		21*z.Edges+z.EdgeMessages+z.EdgeTargets+4*z.Actions+z.ActionLen)
-	buf = append(buf, "# "...)
-	if r.Title != "" {
-		buf = append(buf, r.Title...)
-	} else {
-		buf = append(buf, "State machine "...)
-		buf = appendCode(buf, m.ModelName, false)
-		buf = append(buf, " (parameter "...)
-		buf = appendInt(buf, m.Parameter)
-		buf = append(buf, ')')
-	}
-	buf = append(buf, "\n\nGenerated from the abstract model; do not edit.\n\n"+
+	buf = append(buf, "# State machine "...)
+	buf = appendCode(buf, m.ModelName, false)
+	buf = append(buf, " (parameter "...)
+	buf = appendInt(buf, m.Parameter)
+	buf = append(buf, ")\n\nGenerated from the abstract model; do not edit.\n\n"+
 		"| Property | Value |\n|---|---|\n| Model | "...)
 	buf = appendCode(buf, m.ModelName, true)
 	buf = append(buf, " |\n| Parameter | "...)
@@ -115,7 +96,7 @@ func (r *DocRenderer) Render(m *core.StateMachine) (Artifact, error) {
 		}
 		buf = append(buf, '\n')
 	}
-	return Artifact{Format: r.Name(), MediaType: "text/markdown; charset=utf-8", Ext: ".md", Data: buf}, nil
+	return buf, nil
 }
 
 // appendCodeList writes the items as code spans separated by commas.

@@ -165,7 +165,7 @@ func TestDocHoldsMarkdownText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := render.MachineFromDocument(&render.XMLDiagram{
+	diagram := render.DiagramMachine(&render.XMLDiagram{
 		Model: "`tick`", Messages: []string{"``", " x ", "a|b`|"},
 		States: []render.XMLState{
 			{ID: "s0", Name: "`", Start: true},
@@ -178,11 +178,12 @@ func TestDocHoldsMarkdownText(t *testing.T) {
 			{From: "s2", To: "s0", Message: "a|b`|"},
 		},
 	})
+	doc, err := render.New("doc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []*core.StateMachine{fromSpec, loaded} {
-		art, err := render.NewDocRenderer().Render(m)
+	for _, m := range []*core.StateMachine{fromSpec, diagram} {
+		art, err := doc.Render(m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,40 +6,20 @@ import (
 	"asagen/internal/core"
 )
 
-// DotRenderer renders a generated machine as a Graphviz DOT state-transition
-// diagram (the Fig. 15 artefact; the paper targeted a proprietary
-// diagramming tool, this repository targets dot and the XML renderer).
-// Simple transitions are drawn as thin edges; phase transitions — those
+// renderDot writes the machine as a Graphviz DOT state-transition diagram
+// (the Fig. 15 artefact; the paper targeted a proprietary diagramming
+// tool, this repository targets dot and the XML format). Simple
+// transitions are drawn as thin edges; phase transitions — those
 // performing actions — as bold edges, matching the Fig. 8 convention.
-type DotRenderer struct {
-	// RankDir sets the graph direction; "LR" when empty.
-	RankDir string
-	// IncludeActions labels phase-transition edges with their actions.
-	IncludeActions bool
-}
-
-// NewDotRenderer returns a renderer with action labels enabled.
-func NewDotRenderer() *DotRenderer {
-	return &DotRenderer{IncludeActions: true}
-}
-
-// Name implements Renderer.
-func (r *DotRenderer) Name() string { return "dot" }
-
-// Render produces the DOT document.
-func (r *DotRenderer) Render(m *core.StateMachine) (Artifact, error) {
-	t, err := table(r.Name(), m)
+func renderDot(m *core.StateMachine) ([]byte, error) {
+	t, err := table("dot", m)
 	if err != nil {
-		return Artifact{}, err
+		return nil, err
 	}
 	z := t.Sizes
 	buf := make([]byte, 0, 256+6*z.States+z.StateNames+
 		25*z.Edges+z.EdgeSources+z.EdgeTargets+z.EdgeMessages+16*z.Actions+z.ActionLen)
-	rank := r.RankDir
-	if rank == "" {
-		rank = "LR"
-	}
-	buf = appendDotOpen(buf, m.ModelName, "", rank)
+	buf = appendDotOpen(buf, m.ModelName, "")
 	// Each state name is escaped once, and one label head is made per
 	// message, not one per edge.
 	names := make([]string, len(m.States))
@@ -58,21 +38,16 @@ func (r *DotRenderer) Render(m *core.StateMachine) (Artifact, error) {
 		for _, e := range t.Out(i) {
 			buf = appendDotEdgeHead(buf, names[i], names[e.To])
 			buf = append(buf, heads.at(e.Msg)...)
-			if r.IncludeActions {
-				buf = appendDotLabels(buf, e.Actions)
-			}
+			buf = appendDotLabels(buf, e.Actions)
 			buf = appendDotEdgeEnd(buf, e.IsPhase())
 		}
 	}
-	buf = append(buf, "}\n"...)
-	return Artifact{Format: r.Name(), MediaType: "text/vnd.graphviz; charset=utf-8", Ext: ".dot", Data: buf}, nil
+	return append(buf, "}\n"...), nil
 }
 
-// RenderEFSMDot renders an EFSM as a DOT diagram with guard/update labels.
-func RenderEFSMDot(e *core.EFSM) string { return string(efsmDot(e)) }
-
+// efsmDot writes an EFSM as a DOT diagram with guard/update labels.
 func efsmDot(e *core.EFSM) []byte {
-	buf := appendDotOpen(nil, e.ModelName, "-efsm", "LR")
+	buf := appendDotOpen(nil, e.ModelName, "-efsm")
 	for _, s := range e.States {
 		buf = appendDotNode(buf, escapeDot(s.Name), s == e.Start, s.Final)
 	}
@@ -103,13 +78,11 @@ func appendDotLabelHead(buf []byte, msg string) []byte {
 	return append(buf, escapeDot(strings.ToLower(msg))...)
 }
 
-// appendDotOpen opens the graph named name+suffix.
-func appendDotOpen(buf []byte, name, suffix, rankDir string) []byte {
+// appendDotOpen opens the graph named name+suffix, laid out left to right.
+func appendDotOpen(buf []byte, name, suffix string) []byte {
 	buf = append(buf, `digraph "`...)
 	buf = append(buf, escapeDot(name+suffix)...)
-	buf = append(buf, "\" {\n  rankdir="...)
-	buf = append(buf, rankDir...)
-	return append(buf, ";\n  node [shape=box, fontname=\"Helvetica\"];\n"...)
+	return append(buf, "\" {\n  rankdir=LR;\n  node [shape=box, fontname=\"Helvetica\"];\n"...)
 }
 
 // appendDotNode writes one node; name is escaped already.

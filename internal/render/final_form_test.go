@@ -97,7 +97,7 @@ func allMachines(t testing.TB) map[string]*core.StateMachine {
 // Go renderer writes.
 func TestGoSourceIsGofmtFixedPoint(t *testing.T) {
 	for name, m := range allMachines(t) {
-		art, err := NewGoSourceRenderer("").Render(m)
+		art, err := GoSource(m, "")
 		if name == "markup" || name == "foreign-target" {
 			// Invalid UTF-8 cannot be Go source, in a comment or anywhere,
 			// and a state that is not the machine's has no constant.
@@ -137,18 +137,14 @@ func firstDifference(got, want []byte) string {
 func TestGoSourceRefusesBrokenOutput(t *testing.T) {
 	refused := func(name string, h hostile) {
 		t.Helper()
-		r, m := h.build()
-		if art, err := r.Render(m); err == nil {
+		if art, err := GoSource(h.build()); err == nil {
 			t.Errorf("%s: rendered:\n%s", name, art.Data)
 		}
 	}
 	for _, pkg := range []string{"two words", "_", "func", "1st", "a\x00", "\xff"} {
 		refused("package "+strconv.Quote(pkg), benign.with("pkg", pkg).faulty(customPackage))
 	}
-	for _, method := range []string{"Send(", "_", "func", "", "Send X", "\ufeff"} {
-		refused("method "+strconv.Quote(method), benign.with("method", method).faulty(customMethod))
-	}
-	for _, slot := range []string{"model", "component", "msg1", "note", "act1", "act2"} {
+	for _, slot := range []string{"model", "component", "msg1", "note", "act1", "act2", "act3"} {
 		for _, text := range []string{"\x00", "bad\xffutf8", "\ufeffbom", "ok\nStateInjected", "ok\rStateInjected", "ok\fStateInjected"} {
 			refused(slot+" = "+strconv.Quote(text), benign.with(slot, text))
 		}
@@ -166,64 +162,61 @@ func TestGoSourceRefusesBrokenOutput(t *testing.T) {
 		{benign.with("pkg", "_").faulty(customPackage), []string{`"_"`}},
 		{benign.faulty(ghostTarget), []string{`"ghost"`}},
 	} {
-		r, m := c.h.build()
-		_, err := r.Render(m)
+		_, err := GoSource(c.h.build())
 		for _, want := range c.want {
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%+v: err = %v, want %s named", c.h, err, want)
 			}
 		}
 	}
-	// The same text arriving the way such a machine would: as a document.
-	_, m := benign.with("note", "ok\nStateInjected").build()
-	doc, err := NewXMLRenderer().Render(m)
+	// The same text arriving as a document, read back.
+	m, _ := benign.with("note", "ok\nStateInjected").build()
+	doc, err := renderXML(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadMachineXML(doc.Data)
+	loaded, err := loadXML(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewGoSourceRenderer("").Render(loaded); err == nil {
+	if _, err := GoSource(loaded, ""); err == nil {
 		t.Error("loaded machine with a line break in an annotation rendered as Go")
 	}
 }
 
+// marshalIndent is what encoding/xml writes for m's Document: the bytes
+// the xml format must write.
+func marshalIndent(t testing.TB, m *core.StateMachine) []byte {
+	t.Helper()
+	body, err := xml.MarshalIndent(Document(m), "", "  ")
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	return append(append([]byte(xml.Header), body...), '\n')
+}
+
 // TestXMLMatchesMarshalIndent: the direct writer's bytes are those of
-// encoding/xml marshalling the Document, and they load back to the same
-// machine. A machine with an edge to a state it does not list has no
-// document (TestDanglingTargetsAreRefused).
+// encoding/xml marshalling the Document, and xml.Unmarshal reads them
+// back to the same machine. A machine with an edge to a state it does not
+// list has no document (TestDanglingTargetsAreRefused).
 func TestXMLMatchesMarshalIndent(t *testing.T) {
 	for name, m := range allMachines(t) {
 		if name == "foreign-target" {
 			continue
 		}
-		for _, r := range []*XMLRenderer{NewXMLRenderer(), {}} {
-			art, err := r.Render(m)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			body, err := xml.MarshalIndent(r.Document(m), "", "  ")
-			if err != nil {
-				t.Fatalf("%s: marshal: %v", name, err)
-			}
-			want := append(append([]byte(xml.Header), body...), '\n')
-			if !bytes.Equal(art.Data, want) {
-				t.Errorf("%s: differs from xml.MarshalIndent:\n%s", name, firstDifference(art.Data, want))
-			}
+		data, err := renderXML(m)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := marshalIndent(t, m); !bytes.Equal(data, want) {
+			t.Errorf("%s: differs from xml.MarshalIndent:\n%s", name, firstDifference(data, want))
 		}
 		if name == "markup" {
 			continue // invalid UTF-8 does not survive the format
 		}
-		art, _ := NewXMLRenderer().Render(m)
-		doc, err := ParseXML(art.Data)
+		loaded, err := loadXML(data)
 		if err != nil {
 			t.Errorf("%s: parse: %v", name, err)
-			continue
-		}
-		loaded, err := MachineFromDocument(doc)
-		if err != nil {
-			t.Errorf("%s: load: %v", name, err)
 			continue
 		}
 		if err := isomorphic(m, loaded); err != nil {

@@ -45,12 +45,12 @@ func compiles(src []byte) error {
 	return err
 }
 
-// hostile is a two-state machine and a renderer built from one string per
-// model-controlled slot of the Go artefact, plus the structural faults a
-// hand-built or loaded machine can carry.
+// hostile is a two-state machine and a package name built from one string
+// per model-controlled slot of the Go artefact, plus the structural faults
+// a hand-built machine can carry.
 type hostile struct {
-	model, component, msg1, msg2, state1, state2, note, act1, act2, pkg, method string
-	faults                                                                      uint16
+	model, component, msg1, msg2, state1, state2, note, act1, act2, pkg, act3 string
+	faults                                                                    uint16
 }
 
 const (
@@ -60,22 +60,20 @@ const (
 	ghostFinish                      // Finish outside States
 	withFinish                       // Finish is the second state
 	noMessages                       // empty Messages
-	customMethod                     // ActionMethod answers method for the first action
-	customPackage                    // PackageName is pkg, not derived
-	noComments                       // IncludeComments off
+	customPackage                    // the package is pkg, not derived
 	repeatedState                    // the first state is listed twice
 	allFaults     = repeatedState<<1 - 1
 )
 
 var benign = hostile{model: "m", component: "on", msg1: "GO", msg2: "STOP", state1: "T", state2: "F",
-	note: "a note", act1: "->x", act2: "->y", pkg: "p", method: "SendFirst"}
+	note: "a note", act1: "->x", act2: "->y", pkg: "p", act3: "->z"}
 
 // slots addresses the string slots by position, for tables and seeds.
 func (h *hostile) slots() []*string {
-	return []*string{&h.model, &h.component, &h.msg1, &h.msg2, &h.state1, &h.state2, &h.note, &h.act1, &h.act2, &h.pkg, &h.method}
+	return []*string{&h.model, &h.component, &h.msg1, &h.msg2, &h.state1, &h.state2, &h.note, &h.act1, &h.act2, &h.pkg, &h.act3}
 }
 
-var slotNames = []string{"model", "component", "msg1", "msg2", "state1", "state2", "note", "act1", "act2", "pkg", "method"}
+var slotNames = []string{"model", "component", "msg1", "msg2", "state1", "state2", "note", "act1", "act2", "pkg", "act3"}
 
 // with returns h with one slot replaced.
 func (h hostile) with(slot, text string) hostile {
@@ -94,7 +92,9 @@ func (h hostile) faulty(faults uint16) hostile {
 	return h
 }
 
-func (h hostile) build() (*GoSourceRenderer, *core.StateMachine) {
+// build returns the machine and the package name to write it in; "" has
+// the writer derive one.
+func (h hostile) build() (*core.StateMachine, string) {
 	state := func(name string) *core.State {
 		return &core.State{Name: name, Transitions: map[string]*core.Transition{}, MergedNames: []string{name}}
 	}
@@ -105,7 +105,7 @@ func (h hostile) build() (*GoSourceRenderer, *core.StateMachine) {
 		Components: []core.StateComponent{core.NewBoolComponent(h.component)},
 		States:     []*core.State{a, b}, Start: a}
 	a.Transitions[h.msg1] = &core.Transition{Message: h.msg1, Target: b, Actions: []string{h.act1, h.act2}}
-	b.Transitions[h.msg2] = &core.Transition{Message: h.msg2, Target: a, Actions: []string{h.act2}}
+	b.Transitions[h.msg2] = &core.Transition{Message: h.msg2, Target: a, Actions: []string{h.act2, h.act3}}
 	switch {
 	case has(nilTarget):
 		b.Transitions[h.msg1] = &core.Transition{Message: h.msg1}
@@ -127,19 +127,10 @@ func (h hostile) build() (*GoSourceRenderer, *core.StateMachine) {
 	if has(repeatedState) {
 		m.States = append(m.States, a)
 	}
-	r := &GoSourceRenderer{IncludeComments: !has(noComments)}
 	if has(customPackage) {
-		r.PackageName = h.pkg
+		return m, h.pkg
 	}
-	if has(customMethod) {
-		r.ActionMethod = func(action string) string {
-			if action == h.act1 {
-				return h.method
-			}
-			return DefaultActionMethod(action)
-		}
-	}
-	return r, m
+	return m, ""
 }
 
 // hostileText is what go/scanner, gofmt or go/types object to in one slot
@@ -169,23 +160,26 @@ func gateCorpus() []gateCase {
 		{"dispatcher", benign.with("msg1", "-")},
 		{"blank package", benign.with("pkg", "_").faulty(customPackage)},
 		{"derived package", benign.with("model", "日本 語")},
-		{"same method twice", benign.with("method", "SendY").faulty(customMethod)},
+		{"same action twice", benign.with("act3", "->y")},
 		{"same state twice", benign.faulty(repeatedState)},
 		{"same message twice", benign.with("msg2", "GO")},
 		{"everything at once", benign.faulty(allFaults)},
-		{"finish, no comments", benign.faulty(withFinish | noComments)},
+		{"finish, no messages", benign.faulty(withFinish | noMessages)},
+		{"bare arrow action", benign.with("act3", "->")},
+		{"action without arrow", benign.with("act3", "vote")},
+		{"action of blanks", benign.with("act3", "-> ")},
 		// Either side of go/printer's 100 bytes for a one-line function.
 		{"finish fits", benign.with("state2", strings.Repeat("é", 21)).faulty(withFinish)},
 		{"finish too long", benign.with("state2", strings.Repeat("é", 21)+"x").faulty(withFinish)},
-		{"stub fits", benign.with("method", strings.Repeat("é", 39)+"x").faulty(customMethod)},
-		{"stub too long", benign.with("method", strings.Repeat("é", 40)).faulty(customMethod)},
+		{"stub fits", benign.with("act3", "->"+strings.Repeat("é", 37)+"x")},
+		{"stub too long", benign.with("act3", "->"+strings.Repeat("é", 38))},
 	}
 	for fault := uint16(1); fault < allFaults; fault <<= 1 {
 		corpus = append(corpus, gateCase{fmt.Sprintf("fault %#x", fault), benign.faulty(fault)})
 	}
 	for _, slot := range slotNames {
 		for _, text := range hostileText {
-			corpus = append(corpus, gateCase{fmt.Sprintf("%s = %q", slot, text), benign.with(slot, text).faulty(customMethod | customPackage)})
+			corpus = append(corpus, gateCase{fmt.Sprintf("%s = %q", slot, text), benign.with(slot, text).faulty(customPackage)})
 		}
 	}
 	return corpus
@@ -204,26 +198,25 @@ var commentSeeds = []string{"\ufeff", "x\ufeffy", "\xef\xbb", "a\xc3", "\xed\xa0
 //	go test ./internal/render -run='^$' -fuzz=FuzzGoSourceGate -fuzztime=5m
 func FuzzGoSourceGate(f *testing.F) {
 	for _, h := range gateCorpus() {
-		f.Add(h.model, h.component, h.msg1, h.msg2, h.state1, h.state2, h.note, h.act1, h.act2, h.pkg, h.method, h.faults)
+		f.Add(h.model, h.component, h.msg1, h.msg2, h.state1, h.state2, h.note, h.act1, h.act2, h.pkg, h.act3, h.faults)
 	}
 	for _, text := range commentSeeds {
 		h := benign.with("note", text).with("model", text)
-		f.Add(h.model, h.component, h.msg1, h.msg2, h.state1, h.state2, h.note, h.act1, h.act2, h.pkg, h.method, h.faults)
+		f.Add(h.model, h.component, h.msg1, h.msg2, h.state1, h.state2, h.note, h.act1, h.act2, h.pkg, h.act3, h.faults)
 	}
-	f.Fuzz(func(t *testing.T, model, component, msg1, msg2, state1, state2, note, act1, act2, pkg, method string, faults uint16) {
-		h := hostile{model, component, msg1, msg2, state1, state2, note, act1, act2, pkg, method, faults}
+	f.Fuzz(func(t *testing.T, model, component, msg1, msg2, state1, state2, note, act1, act2, pkg, act3 string, faults uint16) {
+		h := hostile{model, component, msg1, msg2, state1, state2, note, act1, act2, pkg, act3, faults}
 		for _, s := range h.slots() {
 			if got, want := fmt.Sprint(CommentText(*s)), fmt.Sprint(refCommentText(*s)); got != want {
 				t.Fatalf("CommentText(%q) = %s, want %s", *s, got, want)
 			}
 		}
-		r, m := h.build()
-		g, err := r.emit(m)
+		src, err := goSource(h.build())
 		if err != nil {
 			return
 		}
-		if err := compiles(g.buf); err != nil {
-			t.Fatalf("the gate admitted %+v, and: %v\n%s", h, err, g.buf)
+		if err := compiles(src); err != nil {
+			t.Fatalf("the gate admitted %+v, and: %v\n%s", h, err, src)
 		}
 	})
 }
@@ -235,21 +228,21 @@ func FuzzGoSourceGate(f *testing.F) {
 // line was not the renderer's.
 func TestGateAgreesWithParser(t *testing.T) {
 	type emission struct {
-		r *GoSourceRenderer
-		m *core.StateMachine
+		pkg string
+		m   *core.StateMachine
 	}
 	corpus := map[string]emission{}
 	for name, m := range allMachines(t) {
-		corpus[name] = emission{NewGoSourceRenderer(""), m}
+		corpus[name] = emission{"", m}
 	}
 	for _, c := range gateCorpus() {
-		r, m := c.build()
-		corpus[c.name] = emission{r, m}
+		m, pkg := c.build()
+		corpus[c.name] = emission{pkg, m}
 	}
 	accepted := 0
 	for name, e := range corpus {
-		g, gate := e.r.emit(e.m)
-		oracle := compiles(g.buf)
+		src, gate := goSource(e.m, e.pkg)
+		oracle := compiles(src)
 		if gate == nil {
 			accepted++
 		}
@@ -272,24 +265,28 @@ func TestGateAgreesWithParser(t *testing.T) {
 // built 0.14 objects per source byte (3 548 and 211 310 at these sizes).
 func TestRenderAllocations(t *testing.T) {
 	for _, tc := range []struct {
-		r       Renderer
+		format  string
 		r4, r46 int
 	}{
-		{NewTextRenderer(), 1, 1},
-		{NewDotRenderer(), 7, 7},
-		{NewXMLRenderer(), 6, 6},
-		{NewGoSourceRenderer("bench"), 240, 240}, // 194 and 200 (211 under -race) with Go 1.24
-		{NewDocRenderer(), 3, 3},
+		{"text", 1, 1},
+		{"dot", 7, 7},
+		{"xml", 6, 6},
+		{"go", 240, 240}, // 194 and 200 (211 under -race) with Go 1.24
+		{"doc", 3, 3},
 	} {
+		render := func(m *core.StateMachine) (Artifact, error) { return GoSource(m, "bench") }
+		if tc.format != "go" {
+			render = must(New(tc.format)).Render
+		}
 		for _, size := range []struct{ r, most int }{{4, tc.r4}, {46, tc.r46}} {
 			m := commitMachine(t, size.r)
 			allocs := testing.AllocsPerRun(3, func() {
-				if _, err := tc.r.Render(m); err != nil {
+				if _, err := render(m); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if int(allocs) > size.most {
-				t.Errorf("%s r=%d: %v allocs per render of %d states, want at most %d", tc.r.Name(), size.r, allocs, len(m.States), size.most)
+				t.Errorf("%s r=%d: %v allocs per render of %d states, want at most %d", tc.format, size.r, allocs, len(m.States), size.most)
 			}
 		}
 	}

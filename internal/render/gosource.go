@@ -14,33 +14,6 @@ import (
 	"asagen/internal/core"
 )
 
-// GoSourceRenderer renders a generated machine as a compilable Go source
-// implementation of the protocol (the paper's Fig. 16): one handler method
-// per message type, each a switch over the machine states, with phase
-// transitions invoking action methods on an application-supplied interface
-// (§5.1: "the rendering code is parameterised with a class defining
-// appropriate action methods").
-//
-// The renderer is completely generic with respect to the algorithm being
-// modelled — it consumes only the abstract machine representation.
-type GoSourceRenderer struct {
-	// PackageName names the generated package; when empty it is derived
-	// from the machine (see DefaultPackageName).
-	PackageName string
-	// ActionMethod maps an action string ("->vote") to the method name of
-	// the Actions interface ("SendVote"). DefaultActionMethod when nil.
-	ActionMethod func(action string) string
-	// IncludeComments embeds the generated state commentary (Fig. 14) as
-	// doc comments on the state constants.
-	IncludeComments bool
-}
-
-// NewGoSourceRenderer returns a renderer for the given package name with
-// commentary enabled.
-func NewGoSourceRenderer(pkg string) *GoSourceRenderer {
-	return &GoSourceRenderer{PackageName: pkg, IncludeComments: true}
-}
-
 // DefaultActionMethod converts an action string to a Go method name:
 // "->vote" becomes "SendVote", "->not free" becomes "SendNotFree".
 func DefaultActionMethod(action string) string {
@@ -84,12 +57,9 @@ func SanitizePackageName(name string) string {
 	return s
 }
 
-// Name implements Renderer.
-func (r *GoSourceRenderer) Name() string { return "go" }
-
-// goWriter is the artefact's bytes plus what the sections of one Go
-// artefact share: identifiers derived once per state and action, not once
-// per transition.
+// goWriter is what the sections of one Go artefact share: identifiers
+// derived once per state and action, not once per transition. Each section
+// appends to the file and returns it.
 //
 // It is also the gate between the model and the artefact. The emitted file
 // is a fixed skeleton of Go tokens; the only bytes a model controls are
@@ -100,7 +70,6 @@ func (r *GoSourceRenderer) Name() string { return "go" }
 // test and fuzz oracles of that claim (FuzzGoSourceGate), not part of the
 // render.
 type goWriter struct {
-	buf     []byte // the file; each section appends to it and returns it
 	table   *core.Table
 	consts  []string // by state position
 	methods map[string]string
@@ -135,30 +104,32 @@ func (n GoNames) Declare(kind, scope, ident, from string) error {
 	return nil
 }
 
-// Render produces Go source for the machine, written directly in the form
-// gofmt leaves unchanged. Rendering fails if the machine is empty or if a
-// model-controlled slot of the file is refused by the gate: a derived name
-// that is not an identifier or is taken, comment text that would end its
-// comment or that Go source cannot hold, a reference to a state the
-// machine does not list.
-func (r *GoSourceRenderer) Render(m *core.StateMachine) (Artifact, error) {
-	g, err := r.emit(m)
-	if err != nil {
-		return Artifact{}, err
-	}
-	return Artifact{Format: r.Name(), MediaType: "text/x-go; charset=utf-8", Ext: ".go", Data: g.buf}, nil
+// GoSource writes the machine as a compilable Go source implementation
+// of the protocol (the paper's Fig. 16) in package pkg, or in the package
+// DefaultPackageName derives when pkg is empty: one handler method per
+// message type, each a switch over the machine states, with phase
+// transitions invoking the methods DefaultActionMethod names on an
+// application-supplied Actions interface (§5.1). The writer is generic
+// with respect to the algorithm being modelled: it consumes only the
+// abstract machine representation.
+//
+// The source is written directly in the form gofmt leaves unchanged.
+// Rendering fails if the machine is empty or if a model-controlled slot of
+// the file is refused by the gate: a derived name that is not an
+// identifier or is taken, comment text that would end its comment or that
+// Go source cannot hold, a reference to a state the machine does not list.
+func GoSource(m *core.StateMachine, pkg string) (Artifact, error) {
+	return lookup("go").artifact(goSource(m, pkg))
 }
 
-// emit writes the source, every slot through its gate.
-func (r *GoSourceRenderer) emit(m *core.StateMachine) (*goWriter, error) {
+// goSource writes the source, every slot through its gate. A refused slot
+// fails the render, and the file written past it comes back with the
+// error: the tests hold it up to go/parser and go/types, whose verdict
+// the gate must anticipate.
+func goSource(m *core.StateMachine, pkg string) ([]byte, error) {
 	if m.Start == nil || len(m.States) == 0 {
 		return nil, fmt.Errorf("render: go source: machine has no states")
 	}
-	method := r.ActionMethod
-	if method == nil {
-		method = DefaultActionMethod
-	}
-	pkg := r.PackageName
 	if pkg == "" {
 		pkg = DefaultPackageName(m)
 	}
@@ -169,8 +140,6 @@ func (r *GoSourceRenderer) emit(m *core.StateMachine) (*goWriter, error) {
 	t, err := m.Table()
 	z := t.Sizes
 	g := &goWriter{
-		buf: make([]byte, 0, 2048+256*len(m.Messages)+22*z.States+3*z.StateNames+5*z.Annotations+z.AnnotationLen+
-			34*z.Edges+z.EdgeSources+z.EdgeTargets+17*z.Actions+z.ActionLen),
 		table:   t,
 		consts:  stateConsts(m.States, z.StateNames),
 		methods: map[string]string{},
@@ -186,7 +155,7 @@ func (r *GoSourceRenderer) emit(m *core.StateMachine) (*goWriter, error) {
 		for _, e := range t.Out(i) {
 			for _, a := range e.Actions {
 				if _, seen := g.methods[a]; !seen {
-					g.methods[a] = method(a)
+					g.methods[a] = DefaultActionMethod(a)
 					g.fail(g.names.Declare("action", "Actions.", g.methods[a], a))
 					actions = append(actions, a)
 				}
@@ -195,7 +164,8 @@ func (r *GoSourceRenderer) emit(m *core.StateMachine) (*goWriter, error) {
 	}
 
 	g.fail(CommentText(m.ModelName))
-	buf := g.buf
+	buf := make([]byte, 0, 2048+256*len(m.Messages)+22*z.States+3*z.StateNames+5*z.Annotations+z.AnnotationLen+
+		34*z.Edges+z.EdgeSources+z.EdgeTargets+17*z.Actions+z.ActionLen)
 	buf = append(buf, "// Code generated by asagen fsmgen (model "...)
 	buf = append(buf, m.ModelName...)
 	buf = append(buf, ", parameter "...)
@@ -209,17 +179,14 @@ func (r *GoSourceRenderer) emit(m *core.StateMachine) (*goWriter, error) {
 	buf = g.docComment(buf, "State enumerates the machine states. State names encode the values of",
 		"the model's state components: "+componentList(m)+".")
 	buf = append(buf, "type State int\n\n"...)
-	buf = g.emitStates(buf, m.States, r.IncludeComments)
+	buf = g.emitStates(buf, m.States)
 	buf = g.emitActions(buf, actions)
 	buf = g.emitMachine(buf, m)
-	g.buf = g.emitHandlers(buf, m)
-
+	buf = g.emitHandlers(buf, m)
 	if g.fault != nil {
-		// The refused text comes back too: the tests hold it up to
-		// go/parser and go/types, whose verdict the gate must anticipate.
-		return g, fmt.Errorf("render: go source for %s: %w", m.ModelName, g.fault)
+		return buf, fmt.Errorf("render: go source for %s: %w", m.ModelName, g.fault)
 	}
-	return g, nil
+	return buf, nil
 }
 
 // fail keeps the first refusal; the rest of the file is still written,
@@ -342,13 +309,11 @@ func componentList(m *core.StateMachine) string {
 // key that is not small (it or the previous key is over 40 bytes) and
 // whose size is at least 2.5 times, or at most 1/2.5 of, the geometric
 // mean of the key sizes before it in the section.
-func (g *goWriter) emitStates(buf []byte, states []*core.State, annotate bool) []byte {
+func (g *goWriter) emitStates(buf []byte, states []*core.State) []byte {
 	buf = append(buf, "// Machine states. The zero State is invalid.\nconst (\n\tStateInvalid State = iota\n"...)
 	for i, s := range states {
-		if annotate {
-			for _, line := range s.Annotations {
-				buf = g.comment(buf, "\t// ", line)
-			}
+		for _, line := range s.Annotations {
+			buf = g.comment(buf, "\t// ", line)
 		}
 		buf = append(buf, '\t')
 		buf = append(buf, g.consts[i]...)

@@ -59,7 +59,7 @@ func TestGoSourceRendersHostileModelNames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: generate: %v", name, err)
 		}
-		art, err := NewGoSourceRenderer("").Render(machine)
+		art, err := GoSource(machine, "")
 		if err != nil {
 			t.Fatalf("%q: render: %v", name, err)
 		}

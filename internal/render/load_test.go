@@ -5,19 +5,16 @@ import (
 	"math/rand"
 	"testing"
 
+	"asagen/internal/core"
 	"asagen/internal/runtime"
 )
 
+// The xml format is an interchange document: read back with encoding/xml
+// (loadXML), it carries the whole machine, minus the component vectors.
+
 func TestLoadMachineXMLRoundTrip(t *testing.T) {
 	machine := commitMachine(t, 4)
-	xml, err := NewXMLRenderer().Render(machine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadMachineXML(xml.Data)
-	if err != nil {
-		t.Fatalf("LoadMachineXML: %v", err)
-	}
+	loaded := xmlRoundTrip(t, machine)
 	if loaded.ModelName != machine.ModelName || loaded.Parameter != machine.Parameter {
 		t.Errorf("header = %s/%d", loaded.ModelName, loaded.Parameter)
 	}
@@ -41,14 +38,7 @@ func TestLoadMachineXMLRoundTrip(t *testing.T) {
 // artefact is executable.
 func TestLoadedMachineExecutesIdentically(t *testing.T) {
 	machine := commitMachine(t, 4)
-	xml, err := NewXMLRenderer().Render(machine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadMachineXML(xml.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := xmlRoundTrip(t, machine)
 
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -83,102 +73,28 @@ func TestLoadedMachineExecutesIdentically(t *testing.T) {
 	}
 }
 
-func TestLoadMachineXMLErrors(t *testing.T) {
-	if _, err := LoadMachineXML([]byte("<not-xml")); err == nil {
-		t.Error("malformed XML accepted")
-	}
-	if _, err := MachineFromDocument(nil); err == nil {
-		t.Error("nil document accepted")
-	}
-	if _, err := MachineFromDocument(&XMLDiagram{}); err == nil {
-		t.Error("empty document accepted")
-	}
-
-	tests := []struct {
-		name string
-		doc  XMLDiagram
-	}{
-		{"no start", XMLDiagram{States: []XMLState{{ID: "s0", Name: "a"}}}},
-		{"duplicate id", XMLDiagram{States: []XMLState{
-			{ID: "s0", Name: "a", Start: true}, {ID: "s0", Name: "b"},
-		}}},
-		{"two starts", XMLDiagram{States: []XMLState{
-			{ID: "s0", Name: "a", Start: true}, {ID: "s1", Name: "b", Start: true},
-		}}},
-		{"missing id", XMLDiagram{States: []XMLState{{Name: "a", Start: true}}}},
-		{"edge unknown source", XMLDiagram{
-			States: []XMLState{{ID: "s0", Name: "a", Start: true}},
-			Edges:  []XMLTransition{{From: "zz", To: "s0", Message: "m"}},
-		}},
-		{"edge unknown target", XMLDiagram{
-			States: []XMLState{{ID: "s0", Name: "a", Start: true}},
-			Edges:  []XMLTransition{{From: "s0", To: "zz", Message: "m"}},
-		}},
-		{"edge no message", XMLDiagram{
-			States: []XMLState{{ID: "s0", Name: "a", Start: true}},
-			Edges:  []XMLTransition{{From: "s0", To: "s0"}},
-		}},
-		{"duplicate message edge", XMLDiagram{
-			Messages: []string{"m"},
-			States:   []XMLState{{ID: "s0", Name: "a", Start: true}},
-			Edges: []XMLTransition{
-				{From: "s0", To: "s0", Message: "m"},
-				{From: "s0", To: "s0", Message: "m"},
-			},
-		}},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			doc := tt.doc
-			if _, err := MachineFromDocument(&doc); err == nil {
-				t.Error("malformed document accepted")
-			}
-		})
-	}
-}
-
-// TestLoadRefusesUndeclaredAndDuplicateMessages: every renderer and the
-// runtime walk a machine in the order of its messages, so a diagram with
-// an edge on a message it does not declare, or a message declared twice,
-// is refused with an error naming the edge or the message, instead of
-// loading a machine whose artefacts drop or double that edge.
-func TestLoadRefusesUndeclaredAndDuplicateMessages(t *testing.T) {
-	states := []XMLState{{ID: "s0", Name: "a", Start: true}, {ID: "s1", Name: "b"}}
-	edges := []XMLTransition{{From: "s0", To: "s1", Message: "A"}, {From: "s1", To: "s0", Message: "B"}}
-	for _, tc := range []struct {
-		messages []string
-		want     string
-	}{
-		{[]string{"A"}, `render: edge s1->s0 on "B": the message is not one of the diagram's messages`},
-		{[]string{"A", "B", "A"}, `render: message "A" is declared twice`},
-	} {
-		doc := XMLDiagram{Messages: tc.messages, States: states, Edges: edges}
-		if _, err := MachineFromDocument(&doc); err == nil || err.Error() != tc.want {
-			t.Errorf("messages %q: MachineFromDocument = %v, want %s", tc.messages, err, tc.want)
-		}
-	}
-	doc := XMLDiagram{Messages: []string{"B", "A"}, States: states, Edges: edges}
-	if _, err := MachineFromDocument(&doc); err != nil {
-		t.Errorf("a diagram declaring both messages is refused: %v", err)
-	}
-}
-
 // TestLoadedMachineRenders: the loaded machine feeds the text and DOT
 // renderers without the original model.
 func TestLoadedMachineRenders(t *testing.T) {
-	machine := commitMachine(t, 4)
-	xml, err := NewXMLRenderer().Render(machine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadMachineXML(xml.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out, err := NewTextRenderer().Render(loaded); err != nil || len(out.Data) == 0 {
+	loaded := xmlRoundTrip(t, commitMachine(t, 4))
+	if out, err := renderText(loaded); err != nil || len(out) == 0 {
 		t.Errorf("empty text artefact from loaded machine (err %v)", err)
 	}
-	if out, err := NewDotRenderer().Render(loaded); err != nil || len(out.Data) == 0 {
+	if out, err := renderDot(loaded); err != nil || len(out) == 0 {
 		t.Errorf("empty DOT artefact from loaded machine (err %v)", err)
 	}
+}
+
+// xmlRoundTrip renders the machine's xml artefact and reads it back.
+func xmlRoundTrip(t *testing.T, m *core.StateMachine) *core.StateMachine {
+	t.Helper()
+	data, err := renderXML(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := loadXML(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loaded
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"go/doc/comment"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -125,30 +126,30 @@ func (b *Buffer) underlined(label, name string) {
 	b.BlankLn()
 }
 
-// oracle renders m or e as the piecewise writer of r's format does, with
-// r's settings.
-func oracle(r any, m *core.StateMachine, e *core.EFSM) ([]byte, error) {
-	switch r := r.(type) {
-	case *TextRenderer:
-		return pieceText(r, m)
-	case *DotRenderer:
-		return pieceDot(r, m)
-	case *XMLRenderer:
-		return pieceXML(r, m)
-	case *GoSourceRenderer:
-		return pieceGo(r, m)
-	case *DocRenderer:
-		return pieceDoc(r, m)
-	case *EFSMTextRenderer:
+// oracle renders m or e as the piecewise writer of the format does; the
+// go format writes package pkg.
+func oracle(format string, m *core.StateMachine, e *core.EFSM, pkg string) ([]byte, error) {
+	switch format {
+	case "text":
+		return pieceText(m)
+	case "dot":
+		return pieceDot(m)
+	case "xml":
+		return pieceXML(m)
+	case "go":
+		return pieceGo(m, pkg)
+	case "doc":
+		return pieceDoc(m)
+	case "efsm":
 		return pieceEFSMText(e).buf, nil
-	case *EFSMDotRenderer:
+	case "efsm-dot":
 		return pieceEFSMDot(e).buf, nil
 	}
-	panic(fmt.Sprintf("no oracle for %T", r))
+	panic("no oracle for " + format)
 }
 
-func pieceText(r *TextRenderer, m *core.StateMachine) ([]byte, error) {
-	t, err := table(r.Name(), m)
+func pieceText(m *core.StateMachine) ([]byte, error) {
+	t, err := table("text", m)
 	if err != nil {
 		return nil, err
 	}
@@ -159,17 +160,14 @@ func pieceText(r *TextRenderer, m *core.StateMachine) ([]byte, error) {
 	b.AddLn("states: ", strconv.Itoa(len(m.States)))
 	b.BlankLn()
 	for i, s := range m.States {
-		pieceTextState(r, b, m, s, t.Out(i))
+		pieceTextState(b, m, s, t.Out(i))
 	}
 	return b.buf, nil
 }
 
-func pieceTextState(r *TextRenderer, b *Buffer, m *core.StateMachine, s *core.State, out []core.Edge) {
+func pieceTextState(b *Buffer, m *core.StateMachine, s *core.State, out []core.Edge) {
 	b.underlined("state: ", s.Name)
-	if r.IncludeMergedNames && len(s.MergedNames) > 1 {
-		b.AddLn("Combines: ", strings.Join(s.MergedNames, ", "))
-	}
-	if r.IncludeDescriptions && len(s.Annotations) > 0 {
+	if len(s.Annotations) > 0 {
 		b.AddLn("Description:")
 		b.BlankLn()
 		for _, line := range s.Annotations {
@@ -242,26 +240,19 @@ func pieceEFSMText(e *core.EFSM) *Buffer {
 	return b
 }
 
-func pieceDot(r *DotRenderer, m *core.StateMachine) ([]byte, error) {
-	t, err := table(r.Name(), m)
+func pieceDot(m *core.StateMachine) ([]byte, error) {
+	t, err := table("dot", m)
 	if err != nil {
 		return nil, err
 	}
 	b := NewBuffer()
-	rank := r.RankDir
-	if rank == "" {
-		rank = "LR"
-	}
-	b.dotOpen(m.ModelName, rank)
+	b.dotOpen(m.ModelName)
 	for _, s := range m.States {
 		b.dotNode(escapeDot(s.Name), s == m.Start, s.Final)
 	}
 	for i, s := range m.States {
 		for _, e := range t.Out(i) {
-			label := []string{"<-" + strings.ToLower(m.Messages[e.Msg])}
-			if r.IncludeActions {
-				label = append(label, e.Actions...)
-			}
+			label := append([]string{"<-" + strings.ToLower(m.Messages[e.Msg])}, e.Actions...)
 			b.dotEdge(escapeDot(s.Name), escapeDot(e.Target.Name), label, e.IsPhase())
 		}
 	}
@@ -271,7 +262,7 @@ func pieceDot(r *DotRenderer, m *core.StateMachine) ([]byte, error) {
 
 func pieceEFSMDot(e *core.EFSM) *Buffer {
 	b := NewBuffer()
-	b.dotOpen(e.ModelName+"-efsm", "LR")
+	b.dotOpen(e.ModelName + "-efsm")
 	for _, s := range e.States {
 		b.dotNode(escapeDot(s.Name), s == e.Start, s.Final)
 	}
@@ -291,10 +282,10 @@ func pieceEFSMDot(e *core.EFSM) *Buffer {
 	return b
 }
 
-func (b *Buffer) dotOpen(name, rankDir string) {
+func (b *Buffer) dotOpen(name string) {
 	b.IndentWith = "  "
 	b.EnterBlock("digraph \"" + escapeDot(name) + "\"")
-	b.AddLn("rankdir=", rankDir, ";")
+	b.AddLn("rankdir=LR;")
 	b.AddLn("node [shape=box, fontname=\"Helvetica\"];")
 }
 
@@ -369,8 +360,8 @@ func (x *xmlPieces) leaves(name string, texts []string, omitEmpty bool) {
 
 func (x *xmlPieces) text(s string) { x.buf = x.esc.text(x.buf, s) }
 
-func pieceXML(r *XMLRenderer, m *core.StateMachine) ([]byte, error) {
-	t, err := table(r.Name(), m)
+func pieceXML(m *core.StateMachine) ([]byte, error) {
+	t, err := table("xml", m)
 	if err != nil {
 		return nil, err
 	}
@@ -398,9 +389,7 @@ func pieceXML(r *XMLRenderer, m *core.StateMachine) ([]byte, error) {
 			x.Add(` final="true"`)
 		}
 		x.Add(">")
-		if r.IncludeAnnotations {
-			x.leaves("annotation", s.Annotations, true)
-		}
+		x.leaves("annotation", s.Annotations, true)
 		x.close("state")
 	}
 	x.close("states")
@@ -423,17 +412,13 @@ func pieceXML(r *XMLRenderer, m *core.StateMachine) ([]byte, error) {
 	return x.buf, nil
 }
 
-func pieceDoc(r *DocRenderer, m *core.StateMachine) ([]byte, error) {
-	t, err := table(r.Name(), m)
+func pieceDoc(m *core.StateMachine) ([]byte, error) {
+	t, err := table("doc", m)
 	if err != nil {
 		return nil, err
 	}
 	b := NewBuffer()
-	title := r.Title
-	if title == "" {
-		title = "State machine " + pieceCode(m.ModelName, false) + " (parameter " + strconv.Itoa(m.Parameter) + ")"
-	}
-	b.AddLn("# ", title)
+	b.AddLn("# State machine ", pieceCode(m.ModelName, false), " (parameter ", strconv.Itoa(m.Parameter), ")")
 	b.BlankLn()
 	b.AddLn("Generated from the abstract model; do not edit.")
 	b.BlankLn()
@@ -546,15 +531,10 @@ type goPieces struct {
 
 // pieceGo returns the source written as far as the gate let it, with the
 // gate's first refusal: the frames must agree on both.
-func pieceGo(r *GoSourceRenderer, m *core.StateMachine) ([]byte, error) {
+func pieceGo(m *core.StateMachine, pkg string) ([]byte, error) {
 	if m.Start == nil || len(m.States) == 0 {
 		return nil, fmt.Errorf("render: go source: machine has no states")
 	}
-	method := r.ActionMethod
-	if method == nil {
-		method = DefaultActionMethod
-	}
-	pkg := r.PackageName
 	if pkg == "" {
 		pkg = DefaultPackageName(m)
 	}
@@ -578,7 +558,7 @@ func pieceGo(r *GoSourceRenderer, m *core.StateMachine) ([]byte, error) {
 		for _, e := range t.Out(i) {
 			for _, a := range e.Actions {
 				if _, seen := g.methods[a]; !seen {
-					g.methods[a] = method(a)
+					g.methods[a] = DefaultActionMethod(a)
 					g.fail(g.names.Declare("action", "Actions.", g.methods[a], a))
 					actions = append(actions, a)
 				}
@@ -596,7 +576,7 @@ func pieceGo(r *GoSourceRenderer, m *core.StateMachine) ([]byte, error) {
 		"the model's state components: "+componentList(m)+".")
 	g.AddLn("type State int")
 	g.BlankLn()
-	g.emitStates(m.States, r.IncludeComments)
+	g.emitStates(m.States)
 	g.emitActions(actions)
 	g.emitMachine(m)
 	g.emitHandlers(m)
@@ -655,16 +635,14 @@ func (g *goPieces) pad(cell, column int) {
 	}
 }
 
-func (g *goPieces) emitStates(states []*core.State, annotate bool) {
+func (g *goPieces) emitStates(states []*core.State) {
 	g.AddLn("// Machine states. The zero State is invalid.")
 	g.AddLn("const (")
 	g.IncreaseIndent()
 	g.AddLn("StateInvalid State = iota")
 	for i, s := range states {
-		if annotate {
-			for _, line := range s.Annotations {
-				g.comment(line)
-			}
+		for _, line := range s.Annotations {
+			g.comment(line)
 		}
 		g.AddLn(g.consts[i])
 	}
@@ -909,29 +887,21 @@ func hostileEFSM(model, state, msg, variable, action string, n int) *core.EFSM {
 		States: []*core.EState{a, b, c}, Start: a, Finish: c}
 }
 
-// machineRenderers are the five machine formats, each at its defaults and
-// with every setting changed.
-func machineRenderers() []Renderer {
-	return []Renderer{
-		NewTextRenderer(), &TextRenderer{IncludeMergedNames: true, IncludeDescriptions: true}, &TextRenderer{},
-		NewDotRenderer(), &DotRenderer{RankDir: "TB"},
-		NewXMLRenderer(), &XMLRenderer{},
-		NewGoSourceRenderer(""), &GoSourceRenderer{PackageName: "p", ActionMethod: func(a string) string { return "Do" + camel(a) }},
-		NewDocRenderer(), &DocRenderer{Title: "Custom `title` | kept"},
-	}
-}
+// machineFormats are the formats that write a concrete machine.
+var machineFormats = slices.DeleteFunc(Formats(), IsEFSMFormat)
 
-// framed renders m as r's frames do; the Go writer's bytes come back with
-// its refusal, as the oracle's do.
-func framed(r Renderer, m *core.StateMachine) ([]byte, error) {
-	if g, ok := r.(*GoSourceRenderer); ok {
-		w, err := g.emit(m)
-		if w == nil {
-			return nil, err
-		}
-		return w.buf, err
+// framed renders m as the format's frames do; the Go writer's bytes come
+// back with its refusal, as the oracle's do. The go format writes package
+// pkg.
+func framed(format string, m *core.StateMachine, pkg string) ([]byte, error) {
+	if format == "go" {
+		return goSource(m, pkg)
 	}
-	art, err := r.Render(m)
+	f, err := New(format)
+	if err != nil {
+		return nil, err
+	}
+	art, err := f.Render(m)
 	return art.Data, err
 }
 
@@ -949,72 +919,73 @@ func agree(t testing.TB, name string, got, want []byte, gotErr, wantErr error) {
 
 // TestRenderersMatchOracle: every format writes, byte for byte and error
 // for error, what its piecewise writer writes, on the sweep, the edge
-// machines and the hostile ones, under every setting; a single state's
-// text section too.
+// machines and the hostile ones; the go format with a derived and with a
+// given package name.
 func TestRenderersMatchOracle(t *testing.T) {
 	for name, m := range oracleMachines(t) {
-		for _, r := range machineRenderers() {
-			got, err := framed(r, m)
-			want, wantErr := oracle(r, m, nil)
-			agree(t, fmt.Sprintf("%s %s %+v", name, r.Name(), r), got, want, err, wantErr)
+		for _, format := range machineFormats {
+			got, err := framed(format, m, "")
+			want, wantErr := oracle(format, m, nil, "")
+			agree(t, name+" "+format, got, want, err, wantErr)
 		}
-		tr := &TextRenderer{IncludeDescriptions: true, IncludeMergedNames: true}
-		tab, err := m.Table()
-		if err != nil {
-			continue
-		}
-		for i, s := range m.States[:min(len(m.States), 8)] {
-			got, err := tr.RenderState(m, s)
-			b := NewBuffer()
-			pieceTextState(tr, b, m, s, tab.Out(i))
-			agree(t, name+" state "+s.Name, []byte(got), b.buf, err, nil)
-		}
+		got, err := framed("go", m, "p")
+		want, wantErr := oracle("go", m, nil, "p")
+		agree(t, name+" go package p", got, want, err, wantErr)
 	}
 	for name, e := range oracleEFSMs(t) {
-		for _, r := range []EFSMRenderer{NewEFSMTextRenderer(), NewEFSMDotRenderer()} {
-			art, err := r.RenderEFSM(e)
-			want, wantErr := oracle(r, nil, e)
-			agree(t, name+" "+r.Name(), art.Data, want, err, wantErr)
-		}
+		efsmAgree(t, name, e)
 	}
 }
 
-// FuzzRenderersMatchOracle: whatever text a loaded machine or an EFSM
-// carries, every format writes what its piecewise writer writes.
+// efsmAgree checks both EFSM formats against their piecewise writers.
+func efsmAgree(t testing.TB, name string, e *core.EFSM) {
+	t.Helper()
+	for _, format := range []string{"efsm", "efsm-dot"} {
+		f, err := NewEFSM(format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := f.RenderEFSM(e)
+		want, wantErr := oracle(format, nil, e, "")
+		agree(t, name+" "+format, art.Data, want, err, wantErr)
+	}
+}
+
+// FuzzRenderersMatchOracle: whatever text a hand-built machine or an EFSM
+// carries, every format writes what its piecewise writer writes. The
+// machine is the one the diagram describes; a diagram no machine could
+// have written — a message declared twice or empty — is skipped.
 //
 //	go test ./internal/render -run='^$' -fuzz=FuzzRenderersMatchOracle -fuzztime=1m
 func FuzzRenderersMatchOracle(f *testing.F) {
 	f.Add("m", "a", "b", "GO", "STOP", "a note", "->x", "->y", uint8(0))
 	f.Add("`m|", "|a`", "``b", "GO|NOW", "x`y", "", "->a|b", "->x`y", uint8(1))
-	f.Add(`<m a="1">&amp;`, `"q"\n`, "t\tab", "<GO>", `A\B`, " ", `->"w"&`, "", uint8(2))
+	f.Add(`<m a="1">&amp;`, `"q"\n`, "t\tab", "<GO>", `A\B`, " ", `->"w"&`, "", uint8(2))
 	f.Add("bad\xffutf8", " ", "\r\n", "\x00", "é", " x ", "+build x", "\ufeff", uint8(3))
 	f.Fuzz(func(t *testing.T, model, state1, state2, msg1, msg2, note, act1, act2 string, flags uint8) {
-		doc := &XMLDiagram{Model: model, Parameter: int(flags), Messages: []string{msg1, msg2},
-			States: []XMLState{
-				{ID: "s0", Name: state1, Start: true, Annotations: []string{note, ""}},
-				{ID: "s1", Name: state2, Final: flags&1 != 0, Annotations: []string{act1}},
-			},
-			Edges: []XMLTransition{
-				{From: "s0", To: "s1", Message: msg1, Actions: []string{act1, "", act2}},
-				{From: "s1", To: "s0", Message: msg2, Actions: []string{act2}},
-			}}
-		if flags&2 != 0 {
-			doc.Edges = append(doc.Edges, XMLTransition{From: "s1", To: "s1", Message: msg1})
-		}
-		if m, err := MachineFromDocument(doc); err == nil {
-			for _, r := range machineRenderers() {
-				got, err := framed(r, m)
-				want, wantErr := oracle(r, m, nil)
-				agree(t, r.Name(), got, want, err, wantErr)
+		if msg1 != msg2 && msg1 != "" && msg2 != "" {
+			doc := &XMLDiagram{Model: model, Parameter: int(flags), Messages: []string{msg1, msg2},
+				States: []XMLState{
+					{ID: "s0", Name: state1, Start: true, Annotations: []string{note, ""}},
+					{ID: "s1", Name: state2, Final: flags&1 != 0, Annotations: []string{act1}},
+				},
+				Edges: []XMLTransition{
+					{From: "s0", To: "s1", Message: msg1, Actions: []string{act1, "", act2}},
+					{From: "s1", To: "s0", Message: msg2, Actions: []string{act2}},
+				}}
+			if flags&2 != 0 {
+				doc.Edges = append(doc.Edges, XMLTransition{From: "s1", To: "s1", Message: msg1})
+			}
+			m := DiagramMachine(doc)
+			for _, format := range machineFormats {
+				got, err := framed(format, m, "")
+				want, wantErr := oracle(format, m, nil, "")
+				agree(t, format, got, want, err, wantErr)
 			}
 		}
 		e := hostileEFSM(model, state1, msg1, note, act1, int(flags))
 		e.States[1].Name = state2
-		for _, r := range []EFSMRenderer{NewEFSMTextRenderer(), NewEFSMDotRenderer()} {
-			art, err := r.RenderEFSM(e)
-			want, wantErr := oracle(r, nil, e)
-			agree(t, r.Name(), art.Data, want, err, wantErr)
-		}
+		efsmAgree(t, "hostile", e)
 	})
 }
 

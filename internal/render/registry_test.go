@@ -2,42 +2,44 @@ package render
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 )
 
+// wire is each format's metadata as HTTP responses, the store's rows and
+// file names carry it. A change here changes what clients see.
+var wire = []struct {
+	format, mediaType, ext string
+	efsm                   bool
+}{
+	{"doc", "text/markdown; charset=utf-8", ".md", false},
+	{"dot", "text/vnd.graphviz; charset=utf-8", ".dot", false},
+	{"efsm", "text/plain; charset=utf-8", ".txt", true},
+	{"efsm-dot", "text/vnd.graphviz; charset=utf-8", ".dot", true},
+	{"go", "text/x-go; charset=utf-8", ".go", false},
+	{"text", "text/plain; charset=utf-8", ".txt", false},
+	{"xml", "application/xml; charset=utf-8", ".xml", false},
+}
+
+// TestRegistryCoversAllFormats: Formats lists exactly the seven formats,
+// sorted and each once, and each is a machine or an EFSM format as New,
+// NewEFSM and IsEFSMFormat all say.
 func TestRegistryCoversAllFormats(t *testing.T) {
-	want := []string{"doc", "dot", "efsm", "efsm-dot", "go", "text", "xml"}
+	var want []string
+	for _, w := range wire {
+		want = append(want, w.format)
+	}
 	got := Formats()
-	if len(got) != len(want) {
+	if !slices.Equal(got, want) || !slices.IsSorted(got) || len(slices.Compact(slices.Clone(got))) != len(got) {
 		t.Fatalf("Formats() = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Formats() = %v, want %v", got, want)
-		}
-	}
-	for _, name := range MachineFormats() {
-		if IsEFSMFormat(name) {
-			t.Errorf("machine format %q reports as EFSM format", name)
-		}
-		r, err := New(name)
-		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
-		}
-		if r.Name() != name {
-			t.Errorf("New(%q).Name() = %q", name, r.Name())
-		}
-	}
-	for _, name := range EFSMFormats() {
-		if !IsEFSMFormat(name) {
-			t.Errorf("EFSM format %q not reported as such", name)
-		}
-		r, err := NewEFSM(name)
-		if err != nil {
-			t.Fatalf("NewEFSM(%q): %v", name, err)
-		}
-		if r.Name() != name {
-			t.Errorf("NewEFSM(%q).Name() = %q", name, r.Name())
+	for _, w := range wire {
+		_, machineErr := New(w.format)
+		_, efsmErr := NewEFSM(w.format)
+		if IsEFSMFormat(w.format) != w.efsm || (machineErr == nil) == w.efsm || (efsmErr == nil) != w.efsm || !Known(w.format) {
+			t.Errorf("%s: IsEFSMFormat %v, New err %v, NewEFSM err %v; want EFSM format %v",
+				w.format, IsEFSMFormat(w.format), machineErr, efsmErr, w.efsm)
 		}
 	}
 }
@@ -56,44 +58,56 @@ func TestRegistryErrors(t *testing.T) {
 	if _, err := NewEFSM("text"); err == nil {
 		t.Error("NewEFSM(text) accepted a machine format")
 	}
-	if Known("nonsense") || !Known("dot") {
-		t.Error("Known misreports registration")
+	if Known("nonsense") || IsEFSMFormat("nonsense") || !Known("dot") {
+		t.Error("Known misreports the table")
 	}
 }
 
-// TestNewReturnsFreshInstances: callers may configure the returned
-// renderer (e.g. the go package name) without affecting other users.
+// TestNewReturnsFreshInstances: a package name given to GoSource holds for
+// that call only; the go format goes on deriving its own.
 func TestNewReturnsFreshInstances(t *testing.T) {
-	a, err := New("go")
+	m := commitMachine(t, 4)
+	given, err := GoSource(m, "mutated")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New("go")
+	derived, err := must(New("go")).Render(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ga, gb := a.(*GoSourceRenderer), b.(*GoSourceRenderer)
-	ga.PackageName = "mutated"
-	if gb.PackageName == "mutated" {
-		t.Error("New returned a shared instance")
+	if !strings.Contains(given.String(), "\npackage mutated\n") || !strings.Contains(derived.String(), "\npackage bftcommit4\n") {
+		t.Error("a package name given to one render reached another")
+	}
+	if given.Format != derived.Format || given.MediaType != derived.MediaType || given.Ext != derived.Ext {
+		t.Errorf("GoSource labels its artefact %+v, the go format %+v", given, derived)
 	}
 }
 
-// TestArtifactMetadata: every registered format declares a media type and
-// an extension, and stamps its name into the artefact.
+// TestArtifactMetadata: every format stamps its name, media type and
+// extension into the artefact, as the wire table has them.
 func TestArtifactMetadata(t *testing.T) {
 	machine := commitMachine(t, 4)
-	for _, name := range MachineFormats() {
-		r, err := New(name)
-		if err != nil {
-			t.Fatal(err)
+	efsm := commitEFSM(t, 4)
+	for _, w := range wire {
+		var art Artifact
+		var err error
+		if w.efsm {
+			art, err = must(NewEFSM(w.format)).RenderEFSM(efsm)
+		} else {
+			art, err = must(New(w.format)).Render(machine)
 		}
-		art, err := r.Render(machine)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", w.format, err)
 		}
-		if art.Format != name || art.MediaType == "" || art.Ext == "" || len(art.Data) == 0 {
-			t.Errorf("%s: incomplete artefact metadata %+v", name, art)
+		if art.Format != w.format || art.MediaType != w.mediaType || art.Ext != w.ext || len(art.Data) == 0 {
+			t.Errorf("%s: artefact metadata %q %q %q, want %q %q", w.format, art.Format, art.MediaType, art.Ext, w.mediaType, w.ext)
 		}
 	}
+}
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -2,6 +2,7 @@ package render
 
 import (
 	"context"
+	"encoding/xml"
 	"fmt"
 	"go/parser"
 	"go/token"
@@ -27,7 +28,7 @@ func commitMachine(t testing.TB, r int) *core.StateMachine {
 
 func TestTextRendererFig14Shape(t *testing.T) {
 	machine := commitMachine(t, 4)
-	art, err := NewTextRenderer().Render(machine)
+	art, err := must(New("text")).Render(machine)
 	if err != nil {
 		t.Fatalf("Render: %v", err)
 	}
@@ -60,27 +61,9 @@ func TestTextRendererFig14Shape(t *testing.T) {
 	}
 }
 
-func TestTextRendererSingleState(t *testing.T) {
-	machine := commitMachine(t, 4)
-	s := machine.Start
-	out, err := NewTextRenderer().RenderState(machine, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(out, "state: "+s.Name+"\n") {
-		t.Errorf("RenderState output starts with %q", out[:40])
-	}
-	if !strings.Contains(out, "Transitions:") {
-		t.Error("missing transitions section")
-	}
-	if _, err := NewTextRenderer().RenderState(machine, &core.State{Name: "elsewhere"}); err == nil {
-		t.Error("RenderState rendered a state the machine does not list")
-	}
-}
-
 func TestDotRenderer(t *testing.T) {
 	machine := commitMachine(t, 4)
-	art, err := NewDotRenderer().Render(machine)
+	art, err := must(New("dot")).Render(machine)
 	if err != nil {
 		t.Fatalf("Render: %v", err)
 	}
@@ -112,7 +95,7 @@ func TestDotRenderer(t *testing.T) {
 
 func TestDotRendererEFSM(t *testing.T) {
 	efsm := commitEFSM(t, 7)
-	out := RenderEFSMDot(efsm)
+	out := string(efsmDot(efsm))
 	if !strings.Contains(out, commit.EFSMChosenVoted) {
 		t.Error("missing EFSM state node")
 	}
@@ -123,7 +106,7 @@ func TestDotRendererEFSM(t *testing.T) {
 
 func TestXMLRendererRoundTrip(t *testing.T) {
 	machine := commitMachine(t, 4)
-	xmlArt, err := NewXMLRenderer().Render(machine)
+	xmlArt, err := must(New("xml")).Render(machine)
 	if err != nil {
 		t.Fatalf("Render: %v", err)
 	}
@@ -131,9 +114,9 @@ func TestXMLRendererRoundTrip(t *testing.T) {
 	if !strings.HasPrefix(out, "<?xml") {
 		t.Error("missing XML header")
 	}
-	doc, err := ParseXML([]byte(strings.TrimPrefix(out, "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n")))
-	if err != nil {
-		t.Fatalf("ParseXML: %v", err)
+	var doc XMLDiagram
+	if err := xml.Unmarshal(xmlArt.Data, &doc); err != nil {
+		t.Fatalf("xml.Unmarshal: %v", err)
 	}
 	if doc.Model != "bft-commit" || doc.Parameter != 4 {
 		t.Errorf("doc header = %s/%d", doc.Model, doc.Parameter)
@@ -172,7 +155,7 @@ func TestXMLRendererRoundTrip(t *testing.T) {
 
 func TestGoSourceRendererParses(t *testing.T) {
 	machine := commitMachine(t, 4)
-	art, err := NewGoSourceRenderer("commitfsm4").Render(machine)
+	art, err := GoSource(machine, "commitfsm4")
 	if err != nil {
 		t.Fatalf("Render: %v", err)
 	}
@@ -202,14 +185,14 @@ func TestGoSourceRendererParses(t *testing.T) {
 }
 
 func TestGoSourceRendererErrors(t *testing.T) {
-	if _, err := NewGoSourceRenderer("x").Render(&core.StateMachine{}); err == nil {
+	if _, err := GoSource(&core.StateMachine{}, "x"); err == nil {
 		t.Error("empty machine accepted")
 	}
 }
 
 func TestGoSourceRendererDerivesPackageName(t *testing.T) {
 	machine := commitMachine(t, 4)
-	art, err := (&GoSourceRenderer{}).Render(machine)
+	art, err := must(New("go")).Render(machine)
 	if err != nil {
 		t.Fatalf("Render: %v", err)
 	}
@@ -252,7 +235,7 @@ func TestCamel(t *testing.T) {
 
 func TestDocRenderer(t *testing.T) {
 	machine := commitMachine(t, 4)
-	art, err := NewDocRenderer().Render(machine)
+	art, err := must(New("doc")).Render(machine)
 	if err != nil {
 		t.Fatalf("Render: %v", err)
 	}
@@ -277,7 +260,7 @@ func TestDocRenderer(t *testing.T) {
 
 func TestEFSMTextRenderer(t *testing.T) {
 	efsm := commitEFSM(t, 13)
-	out := RenderEFSMText(efsm)
+	out := string(efsmText(efsm))
 	for _, want := range []string{
 		"extended state machine: bft-commit",
 		"variables: votes_received, commits_received",
@@ -346,7 +329,7 @@ func TestDanglingTargetsAreRefused(t *testing.T) {
 		{"nil", nil, `"<nil>"`},
 		{"foreign", &core.State{Name: "elsewhere"}, `"elsewhere"`},
 	} {
-		for _, format := range MachineFormats() {
+		for _, format := range machineFormats {
 			m := handMachine("dangling", []string{"GO", "STOP"}, []string{"a", "b"}, "a|GO|b|->x")
 			m.States[1].Transitions["STOP"] = &core.Transition{Message: "STOP", Target: c.target}
 			r, err := New(format)

@@ -1,6 +1,7 @@
 package render_test
 
 import (
+	"encoding/xml"
 	"slices"
 	"testing"
 
@@ -11,18 +12,22 @@ import (
 // TestTableAgreesWithTheMaps: the transition table every renderer walks
 // lists, per state, the transitions State.Transitions holds, in
 // SortedMessages order, each at its target's position; for every sweep
-// member and for a machine LoadMachineXML rebuilt from one.
+// member and for a machine rebuilt from one's xml artefact.
 func TestTableAgreesWithTheMaps(t *testing.T) {
 	machines := sweepMachines(t)
-	art, err := render.NewXMLRenderer().Render(machines["commit/r=7"])
+	xmlFormat, err := render.New("xml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := render.LoadMachineXML(art.Data)
+	art, err := xmlFormat.Render(machines["commit/r=7"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	machines["commit/r=7 loaded"] = loaded
+	var doc render.XMLDiagram
+	if err := xml.Unmarshal(art.Data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	machines["commit/r=7 loaded"] = render.DiagramMachine(&doc)
 	if len(machines) != 27 {
 		t.Fatalf("%d machines, want the 26 sweep members and one loaded", len(machines))
 	}

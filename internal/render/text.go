@@ -1,36 +1,14 @@
 package render
 
-import (
-	"fmt"
-	"slices"
+import "asagen/internal/core"
 
-	"asagen/internal/core"
-)
-
-// TextRenderer renders a generated machine as the simple textual
-// representation of the paper's Fig. 14: one section per state with its
-// auto-generated commentary and outgoing transitions.
-type TextRenderer struct {
-	// IncludeDescriptions controls whether state annotations are emitted.
-	IncludeDescriptions bool
-	// IncludeMergedNames lists the original state names combined into a
-	// merged state.
-	IncludeMergedNames bool
-}
-
-// NewTextRenderer returns a renderer with descriptions enabled.
-func NewTextRenderer() *TextRenderer {
-	return &TextRenderer{IncludeDescriptions: true}
-}
-
-// Name implements Renderer.
-func (r *TextRenderer) Name() string { return "text" }
-
-// Render produces the textual representation of the whole machine.
-func (r *TextRenderer) Render(m *core.StateMachine) (Artifact, error) {
-	t, err := table(r.Name(), m)
+// renderText writes the machine as the simple textual representation of
+// the paper's Fig. 14: one section per state with its auto-generated
+// commentary and outgoing transitions.
+func renderText(m *core.StateMachine) ([]byte, error) {
+	t, err := table("text", m)
 	if err != nil {
-		return Artifact{}, err
+		return nil, err
 	}
 	z := t.Sizes
 	buf := make([]byte, 0, 256+45*z.States+2*z.StateNames+z.Annotations+z.AnnotationLen+
@@ -44,69 +22,42 @@ func (r *TextRenderer) Render(m *core.StateMachine) (Artifact, error) {
 	buf = append(buf, "\nstates: "...)
 	buf = appendInt(buf, len(m.States))
 	buf = append(buf, "\n\n"...)
+	// Each message's first line of an edge is made once.
 	var data [512]byte
 	var end [17]int
-	heads := messageHeads(frags{data[:0], append(end[:0], 0)}, m.Messages)
+	heads := frags{data[:0], append(end[:0], 0)}
+	for _, msg := range m.Messages {
+		heads.data = append(heads.data, "\tmessage: "...)
+		heads.data = append(heads.data, msg...)
+		heads.data = append(heads.data, '\n')
+		heads.end = append(heads.end, len(heads.data))
+	}
 	for i, s := range m.States {
-		buf = r.appendState(buf, s, t.Out(i), &heads)
-	}
-	return Artifact{Format: r.Name(), MediaType: "text/plain; charset=utf-8", Ext: ".txt", Data: buf}, nil
-}
-
-// messageHeads makes each message's first line of an edge.
-func messageHeads(f frags, messages []string) frags {
-	for _, msg := range messages {
-		f.data = append(f.data, "\tmessage: "...)
-		f.data = append(f.data, msg...)
-		f.data = append(f.data, '\n')
-		f.end = append(f.end, len(f.data))
-	}
-	return f
-}
-
-// RenderState produces the Fig. 14 style section for one of the machine's
-// states.
-func (r *TextRenderer) RenderState(m *core.StateMachine, s *core.State) (string, error) {
-	t, err := table(r.Name(), m)
-	if err != nil {
-		return "", err
-	}
-	i := slices.Index(m.States, s)
-	if i < 0 {
-		return "", fmt.Errorf("render: state %q is not one of the machine's states", s.Name)
-	}
-	heads := messageHeads(frags{end: []int{0}}, m.Messages)
-	return string(r.appendState(nil, s, t.Out(i), &heads)), nil
-}
-
-func (r *TextRenderer) appendState(buf []byte, s *core.State, out []core.Edge, heads *frags) []byte {
-	buf = appendUnderlined(buf, "state: ", s.Name)
-	if r.IncludeMergedNames && len(s.MergedNames) > 1 {
-		buf = append(buf, "Combines: "...)
-		buf = appendJoined(buf, s.MergedNames, ", ")
-		buf = append(buf, '\n')
-	}
-	if r.IncludeDescriptions && len(s.Annotations) > 0 {
-		buf = append(buf, "Description:\n\n"...)
-		for _, line := range s.Annotations {
-			buf = append(buf, line...)
+		buf = appendUnderlined(buf, "state: ", s.Name)
+		if len(s.Annotations) > 0 {
+			buf = append(buf, "Description:\n\n"...)
+			for _, line := range s.Annotations {
+				buf = append(buf, line...)
+				buf = append(buf, '\n')
+			}
 			buf = append(buf, '\n')
 		}
-		buf = append(buf, '\n')
+		switch {
+		case len(s.Transitions) > 0:
+			buf = append(buf, "Transitions:\n\n"...)
+		case s.Final:
+			buf = append(buf, "Transitions:\n\n\t(terminal state)\n\n"...)
+			continue
+		default:
+			buf = append(buf, "Transitions:\n\n\t(none)\n\n"...)
+			continue
+		}
+		for _, e := range t.Out(i) {
+			buf = append(buf, heads.at(e.Msg)...)
+			buf = appendEdgeTail(buf, e.Actions, e.Target.Name)
+		}
 	}
-	switch {
-	case len(s.Transitions) > 0:
-		buf = append(buf, "Transitions:\n\n"...)
-	case s.Final:
-		return append(buf, "Transitions:\n\n\t(terminal state)\n\n"...)
-	default:
-		return append(buf, "Transitions:\n\n\t(none)\n\n"...)
-	}
-	for _, e := range out {
-		buf = append(buf, heads.at(e.Msg)...)
-		buf = appendEdgeTail(buf, e.Actions, e.Target.Name)
-	}
-	return buf
+	return buf, nil
 }
 
 // appendEdgeTail writes an edge's lines after its message: its actions and
@@ -131,10 +82,8 @@ func appendUnderlined(buf []byte, label, name string) []byte {
 	return append(buf, '\n')
 }
 
-// RenderEFSMText renders an EFSM as a textual catalogue: per state, the
-// guarded transitions with variable updates and actions.
-func RenderEFSMText(e *core.EFSM) string { return string(efsmText(e)) }
-
+// efsmText writes an EFSM as a textual catalogue: per state, the guarded
+// transitions with variable updates and actions.
 func efsmText(e *core.EFSM) []byte {
 	buf := append([]byte(nil), "extended state machine: "...)
 	buf = append(buf, e.ModelName...)

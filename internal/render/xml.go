@@ -2,100 +2,16 @@ package render
 
 import (
 	"encoding/xml"
-	"fmt"
 	"strings"
 
 	"asagen/internal/core"
 )
 
-// The XML renderer emits a diagram-interchange document equivalent to the
-// one the paper imported into its diagramming tool (Fig. 15): states with
+// The XML format is a diagram-interchange document equivalent to the one
+// the paper imported into its diagramming tool (Fig. 15): states with
 // stable identifiers and annotated edges, consumable by external tooling.
-
-// XMLDiagram is the root element of the diagram interchange document.
-type XMLDiagram struct {
-	XMLName   xml.Name        `xml:"stateMachineDiagram"`
-	Model     string          `xml:"model,attr"`
-	Parameter int             `xml:"parameter,attr"`
-	Messages  []string        `xml:"messages>message"`
-	States    []XMLState      `xml:"states>state"`
-	Edges     []XMLTransition `xml:"transitions>transition"`
-}
-
-// XMLState is one diagram node.
-type XMLState struct {
-	ID          string   `xml:"id,attr"`
-	Name        string   `xml:"name,attr"`
-	Start       bool     `xml:"start,attr,omitempty"`
-	Final       bool     `xml:"final,attr,omitempty"`
-	Annotations []string `xml:"annotation,omitempty"`
-}
-
-// XMLTransition is one diagram edge.
-type XMLTransition struct {
-	From    string   `xml:"from,attr"`
-	To      string   `xml:"to,attr"`
-	Message string   `xml:"message,attr"`
-	Phase   bool     `xml:"phase,attr,omitempty"`
-	Actions []string `xml:"action,omitempty"`
-}
-
-// XMLRenderer renders a machine as the XML diagram document.
-type XMLRenderer struct {
-	// IncludeAnnotations embeds the state commentary in the document.
-	IncludeAnnotations bool
-}
-
-// NewXMLRenderer returns a renderer with annotations enabled.
-func NewXMLRenderer() *XMLRenderer {
-	return &XMLRenderer{IncludeAnnotations: true}
-}
-
-// Document builds the interchange structure. Render does not go through
-// it: this is the read side's view of a machine, and marshalled by
-// xml.MarshalIndent (two-space indent, under xml.Header, newline-ended)
-// it is the oracle the tests hold Render's bytes to.
-func (r *XMLRenderer) Document(m *core.StateMachine) *XMLDiagram {
-	doc := &XMLDiagram{
-		Model:     m.ModelName,
-		Parameter: m.Parameter,
-		Messages:  append([]string(nil), m.Messages...),
-	}
-	t, _ := m.Table()
-	ids := make([]string, len(m.States))
-	for i, s := range m.States {
-		ids[i] = fmt.Sprintf("s%d", i)
-		st := XMLState{
-			ID:    ids[i],
-			Name:  s.Name,
-			Start: s == m.Start,
-			Final: s.Final,
-		}
-		if r.IncludeAnnotations {
-			st.Annotations = append([]string(nil), s.Annotations...)
-		}
-		doc.States = append(doc.States, st)
-	}
-	for i := range m.States {
-		for _, e := range t.Out(i) {
-			to := "" // a target that is not one of the machine's states has no id
-			if e.To >= 0 {
-				to = ids[e.To]
-			}
-			doc.Edges = append(doc.Edges, XMLTransition{
-				From:    ids[i],
-				To:      to,
-				Message: m.Messages[e.Msg],
-				Phase:   e.IsPhase(),
-				Actions: append([]string(nil), e.Actions...),
-			})
-		}
-	}
-	return doc
-}
-
-// Name implements Renderer.
-func (r *XMLRenderer) Name() string { return "xml" }
+// It is written as encoding/xml's MarshalIndent lays a document out, which
+// is the oracle the tests hold it to.
 
 // xmlWriter escapes text as encoding/xml does; the text that needs more
 // than copying goes through xml.EscapeText, from a scratch copy into out,
@@ -161,11 +77,11 @@ func appendEnd(buf []byte, children bool, end string) []byte {
 	return append(buf, end...)
 }
 
-// Render writes the machine's diagram document.
-func (r *XMLRenderer) Render(m *core.StateMachine) (Artifact, error) {
-	t, err := table(r.Name(), m)
+// renderXML writes the machine's diagram document.
+func renderXML(m *core.StateMachine) ([]byte, error) {
+	t, err := table("xml", m)
 	if err != nil {
-		return Artifact{}, err
+		return nil, err
 	}
 	z := t.Sizes
 	x := &xmlWriter{}
@@ -196,10 +112,8 @@ func (r *XMLRenderer) Render(m *core.StateMachine) (Artifact, error) {
 			buf = append(buf, ` final="true"`...)
 		}
 		buf = append(buf, '>')
-		annotated := false
-		if r.IncludeAnnotations {
-			buf, annotated = x.elements(buf, s.Annotations, "\n      <annotation>", "</annotation>")
-		}
+		var annotated bool
+		buf, annotated = x.elements(buf, s.Annotations, "\n      <annotation>", "</annotation>")
 		buf = appendEnd(buf, annotated, "\n    </state>")
 	}
 	buf = appendEnd(buf, len(m.States) > 0, "\n  </states>")
@@ -233,16 +147,5 @@ func (r *XMLRenderer) Render(m *core.StateMachine) (Artifact, error) {
 		}
 	}
 	buf = appendEnd(buf, z.Edges > 0, "\n  </transitions>")
-	buf = append(buf, "\n</stateMachineDiagram>\n"...)
-	return Artifact{Format: r.Name(), MediaType: "application/xml; charset=utf-8", Ext: ".xml", Data: buf}, nil
-}
-
-// ParseXML decodes a diagram document produced by Render, for round-trip
-// tooling.
-func ParseXML(data []byte) (*XMLDiagram, error) {
-	var doc XMLDiagram
-	if err := xml.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("render: parse diagram: %w", err)
-	}
-	return &doc, nil
+	return append(buf, "\n</stateMachineDiagram>\n"...), nil
 }

@@ -222,7 +222,7 @@ func FuzzGoSourceFixedPoint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		art, err := render.NewGoSourceRenderer("").Render(machine)
+		art, err := render.GoSource(machine, "")
 		if err != nil {
 			t.Fatalf("compiled spec does not render as Go: %v\n%s", err, data)
 		}

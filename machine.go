@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 
 	"asagen/internal/core"
 	"asagen/internal/render"
@@ -82,27 +83,34 @@ func (m *Machine) FaultTolerance() (int, bool) {
 	return 0, false
 }
 
-// Render produces the artefact for one machine-artefact format (EFSM
-// formats generalise the whole family rather than one member; request
-// those through Client.Render). Rendering is not memoised here — use
-// Client.Render for the cached path.
+// Render produces the artefact for one machine-artefact format. EFSM
+// formats generalise the whole family rather than one member: asking for
+// one here is ErrUnknownFormat; request those through Client.Render.
+// Rendering is not memoised here — use Client.Render for the cached path.
 func (m *Machine) Render(format string, opts ...RenderOption) (Result, error) {
 	out := Result{Model: m.name, Param: m.param, Format: format, Fingerprint: m.fp.String()}
-	renderer, err := render.New(format)
+	if render.IsEFSMFormat(format) {
+		out.Err = wrapSentinel(ErrUnknownFormat, fmt.Errorf(
+			"asagen: format %q generalises the model family, not one machine; request it through Client.Render", format))
+		return out, out.Err
+	}
+	f, err := render.New(format)
 	if err != nil {
 		out.Err = mapErr(err)
 		return out, out.Err
 	}
-	var goPackage string
-	for _, opt := range opts {
-		if opt.goPackage != "" {
-			goPackage = opt.goPackage
+	var art render.Artifact
+	if format == "go" {
+		var goPackage string
+		for _, opt := range opts {
+			if opt.goPackage != "" {
+				goPackage = opt.goPackage
+			}
 		}
+		art, err = render.GoSource(m.machine, goPackage)
+	} else {
+		art, err = f.Render(m.machine)
 	}
-	if g, ok := renderer.(*render.GoSourceRenderer); ok && goPackage != "" {
-		g.PackageName = goPackage
-	}
-	art, err := renderer.Render(m.machine)
 	if err != nil {
 		out.Err = wrapSentinel(ErrRender, err)
 		return out, out.Err
