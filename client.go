@@ -235,16 +235,17 @@ func (c *Client) RegisterModel(s *ModelSpec) error {
 // the previous entry came from a declarative spec whose structure the new
 // spec preserves — every previously generated family member is linked so
 // its next generation patches the cached machine's exploration
-// incrementally (see spec.Diff and core.Regenerate) instead of exploring
-// from scratch. It fails with ErrInvalidSpec when the spec does not
-// compile.
+// incrementally (see spec.Delta and core.Regenerate) instead of exploring
+// from scratch. The pipeline diffs each member's entry against the new
+// one under its write lock, so concurrent updates never patch a machine
+// with another edit's delta. It fails with ErrInvalidSpec when the spec
+// does not compile.
 func (c *Client) UpdateModel(s *ModelSpec) error {
 	compiled, err := s.compile()
 	if err != nil {
 		return err
 	}
-	prev, _ := c.reg.Get(compiled.Name())
-	if _, err := c.pipeline.UpdateModel(compiled.Entry(), compiled.DeltaFrom(prev)); err != nil {
+	if _, err := c.pipeline.UpdateModel(compiled.Entry(), core.ModelDelta{}); err != nil {
 		return wrapSentinel(ErrInvalidSpec, err)
 	}
 	return nil

@@ -15,7 +15,8 @@
 // from a declarative JSON spec and DELETE /v1/models/{model} unregisters
 // one, purging its cached work. Registrations are scoped to the serving
 // instance's registry — `fsmgen serve` hands every server its own clone —
-// so concurrent servers never share mutable state.
+// so concurrent servers never share mutable state. A clustered server
+// takes no write: its registry is the built-in one.
 package api
 
 import (
@@ -25,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,6 +34,7 @@ import (
 
 	"asagen/internal/artifact"
 	"asagen/internal/cluster"
+	"asagen/internal/core"
 	"asagen/internal/models"
 	"asagen/internal/render"
 	"asagen/internal/spec"
@@ -75,6 +78,9 @@ type Route struct {
 	Query []string
 
 	handler http.HandlerFunc
+	// writes marks a route that writes the registry; a clustered handler
+	// leaves it out.
+	writes bool
 }
 
 // Handler serves the wire API over an artefact pipeline. Model names
@@ -100,7 +106,9 @@ type HandlerOption func(*Handler)
 
 // WithCluster attaches a cluster node: artifact requests are routed over
 // its hash ring and the /v1/cluster routes answer with live state
-// instead of enabled=false.
+// instead of enabled=false. A clustered handler serves no registry write:
+// POST /v1/models and PUT and DELETE /v1/models/{model} answer 405, so
+// every node keeps the registry it started with.
 func WithCluster(n *cluster.Node) HandlerOption {
 	return func(h *Handler) { h.cluster = n }
 }
@@ -125,6 +133,7 @@ func NewHandler(p *artifact.Pipeline, opts ...HandlerOption) *Handler {
 			Pattern: "/v1/models",
 			Summary: "Register a model from a JSON spec; it is immediately generatable and renderable.",
 			handler: h.handleRegisterModel,
+			writes:  true,
 		},
 		{
 			Method:  "GET",
@@ -137,12 +146,14 @@ func NewHandler(p *artifact.Pipeline, opts ...HandlerOption) *Handler {
 			Pattern: "/v1/models/{model}",
 			Summary: "Register or replace a model in place; compatible edits regenerate cached machines incrementally.",
 			handler: h.handleUpdateModel,
+			writes:  true,
 		},
 		{
 			Method:  "DELETE",
 			Pattern: "/v1/models/{model}",
 			Summary: "Unregister a model and purge its cached machines and artefacts.",
 			handler: h.handleUnregisterModel,
+			writes:  true,
 		},
 		{
 			Method:  "GET",
@@ -194,6 +205,11 @@ func NewHandler(p *artifact.Pipeline, opts ...HandlerOption) *Handler {
 			Summary: "Cluster-internal: ingest an artefact pushed by its owner, verified against its content sum.",
 			handler: h.handleClusterIngest,
 		},
+	}
+	if h.cluster != nil {
+		// Nothing carries a document between nodes, so a write taken by
+		// one node would leave another serving other bytes for one URL.
+		h.routes = slices.DeleteFunc(h.routes, func(r Route) bool { return r.writes })
 	}
 	h.mux = http.NewServeMux()
 	byPattern := map[string][]Route{}
@@ -327,7 +343,8 @@ func (h *Handler) handleRegisterModel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error())
 		return
 	}
-	if err := h.reg.Add(compiled.Entry()); err != nil {
+	entry := compiled.Entry()
+	if err := h.reg.Add(entry); err != nil {
 		if errors.Is(err, models.ErrExists) {
 			writeError(w, http.StatusConflict, CodeModelExists, err.Error())
 			return
@@ -335,14 +352,8 @@ func (h *Handler) handleRegisterModel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error())
 		return
 	}
-	e, err := h.reg.Get(compiled.Name())
-	if err != nil {
-		// Registered and immediately removed by a concurrent DELETE; the
-		// registration itself succeeded.
-		e = compiled.Entry()
-	}
-	w.Header().Set("Location", "/v1/models/"+compiled.Name())
-	writeJSONStatus(w, http.StatusCreated, modelInfoFor(e))
+	w.Header().Set("Location", "/v1/models/"+entry.Name)
+	writeJSONStatus(w, http.StatusCreated, modelInfoFor(entry))
 }
 
 // handleUpdateModel serves PUT /v1/models/{model}: the body is a JSON
@@ -353,8 +364,10 @@ func (h *Handler) handleRegisterModel(w http.ResponseWriter, r *http.Request) {
 // previous entry was also spec-defined and the edit preserves the
 // declared structure, previously generated machines are kept and linked
 // so the replacement's first generation regenerates incrementally from
-// the cached exploration (spec.Diff → core.Regenerate) instead of
-// exploring from scratch.
+// the cached exploration instead of exploring from scratch. The pipeline
+// diffs each member's entry against the new one (spec.Delta →
+// core.Regenerate), so the handler reads nothing before the write and
+// answers with the entry the request wrote.
 func (h *Handler) handleUpdateModel(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("model")
 	compiled, err := readSpec(w, r)
@@ -367,24 +380,18 @@ func (h *Handler) handleUpdateModel(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("spec name %q does not match path model %q", compiled.Name(), name))
 		return
 	}
-	prev, _ := h.reg.Get(name)
-	replaced, err := h.p.UpdateModel(compiled.Entry(), compiled.DeltaFrom(prev))
+	entry := compiled.Entry()
+	replaced, err := h.p.UpdateModel(entry, core.ModelDelta{})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidSpec, err.Error())
 		return
-	}
-	e, err := h.reg.Get(name)
-	if err != nil {
-		// Replaced and immediately removed by a concurrent DELETE; the
-		// update itself succeeded.
-		e = compiled.Entry()
 	}
 	w.Header().Set("Location", "/v1/models/"+name)
 	status := http.StatusOK
 	if !replaced {
 		status = http.StatusCreated
 	}
-	writeJSONStatus(w, status, modelInfoFor(e))
+	writeJSONStatus(w, status, modelInfoFor(entry))
 }
 
 // handleUnregisterModel serves DELETE /v1/models/{model}: the model is

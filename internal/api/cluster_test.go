@@ -2,6 +2,7 @@ package api
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -203,6 +204,81 @@ func TestClusterPropagatesEveryFormat(t *testing.T) {
 			resp, _ := get(t, replica, path, nil)
 			return resp.StatusCode == http.StatusOK && resp.Header.Get(HeaderRoute) == "replica"
 		})
+	}
+}
+
+// TestClusterTakesNoRegistryWrite: a clustered node serves no registry
+// write, so a document accepted by one node can never leave another
+// answering 404, or another document's bytes, for the same URL. POST, PUT
+// and DELETE on either node answer 405 with the routes' GET methods in
+// Allow; afterwards both nodes list the same models, neither serves the
+// posted one, and both answer every commit sweep member with one ETag.
+func TestClusterTakesNoRegistryWrite(t *testing.T) {
+	tsA, nodeA := startClusterNode(t, "node-a", nil)
+	tsB, nodeB := startClusterNode(t, "node-b", func() string { return tsA.URL })
+	waitFor(t, 5*time.Second, "membership convergence", func() bool {
+		return len(nodeA.Status().Ring) == 2 && len(nodeB.Status().Ring) == 2
+	})
+
+	edited := countDoc("commit")
+	edited.Description = "a document under a built-in's name"
+	type write struct {
+		method, path string
+		body         []byte
+	}
+	for ts, writes := range map[*httptest.Server][]write{
+		tsA: {
+			{http.MethodPost, "/v1/models", specJSON(t, countDoc("steps"))},
+			{http.MethodPut, "/v1/models/steps", specJSON(t, countDoc("steps"))},
+			{http.MethodDelete, "/v1/models/chord", nil},
+		},
+		tsB: {
+			{http.MethodPut, "/v1/models/commit", specJSON(t, edited)},
+			{http.MethodDelete, "/v1/models/steps", nil},
+		},
+	} {
+		for _, w := range writes {
+			resp, body := do(t, ts, w.method, w.path, w.body)
+			if resp.StatusCode != http.StatusMethodNotAllowed {
+				t.Errorf("%s %s = %d, want 405", w.method, w.path, resp.StatusCode)
+				continue
+			}
+			if allow := resp.Header.Get("Allow"); allow != "GET, HEAD" {
+				t.Errorf("%s %s Allow = %q, want \"GET, HEAD\"", w.method, w.path, allow)
+			}
+			if code := envelope(t, body).Code; code != CodeMethodNotAllowed {
+				t.Errorf("%s %s code = %q", w.method, w.path, code)
+			}
+		}
+	}
+
+	_, listA := get(t, tsA, "/v1/models", nil)
+	_, listB := get(t, tsB, "/v1/models", nil)
+	if listA != listB {
+		t.Error("the nodes list different models")
+	}
+	for _, ts := range []*httptest.Server{tsA, tsB} {
+		for _, r := range countDoc("steps").SweepParams {
+			path := fmt.Sprintf("/v1/models/steps/artifacts/text?r=%d", r)
+			if resp, _ := get(t, ts, path, nil); resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s, a model no write registered = %s, want 404", path, resp.Status)
+			}
+		}
+	}
+	entry, err := models.Get("commit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range entry.SweepParams {
+		path := fmt.Sprintf("/v1/models/commit/artifacts/text?r=%d", r)
+		respA, bodyA := get(t, tsA, path, nil)
+		respB, bodyB := get(t, tsB, path, nil)
+		if respA.StatusCode != http.StatusOK || respB.StatusCode != http.StatusOK {
+			t.Fatalf("r=%d: %s from A, %s from B", r, respA.Status, respB.Status)
+		}
+		if ea, eb := respA.Header.Get("ETag"), respB.Header.Get("ETag"); ea == "" || ea != eb || bodyA != bodyB {
+			t.Errorf("r=%d: A answers %s, B answers %s", r, ea, eb)
+		}
 	}
 }
 

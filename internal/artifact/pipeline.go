@@ -51,6 +51,7 @@ import (
 	"asagen/internal/memo"
 	"asagen/internal/models"
 	"asagen/internal/render"
+	"asagen/internal/spec"
 	"asagen/internal/store"
 )
 
@@ -153,6 +154,10 @@ type Pipeline struct {
 	// written or written before the eviction that removes it.
 	persistMu sync.RWMutex
 	epoch     uint64
+
+	// writeMu orders UpdateModel and PurgeModel: each write replaces
+	// exactly the registry entry and members the write before it left.
+	writeMu sync.Mutex
 }
 
 // memberKey addresses one family member: a registry name, a resolved
@@ -355,6 +360,8 @@ func (p *Pipeline) Purge() {
 // is unregistered, so a later registration under the same name can never
 // observe the departed model's cached work.
 func (p *Pipeline) PurgeModel(name string) int {
+	p.writeMu.Lock()
+	defer p.writeMu.Unlock()
 	dropped := 0
 	for _, mb := range p.sweep(name) {
 		dropped += p.dropMachines(mb)
@@ -632,11 +639,17 @@ func (p *Pipeline) Machine(ctx context.Context, model string, param int, opts ..
 // member for the same parameter and options, so a name has one member per
 // (parameter, options) however often it is edited; the old member's
 // machine is kept as what the new one's first generation regenerates from
-// (see core.WithRegenerationFrom), which spends it. The delta must
-// conservatively describe the edit from the previous entry's model to the
-// new one (spec.Diff produces it for declarative specs); pass a full delta
-// when the relationship between the entries is unknown.
+// (see core.WithRegenerationFrom), which spends it.
+//
+// The pipeline computes each member's delta itself, from the entry that
+// member was built from to the new one (spec.Delta), under the lock that
+// orders every UpdateModel and PurgeModel: a caller needs to read nothing
+// before the write, and the zero delta is the usual argument. A full delta
+// forces every member to regenerate from scratch; any other is re-derived
+// per member.
 func (p *Pipeline) UpdateModel(entry models.Entry, delta core.ModelDelta) (bool, error) {
+	p.writeMu.Lock()
+	defer p.writeMu.Unlock()
 	replaced, err := p.reg.Replace(entry)
 	if err != nil {
 		return false, err
@@ -653,10 +666,15 @@ func (p *Pipeline) UpdateModel(entry models.Entry, delta core.ModelDelta) (bool,
 			// regenerated from, this one still is.
 			mb.genOpts, mb.from = old.genOpts, old.from
 		default:
-			// delta says nothing about the entry before the previous one, so
-			// a source the old member never used goes unused.
+			// The delta runs from old's entry to this one and says nothing
+			// about the entry before, so a source the old member never used
+			// goes unused.
 			p.cache.Drop(old.from)
-			mb.genOpts = append(slices.Clip(mb.opts), core.WithRegenerationFrom(old.Fingerprint, delta))
+			d := delta
+			if !d.Full {
+				d = spec.Delta(old.entry, entry)
+			}
+			mb.genOpts = append(slices.Clip(mb.opts), core.WithRegenerationFrom(old.Fingerprint, d))
 			mb.from = old.Fingerprint
 		}
 		// A resolution that got here first read the new entry too, and wins.

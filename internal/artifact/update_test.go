@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"asagen/internal/models"
@@ -155,5 +156,63 @@ func TestUpdateModelInsertsWhenAbsent(t *testing.T) {
 	}
 	if res := p.Render(context.Background(), Request{Model: "updatable", Format: "text"}); res.Err != nil {
 		t.Fatalf("render after insert: %v", res.Err)
+	}
+}
+
+// TestUpdateModelDiffsEachMemberItself: the delta UpdateModel is given may
+// be stale — read before another write landed — so each member regenerates
+// under the delta from its own entry to the new one. Here the second
+// replacement's delta is diffed from v0, not from vA, the entry its member
+// was built from: it names DONE only, while vA's STEP action must go too.
+func TestUpdateModelDiffsEachMemberItself(t *testing.T) {
+	ctx := context.Background()
+	compile := func(doc spec.Doc) *spec.Compiled {
+		t.Helper()
+		compiled, err := spec.Compile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return compiled
+	}
+	v0 := compile(updatableDoc(3))
+	docA := updatableDoc(3)
+	docA.Rules[0].Actions = []string{"->step-a"}
+	vA := compile(docA)
+	vB := compile(updatableDoc(5))
+
+	reg := models.NewRegistry()
+	if err := reg.Add(v0.Entry()); err != nil {
+		t.Fatal(err)
+	}
+	p := New(WithRegistry(reg))
+	req := Request{Model: "updatable", Format: "text"}
+	render := func(p *Pipeline) Result {
+		t.Helper()
+		res := p.Render(ctx, req)
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		return res
+	}
+	render(p)
+	for _, v := range []*spec.Compiled{vA, vB} {
+		if _, err := p.UpdateModel(v.Entry(), spec.Diff(v0.Doc(), v.Doc())); err != nil {
+			t.Fatal(err)
+		}
+		render(p)
+	}
+	got := render(p)
+
+	freshReg := models.NewRegistry()
+	if err := freshReg.Add(vB.Entry()); err != nil {
+		t.Fatal(err)
+	}
+	want := render(New(WithRegistry(freshReg)))
+	if string(got.Artifact.Data) != string(want.Artifact.Data) {
+		t.Errorf("after a stale delta the member renders other bytes than a fresh pipeline (vA's STEP action kept: %t)",
+			strings.Contains(string(got.Artifact.Data), "->step-a"))
+	}
+	if st := p.Stats().Machine; st.Incremental != 2 {
+		t.Errorf("Incremental = %d, want 2: both replacements regenerate from the machine before", st.Incremental)
 	}
 }

@@ -51,7 +51,8 @@ func Live(ctx context.Context, sc Scenario, baseURL string, workers int) (*Repor
 	client := &http.Client{Timeout: time.Minute}
 	if len(sc.Spec) > 0 {
 		// Registrations are per serving instance, so an inline spec must
-		// land on every target.
+		// land on every target. A clustered server takes no registry write
+		// (405), so an inline-spec scenario needs standalone targets.
 		for _, base := range bases {
 			if err := putSpec(ctx, client, base, sc.Model, sc.Spec); err != nil {
 				return nil, err

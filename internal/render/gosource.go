@@ -20,21 +20,21 @@ func DefaultActionMethod(action string) string {
 	return "Send" + camel(strings.TrimPrefix(action, "->"))
 }
 
-// DefaultPackageName derives a package name from the machine identity:
+// defaultPackageName derives a package name from the machine identity:
 // the model name sanitized to a valid Go identifier plus the parameter,
 // e.g. "bftcommit4" for the commit model at r=4. Model names are
 // user-controlled (dynamically registered specs), so the derivation must
 // produce a compilable package clause for any input.
-func DefaultPackageName(m *core.StateMachine) string {
-	return SanitizePackageName(m.ModelName) + strconv.Itoa(m.Parameter)
+func defaultPackageName(m *core.StateMachine) string {
+	return sanitizePackageName(m.ModelName) + strconv.Itoa(m.Parameter)
 }
 
-// SanitizePackageName maps an arbitrary model name onto a valid Go
+// sanitizePackageName maps an arbitrary model name onto a valid Go
 // package identifier: lower-cased, every rune that is not a Unicode
 // letter or digit dropped, "machine" when nothing survives, and an "m"
 // prefix when the survivors start with a digit or collide with a Go
 // keyword (neither is a legal identifier).
-func SanitizePackageName(name string) string {
+func sanitizePackageName(name string) string {
 	var b strings.Builder
 	for _, r := range strings.ToLower(name) {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
@@ -106,7 +106,7 @@ func (n GoNames) Declare(kind, scope, ident, from string) error {
 
 // GoSource writes the machine as a compilable Go source implementation
 // of the protocol (the paper's Fig. 16) in package pkg, or in the package
-// DefaultPackageName derives when pkg is empty: one handler method per
+// defaultPackageName derives when pkg is empty: one handler method per
 // message type, each a switch over the machine states, with phase
 // transitions invoking the methods DefaultActionMethod names on an
 // application-supplied Actions interface (§5.1). The writer is generic
@@ -131,7 +131,7 @@ func goSource(m *core.StateMachine, pkg string) ([]byte, error) {
 		return nil, fmt.Errorf("render: go source: machine has no states")
 	}
 	if pkg == "" {
-		pkg = DefaultPackageName(m)
+		pkg = defaultPackageName(m)
 	}
 	param := strconv.Itoa(m.Parameter)
 	// The table's error refuses a reference to a state the machine does

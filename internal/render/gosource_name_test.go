@@ -38,13 +38,13 @@ func TestSanitizePackageName(t *testing.T) {
 		{"type!", "mtype"}, // keyword after stripping
 	}
 	for _, tt := range tests {
-		if got := SanitizePackageName(tt.in); got != tt.want {
-			t.Errorf("SanitizePackageName(%q) = %q, want %q", tt.in, got, tt.want)
+		if got := sanitizePackageName(tt.in); got != tt.want {
+			t.Errorf("sanitizePackageName(%q) = %q, want %q", tt.in, got, tt.want)
 		}
 		// Every output must be usable in a package clause.
-		src := "package " + SanitizePackageName(tt.in) + "\n"
+		src := "package " + sanitizePackageName(tt.in) + "\n"
 		if _, err := parser.ParseFile(token.NewFileSet(), "x.go", src, parser.PackageClauseOnly); err != nil {
-			t.Errorf("SanitizePackageName(%q) is not a valid package clause: %v", tt.in, err)
+			t.Errorf("sanitizePackageName(%q) is not a valid package clause: %v", tt.in, err)
 		}
 	}
 }
@@ -65,7 +65,7 @@ func TestGoSourceRendersHostileModelNames(t *testing.T) {
 		}
 		// The derived clause passed the renderer's identifier gate; pin
 		// what it is.
-		want := "package " + SanitizePackageName(name) + "2"
+		want := "package " + sanitizePackageName(name) + "2"
 		if !strings.Contains(string(art.Data), want) {
 			t.Errorf("%q: generated source lacks %q", name, want)
 		}

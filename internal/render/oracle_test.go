@@ -536,7 +536,7 @@ func pieceGo(m *core.StateMachine, pkg string) ([]byte, error) {
 		return nil, fmt.Errorf("render: go source: machine has no states")
 	}
 	if pkg == "" {
-		pkg = DefaultPackageName(m)
+		pkg = defaultPackageName(m)
 	}
 	param := strconv.Itoa(m.Parameter)
 	t, err := m.Table()

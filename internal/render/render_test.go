@@ -199,8 +199,8 @@ func TestGoSourceRendererDerivesPackageName(t *testing.T) {
 	if want := "package bftcommit4"; !strings.Contains(art.String(), want) {
 		t.Errorf("derived source missing %q", want)
 	}
-	if got := DefaultPackageName(machine); got != "bftcommit4" {
-		t.Errorf("DefaultPackageName = %q, want bftcommit4", got)
+	if got := defaultPackageName(machine); got != "bftcommit4" {
+		t.Errorf("defaultPackageName = %q, want bftcommit4", got)
 	}
 }
 

@@ -6,15 +6,17 @@ import (
 	"asagen/internal/core"
 )
 
-// DeltaFrom returns the delta from prev, the entry the spec replaces in
-// place, to the spec: Diff of the two documents when prev was compiled
-// from one, and a full delta when it is the zero Entry (nothing to
-// replace) or hand-written, about which a document says nothing.
-func (c *Compiled) DeltaFrom(prev core.Entry) core.ModelDelta {
-	if oldDoc, ok := prev.Spec.(Doc); ok {
-		return Diff(oldDoc, c.doc)
+// Delta returns the delta from prev to next, the entry that replaces it
+// in place: Diff of the two documents when both entries were compiled from
+// one, and a full delta when either is hand-written, about which a
+// document says nothing.
+func Delta(prev, next core.Entry) core.ModelDelta {
+	oldDoc, oldOK := prev.Spec.(Doc)
+	newDoc, newOK := next.Spec.(Doc)
+	if !oldOK || !newOK {
+		return core.ModelDelta{Full: true}
 	}
-	return core.ModelDelta{Full: true}
+	return Diff(oldDoc, newDoc)
 }
 
 // Diff compares an old and a new model document and returns the

@@ -236,10 +236,10 @@ func TestDiffClassification(t *testing.T) {
 	})
 }
 
-// TestDeltaFromPreviousEntry: what a replacement in place may reuse
-// depends on the entry it replaces — none, a hand-written entry (both a
-// full delta) or an entry compiled from a document (their Diff).
-func TestDeltaFromPreviousEntry(t *testing.T) {
+// TestDeltaBetweenEntries: what a replacement in place may reuse depends
+// on both entries — a hand-written one on either side (a full delta) or two
+// entries compiled from documents (their Diff).
+func TestDeltaBetweenEntries(t *testing.T) {
 	edited := editableDoc()
 	edited.Rules = append([]Rule(nil), edited.Rules...)
 	edited.Rules[0].Actions = []string{"->req", "->log"}
@@ -247,20 +247,29 @@ func TestDeltaFromPreviousEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := next.DeltaFrom(core.Entry{}); !d.Full {
-		t.Errorf("no previous entry: delta = %+v, want full", d)
-	}
 	base, err := Compile(editableDoc())
 	if err != nil {
 		t.Fatal(err)
 	}
-	handWritten := base.Entry()
-	handWritten.Spec = nil
-	if d := next.DeltaFrom(handWritten); !d.Full {
-		t.Errorf("hand-written previous entry: delta = %+v, want full", d)
+	handWritten := func(e core.Entry) core.Entry {
+		e.Spec = nil
+		return e
 	}
-	if d := next.DeltaFrom(base.Entry()); d.Full || len(d.Messages) != 1 || d.Messages[0] != "REQ" {
-		t.Errorf("spec-defined previous entry: delta = %+v, want {Messages:[REQ]}", d)
+	for name, c := range map[string]struct{ prev, next core.Entry }{
+		"no previous entry":           {core.Entry{}, next.Entry()},
+		"hand-written previous entry": {handWritten(base.Entry()), next.Entry()},
+		"hand-written next entry":     {base.Entry(), handWritten(next.Entry())},
+		"hand-written on both sides":  {handWritten(base.Entry()), handWritten(next.Entry())},
+	} {
+		if d := Delta(c.prev, c.next); !d.Full {
+			t.Errorf("%s: delta = %+v, want full", name, d)
+		}
+	}
+	if d := Delta(base.Entry(), next.Entry()); d.Full || len(d.Messages) != 1 || d.Messages[0] != "REQ" {
+		t.Errorf("two spec-defined entries: delta = %+v, want {Messages:[REQ]}", d)
+	}
+	if d := Delta(next.Entry(), base.Entry()); d.Full || len(d.Messages) != 1 || d.Messages[0] != "REQ" {
+		t.Errorf("the edit undone: delta = %+v, want {Messages:[REQ]}", d)
 	}
 }
 
