@@ -232,11 +232,6 @@ func NewHandler(p *artifact.Pipeline, opts ...HandlerOption) *Handler {
 	return h
 }
 
-// Routes returns the route table the handler serves.
-func (h *Handler) Routes() []Route {
-	return append([]Route(nil), h.routes...)
-}
-
 // ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)

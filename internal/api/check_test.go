@@ -133,18 +133,11 @@ func TestCheckRouteVerdictBytesMatchMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wantData []string
-	mon, err := trace.NewMonitor(
-		trace.WithTarget("", machine),
-		trace.WithTolerance(1),
-		trace.WithObserver(trace.ObserverFunc(func(v trace.Verdict) bool {
+	rep, err := trace.Check{Tolerance: 1}.Run(context.Background(), machine, strings.NewReader(traceBody),
+		trace.ObserverFunc(func(v trace.Verdict) bool {
 			wantData = append(wantData, string(v.AppendJSON(nil)))
 			return true
-		})),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := mon.Run(context.Background(), trace.NewJSONLDecoder(strings.NewReader(traceBody)))
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,9 +385,10 @@ func alternatingLine(i int, format string) string {
 	return `{"msg":"` + msg + `"}` + "\n"
 }
 
-// monitorStream is the event stream the route must answer a trace with,
-// built from the monitor's verdicts alone, one framed event per verdict.
-func monitorStream(t *testing.T, p *artifact.Pipeline, body string, opts ...trace.MonitorOption) string {
+// monitorStream is the event stream the route must answer a JSON Lines
+// trace with, built from the monitor's verdicts alone, one framed event
+// per verdict.
+func monitorStream(t *testing.T, p *artifact.Pipeline, body string) string {
 	t.Helper()
 	machine, _, _, err := p.Machine(context.Background(), "commit", 4)
 	if err != nil {
@@ -405,12 +399,7 @@ func monitorStream(t *testing.T, p *artifact.Pipeline, body string, opts ...trac
 		want.WriteString("event: " + v.Kind.String() + "\ndata: " + string(v.AppendJSON(nil)) + "\n\n")
 		return true
 	}
-	mon, err := trace.NewMonitor(append(opts,
-		trace.WithTarget("", machine), trace.WithObserver(trace.ObserverFunc(frame)))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := mon.Run(context.Background(), trace.NewJSONLDecoder(strings.NewReader(body)))
+	rep, err := trace.Check{}.Run(context.Background(), machine, strings.NewReader(body), trace.ObserverFunc(frame))
 	if err != nil {
 		t.Fatal(err)
 	}

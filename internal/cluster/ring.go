@@ -69,15 +69,5 @@ func (r *ring) at(i int) (id, url string) {
 	return r.ids[i], r.urls[i]
 }
 
-// indexOf returns the ring index of the given member ID, or -1.
-func (r *ring) indexOf(id string) int {
-	for i, rid := range r.ids {
-		if rid == id {
-			return i
-		}
-	}
-	return -1
-}
-
 // size returns the number of ring positions.
 func (r *ring) size() int { return len(r.ids) }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -75,16 +74,6 @@ func (v Vector) appendName(buf []byte, components []StateComponent) []byte {
 			buf = append(buf, '/')
 		}
 		buf = append(buf, components[i].ValueName(val)...)
-	}
-	return buf
-}
-
-// appendKey appends a compact byte encoding of the vector to buf, for use as
-// an interning key in the frontier explorer's visited store. Two vectors over
-// the same components produce equal keys iff they are Equal.
-func (v Vector) appendKey(buf []byte) []byte {
-	for _, val := range v {
-		buf = binary.AppendUvarint(buf, uint64(val))
 	}
 	return buf
 }

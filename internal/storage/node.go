@@ -107,9 +107,6 @@ func (n *Node) ID() simnet.NodeID { return n.id }
 // Behaviour returns the node's fault model.
 func (n *Node) Behaviour() Behaviour { return n.behaviour }
 
-// Blocks returns the number of replicas held.
-func (n *Node) Blocks() int { return len(n.blocks) }
-
 // Holds reports whether the node has a replica of pid.
 func (n *Node) Holds(pid PID) bool {
 	_, ok := n.blocks[pid]

@@ -22,8 +22,8 @@ var ErrNegativeTolerance = errors.New("trace: negative tolerance")
 
 // Check is a check request that passed ParseCheck: its format resolved,
 // its patterns compiled into Rules (nil selects DefaultRules) and its
-// tolerance non-negative. KeepGoing reads the whole trace past a
-// violation, as WithKeepGoing does.
+// tolerance non-negative. It is the one carrier of a run's tolerance and
+// of KeepGoing, which reads the whole trace past a violation.
 type Check struct {
 	Format    string // FormatJSONL or FormatRegex
 	Rules     []Rule
@@ -74,13 +74,11 @@ func (c Check) Decoder(r io.Reader) DecodeCloser {
 // Run checks the trace read from r against machine, every verdict to obs,
 // and returns what Monitor.Run returns.
 func (c Check) Run(ctx context.Context, machine *core.StateMachine, r io.Reader, obs Observer) (Report, error) {
-	j, err := NewJudge(machine, c.Tolerance)
+	m, err := newMonitor(machine, c.Tolerance, c.KeepGoing, obs)
 	if err != nil {
 		return Report{}, fmt.Errorf("trace: check: %w", err)
 	}
 	dec := c.Decoder(r)
 	defer dec.Close()
-	m := Monitor{targets: []target{{judge: j}}, observers: []Observer{obs},
-		tolerance: c.Tolerance, keepGoing: c.KeepGoing}
 	return m.Run(ctx, dec)
 }

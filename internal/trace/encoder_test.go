@@ -3,7 +3,7 @@ package trace
 import (
 	"context"
 	"encoding/json"
-	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -59,34 +59,29 @@ func everyTransition(t *testing.T, m *core.StateMachine) []string {
 	return traces
 }
 
-// jsonl decodes a trace as JSON Lines.
-func jsonl(r io.Reader) Decoder { return NewJSONLDecoder(r) }
-
-// encodeBothWays runs every trace through a monitor whose observer encodes
-// each verdict with one Encoder, shared by all the runs as a stream's is
-// by all its lines, and with Verdict.AppendJSON, and requires the same
-// bytes. It returns the number of accepted verdicts seen.
-func encodeBothWays(t *testing.T, enc *Encoder, decode func(io.Reader) Decoder, traces []string, opts ...MonitorOption) int {
+// encodeBothWays checks every trace against m at tolerance 1, reading
+// past violations, through an observer that encodes each verdict with one
+// Encoder, shared by all the runs as a stream's is by all its lines, and
+// with Verdict.AppendJSON, and requires the same bytes. It returns the
+// number of accepted verdicts seen.
+func encodeBothWays(t *testing.T, enc *Encoder, format string, m *core.StateMachine, traces []string) int {
 	t.Helper()
 	var got, want []byte
 	accepted := 0
-	mon, err := NewMonitor(append(opts, WithTolerance(1), WithKeepGoing(),
-		WithObserver(ObserverFunc(func(v Verdict) bool {
-			if v.Kind == KindAccepted {
-				accepted++
-			}
-			got = enc.Append(got[:0], &v)
-			want = v.AppendJSON(want[:0])
-			if string(got) != string(want) {
-				t.Fatalf("Encoder.Append = %s\nAppendJSON     = %s", got, want)
-			}
-			return true
-		})))...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obs := ObserverFunc(func(v Verdict) bool {
+		if v.Kind == KindAccepted {
+			accepted++
+		}
+		got = enc.Append(got[:0], &v)
+		want = v.AppendJSON(want[:0])
+		if string(got) != string(want) {
+			t.Fatalf("Encoder.Append = %s\nAppendJSON     = %s", got, want)
+		}
+		return true
+	})
+	chk := Check{Format: format, Tolerance: 1, KeepGoing: true}
 	for _, tr := range traces {
-		if _, err := mon.Run(context.Background(), decode(strings.NewReader(tr))); err != nil {
+		if _, err := chk.Run(context.Background(), m, strings.NewReader(tr), obs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,7 +129,7 @@ func TestEncoderMatchesAppendJSON(t *testing.T) {
 			t.Fatalf("%s: %d traces for %d transitions", name, len(traces), transitions)
 		}
 		var enc Encoder
-		if accepted := encodeBothWays(t, &enc, jsonl, traces, WithTarget("", m)); accepted <= transitions {
+		if accepted := encodeBothWays(t, &enc, FormatJSONL, m, traces); accepted <= transitions {
 			t.Fatalf("%s: %d accepted verdicts for %d transitions: the memo was never hit", name, accepted, transitions)
 		}
 		if kept := memoised(&enc); kept != transitions {
@@ -153,23 +148,27 @@ func TestEncoderMatchesAppendJSON(t *testing.T) {
 		}
 	}
 
-	// Two targets: each verdict carries a "target" key. Over two machines
-	// each table position is kept for the first transition that fires at
-	// it, whichever machine's; over one machine, the second target's
-	// verdicts take the field-by-field path.
+	// One Encoder across two machines: each table position is kept for
+	// the first transition that fires at it, commit's, and chord's
+	// transitions at those positions are encoded field by field.
 	commit, chord := machines["commit"], machines["chord"]
 	var enc Encoder
-	encodeBothWays(t, &enc, jsonl, everyTransition(t, commit), WithTarget("a \"é\"", commit), WithTarget("b", chord))
-	if memoised(&enc) == 0 {
-		t.Error("a two-target run kept no transition")
+	encodeBothWays(t, &enc, FormatJSONL, commit, everyTransition(t, commit))
+	kept := slices.Clone(enc.tails)
+	if accepted := encodeBothWays(t, &enc, FormatJSONL, chord, everyTransition(t, chord)); accepted == 0 {
+		t.Fatal("chord accepted nothing")
 	}
-	encodeBothWays(t, &enc, jsonl, everyTransition(t, commit), WithTarget("a", commit), WithTarget("b", commit))
+	for i, e := range kept {
+		if e.tr != nil && enc.tails[i] != e {
+			t.Fatalf("table position %d: commit's memo entry was replaced by chord's", i)
+		}
+	}
 
 	// The line counter: a stream long enough to carry 9→10, 99→100 and
 	// 999→1000, first line after line, then with the accepted lines broken
 	// up by blank lines, ignored and violating lines (a JSON Lines trace)
-	// and skipped lines (a text trace), and judged by two targets, each
-	// accepted line twice. The one Encoder then starts again from line 1.
+	// and skipped lines (a text trace), then line after line again against
+	// a second machine. The one Encoder then starts again from line 1.
 	var plain, gappy, text strings.Builder
 	for n := 1; n <= 1200; n++ {
 		msg := []string{"FREE", "NOT_FREE"}[n%2]
@@ -186,7 +185,6 @@ func TestEncoderMatchesAppendJSON(t *testing.T) {
 			text.WriteString("12:00 recv " + msg + "\n")
 		}
 	}
-	regex := func(r io.Reader) Decoder { return NewRegexDecoder(r, nil) }
 	// A second commit machine accepts the same messages through
 	// transitions of its own; where the first machine's hold the same
 	// table positions, its verdicts are encoded field by field.
@@ -204,17 +202,17 @@ func TestEncoderMatchesAppendJSON(t *testing.T) {
 	}
 	enc = Encoder{}
 	for _, run := range []struct {
-		decode func(io.Reader) Decoder
-		trace  string
-		opts   []MonitorOption
+		format  string
+		machine *core.StateMachine
+		trace   string
 	}{
-		{jsonl, plain.String(), []MonitorOption{WithTarget("", commit)}},
-		{jsonl, gappy.String(), []MonitorOption{WithTarget("", commit)}},
-		{regex, text.String(), []MonitorOption{WithTarget("", commit)}},
-		{jsonl, plain.String(), []MonitorOption{WithTarget("a", commit), WithTarget("b", commit5)}},
-		{jsonl, conformingCommitPrefix, []MonitorOption{WithTarget("", commit)}},
+		{FormatJSONL, commit, plain.String()},
+		{FormatJSONL, commit, gappy.String()},
+		{FormatRegex, commit, text.String()},
+		{FormatJSONL, commit5, plain.String()},
+		{FormatJSONL, commit, conformingCommitPrefix},
 	} {
-		if accepted := encodeBothWays(t, &enc, run.decode, []string{run.trace}, run.opts...); accepted == 0 {
+		if accepted := encodeBothWays(t, &enc, run.format, run.machine, []string{run.trace}); accepted == 0 {
 			t.Fatalf("no accepted verdict in %.40q", run.trace)
 		}
 	}

@@ -2,14 +2,19 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
+
+	"asagen/internal/core"
 )
 
 // The trace front ends read input nobody here chose — request bodies and
@@ -170,6 +175,68 @@ func FuzzRegexDecoder(f *testing.F) {
 		want, wantErr := drain(t, NewRegexDecoder(bytes.NewReader(data), []Rule{user, {Pattern: defaultPattern}}))
 		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotErr, wantErr) {
 			t.Fatalf("rule %q over %q:\n got %+v, %v\nwant %+v, %v", rule, data, got, gotErr, want, wantErr)
+		}
+	})
+}
+
+// fuzzTrace turns each byte of data into one JSON Lines line: a message
+// of vocab as a fast-path object, a bare string or an object whose
+// message is escaped (the last two carry no decoder symbol), a blank
+// line, or, for 0xff, a malformed line that ends the run.
+func fuzzTrace(data []byte, vocab []string) string {
+	var b strings.Builder
+	for _, c := range data {
+		msg := vocab[int(c)%len(vocab)]
+		switch {
+		case c == 0xff:
+			b.WriteString(`{"msg":`)
+		case c >= 0xc0:
+		case c >= 0x80:
+			b.WriteString(`{"msg":"\u00` + strconv.FormatInt(int64(msg[0]), 16) + msg[1:] + `"}`)
+		case c >= 0x40:
+			b.WriteString(`"` + msg + `"`)
+		default:
+			b.WriteString(`{"msg":"` + msg + `","seq":` + strconv.Itoa(int(c)) + `}`)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// FuzzEncoderAgreesWithAppendJSON: a fuzzed JSON Lines trace over the
+// vocabularies of commit r=4 and chord, and a message neither has, is
+// checked against both machines at a fuzzed tolerance, reading past
+// violations or not, with one Encoder shared by both checks as a stream's
+// is by all its lines. Every verdict the Encoder writes is
+// Verdict.AppendJSON's, though the memo's table positions are filled by
+// one machine's transitions and then read for the other's.
+func FuzzEncoderAgreesWithAppendJSON(f *testing.F) {
+	commit, chord := registryMachine(f, "commit"), registryMachine(f, "chord")
+	vocab := slices.Concat(commit.Messages, chord.Messages, []string{"NOPE"})
+	slices.Sort(vocab)
+	vocab = slices.Compact(vocab)
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(0), false)
+	f.Add([]byte("\x00\x41\x82\xc3\x04\x45\x86\x07\x48\x89\x0a\x4b"), uint8(3), true)
+	f.Add([]byte("\x05\x05\x46\x87\x08\x08\xff\x09"), uint8(1), true)
+	f.Fuzz(func(t *testing.T, data []byte, tolerance uint8, keepGoing bool) {
+		trace := fuzzTrace(data, vocab)
+		var enc Encoder
+		var got, want []byte
+		obs := ObserverFunc(func(v Verdict) bool {
+			got = enc.Append(got[:0], &v)
+			want = v.AppendJSON(want[:0])
+			if string(got) != string(want) {
+				t.Fatalf("Encoder.Append = %s\nAppendJSON     = %s", got, want)
+			}
+			return true
+		})
+		chk := Check{Format: FormatJSONL, Tolerance: int(tolerance % 8), KeepGoing: keepGoing}
+		for _, m := range []*core.StateMachine{commit, chord} {
+			_, err := chk.Run(context.Background(), m, strings.NewReader(trace), obs)
+			var de *DecodeError
+			if err != nil && !errors.As(err, &de) {
+				t.Fatalf("%s: Run = %v, want nil or a DecodeError", m.ModelName, err)
+			}
 		}
 	})
 }

@@ -9,12 +9,13 @@ import (
 // machine through a runtime.Instance: a delivery that fires a transition
 // is accepted, and a rejected one (not applicable in the current state,
 // or after the finish state) is ignored while the tolerance budget lasts
-// and a violation afterwards. A Monitor keeps one Judge per target, the
-// fleet simulation one per fleet member and the cluster's routing oracle
-// one at tolerance 0. A Judge is not safe for concurrent use.
+// and a violation afterwards. A Monitor drives one Judge, the fleet
+// simulation one per fleet member and the cluster's routing oracle one at
+// tolerance 0. A Judge is not safe for concurrent use.
 type Judge struct {
-	inst   *runtime.Instance
-	budget int
+	inst      *runtime.Instance
+	tolerance int
+	budget    int
 	// syms maps the symbols of the run's decoder (Event.sym) to the
 	// machine's message indices, unseen until a symbol's first delivery.
 	// Symbols belong to one decoder, so Reset forgets them.
@@ -46,7 +47,7 @@ func NewJudge(machine *core.StateMachine, tolerance int) (*Judge, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Judge{inst: inst, budget: tolerance}, nil
+	return &Judge{inst: inst, tolerance: tolerance, budget: tolerance}, nil
 }
 
 // Deliver judges one delivery of msg.
@@ -111,11 +112,11 @@ func (j *Judge) Expect(msg string) Judgement {
 	return d
 }
 
-// Reset returns the machine to its start state with a fresh tolerance,
-// for a run over a new decoder.
-func (j *Judge) Reset(tolerance int) {
+// Reset returns the machine to its start state with the tolerance it was
+// made with, for a run over a new decoder.
+func (j *Judge) Reset() {
 	j.inst.Reset()
-	j.budget = tolerance
+	j.budget = j.tolerance
 	j.syms = j.syms[:0]
 }
 

@@ -66,7 +66,7 @@ func TestJudge(t *testing.T) {
 			if finished != 1 {
 				t.Fatalf("tolerance %d: finished reported %d times, want once", tc.tolerance, finished)
 			}
-			j.Reset(tc.tolerance)
+			j.Reset()
 			if j.State() != machine.Start {
 				t.Fatalf("tolerance %d: Reset left the machine in %s", tc.tolerance, j.State().Name)
 			}
@@ -108,7 +108,7 @@ func TestNewJudgeRefusesNilMachine(t *testing.T) {
 }
 
 // registryMachine generates a registry model at its default parameter.
-func registryMachine(t *testing.T, name string) *core.StateMachine {
+func registryMachine(t testing.TB, name string) *core.StateMachine {
 	t.Helper()
 	entry, err := models.Get(name)
 	if err != nil {
@@ -126,30 +126,27 @@ func registryMachine(t *testing.T, name string) *core.StateMachine {
 }
 
 // TestSymbolsBelongToOneRun: a decoder numbers messages in the order it
-// first sees them, and a Judge resolves each number once per run. One
-// Monitor over two machines with different vocabularies (commit and
-// chord) runs traces whose first-seen orders differ, with messages
+// first sees them, and a Judge resolves each number once per run. A
+// Monitor over each of two machines with different vocabularies (commit
+// and chord) runs traces whose first-seen orders differ, with messages
 // outside both vocabularies and with lines the decoders read on their
 // slow paths (bare JSON strings, escaped messages), which carry no
 // symbol. Every verdict encodes to Verdict.AppendJSON's bytes, and each
 // run's stream is the stream of a fresh Monitor over the same trace, so
 // a judge that kept one decoder's symbols into the next run fails here.
 func TestSymbolsBelongToOneRun(t *testing.T) {
-	commit, chord := registryMachine(t, "commit"), registryMachine(t, "chord")
 	var enc Encoder
 	var stream, encoded []byte
-	newMonitor := func() *Monitor {
-		mon, err := NewMonitor(WithTarget("commit", commit), WithTarget("chord", chord),
-			WithTolerance(1<<20), WithKeepGoing(),
-			WithObserver(ObserverFunc(func(v Verdict) bool {
-				m, n := len(stream), len(encoded)
-				stream = v.AppendJSON(stream)
-				encoded = enc.Append(encoded, &v)
-				if string(encoded[n:]) != string(stream[m:]) {
-					t.Fatalf("Encoder.Append = %s\nAppendJSON     = %s", encoded[n:], stream[m:])
-				}
-				return true
-			})))
+	monitor := func(machine *core.StateMachine) *Monitor {
+		mon, err := newMonitor(machine, 1<<20, true, ObserverFunc(func(v Verdict) bool {
+			m, n := len(stream), len(encoded)
+			stream = v.AppendJSON(stream)
+			encoded = enc.Append(encoded, &v)
+			if string(encoded[n:]) != string(stream[m:]) {
+				t.Fatalf("Encoder.Append = %s\nAppendJSON     = %s", encoded[n:], stream[m:])
+			}
+			return true
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,29 +185,32 @@ func TestSymbolsBelongToOneRun(t *testing.T) {
 	backward := slices.Clone(forward)
 	slices.Reverse(backward)
 	mixed := append(append(slices.Clone(backward), forward...), backward...)
-	shared := newMonitor()
-	for i, tc := range []struct {
-		regex bool
-		trace string
-	}{
-		{false, jsonl(forward...) + jsonl(forward...)},
-		{false, jsonl(backward...) + jsonl(forward...)},
-		{true, text(mixed...)},
-		{true, text(forward...)},
-		{false, jsonl(mixed...)},
-	} {
-		decode := func() Decoder {
-			if tc.regex {
-				return NewRegexDecoder(strings.NewReader(tc.trace), nil)
+	for _, machine := range []*core.StateMachine{registryMachine(t, "commit"), registryMachine(t, "chord")} {
+		shared := monitor(machine)
+		for i, tc := range []struct {
+			regex bool
+			trace string
+		}{
+			{false, jsonl(forward...) + jsonl(forward...)},
+			{false, jsonl(backward...) + jsonl(forward...)},
+			{true, text(mixed...)},
+			{true, text(forward...)},
+			{false, jsonl(mixed...)},
+		} {
+			decode := func() Decoder {
+				if tc.regex {
+					return NewRegexDecoder(strings.NewReader(tc.trace), nil)
+				}
+				return NewJSONLDecoder(strings.NewReader(tc.trace))
 			}
-			return NewJSONLDecoder(strings.NewReader(tc.trace))
-		}
-		got := run(shared, decode())
-		if want := run(newMonitor(), decode()); got != want {
-			t.Fatalf("run %d: the reused monitor's stream\n%s\ndiffers from a fresh monitor's\n%s", i, got, want)
-		}
-		if !strings.Contains(got, `"kind":"accepted"`) || !strings.Contains(got, `"kind":"ignored"`) {
-			t.Fatalf("run %d: stream %s lacks accepted or ignored verdicts", i, got)
+			got := run(shared, decode())
+			if want := run(monitor(machine), decode()); got != want {
+				t.Fatalf("%s run %d: the reused monitor's stream\n%s\ndiffers from a fresh monitor's\n%s",
+					machine.ModelName, i, got, want)
+			}
+			if !strings.Contains(got, `"kind":"accepted"`) || !strings.Contains(got, `"kind":"ignored"`) {
+				t.Fatalf("%s run %d: stream %s lacks accepted or ignored verdicts", machine.ModelName, i, got)
+			}
 		}
 	}
 }

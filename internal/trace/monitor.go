@@ -28,50 +28,44 @@ type ObserverFunc func(Verdict) bool
 // Observe implements Observer.
 func (f ObserverFunc) Observe(v Verdict) bool { return f(v) }
 
-// target is one machine under observation and its judge.
-type target struct {
-	name  string
-	judge *Judge
-}
-
-// Monitor drives one or more generated machines over a decoded event
-// stream at line rate, one Judge per machine, and turns every judgement
-// into a Verdict for its observers. A Monitor is reusable — each Run
-// starts every machine from its start state — but not safe for concurrent
-// Runs.
+// Monitor drives one generated machine over a decoded event stream at
+// line rate through its Judge, and turns every judgement into a Verdict
+// for its observers. A Monitor is reusable — each Run starts the machine
+// from its start state — but not safe for concurrent Runs.
 type Monitor struct {
-	targets   []target
+	judge     *Judge
 	observers []Observer
-	tolerance int
 	keepGoing bool
 }
 
-// MonitorOption configures a Monitor.
-type MonitorOption func(*Monitor) error
-
-// WithTarget adds a machine to observe. The name labels its verdicts
-// when the monitor drives more than one machine; with a single target
-// the label is omitted from verdicts entirely.
-func WithTarget(name string, machine *core.StateMachine) MonitorOption {
-	return func(m *Monitor) error {
-		j, err := NewJudge(machine, 0)
-		if err != nil {
-			return fmt.Errorf("trace: target %q: %w", name, err)
-		}
-		m.targets = append(m.targets, target{name: name, judge: j})
-		return nil
+// newMonitor returns a monitor of machine that absorbs tolerance
+// rejections and, with keepGoing, reads past a violation.
+func newMonitor(machine *core.StateMachine, tolerance int, keepGoing bool, obs ...Observer) (*Monitor, error) {
+	j, err := NewJudge(machine, tolerance)
+	if err != nil {
+		return nil, err
 	}
+	return &Monitor{judge: j, observers: obs, keepGoing: keepGoing}, nil
 }
 
-// WithTolerance sets the number of rejected deliveries each target
-// absorbs before a further rejection becomes a violation. The default
-// is 0: the first rejection violates.
-func WithTolerance(n int) MonitorOption {
-	return func(m *Monitor) error {
-		if n < 0 {
-			return fmt.Errorf("%w %d", ErrNegativeTolerance, n)
+// MonitorOption configures NewMonitor.
+type MonitorOption func(*monitorConfig) error
+
+type monitorConfig struct {
+	name      string
+	machine   *core.StateMachine
+	targets   int
+	observers []Observer
+}
+
+// WithTarget sets the machine to observe; name labels it in errors. A
+// monitor observes one machine: a second WithTarget is an error.
+func WithTarget(name string, machine *core.StateMachine) MonitorOption {
+	return func(c *monitorConfig) error {
+		if c.targets++; c.targets > 1 {
+			return fmt.Errorf("trace: target %q: a monitor observes one machine", name)
 		}
-		m.tolerance = n
+		c.name, c.machine = name, machine
 		return nil
 	}
 }
@@ -79,35 +73,27 @@ func WithTolerance(n int) MonitorOption {
 // WithObserver registers verdict observers, called in registration
 // order for every verdict.
 func WithObserver(obs ...Observer) MonitorOption {
-	return func(m *Monitor) error {
-		m.observers = append(m.observers, obs...)
+	return func(c *monitorConfig) error {
+		c.observers = append(c.observers, obs...)
 		return nil
 	}
 }
 
-// WithKeepGoing makes Run read the whole trace even after a violation,
-// counting every violation, instead of stopping at the first one.
-func WithKeepGoing() MonitorOption {
-	return func(m *Monitor) error {
-		m.keepGoing = true
-		return nil
-	}
-}
-
-// NewMonitor returns a monitor over the configured targets. At least
-// one WithTarget is required.
+// NewMonitor returns a monitor of the WithTarget machine at tolerance 0
+// that stops at the first violation; a Check sets either otherwise.
 func NewMonitor(opts ...MonitorOption) (*Monitor, error) {
-	m := &Monitor{}
+	var c monitorConfig
 	for _, opt := range opts {
-		if err := opt(m); err != nil {
+		if err := opt(&c); err != nil {
 			return nil, err
 		}
 	}
-	if len(m.targets) == 0 {
-		return nil, errors.New("trace: monitor needs at least one target machine")
+	if c.targets == 0 {
+		return nil, errors.New("trace: monitor needs a target machine")
 	}
-	if len(m.targets) == 1 {
-		m.targets[0].name = "" // a single target's verdicts carry no label
+	m, err := newMonitor(c.machine, 0, false, c.observers...)
+	if err != nil {
+		return nil, fmt.Errorf("trace: target %q: %w", c.name, err)
 	}
 	return m, nil
 }
@@ -123,18 +109,17 @@ func (m *Monitor) emit(v *Verdict) bool {
 	return true
 }
 
-// Run drives the targets over the decoder's event stream until the
+// Run drives the machine over the decoder's event stream until the
 // input ends, the context is cancelled, an observer stops the run, or —
-// unless WithKeepGoing — a violation occurs. The Report covers
+// unless the monitor keeps going — a violation occurs. The Report covers
 // everything judged; err classifies abnormal ends: a *DecodeError for
 // malformed input, the context error for cancellation, ErrStopped for
 // an observer stop, and nil for a completed run (conforming or not —
 // consult Report.Conforming).
 func (m *Monitor) Run(ctx context.Context, dec Decoder) (Report, error) {
 	var rep Report
-	for _, t := range m.targets {
-		t.judge.Reset(m.tolerance)
-	}
+	j := m.judge
+	j.Reset()
 	done := ctx.Done()
 	var d Judgement
 	for {
@@ -165,49 +150,35 @@ func (m *Monitor) Run(ctx context.Context, dec Decoder) (Report, error) {
 			continue
 		}
 		rep.Events++
-		for _, t := range m.targets {
-			t.judge.judge(t.judge.index(&ev), ev.Msg, &d)
-			// Built in place: a Verdict variable initialised from a
-			// literal is a copy, a tenth of a line's cost.
-			v := &Verdict{Line: ev.Line, Target: t.name, Event: ev.Msg, Kind: d.Kind,
-				State: t.judge.State().Name}
-			if d.Err != nil {
-				v.Detail = d.Err.Error()
-			}
-			switch d.Kind {
-			case KindAccepted:
-				rep.Accepted++
-				v.Actions, v.tr, v.edge = d.Tr.Actions, d.Tr, d.edge
-			case KindIgnored:
-				rep.Ignored++
-			case KindViolation:
-				rep.Violations++
-				rep.FirstViolation = cmp.Or(rep.FirstViolation, ev.Line)
-			}
-			if !m.emit(v) {
-				return rep, ErrStopped
-			}
-			if d.Finished && !m.emit(&Verdict{Line: ev.Line, Target: t.name, Event: ev.Msg,
-				Kind: KindFinished, State: v.State}) {
-				return rep, ErrStopped
-			}
-			if d.Kind == KindViolation && !m.keepGoing {
-				m.finalize(&rep)
-				return rep, nil
-			}
+		j.judge(j.index(&ev), ev.Msg, &d)
+		// Built in place: a Verdict variable initialised from a literal
+		// is a copy, a tenth of a line's cost.
+		v := &Verdict{Line: ev.Line, Event: ev.Msg, Kind: d.Kind, State: j.State().Name}
+		if d.Err != nil {
+			v.Detail = d.Err.Error()
+		}
+		switch d.Kind {
+		case KindAccepted:
+			rep.Accepted++
+			v.Actions, v.tr, v.edge = d.Tr.Actions, d.Tr, d.edge
+		case KindIgnored:
+			rep.Ignored++
+		case KindViolation:
+			rep.Violations++
+			rep.FirstViolation = cmp.Or(rep.FirstViolation, ev.Line)
+		}
+		if !m.emit(v) {
+			return rep, ErrStopped
+		}
+		if d.Finished && !m.emit(&Verdict{Line: ev.Line, Event: ev.Msg,
+			Kind: KindFinished, State: v.State}) {
+			return rep, ErrStopped
+		}
+		if d.Kind == KindViolation && !m.keepGoing {
+			break
 		}
 	}
-	m.finalize(&rep)
+	rep.Finished = j.State().Final
+	rep.FinalState = j.State().Name
 	return rep, nil
-}
-
-// finalize fills the report fields derived from the targets' end state.
-func (m *Monitor) finalize(rep *Report) {
-	rep.Finished = true
-	for _, t := range m.targets {
-		rep.Finished = rep.Finished && t.judge.State().Final
-	}
-	if len(m.targets) == 1 {
-		rep.FinalState = m.targets[0].judge.State().Name
-	}
 }

@@ -1,5 +1,5 @@
 // Package trace is the streaming conformance-monitoring layer: it drives
-// generated state machines over unbounded event streams at line rate and
+// a generated state machine over unbounded event streams at line rate and
 // classifies every delivery into a typed verdict. This is the paper's
 // dynamic-deployment path (§4.2) turned outward — instead of the machine
 // acting inside the protocol, it runs beside a live system and judges the
@@ -14,8 +14,8 @@
 //     maps captured text lines to machine messages (go-rst style).
 //   - A Judge turns each delivery to one machine into a verdict kind; it
 //     is the only code that does, for the fleet simulation and the
-//     cluster's routing oracle too. A Monitor feeds the events to one
-//     Judge per target machine, emitting a Verdict per delivery to
+//     cluster's routing oracle too. A Monitor feeds the events to the
+//     Judge of its one machine, emitting a Verdict per delivery to
 //     registered observers and accumulating a Report (lines, verdicts,
 //     violations, first-violation position).
 //   - A canonical JSON encoding of verdicts shared by every consumer
@@ -101,9 +101,6 @@ func ParseKind(name string) (k Kind, ok bool) {
 type Verdict struct {
 	// Line is the 1-based input line the verdict judges.
 	Line int
-	// Target names the machine the verdict applies to; empty when the
-	// monitor drives a single machine.
-	Target string
 	// Event is the delivered message type.
 	Event string
 	// Kind classifies the verdict.
@@ -138,10 +135,9 @@ type Report struct {
 	// Lines counts input lines consumed, including blank and skipped
 	// ones.
 	Lines int
-	// Events counts decoded events delivered to the machines.
+	// Events counts decoded events delivered to the machine.
 	Events int
-	// Accepted, Ignored, Skipped and Violations count verdicts by kind
-	// (across all targets).
+	// Accepted, Ignored, Skipped and Violations count verdicts by kind.
 	Accepted   int
 	Ignored    int
 	Skipped    int
@@ -149,11 +145,9 @@ type Report struct {
 	// FirstViolation is the 1-based line of the first violation; 0 when
 	// the trace conforms.
 	FirstViolation int
-	// Finished reports whether every target machine reached its finish
-	// state.
+	// Finished reports whether the machine reached its finish state.
 	Finished bool
-	// FinalState is the final machine state when the monitor drives a
-	// single target; empty otherwise.
+	// FinalState is the machine's state when the run completed.
 	FinalState string
 }
 
@@ -170,11 +164,6 @@ func (v Verdict) AppendJSON(dst []byte) []byte {
 	if v.Line > 0 {
 		dst = append(dst, `"line":`...)
 		dst = strconv.AppendInt(dst, int64(v.Line), 10)
-		dst = append(dst, ',')
-	}
-	if v.Target != "" {
-		dst = append(dst, `"target":`...)
-		dst = appendJSONString(dst, v.Target)
 		dst = append(dst, ',')
 	}
 	if v.Event != "" {
@@ -211,26 +200,23 @@ func (v Verdict) AppendJSON(dst []byte) []byte {
 
 // Encoder writes a stream's verdicts in the canonical encoding, encoding
 // each transition once: what an accepted verdict carries after its line
-// number depends only on its target and the fired transition, so the
-// first time a transition fires those bytes are taken from
-// Verdict.AppendJSON and kept, and afterwards the verdict is `{"line":`,
-// its digits and them. Every other verdict is AppendJSON's own.
+// number depends only on the fired transition, so the first time a
+// transition fires those bytes are taken from Verdict.AppendJSON and
+// kept, and afterwards the verdict is `{"line":`, its digits and them.
+// Every other verdict is AppendJSON's own.
 //
 // The digits are a counter too: the Encoder keeps the last line number it
 // wrote that way, and the next accepted line is almost always the one
-// after it (or the same line, for a second target), so its digits are
-// incremented in place rather than formatted. Any other line is formatted
-// afresh and becomes the counter's value.
+// after it, so its digits are incremented in place rather than formatted.
+// Any other line is formatted afresh and becomes the counter's value.
 //
 // The memo is a slice indexed by the transition's position in its
-// machine's core.Table, and an entry is used only for the transition and
-// target it was written for. So a position kept for one target is encoded
-// field by field for any other, and one kept for a transition of one
-// machine for the same position in another; only a monitor watching
-// several machines sees that. The memo is bounded: positions from
-// maxEncoded on are always encoded field by field. The zero value is
-// ready to use; an Encoder belongs to one stream and is not safe for
-// concurrent use.
+// machine's core.Table, and an entry is used only for the transition it
+// was written for, so an Encoder reused across machines encodes another
+// machine's transition at a kept position field by field. The memo is
+// bounded: positions from maxEncoded on are always encoded field by
+// field. The zero value is ready to use; an Encoder belongs to one stream
+// and is not safe for concurrent use.
 type Encoder struct {
 	tails []encoded
 	// line is the last line number written from the memo, and
@@ -241,11 +227,10 @@ type Encoder struct {
 }
 
 // encoded is what follows an accepted verdict's line number, for the
-// transition and target it was written for.
+// transition it was written for.
 type encoded struct {
-	tr     *core.Transition
-	target string
-	tail   string
+	tr   *core.Transition
+	tail string
 }
 
 const maxEncoded = 4096
@@ -257,7 +242,7 @@ func (e *Encoder) Append(dst []byte, v *Verdict) []byte {
 		return v.AppendJSON(dst)
 	}
 	if int(v.edge) < len(e.tails) {
-		if enc := &e.tails[v.edge]; enc.tr == v.tr && enc.target == v.Target {
+		if enc := &e.tails[v.edge]; enc.tr == v.tr {
 			dst = append(dst, `{"line":`...)
 			dst = append(dst, e.lineDigits(v.Line)...)
 			return append(dst, enc.tail...)
@@ -273,7 +258,7 @@ func (e *Encoder) Append(dst []byte, v *Verdict) []byte {
 			// The tail starts at the comma that ends the line number.
 			head := start + len(`{"line":`)
 			head += bytes.IndexByte(dst[head:], ',')
-			*enc = encoded{tr: v.tr, target: v.Target, tail: string(dst[head:])}
+			*enc = encoded{tr: v.tr, tail: string(dst[head:])}
 		}
 	}
 	return dst

@@ -48,21 +48,14 @@ func chainMachine(t *testing.T) *core.StateMachine {
 	return m
 }
 
-func collect(t *testing.T, machine *core.StateMachine, input string, opts ...MonitorOption) ([]Verdict, Report, error) {
+// collect runs chk over input against machine and returns every verdict.
+func collect(t *testing.T, machine *core.StateMachine, input string, chk Check) ([]Verdict, Report, error) {
 	t.Helper()
 	var verdicts []Verdict
-	opts = append([]MonitorOption{
-		WithTarget("", machine),
-		WithObserver(ObserverFunc(func(v Verdict) bool {
-			verdicts = append(verdicts, v)
-			return true
-		})),
-	}, opts...)
-	m, err := NewMonitor(opts...)
-	if err != nil {
-		t.Fatalf("NewMonitor: %v", err)
-	}
-	rep, err := m.Run(context.Background(), NewJSONLDecoder(strings.NewReader(input)))
+	rep, err := chk.Run(context.Background(), machine, strings.NewReader(input), ObserverFunc(func(v Verdict) bool {
+		verdicts = append(verdicts, v)
+		return true
+	}))
 	return verdicts, rep, err
 }
 
@@ -74,7 +67,7 @@ func TestMonitorConformingTrace(t *testing.T) {
 {"msg":"inc","seq":7}
 {"msg":"inc"}
 `
-	verdicts, rep, err := collect(t, machine, input)
+	verdicts, rep, err := collect(t, machine, input, Check{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -104,7 +97,7 @@ func TestMonitorConformingTrace(t *testing.T) {
 		t.Errorf("report counters = %+v", rep)
 	}
 	if rep.FinalState == "" {
-		t.Error("single-target report has no final state")
+		t.Error("report has no final state")
 	}
 }
 
@@ -112,7 +105,7 @@ func TestMonitorViolationStops(t *testing.T) {
 	machine := chainMachine(t)
 	// ring is not applicable in state 0: first delivery violates at
 	// tolerance 0 and the run stops before the trailing inc.
-	verdicts, rep, err := collect(t, machine, "\"ring\"\n\"inc\"\n")
+	verdicts, rep, err := collect(t, machine, "\"ring\"\n\"inc\"\n", Check{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -132,7 +125,7 @@ func TestMonitorViolationStops(t *testing.T) {
 
 func TestMonitorTolerance(t *testing.T) {
 	machine := chainMachine(t)
-	verdicts, rep, err := collect(t, machine, "\"ring\"\n\"ring\"\n\"inc\"\n", WithTolerance(1))
+	verdicts, rep, err := collect(t, machine, "\"ring\"\n\"ring\"\n\"inc\"\n", Check{Tolerance: 1})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -149,7 +142,7 @@ func TestMonitorTolerance(t *testing.T) {
 
 func TestMonitorKeepGoing(t *testing.T) {
 	machine := chainMachine(t)
-	verdicts, rep, err := collect(t, machine, "\"ring\"\n\"ring\"\n\"inc\"\n", WithKeepGoing())
+	verdicts, rep, err := collect(t, machine, "\"ring\"\n\"ring\"\n\"inc\"\n", Check{KeepGoing: true})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -164,7 +157,7 @@ func TestMonitorKeepGoing(t *testing.T) {
 func TestMonitorTrailingEventsAfterFinish(t *testing.T) {
 	machine := chainMachine(t)
 	input := "\"inc\"\n\"inc\"\n\"inc\"\n\"inc\"\n"
-	verdicts, rep, err := collect(t, machine, input)
+	verdicts, rep, err := collect(t, machine, input, Check{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -213,7 +206,7 @@ func TestMonitorCancellation(t *testing.T) {
 
 func TestMonitorMalformedTrace(t *testing.T) {
 	machine := chainMachine(t)
-	verdicts, rep, err := collect(t, machine, "\"inc\"\n{\"msg\": \n")
+	verdicts, rep, err := collect(t, machine, "\"inc\"\n{\"msg\": \n", Check{})
 	var de *DecodeError
 	if !errors.As(err, &de) {
 		t.Fatalf("Run = %v, want DecodeError", err)
@@ -226,34 +219,6 @@ func TestMonitorMalformedTrace(t *testing.T) {
 	}
 	if rep.Lines != 2 {
 		t.Errorf("report lines = %d, want 2", rep.Lines)
-	}
-}
-
-func TestMonitorMultiTarget(t *testing.T) {
-	machine := chainMachine(t)
-	var verdicts []Verdict
-	m, err := NewMonitor(
-		WithTarget("a", machine),
-		WithTarget("b", machine),
-		WithObserver(ObserverFunc(func(v Verdict) bool {
-			verdicts = append(verdicts, v)
-			return true
-		})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := m.Run(context.Background(), NewJSONLDecoder(strings.NewReader("\"inc\"\n")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(verdicts) != 2 || verdicts[0].Target != "a" || verdicts[1].Target != "b" {
-		t.Fatalf("multi-target verdicts = %v", verdicts)
-	}
-	if rep.Accepted != 2 || rep.Events != 1 {
-		t.Errorf("report = %+v", rep)
-	}
-	if rep.FinalState != "" {
-		t.Errorf("multi-target report has final state %q", rep.FinalState)
 	}
 }
 
@@ -278,8 +243,9 @@ func TestNewMonitorValidation(t *testing.T) {
 	if _, err := NewMonitor(WithTarget("x", nil)); err == nil {
 		t.Error("nil machine accepted")
 	}
-	if _, err := NewMonitor(WithTarget("", chainMachine(t)), WithTolerance(-1)); err == nil {
-		t.Error("negative tolerance accepted")
+	machine := chainMachine(t)
+	if _, err := NewMonitor(WithTarget("a", machine), WithTarget("b", machine)); err == nil {
+		t.Error("a second target accepted")
 	}
 }
 
