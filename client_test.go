@@ -28,18 +28,21 @@ func (m *sdkSlowModel) Components() []core.StateComponent {
 func (m *sdkSlowModel) Messages() []string { return []string{"next"} }
 func (m *sdkSlowModel) Start() core.Vector { return core.Vector{0} }
 
-func (m *sdkSlowModel) Apply(v core.Vector, msg string) (core.Effect, bool) {
+func (m *sdkSlowModel) Apply(v core.Vector, mi int, out *core.Effect) bool {
+	msg := m.Messages()[mi]
 	if msg != "next" {
-		return core.Effect{}, false
+		return false
 	}
 	time.Sleep(100 * time.Microsecond)
 	if v[0] == m.states {
-		return core.Effect{Finished: true}, true
+		*out = core.Effect{Finished: true}
+		return true
 	}
-	return core.Effect{Target: core.Vector{v[0] + 1}}, true
+	*out = core.Effect{Target: core.Vector{v[0] + 1}}
+	return true
 }
 
-func (m *sdkSlowModel) DescribeState(core.Vector) []string { return nil }
+func (m *sdkSlowModel) DescribeState(core.Vector, *core.Text) {}
 
 var registerSlow = sync.OnceFunc(func() {
 	models.Register(models.Entry{

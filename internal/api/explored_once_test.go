@@ -21,11 +21,11 @@ type exploredModel struct {
 	explorations *atomic.Int64
 }
 
-func (m exploredModel) Apply(v core.Vector, msg string) (core.Effect, bool) {
-	if msg == m.Messages()[0] && v.Equal(m.Start()) {
+func (m exploredModel) Apply(v core.Vector, mi int, out *core.Effect) bool {
+	if mi == 0 && v.Equal(m.Start()) {
 		m.explorations.Add(1)
 	}
-	return m.Model.Apply(v, msg)
+	return m.Model.Apply(v, mi, out)
 }
 
 // TestEachFamilyMemberIsExploredOnce: all seven formats of one family

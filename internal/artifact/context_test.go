@@ -25,20 +25,22 @@ func (m *slowModel) Components() []core.StateComponent {
 func (m *slowModel) Messages() []string { return []string{"next"} }
 func (m *slowModel) Start() core.Vector { return core.Vector{0} }
 
-func (m *slowModel) Apply(v core.Vector, msg string) (core.Effect, bool) {
-	if msg != "next" {
-		return core.Effect{}, false
+func (m *slowModel) Apply(v core.Vector, mi int, out *core.Effect) bool {
+	if mi != 0 { // only "next", also under collidingModel's messages
+		return false
 	}
 	if m.delay > 0 {
 		time.Sleep(m.delay)
 	}
 	if v[0] == m.states {
-		return core.Effect{Finished: true}, true
+		*out = core.Effect{Finished: true}
+		return true
 	}
-	return core.Effect{Target: core.Vector{v[0] + 1}}, true
+	*out = core.Effect{Target: core.Vector{v[0] + 1}}
+	return true
 }
 
-func (m *slowModel) DescribeState(core.Vector) []string { return nil }
+func (m *slowModel) DescribeState(core.Vector, *core.Text) {}
 
 func init() {
 	// The pipeline resolves models through the global registry; register

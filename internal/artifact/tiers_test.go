@@ -36,9 +36,9 @@ type gatedModel struct {
 	g *gate
 }
 
-func (m gatedModel) Apply(v core.Vector, msg string) (core.Effect, bool) {
+func (m gatedModel) Apply(v core.Vector, mi int, out *core.Effect) bool {
 	m.g.wait()
-	return m.Model.Apply(v, msg)
+	return m.Model.Apply(v, mi, out)
 }
 
 // renamed is a built-in scenario registered under another name.

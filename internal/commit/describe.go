@@ -9,65 +9,75 @@ import (
 // DescribeState implements core.Model: it produces the Fig. 14 style
 // commentary describing a state in terms of the generic algorithm, derived
 // entirely from the state's component values and the model's thresholds.
-// It runs once per reachable state, so constant lines are appended as the
-// constants they are and counted lines are concatenated, not formatted.
-func (m *Model) DescribeState(v core.Vector) []string {
-	lines := make([]string, 0, 8)
-
+// It runs once per reachable state, so constant lines are added as the
+// constants they are and counted lines are composed in t's scratch, which
+// copies each distinct line once per member.
+func (m *Model) DescribeState(v core.Vector, t *core.Text) {
 	votes := v[idxVotesReceived]
 	commits := v[idxCommitsReceived]
 	totalVotes := votes + v[idxVoteSent]
 
 	if v[idxUpdateReceived] != 0 {
-		lines = append(lines, "Have received initial update from client.")
+		t.Line("Have received initial update from client.")
 	} else {
-		lines = append(lines, "Have not yet received initial update from client.")
+		t.Line("Have not yet received initial update from client.")
 	}
 
 	if v[idxVoteSent] != 0 {
-		lines = append(lines, "Have voted for this update.")
+		t.Line("Have voted for this update.")
 	} else if v[idxCouldChoose] == 0 {
-		lines = append(lines, "Have not voted since another update has already been voted for.")
+		t.Line("Have not voted since another update has already been voted for.")
 	} else {
-		lines = append(lines, "Have not yet voted for this update.")
+		t.Line("Have not yet voted for this update.")
 	}
 
-	lines = append(lines, "Have received "+plural(votes, "vote")+" and "+plural(commits, "commit")+".")
+	b := append(t.Scratch(), "Have received "...)
+	b = appendPlural(b, votes, "vote")
+	b = append(b, " and "...)
+	b = appendPlural(b, commits, "commit")
+	t.LineBytes(append(b, '.'))
 
 	if v[idxCommitSent] != 0 {
-		lines = append(lines, "Have sent a commit.")
+		t.Line("Have sent a commit.")
 	} else {
-		lines = append(lines, "Have not sent a commit since neither the vote threshold ("+strconv.Itoa(m.VoteThreshold())+
-			") nor the external commit threshold ("+strconv.Itoa(m.CommitThreshold())+") has been reached.")
+		b := append(t.Scratch(), "Have not sent a commit since neither the vote threshold ("...)
+		b = strconv.AppendInt(b, int64(m.VoteThreshold()), 10)
+		b = append(b, ") nor the external commit threshold ("...)
+		b = strconv.AppendInt(b, int64(m.CommitThreshold()), 10)
+		t.LineBytes(append(b, ") has been reached."...))
 	}
 
 	if v[idxCouldChoose] != 0 {
-		lines = append(lines, "May choose a future update.")
+		t.Line("May choose a future update.")
 	} else {
-		lines = append(lines, "May not choose since another ongoing update has been voted for.")
+		t.Line("May not choose since another ongoing update has been voted for.")
 	}
 
 	if v[idxHasChosen] != 0 {
-		lines = append(lines, "Have chosen this update.")
+		t.Line("Have chosen this update.")
 	} else {
-		lines = append(lines, "Have not chosen this update since another ongoing update has been chosen.")
+		t.Line("Have not chosen this update since another ongoing update has been chosen.")
 	}
 
 	if remaining := m.VoteThreshold() - totalVotes; remaining > 0 {
-		lines = append(lines, "Waiting for "+plural(remaining, "further vote")+" (including local vote if any) before sending commit.")
+		b := appendPlural(append(t.Scratch(), "Waiting for "...), remaining, "further vote")
+		t.LineBytes(append(b, " (including local vote if any) before sending commit."...))
 	}
 	if remaining := m.CommitThreshold() - commits; remaining > 0 {
-		lines = append(lines, "Waiting for "+plural(remaining, "further external commit")+" to finish.")
+		b := appendPlural(append(t.Scratch(), "Waiting for "...), remaining, "further external commit")
+		t.LineBytes(append(b, " to finish."...))
 	}
-	return lines
 }
 
-func plural(n int, noun string) string {
+// appendPlural appends n counted nouns: "no votes", "1 vote", "3 votes".
+func appendPlural(b []byte, n int, noun string) []byte {
 	switch n {
 	case 1:
-		return "1 " + noun
+		return append(append(b, "1 "...), noun...)
 	case 0:
-		return "no " + noun + "s"
+		b = append(append(b, "no "...), noun...)
+	default:
+		b = append(append(strconv.AppendInt(b, int64(n), 10), ' '), noun...)
 	}
-	return strconv.Itoa(n) + " " + noun + "s"
+	return append(b, 's')
 }

@@ -98,7 +98,7 @@ func TestApplyDoesNotMutateInput(t *testing.T) {
 		}
 		before := v.Clone()
 		msg := m.Messages()[int(msgIdx)%len(m.Messages())]
-		m.Apply(v, msg)
+		core.Apply(m, v, msg)
 		return v.Equal(before)
 	}
 	if err := quick.Check(prop, nil); err != nil {
@@ -119,8 +119,8 @@ func TestApplyDeterministic(t *testing.T) {
 			rng.Intn(2), rng.Intn(2), rng.Intn(2),
 		}
 		msg := m.Messages()[rng.Intn(5)]
-		e1, ok1 := m.Apply(v, msg)
-		e2, ok2 := m.Apply(v, msg)
+		e1, ok1 := core.Apply(m, v, msg)
+		e2, ok2 := core.Apply(m, v, msg)
 		if ok1 != ok2 {
 			t.Fatalf("applicability nondeterministic for %v %s", v, msg)
 		}
@@ -278,7 +278,7 @@ func TestDescribeStateMentionsThresholds(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The Fig. 14 example state T/2/F/0/F/F/F.
-	lines := m.DescribeState(core.Vector{1, 2, 0, 0, 0, 0, 0})
+	lines := core.Describe(m, core.Vector{1, 2, 0, 0, 0, 0, 0})
 	joined := strings.Join(lines, "\n")
 	for _, want := range []string{
 		"Have received initial update from client.",

@@ -232,6 +232,15 @@ func (m *Model) Components() []core.StateComponent {
 	return append([]core.StateComponent(nil), m.comps...)
 }
 
+// The index of each message in Messages.
+const (
+	miUpdate = iota
+	miVote
+	miCommit
+	miFree
+	miNotFree
+)
+
 // Messages implements core.Model.
 func (m *Model) Messages() []string {
 	return []string{MsgUpdate, MsgVote, MsgCommit, MsgFree, MsgNotFree}
@@ -252,8 +261,8 @@ func (m *Model) Start() core.Vector {
 // message receipt (the paper's Fig. 10 pattern: a series of updates to the
 // working state s1, each recorded with an annotation). The accumulators are
 // fixed-capacity arrays — no handler emits more than 3 actions or 6
-// annotations — so the whole struct lives on Apply's stack and nothing is
-// heap-allocated until an applicable effect is materialised.
+// annotations — so the whole struct lives on Apply's stack, and an
+// applicable effect is copied into the caller's scratch.
 type machineState struct {
 	v           [numComponents]int
 	nact, nann  int
@@ -284,46 +293,42 @@ func (s *machineState) unchanged(v core.Vector) bool {
 }
 
 // Apply implements core.Model: it elaborates the full consequences of
-// receiving msg in state v, taking at generation time the control decisions
-// a generic algorithm would take dynamically.
-func (m *Model) Apply(v core.Vector, msg string) (core.Effect, bool) {
+// receiving message msg (an index into Messages) in state v, taking at
+// generation time the control decisions a generic algorithm would take
+// dynamically.
+func (m *Model) Apply(v core.Vector, msg int, eff *core.Effect) bool {
 	var s machineState
 	copy(s.v[:], v)
 	finished := false
 	switch msg {
-	case MsgUpdate:
+	case miUpdate:
 		m.onUpdate(&s)
-	case MsgVote:
+	case miVote:
 		if v[idxVotesReceived] == m.r-1 {
-			return core.Effect{}, false // all r−1 peer votes already seen
+			return false // all r−1 peer votes already seen
 		}
 		m.onVote(&s)
-	case MsgCommit:
+	case miCommit:
 		if v[idxCommitsReceived] == m.r-1 {
-			return core.Effect{}, false
+			return false
 		}
 		finished = m.onCommit(&s)
-	case MsgFree:
+	case miFree:
 		m.onFree(&s)
-	case MsgNotFree:
+	case miNotFree:
 		m.onNotFree(&s)
 	default:
-		return core.Effect{}, false
+		return false
 	}
 
 	if !finished && s.nact == 0 && !m.variant.RecordNoops && s.unchanged(v) {
-		return core.Effect{}, false // effect-free: message not applicable here
+		return false // effect-free: message not applicable here
 	}
-	target := make(core.Vector, numComponents)
-	copy(target, s.v[:])
-	eff := core.Effect{Target: target, Finished: finished}
-	if s.nact > 0 {
-		eff.Actions = append(make([]string, 0, s.nact), s.actions[:s.nact]...)
-	}
-	if s.nann > 0 {
-		eff.Annotations = append(make([]string, 0, s.nann), s.annotations[:s.nann]...)
-	}
-	return eff, true
+	copy(eff.Target, s.v[:])
+	eff.Finished = finished
+	eff.Actions = append(eff.Actions, s.actions[:s.nact]...)
+	eff.Annotations = append(eff.Annotations, s.annotations[:s.nann]...)
+	return true
 }
 
 // castVote performs the voluntary vote for this update: send the vote,

@@ -160,14 +160,14 @@ func TestParticipantDecidesOnAnnouncement(t *testing.T) {
 func TestDuplicateProposeIgnored(t *testing.T) {
 	m := newModel(t, 5)
 	start := m.Start()
-	eff, ok := m.Apply(start, msgPropose)
+	eff, ok := core.Apply(m, start, msgPropose)
 	if !ok {
 		t.Fatal("propose not applicable at start")
 	}
-	if _, ok := m.Apply(eff.Target, msgPropose); ok {
+	if _, ok := core.Apply(m, eff.Target, msgPropose); ok {
 		t.Error("second propose applicable")
 	}
-	if _, ok := m.Apply(start, "BOGUS"); ok {
+	if _, ok := core.Apply(m, start, "BOGUS"); ok {
 		t.Error("unknown message applicable")
 	}
 }
@@ -202,7 +202,7 @@ func TestEFSMHappyPath(t *testing.T) {
 
 func TestDescribeState(t *testing.T) {
 	m := newModel(t, 5)
-	lines := m.DescribeState(core.Vector{1, 2, 1, 1, 0})
+	lines := core.Describe(m, core.Vector{1, 2, 1, 1, 0})
 	joined := strings.Join(lines, "\n")
 	for _, want := range []string{"submitted", "2 estimates", "proposal", "acknowledged"} {
 		if !strings.Contains(joined, want) {

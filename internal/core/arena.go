@@ -1,6 +1,11 @@
 package core
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"maps"
+	"slices"
+)
 
 const (
 	// arenaChunkShift sizes the arena chunks: 1<<arenaChunkShift vectors per
@@ -149,32 +154,95 @@ const (
 )
 
 // effectCell is the stored result of one Apply call: the interned target id
-// (or a sentinel) plus the effect's action and annotation lists, aliased
-// from the model's Effect without copying.
+// (or a sentinel) and the ids of the effect's action and annotation lists
+// in the exploration's listTable.
 type effectCell struct {
-	target      int32
-	actions     []string
-	annotations []string
+	target, actions, annotations int32
+}
+
+// listTable interns the string lists of an exploration's effects. Id 0 is
+// the empty list, and two ids are equal exactly when their lists are, so
+// step 4 compares action lists by id. A list is copied, with cap == len,
+// the first time it is seen, and never changes afterwards: transitions
+// alias the copies.
+type listTable struct {
+	lists [][]string
+	// ids maps a list's encoding (see key) to its id.
+	ids map[string]int32
+	buf []byte
+}
+
+func newListTable() *listTable {
+	return &listTable{lists: [][]string{nil}, ids: map[string]int32{"": 0}}
+}
+
+// key encodes list as the length-prefixed concatenation of its strings.
+func (t *listTable) key(list []string) []byte {
+	b := t.buf[:0]
+	for _, s := range list {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	t.buf = b
+	return b
+}
+
+// intern returns the id of list, copying it the first time it is seen.
+// Callers may reuse list afterwards.
+func (t *listTable) intern(list []string) int32 {
+	if len(list) == 0 {
+		return 0
+	}
+	k := t.key(list)
+	if id, ok := t.ids[string(k)]; ok {
+		return id
+	}
+	id := int32(len(t.lists))
+	t.lists = append(t.lists, append(make([]string, 0, len(list)), list...))
+	t.ids[string(k)] = id
+	return id
+}
+
+// at returns the list with the given id; nil for the empty list.
+func (t *listTable) at(id int32) []string { return t.lists[id] }
+
+// clone returns a table that shares t's lists and interns further ones
+// without changing t.
+func (t *listTable) clone() *listTable {
+	return &listTable{lists: slices.Clip(t.lists), ids: maps.Clone(t.ids)}
 }
 
 // exploration is the raw product of state-space exploration in
 // struct-of-arrays form: the interned vectors plus one effect column per
-// message, where cols[mi][id] is the effect of message mi on state id. It
-// is retained (unexported) on generated machines so Regenerate can patch
-// the affected columns instead of re-exploring from scratch.
+// message, where cols[mi][id] is the effect of message mi on state id, and
+// the table of the lists the cells name. It is retained (unexported) on
+// generated machines so Regenerate can patch the affected columns instead
+// of re-exploring from scratch.
 type exploration struct {
 	arena     *vecArena
 	cols      [][]effectCell
+	lists     *listTable
 	hasFinish bool
+
+	// eff is what Apply writes into. Before every call it is reset to
+	// scratch: a target vector and empty lists the exploration owns.
+	eff, scratch Effect
+	components   []StateComponent
 }
 
-// newExploration returns an empty exploration sized for about sizeHint
-// states (non-positive: a small default).
-func newExploration(width, nmsg, sizeHint int) *exploration {
+// scratchList is the capacity of the scratch action and annotation lists.
+const scratchList = 8
+
+// newExploration returns an empty exploration of the given components and
+// number of messages, sized for about sizeHint states (non-positive: a
+// small default).
+func newExploration(components []StateComponent, nmsg, sizeHint int) *exploration {
 	ex := &exploration{
-		arena: newVecArena(width, sizeHint),
+		arena: newVecArena(len(components), sizeHint),
 		cols:  make([][]effectCell, nmsg),
+		lists: newListTable(),
 	}
+	ex.setScratch(components)
 	if sizeHint <= 0 {
 		sizeHint = 64
 	}
@@ -184,51 +252,69 @@ func newExploration(width, nmsg, sizeHint int) *exploration {
 	return ex
 }
 
-// clone deep-copies the arena and columns; the cells' action and annotation
-// slices stay shared (they are immutable by the Model contract).
-func (ex *exploration) clone() *exploration {
+// setScratch gives ex the buffers apply reuses.
+func (ex *exploration) setScratch(components []StateComponent) {
+	ex.components = components
+	ex.scratch = Effect{
+		Target:      make(Vector, len(components)),
+		Actions:     make([]string, 0, scratchList),
+		Annotations: make([]string, 0, scratchList),
+	}
+}
+
+// clone copies the arena and columns for a model over components; the
+// list table's lists stay shared (they never change). The clone gets
+// scratch of its own.
+func (ex *exploration) clone(components []StateComponent) *exploration {
 	out := &exploration{
 		arena:     ex.arena.clone(),
 		cols:      make([][]effectCell, len(ex.cols)),
+		lists:     ex.lists.clone(),
 		hasFinish: ex.hasFinish,
 	}
+	out.setScratch(components)
 	for i, col := range ex.cols {
 		out.cols[i] = append(make([]effectCell, 0, len(col)+64), col...)
 	}
 	return out
 }
 
-// cellOf converts one Apply result into an effect cell, interning the
-// target. The target must already be validated.
-func (ex *exploration) cellOf(eff Effect, ok bool) effectCell {
-	switch {
-	case !ok:
-		return effectCell{target: cellNone}
-	case eff.Finished:
-		ex.hasFinish = true
-		return effectCell{target: cellFinish, actions: eff.Actions, annotations: eff.Annotations}
-	default:
-		return effectCell{
-			target:      int32(ex.arena.intern(eff.Target)),
-			actions:     eff.Actions,
-			annotations: eff.Annotations,
-		}
+// apply delivers message mi of m to state id and returns the effect cell,
+// interning the target and the lists.
+func (ex *exploration) apply(m Model, messages []string, id, mi int) (effectCell, error) {
+	v := ex.arena.vec(id)
+	ex.eff = ex.scratch
+	eff := &ex.eff
+	copy(eff.Target, v)
+	if !m.Apply(v, mi, eff) {
+		return effectCell{target: cellNone}, nil
 	}
+	cell := effectCell{
+		target:      cellFinish,
+		actions:     ex.lists.intern(eff.Actions),
+		annotations: ex.lists.intern(eff.Annotations),
+	}
+	if eff.Finished {
+		ex.hasFinish = true
+		return cell, nil
+	}
+	if err := eff.Target.validate(ex.components); err != nil {
+		return cell, fmt.Errorf("core: %s on %s: %w", messages[mi], v.Name(ex.components), err)
+	}
+	cell.target = int32(ex.arena.intern(eff.Target))
+	return cell, nil
 }
 
 // expandState computes and records the effect of every message on state id.
 // It must be called with id == len(cols[*]), i.e. states are expanded in id
 // order.
-func (ex *exploration) expandState(m Model, components []StateComponent, messages []string, id int) error {
-	v := ex.arena.vec(id)
-	for mi, msg := range messages {
-		eff, ok := m.Apply(v, msg)
-		if ok && !eff.Finished {
-			if err := eff.Target.validate(components); err != nil {
-				return fmt.Errorf("core: %s on %s: %w", msg, v.Name(components), err)
-			}
+func (ex *exploration) expandState(m Model, messages []string, id int) error {
+	for mi := range messages {
+		cell, err := ex.apply(m, messages, id, mi)
+		if err != nil {
+			return err
 		}
-		ex.cols[mi] = append(ex.cols[mi], ex.cellOf(eff, ok))
+		ex.cols[mi] = append(ex.cols[mi], cell)
 	}
 	return nil
 }

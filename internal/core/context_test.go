@@ -27,9 +27,10 @@ func (m *slowModel) Components() []StateComponent {
 func (m *slowModel) Messages() []string { return []string{"next"} }
 func (m *slowModel) Start() Vector      { return Vector{0} }
 
-func (m *slowModel) Apply(v Vector, msg string) (Effect, bool) {
+func (m *slowModel) Apply(v Vector, mi int, out *Effect) bool {
+	msg := m.Messages()[mi]
 	if msg != "next" {
-		return Effect{}, false
+		return false
 	}
 	if m.delay > 0 {
 		time.Sleep(m.delay)
@@ -38,12 +39,14 @@ func (m *slowModel) Apply(v Vector, msg string) (Effect, bool) {
 		if m.finish != nil {
 			m.finish()
 		}
-		return Effect{Finished: true}, true
+		*out = Effect{Finished: true}
+		return true
 	}
-	return Effect{Target: Vector{v[0] + 1}}, true
+	*out = Effect{Target: Vector{v[0] + 1}}
+	return true
 }
 
-func (m *slowModel) DescribeState(Vector) []string { return nil }
+func (m *slowModel) DescribeState(Vector, *Text) {}
 
 // TestGenerateCancellation: cancelling the context mid-exploration makes
 // both entry points return ctx.Err() promptly instead of finishing.

@@ -22,30 +22,34 @@ func (m counterModel) Components() []StateComponent {
 }
 func (m counterModel) Messages() []string { return []string{"arm", "tick"} }
 func (m counterModel) Start() Vector      { return Vector{0, 0} }
-func (m counterModel) Apply(v Vector, msg string) (Effect, bool) {
+func (m counterModel) Apply(v Vector, mi int, out *Effect) bool {
+	msg := m.Messages()[mi]
 	switch msg {
 	case "arm":
 		if v[0] == 1 {
-			return Effect{}, false
+			return false
 		}
-		return Effect{Target: Vector{1, v[1]}}, true
+		*out = Effect{Target: Vector{1, v[1]}}
+		return true
 	case "tick":
 		if v[0] == 0 {
-			return Effect{}, false
+			return false
 		}
 		if v[1] == m.max {
-			return Effect{Finished: true, Actions: []string{"->done"}}, true
+			*out = Effect{Finished: true, Actions: []string{"->done"}}
+			return true
 		}
 		eff := Effect{Target: Vector{1, v[1] + 1}}
 		if v[1]+1 == m.max {
 			eff.Actions = []string{"->beep"}
 		}
-		return eff, true
+		*out = eff
+		return true
 	default:
-		return Effect{}, false
+		return false
 	}
 }
-func (m counterModel) DescribeState(Vector) []string { return nil }
+func (m counterModel) DescribeState(Vector, *Text) {}
 
 // counterAbstraction coalesces the count into an EFSM variable.
 type counterAbstraction struct {

@@ -21,22 +21,25 @@ func hugeComponents() []StateComponent {
 	return comps
 }
 
-func (hugeModel) Name() string                  { return "huge" }
-func (hugeModel) Parameter() int                { return 511 }
-func (hugeModel) Components() []StateComponent  { return hugeComponents() }
-func (hugeModel) Messages() []string            { return []string{"inc"} }
-func (hugeModel) Start() Vector                 { return make(Vector, 7) }
-func (hugeModel) DescribeState(Vector) []string { return nil }
-func (hugeModel) Apply(v Vector, msg string) (Effect, bool) {
+func (hugeModel) Name() string                 { return "huge" }
+func (hugeModel) Parameter() int               { return 511 }
+func (hugeModel) Components() []StateComponent { return hugeComponents() }
+func (hugeModel) Messages() []string           { return []string{"inc"} }
+func (hugeModel) Start() Vector                { return make(Vector, 7) }
+func (hugeModel) DescribeState(Vector, *Text)  {}
+func (hugeModel) Apply(v Vector, mi int, out *Effect) bool {
+	msg := hugeModel{}.Messages()[mi]
 	if msg != "inc" {
-		return Effect{}, false
+		return false
 	}
 	if v[0] == 2 {
-		return Effect{Finished: true}, true
+		*out = Effect{Finished: true}
+		return true
 	}
 	next := v.Clone()
 	next[0]++
-	return Effect{Target: next}, true
+	*out = Effect{Target: next}
+	return true
 }
 
 func TestFrontierToleratesCrossProductOverflow(t *testing.T) {
@@ -120,11 +123,11 @@ type probeModel struct {
 	visited map[string]bool
 }
 
-func (m *probeModel) Apply(v Vector, msg string) (Effect, bool) {
+func (m *probeModel) Apply(v Vector, mi int, out *Effect) bool {
 	if m.visited != nil {
 		m.visited[v.Name(m.Components())] = true
 	}
-	return m.toyModel.Apply(v, msg)
+	return m.toyModel.Apply(v, mi, out)
 }
 
 func TestFrontierSkipsUnreachable(t *testing.T) {

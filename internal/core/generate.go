@@ -132,13 +132,13 @@ func explore(ctx context.Context, m Model, sizeHint int) (*exploration, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex := newExploration(len(components), len(messages), sizeHint)
+	ex := newExploration(components, len(messages), sizeHint)
 	ex.arena.intern(start)
 	for id := 0; id < ex.arena.n; id++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := ex.expandState(m, components, messages, id); err != nil {
+		if err := ex.expandState(m, messages, id); err != nil {
 			return nil, err
 		}
 	}
@@ -181,7 +181,7 @@ func enumerate(ctx context.Context, m Model) (*exploration, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	ex := newExploration(len(components), len(messages), size)
+	ex := newExploration(components, len(messages), size)
 	for idx := 0; idx < size; idx++ {
 		if idx&1023 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -194,7 +194,7 @@ func enumerate(ctx context.Context, m Model) (*exploration, int, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
 		}
-		if err := ex.expandState(m, components, messages, id); err != nil {
+		if err := ex.expandState(m, messages, id); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -344,6 +344,10 @@ func assemble(ctx context.Context, m Model, cfg genConfig, ex *exploration, reac
 		}
 	}
 	transBlock := make([]Transition, transFirst[len(order)])
+	// State k's annotations are text.lines[lineFirst[k]:lineEnd[k]] until
+	// they are copied into one block.
+	var text Text
+	lineFirst, lineEnd := make([]int32, len(order)), make([]int32, len(order))
 	// Representatives are built in position order, which reads the
 	// exploration's columns in order.
 	for p := int32(0); p < int32(named); p++ {
@@ -367,7 +371,9 @@ func assemble(ctx context.Context, m Model, cfg genConfig, ex *exploration, reac
 			s.MergedNames = nameBlock[p : p+1 : p+1]
 		}
 		if cfg.describe {
-			s.Annotations = m.DescribeState(s.Vector)
+			lineFirst[k] = int32(len(text.lines))
+			m.DescribeState(s.Vector, &text)
+			lineEnd[k] = int32(len(text.lines))
 		}
 		trans := transBlock[transFirst[k]:transFirst[k+1]]
 		s.Transitions = make(map[string]*Transition, len(trans))
@@ -381,12 +387,8 @@ func assemble(ctx context.Context, m Model, cfg genConfig, ex *exploration, reac
 			trans = trans[1:]
 			tr.Message = machine.Messages[j]
 			tr.Target = machine.States[rank[class[t]]]
-			if len(cell.actions) > 0 {
-				tr.Actions = cell.actions
-			}
-			if len(cell.annotations) > 0 {
-				tr.Annotations = cell.annotations
-			}
+			tr.Actions = ex.lists.at(cell.actions)
+			tr.Annotations = ex.lists.at(cell.annotations)
 			s.Transitions[tr.Message] = tr
 		}
 	}
@@ -397,8 +399,17 @@ func assemble(ctx context.Context, m Model, cfg genConfig, ex *exploration, reac
 		s.Final = true
 		s.Transitions = map[string]*Transition{}
 		s.MergedNames = []string{FinishStateName}
-		s.Annotations = []string{"The algorithm instance has completed."}
 		machine.Finish = s
+		lineFirst[len(order)-1] = int32(len(text.lines))
+		text.Line("The algorithm instance has completed.")
+		lineEnd[len(order)-1] = int32(len(text.lines))
+	}
+	// Every state's lines are a sub-slice of one block.
+	block := append(make([]string, 0, len(text.lines)), text.lines...)
+	for k, s := range machine.States {
+		if from, to := lineFirst[k], lineEnd[k]; from < to {
+			s.Annotations = block[from:to:to]
+		}
 	}
 	return machine, nil
 }

@@ -31,13 +31,16 @@ func (m *toyModel) Components() []StateComponent {
 func (m *toyModel) Messages() []string { return []string{"inc", "reset", "same"} }
 func (m *toyModel) Start() Vector      { return Vector{0, 0} }
 
-func (m *toyModel) Apply(v Vector, msg string) (Effect, bool) {
+func (m *toyModel) Apply(v Vector, mi int, out *Effect) bool {
+	msg := m.Messages()[mi]
 	switch msg {
 	case "inc":
 		if v[0] == m.max {
-			return Effect{Finished: true, Actions: []string{"->done"}}, true
+			*out = Effect{Finished: true, Actions: []string{"->done"}}
+			return true
 		}
-		return Effect{Target: Vector{v[0] + 1, v[1]}}, true
+		*out = Effect{Target: Vector{v[0] + 1, v[1]}}
+		return true
 	case "reset":
 		target := Vector{0, v[1]}
 		if m.mergeTail && v[0] >= m.max-1 {
@@ -45,14 +48,15 @@ func (m *toyModel) Apply(v Vector, msg string) (Effect, bool) {
 			// inc from each also behaves identically.
 			target = Vector{0, v[1]}
 		}
-		return Effect{Target: target, Actions: []string{"->zero"}}, true
+		*out = Effect{Target: target, Actions: []string{"->zero"}}
+		return true
 	default:
-		return Effect{}, false
+		return false
 	}
 }
 
-func (m *toyModel) DescribeState(v Vector) []string {
-	return []string{"value state"}
+func (m *toyModel) DescribeState(v Vector, t *Text) {
+	t.Line("value state")
 }
 
 func TestGenerateToyPipeline(t *testing.T) {
@@ -147,26 +151,29 @@ func (twinModel) Components() []StateComponent {
 }
 func (twinModel) Messages() []string { return []string{"flip", "poke"} }
 func (twinModel) Start() Vector      { return Vector{0, 0} }
-func (twinModel) Apply(v Vector, msg string) (Effect, bool) {
+func (twinModel) Apply(v Vector, mi int, out *Effect) bool {
+	msg := twinModel{}.Messages()[mi]
 	switch msg {
 	case "flip":
 		eff := Effect{Target: Vector{1 - v[0], v[1]}}
 		if v[0] == 1 {
 			eff.Actions = []string{"->down"} // makes the live bit observable
 		}
-		return eff, true
+		*out = eff
+		return true
 	case "poke":
 		// Sets the dead bit; behaviourally invisible afterwards, but the
 		// presence of the poke edge itself distinguishes states.
 		if v[1] == 1 {
-			return Effect{}, false
+			return false
 		}
-		return Effect{Target: Vector{v[0], 1}}, true
+		*out = Effect{Target: Vector{v[0], 1}}
+		return true
 	default:
-		return Effect{}, false
+		return false
 	}
 }
-func (twinModel) DescribeState(v Vector) []string { return nil }
+func (twinModel) DescribeState(Vector, *Text) {}
 
 func TestMergeCollapsesDeadBit(t *testing.T) {
 	machine, err := Generate(context.Background(), twinModel{})
@@ -195,23 +202,26 @@ func (trueTwinModel) Components() []StateComponent {
 }
 func (trueTwinModel) Messages() []string { return []string{"flip", "poke"} }
 func (trueTwinModel) Start() Vector      { return Vector{0, 0} }
-func (trueTwinModel) Apply(v Vector, msg string) (Effect, bool) {
+func (trueTwinModel) Apply(v Vector, mi int, out *Effect) bool {
+	msg := trueTwinModel{}.Messages()[mi]
 	switch msg {
 	case "flip":
 		eff := Effect{Target: Vector{1 - v[0], v[1]}}
 		if v[0] == 1 {
 			eff.Actions = []string{"->down"} // makes the live bit observable
 		}
-		return eff, true
+		*out = eff
+		return true
 	case "poke":
 		// Always applicable (a self-loop once dead=1), so the dead bit is
 		// fully invisible and the twin states must merge.
-		return Effect{Target: Vector{v[0], 1}}, true
+		*out = Effect{Target: Vector{v[0], 1}}
+		return true
 	default:
-		return Effect{}, false
+		return false
 	}
 }
-func (trueTwinModel) DescribeState(v Vector) []string { return nil }
+func (trueTwinModel) DescribeState(Vector, *Text) {}
 
 func TestMergeCollapsesTrueTwins(t *testing.T) {
 	machine, err := Generate(context.Background(), trueTwinModel{})
@@ -241,14 +251,15 @@ type badModel struct {
 	target     Vector
 }
 
-func (m badModel) Name() string                    { return "bad" }
-func (m badModel) Parameter() int                  { return 0 }
-func (m badModel) Components() []StateComponent    { return m.components }
-func (m badModel) Messages() []string              { return m.messages }
-func (m badModel) Start() Vector                   { return m.start }
-func (m badModel) DescribeState(v Vector) []string { return nil }
-func (m badModel) Apply(v Vector, msg string) (Effect, bool) {
-	return Effect{Target: m.target}, true
+func (m badModel) Name() string                 { return "bad" }
+func (m badModel) Parameter() int               { return 0 }
+func (m badModel) Components() []StateComponent { return m.components }
+func (m badModel) Messages() []string           { return m.messages }
+func (m badModel) Start() Vector                { return m.start }
+func (m badModel) DescribeState(Vector, *Text)  {}
+func (m badModel) Apply(v Vector, mi int, out *Effect) bool {
+	*out = Effect{Target: m.target}
+	return true
 }
 
 func TestGenerateRejectsMalformedModels(t *testing.T) {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"encoding/binary"
-)
+import "context"
 
 // flatMachine is an exploration in the integer form step 4 works on. Its
 // states are positions: the explored ids in ascending order, then the
@@ -14,8 +11,9 @@ type flatMachine struct {
 	// target[i*nm+j] is the position message j leads to from state i, -1
 	// when the message is not applicable there.
 	target []int32
-	// action[i*nm+j] is the interned id of that transition's action list
-	// (equal ids, equal lists), 0 where there is no transition.
+	// action[i*nm+j] is the id of that transition's action list in the
+	// exploration's listTable (equal ids, equal lists), 0 where there is
+	// no transition.
 	action []int32
 	// finish is the finish state's position, -1 when it is unreachable.
 	finish int32
@@ -23,9 +21,9 @@ type flatMachine struct {
 
 // flatten lays the explored states out as a flatMachine: reach lists the
 // ids to include in ascending order (nil selects every id), and reach must
-// be closed under the exploration's targets. Action lists are interned
-// only when actions is set; otherwise action is nil. The second result
-// maps an arena id to its position, nil when the two coincide.
+// be closed under the exploration's targets. Action ids are laid out only
+// when actions is set; otherwise action is nil. The second result maps an
+// arena id to its position, nil when the two coincide.
 func flatten(ex *exploration, reach []int32, finishReachable, actions bool) (*flatMachine, []int32) {
 	n := ex.arena.n
 	var posOf []int32
@@ -46,9 +44,6 @@ func flatten(ex *exploration, reach []int32, finishReachable, actions bool) (*fl
 	if actions {
 		f.action = make([]int32, f.n*nm)
 	}
-	// Action list 0 is the empty list, by far the most common one.
-	actIDs := map[string]int32{"": 0}
-	var buf []byte
 	for k := 0; k < n; k++ {
 		id := k
 		if reach != nil {
@@ -68,20 +63,9 @@ func flatten(ex *exploration, reach []int32, finishReachable, actions bool) (*fl
 			default:
 				f.target[row+j] = tgt
 			}
-			if !actions || len(cell.actions) == 0 {
-				continue // action id 0
+			if actions {
+				f.action[row+j] = cell.actions
 			}
-			buf = buf[:0]
-			for _, a := range cell.actions {
-				buf = binary.AppendUvarint(buf, uint64(len(a)))
-				buf = append(buf, a...)
-			}
-			aid, seen := actIDs[string(buf)]
-			if !seen {
-				aid = int32(len(actIDs))
-				actIDs[string(buf)] = aid
-			}
-			f.action[row+j] = aid
 		}
 	}
 	if f.finish >= 0 {

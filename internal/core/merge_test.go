@@ -10,7 +10,8 @@ import (
 // mooreClasses is the reference for refine: Moore's refinement as the
 // generator ran it on materialised machines, every state re-signed in
 // every round until the class count stops growing. It reads the
-// exploration's cells itself, action lists included, in refine's
+// exploration's cells itself, and interns their action lists by content
+// rather than trusting the cells' list ids, in refine's
 // positions: the ids of reach (nil: every id) in ascending order, then the
 // finish state when it is reachable.
 func mooreClasses(ex *exploration, reach []int32, finishReachable bool) []int32 {
@@ -53,7 +54,7 @@ func mooreClasses(ex *exploration, reach []int32, finishReachable bool) []int32 
 				targetOf[k*nm+j] = int32(posOf[cell.target])
 			}
 			buf = buf[:0]
-			for _, a := range cell.actions {
+			for _, a := range ex.lists.at(cell.actions) {
 				buf = binary.AppendUvarint(buf, uint64(len(a)))
 				buf = append(buf, a...)
 			}
@@ -166,7 +167,7 @@ func fuzzExploration(data []byte) *exploration {
 		return 0
 	}
 	n, nm, na := 1+at(0)%64, 1+at(1)%4, 1+at(2)%len(fuzzActions)
-	ex := newExploration(1, nm, n)
+	ex := newExploration([]StateComponent{NewIntComponent("id", 63)}, nm, n)
 	for id := 0; id < n; id++ {
 		ex.arena.intern(Vector{id})
 	}
@@ -179,10 +180,10 @@ func fuzzExploration(data []byte) *exploration {
 			switch t {
 			case 0:
 			case 1:
-				cell = effectCell{target: cellFinish, actions: fuzzActions[a]}
+				cell = effectCell{target: cellFinish, actions: ex.lists.intern(fuzzActions[a])}
 				ex.hasFinish = true
 			default:
-				cell = effectCell{target: int32(t - 2), actions: fuzzActions[a]}
+				cell = effectCell{target: int32(t - 2), actions: ex.lists.intern(fuzzActions[a])}
 			}
 			ex.cols[j] = append(ex.cols[j], cell)
 		}

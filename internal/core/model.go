@@ -1,9 +1,12 @@
 package core
 
+import "slices"
+
 // Effect is the outcome of delivering one message to a machine in a given
 // state, as computed by an abstract model: the resulting state vector, the
 // actions performed (outgoing messages etc.), and documentation annotations
-// explaining the reaction.
+// explaining the reaction. During a generation it is scratch the
+// exploration owns and Model.Apply writes into.
 type Effect struct {
 	// Target is the resulting state vector. Ignored when Finished is set.
 	Target Vector
@@ -38,13 +41,81 @@ type Model interface {
 	Messages() []string
 	// Start returns the machine's initial state vector.
 	Start() Vector
-	// Apply computes the effect of receiving msg in state v. The second
-	// return value is false when the message is not applicable in v, in
-	// which case no transition is recorded (the paper's
-	// InvalidStateException path, Fig. 10).
-	Apply(v Vector, msg string) (Effect, bool)
-	// DescribeState returns human-readable documentation lines for state
-	// v, in terms of the generic algorithm (used in the Fig. 14 style
-	// renderings). May return nil.
-	DescribeState(v Vector) []string
+	// Apply computes the effect of receiving message msg, an index into
+	// Messages(), in state v, and writes it into eff. eff arrives with
+	// Target a working copy of v that Apply changes in place, Actions and
+	// Annotations empty with room to append to, and Finished unset. Apply
+	// may instead point a field at storage of its own. The caller copies
+	// what it keeps before its next call, and v must not be changed. The
+	// result is false when the message is not applicable in v, in which
+	// case no transition is recorded (the paper's InvalidStateException
+	// path, Fig. 10) and eff is ignored.
+	Apply(v Vector, msg int, eff *Effect) bool
+	// DescribeState adds human-readable documentation lines for state v
+	// to t, in terms of the generic algorithm (used in the Fig. 14 style
+	// renderings). It may add none.
+	DescribeState(v Vector, t *Text)
+}
+
+// Text is a member's table of state documentation lines, which
+// DescribeState adds to. Each distinct line composed through LineBytes is
+// copied once per generation, and the lines of all a member's states share
+// one block, of which each state's Annotations is a sub-slice.
+type Text struct {
+	seen  map[string]string
+	lines []string
+	buf   []byte
+}
+
+// Line adds s to the state's lines.
+func (t *Text) Line(s string) { t.lines = append(t.lines, s) }
+
+// Scratch returns an empty buffer, reused across lines, to compose a line
+// in before passing it to LineBytes.
+func (t *Text) Scratch() []byte { return t.buf[:0] }
+
+// LineBytes adds the line b to the state's lines, copying it to a string
+// only the first time the generation sees it. b may be reused afterwards.
+func (t *Text) LineBytes(b []byte) {
+	s, ok := t.seen[string(b)]
+	if !ok {
+		if t.seen == nil {
+			t.seen = make(map[string]string)
+		}
+		s = string(b)
+		t.seen[s] = s
+	}
+	t.lines = append(t.lines, s)
+	t.buf = b[:0]
+}
+
+// Apply delivers the message named msg to state v of m outside a
+// generation and returns the effect in storage of its own, with empty
+// lists nil. It reports false when msg is not one of m's messages or is
+// not applicable in v.
+func Apply(m Model, v Vector, msg string) (Effect, bool) {
+	mi := slices.Index(m.Messages(), msg)
+	eff := Effect{Target: v.Clone()}
+	if mi < 0 || !m.Apply(v, mi, &eff) {
+		return Effect{}, false
+	}
+	eff.Actions = clipped(eff.Actions)
+	eff.Annotations = clipped(eff.Annotations)
+	return eff, true
+}
+
+// Describe returns m's documentation lines for state v, as a generated
+// machine's state carries them.
+func Describe(m Model, v Vector) []string {
+	var t Text
+	m.DescribeState(v, &t)
+	return clipped(t.lines)
+}
+
+// clipped copies list with cap == len; nil when it is empty.
+func clipped(list []string) []string {
+	if len(list) == 0 {
+		return nil
+	}
+	return append(make([]string, 0, len(list)), list...)
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-)
+import "context"
 
 // ModelDelta describes how an edited model's transition function may differ
 // from the model that produced an existing machine. It is the contract
@@ -98,14 +95,13 @@ func regenerate(ctx context.Context, old *StateMachine, m Model, delta ModelDelt
 		affected = append(affected, mi)
 	}
 
-	ex := old.explored.clone()
+	ex := old.explored.clone(components)
 	oldN := ex.arena.n
 
 	// Patch the affected columns over every previously interned state.
 	// Targets outside the interned set are appended to the arena; they form
 	// the frontier of the edit.
 	for _, mi := range affected {
-		msg := messages[mi]
 		col := ex.cols[mi]
 		for id := 0; id < oldN; id++ {
 			if id&255 == 0 {
@@ -113,14 +109,9 @@ func regenerate(ctx context.Context, old *StateMachine, m Model, delta ModelDelt
 					return nil, false, err
 				}
 			}
-			v := ex.arena.vec(id)
-			eff, ok := m.Apply(v, msg)
-			if ok && !eff.Finished {
-				if err := eff.Target.validate(components); err != nil {
-					return nil, false, fmt.Errorf("core: %s on %s: %w", msg, v.Name(components), err)
-				}
+			if col[id], err = ex.apply(m, messages, id, mi); err != nil {
+				return nil, false, err
 			}
-			col[id] = ex.cellOf(eff, ok)
 		}
 	}
 
@@ -130,7 +121,7 @@ func regenerate(ctx context.Context, old *StateMachine, m Model, delta ModelDelt
 		if err := ctx.Err(); err != nil {
 			return nil, false, err
 		}
-		if err := ex.expandState(m, components, messages, cursor); err != nil {
+		if err := ex.expandState(m, messages, cursor); err != nil {
 			return nil, false, err
 		}
 	}

@@ -35,27 +35,31 @@ func (m *gateModel) Components() []StateComponent {
 func (m *gateModel) Messages() []string { return []string{"inc", "reset", "fin"} }
 func (m *gateModel) Start() Vector      { return Vector{0, 0} }
 
-func (m *gateModel) Apply(v Vector, msg string) (Effect, bool) {
+func (m *gateModel) Apply(v Vector, mi int, out *Effect) bool {
+	msg := m.Messages()[mi]
 	switch msg {
 	case "inc":
 		if v[0] < m.gate {
-			return Effect{Target: Vector{v[0] + 1, v[1]}}, true
+			*out = Effect{Target: Vector{v[0] + 1, v[1]}}
+			return true
 		}
-		return Effect{}, false
+		return false
 	case "reset":
-		return Effect{Target: Vector{0, v[1]}, Actions: []string{"->zero"}}, true
+		*out = Effect{Target: Vector{0, v[1]}, Actions: []string{"->zero"}}
+		return true
 	case "fin":
 		if v[0] == m.max {
-			return Effect{Finished: true, Actions: []string{"->done"}}, true
+			*out = Effect{Finished: true, Actions: []string{"->done"}}
+			return true
 		}
-		return Effect{}, false
+		return false
 	default:
-		return Effect{}, false
+		return false
 	}
 }
 
-func (m *gateModel) DescribeState(v Vector) []string {
-	return []string{fmt.Sprintf("value %d (gen %d)", v[0], m.describeGen)}
+func (m *gateModel) DescribeState(v Vector, t *Text) {
+	t.Line(fmt.Sprintf("value %d (gen %d)", v[0], m.describeGen))
 }
 
 func (m *gateModel) FingerprintExtra() []string {

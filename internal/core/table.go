@@ -43,9 +43,12 @@ type Edge struct {
 type Sizes struct {
 	States, StateNames         int // states and the bytes of their names
 	Annotations, AnnotationLen int // state annotations and their bytes
+	Merged, MergedNames        int // states that combine others, and the names they combine
+	MergedLen                  int // the bytes of those names
 	Edges                      int // transitions
 	EdgeSources, EdgeTargets   int // bytes of their source and target state names
 	EdgeMessages               int
+	PhaseEdges                 int // transitions with actions
 	Actions, ActionLen         int // actions on transitions and their bytes
 }
 
@@ -184,6 +187,13 @@ func (m *StateMachine) index() *Table {
 		for _, a := range s.Annotations {
 			z.AnnotationLen += len(a)
 		}
+		if len(s.MergedNames) > 1 {
+			z.Merged++
+			z.MergedNames += len(s.MergedNames)
+			for _, name := range s.MergedNames {
+				z.MergedLen += len(name)
+			}
+		}
 		for j, msg := range m.Messages {
 			tr := s.Transitions[msg]
 			if tr == nil {
@@ -195,6 +205,9 @@ func (m *StateMachine) index() *Table {
 			z.EdgeMessages += len(msg)
 			if e.To >= 0 {
 				z.EdgeTargets += len(tr.Target.Name)
+			}
+			if len(tr.Actions) > 0 {
+				z.PhaseEdges++
 			}
 			z.Actions += len(tr.Actions)
 			for _, a := range tr.Actions {

@@ -69,21 +69,22 @@ func (m *consensusOracle) Messages() []string {
 
 func (m *consensusOracle) Start() core.Vector { return make(core.Vector, 5) }
 
-func (m *consensusOracle) Apply(v core.Vector, msg string) (core.Effect, bool) {
+func (m *consensusOracle) Apply(v core.Vector, mi int, out *core.Effect) bool {
+	msg := m.Messages()[mi]
 	s := v.Clone()
 	var actions, notes []string
 	finished := false
 	switch msg {
 	case "PROPOSE":
 		if s[conEstimateSent] != 0 {
-			return core.Effect{}, false
+			return false
 		}
 		s[conEstimateSent] = 1
 		actions = append(actions, "->estimate")
 		notes = append(notes, "Submit the local estimate to the coordinator.")
 	case "ESTIMATE":
 		if s[conEstimatesReceived] == m.n-1 {
-			return core.Effect{}, false
+			return false
 		}
 		s[conEstimatesReceived]++
 		notes = append(notes, "Record one further estimate received.")
@@ -94,7 +95,7 @@ func (m *consensusOracle) Apply(v core.Vector, msg string) (core.Effect, bool) {
 		}
 	case "PROPOSAL":
 		if s[conProposalReceived] != 0 {
-			return core.Effect{}, false
+			return false
 		}
 		s[conProposalReceived] = 1
 		if s[conAckSent] == 0 {
@@ -104,7 +105,7 @@ func (m *consensusOracle) Apply(v core.Vector, msg string) (core.Effect, bool) {
 		}
 	case "ACK":
 		if s[conAcksReceived] == m.n-1 {
-			return core.Effect{}, false
+			return false
 		}
 		s[conAcksReceived]++
 		notes = append(notes, "Record one further acknowledgement received.")
@@ -117,12 +118,19 @@ func (m *consensusOracle) Apply(v core.Vector, msg string) (core.Effect, bool) {
 		finished = true
 		notes = append(notes, "Adopt the announced decision.")
 	default:
-		return core.Effect{}, false
+		return false
 	}
-	return core.Effect{Target: s, Actions: actions, Annotations: notes, Finished: finished}, true
+	*out = core.Effect{Target: s, Actions: actions, Annotations: notes, Finished: finished}
+	return true
 }
 
-func (m *consensusOracle) DescribeState(v core.Vector) []string {
+func (m *consensusOracle) DescribeState(v core.Vector, t *core.Text) {
+	for _, line := range m.describe(v) {
+		t.Line(line)
+	}
+}
+
+func (m *consensusOracle) describe(v core.Vector) []string {
 	lines := make([]string, 0, 4)
 	if v[conEstimateSent] != 0 {
 		lines = append(lines, "Have submitted the local estimate.")
@@ -222,34 +230,35 @@ func (m *chordOracle) Messages() []string {
 
 func (m *chordOracle) Start() core.Vector { return make(core.Vector, 3) }
 
-func (m *chordOracle) Apply(v core.Vector, msg string) (core.Effect, bool) {
+func (m *chordOracle) Apply(v core.Vector, mi int, out *core.Effect) bool {
+	msg := m.Messages()[mi]
 	s := v.Clone()
 	var actions, notes []string
 	finished := false
 	switch msg {
 	case "JOIN":
 		if s[chordJoined] != 0 {
-			return core.Effect{}, false
+			return false
 		}
 		s[chordJoined] = 1
 		actions = append(actions, "->lookup")
 		notes = append(notes, "Bootstrap: locate the successor by routing a lookup through an existing member.")
 	case "STABILIZE":
 		if s[chordJoined] == 0 || s[chordSuccessors] == m.s {
-			return core.Effect{}, false
+			return false
 		}
 		s[chordSuccessors]++
 		actions = append(actions, "->notify")
 		notes = append(notes, fmt.Sprintf("Stabilisation adopted one further live successor (%d of %d).", s[chordSuccessors], m.s))
 	case "NOTIFY":
 		if s[chordJoined] == 0 || s[chordHasPred] != 0 {
-			return core.Effect{}, false
+			return false
 		}
 		s[chordHasPred] = 1
 		notes = append(notes, "Adopted the notifying node as predecessor.")
 	case "SUCC_FAIL":
 		if s[chordSuccessors] == 0 {
-			return core.Effect{}, false
+			return false
 		}
 		s[chordSuccessors]--
 		notes = append(notes, "One successor-list entry failed.")
@@ -259,24 +268,31 @@ func (m *chordOracle) Apply(v core.Vector, msg string) (core.Effect, bool) {
 		}
 	case "PRED_FAIL":
 		if s[chordHasPred] == 0 {
-			return core.Effect{}, false
+			return false
 		}
 		s[chordHasPred] = 0
 		notes = append(notes, "Predecessor failure detected; await the next notify.")
 	case "LEAVE":
 		if s[chordJoined] == 0 {
-			return core.Effect{}, false
+			return false
 		}
 		finished = true
 		actions = append(actions, "->transfer-keys")
 		notes = append(notes, "Graceful departure: link predecessor to successor and hand off owned keys.")
 	default:
-		return core.Effect{}, false
+		return false
 	}
-	return core.Effect{Target: s, Actions: actions, Annotations: notes, Finished: finished}, true
+	*out = core.Effect{Target: s, Actions: actions, Annotations: notes, Finished: finished}
+	return true
 }
 
-func (m *chordOracle) DescribeState(v core.Vector) []string {
+func (m *chordOracle) DescribeState(v core.Vector, t *core.Text) {
+	for _, line := range m.describe(v) {
+		t.Line(line)
+	}
+}
+
+func (m *chordOracle) describe(v core.Vector) []string {
 	membership := "outside the overlay"
 	if v[chordJoined] != 0 {
 		membership = "an overlay member"
@@ -375,21 +391,22 @@ func (m *storageOracle) Messages() []string {
 
 func (m *storageOracle) Start() core.Vector { return make(core.Vector, 4) }
 
-func (m *storageOracle) Apply(v core.Vector, msg string) (core.Effect, bool) {
+func (m *storageOracle) Apply(v core.Vector, mi int, out *core.Effect) bool {
+	msg := m.Messages()[mi]
 	s := v.Clone()
 	var actions, notes []string
 	finished := false
 	switch msg {
 	case "STORE":
 		if s[stoStoreSent] != 0 {
-			return core.Effect{}, false
+			return false
 		}
 		s[stoStoreSent] = 1
 		actions = append(actions, "->store")
 		notes = append(notes, fmt.Sprintf("Compute the block's PID and send a copy to its %d replica owners.", m.r))
 	case "STORE_ACK":
 		if s[stoStoreSent] == 0 || s[stoAcks] == m.quorum() {
-			return core.Effect{}, false
+			return false
 		}
 		s[stoAcks]++
 		notes = append(notes, "Record one further store acknowledgement.")
@@ -399,31 +416,38 @@ func (m *storageOracle) Apply(v core.Vector, msg string) (core.Effect, bool) {
 		}
 	case "FETCH":
 		if s[stoAcks] != m.quorum() || s[stoFetching] != 0 {
-			return core.Effect{}, false
+			return false
 		}
 		s[stoFetching] = 1
 		actions = append(actions, "->fetch")
 		notes = append(notes, "Locate the replicas and ask one for the block.")
 	case "FETCH_MISS":
 		if s[stoFetching] == 0 || s[stoMisses] == m.f {
-			return core.Effect{}, false
+			return false
 		}
 		s[stoMisses]++
 		actions = append(actions, "->fetch")
 		notes = append(notes, fmt.Sprintf("Replica silent, empty or corrupt (%d of at most f = %d): try the next.", s[stoMisses], m.f))
 	case "FETCH_OK":
 		if s[stoFetching] == 0 {
-			return core.Effect{}, false
+			return false
 		}
 		finished = true
 		notes = append(notes, "A replica's content verified against the PID: retrieve complete.")
 	default:
-		return core.Effect{}, false
+		return false
 	}
-	return core.Effect{Target: s, Actions: actions, Annotations: notes, Finished: finished}, true
+	*out = core.Effect{Target: s, Actions: actions, Annotations: notes, Finished: finished}
+	return true
 }
 
-func (m *storageOracle) DescribeState(v core.Vector) []string {
+func (m *storageOracle) DescribeState(v core.Vector, t *core.Text) {
+	for _, line := range m.describe(v) {
+		t.Line(line)
+	}
+}
+
+func (m *storageOracle) describe(v core.Vector) []string {
 	lines := make([]string, 0, 3)
 	if v[stoStoreSent] == 0 {
 		lines = append(lines, "No store operation in flight.")

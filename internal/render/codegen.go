@@ -70,3 +70,50 @@ func appendRepeat(buf []byte, run string, n int) []byte {
 
 // appendInt appends n in decimal.
 func appendInt(buf []byte, n int) []byte { return strconv.AppendInt(buf, int64(n), 10) }
+
+// intLen returns how many bytes appendInt writes for n.
+func intLen(n int) int {
+	l := 1
+	if n < 0 {
+		l, n = 2, -n
+	}
+	for ; n >= 10; n /= 10 {
+		l++
+	}
+	return l
+}
+
+// guardLen returns the length of g.String() for a guard that is not
+// unconditional; a few bytes more when one bound is symbolic and the other
+// a number that reads the same.
+func guardLen(g core.Guard) int {
+	lo, hi := len(g.MinSym), len(g.MaxSym)
+	if lo == 0 {
+		lo = intLen(g.Min)
+	}
+	if hi == 0 {
+		hi = intLen(g.Max)
+	}
+	if g.MinSym == g.MaxSym && (g.MinSym != "" || g.Min == g.Max) {
+		return len(g.Variable) + 4 + lo // "v == lo"
+	}
+	return lo + len(g.Variable) + hi + 8 // "lo <= v <= hi"
+}
+
+// opLen returns the length of op.String().
+func opLen(op core.VarOp) int {
+	if op.Delta == 1 || op.Delta == -1 {
+		return len(op.Variable) + 2 // "v++", "v--"
+	}
+	return len(op.Variable) + 4 + intLen(op.Delta) // "v += d"
+}
+
+// joinedLen returns how many bytes appendJoined writes for items and a
+// separator of sep bytes, each item framed by frame bytes more.
+func joinedLen(items []string, sep, frame int) int {
+	n := max(len(items)-1, 0) * sep
+	for _, it := range items {
+		n += len(it) + frame
+	}
+	return n
+}

@@ -16,9 +16,21 @@ func renderDoc(m *core.StateMachine) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The buffer's size is the bytes written below when no code span needs
+	// a longer fence or an escape: the header's text and slots, then per
+	// state, merged state, annotation and edge its fixed text and slots.
 	z := t.Sizes
-	buf := make([]byte, 0, 512+58*z.States+z.StateNames+3*z.Annotations+z.AnnotationLen+
-		21*z.Edges+z.EdgeMessages+z.EdgeTargets+4*z.Actions+z.ActionLen)
+	components := componentList(m)
+	size := 346 + 2*len(m.ModelName) + 2*intLen(m.Parameter) + joinedLen(m.Messages, 2, 2) +
+		intLen(m.Stats.InitialStates) + intLen(m.Stats.ReachableStates) + intLen(m.Stats.FinalStates) +
+		intLen(z.Edges) + len(m.Start.Name) + len(components) +
+		59*z.States + z.StateNames + 29*z.Merged + 4*z.MergedNames + z.MergedLen +
+		3*z.Annotations + z.AnnotationLen +
+		18*z.Edges + z.EdgeMessages + z.EdgeTargets - 5*z.PhaseEdges + 4*z.Actions + z.ActionLen
+	if m.Finish != nil {
+		size += len(m.Finish.Name)
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, "# State machine "...)
 	buf = appendCode(buf, m.ModelName, false)
 	buf = append(buf, " (parameter "...)
@@ -45,7 +57,7 @@ func renderDoc(m *core.StateMachine) ([]byte, error) {
 		buf = appendCode(buf, m.Finish.Name, true)
 	}
 	buf = append(buf, " |\n\nComponent encoding of state names: "...)
-	buf = appendCode(buf, componentList(m), false)
+	buf = appendCode(buf, components, false)
 	buf = append(buf, ".\n\n## States\n\n"...)
 
 	// Each message's first cell is written once.

@@ -16,9 +16,12 @@ func renderDot(m *core.StateMachine) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The buffer's size is the bytes written below when no name needs an
+	// escape: the graph's frame, the start and finish nodes' styles, and
+	// per node and edge its fixed text and slots.
 	z := t.Sizes
-	buf := make([]byte, 0, 256+6*z.States+z.StateNames+
-		25*z.Edges+z.EdgeSources+z.EdgeTargets+z.EdgeMessages+16*z.Actions+z.ActionLen)
+	buf := make([]byte, 0, 128+len(m.ModelName)+6*z.States+z.StateNames+
+		25*z.Edges+14*z.PhaseEdges+z.EdgeSources+z.EdgeTargets+z.EdgeMessages+2*z.Actions+z.ActionLen)
 	buf = appendDotOpen(buf, m.ModelName, "")
 	// Each state name is escaped once, and one label head is made per
 	// message, not one per edge.
@@ -47,7 +50,26 @@ func renderDot(m *core.StateMachine) ([]byte, error) {
 
 // efsmDot writes an EFSM as a DOT diagram with guard/update labels.
 func efsmDot(e *core.EFSM) []byte {
-	buf := appendDotOpen(nil, e.ModelName, "-efsm")
+	// The buffer's size is the bytes written below when no text needs an
+	// escape: the graph's frame, then per node and edge its fixed text and
+	// slots.
+	size := 133 + len(e.ModelName)
+	for _, s := range e.States {
+		size += 6 + len(s.Name)
+		for _, tr := range s.Transitions {
+			size += 25 + len(s.Name) + len(tr.Target.Name) + len(tr.Message) + joinedLen(tr.Actions, 0, 2)
+			if !tr.Guard.Unconditional() {
+				size += 4 + guardLen(tr.Guard)
+			}
+			for _, op := range tr.VarOps {
+				size += 2 + opLen(op)
+			}
+			if len(tr.Actions) > 0 {
+				size += 14
+			}
+		}
+	}
+	buf := appendDotOpen(make([]byte, 0, size), e.ModelName, "-efsm")
 	for _, s := range e.States {
 		buf = appendDotNode(buf, escapeDot(s.Name), s == e.Start, s.Final)
 	}

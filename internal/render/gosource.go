@@ -164,7 +164,7 @@ func goSource(m *core.StateMachine, pkg string) ([]byte, error) {
 	}
 
 	g.fail(CommentText(m.ModelName))
-	buf := make([]byte, 0, 2048+256*len(m.Messages)+22*z.States+3*z.StateNames+5*z.Annotations+z.AnnotationLen+
+	buf := make([]byte, 0, 2000+256*len(m.Messages)+22*z.States+3*z.StateNames+5*z.Annotations+z.AnnotationLen+
 		34*z.Edges+z.EdgeSources+z.EdgeTargets+17*z.Actions+z.ActionLen)
 	buf = append(buf, "// Code generated by asagen fsmgen (model "...)
 	buf = append(buf, m.ModelName...)

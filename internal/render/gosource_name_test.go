@@ -84,12 +84,14 @@ func (m *namedModel) Components() []core.StateComponent {
 }
 func (m *namedModel) Messages() []string { return []string{"TOGGLE"} }
 func (m *namedModel) Start() core.Vector { return core.Vector{0} }
-func (m *namedModel) Apply(v core.Vector, msg string) (core.Effect, bool) {
+func (m *namedModel) Apply(v core.Vector, mi int, out *core.Effect) bool {
+	msg := m.Messages()[mi]
 	if msg != "TOGGLE" {
-		return core.Effect{}, false
+		return false
 	}
 	s := v.Clone()
 	s[0] = 1 - s[0]
-	return core.Effect{Target: s}, true
+	*out = core.Effect{Target: s}
+	return true
 }
-func (m *namedModel) DescribeState(core.Vector) []string { return nil }
+func (m *namedModel) DescribeState(core.Vector, *core.Text) {}

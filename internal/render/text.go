@@ -85,7 +85,25 @@ func appendUnderlined(buf []byte, label, name string) []byte {
 // efsmText writes an EFSM as a textual catalogue: per state, the guarded
 // transitions with variable updates and actions.
 func efsmText(e *core.EFSM) []byte {
-	buf := append([]byte(nil), "extended state machine: "...)
+	// The buffer's size is the bytes written below: the header, then per
+	// state and transition its fixed text and slots.
+	size := 76 + len(e.ModelName) + intLen(e.Parameter) + joinedLen(e.Variables, 2, 0) + intLen(len(e.States))
+	for _, s := range e.States {
+		size += 16 + 2*len(s.Name)
+		if s.Final {
+			size += 19
+		}
+		for _, tr := range s.Transitions {
+			size += 30 + len(tr.Message) + len(tr.Target.Name) + joinedLen(tr.Actions, 0, 11)
+			if !tr.Guard.Unconditional() {
+				size += 10 + guardLen(tr.Guard)
+			}
+			for _, op := range tr.VarOps {
+				size += 11 + opLen(op)
+			}
+		}
+	}
+	buf := append(make([]byte, 0, size), "extended state machine: "...)
 	buf = append(buf, e.ModelName...)
 	buf = append(buf, "\ngeneralised from parameter: "...)
 	buf = appendInt(buf, e.Parameter)

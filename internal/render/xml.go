@@ -3,6 +3,7 @@ package render
 import (
 	"encoding/xml"
 	"strings"
+	"unicode/utf8"
 
 	"asagen/internal/core"
 )
@@ -51,15 +52,50 @@ func (x *xmlWriter) text(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
+// xmlExtra returns how many bytes text adds to s in escaping it, and
+// whether s is plain, so that text copies it as it is. Escaping writes a
+// quote, an apostrophe, an ampersand or a control character as five bytes,
+// an angle bracket as four, and a byte of invalid UTF-8 as U+FFFD, three.
+// The count is exact for valid UTF-8 outside the control characters.
+func xmlExtra(s string) (extra int, plain bool) {
+	plain = true
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if xmlPlain[c] {
+			continue
+		}
+		plain = false
+		switch {
+		case c == '<' || c == '>':
+			extra += 3
+		case c < utf8.RuneSelf:
+			extra += 4
+		default:
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if r == utf8.RuneError && size == 1 {
+				extra += 2
+			}
+			i += size - 1
+		}
+	}
+	return extra, plain
+}
+
 // elements writes one element per non-empty text: open is the line
 // break, indentation and start tag before it, close its end tag. It
 // reports whether it wrote any, as omitempty on a []string field comes to.
-func (x *xmlWriter) elements(buf []byte, texts []string, open, close string) ([]byte, bool) {
+// Unless escape is set, the texts are known to need no escaping and are
+// copied as they are.
+func (x *xmlWriter) elements(buf []byte, texts []string, open, close string, escape bool) ([]byte, bool) {
 	wrote := false
 	for _, t := range texts {
 		if t != "" {
 			buf = append(buf, open...)
-			buf = x.text(buf, t)
+			if escape {
+				buf = x.text(buf, t)
+			} else {
+				buf = append(buf, t...)
+			}
 			buf = append(buf, close...)
 			wrote = true
 		}
@@ -83,10 +119,48 @@ func renderXML(m *core.StateMachine) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	z := t.Sizes
 	x := &xmlWriter{}
-	buf := make([]byte, 0, 512+44*z.States+z.StateNames+32*z.Annotations+z.AnnotationLen+
-		66*z.Edges+z.EdgeMessages+48*z.Actions+z.ActionLen)
+	// Each message's attribute, with the quote that closes the one before
+	// it, is escaped once.
+	var data [512]byte
+	var end [17]int
+	msgs := frags{data[:0], append(end[:0], 0)}
+	for _, msg := range m.Messages {
+		msgs.data = append(msgs.data, `" message="`...)
+		msgs.data = x.text(msgs.data, msg)
+		msgs.data = append(msgs.data, '"')
+		msgs.end = append(msgs.end, len(msgs.data))
+	}
+	// The buffer's size is the bytes written below: the document's frame,
+	// then per message, state, annotation, edge and action its fixed text
+	// and slots, with what escaping adds and the ids' digits.
+	z := t.Sizes
+	size := 215 + len(m.ModelName) + intLen(m.Parameter) + 12*len(m.Messages) + len(msgs.data) +
+		40*z.States + z.StateNames + 32*z.Annotations + z.AnnotationLen +
+		45*z.Edges + 18*z.PhaseEdges + 24*z.Actions + z.ActionLen
+	extra, _ := xmlExtra(m.ModelName)
+	size += extra
+	// Annotations are most of the text; when all are plain they are
+	// copied without a second look.
+	notesPlain := true
+	for i, s := range m.States {
+		out := t.Out(i)
+		extra, _ := xmlExtra(s.Name)
+		size += intLen(i)*(1+len(out)) + extra
+		for _, a := range s.Annotations {
+			extra, plain := xmlExtra(a)
+			size += extra
+			notesPlain = notesPlain && plain
+		}
+		for _, e := range out {
+			size += intLen(int(e.To)) + len(msgs.at(e.Msg))
+			for _, a := range e.Actions {
+				extra, _ := xmlExtra(a)
+				size += extra
+			}
+		}
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, xml.Header+`<stateMachineDiagram model="`...)
 	buf = x.text(buf, m.ModelName)
 	buf = append(buf, `" parameter="`...)
@@ -113,21 +187,10 @@ func renderXML(m *core.StateMachine) ([]byte, error) {
 		}
 		buf = append(buf, '>')
 		var annotated bool
-		buf, annotated = x.elements(buf, s.Annotations, "\n      <annotation>", "</annotation>")
+		buf, annotated = x.elements(buf, s.Annotations, "\n      <annotation>", "</annotation>", !notesPlain)
 		buf = appendEnd(buf, annotated, "\n    </state>")
 	}
 	buf = appendEnd(buf, len(m.States) > 0, "\n  </states>")
-	// Each message's attribute, with the quote that closes the one before
-	// it, is escaped once.
-	var data [512]byte
-	var end [17]int
-	msgs := frags{data[:0], append(end[:0], 0)}
-	for _, msg := range m.Messages {
-		msgs.data = append(msgs.data, `" message="`...)
-		msgs.data = x.text(msgs.data, msg)
-		msgs.data = append(msgs.data, '"')
-		msgs.end = append(msgs.end, len(msgs.data))
-	}
 	buf = append(buf, "\n  <transitions>"...)
 	for i := range m.States {
 		for _, e := range t.Out(i) {
@@ -142,7 +205,7 @@ func renderXML(m *core.StateMachine) ([]byte, error) {
 				buf = append(buf, '>')
 			}
 			var acted bool
-			buf, acted = x.elements(buf, e.Actions, "\n      <action>", "</action>")
+			buf, acted = x.elements(buf, e.Actions, "\n      <action>", "</action>", true)
 			buf = appendEnd(buf, acted, "\n    </transition>")
 		}
 	}

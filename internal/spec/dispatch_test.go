@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"asagen/internal/core"
@@ -84,7 +86,7 @@ func (o ruleOracle) apply(v core.Vector, msg string) (core.Effect, bool) {
 			actions = r.Actions
 		}
 		for _, note := range r.Annotations {
-			notes = append(notes, o.m.expand(o.m.fill(note), s))
+			notes = append(notes, o.m.replaceAll(o.m.fill(note), s))
 		}
 		return core.Effect{Target: s, Actions: actions, Annotations: notes, Finished: r.Finish}, true
 	}
@@ -95,7 +97,7 @@ func (o ruleOracle) describe(v core.Vector) []string {
 	var lines []string
 	for _, r := range o.m.c.doc.Describe {
 		if o.holds(v, r.When) {
-			lines = append(lines, o.m.expand(o.m.fill(r.Text), v))
+			lines = append(lines, o.m.replaceAll(o.m.fill(r.Text), v))
 		}
 	}
 	return lines
@@ -147,14 +149,14 @@ func forEachVector(values [][]int, fn func(core.Vector)) {
 func agreeWithOracle(t *testing.T, m *specModel, o ruleOracle, abs *specAbstraction, v core.Vector) {
 	t.Helper()
 	for _, msg := range m.c.doc.Messages {
-		got, gotOK := m.Apply(v, msg)
+		got, gotOK := core.Apply(m, v, msg)
 		want, wantOK := o.apply(v, msg)
 		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s at %d: Apply(%v, %q) = %+v, %v; the rules give %+v, %v",
 				m.c.doc.Name, m.param, v, msg, got, gotOK, want, wantOK)
 		}
 	}
-	if got, want := m.DescribeState(v), o.describe(v); !reflect.DeepEqual(got, want) {
+	if got, want := core.Describe(m, v), o.describe(v); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s at %d: DescribeState(%v) = %q; the rules give %q", m.c.doc.Name, m.param, v, got, want)
 	}
 	if abs != nil {
@@ -460,4 +462,39 @@ func appendNear(out []int, gs []guard, s scope) []int {
 		}
 	}
 	return out
+}
+
+// replaceAll is the reference for expand: the component placeholders in a
+// filled text substituted with their values in state v by one
+// strings.ReplaceAll after another.
+func (m *specModel) replaceAll(text string, v core.Vector) string {
+	if !strings.Contains(text, "{") {
+		return text
+	}
+	for idx, key := range m.c.placeholders {
+		if strings.Contains(text, key) {
+			text = strings.ReplaceAll(text, key, strconv.Itoa(v[idx]))
+		}
+	}
+	return text
+}
+
+// TestExpandAgreesWithReplaceAll: composing a line in a byte buffer
+// substitutes the placeholders one after another exactly as
+// strings.ReplaceAll does, also where one placeholder's value completes
+// another's name, and leaves the bytes before it in the buffer alone.
+func TestExpandAgreesWithReplaceAll(t *testing.T) {
+	m := &specModel{c: &Compiled{placeholders: []string{"{a}", "{1}", "{b}", "{{a}}"}}}
+	v := core.Vector{1, 22, 333, 4}
+	for _, text := range []string{
+		"plain", "{a}", "{a}{a}", "x{b}y{a}z", "{{a}}", "{{a}", "{a}}", "{", "}{", "{1}", "{{a}}{b}{c}",
+	} {
+		want := m.replaceAll(text, v)
+		if got := string(m.appendExpanded([]byte("head:"), text, v)); got != "head:"+want {
+			t.Errorf("%q: composed %q, ReplaceAll gives %q", text, got, want)
+		}
+		if got := m.expand(text, v); got != want {
+			t.Errorf("%q: expand gives %q, ReplaceAll %q", text, got, want)
+		}
+	}
 }

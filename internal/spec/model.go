@@ -623,21 +623,20 @@ func (m *specModel) Start() core.Vector {
 // authors may write an unguarded counter increment and the machine simply
 // stops reacting at the bound.
 //
-// The returned action and annotation slices alias the compiled rule and
-// must not be mutated; they are immutable by construction. Only a rule
-// whose annotations name a component returns annotations of its own.
-func (m *specModel) Apply(v core.Vector, msg string) (core.Effect, bool) {
-	mi, ok := m.c.msgIdx[msg]
-	if !ok {
-		return core.Effect{}, false
+// The effect's action and annotation lists alias the compiled rule, which
+// never changes. Only a rule whose annotations name a component composes
+// annotations of its own.
+func (m *specModel) Apply(v core.Vector, msg int, eff *core.Effect) bool {
+	if msg < 0 || msg >= len(m.messages) {
+		return false
 	}
-	cm := &m.messages[mi]
+	cm := &m.messages[msg]
 	ri := cm.dispatch.first(v)
 	if ri < 0 {
-		return core.Effect{}, false
+		return false
 	}
 	r := &cm.rules[ri]
-	s := v.Clone()
+	s := eff.Target
 	for _, a := range r.sets {
 		if a.set {
 			s[a.idx] = a.val
@@ -645,34 +644,34 @@ func (m *specModel) Apply(v core.Vector, msg string) (core.Effect, bool) {
 			s[a.idx] += a.val
 		}
 		if s[a.idx] < 0 || s[a.idx] > m.maxes[a.idx] {
-			return core.Effect{}, false
+			return false
 		}
 	}
-	notes := r.annotations
-	if r.perTarget {
-		notes = make([]string, len(r.annotations))
-		for i, note := range r.annotations {
-			notes[i] = m.expand(note, s)
-		}
+	eff.Actions = r.actions
+	eff.Finished = r.finish
+	if !r.perTarget {
+		eff.Annotations = r.annotations
+		return true
 	}
-	return core.Effect{
-		Target:      s,
-		Actions:     r.actions,
-		Annotations: notes,
-		Finished:    r.finish,
-	}, true
+	for _, note := range r.annotations {
+		eff.Annotations = append(eff.Annotations, m.expand(note, s))
+	}
+	return true
 }
 
 // DescribeState implements core.Model: every matching describe rule
 // contributes one line, with its placeholders substituted.
-func (m *specModel) DescribeState(v core.Vector) []string {
-	var lines []string
+func (m *specModel) DescribeState(v core.Vector, t *core.Text) {
 	for b := range m.describes.blocks {
 		for set := m.describes.match(v, b); set != 0; set &= set - 1 {
-			lines = append(lines, m.expand(m.describe[b<<6|bits.TrailingZeros64(set)], v))
+			text := m.describe[b<<6|bits.TrailingZeros64(set)]
+			if strings.Contains(text, "{") {
+				t.LineBytes(m.appendExpanded(t.Scratch(), text, v))
+			} else {
+				t.Line(text)
+			}
 		}
 	}
-	return lines
 }
 
 // fillValues formats the values of the fill keys at the parameter: the
@@ -741,18 +740,50 @@ func (m *specModel) namesComponent(text string) bool {
 	return false
 }
 
-// expand substitutes the component placeholders in a filled text with
-// their values in state v.
+// expand returns the filled text with the component placeholders
+// substituted by their values in state v, composed on the stack.
 func (m *specModel) expand(text string, v core.Vector) string {
 	if !strings.Contains(text, "{") {
 		return text
 	}
+	var buf [256]byte
+	return string(m.appendExpanded(buf[:0], text, v))
+}
+
+// appendExpanded appends the filled text to b with the component
+// placeholders substituted by their values in state v, one placeholder
+// after another in vector order.
+func (m *specModel) appendExpanded(b []byte, text string, v core.Vector) []byte {
+	from := len(b)
+	b = append(b, text...)
 	for idx, key := range m.c.placeholders {
-		if strings.Contains(text, key) {
-			text = strings.ReplaceAll(text, key, strconv.Itoa(v[idx]))
+		end := len(b)
+		i := index(b[from:end], key)
+		if i < 0 {
+			continue
+		}
+		// Write the replaced text after b[from:end], then move it down.
+		for src := b[from:end]; ; i = index(src, key) {
+			if i < 0 {
+				b = append(b, src...)
+				break
+			}
+			b = strconv.AppendInt(append(b, src[:i]...), int64(v[idx]), 10)
+			src = src[i+len(key):]
+		}
+		b = b[:from+copy(b[from:], b[end:])]
+	}
+	return b
+}
+
+// index returns the position of the first s in b, -1 for none.
+func index(b []byte, s string) int {
+	for i := 0; i+len(s) <= len(b); i++ {
+		if string(b[i:i+len(s)]) == s {
+			return i
 		}
 	}
-	return text
+	return -1
 }
 
 // FingerprintExtra implements core.Fingerprinter: the canonical document

@@ -437,13 +437,13 @@ func TestImplicitRangeGuard(t *testing.T) {
 	if got := len(machine.States); got != 3 {
 		t.Errorf("states = %d, want 3", got)
 	}
-	if _, ok := m.Apply(core.Vector{2}, "GO"); ok {
+	if _, ok := core.Apply(m, core.Vector{2}, "GO"); ok {
 		t.Error("GO applicable at the upper bound")
 	}
-	if _, ok := m.Apply(core.Vector{0}, "BACK"); ok {
+	if _, ok := core.Apply(m, core.Vector{0}, "BACK"); ok {
 		t.Error("BACK applicable at the lower bound")
 	}
-	if eff, ok := m.Apply(core.Vector{1}, "GO"); !ok || eff.Target[0] != 2 {
+	if eff, ok := core.Apply(m, core.Vector{1}, "GO"); !ok || eff.Target[0] != 2 {
 		t.Errorf("GO at 1 = (%v, %v), want target 2", eff, ok)
 	}
 }
@@ -495,7 +495,7 @@ func TestDescribeExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := m.DescribeState(core.Vector{1, 3})
+	lines := core.Describe(m, core.Vector{1, 3})
 	want := []string{"Process is active.", "3 delegated tasks outstanding (bound 4)."}
 	if !equalStrings(lines, want) {
 		t.Errorf("DescribeState = %v, want %v", lines, want)
@@ -713,11 +713,11 @@ func TestDerivedValuesAndTargetPlaceholders(t *testing.T) {
 		if got := m.Components()[0].Cardinality() - 1; got != tc.max {
 			t.Errorf("p=%d: max %d, want %d", tc.param, got, tc.max)
 		}
-		eff, ok := m.Apply(core.Vector{0}, "GO")
+		eff, ok := core.Apply(m, core.Vector{0}, "GO")
 		if !ok || !equalStrings(eff.Annotations, []string{tc.note, "constant"}) {
 			t.Errorf("p=%d: GO = %v, %v; want %q", tc.param, eff.Annotations, ok, tc.note)
 		}
-		if got := m.DescribeState(core.Vector{2}); !equalStrings(got, []string{"2 of " + strconv.Itoa(tc.max)}) {
+		if got := core.Describe(m, core.Vector{2}); !equalStrings(got, []string{"2 of " + strconv.Itoa(tc.max)}) {
 			t.Errorf("p=%d: DescribeState = %v", tc.param, got)
 		}
 		ft, ok := m.(interface{ FaultTolerance() int })

@@ -87,68 +87,74 @@ func (m *Model) Messages() []string {
 // activates the process.
 func (m *Model) Start() core.Vector { return make(core.Vector, numComponents) }
 
-// Apply implements core.Model.
-func (m *Model) Apply(v core.Vector, msg string) (core.Effect, bool) {
-	s := v.Clone()
-	var actions, notes []string
-	finished := false
+// The index of each message in Messages.
+const (
+	miTask = iota
+	miSpawn
+	miChildDone
+	miIdle
+)
 
+// Apply implements core.Model.
+func (m *Model) Apply(v core.Vector, msg int, eff *core.Effect) bool {
+	s := eff.Target
 	switch msg {
-	case MsgTask:
+	case miTask:
 		if s[idxActive] != 0 {
-			return core.Effect{}, false // already active
+			return false // already active
 		}
 		s[idxActive] = 1
-		notes = append(notes, "Activated by an incoming task.")
+		eff.Annotations = append(eff.Annotations, "Activated by an incoming task.")
 
-	case MsgSpawn:
+	case miSpawn:
 		if s[idxActive] == 0 || s[idxOutstanding] == m.k {
-			return core.Effect{}, false
+			return false
 		}
 		s[idxOutstanding]++
-		actions = append(actions, ActSendTask)
-		notes = append(notes, "Delegate a child task and count it outstanding.")
+		eff.Actions = append(eff.Actions, ActSendTask)
+		eff.Annotations = append(eff.Annotations, "Delegate a child task and count it outstanding.")
 
-	case MsgChildDone:
+	case miChildDone:
 		if s[idxOutstanding] == 0 {
-			return core.Effect{}, false
+			return false
 		}
 		s[idxOutstanding]--
-		notes = append(notes, "One delegated task completed.")
+		eff.Annotations = append(eff.Annotations, "One delegated task completed.")
 		if s[idxOutstanding] == 0 && s[idxActive] == 0 {
-			actions = append(actions, ActSendDone)
-			notes = append(notes, "Idle with no outstanding children: report completion.")
-			finished = true
+			eff.Actions = append(eff.Actions, ActSendDone)
+			eff.Annotations = append(eff.Annotations, "Idle with no outstanding children: report completion.")
+			eff.Finished = true
 		}
 
-	case MsgIdle:
+	case miIdle:
 		if s[idxActive] == 0 {
-			return core.Effect{}, false
+			return false
 		}
 		s[idxActive] = 0
-		notes = append(notes, "Local work finished.")
+		eff.Annotations = append(eff.Annotations, "Local work finished.")
 		if s[idxOutstanding] == 0 {
-			actions = append(actions, ActSendDone)
-			notes = append(notes, "No outstanding children: report completion.")
-			finished = true
+			eff.Actions = append(eff.Actions, ActSendDone)
+			eff.Annotations = append(eff.Annotations, "No outstanding children: report completion.")
+			eff.Finished = true
 		}
 
 	default:
-		return core.Effect{}, false
+		return false
 	}
-	return core.Effect{Target: s, Actions: actions, Annotations: notes, Finished: finished}, true
+	return true
 }
 
 // DescribeState implements core.Model.
-func (m *Model) DescribeState(v core.Vector) []string {
-	state := "idle"
+func (m *Model) DescribeState(v core.Vector, t *core.Text) {
 	if v[idxActive] != 0 {
-		state = "active"
+		t.Line("Process is active.")
+	} else {
+		t.Line("Process is idle.")
 	}
-	return []string{
-		"Process is " + state + ".",
-		strconv.Itoa(v[idxOutstanding]) + " delegated tasks outstanding (bound " + strconv.Itoa(m.k) + ").",
-	}
+	b := strconv.AppendInt(t.Scratch(), int64(v[idxOutstanding]), 10)
+	b = append(b, " delegated tasks outstanding (bound "...)
+	b = strconv.AppendInt(b, int64(m.k), 10)
+	t.LineBytes(append(b, ")."...))
 }
 
 // Abstraction coalesces the outstanding-children counter for EFSM

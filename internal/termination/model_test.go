@@ -121,24 +121,24 @@ func TestGuards(t *testing.T) {
 	}
 	start := m.Start()
 	// Spawn while idle: not applicable.
-	if _, ok := m.Apply(start, MsgSpawn); ok {
+	if _, ok := core.Apply(m, start, MsgSpawn); ok {
 		t.Error("spawn applicable while idle")
 	}
 	// ChildDone with no children: not applicable.
-	if _, ok := m.Apply(start, MsgChildDone); ok {
+	if _, ok := core.Apply(m, start, MsgChildDone); ok {
 		t.Error("child_done applicable with no children")
 	}
 	// Idle while idle: not applicable.
-	if _, ok := m.Apply(start, MsgIdle); ok {
+	if _, ok := core.Apply(m, start, MsgIdle); ok {
 		t.Error("idle applicable while idle")
 	}
 	// Spawn at the fan-out bound: not applicable.
 	full := core.Vector{1, 2}
-	if _, ok := m.Apply(full, MsgSpawn); ok {
+	if _, ok := core.Apply(m, full, MsgSpawn); ok {
 		t.Error("spawn applicable at bound")
 	}
 	// Task while active: not applicable.
-	if _, ok := m.Apply(core.Vector{1, 0}, MsgTask); ok {
+	if _, ok := core.Apply(m, core.Vector{1, 0}, MsgTask); ok {
 		t.Error("task applicable while active")
 	}
 }
@@ -174,7 +174,7 @@ func TestDescribeState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Join(m.DescribeState(core.Vector{1, 2}), " ")
+	lines := strings.Join(core.Describe(m, core.Vector{1, 2}), " ")
 	if !strings.Contains(lines, "active") || !strings.Contains(lines, "2 delegated") {
 		t.Errorf("description = %s", lines)
 	}

@@ -21,23 +21,27 @@ func (chainModel) Components() []core.StateComponent {
 }
 func (chainModel) Messages() []string { return []string{"inc", "ring"} }
 func (chainModel) Start() core.Vector { return core.Vector{0} }
-func (chainModel) Apply(v core.Vector, msg string) (core.Effect, bool) {
+func (chainModel) Apply(v core.Vector, mi int, out *core.Effect) bool {
+	msg := chainModel{}.Messages()[mi]
 	switch msg {
 	case "inc":
 		if v[0] == 2 {
-			return core.Effect{Finished: true}, true
+			*out = core.Effect{Finished: true}
+			return true
 		}
-		return core.Effect{Target: core.Vector{v[0] + 1}}, true
+		*out = core.Effect{Target: core.Vector{v[0] + 1}}
+		return true
 	case "ring":
 		if v[0] != 1 {
-			return core.Effect{}, false
+			return false
 		}
-		return core.Effect{Target: core.Vector{1}, Actions: []string{"->bell"}}, true
+		*out = core.Effect{Target: core.Vector{1}, Actions: []string{"->bell"}}
+		return true
 	default:
-		return core.Effect{}, false
+		return false
 	}
 }
-func (chainModel) DescribeState(core.Vector) []string { return nil }
+func (chainModel) DescribeState(core.Vector, *core.Text) {}
 
 func chainMachine(t *testing.T) *core.StateMachine {
 	t.Helper()
