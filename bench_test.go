@@ -317,6 +317,51 @@ func BenchmarkRenderSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkGeneralizeSweep is the EFSM-view share of a cold-sweep lap
+// (E18): every registry model at every sweep parameter (26 machines),
+// generated with their transition tables before the timer starts, each
+// coalesced under its abstraction. An op is the whole sweep.
+func BenchmarkGeneralizeSweep(b *testing.B) {
+	type member struct {
+		machine *core.StateMachine
+		abs     core.EFSMAbstraction
+	}
+	var sweep []member
+	for _, name := range models.Names() {
+		entry, err := models.Get(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range entry.SweepParams {
+			model, err := entry.Model(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			machine, err := core.Generate(context.Background(), model)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := machine.Table(); err != nil {
+				b.Fatal(err)
+			}
+			abs, err := entry.Abstraction(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sweep = append(sweep, member{machine, abs})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range sweep {
+			if _, err := core.GeneralizeEFSM(m.machine, m.abs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkGenerateEFSM measures §5.3 EFSM generalisation across models
 // (E5).
 func BenchmarkGenerateEFSM(b *testing.B) {

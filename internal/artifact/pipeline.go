@@ -203,10 +203,10 @@ func (mb *Member) Machine(ctx context.Context) (*core.StateMachine, error) {
 }
 
 // generalized returns the member's one cached machine coalesced under the
-// entry's abstraction, computing it on first use; every machine the cache
-// can hold generalises soundly. Only a success is stored. First uses that
-// race may each compute it, at most one per EFSM format, since the render
-// tier coalesces each.
+// entry's abstraction, computing it on first use. An abstraction the
+// machine shows unsound is ErrRender, as a refusal of the Go source gate
+// is. Only a success is stored. First uses that race may each compute it,
+// at most one per EFSM format, since the render tier coalesces each.
 func (mb *Member) generalized(ctx context.Context) (*core.EFSM, error) {
 	if efsm := mb.efsm.Load(); efsm != nil {
 		return efsm, nil
@@ -221,7 +221,7 @@ func (mb *Member) generalized(ctx context.Context) (*core.EFSM, error) {
 	}
 	efsm, err := core.GeneralizeEFSM(machine, abs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrRender, err)
 	}
 	mb.efsm.Store(efsm)
 	return efsm, nil

@@ -12,6 +12,7 @@ import (
 	"asagen/internal/core"
 	"asagen/internal/models"
 	"asagen/internal/render"
+	"asagen/internal/spec"
 )
 
 // TestCrossProductRenders is the registry cross-product golden test:
@@ -213,6 +214,42 @@ func TestGoSourceGateIsErrRender(t *testing.T) {
 	}
 	if res := p.Render(context.Background(), Request{Model: "pipeline-colliding", Format: "text"}); res.Err != nil {
 		t.Errorf("text format: %v", res.Err)
+	}
+}
+
+// TestUnsoundAbstractionIsErrRender: a spec whose two states share the
+// label L and send x,y on M — one as the single action "x,y", the other as
+// "x" then "y" — has no sound EFSM view. Both EFSM formats fail under
+// ErrRender; the machine formats render.
+func TestUnsoundAbstractionIsErrRender(t *testing.T) {
+	c, err := spec.ParseAndCompile([]byte(`{
+  "name": "split-lists",
+  "components": [{"name": "b", "kind": "bool"}],
+  "messages": ["M"],
+  "rules": [
+    {"message": "M", "when": [{"component": "b", "op": "==", "value": {}}], "set": [{"component": "b", "set": {"offset": 1}}], "actions": ["x,y"]},
+    {"message": "M", "actions": ["x", "y"]}
+  ],
+  "abstraction": {"labels": [{"label": "L"}]}
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := models.NewRegistry()
+	if err := reg.Add(c.Entry()); err != nil {
+		t.Fatal(err)
+	}
+	p := New(WithRegistry(reg))
+	for _, format := range []string{"efsm", "efsm-dot"} {
+		res := p.Render(context.Background(), Request{Model: "split-lists", Format: format})
+		if !errors.Is(res.Err, ErrRender) || !strings.Contains(res.Err.Error(), "abstraction unsound") {
+			t.Errorf("%s: err = %v, want ErrRender naming the unsound abstraction", format, res.Err)
+		}
+	}
+	for _, format := range []string{"text", "go"} {
+		if res := p.Render(context.Background(), Request{Model: "split-lists", Format: format}); res.Err != nil {
+			t.Errorf("%s: %v", format, res.Err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 )
 
 const (
@@ -145,6 +146,26 @@ func (a *vecArena) clone() *vecArena {
 	return b
 }
 
+// stringArena hands out copies of byte strings cut from shared chunks, so
+// that many small strings cost one allocation per chunk. A strings.Builder
+// never changes the bytes it has written, and its String shares them; a
+// chunk is never written past its capacity, so it never moves.
+type stringArena struct {
+	chunk strings.Builder
+}
+
+// copy returns b as a string of its own. b may be reused afterwards.
+func (a *stringArena) copy(b []byte) string {
+	if a.chunk.Cap()-a.chunk.Len() < len(b) {
+		next := min(max(2*a.chunk.Cap(), 1<<10), 4<<10)
+		a.chunk = strings.Builder{}
+		a.chunk.Grow(max(len(b), next))
+	}
+	from := a.chunk.Len()
+	a.chunk.Write(b)
+	return a.chunk.String()[from:]
+}
+
 // Sentinel targets for effect cells.
 const (
 	// cellNone marks a message that is not applicable in the state.
@@ -164,16 +185,20 @@ type effectCell struct {
 // the empty list, and two ids are equal exactly when their lists are, so
 // step 4 compares action lists by id. A list is copied, with cap == len,
 // the first time it is seen, and never changes afterwards: transitions
-// alias the copies.
+// alias the copies. The copies are cut from shared blocks and the keys
+// from a string arena, so that a member's distinct lists cost a few
+// allocations in all rather than two each.
 type listTable struct {
 	lists [][]string
 	// ids maps a list's encoding (see key) to its id.
-	ids map[string]int32
-	buf []byte
+	ids   map[string]int32
+	buf   []byte
+	block []string // the spare capacity new lists are copied into
+	keys  stringArena
 }
 
 func newListTable() *listTable {
-	return &listTable{lists: [][]string{nil}, ids: map[string]int32{"": 0}}
+	return &listTable{lists: [][]string{nil}, ids: map[string]int32{"": 0}, buf: make([]byte, 0, 256)}
 }
 
 // key encodes list as the length-prefixed concatenation of its strings.
@@ -198,8 +223,13 @@ func (t *listTable) intern(list []string) int32 {
 		return id
 	}
 	id := int32(len(t.lists))
-	t.lists = append(t.lists, append(make([]string, 0, len(list)), list...))
-	t.ids[string(k)] = id
+	if cap(t.block)-len(t.block) < len(list) {
+		t.block = make([]string, 0, max(len(list), min(2*cap(t.block), 256), 16))
+	}
+	n := len(t.block)
+	t.block = append(t.block, list...)
+	t.lists = append(t.lists, t.block[n:len(t.block):len(t.block)])
+	t.ids[t.keys.copy(k)] = id
 	return id
 }
 
@@ -207,7 +237,7 @@ func (t *listTable) intern(list []string) int32 {
 func (t *listTable) at(id int32) []string { return t.lists[id] }
 
 // clone returns a table that shares t's lists and interns further ones
-// without changing t.
+// without changing t: into blocks and a string arena of its own.
 func (t *listTable) clone() *listTable {
 	return &listTable{lists: slices.Clip(t.lists), ids: maps.Clone(t.ids)}
 }
@@ -225,8 +255,10 @@ type exploration struct {
 	hasFinish bool
 
 	// eff is what Apply writes into. Before every call it is reset to
-	// scratch: a target vector and empty lists the exploration owns.
+	// scratch: a target vector and empty lists the exploration owns, and
+	// the table of the annotations models compose.
 	eff, scratch Effect
+	notes        lineTable
 	components   []StateComponent
 }
 
@@ -246,10 +278,28 @@ func newExploration(components []StateComponent, nmsg, sizeHint int) *exploratio
 	if sizeHint <= 0 {
 		sizeHint = 64
 	}
-	for i := range ex.cols {
-		ex.cols[i] = make([]effectCell, 0, sizeHint)
-	}
+	ex.reserve(sizeHint)
 	return ex
+}
+
+// reserve moves the columns into one block with room for n cells each, n
+// at least their length. Every column has the same length, and expanding
+// a state appends to all of them, so they fill up together and grow as
+// one block. A column never reaches into the next: its capacity ends
+// where the next begins.
+func (ex *exploration) reserve(n int) {
+	block := make([]effectCell, len(ex.cols)*n)
+	for i, col := range ex.cols {
+		ex.cols[i] = append(block[i*n:i*n:(i+1)*n], col...)
+	}
+}
+
+// fit leaves the columns with at most an eighth of their length to
+// spare, for an exploration a machine retains.
+func (ex *exploration) fit() {
+	if n := len(ex.cols[0]); cap(ex.cols[0])-n > n/8 {
+		ex.reserve(n)
+	}
 }
 
 // setScratch gives ex the buffers apply reuses.
@@ -259,6 +309,7 @@ func (ex *exploration) setScratch(components []StateComponent) {
 		Target:      make(Vector, len(components)),
 		Actions:     make([]string, 0, scratchList),
 		Annotations: make([]string, 0, scratchList),
+		notes:       &ex.notes,
 	}
 }
 
@@ -273,9 +324,8 @@ func (ex *exploration) clone(components []StateComponent) *exploration {
 		hasFinish: ex.hasFinish,
 	}
 	out.setScratch(components)
-	for i, col := range ex.cols {
-		out.cols[i] = append(make([]effectCell, 0, len(col)+64), col...)
-	}
+	copy(out.cols, ex.cols)
+	out.reserve(len(ex.cols[0]) + 64)
 	return out
 }
 
@@ -309,6 +359,9 @@ func (ex *exploration) apply(m Model, messages []string, id, mi int) (effectCell
 // It must be called with id == len(cols[*]), i.e. states are expanded in id
 // order.
 func (ex *exploration) expandState(m Model, messages []string, id int) error {
+	if n := len(ex.cols[0]); n == cap(ex.cols[0]) {
+		ex.reserve(2 * n)
+	}
 	for mi := range messages {
 		cell, err := ex.apply(m, messages, id, mi)
 		if err != nil {

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 )
 
 // This file implements the extended-finite-state-machine end of the
@@ -92,22 +92,35 @@ func (g Guard) Holds(vars map[string]int) bool {
 }
 
 // String renders the guard, preferring symbolic bounds.
-func (g Guard) String() string {
+func (g Guard) String() string { return string(g.Append(nil)) }
+
+// Append appends the guard as String renders it: "true" when it is
+// unconditional, "v == b" when its bounds read the same, and
+// "lo <= v <= hi" otherwise.
+func (g Guard) Append(b []byte) []byte {
 	if g.Unconditional() {
-		return "true"
+		return append(b, "true"...)
 	}
-	lo := g.MinSym
-	if lo == "" {
-		lo = strconv.Itoa(g.Min)
+	var lo, hi [20]byte
+	if l, h := appendBound(lo[:0], g.MinSym, g.Min), appendBound(hi[:0], g.MaxSym, g.Max); string(l) == string(h) {
+		b = append(b, g.Variable...)
+		b = append(b, " == "...)
+		return append(b, l...)
 	}
-	hi := g.MaxSym
-	if hi == "" {
-		hi = strconv.Itoa(g.Max)
+	b = appendBound(b, g.MinSym, g.Min)
+	b = append(b, " <= "...)
+	b = append(b, g.Variable...)
+	b = append(b, " <= "...)
+	return appendBound(b, g.MaxSym, g.Max)
+}
+
+// appendBound appends a guard bound: its symbol, or the number when it
+// has none.
+func appendBound(b []byte, sym string, v int) []byte {
+	if sym != "" {
+		return append(b, sym...)
 	}
-	if lo == hi {
-		return fmt.Sprintf("%s == %s", g.Variable, lo)
-	}
-	return fmt.Sprintf("%s <= %s <= %s", lo, g.Variable, hi)
+	return strconv.AppendInt(b, int64(v), 10)
 }
 
 // VarOp is a counter update performed by a transition.
@@ -119,15 +132,18 @@ type VarOp struct {
 }
 
 // String renders the update in the conventional form ("votes_received++").
-func (op VarOp) String() string {
+func (op VarOp) String() string { return string(op.Append(nil)) }
+
+// Append appends the update as String renders it.
+func (op VarOp) Append(b []byte) []byte {
+	b = append(b, op.Variable...)
 	switch op.Delta {
 	case 1:
-		return op.Variable + "++"
+		return append(b, "++"...)
 	case -1:
-		return op.Variable + "--"
-	default:
-		return fmt.Sprintf("%s += %d", op.Variable, op.Delta)
+		return append(b, "--"...)
 	}
+	return strconv.AppendInt(append(b, " += "...), int64(op.Delta), 10)
 }
 
 // EFSMAbstraction tells GeneralizeEFSM how to coalesce a concrete machine:
@@ -150,33 +166,33 @@ type EFSMAbstraction interface {
 	Symbol(component int, value int) string
 }
 
-// outcome is the observable result of one concrete transition, used to
-// group transitions into guarded EFSM transitions.
-type outcome struct {
-	targetLabel string
-	actionsKey  string
-	actions     []string
-}
-
 // GeneralizeEFSM coalesces a generated machine into an EFSM under the given
 // abstraction. It fails if the abstraction is unsound: two concrete states
 // with the same label and the same guard-component value must react to every
 // message with the same actions and the same target label, and the guard
 // values selecting each outcome must form a contiguous interval.
+//
+// It works on positions and ids: each state's label is asked for once and
+// numbered, a transition's group is its source label and message, and its
+// outcome is its target's label and its action list, compared entry for
+// entry (a generated machine's equal lists share one backing array).
 func GeneralizeEFSM(machine *StateMachine, abs EFSMAbstraction) (*EFSM, error) {
 	table, err := machine.Table()
 	if err != nil {
 		return nil, fmt.Errorf("core: efsm: %w", err)
 	}
+	nm := len(machine.Messages)
 	efsm := &EFSM{
 		ModelName: machine.ModelName,
 		Parameter: machine.Parameter,
 		Messages:  append([]string(nil), machine.Messages...),
 	}
 
-	// Collect the counter variable names in component order.
+	// Each message's guard component and counter updates, asked once, and
+	// the counter variable names in component order.
 	seenVar := map[string]bool{}
-	guardComps := make([]int, len(machine.Messages))
+	guardComps := make([]int, nm)
+	varOps := make([][]VarOp, nm)
 	for i, msg := range machine.Messages {
 		c := abs.GuardComponent(msg)
 		guardComps[i] = c
@@ -187,7 +203,8 @@ func GeneralizeEFSM(machine *StateMachine, abs EFSMAbstraction) (*EFSM, error) {
 				efsm.Variables = append(efsm.Variables, name)
 			}
 		}
-		for _, op := range abs.VarOps(msg) {
+		varOps[i] = slices.Clip(append([]VarOp(nil), abs.VarOps(msg)...))
+		for _, op := range varOps[i] {
 			if !seenVar[op.Variable] {
 				seenVar[op.Variable] = true
 				efsm.Variables = append(efsm.Variables, op.Variable)
@@ -195,101 +212,162 @@ func GeneralizeEFSM(machine *StateMachine, abs EFSMAbstraction) (*EFSM, error) {
 		}
 	}
 
-	// Group concrete states by label, preserving first-seen order.
-	states := map[string]*EState{}
-	labelOf := make([]string, len(machine.States)) // by state position
-	addState := func(label string, final bool) *EState {
-		if s, ok := states[label]; ok {
-			return s
-		}
-		s := &EState{Name: label, Final: final}
-		states[label] = s
-		efsm.States = append(efsm.States, s)
-		return s
-	}
+	// Number the labels in first-seen order: label id l is efsm.States[l]
+	// until the states are sorted.
+	labelOf := make([]int32, len(machine.States)) // by state position
+	ids := map[string]int32{}
 	for i, s := range machine.States {
 		label := FinishStateName
 		if !s.Final {
 			label = abs.StateLabel(s.Vector)
 		}
-		labelOf[i] = label
-		es := addState(label, s.Final)
-		if s == machine.Start {
-			efsm.Start = es
+		id, seen := ids[label]
+		if !seen {
+			id = int32(len(efsm.States))
+			ids[label] = id
+			efsm.States = append(efsm.States, &EState{Name: label, Final: s.Final})
+		}
+		labelOf[i] = id
+		if i == table.Start {
+			efsm.Start = efsm.States[id]
 		}
 		if s.Final {
-			efsm.Finish = es
+			efsm.Finish = efsm.States[id]
 		}
 	}
 	if efsm.Start == nil {
 		return nil, fmt.Errorf("core: efsm: start state missing")
 	}
 
-	// For each (label, message), map guard values to outcomes and check
-	// consistency.
-	type groupKey struct {
-		label string
-		msg   string
+	// For each group (label id × message index) and guard value, the first
+	// outcome seen, as its index in outs plus one; every later transition
+	// of that group and value must agree with it. A message's slots are a
+	// dense table by label id and guard value when the values its guard
+	// component holds are few enough, and a map otherwise.
+	type dense struct{ width, offset int } // width 0: the map
+	tables := make([]dense, nm)
+	total := 0
+	for m, c := range guardComps {
+		hi := 0
+		if c >= 0 {
+			hi = largestValue(machine.States, c, table.Sizes.Edges)
+		}
+		if hi >= 0 && len(efsm.States)*(hi+1) <= 4*table.Sizes.Edges+1024 {
+			tables[m] = dense{hi + 1, total}
+			total += len(efsm.States) * (hi + 1)
+		}
 	}
-	groups := map[groupKey]map[int]outcome{}
+	slots := make([]int32, total)
+	type slot struct {
+		group int32
+		val   int
+	}
+	var wide map[slot]*int32
+	slotOf := func(label, m int32, val int) *int32 {
+		if t := tables[m]; t.width > 0 {
+			return &slots[t.offset+int(label)*t.width+val]
+		}
+		key := slot{label*int32(nm) + m, val}
+		at := wide[key]
+		if at == nil {
+			if wide == nil {
+				wide = map[slot]*int32{}
+			}
+			at = new(int32)
+			wide[key] = at
+		}
+		return at
+	}
+	var outs []outcome
 	for i, s := range machine.States {
 		if s.Final {
 			continue
 		}
-		label := labelOf[i]
 		for _, e := range table.Out(i) {
-			msg := machine.Messages[e.Msg]
-			guardComp := guardComps[e.Msg]
-			val := 0
-			if guardComp >= 0 {
-				val = s.Vector[guardComp]
+			c := guardComps[e.Msg]
+			o := outcome{group: labelOf[i]*int32(nm) + e.Msg, target: labelOf[e.To], actions: e.Actions}
+			if c >= 0 {
+				o.val = s.Vector[c]
 			}
-			out := outcome{
-				targetLabel: labelOf[e.To],
-				actionsKey:  strings.Join(e.Actions, ","),
-				actions:     e.Actions,
-			}
-			key := groupKey{label, msg}
-			byVal, ok := groups[key]
-			if !ok {
-				byVal = map[int]outcome{}
-				groups[key] = byVal
-			}
-			if prev, dup := byVal[val]; dup {
-				if prev.targetLabel != out.targetLabel || prev.actionsKey != out.actionsKey {
-					return nil, fmt.Errorf(
-						"core: efsm: abstraction unsound: state %s, message %s, %s=%d maps to both (%s,%s) and (%s,%s)",
-						label, msg, guardVarName(machine, guardComp), val,
-						prev.targetLabel, prev.actionsKey, out.targetLabel, out.actionsKey)
-				}
+			at := slotOf(labelOf[i], e.Msg, o.val)
+			if *at == 0 {
+				outs = append(outs, o)
+				*at = int32(len(outs))
 				continue
 			}
-			byVal[val] = out
+			if prev := &outs[*at-1]; !prev.same(&o) {
+				return nil, fmt.Errorf(
+					"core: efsm: abstraction unsound: state %s, message %s, %s=%d maps to both (%s,%q) and (%s,%q)",
+					efsm.States[labelOf[i]].Name, machine.Messages[e.Msg], guardVarName(machine, c), o.val,
+					efsm.States[prev.target].Name, prev.actions, efsm.States[o.target].Name, o.actions)
+			}
 		}
 	}
 
-	// Turn each group's value->outcome map into interval-guarded
-	// transitions.
-	for _, es := range efsm.States {
-		if es.Final {
-			continue
+	// Each group's values in ascending order, the groups in label and then
+	// message order; each run of consecutive values with one outcome is a
+	// guarded transition. An outcome may legitimately recur in disjoint
+	// runs (e.g. a count that is simple both below and above its
+	// threshold); the runs are disjoint by construction, so determinism is
+	// preserved.
+	slices.SortFunc(outs, func(a, b outcome) int {
+		if a.group != b.group {
+			return cmp.Compare(a.group, b.group)
 		}
-		for _, msg := range machine.Messages {
-			byVal, ok := groups[groupKey{es.Name, msg}]
-			if !ok {
-				continue
-			}
-			trs, err := intervalTransitions(machine, abs, es.Name, msg, byVal, states)
-			if err != nil {
-				return nil, err
-			}
-			es.Transitions = append(es.Transitions, trs...)
+		return cmp.Compare(a.val, b.val)
+	})
+	var runs []outcome // the first outcome of each run, with hi its last value
+	var his []int
+	nActions := 0
+	for i := 0; i < len(outs); {
+		start := i
+		for i+1 < len(outs) && outs[i+1].group == outs[i].group &&
+			outs[i+1].val == outs[i].val+1 && outs[i+1].same(&outs[start]) {
+			i++
 		}
+		if !efsm.States[outs[start].group/int32(nm)].Final {
+			runs = append(runs, outs[start])
+			his = append(his, outs[i].val)
+			nActions += len(outs[start].actions)
+		}
+		i++
+	}
+	trs := make([]ETransition, len(runs))
+	ptrs := make([]*ETransition, len(runs))
+	actions := make([]string, 0, nActions)
+	for k, o := range runs {
+		msg := int(o.group) % nm
+		tr := &trs[k]
+		tr.Message = machine.Messages[msg]
+		tr.VarOps = varOps[msg]
+		if len(o.actions) > 0 {
+			actions = append(actions, o.actions...)
+			tr.Actions = actions[len(actions)-len(o.actions) : len(actions) : len(actions)]
+		}
+		tr.Target = efsm.States[o.target]
+		if c := guardComps[msg]; c >= 0 {
+			lo, hi := o.val, his[k]
+			tr.Guard = Guard{
+				Variable: machine.Components[c].Name(),
+				Min:      lo,
+				Max:      hi,
+				MinSym:   abs.Symbol(c, lo),
+				MaxSym:   abs.Symbol(c, hi),
+			}
+		}
+		ptrs[k] = tr
+	}
+	// A label's transitions are one run of ptrs.
+	for k := 0; k < len(runs); {
+		from := k
+		for k < len(runs) && runs[k].group/int32(nm) == runs[from].group/int32(nm) {
+			k++
+		}
+		efsm.States[runs[from].group/int32(nm)].Transitions = ptrs[from:k:k]
 	}
 
 	// Deterministic state order: start first, finish last, others by name.
-	sort.SliceStable(efsm.States, func(i, j int) bool {
-		si, sj := efsm.States[i], efsm.States[j]
+	less := func(si, sj *EState) bool {
 		switch {
 		case si == efsm.Start:
 			return sj != efsm.Start
@@ -302,8 +380,53 @@ func GeneralizeEFSM(machine *StateMachine, abs EFSMAbstraction) (*EFSM, error) {
 		default:
 			return si.Name < sj.Name
 		}
+	}
+	slices.SortStableFunc(efsm.States, func(si, sj *EState) int {
+		switch {
+		case less(si, sj):
+			return -1
+		case less(sj, si):
+			return 1
+		}
+		return 0
 	})
 	return efsm, nil
+}
+
+// largestValue returns the largest value component c holds in a state
+// that is not final, or -1 when one is negative or over limit.
+func largestValue(states []*State, c, limit int) int {
+	hi := 0
+	for _, s := range states {
+		if s.Final {
+			continue
+		}
+		v := s.Vector[c]
+		if v < 0 || v > limit {
+			return -1
+		}
+		hi = max(hi, v)
+	}
+	return hi
+}
+
+// outcome is what one concrete transition does, in the terms its EFSM
+// transition keeps: in its group (source label id × message index) and at
+// its guard value, the label id of its target and its actions.
+type outcome struct {
+	group   int32
+	target  int32
+	val     int
+	actions []string
+}
+
+// same reports whether two transitions have the same outcome: the same
+// target label and equal action lists. Equal lists of a generated machine
+// share one backing array, which decides most comparisons at once.
+func (o *outcome) same(p *outcome) bool {
+	a, b := o.actions, p.actions
+	return o.target == p.target && len(a) == len(b) &&
+		(len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b))
 }
 
 // GenerateEFSM generalises m from a generation of its own, which no cache
@@ -323,56 +446,6 @@ func guardVarName(machine *StateMachine, comp int) string {
 		return "(none)"
 	}
 	return machine.Components[comp].Name()
-}
-
-// intervalTransitions converts a guard-value→outcome map into contiguous
-// interval transitions, sorted by lower bound.
-func intervalTransitions(machine *StateMachine, abs EFSMAbstraction, label, msg string, byVal map[int]outcome, states map[string]*EState) ([]*ETransition, error) {
-	vals := make([]int, 0, len(byVal))
-	for v := range byVal {
-		vals = append(vals, v)
-	}
-	sort.Ints(vals)
-
-	guardComp := abs.GuardComponent(msg)
-	varOps := abs.VarOps(msg)
-
-	var trs []*ETransition
-	for i := 0; i < len(vals); {
-		start := i
-		out := byVal[vals[i]]
-		for i+1 < len(vals) &&
-			vals[i+1] == vals[i]+1 &&
-			byVal[vals[i+1]].targetLabel == out.targetLabel &&
-			byVal[vals[i+1]].actionsKey == out.actionsKey {
-			i++
-		}
-		lo, hi := vals[start], vals[i]
-		i++
-		// An outcome may legitimately recur in disjoint intervals (e.g. a
-		// count that is simple both below and above its threshold); each
-		// contiguous run becomes its own guarded transition, and the runs
-		// are disjoint by construction, so determinism is preserved.
-
-		guard := Guard{}
-		if guardComp >= 0 {
-			guard = Guard{
-				Variable: machine.Components[guardComp].Name(),
-				Min:      lo,
-				Max:      hi,
-				MinSym:   abs.Symbol(guardComp, lo),
-				MaxSym:   abs.Symbol(guardComp, hi),
-			}
-		}
-		trs = append(trs, &ETransition{
-			Message: msg,
-			Guard:   guard,
-			VarOps:  append([]VarOp(nil), varOps...),
-			Actions: append([]string(nil), out.actions...),
-			Target:  states[out.targetLabel],
-		})
-	}
-	return trs, nil
 }
 
 // EFSMInstance executes an EFSM: an abstract state plus concrete counter

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -214,6 +216,47 @@ func TestGeneralizeRejectsUnsoundAbstraction(t *testing.T) {
 	}
 }
 
+// splitListModel sends x,y on M from both of its states: as the single
+// action "x,y" from b=0, as "x" then "y" from b=1.
+type splitListModel struct{}
+
+func (splitListModel) Name() string                    { return "split-lists" }
+func (splitListModel) Parameter() int                  { return 1 }
+func (splitListModel) Components() []StateComponent    { return []StateComponent{NewBoolComponent("b")} }
+func (splitListModel) Messages() []string              { return []string{"M"} }
+func (splitListModel) Start() Vector                   { return Vector{0} }
+func (splitListModel) DescribeState(v Vector, t *Text) {}
+func (splitListModel) Apply(v Vector, _ int, eff *Effect) bool {
+	if v[0] == 0 {
+		eff.Target[0] = 1
+		eff.Actions = append(eff.Actions, "x,y")
+	} else {
+		eff.Actions = append(eff.Actions, "x", "y")
+	}
+	return true
+}
+
+// TestGeneralizeComparesActionListsExactly: two states under one label
+// whose action lists join to the same text but differ are an unsound
+// abstraction; joined with ",", ["x,y"] and ["x", "y"] were one outcome,
+// and the EFSM named an action one of the states never performs.
+func TestGeneralizeComparesActionListsExactly(t *testing.T) {
+	machine, err := Generate(context.Background(), splitListModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(machine.States) != 2 {
+		t.Fatalf("states = %v, want the two of them", machine.StateNames())
+	}
+	efsm, err := GeneralizeEFSM(machine, badAbstraction{})
+	if err == nil || !strings.Contains(err.Error(), "abstraction unsound") {
+		t.Fatalf("err = %v, want an unsound abstraction; EFSM: %+v", err, efsm)
+	}
+	if want := `(EVERYTHING,["x,y"]) and (EVERYTHING,["x" "y"])`; !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want the two outcomes told apart: %s", err, want)
+	}
+}
+
 func TestVarOpString(t *testing.T) {
 	tests := []struct {
 		op   VarOp
@@ -226,6 +269,59 @@ func TestVarOpString(t *testing.T) {
 	for _, tt := range tests {
 		if got := tt.op.String(); got != tt.want {
 			t.Errorf("String() = %q, want %q", got, tt.want)
+		}
+	}
+}
+
+// refGuardString is Guard.String as fmt wrote it, before the guard
+// appended itself.
+func refGuardString(g Guard) string {
+	if g.Unconditional() {
+		return "true"
+	}
+	lo, hi := g.MinSym, g.MaxSym
+	if lo == "" {
+		lo = strconv.Itoa(g.Min)
+	}
+	if hi == "" {
+		hi = strconv.Itoa(g.Max)
+	}
+	if lo == hi {
+		return fmt.Sprintf("%s == %s", g.Variable, lo)
+	}
+	return fmt.Sprintf("%s <= %s <= %s", lo, g.Variable, hi)
+}
+
+// TestGuardAndOpAppendMatchFmt: the appenders the EFSM writers use write
+// what fmt wrote, symbolic and literal bounds mixed included.
+func TestGuardAndOpAppendMatchFmt(t *testing.T) {
+	var guards []Guard
+	for _, min := range []int{-12, 0, 3} {
+		for _, max := range []int{-12, 3, 1 << 40} {
+			for _, minSym := range []string{"", "3", "t-1", "a very long symbol past twenty bytes"} {
+				for _, maxSym := range []string{"", "3", "t-1"} {
+					guards = append(guards, Guard{Variable: "v", Min: min, Max: max, MinSym: minSym, MaxSym: maxSym})
+				}
+			}
+		}
+	}
+	guards = append(guards, Guard{})
+	for _, g := range guards {
+		if got, want := string(g.Append([]byte("x"))), "x"+refGuardString(g); got != want {
+			t.Errorf("%+v: Append wrote %q, fmt %q", g, got, want)
+		}
+	}
+	for _, delta := range []int{-7, -1, 0, 1, 2, 1 << 40} {
+		op := VarOp{Variable: "n", Delta: delta}
+		want := fmt.Sprintf("%s += %d", op.Variable, op.Delta)
+		switch delta {
+		case 1:
+			want = "n++"
+		case -1:
+			want = "n--"
+		}
+		if got := op.String(); got != want {
+			t.Errorf("%+v: String = %q, fmt %q", op, got, want)
 		}
 	}
 }

@@ -115,6 +115,8 @@ func generate(ctx context.Context, m Model, opts []Option, sizeHint int) (*State
 	if err != nil {
 		return nil, err
 	}
+	ex.fit()
+	ex.notes = lineTable{} // the composed annotations are interned: release the index
 	// Every explored state is reachable, the finish state included.
 	machine, err := assemble(ctx, m, newGenConfig(opts), ex, nil, ex.hasFinish, 0)
 	if err != nil {
@@ -243,7 +245,7 @@ func assemble(ctx context.Context, m Model, cfg genConfig, ex *exploration, reac
 	if f.finish >= 0 {
 		named--
 	}
-	components := m.Components()
+	components := ex.components
 	crossSize, sizeErr := stateSpaceSize(components)
 
 	// Vectors compare lexicographically, which is the order of their
@@ -281,8 +283,13 @@ func assemble(ctx context.Context, m Model, cfg genConfig, ex *exploration, reac
 		rank[class[p]] = int32(k)
 	}
 
-	// Step 4. Every state name is a substring of one string.
-	var buf []byte
+	// Step 4. Every state name is a substring of one string, sized for
+	// names as long as the largest values make them.
+	width := len(components) - 1
+	for _, c := range components {
+		width += len(c.ValueName(c.Cardinality() - 1))
+	}
+	buf := make([]byte, 0, width*named)
 	nameBlock := make([]string, named)
 	ends := make([]int, named)
 	for p := range ends {
@@ -344,10 +351,15 @@ func assemble(ctx context.Context, m Model, cfg genConfig, ex *exploration, reac
 		}
 	}
 	transBlock := make([]Transition, transFirst[len(order)])
-	// State k's annotations are text.lines[lineFirst[k]:lineEnd[k]] until
-	// they are copied into one block.
+	// State k's annotations are text.seq[lineFirst[k]:lineEnd[k]] until
+	// they are laid out in one block.
 	var text Text
-	lineFirst, lineEnd := make([]int32, len(order)), make([]int32, len(order))
+	if cfg.describe {
+		text.seq = make([]int32, 0, 4*len(order))
+		text.reserve(min(len(order), 64))
+	}
+	lineSpans := make([]int32, 2*len(order))
+	lineFirst, lineEnd := lineSpans[:len(order)], lineSpans[len(order):]
 	// Representatives are built in position order, which reads the
 	// exploration's columns in order.
 	for p := int32(0); p < int32(named); p++ {
@@ -371,9 +383,10 @@ func assemble(ctx context.Context, m Model, cfg genConfig, ex *exploration, reac
 			s.MergedNames = nameBlock[p : p+1 : p+1]
 		}
 		if cfg.describe {
-			lineFirst[k] = int32(len(text.lines))
+			lineFirst[k] = int32(len(text.seq))
+			text.begin()
 			m.DescribeState(s.Vector, &text)
-			lineEnd[k] = int32(len(text.lines))
+			lineEnd[k] = int32(len(text.seq))
 		}
 		trans := transBlock[transFirst[k]:transFirst[k+1]]
 		s.Transitions = make(map[string]*Transition, len(trans))
@@ -400,17 +413,27 @@ func assemble(ctx context.Context, m Model, cfg genConfig, ex *exploration, reac
 		s.Transitions = map[string]*Transition{}
 		s.MergedNames = []string{FinishStateName}
 		machine.Finish = s
-		lineFirst[len(order)-1] = int32(len(text.lines))
+		lineFirst[len(order)-1] = int32(len(text.seq))
+		text.begin()
 		text.Line("The algorithm instance has completed.")
-		lineEnd[len(order)-1] = int32(len(text.lines))
+		lineEnd[len(order)-1] = int32(len(text.seq))
 	}
-	// Every state's lines are a sub-slice of one block.
-	block := append(make([]string, 0, len(text.lines)), text.lines...)
+	// Every state's lines are a sub-slice of one block, in state order,
+	// and the machine keeps their ids for its transition table.
+	block := make([]string, len(text.seq))
+	ids := make([]int32, len(text.seq))
+	off := 0
 	for k, s := range machine.States {
-		if from, to := lineFirst[k], lineEnd[k]; from < to {
-			s.Annotations = block[from:to:to]
+		n := copy(ids[off:], text.seq[lineFirst[k]:lineEnd[k]])
+		for j, id := range ids[off : off+n] {
+			block[off+j] = text.lines[id]
 		}
+		if n > 0 {
+			s.Annotations = block[off : off+n : off+n]
+		}
+		off += n
 	}
+	machine.lines, machine.lineIDs = slices.Clip(text.lines), ids
 	return machine, nil
 }
 

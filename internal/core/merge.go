@@ -123,6 +123,12 @@ func newRefinement(f *flatMachine) *refinement {
 		loc:     make([]int32, f.n),
 		next:    make([]int32, f.n),
 		classes: make([]classRange, 0, f.n),
+		// Sized for a round that moves a quarter of the states, so that
+		// the first rounds do not grow them a step at a time.
+		groups:  make([]group, 0, f.n/4+8),
+		touched: make([]int32, 0, f.n/4+8),
+		changed: make([]int32, 0, f.n/4+8),
+		parts:   make([]span, 0, 8),
 	}
 }
 

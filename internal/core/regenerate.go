@@ -138,6 +138,8 @@ func regenerate(ctx context.Context, old *StateMachine, m Model, delta ModelDelt
 		return full()
 	}
 	reach, finishReachable := reachableFrom(ex, int32(startID))
+	ex.fit()
+	ex.notes = lineTable{}
 
 	machine, err := assemble(ctx, m, newGenConfig(opts), ex, reach, finishReachable, startID)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -10,7 +11,9 @@ import (
 // message order, each with its message index and its target's position.
 // It is what renderers walk instead of probing State.Transitions once per
 // message and looking every target up in a map of their own; StateMachine
-// computes it once, on first use (see StateMachine.Table).
+// computes it once, on first use (see StateMachine.Table). It also holds
+// the machine's annotation lines, each distinct line once, and each
+// state's as ids into them (see LineIDs).
 type Table struct {
 	// Start and Finish are the positions of the start and finish states;
 	// -1 when the machine has none.
@@ -21,6 +24,13 @@ type Table struct {
 	edges []Edge
 	first []int32 // state i's edges are edges[first[i]:first[i+1]]
 	err   error
+
+	// lines holds each distinct annotation line once; state i's
+	// annotations are lines[id] for each id in
+	// lineIDs[lineFirst[i]:lineFirst[i+1]].
+	lines     []string
+	lineIDs   []int32
+	lineFirst []int32
 
 	states   []*State
 	messages []string
@@ -43,6 +53,7 @@ type Edge struct {
 type Sizes struct {
 	States, StateNames         int // states and the bytes of their names
 	Annotations, AnnotationLen int // state annotations and their bytes
+	Lines, LineLen             int // distinct annotation lines and their bytes
 	Merged, MergedNames        int // states that combine others, and the names they combine
 	MergedLen                  int // the bytes of those names
 	Edges                      int // transitions
@@ -55,6 +66,14 @@ type Sizes struct {
 // Out returns the transitions of the state at position i, in message
 // order.
 func (t *Table) Out(i int) []Edge { return t.edges[t.first[i]:t.first[i+1]] }
+
+// Lines returns the machine's distinct annotation lines, each once.
+func (t *Table) Lines() []string { return t.lines }
+
+// LineIDs returns the annotations of the state at position i as indexes
+// into Lines, in order: a writer frames each distinct line once and copies
+// the frame into every state that carries it.
+func (t *Table) LineIDs(i int) []int32 { return t.lineIDs[t.lineFirst[i]:t.lineFirst[i+1]] }
 
 // Edge returns the transition at position e of the table, counting every
 // state's edges in state order: the position Delivery.Next returns.
@@ -179,6 +198,10 @@ func (m *StateMachine) index() *Table {
 		n += len(s.Transitions)
 	}
 	t.edges = make([]Edge, 0, n)
+	t.lineFirst = make([]int32, len(m.States)+1)
+	// A generated machine brings its line ids: they hold while every
+	// state still carries the lines they name.
+	generated, nl := m.lineIDs != nil, 0
 	z := &t.Sizes
 	z.States = len(m.States)
 	for i, s := range m.States {
@@ -186,7 +209,12 @@ func (m *StateMachine) index() *Table {
 		z.Annotations += len(s.Annotations)
 		for _, a := range s.Annotations {
 			z.AnnotationLen += len(a)
+			if generated && (nl >= len(m.lineIDs) || m.lines[m.lineIDs[nl]] != a) {
+				generated = false
+			}
+			nl++
 		}
+		t.lineFirst[i+1] = int32(nl)
 		if len(s.MergedNames) > 1 {
 			z.Merged++
 			z.MergedNames += len(s.MergedNames)
@@ -217,5 +245,34 @@ func (m *StateMachine) index() *Table {
 		t.first[i+1] = int32(len(t.edges))
 	}
 	z.Edges = len(t.edges)
+	if generated && nl == len(m.lineIDs) {
+		t.lines, t.lineIDs = m.lines, m.lineIDs
+	} else {
+		t.lines, t.lineIDs = internLines(m.States, nl)
+	}
+	z.Lines = len(t.lines)
+	for _, line := range t.lines {
+		z.LineLen += len(line)
+	}
 	return t
+}
+
+// internLines numbers the distinct annotation lines of states, which
+// carry n in all, and returns them with each state's lines as ids, in
+// state order.
+func internLines(states []*State, n int) (lines []string, ids []int32) {
+	ids = make([]int32, 0, n)
+	index := make(map[string]int32)
+	for _, s := range states {
+		for _, a := range s.Annotations {
+			id, seen := index[a]
+			if !seen {
+				id = int32(len(lines))
+				index[a] = id
+				lines = append(lines, a)
+			}
+			ids = append(ids, id)
+		}
+	}
+	return slices.Clip(lines), ids
 }

@@ -31,16 +31,30 @@ func table(format string, m *core.StateMachine) (*core.Table, error) {
 	return t, nil
 }
 
-// frags holds one fragment per index — per message — built once per
-// render: fragment i is data[end[i]:end[i+1]]. A renderer backs it with
-// arrays in its own frame and appends to it there, so a machine with few
-// messages allocates nothing for it.
+// frags holds one fragment per index — per message, or per distinct
+// annotation line — built once per render: fragment i is
+// data[end[i]:end[i+1]]. For messages a renderer backs it with arrays in
+// its own frame and appends to it there, so a machine with few messages
+// allocates nothing for it.
 type frags struct {
 	data []byte
 	end  []int
 }
 
 func (f *frags) at(i int32) []byte { return f.data[f.end[i]:f.end[i+1]] }
+
+// lineFrags frames each of the table's distinct annotation lines once, in
+// the order of Table.Lines, so that a writer that gates or escapes a line
+// copies fragment id into every state whose Table.LineIDs name it; size is
+// about the bytes of the frames.
+func lineFrags(t *core.Table, size int, frame func(buf []byte, line string) []byte) frags {
+	f := frags{make([]byte, 0, size), make([]int, 1, len(t.Lines())+1)}
+	for _, line := range t.Lines() {
+		f.data = frame(f.data, line)
+		f.end = append(f.end, len(f.data))
+	}
+	return f
+}
 
 // appendJoined appends the items separated by sep.
 func appendJoined(buf []byte, items []string, sep string) []byte {

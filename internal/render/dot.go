@@ -1,6 +1,8 @@
 package render
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 
 	"asagen/internal/core"
@@ -73,23 +75,48 @@ func efsmDot(e *core.EFSM) []byte {
 	for _, s := range e.States {
 		buf = appendDotNode(buf, escapeDot(s.Name), s == e.Start, s.Final)
 	}
+	// One label head is made per message, and guards and updates are
+	// written into scratch to be escaped from there.
+	var data [256]byte
+	var end [17]int
+	heads := frags{data[:0], append(end[:0], 0)}
+	for _, msg := range e.Messages {
+		heads.data = appendDotLabelHead(heads.data, msg)
+		heads.end = append(heads.end, len(heads.data))
+	}
+	var text [128]byte
+	scratch := text[:0]
 	for _, s := range e.States {
+		from := escapeDot(s.Name)
 		for _, tr := range s.Transitions {
-			buf = appendDotEdgeHead(buf, escapeDot(s.Name), escapeDot(tr.Target.Name))
-			buf = appendDotLabelHead(buf, tr.Message)
+			buf = appendDotEdgeHead(buf, from, escapeDot(tr.Target.Name))
+			if m := slices.Index(e.Messages, tr.Message); m >= 0 {
+				buf = append(buf, heads.at(int32(m))...)
+			} else {
+				buf = appendDotLabelHead(buf, tr.Message)
+			}
 			if !tr.Guard.Unconditional() {
-				buf = append(buf, `\n`...)
-				buf = append(buf, escapeDot("["+tr.Guard.String()+"]")...)
+				scratch = append(tr.Guard.Append(append(scratch[:0], '[')), ']')
+				buf = appendDotText(append(buf, `\n`...), scratch)
 			}
 			for _, op := range tr.VarOps {
-				buf = append(buf, `\n`...)
-				buf = append(buf, escapeDot(op.String())...)
+				scratch = op.Append(scratch[:0])
+				buf = appendDotText(append(buf, `\n`...), scratch)
 			}
 			buf = appendDotLabels(buf, tr.Actions)
 			buf = appendDotEdgeEnd(buf, len(tr.Actions) > 0)
 		}
 	}
 	return append(buf, "}\n"...)
+}
+
+// appendDotText appends text escaped as escapeDot escapes it; text with
+// neither a backslash nor a quote is copied as it is.
+func appendDotText(buf, text []byte) []byte {
+	if bytes.IndexAny(text, `\"`) < 0 {
+		return append(buf, text...)
+	}
+	return append(buf, escapeDot(string(text))...)
 }
 
 // appendDotLabelHead writes a label's first line, the message received. "<-"

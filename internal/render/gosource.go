@@ -74,6 +74,10 @@ type goWriter struct {
 	consts  []string // by state position
 	methods map[string]string
 	names   GoNames
+	// notes are the annotation lines framed as comments, by line id, and
+	// noteErrs the gate's verdict on each; nil when it admits all of them.
+	notes    frags
+	noteErrs []error
 	// fault is the first slot the gate refused; nil when there is none.
 	fault error
 }
@@ -212,6 +216,29 @@ func (g *goWriter) ref(pos int) string {
 // head, as gofmt leaves it: trailing white space trimmed.
 func (g *goWriter) comment(buf []byte, head, text string) []byte {
 	g.fail(CommentText(text))
+	return appendComment(buf, head, text)
+}
+
+// frameNotes puts each distinct annotation line through the gate and
+// frames it as a state constant's comment, once per line: the trim cannot
+// reach past the slashes, so a frame is what comment writes in place.
+func (g *goWriter) frameNotes() {
+	for id, line := range g.table.Lines() {
+		if err := CommentText(line); err != nil {
+			if g.noteErrs == nil {
+				g.noteErrs = make([]error, len(g.table.Lines()))
+			}
+			g.noteErrs[id] = err
+		}
+	}
+	z := g.table.Sizes
+	g.notes = lineFrags(g.table, 5*z.Lines+z.LineLen, func(buf []byte, line string) []byte {
+		return appendComment(buf, "\t// ", line)
+	})
+}
+
+// appendComment writes a line comment as comment does, with no gate.
+func appendComment(buf []byte, head, text string) []byte {
 	buf = append(buf, head...)
 	buf = append(buf, text...)
 	if c := buf[len(buf)-1]; c == ' ' || '\t' <= c && c <= '\r' || c >= utf8.RuneSelf {
@@ -311,9 +338,13 @@ func componentList(m *core.StateMachine) string {
 // mean of the key sizes before it in the section.
 func (g *goWriter) emitStates(buf []byte, states []*core.State) []byte {
 	buf = append(buf, "// Machine states. The zero State is invalid.\nconst (\n\tStateInvalid State = iota\n"...)
-	for i, s := range states {
-		for _, line := range s.Annotations {
-			buf = g.comment(buf, "\t// ", line)
+	g.frameNotes()
+	for i := range states {
+		for _, id := range g.table.LineIDs(i) {
+			if g.noteErrs != nil {
+				g.fail(g.noteErrs[id])
+			}
+			buf = append(buf, g.notes.at(id)...)
 		}
 		buf = append(buf, '\t')
 		buf = append(buf, g.consts[i]...)
@@ -532,12 +563,23 @@ func stateConsts(states []*core.State, nameLen int) []string {
 	end := make([]int, len(states))
 	for i, s := range states {
 		b.WriteString("State_")
-		for _, r := range s.Name {
+		for j := 0; j < len(s.Name); {
+			if c := s.Name[j]; c < utf8.RuneSelf { // ASCII, what names mostly are
+				if 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' {
+					b.WriteByte(c)
+				} else {
+					b.WriteByte('_')
+				}
+				j++
+				continue
+			}
+			r, size := utf8.DecodeRuneInString(s.Name[j:])
 			if unicode.IsLetter(r) || unicode.IsDigit(r) {
 				b.WriteRune(r)
 			} else {
 				b.WriteByte('_')
 			}
+			j += size
 		}
 		end[i] = b.Len()
 	}

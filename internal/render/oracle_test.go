@@ -830,7 +830,31 @@ func oracleMachines(t testing.TB) map[string]*core.StateMachine {
 	empty.States[1].MergedNames = []string{"b", "", "c"}
 	out["empty-strings"] = empty
 	out["hostile"] = hostileMachine(byteTexts())
+	for i, line := range repeatedLines {
+		out[fmt.Sprintf("repeated/%d", i)] = repeatedLineMachine(line, repeatedLines[(i+3)%len(repeatedLines)])
+	}
 	return out
+}
+
+// repeatedLines are annotation lines a writer does more with than copy:
+// XML escaping, markdown care, or the Go gate's refusal or trim.
+var repeatedLines = []string{
+	`a & b < "c" > 'd'`, "bad\xffutf8", "\x01 control",
+	"a | b", "`code` and ``more``",
+	"trailing blanks \t ", "é and 日本語", "+build linux", "line\rbreak", "",
+}
+
+// repeatedLineMachine is four states that carry line again and again,
+// among other and a plain line: one distinct line recurs across states
+// and within one, and a writer that frames it once copies the frame into
+// each.
+func repeatedLineMachine(line, other string) *core.StateMachine {
+	m := handMachine("repeat", []string{"GO"}, []string{"a", "b", "c", "d"}, "a|GO|b", "b|GO|c|->x", "c|GO|d", "d|GO|a")
+	m.States[0].Annotations = []string{"plain", line}
+	m.States[1].Annotations = []string{line, other, line}
+	m.States[2].Annotations = []string{other}
+	m.States[3].Annotations = []string{line, "plain", other, line}
+	return m
 }
 
 // hostileMachine carries each text as a state name, an annotation, an
@@ -937,6 +961,65 @@ func TestRenderersMatchOracle(t *testing.T) {
 	}
 }
 
+// TestRepeatedLinesAreFramedOnce: where one annotation line recurs across
+// states, the frames still write the oracle's bytes, the Go gate still
+// refuses the first refused line in state order with the error it gave
+// when it read every line where it stood, and two machines rendered in
+// turn each read a line table of their own: each state's line ids name
+// its own annotations, and the table holds each distinct line once.
+func TestRepeatedLinesAreFramedOnce(t *testing.T) {
+	refusal := map[int]string{
+		1: `render: go source for repeat: comment text "bad\xffutf8" contains NUL, a byte order mark or invalid UTF-8`,
+		4: `render: go source for repeat: comment text "+build linux" would be a +build line`,
+		5: `render: go source for repeat: comment text "line\rbreak" contains a line break`,
+		7: `render: go source for repeat: comment text "+build linux" would be a +build line`,
+		8: `render: go source for repeat: comment text "line\rbreak" contains a line break`,
+	}
+	for i, line := range repeatedLines {
+		m := repeatedLineMachine(line, repeatedLines[(i+3)%len(repeatedLines)])
+		want, ok := refusal[i]
+		if !ok {
+			want = "<nil>"
+		}
+		if _, err := goSource(m, ""); fmt.Sprint(err) != want {
+			t.Errorf("%q: go source err = %v, want %s", line, err, want)
+		}
+	}
+	a := repeatedLineMachine(repeatedLines[0], repeatedLines[3])
+	b := repeatedLineMachine(repeatedLines[4], repeatedLines[6])
+	for _, format := range machineFormats {
+		for k, m := range []*core.StateMachine{a, b, a} {
+			got, err := framed(format, m, "")
+			want, wantErr := oracle(format, m, nil, "")
+			agree(t, fmt.Sprintf("%s, render %d in turn", format, k), got, want, err, wantErr)
+		}
+	}
+	for _, m := range []*core.StateMachine{a, b} {
+		table, err := m.Table()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var distinct []string
+		for i, s := range m.States {
+			ids := table.LineIDs(i)
+			if len(ids) != len(s.Annotations) {
+				t.Fatalf("state %s: %d line ids for %d annotations", s.Name, len(ids), len(s.Annotations))
+			}
+			for j, id := range ids {
+				if table.Lines()[id] != s.Annotations[j] {
+					t.Errorf("state %s line %d: id %d reads %q, want %q", s.Name, j, id, table.Lines()[id], s.Annotations[j])
+				}
+				if !slices.Contains(distinct, s.Annotations[j]) {
+					distinct = append(distinct, s.Annotations[j])
+				}
+			}
+		}
+		if got := slices.Sorted(slices.Values(table.Lines())); !slices.Equal(got, slices.Sorted(slices.Values(distinct))) {
+			t.Errorf("lines = %q, want each distinct annotation once: %q", table.Lines(), distinct)
+		}
+	}
+}
+
 // efsmAgree checks both EFSM formats against their piecewise writers.
 func efsmAgree(t testing.TB, name string, e *core.EFSM) {
 	t.Helper()
@@ -962,6 +1045,9 @@ func FuzzRenderersMatchOracle(f *testing.F) {
 	f.Add("`m|", "|a`", "``b", "GO|NOW", "x`y", "", "->a|b", "->x`y", uint8(1))
 	f.Add(`<m a="1">&amp;`, `"q"\n`, "t\tab", "<GO>", `A\B`, " ", `->"w"&`, "", uint8(2))
 	f.Add("bad\xffutf8", " ", "\r\n", "\x00", "é", " x ", "+build x", "\ufeff", uint8(3))
+	for _, line := range repeatedLines {
+		f.Add("m", "a", "b", "GO", "STOP", line, "->x", "+build y", uint8(4))
+	}
 	f.Fuzz(func(t *testing.T, model, state1, state2, msg1, msg2, note, act1, act2 string, flags uint8) {
 		if msg1 != msg2 && msg1 != "" && msg2 != "" {
 			doc := &XMLDiagram{Model: model, Parameter: int(flags), Messages: []string{msg1, msg2},
@@ -975,6 +1061,9 @@ func FuzzRenderersMatchOracle(f *testing.F) {
 				}}
 			if flags&2 != 0 {
 				doc.Edges = append(doc.Edges, XMLTransition{From: "s1", To: "s1", Message: msg1})
+			}
+			if flags&4 != 0 { // the note recurs across the states and within one
+				doc.States[1].Annotations = append(doc.States[1].Annotations, note, act2, note)
 			}
 			m := DiagramMachine(doc)
 			for _, format := range machineFormats {

@@ -123,11 +123,11 @@ func efsmText(e *core.EFSM) []byte {
 			buf = append(buf, tr.Message...)
 			if !tr.Guard.Unconditional() {
 				buf = append(buf, "\n\t\tguard: "...)
-				buf = append(buf, tr.Guard.String()...)
+				buf = tr.Guard.Append(buf)
 			}
 			for _, op := range tr.VarOps {
 				buf = append(buf, "\n\t\tupdate: "...)
-				buf = append(buf, op.String()...)
+				buf = op.Append(buf)
 			}
 			buf = append(buf, '\n')
 			buf = appendEdgeTail(buf, tr.Actions, tr.Target.Name)

@@ -15,10 +15,12 @@ import (
 // is the oracle the tests hold it to.
 
 // xmlWriter escapes text as encoding/xml does; the text that needs more
-// than copying goes through xml.EscapeText, from a scratch copy into out,
-// and is copied from there.
+// than copying goes through xml.EscapeText, from a scratch copy straight
+// into the buffer being written. The scratch starts in the writer itself,
+// so that short texts cost no allocation of their own.
 type xmlWriter struct {
 	scratch, out []byte
+	short        [256]byte
 }
 
 // Write lets xml.EscapeText append to out.
@@ -43,28 +45,30 @@ var xmlPlain = func() (plain [256]bool) {
 func (x *xmlWriter) text(buf []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if !xmlPlain[s[i]] {
+			if x.scratch == nil {
+				x.scratch = x.short[:0]
+			}
 			x.scratch = append(x.scratch[:0], s...)
-			x.out = x.out[:0]
+			x.out = buf
 			xml.EscapeText(x, x.scratch) // appending to a slice cannot fail
-			return append(buf, x.out...)
+			buf, x.out = x.out, nil
+			return buf
 		}
 	}
 	return append(buf, s...)
 }
 
-// xmlExtra returns how many bytes text adds to s in escaping it, and
-// whether s is plain, so that text copies it as it is. Escaping writes a
-// quote, an apostrophe, an ampersand or a control character as five bytes,
-// an angle bracket as four, and a byte of invalid UTF-8 as U+FFFD, three.
-// The count is exact for valid UTF-8 outside the control characters.
-func xmlExtra(s string) (extra int, plain bool) {
-	plain = true
+// xmlExtra returns how many bytes text adds to s in escaping it. Escaping
+// writes a quote, an apostrophe, an ampersand or a control character as
+// five bytes, an angle bracket as four, and a byte of invalid UTF-8 as
+// U+FFFD, three. The count is exact for valid UTF-8 outside the control
+// characters.
+func xmlExtra(s string) (extra int) {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if xmlPlain[c] {
 			continue
 		}
-		plain = false
 		switch {
 		case c == '<' || c == '>':
 			extra += 3
@@ -78,24 +82,18 @@ func xmlExtra(s string) (extra int, plain bool) {
 			i += size - 1
 		}
 	}
-	return extra, plain
+	return extra
 }
 
-// elements writes one element per non-empty text: open is the line
-// break, indentation and start tag before it, close its end tag. It
+// elements writes one element per non-empty text, escaped: open is the
+// line break, indentation and start tag before it, close its end tag. It
 // reports whether it wrote any, as omitempty on a []string field comes to.
-// Unless escape is set, the texts are known to need no escaping and are
-// copied as they are.
-func (x *xmlWriter) elements(buf []byte, texts []string, open, close string, escape bool) ([]byte, bool) {
+func (x *xmlWriter) elements(buf []byte, texts []string, open, close string) ([]byte, bool) {
 	wrote := false
 	for _, t := range texts {
 		if t != "" {
 			buf = append(buf, open...)
-			if escape {
-				buf = x.text(buf, t)
-			} else {
-				buf = append(buf, t...)
-			}
+			buf = x.text(buf, t)
 			buf = append(buf, close...)
 			wrote = true
 		}
@@ -131,32 +129,33 @@ func renderXML(m *core.StateMachine) ([]byte, error) {
 		msgs.data = append(msgs.data, '"')
 		msgs.end = append(msgs.end, len(msgs.data))
 	}
+	// Each distinct annotation line is escaped and framed as an element
+	// once; an empty one is no element.
+	z := t.Sizes
+	notes := lineFrags(t, 32*z.Lines+z.LineLen, func(buf []byte, line string) []byte {
+		if line == "" {
+			return buf
+		}
+		buf = append(buf, "\n      <annotation>"...)
+		buf = x.text(buf, line)
+		return append(buf, "</annotation>"...)
+	})
 	// The buffer's size is the bytes written below: the document's frame,
 	// then per message, state, annotation, edge and action its fixed text
 	// and slots, with what escaping adds and the ids' digits.
-	z := t.Sizes
 	size := 215 + len(m.ModelName) + intLen(m.Parameter) + 12*len(m.Messages) + len(msgs.data) +
-		40*z.States + z.StateNames + 32*z.Annotations + z.AnnotationLen +
-		45*z.Edges + 18*z.PhaseEdges + 24*z.Actions + z.ActionLen
-	extra, _ := xmlExtra(m.ModelName)
-	size += extra
-	// Annotations are most of the text; when all are plain they are
-	// copied without a second look.
-	notesPlain := true
+		40*z.States + z.StateNames +
+		45*z.Edges + 18*z.PhaseEdges + 24*z.Actions + z.ActionLen + xmlExtra(m.ModelName)
 	for i, s := range m.States {
 		out := t.Out(i)
-		extra, _ := xmlExtra(s.Name)
-		size += intLen(i)*(1+len(out)) + extra
-		for _, a := range s.Annotations {
-			extra, plain := xmlExtra(a)
-			size += extra
-			notesPlain = notesPlain && plain
+		size += intLen(i)*(1+len(out)) + xmlExtra(s.Name)
+		for _, id := range t.LineIDs(i) {
+			size += len(notes.at(id))
 		}
 		for _, e := range out {
 			size += intLen(int(e.To)) + len(msgs.at(e.Msg))
 			for _, a := range e.Actions {
-				extra, _ := xmlExtra(a)
-				size += extra
+				size += xmlExtra(a)
 			}
 		}
 	}
@@ -186,8 +185,12 @@ func renderXML(m *core.StateMachine) ([]byte, error) {
 			buf = append(buf, ` final="true"`...)
 		}
 		buf = append(buf, '>')
-		var annotated bool
-		buf, annotated = x.elements(buf, s.Annotations, "\n      <annotation>", "</annotation>", !notesPlain)
+		annotated := false
+		for _, id := range t.LineIDs(i) {
+			note := notes.at(id)
+			buf = append(buf, note...)
+			annotated = annotated || len(note) > 0
+		}
 		buf = appendEnd(buf, annotated, "\n    </state>")
 	}
 	buf = appendEnd(buf, len(m.States) > 0, "\n  </states>")
@@ -205,7 +208,7 @@ func renderXML(m *core.StateMachine) ([]byte, error) {
 				buf = append(buf, '>')
 			}
 			var acted bool
-			buf, acted = x.elements(buf, e.Actions, "\n      <action>", "</action>", true)
+			buf, acted = x.elements(buf, e.Actions, "\n      <action>", "</action>")
 			buf = appendEnd(buf, acted, "\n    </transition>")
 		}
 	}

@@ -493,8 +493,5 @@ func TestExpandAgreesWithReplaceAll(t *testing.T) {
 		if got := string(m.appendExpanded([]byte("head:"), text, v)); got != "head:"+want {
 			t.Errorf("%q: composed %q, ReplaceAll gives %q", text, got, want)
 		}
-		if got := m.expand(text, v); got != want {
-			t.Errorf("%q: expand gives %q, ReplaceAll %q", text, got, want)
-		}
 	}
 }

@@ -625,7 +625,8 @@ func (m *specModel) Start() core.Vector {
 //
 // The effect's action and annotation lists alias the compiled rule, which
 // never changes. Only a rule whose annotations name a component composes
-// annotations of its own.
+// annotations of its own, each interned by the generation, so that a
+// composed line recurring on many edges is one string.
 func (m *specModel) Apply(v core.Vector, msg int, eff *core.Effect) bool {
 	if msg < 0 || msg >= len(m.messages) {
 		return false
@@ -654,7 +655,11 @@ func (m *specModel) Apply(v core.Vector, msg int, eff *core.Effect) bool {
 		return true
 	}
 	for _, note := range r.annotations {
-		eff.Annotations = append(eff.Annotations, m.expand(note, s))
+		if strings.Contains(note, "{") {
+			eff.AnnotationBytes(m.appendExpanded(eff.Scratch(), note, s))
+		} else {
+			eff.Annotations = append(eff.Annotations, note)
+		}
 	}
 	return true
 }
@@ -738,16 +743,6 @@ func (m *specModel) namesComponent(text string) bool {
 		}
 	}
 	return false
-}
-
-// expand returns the filled text with the component placeholders
-// substituted by their values in state v, composed on the stack.
-func (m *specModel) expand(text string, v core.Vector) string {
-	if !strings.Contains(text, "{") {
-		return text
-	}
-	var buf [256]byte
-	return string(m.appendExpanded(buf[:0], text, v))
 }
 
 // appendExpanded appends the filled text to b with the component
