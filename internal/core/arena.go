@@ -157,7 +157,7 @@ type stringArena struct {
 // copy returns b as a string of its own. b may be reused afterwards.
 func (a *stringArena) copy(b []byte) string {
 	if a.chunk.Cap()-a.chunk.Len() < len(b) {
-		next := min(max(2*a.chunk.Cap(), 1<<10), 4<<10)
+		next := min(max(2*a.chunk.Cap(), 512), 4<<10)
 		a.chunk = strings.Builder{}
 		a.chunk.Grow(max(len(b), next))
 	}
@@ -198,7 +198,7 @@ type listTable struct {
 }
 
 func newListTable() *listTable {
-	return &listTable{lists: [][]string{nil}, ids: map[string]int32{"": 0}, buf: make([]byte, 0, 256)}
+	return &listTable{lists: [][]string{nil}, ids: map[string]int32{"": 0}}
 }
 
 // key encodes list as the length-prefixed concatenation of its strings.
@@ -256,9 +256,9 @@ type exploration struct {
 
 	// eff is what Apply writes into. Before every call it is reset to
 	// scratch: a target vector and empty lists the exploration owns, and
-	// the table of the annotations models compose.
+	// the annotations models compose, each copied once.
 	eff, scratch Effect
-	notes        lineTable
+	notes        interner
 	components   []StateComponent
 }
 
@@ -278,28 +278,10 @@ func newExploration(components []StateComponent, nmsg, sizeHint int) *exploratio
 	if sizeHint <= 0 {
 		sizeHint = 64
 	}
-	ex.reserve(sizeHint)
+	for i := range ex.cols {
+		ex.cols[i] = make([]effectCell, 0, sizeHint)
+	}
 	return ex
-}
-
-// reserve moves the columns into one block with room for n cells each, n
-// at least their length. Every column has the same length, and expanding
-// a state appends to all of them, so they fill up together and grow as
-// one block. A column never reaches into the next: its capacity ends
-// where the next begins.
-func (ex *exploration) reserve(n int) {
-	block := make([]effectCell, len(ex.cols)*n)
-	for i, col := range ex.cols {
-		ex.cols[i] = append(block[i*n:i*n:(i+1)*n], col...)
-	}
-}
-
-// fit leaves the columns with at most an eighth of their length to
-// spare, for an exploration a machine retains.
-func (ex *exploration) fit() {
-	if n := len(ex.cols[0]); cap(ex.cols[0])-n > n/8 {
-		ex.reserve(n)
-	}
 }
 
 // setScratch gives ex the buffers apply reuses.
@@ -324,8 +306,9 @@ func (ex *exploration) clone(components []StateComponent) *exploration {
 		hasFinish: ex.hasFinish,
 	}
 	out.setScratch(components)
-	copy(out.cols, ex.cols)
-	out.reserve(len(ex.cols[0]) + 64)
+	for i, col := range ex.cols {
+		out.cols[i] = append(make([]effectCell, 0, len(col)+64), col...)
+	}
 	return out
 }
 
@@ -359,9 +342,6 @@ func (ex *exploration) apply(m Model, messages []string, id, mi int) (effectCell
 // It must be called with id == len(cols[*]), i.e. states are expanded in id
 // order.
 func (ex *exploration) expandState(m Model, messages []string, id int) error {
-	if n := len(ex.cols[0]); n == cap(ex.cols[0]) {
-		ex.reserve(2 * n)
-	}
 	for mi := range messages {
 		cell, err := ex.apply(m, messages, id, mi)
 		if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -175,7 +174,9 @@ type EFSMAbstraction interface {
 // It works on positions and ids: each state's label is asked for once and
 // numbered, a transition's group is its source label and message, and its
 // outcome is its target's label and its action list, compared entry for
-// entry (a generated machine's equal lists share one backing array).
+// entry (a generated machine's equal lists share one backing array). The
+// transitions are sorted by group and guard value, so that each value's
+// outcomes and each group's runs of values are neighbours.
 func GeneralizeEFSM(machine *StateMachine, abs EFSMAbstraction) (*EFSM, error) {
 	table, err := machine.Table()
 	if err != nil {
@@ -239,69 +240,54 @@ func GeneralizeEFSM(machine *StateMachine, abs EFSMAbstraction) (*EFSM, error) {
 		return nil, fmt.Errorf("core: efsm: start state missing")
 	}
 
-	// For each group (label id × message index) and guard value, the first
-	// outcome seen, as its index in outs plus one; every later transition
-	// of that group and value must agree with it. A message's slots are a
-	// dense table by label id and guard value when the values its guard
-	// component holds are few enough, and a map otherwise.
-	type dense struct{ width, offset int } // width 0: the map
-	tables := make([]dense, nm)
-	total := 0
-	for m, c := range guardComps {
-		hi := 0
-		if c >= 0 {
-			hi = largestValue(machine.States, c, table.Sizes.Edges)
-		}
-		if hi >= 0 && len(efsm.States)*(hi+1) <= 4*table.Sizes.Edges+1024 {
-			tables[m] = dense{hi + 1, total}
-			total += len(efsm.States) * (hi + 1)
-		}
-	}
-	slots := make([]int32, total)
-	type slot struct {
-		group int32
-		val   int
-	}
-	var wide map[slot]*int32
-	slotOf := func(label, m int32, val int) *int32 {
-		if t := tables[m]; t.width > 0 {
-			return &slots[t.offset+int(label)*t.width+val]
-		}
-		key := slot{label*int32(nm) + m, val}
-		at := wide[key]
-		if at == nil {
-			if wide == nil {
-				wide = map[slot]*int32{}
-			}
-			at = new(int32)
-			wide[key] = at
-		}
-		return at
-	}
-	var outs []outcome
+	// One outcome per transition, in walk order (the table's), then
+	// ordered by group (label id × message index) and guard value: a
+	// value's outcomes are neighbours, the first walked first, and so are
+	// a group's runs of values.
+	outs := make([]outcome, 0, table.Sizes.Edges)
 	for i, s := range machine.States {
 		if s.Final {
 			continue
 		}
-		for _, e := range table.Out(i) {
-			c := guardComps[e.Msg]
-			o := outcome{group: labelOf[i]*int32(nm) + e.Msg, target: labelOf[e.To], actions: e.Actions}
-			if c >= 0 {
+		for j, e := range table.Out(i) {
+			o := outcome{group: labelOf[i]*int32(nm) + e.Msg, edge: table.first[i] + int32(j)}
+			if c := guardComps[e.Msg]; c >= 0 {
 				o.val = s.Vector[c]
 			}
-			at := slotOf(labelOf[i], e.Msg, o.val)
-			if *at == 0 {
-				outs = append(outs, o)
-				*at = int32(len(outs))
-				continue
-			}
-			if prev := &outs[*at-1]; !prev.same(&o) {
-				return nil, fmt.Errorf(
-					"core: efsm: abstraction unsound: state %s, message %s, %s=%d maps to both (%s,%q) and (%s,%q)",
-					efsm.States[labelOf[i]].Name, machine.Messages[e.Msg], guardVarName(machine, c), o.val,
-					efsm.States[prev.target].Name, prev.actions, efsm.States[o.target].Name, o.actions)
-			}
+			outs = append(outs, o)
 		}
+	}
+	outs = sortOutcomes(outs, len(efsm.States)*nm)
+	actionsOf := func(o *outcome) []string { return table.edges[o.edge].Actions }
+	targetOf := func(o *outcome) *EState { return efsm.States[labelOf[table.edges[o.edge].To]] }
+	// Two transitions have the same outcome when they have the same target
+	// label and equal action lists. Equal lists of a generated machine
+	// share one backing array, which decides most comparisons at once.
+	same := func(o, p *outcome) bool {
+		e, f := &table.edges[o.edge], &table.edges[p.edge]
+		a, b := e.Actions, f.Actions
+		return labelOf[e.To] == labelOf[f.To] && len(a) == len(b) &&
+			(len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b))
+	}
+
+	// Every transition of a group and value must have the outcome of the
+	// first one walked; the earliest in walk order that does not is the
+	// one reported.
+	var first, bad, was *outcome
+	for i := range outs {
+		o := &outs[i]
+		if first == nil || o.group != first.group || o.val != first.val {
+			first = o
+		} else if !same(o, first) && (bad == nil || o.edge < bad.edge) {
+			bad, was = o, first
+		}
+	}
+	if bad != nil {
+		msg := bad.group % int32(nm)
+		return nil, fmt.Errorf(
+			"core: efsm: abstraction unsound: state %s, message %s, %s=%d maps to both (%s,%q) and (%s,%q)",
+			efsm.States[bad.group/int32(nm)].Name, machine.Messages[msg], guardVarName(machine, guardComps[msg]), bad.val,
+			targetOf(was).Name, actionsOf(was), targetOf(bad).Name, actionsOf(bad))
 	}
 
 	// Each group's values in ascending order, the groups in label and then
@@ -310,27 +296,24 @@ func GeneralizeEFSM(machine *StateMachine, abs EFSMAbstraction) (*EFSM, error) {
 	// runs (e.g. a count that is simple both below and above its
 	// threshold); the runs are disjoint by construction, so determinism is
 	// preserved.
-	slices.SortFunc(outs, func(a, b outcome) int {
-		if a.group != b.group {
-			return cmp.Compare(a.group, b.group)
-		}
-		return cmp.Compare(a.val, b.val)
-	})
 	var runs []outcome // the first outcome of each run, with hi its last value
 	var his []int
 	nActions := 0
 	for i := 0; i < len(outs); {
-		start := i
-		for i+1 < len(outs) && outs[i+1].group == outs[i].group &&
-			outs[i+1].val == outs[i].val+1 && outs[i+1].same(&outs[start]) {
-			i++
+		start, hi := i, outs[i].val
+		for i++; i < len(outs) && outs[i].group == outs[start].group; i++ {
+			if v := outs[i].val; v != hi { // else the value's outcome again
+				if v != hi+1 || !same(&outs[i], &outs[start]) {
+					break
+				}
+				hi = v
+			}
 		}
 		if !efsm.States[outs[start].group/int32(nm)].Final {
 			runs = append(runs, outs[start])
-			his = append(his, outs[i].val)
-			nActions += len(outs[start].actions)
+			his = append(his, hi)
+			nActions += len(actionsOf(&outs[start]))
 		}
-		i++
 	}
 	trs := make([]ETransition, len(runs))
 	ptrs := make([]*ETransition, len(runs))
@@ -340,11 +323,11 @@ func GeneralizeEFSM(machine *StateMachine, abs EFSMAbstraction) (*EFSM, error) {
 		tr := &trs[k]
 		tr.Message = machine.Messages[msg]
 		tr.VarOps = varOps[msg]
-		if len(o.actions) > 0 {
-			actions = append(actions, o.actions...)
-			tr.Actions = actions[len(actions)-len(o.actions) : len(actions) : len(actions)]
+		if acts := actionsOf(&o); len(acts) > 0 {
+			actions = append(actions, acts...)
+			tr.Actions = actions[len(actions)-len(acts) : len(actions) : len(actions)]
 		}
-		tr.Target = efsm.States[o.target]
+		tr.Target = targetOf(&o)
 		if c := guardComps[msg]; c >= 0 {
 			lo, hi := o.val, his[k]
 			tr.Guard = Guard{
@@ -393,40 +376,58 @@ func GeneralizeEFSM(machine *StateMachine, abs EFSMAbstraction) (*EFSM, error) {
 	return efsm, nil
 }
 
-// largestValue returns the largest value component c holds in a state
-// that is not final, or -1 when one is negative or over limit.
-func largestValue(states []*State, c, limit int) int {
-	hi := 0
-	for _, s := range states {
-		if s.Final {
-			continue
-		}
-		v := s.Vector[c]
-		if v < 0 || v > limit {
-			return -1
-		}
-		hi = max(hi, v)
-	}
-	return hi
-}
-
-// outcome is what one concrete transition does, in the terms its EFSM
-// transition keeps: in its group (source label id × message index) and at
-// its guard value, the label id of its target and its actions.
+// outcome is one concrete transition, in the terms its EFSM transition
+// keeps: its group (source label id × message index), its guard value,
+// and its position in the table, which is also its place in the walk of
+// the machine's transitions and gives its target and actions.
 type outcome struct {
-	group   int32
-	target  int32
-	val     int
-	actions []string
+	group, edge int32
+	val         int
 }
 
-// same reports whether two transitions have the same outcome: the same
-// target label and equal action lists. Equal lists of a generated machine
-// share one backing array, which decides most comparisons at once.
-func (o *outcome) same(p *outcome) bool {
-	a, b := o.actions, p.actions
-	return o.target == p.target && len(a) == len(b) &&
-		(len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b))
+// sortOutcomes orders outs by group, of which there are ng, then by value,
+// keeping walk order among equals: radix sorts, stable, a byte of the
+// value at a time from the lowest and then the group. Most guard values
+// span under 256, so the value takes a pass or none.
+func sortOutcomes(outs []outcome, ng int) []outcome {
+	if len(outs) == 0 {
+		return outs
+	}
+	lo, hi := outs[0].val, outs[0].val
+	for _, o := range outs {
+		lo, hi = min(lo, o.val), max(hi, o.val)
+	}
+	span := uint64(hi) - uint64(lo)
+	tmp := make([]outcome, len(outs))
+	for shift := 0; shift < 64 && span>>shift != 0; shift += 8 {
+		digit := func(o *outcome) int { return int(byte((uint64(o.val) - uint64(lo)) >> shift)) }
+		var at [257]int32
+		for i := range outs {
+			at[digit(&outs[i])+1]++
+		}
+		for d := range 256 {
+			at[d+1] += at[d]
+		}
+		for i := range outs {
+			d := digit(&outs[i])
+			tmp[at[d]] = outs[i]
+			at[d]++
+		}
+		outs, tmp = tmp, outs
+	}
+	at := make([]int32, ng+1)
+	for i := range outs {
+		at[outs[i].group+1]++
+	}
+	for g := range ng {
+		at[g+1] += at[g]
+	}
+	for i := range outs {
+		g := outs[i].group
+		tmp[at[g]] = outs[i]
+		at[g]++
+	}
+	return tmp
 }
 
 // GenerateEFSM generalises m from a generation of its own, which no cache

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -246,10 +247,9 @@ func (guardAll) GuardComponent(string) int      { return 1 }
 func (guardAll) VarOps(string) []core.VarOp     { return nil }
 func (guardAll) Symbol(_ int, value int) string { return "" }
 
-// TestGeneralizeSparseGuardValues: guard values too large or negative for
-// a dense table by value — hand-built machines hold any — are grouped in
-// the map, as the reference groups them; so are values that recur with
-// another outcome.
+// TestGeneralizeSparseGuardValues: guard values far apart or negative —
+// hand-built machines hold any — are grouped as the reference groups them,
+// and so are values that recur with another outcome.
 func TestGeneralizeSparseGuardValues(t *testing.T) {
 	for name, values := range map[string][]int{
 		"large":    {0, 1 << 20, 1<<20 + 1, 1 << 40},
@@ -268,6 +268,31 @@ func TestGeneralizeSparseGuardValues(t *testing.T) {
 		}
 		m.Start = m.States[0]
 		generalizeAgrees(t, name, m, guardAll{})
+	}
+}
+
+// labelFirst labels a state by its component 0 and guards every message
+// on component 1.
+type labelFirst struct{ guardAll }
+
+func (labelFirst) StateLabel(v core.Vector) string { return fmt.Sprint("L", v[0]) }
+
+// TestGeneralizeReportsTheFirstClashWalked: of two groups that clash, the
+// one whose clash comes first in state order is reported, as the reference
+// reports it, although its label was numbered second.
+func TestGeneralizeReportsTheFirstClashWalked(t *testing.T) {
+	m := &core.StateMachine{ModelName: "clashes", Messages: []string{"M"},
+		Components: []core.StateComponent{core.NewIntComponent("l", 2), core.NewIntComponent("n", 8)}}
+	for i, label := range []int{0, 1, 1, 0} {
+		m.States = append(m.States, &core.State{Name: fmt.Sprint(i), Vector: core.Vector{label, 5}, Transitions: map[string]*core.Transition{}})
+	}
+	for i, s := range m.States {
+		s.Transitions["M"] = &core.Transition{Message: "M", Target: m.States[0], Actions: []string{fmt.Sprint("->", i)}}
+	}
+	m.Start = m.States[0]
+	generalizeAgrees(t, "clashes", m, labelFirst{})
+	if _, err := core.GeneralizeEFSM(m, labelFirst{}); err == nil || !strings.Contains(err.Error(), "state L1") {
+		t.Errorf("err = %v, want the clash of L1, walked first", err)
 	}
 }
 

@@ -115,8 +115,6 @@ func generate(ctx context.Context, m Model, opts []Option, sizeHint int) (*State
 	if err != nil {
 		return nil, err
 	}
-	ex.fit()
-	ex.notes = lineTable{} // the composed annotations are interned: release the index
 	// Every explored state is reachable, the finish state included.
 	machine, err := assemble(ctx, m, newGenConfig(opts), ex, nil, ex.hasFinish, 0)
 	if err != nil {
@@ -144,6 +142,7 @@ func explore(ctx context.Context, m Model, sizeHint int) (*exploration, error) {
 			return nil, err
 		}
 	}
+	ex.notes = interner{} // the composed annotations are copied: release the index
 	return ex, nil
 }
 
@@ -351,15 +350,13 @@ func assemble(ctx context.Context, m Model, cfg genConfig, ex *exploration, reac
 		}
 	}
 	transBlock := make([]Transition, transFirst[len(order)])
-	// State k's annotations are text.seq[lineFirst[k]:lineEnd[k]] until
-	// they are laid out in one block.
+	// State k's annotations are text.lines[lineFirst[k]:lineEnd[k]] until
+	// they are copied into one block.
 	var text Text
 	if cfg.describe {
-		text.seq = make([]int32, 0, 4*len(order))
-		text.reserve(min(len(order), 64))
+		text.lines = make([]string, 0, len(order))
 	}
-	lineSpans := make([]int32, 2*len(order))
-	lineFirst, lineEnd := lineSpans[:len(order)], lineSpans[len(order):]
+	lineFirst, lineEnd := make([]int32, len(order)), make([]int32, len(order))
 	// Representatives are built in position order, which reads the
 	// exploration's columns in order.
 	for p := int32(0); p < int32(named); p++ {
@@ -383,10 +380,9 @@ func assemble(ctx context.Context, m Model, cfg genConfig, ex *exploration, reac
 			s.MergedNames = nameBlock[p : p+1 : p+1]
 		}
 		if cfg.describe {
-			lineFirst[k] = int32(len(text.seq))
-			text.begin()
+			lineFirst[k] = int32(len(text.lines))
 			m.DescribeState(s.Vector, &text)
-			lineEnd[k] = int32(len(text.seq))
+			lineEnd[k] = int32(len(text.lines))
 		}
 		trans := transBlock[transFirst[k]:transFirst[k+1]]
 		s.Transitions = make(map[string]*Transition, len(trans))
@@ -413,27 +409,17 @@ func assemble(ctx context.Context, m Model, cfg genConfig, ex *exploration, reac
 		s.Transitions = map[string]*Transition{}
 		s.MergedNames = []string{FinishStateName}
 		machine.Finish = s
-		lineFirst[len(order)-1] = int32(len(text.seq))
-		text.begin()
+		lineFirst[len(order)-1] = int32(len(text.lines))
 		text.Line("The algorithm instance has completed.")
-		lineEnd[len(order)-1] = int32(len(text.seq))
+		lineEnd[len(order)-1] = int32(len(text.lines))
 	}
-	// Every state's lines are a sub-slice of one block, in state order,
-	// and the machine keeps their ids for its transition table.
-	block := make([]string, len(text.seq))
-	ids := make([]int32, len(text.seq))
-	off := 0
+	// Every state's lines are a sub-slice of one block.
+	block := append(make([]string, 0, len(text.lines)), text.lines...)
 	for k, s := range machine.States {
-		n := copy(ids[off:], text.seq[lineFirst[k]:lineEnd[k]])
-		for j, id := range ids[off : off+n] {
-			block[off+j] = text.lines[id]
+		if from, to := lineFirst[k], lineEnd[k]; from < to {
+			s.Annotations = block[from:to:to]
 		}
-		if n > 0 {
-			s.Annotations = block[off : off+n : off+n]
-		}
-		off += n
 	}
-	machine.lines, machine.lineIDs = slices.Clip(text.lines), ids
 	return machine, nil
 }
 

@@ -38,11 +38,6 @@ type StateMachine struct {
 	// Regenerate can patch it under a ModelDelta instead of re-exploring
 	// from scratch. Nil on GenerateEnumerated machines.
 	explored *exploration
-	// lines are the distinct annotation lines of a generated machine and
-	// lineIDs each state's, in state order, as ids into them: what its
-	// table takes while the states still carry them (see Table.LineIDs).
-	lines   []string
-	lineIDs []int32
 	// table is the transition table, once Table has computed it.
 	table atomic.Pointer[Table]
 }

@@ -19,9 +19,9 @@ type Effect struct {
 	// algorithm instance has completed and leaves the encoded state space.
 	Finished bool
 
-	// notes numbers the annotations AnnotationBytes adds; nil outside a
-	// generation.
-	notes *lineTable
+	// notes copies the annotations AnnotationBytes adds, each distinct one
+	// once; nil outside a generation.
+	notes *interner
 }
 
 // Scratch returns an empty buffer, reused across annotations, to compose
@@ -41,7 +41,7 @@ func (e *Effect) AnnotationBytes(b []byte) {
 		e.Annotations = append(e.Annotations, string(b))
 		return
 	}
-	e.Annotations = append(e.Annotations, e.notes.lines[e.notes.idBytes(b)])
+	e.Annotations = append(e.Annotations, e.notes.intern(b))
 }
 
 // Model is a problem-specific abstract model: it captures the structure
@@ -69,10 +69,10 @@ type Model interface {
 	// Messages(), in state v, and writes it into eff. eff arrives with
 	// Target a working copy of v that Apply changes in place, Actions and
 	// Annotations empty with room to append to, and Finished unset. Apply
-	// may instead point a field at storage of its own; an annotation it
-	// composes it may add through AnnotationBytes, which copies each
-	// distinct one once per generation. The caller copies
-	// what it keeps before its next call, and v must not be changed. The
+	// may instead point a field at storage of its own, and add an
+	// annotation it composes through AnnotationBytes, which copies each
+	// distinct one once per generation. The caller copies what it keeps
+	// before its next call, and v must not be changed. The
 	// result is false when the message is not applicable in v, in which
 	// case no transition is recorded (the paper's InvalidStateException
 	// path, Fig. 10) and eff is ignored.
@@ -84,30 +84,16 @@ type Model interface {
 }
 
 // Text is a member's table of state documentation lines, which
-// DescribeState adds to. Each distinct line is numbered once per
-// generation, and one composed through LineBytes is copied once; the lines
-// of all a member's states share one block, of which each state's
-// Annotations is a sub-slice, and the machine's transition table takes the
-// numbers (see Table.LineIDs).
+// DescribeState adds to. Each distinct line composed through LineBytes is
+// copied once per generation, and the lines of all a member's states share
+// one block, of which each state's Annotations is a sub-slice.
 type Text struct {
-	seq []int32 // the lines added, as ids
-	// start is where the current state's ids begin in seq, and above
-	// holds the previous state's: neighbouring states mostly carry the
-	// same line at the same place, so a line is compared with that one
-	// before it is looked up.
-	start int
-	above []int32
-	lineTable
+	lines []string
+	interner
 }
 
 // Line adds s to the state's lines.
-func (t *Text) Line(s string) {
-	id := t.aboveID()
-	if id < 0 || t.lines[id] != s {
-		id = t.id(s)
-	}
-	t.seq = append(t.seq, id)
-}
+func (t *Text) Line(s string) { t.lines = append(t.lines, s) }
 
 // Scratch returns an empty buffer, reused across lines, to compose a line
 // in before passing it to LineBytes.
@@ -115,73 +101,29 @@ func (t *Text) Scratch() []byte { return t.buf[:0] }
 
 // LineBytes adds the line b to the state's lines, copying it to a string
 // only the first time the generation sees it. b may be reused afterwards.
-func (t *Text) LineBytes(b []byte) {
-	id := t.aboveID()
-	if id < 0 || t.lines[id] != string(b) {
-		id = t.idBytes(b)
-	}
-	t.seq = append(t.seq, id)
-	t.buf = b[:0]
-}
+func (t *Text) LineBytes(b []byte) { t.lines = append(t.lines, t.intern(b)) }
 
-// begin starts the next state's lines.
-func (t *Text) begin() {
-	t.above, t.start = t.seq[t.start:], len(t.seq)
-}
-
-// aboveID returns the id of the line at the next place in the previous
-// state, or -1 when it has none.
-func (t *Text) aboveID() int32 {
-	if j := len(t.seq) - t.start; j < len(t.above) {
-		return t.above[j]
-	}
-	return -1
-}
-
-// lineTable numbers each distinct string it is given: lines[id] is the
-// string, kept as it is or, for a composed one, copied once into a string
-// arena. buf is scratch to compose in.
-type lineTable struct {
-	lines  []string
-	ids    map[string]int32
+// interner copies each distinct string composed in its buffer once, into
+// a string arena.
+type interner struct {
+	seen   map[string]string
 	buf    []byte
 	copies stringArena
 }
 
-// reserve makes room for n lines.
-func (t *lineTable) reserve(n int) {
-	t.ids = make(map[string]int32, n)
-	t.lines = make([]string, 0, n)
-}
-
-// id returns the number of s, a string the caller holds.
-func (t *lineTable) id(s string) int32 {
-	id, ok := t.ids[s]
+// intern returns b as a string, copied only the first time it is seen.
+// b becomes the buffer to compose the next string in.
+func (in *interner) intern(b []byte) string {
+	s, ok := in.seen[string(b)]
 	if !ok {
-		id = t.add(s)
+		if in.seen == nil {
+			in.seen = make(map[string]string, 64)
+		}
+		s = in.copies.copy(b)
+		in.seen[s] = s
 	}
-	return id
-}
-
-// idBytes returns the number of b, copying b the first time it is seen.
-// b becomes the scratch buffer.
-func (t *lineTable) idBytes(b []byte) int32 {
-	id, ok := t.ids[string(b)]
-	if !ok {
-		id = t.add(t.copies.copy(b))
-	}
-	t.buf = b[:0]
-	return id
-}
-
-func (t *lineTable) add(s string) int32 {
-	if t.ids == nil {
-		t.reserve(8)
-	}
-	id := int32(len(t.lines))
-	t.lines = append(t.lines, s)
-	t.ids[s] = id
-	return id
+	in.buf = b[:0]
+	return s
 }
 
 // Apply delivers the message named msg to state v of m outside a
@@ -204,14 +146,7 @@ func Apply(m Model, v Vector, msg string) (Effect, bool) {
 func Describe(m Model, v Vector) []string {
 	var t Text
 	m.DescribeState(v, &t)
-	if len(t.seq) == 0 {
-		return nil
-	}
-	lines := make([]string, len(t.seq))
-	for i, id := range t.seq {
-		lines[i] = t.lines[id]
-	}
-	return lines
+	return clipped(t.lines)
 }
 
 // clipped copies list with cap == len; nil when it is empty.

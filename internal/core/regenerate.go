@@ -138,8 +138,7 @@ func regenerate(ctx context.Context, old *StateMachine, m Model, delta ModelDelt
 		return full()
 	}
 	reach, finishReachable := reachableFrom(ex, int32(startID))
-	ex.fit()
-	ex.notes = lineTable{}
+	ex.notes = interner{}
 
 	machine, err := assemble(ctx, m, newGenConfig(opts), ex, reach, finishReachable, startID)
 	if err != nil {

@@ -199,9 +199,6 @@ func (m *StateMachine) index() *Table {
 	}
 	t.edges = make([]Edge, 0, n)
 	t.lineFirst = make([]int32, len(m.States)+1)
-	// A generated machine brings its line ids: they hold while every
-	// state still carries the lines they name.
-	generated, nl := m.lineIDs != nil, 0
 	z := &t.Sizes
 	z.States = len(m.States)
 	for i, s := range m.States {
@@ -209,12 +206,8 @@ func (m *StateMachine) index() *Table {
 		z.Annotations += len(s.Annotations)
 		for _, a := range s.Annotations {
 			z.AnnotationLen += len(a)
-			if generated && (nl >= len(m.lineIDs) || m.lines[m.lineIDs[nl]] != a) {
-				generated = false
-			}
-			nl++
 		}
-		t.lineFirst[i+1] = int32(nl)
+		t.lineFirst[i+1] = int32(z.Annotations)
 		if len(s.MergedNames) > 1 {
 			z.Merged++
 			z.MergedNames += len(s.MergedNames)
@@ -245,11 +238,7 @@ func (m *StateMachine) index() *Table {
 		t.first[i+1] = int32(len(t.edges))
 	}
 	z.Edges = len(t.edges)
-	if generated && nl == len(m.lineIDs) {
-		t.lines, t.lineIDs = m.lines, m.lineIDs
-	} else {
-		t.lines, t.lineIDs = internLines(m.States, nl)
-	}
+	t.lines, t.lineIDs = internLines(m.States, z.Annotations)
 	z.Lines = len(t.lines)
 	for _, line := range t.lines {
 		z.LineLen += len(line)
@@ -263,8 +252,17 @@ func (m *StateMachine) index() *Table {
 func internLines(states []*State, n int) (lines []string, ids []int32) {
 	ids = make([]int32, 0, n)
 	index := make(map[string]int32)
+	var above []int32 // the previous state's ids
 	for _, s := range states {
-		for _, a := range s.Annotations {
+		from := len(ids)
+		for j, a := range s.Annotations {
+			// Neighbouring states mostly carry the same line at the same
+			// place, and a generated machine's equal lines share their
+			// bytes, so that comparison is cheaper than a lookup.
+			if j < len(above) && lines[above[j]] == a {
+				ids = append(ids, above[j])
+				continue
+			}
 			id, seen := index[a]
 			if !seen {
 				id = int32(len(lines))
@@ -273,6 +271,7 @@ func internLines(states []*State, n int) (lines []string, ids []int32) {
 			}
 			ids = append(ids, id)
 		}
+		above = ids[from:]
 	}
 	return slices.Clip(lines), ids
 }
