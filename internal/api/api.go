@@ -308,22 +308,38 @@ func (h *Handler) handleModel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, modelInfoFor(e))
 }
 
+// specBufs recycles the buffers spec bodies are read into. Only a buffer
+// of at most maxSpecBytes + bytes.MinRead is put back: one grown for a body
+// without a Content-Length may be larger, and is left to the GC. Reuse is
+// safe because the compiled spec copies every string it keeps.
+var specBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // readSpec reads, decodes and compiles the model spec a POST or PUT
 // carries. The body is at most maxSpecBytes long and is read into one
-// buffer, sized from Content-Length when the request states it: what the
-// length claims decides what is allocated up front, never beyond the cap,
-// and what http.MaxBytesReader lets through decides what is read.
+// buffer borrowed from specBufs, grown from Content-Length when the request
+// states it: what the length claims decides what is allocated up front,
+// never beyond the cap, and what http.MaxBytesReader lets through decides
+// what is read.
 func readSpec(w http.ResponseWriter, r *http.Request) (*spec.Compiled, error) {
-	var body bytes.Buffer
+	pooled := specBufs.Get().(*[]byte)
+	body := bytes.NewBuffer((*pooled)[:0])
 	if n := min(r.ContentLength, maxSpecBytes); n > 0 {
 		// bytes.MinRead spare: ReadFrom grows a buffer with less room
 		// than that, even to learn that the body has ended.
 		body.Grow(int(n) + bytes.MinRead)
 	}
-	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxSpecBytes)); err != nil {
-		return nil, fmt.Errorf("read spec body: %w", err)
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	var compiled *spec.Compiled
+	if err != nil {
+		err = fmt.Errorf("read spec body: %w", err)
+	} else {
+		compiled, err = spec.ParseAndCompile(body.Bytes())
 	}
-	return spec.ParseAndCompile(body.Bytes())
+	if b := body.Bytes(); cap(b) <= maxSpecBytes+bytes.MinRead {
+		*pooled = b[:0]
+		specBufs.Put(pooled)
+	}
+	return compiled, err
 }
 
 // handleRegisterModel serves POST /v1/models: the body is a JSON model

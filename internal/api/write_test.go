@@ -341,6 +341,49 @@ func TestSpecBodyIsReadIntoOneBoundedBuffer(t *testing.T) {
 	}
 }
 
+// TestSpecBodyBufferIsNotKept: the buffer a spec body is read into goes
+// back to a pool when the write is answered, and the next write of a body
+// the same length reads into it. A registered model keeps nothing of it:
+// after a second POST of a document as long as the first but different in
+// every name, the first model's description and its text artefact are
+// what a server that never saw the second document serves.
+func TestSpecBodyBufferIsNotKept(t *testing.T) {
+	first := specJSON(t, countDoc("reuse-a"))
+	second := []byte(strings.NewReplacer("reuse-a", "reuse-b", "count", "tally", "STEP", "PUSH",
+		"RESET", "CLEAR", "synthetic", "SYNTHETIC").Replace(string(first)))
+	if len(second) != len(first) || bytes.Equal(second, first) {
+		t.Fatalf("the second document must differ from the first at the same length (%d, %d bytes)", len(second), len(first))
+	}
+	serve := func(h *Handler, method, path string, body []byte, want int) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		if rec.Code != want {
+			t.Fatalf("%s %s = %d %s, want %d", method, path, rec.Code, rec.Body, want)
+		}
+		return rec.Body.String()
+	}
+	newHandler := func() *Handler { return NewHandler(artifact.New(artifact.WithRegistry(models.Default().Clone()))) }
+
+	alone := newHandler()
+	serve(alone, http.MethodPost, "/v1/models", bytes.Clone(first), http.StatusCreated)
+	wantInfo := serve(alone, http.MethodGet, "/v1/models/reuse-a", nil, http.StatusOK)
+	wantText := serve(alone, http.MethodGet, "/v1/models/reuse-a/artifacts/text", nil, http.StatusOK)
+
+	h := newHandler()
+	serve(h, http.MethodPost, "/v1/models", first, http.StatusCreated)
+	serve(h, http.MethodPost, "/v1/models", second, http.StatusCreated)
+	if got := serve(h, http.MethodGet, "/v1/models/reuse-a", nil, http.StatusOK); got != wantInfo {
+		t.Errorf("GET /v1/models/reuse-a after a second POST:\n%s\nwant\n%s", got, wantInfo)
+	}
+	if got := serve(h, http.MethodGet, "/v1/models/reuse-a/artifacts/text", nil, http.StatusOK); got != wantText {
+		t.Errorf("text artefact of reuse-a after a second POST:\n%s\nwant\n%s", got, wantText)
+	}
+	if got := serve(h, http.MethodGet, "/v1/models/reuse-b", nil, http.StatusOK); !strings.Contains(got, "SYNTHETIC") {
+		t.Errorf("GET /v1/models/reuse-b = %s, want the second document's description", got)
+	}
+}
+
 // TestServerRegistryIsolation: registrations on one server are invisible
 // to a concurrently running server and to the process-wide default
 // registry.

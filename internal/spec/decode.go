@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
 )
@@ -17,16 +18,67 @@ import (
 // strict reading: an object names each key once and in its exact case, a
 // string is valid UTF-8, an integer has no fraction or exponent; null is an
 // absent value. The first error sticks and moves the cursor to the end.
+//
+// Every string of the Doc is a copy, so the text may be reused as soon as
+// Parse returns. A decoder is recycled between documents (decoders): its
+// scratch lists and its list of names keep their capacity for the next
+// document and are cleared in between; the slabs it carves the lists of
+// rules from belong to the document and are dropped.
 type decoder struct {
 	data  []byte
 	pos   int
 	err   error
-	buf   []byte            // the string being unescaped
-	names map[string]string // one copy of each name the document repeats
-	// Elements wait here until their array closes and its length is known.
+	space int    // white space skipped between tokens
+	buf   []byte // the string being unescaped
+	// One copy of each name the document repeats: found by a scan of
+	// names while there are at most smallVocab, through index after.
+	names []string
+	index map[string]string
+	// The lists a rule holds are carved from slabs: chunks allocated for
+	// this document, which the next one does not share.
 	conds []Cond
 	sets  []Assign
-	strs  []string
+	lines []string
+	// Elements of a list the document holds once wait here until the
+	// array closes and its length is known.
+	strs     []string
+	ints     []int
+	values   []Value
+	derived  []Derived
+	comps    []Component
+	rules    []Rule
+	describe []DescribeRule
+	labels   []LabelRule
+	guards   []GuardRule
+	ops      []VarOpRule
+	symbols  []SymbolRule
+}
+
+// smallVocab is how many names a document may have before they are hashed.
+const smallVocab = 32
+
+var decoders = sync.Pool{New: func() any { return new(decoder) }}
+
+// parse decodes data with a recycled decoder. Beside the Doc it returns the
+// length of data without the white space between tokens: the size of the
+// canonical form of a document that Compile fills no default into.
+func parse(data []byte) (Doc, int, error) {
+	d := decoders.Get().(*decoder)
+	d.data, d.pos, d.err, d.space = data, 0, nil, 0
+	var doc Doc
+	object(d, &doc, docFields)
+	if d.peek(); d.pos < len(data) {
+		d.fail(d.pos, "trailing data after document")
+	}
+	err, compact := d.err, len(data)-d.space
+	clear(d.names)
+	d.data, d.err, d.names, d.index = nil, nil, d.names[:0], nil
+	d.conds, d.sets, d.lines = nil, nil, nil
+	decoders.Put(d)
+	if err != nil {
+		return Doc{}, 0, fmt.Errorf("spec: parse: %w", err)
+	}
+	return doc, compact, nil
 }
 
 // fail records the first error, located by line and column.
@@ -49,12 +101,16 @@ func (d *decoder) at(i int) byte {
 
 // peek skips white space and returns the byte under the cursor.
 func (d *decoder) peek() byte {
-	rest := d.data[d.pos:]
-	for len(rest) > 0 && (rest[0] == ' ' || rest[0] == '\n' || rest[0] == '\t' || rest[0] == '\r') {
-		rest = rest[1:]
+	for i, c := range d.data[d.pos:] {
+		if c > ' ' || c != ' ' && c != '\n' && c != '\t' && c != '\r' {
+			d.space += i
+			d.pos += i
+			return c
+		}
 	}
-	d.pos = len(d.data) - len(rest)
-	return d.at(d.pos)
+	d.space += len(d.data) - d.pos
+	d.pos = len(d.data)
+	return 0
 }
 
 func (d *decoder) literal(word string) bool {
@@ -76,7 +132,8 @@ func (d *decoder) begin(c byte) bool {
 }
 
 // more steps to the next element of the array or object just begun, over
-// its comma, or over the closing byte: then there is no more.
+// its comma, or over the closing byte: then there is no more. The cursor is
+// left on the element.
 func (d *decoder) more(closing byte, first bool) bool {
 	switch c := d.peek(); {
 	case c == closing:
@@ -85,6 +142,7 @@ func (d *decoder) more(closing byte, first bool) bool {
 	case first:
 	case c == ',':
 		d.pos++
+		d.peek()
 	default:
 		d.fail(d.pos, "expected ',' or %q", closing)
 	}
@@ -99,25 +157,37 @@ type field[T any] struct {
 
 // object reads the object at the cursor into v. A key must be one of
 // fields as spelt there — another case is another key — and must not have
-// been used in this object before.
+// been used in this object before. A key is matched where it lies; only one
+// that names no field as written, an escape or a malformed one, is read as
+// text first.
 func object[T any](d *decoder, v *T, fields []field[T]) {
 	if !d.begin('{') {
 		return
 	}
 	var seen uint32
 	for first := true; d.more('}', first); first = false {
-		d.peek()
-		at := d.pos
-		name := d.text()
-		k := slices.IndexFunc(fields, func(f field[T]) bool { return f.name == string(name) })
+		at, k := d.pos, -1
+		if d.at(at) == '"' {
+			rest := d.data[at+1:]
+			for i := range fields {
+				if n := len(fields[i].name); n < len(rest) && rest[n] == '"' && string(rest[:n]) == fields[i].name {
+					k, d.pos = i, at+n+2
+					break
+				}
+			}
+		}
+		if k < 0 {
+			name := d.text()
+			if k = slices.IndexFunc(fields, func(f field[T]) bool { return f.name == string(name) }); k < 0 && d.err == nil {
+				d.fail(at, "unknown field %q", name)
+			}
+		}
 		switch {
 		case d.err != nil:
-		case k < 0:
-			d.fail(at, "unknown field %q", name)
 		case seen&(1<<k) != 0:
-			d.fail(at, "duplicate key %q", name)
+			d.fail(at, "duplicate key %q", fields[k].name)
 		case d.peek() != ':':
-			d.fail(d.pos, "expected ':' after key %q", name)
+			d.fail(d.pos, "expected ':' after key %q", fields[k].name)
 		default:
 			seen |= 1 << k
 			d.pos++
@@ -126,9 +196,10 @@ func object[T any](d *decoder, v *T, fields []field[T]) {
 	}
 }
 
-// list reads an array through scratch and returns it at its exact size:
-// nil for null, empty and not nil for []. An element is read where it lies
-// in scratch, so elem must not use that scratch: no list nests in its kind.
+// list reads an array through scratch, which the decoder keeps for the
+// next array of its kind, and returns it at its exact size: nil for null,
+// empty and not nil for []. An element is read where it lies in scratch,
+// so elem must not use that scratch: no list nests in its kind.
 func list[T any](d *decoder, scratch *[]T, elem func(*decoder, *T)) []T {
 	if !d.begin('[') {
 		return nil
@@ -139,8 +210,43 @@ func list[T any](d *decoder, scratch *[]T, elem func(*decoder, *T)) []T {
 		elem(d, &(*scratch)[len(*scratch)-1])
 	}
 	out := append(make([]T, 0, len(*scratch)-mark), (*scratch)[mark:]...)
+	clear((*scratch)[mark:])
 	*scratch = (*scratch)[:mark]
 	return out
+}
+
+// slabChunk is the most elements a slab chunk is allocated for, unless one
+// list needs more: 63 Conds and the 8-byte header the allocator gives a
+// block of pointers are 4 KiB, where 64 would take the next size class, a
+// fifth larger. Chunks start at 8 elements and double up to it, so a small
+// document is not given 4 KiB per kind.
+const slabChunk = 63
+
+// carve reads an array into slab, each element where it stays, and returns
+// the window of slab that holds it: nil for null, empty and not nil for [].
+// When the chunk runs out, the elements read so far move to a new one. elem
+// must not carve from the same slab: no list nests in its kind.
+func carve[T any](d *decoder, slab *[]T, elem func(*decoder, *T)) []T {
+	if !d.begin('[') {
+		return nil
+	}
+	s := *slab
+	from := len(s)
+	for first := true; d.more(']', first); first = false {
+		if len(s) == cap(s) {
+			n := len(s) - from
+			fresh := make([]T, n, max(2*n, min(max(2*cap(s), 8), slabChunk)))
+			copy(fresh, s[from:])
+			s, from = fresh, 0
+		}
+		s = s[:len(s)+1]
+		elem(d, &s[len(s)-1])
+	}
+	*slab = s
+	if len(s) == from {
+		return []T{}
+	}
+	return s[from:len(s):len(s)]
 }
 
 // objects reads an array of objects, each as object does.
@@ -158,6 +264,15 @@ func optional[T any](d *decoder, fields []field[T]) *T {
 	return v
 }
 
+// plain marks the bytes a string holds as they are, without a check: the
+// printable ASCII but '"' and '\\'.
+var plain = func() (p [256]bool) {
+	for b := ' '; b < utf8.RuneSelf; b++ {
+		p[b] = b != '"' && b != '\\'
+	}
+	return p
+}()
+
 // text returns the string at the cursor, unescaped: a slice of the
 // document while it holds no escape, d.buf from the first one on. Half a
 // surrogate pair, U+FFFD to encoding/json, is an escape like \q: an error.
@@ -165,7 +280,22 @@ func (d *decoder) text() []byte {
 	if !d.begin('"') {
 		return nil
 	}
-	start, escaped := d.pos, false
+	start := d.pos
+	i := start
+	for i < len(d.data) && plain[d.data[i]] {
+		i++
+	}
+	if d.at(i) == '"' {
+		d.pos = i + 1
+		return d.data[start:i]
+	}
+	return d.unescape(start)
+}
+
+// unescape reads the rest of a string that holds an escape, a byte outside
+// ASCII or a fault.
+func (d *decoder) unescape(start int) []byte {
+	escaped := false
 	for i := start; i < len(d.data); i++ {
 		switch c := d.data[i]; {
 		case c == '"':
@@ -215,29 +345,77 @@ func (d *decoder) hex4(i int) (rune, bool) {
 	if i+6 > len(d.data) || d.data[i] != '\\' || d.data[i+1] != 'u' {
 		return 0, false
 	}
-	n, err := strconv.ParseUint(string(d.data[i+2:i+6]), 16, 16)
-	return rune(n), err == nil
+	var r rune
+	for _, c := range d.data[i+2 : i+6] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return 0, false
+		}
+		r = r<<4 | rune(c)
+	}
+	return r, true
 }
 
 // name reads a string the document repeats — a component, an operator, a
 // message — and returns the one copy of it.
 func (d *decoder) name() string {
 	b := d.text()
-	s, ok := d.names[string(b)]
-	if !ok {
-		s = string(b)
-		d.names[s] = s
+	if d.index == nil {
+		for _, s := range d.names {
+			// The last bytes tell most names apart without a call.
+			if len(s) == len(b) && (len(b) == 0 || s[len(s)-1] == b[len(b)-1]) && s == string(b) {
+				return s
+			}
+		}
+	} else if s, ok := d.index[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if d.index != nil {
+		d.index[s] = s
+	} else if d.names = append(d.names, s); len(d.names) > smallVocab {
+		d.index = make(map[string]string, 2*len(d.names))
+		for _, n := range d.names {
+			d.index[n] = n
+		}
 	}
 	return s
 }
 
+// numeric holds the bytes an integer's text is taken to run over.
+const numeric = "+-.0123456789Ee"
+
 // int reads an integer written as strconv prints it: digits and a minus.
+// Up to nine digits without a leading zero are read as they are scanned;
+// anything else is held to strconv's reading of it.
 func (d *decoder) int() int {
-	if d.peek() == 'n' && d.literal("null") {
+	c := d.peek()
+	if c == 'n' && d.literal("null") {
 		return 0
 	}
 	start := d.pos
-	for strings.IndexByte("+-.0123456789Ee", d.at(d.pos)) >= 0 {
+	i := start
+	if c == '-' {
+		i++
+	}
+	n, digits := 0, i
+	for ; i < len(d.data) && i-digits < 9 && '0' <= d.data[i] && d.data[i] <= '9'; i++ {
+		n = n*10 + int(d.data[i]-'0')
+	}
+	if i > digits && (d.data[digits] != '0' || i == digits+1) && strings.IndexByte(numeric, d.at(i)) < 0 {
+		d.pos = i
+		if c == '-' {
+			return -n
+		}
+		return n
+	}
+	for strings.IndexByte(numeric, d.at(d.pos)) >= 0 {
 		d.pos++
 	}
 	num := d.data[start:d.pos]
@@ -262,7 +440,11 @@ func (d *decoder) bool() bool {
 // The schema: the keys of each struct of a Doc, and what reads each.
 
 func (d *decoder) texts() []string {
-	return list(d, &d.strs, func(d *decoder, s *string) { *s = string(d.text()) })
+	return carve(d, &d.lines, func(d *decoder, s *string) { *s = string(d.text()) })
+}
+
+func (d *decoder) when() []Cond {
+	return carve(d, &d.conds, func(d *decoder, c *Cond) { object(d, c, condFields) })
 }
 
 var docFields = []field[Doc]{
@@ -273,18 +455,18 @@ var docFields = []field[Doc]{
 	{"default_param", func(d *decoder, v *Doc) { v.DefaultParam = d.int() }},
 	{"min_param", func(d *decoder, v *Doc) { v.MinParam = d.int() }},
 	{"sweep_params", func(d *decoder, v *Doc) {
-		v.SweepParams = list(d, new([]int), func(d *decoder, n *int) { *n = d.int() })
+		v.SweepParams = list(d, &d.ints, func(d *decoder, n *int) { *n = d.int() })
 	}},
 	{"vocabulary", func(d *decoder, v *Doc) { v.Vocabulary = string(d.text()) }},
-	{"derived", func(d *decoder, v *Doc) { v.Derived = objects(d, new([]Derived), derivedFields) }},
+	{"derived", func(d *decoder, v *Doc) { v.Derived = objects(d, &d.derived, derivedFields) }},
 	{"fault_tolerance", func(d *decoder, v *Doc) { v.FaultTolerance = optional(d, valueFields) }},
-	{"components", func(d *decoder, v *Doc) { v.Components = objects(d, new([]Component), componentFields) }},
+	{"components", func(d *decoder, v *Doc) { v.Components = objects(d, &d.comps, componentFields) }},
 	{"messages", func(d *decoder, v *Doc) {
 		v.Messages = list(d, &d.strs, func(d *decoder, s *string) { *s = d.name() })
 	}},
-	{"start", func(d *decoder, v *Doc) { v.Start = objects(d, new([]Value), valueFields) }},
-	{"rules", func(d *decoder, v *Doc) { v.Rules = objects(d, new([]Rule), ruleFields) }},
-	{"describe", func(d *decoder, v *Doc) { v.Describe = objects(d, new([]DescribeRule), describeFields) }},
+	{"start", func(d *decoder, v *Doc) { v.Start = objects(d, &d.values, valueFields) }},
+	{"rules", func(d *decoder, v *Doc) { v.Rules = objects(d, &d.rules, ruleFields) }},
+	{"describe", func(d *decoder, v *Doc) { v.Describe = objects(d, &d.describe, describeFields) }},
 	{"abstraction", func(d *decoder, v *Doc) { v.Abstraction = optional(d, abstractionFields) }},
 }
 
@@ -321,20 +503,22 @@ var assignFields = []field[Assign]{
 
 var ruleFields = []field[Rule]{
 	{"message", func(d *decoder, v *Rule) { v.Message = d.name() }},
-	{"when", func(d *decoder, v *Rule) { v.When = objects(d, &d.conds, condFields) }},
-	{"set", func(d *decoder, v *Rule) { v.Set = objects(d, &d.sets, assignFields) }},
+	{"when", func(d *decoder, v *Rule) { v.When = d.when() }},
+	{"set", func(d *decoder, v *Rule) {
+		v.Set = carve(d, &d.sets, func(d *decoder, a *Assign) { object(d, a, assignFields) })
+	}},
 	{"actions", func(d *decoder, v *Rule) { v.Actions = d.texts() }},
 	{"annotations", func(d *decoder, v *Rule) { v.Annotations = d.texts() }},
 	{"finish", func(d *decoder, v *Rule) { v.Finish = d.bool() }},
 }
 
 var describeFields = []field[DescribeRule]{
-	{"when", func(d *decoder, v *DescribeRule) { v.When = objects(d, &d.conds, condFields) }},
+	{"when", func(d *decoder, v *DescribeRule) { v.When = d.when() }},
 	{"text", func(d *decoder, v *DescribeRule) { v.Text = string(d.text()) }},
 }
 
 var labelFields = []field[LabelRule]{
-	{"when", func(d *decoder, v *LabelRule) { v.When = objects(d, &d.conds, condFields) }},
+	{"when", func(d *decoder, v *LabelRule) { v.When = d.when() }},
 	{"label", func(d *decoder, v *LabelRule) { v.Label = string(d.text()) }},
 }
 
@@ -355,8 +539,8 @@ var symbolFields = []field[SymbolRule]{
 }
 
 var abstractionFields = []field[Abstraction]{
-	{"labels", func(d *decoder, v *Abstraction) { v.Labels = objects(d, new([]LabelRule), labelFields) }},
-	{"guards", func(d *decoder, v *Abstraction) { v.Guards = objects(d, new([]GuardRule), guardFields) }},
-	{"ops", func(d *decoder, v *Abstraction) { v.Ops = objects(d, new([]VarOpRule), varOpFields) }},
-	{"symbols", func(d *decoder, v *Abstraction) { v.Symbols = objects(d, new([]SymbolRule), symbolFields) }},
+	{"labels", func(d *decoder, v *Abstraction) { v.Labels = objects(d, &d.labels, labelFields) }},
+	{"guards", func(d *decoder, v *Abstraction) { v.Guards = objects(d, &d.guards, guardFields) }},
+	{"ops", func(d *decoder, v *Abstraction) { v.Ops = objects(d, &d.ops, varOpFields) }},
+	{"symbols", func(d *decoder, v *Abstraction) { v.Symbols = objects(d, &d.symbols, symbolFields) }},
 }

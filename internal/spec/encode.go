@@ -16,13 +16,19 @@ import (
 
 // canonBufs pools the buffers canonical encodes into. A buffer that grew
 // past maxPooledCanon is left to the collector rather than kept.
-var canonBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
+var canonBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledCanon = 1 << 20
 
-// canonical returns the canonical form of d.
-func canonical(d *Doc) string {
+// canonical returns the canonical form of d, encoded into a pooled buffer
+// of at least size bytes, and of 4 KiB when size foresees nothing. A buffer
+// that falls short is replaced once at that size rather than grown from
+// what the pool held.
+func canonical(d *Doc, size int) string {
 	bp := canonBufs.Get().(*[]byte)
+	if size = max(size, 4<<10); cap(*bp) < size {
+		*bp = make([]byte, 0, size)
+	}
 	buf := appendDoc((*bp)[:0], d)
 	out := string(buf)
 	if cap(buf) <= maxPooledCanon {

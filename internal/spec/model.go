@@ -50,8 +50,10 @@ type guard struct {
 	val Value
 }
 
-// newCompiled indexes a validated document. Compile is the only caller.
-func newCompiled(d Doc) *Compiled {
+// newCompiled indexes a validated document whose canonical form is
+// foreseen to take canonSize bytes (0: not foreseen). compile is the only
+// caller.
+func newCompiled(d Doc, canonSize int) *Compiled {
 	c := &Compiled{
 		doc:          d,
 		compIdx:      make(map[string]int, len(d.Components)),
@@ -124,7 +126,7 @@ func newCompiled(d Doc) *Compiled {
 
 	// The canonical JSON of the whole document is deterministic (struct
 	// field order) and covers every behaviour-bearing field.
-	c.extra = []string{"asagen/spec/v1", canonical(&d)}
+	c.extra = []string{"asagen/spec/v1", canonical(&d, canonSize)}
 	return c
 }
 

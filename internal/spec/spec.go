@@ -313,18 +313,11 @@ func (e *Error) Error() string {
 }
 
 // Parse decodes a JSON document strictly (see decoder): a misspelt, repeated
-// or case-folded key is an error, not missing or merged semantics.
+// or case-folded key is an error, not missing or merged semantics. The Doc
+// holds copies of its strings, so data may be reused once Parse returns.
 func Parse(data []byte) (Doc, error) {
-	d := decoder{data: data, names: map[string]string{}}
-	var doc Doc
-	object(&d, &doc, docFields)
-	if d.peek(); d.pos < len(data) {
-		d.fail(d.pos, "trailing data after document")
-	}
-	if d.err != nil {
-		return Doc{}, fmt.Errorf("spec: parse: %w", d.err)
-	}
-	return doc, nil
+	doc, _, err := parse(data)
+	return doc, err
 }
 
 // loc is a diagnostic's path — a format and the indices it takes — not
@@ -392,7 +385,12 @@ func isName(s string) bool {
 
 // Compile validates the document and returns the executable compiled form.
 // All problems are reported together through *Error.
-func Compile(d Doc) (*Compiled, error) {
+func Compile(d Doc) (*Compiled, error) { return compile(d, 0) }
+
+// compile is Compile with the size of the canonical form foreseen: the
+// compact length of the text d was parsed from, which is that size exactly
+// when the text is a compiled document's wire form.
+func compile(d Doc, canonSize int) (*Compiled, error) {
 	var diag diags
 
 	if !isName(d.Name) {
@@ -542,7 +540,9 @@ func Compile(d Doc) (*Compiled, error) {
 			if !validOps[c.Op] {
 				diag.add(loc{list + "[%d].when[%d].op", i, j}, "unknown operator %q", c.Op)
 			}
-			diag.value(loc{list + "[%d].when[%d].value", i, j}, c.Value, derived)
+			if c.Value.Derived != "" { // the only value diag.value refuses
+				diag.value(loc{list + "[%d].when[%d].value", i, j}, c.Value, derived)
+			}
 		}
 	}
 
@@ -646,14 +646,15 @@ func Compile(d Doc) (*Compiled, error) {
 	if len(diag.list) > 0 {
 		return nil, &Error{Name: d.Name, Diagnostics: diag.list}
 	}
-	return newCompiled(d), nil
+	return newCompiled(d, canonSize), nil
 }
 
-// ParseAndCompile decodes and compiles a JSON document in one step.
+// ParseAndCompile decodes and compiles a JSON document in one step. Like
+// Parse, it keeps nothing of data.
 func ParseAndCompile(data []byte) (*Compiled, error) {
-	d, err := Parse(data)
+	d, compact, err := parse(data)
 	if err != nil {
 		return nil, err
 	}
-	return Compile(d)
+	return compile(d, compact)
 }
