@@ -13,7 +13,7 @@ func RefinementsAgree(m Model, enumerated bool) error {
 		}
 		return refinementsAgree(ex, nil, ex.hasFinish)
 	}
-	ex, err := explore(context.Background(), m, 0)
+	ex, err := explore(context.Background(), m)
 	if err != nil {
 		return err
 	}
@@ -24,7 +24,7 @@ func RefinementsAgree(m Model, enumerated bool) error {
 // signatures step 4's refinement computes over all its rounds, with the
 // number of states it refines.
 func RefineSignatures(m Model) (signed, states int, err error) {
-	ex, err := explore(context.Background(), m, 0)
+	ex, err := explore(context.Background(), m)
 	if err != nil {
 		return 0, 0, err
 	}

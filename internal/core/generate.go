@@ -100,18 +100,10 @@ func declared(m Model) ([]StateComponent, []string, Vector, error) {
 // long-running generation for a large parameter value aborts promptly with
 // ctx.Err(). A nil ctx is treated as context.Background().
 func Generate(ctx context.Context, m Model, opts ...Option) (*StateMachine, error) {
-	return generate(ctx, m, opts, 0)
-}
-
-// generate is Generate with the exploration's interning arena pre-sized
-// for about sizeHint reachable states (non-positive: a small default), so
-// a caller that knows the family member's size spares the exploration its
-// hash-table growth.
-func generate(ctx context.Context, m Model, opts []Option, sizeHint int) (*StateMachine, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ex, err := explore(ctx, m, sizeHint)
+	ex, err := explore(ctx, m)
 	if err != nil {
 		return nil, err
 	}
@@ -127,12 +119,12 @@ func generate(ctx context.Context, m Model, opts []Option, sizeHint int) (*State
 
 // explore runs the frontier exploration of Generate: the start vector is
 // id 0, and every explored id is reachable.
-func explore(ctx context.Context, m Model, sizeHint int) (*exploration, error) {
+func explore(ctx context.Context, m Model) (*exploration, error) {
 	components, messages, start, err := declared(m)
 	if err != nil {
 		return nil, err
 	}
-	ex := newExploration(components, len(messages), sizeHint)
+	ex := newExploration(components, len(messages), 0)
 	ex.arena.intern(start)
 	for id := 0; id < ex.arena.n; id++ {
 		if err := ctx.Err(); err != nil {
@@ -350,8 +342,7 @@ func assemble(ctx context.Context, m Model, cfg genConfig, ex *exploration, reac
 		}
 	}
 	transBlock := make([]Transition, transFirst[len(order)])
-	// State k's annotations are text.lines[lineFirst[k]:lineEnd[k]] until
-	// they are copied into one block.
+	// State k's annotations are text.lines[lineFirst[k]:lineEnd[k]].
 	var text Text
 	if cfg.describe {
 		text.lines = make([]string, 0, len(order))
@@ -413,11 +404,9 @@ func assemble(ctx context.Context, m Model, cfg genConfig, ex *exploration, reac
 		text.Line("The algorithm instance has completed.")
 		lineEnd[len(order)-1] = int32(len(text.lines))
 	}
-	// Every state's lines are a sub-slice of one block.
-	block := append(make([]string, 0, len(text.lines)), text.lines...)
 	for k, s := range machine.States {
 		if from, to := lineFirst[k], lineEnd[k]; from < to {
-			s.Annotations = block[from:to:to]
+			s.Annotations = text.lines[from:to:to]
 		}
 	}
 	return machine, nil

@@ -85,8 +85,9 @@ type Model interface {
 
 // Text is a member's table of state documentation lines, which
 // DescribeState adds to. Each distinct line composed through LineBytes is
-// copied once per generation, and the lines of all a member's states share
-// one block, of which each state's Annotations is a sub-slice.
+// copied once per generation, and each state's Annotations is a sub-slice,
+// with cap == len, of the one slice the lines of all a member's states are
+// appended to.
 type Text struct {
 	lines []string
 	interner

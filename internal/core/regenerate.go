@@ -55,14 +55,9 @@ func regenerate(ctx context.Context, old *StateMachine, m Model, delta ModelDelt
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// full is the fallback: a generation from scratch, its arena sized from
-	// the old machine when there is one.
+	// full is the fallback: a generation from scratch.
 	full := func() (*StateMachine, bool, error) {
-		sizeHint := 0
-		if old != nil {
-			sizeHint = old.Stats.ReachableStates
-		}
-		machine, err := generate(ctx, m, opts, sizeHint)
+		machine, err := Generate(ctx, m, opts...)
 		return machine, false, err
 	}
 	if old == nil || old.explored == nil || delta.Full {
