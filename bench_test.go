@@ -27,6 +27,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	goruntime "runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strconv"
@@ -247,11 +249,16 @@ func BenchmarkRenderGoSource(b *testing.B) {
 // the copying of each state's commentary, and a code span per name.
 func BenchmarkRenderDoc(b *testing.B) { benchRender(b, machineFormat(b, "doc")) }
 
+// sweepGCBytes is how many artefact bytes BenchmarkRenderSweep writes
+// between two collections, several sweeps of the largest format (xml, 8.9
+// MB/op): the heap holds about this much garbage at most.
+const sweepGCBytes = 64 << 20
+
 // BenchmarkRenderSweep is the render share of a cold-sweep lap, one format
 // per sub-benchmark (E18): every registry model at every sweep parameter
 // (26 machines, and the EFSM each generalises to), generated before the
-// timer starts, rendered with no hashing. An op is the whole sweep; MB/s
-// is artefact bytes written.
+// timer starts, rendered with no hashing and no garbage collection. An op
+// is the whole sweep; MB/s is artefact bytes written.
 func BenchmarkRenderSweep(b *testing.B) {
 	type member struct {
 		machine *core.StateMachine
@@ -299,10 +306,24 @@ func BenchmarkRenderSweep(b *testing.B) {
 				}
 				renderOne = func(m member) (render.Artifact, error) { return r.Render(m.machine) }
 			}
+			// The sweep keeps 26 machines and their EFSMs live, so a
+			// collection mid-op would time their marking, not the writers.
+			// None runs during an op; between ops, with the timer stopped,
+			// one runs once the ops since the last have written sweepGCBytes
+			// (one per op took 54 s of wall clock for a 1 s efsm run on a
+			// 2-core VM).
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			b.ReportAllocs()
 			b.ResetTimer()
 			var written int64
+			pending := int64(sweepGCBytes)
 			for i := 0; i < b.N; i++ {
+				if pending >= sweepGCBytes {
+					b.StopTimer()
+					goruntime.GC()
+					b.StartTimer()
+					pending = 0
+				}
 				written = 0
 				for _, m := range sweep {
 					art, err := renderOne(m)
@@ -311,6 +332,7 @@ func BenchmarkRenderSweep(b *testing.B) {
 					}
 					written += int64(len(art.Data))
 				}
+				pending += written
 			}
 			b.SetBytes(written)
 		})

@@ -1,10 +1,13 @@
 package api
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -47,7 +50,13 @@ func TestClusterStatusStandalone(t *testing.T) {
 // cluster node is attached to the already-serving handler.
 func startClusterNode(t *testing.T, id string, peer func() string) (*httptest.Server, *cluster.Node) {
 	t.Helper()
-	st, err := store.Open(filepath.Join(t.TempDir(), id))
+	return startClusterNodeAt(t, id, filepath.Join(t.TempDir(), id), peer)
+}
+
+// startClusterNodeAt is startClusterNode over the store directory dir.
+func startClusterNodeAt(t *testing.T, id, dir string, peer func() string) (*httptest.Server, *cluster.Node) {
+	t.Helper()
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +214,43 @@ func TestClusterPropagatesEveryFormat(t *testing.T) {
 			return resp.StatusCode == http.StatusOK && resp.Header.Get(HeaderRoute) == "replica"
 		})
 	}
+}
+
+// TestClusterIngestStaysInTheStore: a propagated blob's key comes from a
+// peer, so one whose fingerprint or format would name a path outside the
+// store's key directory is refused, counted in ingest_errors, and writes
+// nothing beside the store directory.
+func TestClusterIngestStaysInTheStore(t *testing.T) {
+	root := t.TempDir()
+	ts, node := startClusterNodeAt(t, "node-a", filepath.Join(root, "store"), nil)
+	data := []byte("propagated artefact")
+	sum := sha256.Sum256(data)
+	for _, key := range []store.Key{
+		{Model: "commit", Param: 4, Format: "../../x", Fingerprint: "aabb"},
+		{Model: "commit", Param: 4, Format: "text", Fingerprint: "../../x"},
+	} {
+		payload, err := json.Marshal(map[string]any{"key": "k", "blob": cluster.Blob{
+			Key: key, Sum: hex.EncodeToString(sum[:]), Media: "text/plain", Ext: ".txt", Data: data,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, body := do(t, ts, http.MethodPost, "/v1/cluster/artifacts", payload); resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("POST /v1/cluster/artifacts = %s: %s", resp.Status, body)
+		}
+	}
+	if got := node.Status().Stats.IngestErrors; got != 2 {
+		t.Errorf("ingest_errors = %d, want 2", got)
+	}
+	if entries, err := os.ReadDir(root); err != nil || len(entries) != 1 {
+		t.Errorf("beside the store directory: %v, %v", entries, err)
+	}
+	filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+		if err == nil && !info.IsDir() {
+			t.Errorf("refused ingest left %s", path)
+		}
+		return nil
+	})
 }
 
 // TestClusterTakesNoRegistryWrite: a clustered node serves no registry

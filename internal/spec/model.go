@@ -51,26 +51,23 @@ type guard struct {
 }
 
 // newCompiled indexes a validated document whose canonical form is
-// foreseen to take canonSize bytes (0: not foreseen). compile is the only
-// caller.
-func newCompiled(d Doc, canonSize int) *Compiled {
+// foreseen to take canonSize bytes (0: not foreseen), taking the component
+// and message indexes compile built while validating it. compile is the
+// only caller.
+func newCompiled(d Doc, compIdx, msgIdx map[string]int, canonSize int) *Compiled {
 	c := &Compiled{
 		doc:          d,
-		compIdx:      make(map[string]int, len(d.Components)),
-		msgIdx:       make(map[string]int, len(d.Messages)),
+		compIdx:      compIdx,
+		msgIdx:       msgIdx,
 		placeholders: make([]string, len(d.Components)),
 		fillKeys:     make([]string, 1+len(d.Derived)),
 	}
 	for i, comp := range d.Components {
-		c.compIdx[comp.Name] = i
 		c.placeholders[i] = "{" + comp.Name + "}"
 	}
 	c.fillKeys[0] = "{" + paramPlaceholder + "}"
 	for i, dv := range d.Derived {
 		c.fillKeys[1+i] = "{" + dv.Name + "}"
-	}
-	for i, msg := range d.Messages {
-		c.msgIdx[msg] = i
 	}
 	var labels []LabelRule
 	if d.Abstraction != nil {

@@ -454,7 +454,7 @@ func compile(d Doc, canonSize int) (*Compiled, error) {
 
 	// Components. A placeholder names a component, a derived value or the
 	// parameter, so no two of them may share a name.
-	compIdx := map[string]int{}
+	compIdx := make(map[string]int, len(d.Components))
 	if len(d.Components) == 0 {
 		diag.add(loc{format: "components"}, "at least one state component is required")
 	}
@@ -489,7 +489,7 @@ func compile(d Doc, canonSize int) (*Compiled, error) {
 	// or a message with no letter or digit to name a method by, would
 	// register and then fail every GET of the go format.
 	goNames := render.GoNames{}
-	msgSet := map[string]bool{}
+	msgIdx := make(map[string]int, len(d.Messages))
 	if len(d.Messages) == 0 {
 		diag.add(loc{format: "messages"}, "at least one message is required")
 	}
@@ -500,12 +500,12 @@ func compile(d Doc, canonSize int) (*Compiled, error) {
 			diag.add(path, "message name must not be blank")
 			continue
 		}
-		if msgSet[m] {
+		if _, dup := msgIdx[m]; dup {
 			diag.add(path, "duplicate message %q", m)
 		} else if err := goNames.Declare("message", "Machine.", render.ReceiveMethod(m), m); err != nil {
 			diag.add(path, "%v", err)
 		}
-		msgSet[m] = true
+		msgIdx[m] = i
 	}
 
 	// Start vector.
@@ -552,7 +552,7 @@ func compile(d Doc, canonSize int) (*Compiled, error) {
 	}
 	actSet := map[string]bool{}
 	for i, r := range d.Rules {
-		if !msgSet[r.Message] {
+		if _, ok := msgIdx[r.Message]; !ok {
 			diag.add(loc{"rules[%d].message", i, 0}, "unknown message %q", r.Message)
 		}
 		checkConds("rules", i, r.When)
@@ -615,7 +615,7 @@ func compile(d Doc, canonSize int) (*Compiled, error) {
 			checkConds("abstraction.labels", i, l.When)
 		}
 		for i, g := range a.Guards {
-			if !msgSet[g.Message] {
+			if _, ok := msgIdx[g.Message]; !ok {
 				diag.add(loc{"abstraction.guards[%d].message", i, 0}, "unknown message %q", g.Message)
 			}
 			if _, ok := compIdx[g.Component]; !ok {
@@ -623,7 +623,7 @@ func compile(d Doc, canonSize int) (*Compiled, error) {
 			}
 		}
 		for i, op := range a.Ops {
-			if !msgSet[op.Message] {
+			if _, ok := msgIdx[op.Message]; !ok {
 				diag.add(loc{"abstraction.ops[%d].message", i, 0}, "unknown message %q", op.Message)
 			}
 			if _, ok := compIdx[op.Component]; !ok {
@@ -646,7 +646,7 @@ func compile(d Doc, canonSize int) (*Compiled, error) {
 	if len(diag.list) > 0 {
 		return nil, &Error{Name: d.Name, Diagnostics: diag.list}
 	}
-	return newCompiled(d, canonSize), nil
+	return newCompiled(d, compIdx, msgIdx, canonSize), nil
 }
 
 // ParseAndCompile decodes and compiles a JSON document in one step. Like

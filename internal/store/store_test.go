@@ -95,74 +95,6 @@ func TestReopenServesPreviousWrites(t *testing.T) {
 	}
 }
 
-// TestReopenIgnoresTornTailLine: a crash mid-append leaves a partial JSON
-// line; replay must drop it and keep everything before it.
-func TestReopenIgnoresTornTailLine(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
-	key := machineKey("commit", "feed", "text")
-	put(t, s, key, "survives")
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, "index.log"), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"op":"put","model":"torn","fo`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	reopened := mustOpen(t, dir)
-	if reopened.Len() != 1 {
-		t.Fatalf("Len after torn tail = %d, want 1", reopened.Len())
-	}
-	if _, _, _, _, ok := reopened.Get(key); !ok {
-		t.Fatal("intact row lost after torn tail")
-	}
-}
-
-// TestReopenSkipsFingerprintlessRows: a directory written by a binary that
-// keyed EFSM rows by (model, param) still opens. Those rows name nothing a
-// lookup can ask for, so replay skips them, and counts them as dead lines:
-// once they outnumber the live rows the log is rewritten without them.
-func TestReopenSkipsFingerprintlessRows(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
-	key := machineKey("commit", "feed", "text")
-	sum := put(t, s, key, "survives")
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	old := fmt.Sprintf(`{"op":"put","model":"commit","param":4,"format":"efsm","sum":"%x","media":"text/plain","ext":".txt","size":8}`+"\n", sum)
-	old += `{"op":"del","model":"commit","param":7,"format":"efsm-dot"}` + "\n"
-	f, err := os.OpenFile(filepath.Join(dir, "index.log"), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(old); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	reopened := mustOpen(t, dir)
-	if reopened.Len() != 1 {
-		t.Fatalf("Len = %d, want the one fingerprinted row", reopened.Len())
-	}
-	if data, _, _, _, ok := reopened.Get(key); !ok || string(data) != "survives" {
-		t.Fatalf("Get = %q, %v: the fingerprinted row did not survive its neighbours", data, ok)
-	}
-	reopened.Close()
-	log, err := os.ReadFile(filepath.Join(dir, "index.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(string(log), "\n"); lines != 1 {
-		t.Fatalf("log has %d lines after reopening, want 1: two dead lines outnumber one live row", lines)
-	}
-}
-
 // TestReopenDropsRowsWithMissingBlobs: an index row whose blob vanished is
 // dead on replay, not a latent serving error.
 func TestReopenDropsRowsWithMissingBlobs(t *testing.T) {
@@ -311,63 +243,6 @@ func TestEvictionsSurviveReopen(t *testing.T) {
 	}
 }
 
-// TestCompactRewritesLog: compaction drops tombstones and the store still
-// replays correctly afterwards.
-func TestCompactRewritesLog(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
-	for i := 0; i < 6; i++ {
-		put(t, s, machineKey("m", fmt.Sprintf("c%d", i), "text"), fmt.Sprintf("v%d", i))
-	}
-	for i := 0; i < 5; i++ {
-		s.EvictModel("", map[string]bool{fmt.Sprintf("c%d", i): true})
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "index.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(string(data), "\n"); lines != 1 {
-		t.Fatalf("compacted log has %d lines, want 1", lines)
-	}
-	// The compacted store keeps accepting writes and replays cleanly.
-	put(t, s, machineKey("m", "after", "text"), "after-compact")
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	reopened := mustOpen(t, dir)
-	if reopened.Len() != 2 {
-		t.Fatalf("Len after compact+reopen = %d, want 2", reopened.Len())
-	}
-}
-
-// TestReopenCompactsTombstoneHeavyLog: Open rewrites the log when
-// tombstones outnumber live rows.
-func TestReopenCompactsTombstoneHeavyLog(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
-	for i := 0; i < 4; i++ {
-		put(t, s, machineKey("m", fmt.Sprintf("t%d", i), "text"), fmt.Sprintf("v%d", i))
-	}
-	for i := 0; i < 3; i++ {
-		s.EvictModel("", map[string]bool{fmt.Sprintf("t%d", i): true})
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	reopened := mustOpen(t, dir)
-	reopened.Close()
-	data, err := os.ReadFile(filepath.Join(dir, "index.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(string(data), "\n"); lines != 1 {
-		t.Fatalf("log has %d lines after auto-compaction, want 1", lines)
-	}
-}
-
 // TestPutSameKeySameContentIsIdempotent: re-putting identical bytes under
 // an existing key neither duplicates rows nor grows the log's live state.
 func TestPutSameKeySameContentIsIdempotent(t *testing.T) {
@@ -497,5 +372,174 @@ func TestConcurrentIngestSameBlob(t *testing.T) {
 	reopened := mustOpen(t, dir)
 	if st := reopened.Stats(); st.Entries != 2 || st.Bytes != int64(len(data)) {
 		t.Fatalf("reopened stats = %+v", st)
+	}
+}
+
+// diskBytes sums the sizes of every file under dir.
+func diskBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	var total int64
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err == nil && !info.IsDir() {
+			total += info.Size()
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return total
+}
+
+// TestStoreDiskStaysBoundedUnderLimit: under a byte limit the directory
+// holds the live blobs plus one small key file each, however many puts
+// came before.
+func TestStoreDiskStaysBoundedUnderLimit(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	const limit = 8 << 10
+	s.SetLimit(limit)
+	body := strings.Repeat("x", 1<<10-8)
+	for i := 0; i < 5000; i++ {
+		put(t, s, machineKey("m", fmt.Sprintf("fp%d", i), "text"), fmt.Sprintf("%08d", i)+body)
+	}
+	live := s.Len()
+	if got, bound := diskBytes(t, dir), int64(limit+live<<10); got > bound {
+		t.Fatalf("%d live keys, %d bytes on disk; want at most %d", live, got, bound)
+	}
+}
+
+// TestOpenDropsUnreadableKeyFiles: a torn key file and a key file naming
+// a missing blob are removed at Open, and the other keys are served.
+func TestOpenDropsUnreadableKeyFiles(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	torn := machineKey("commit", "torn", "text")
+	put(t, s, torn, "torn key file")
+	orphan := machineKey("commit", "orphan", "text")
+	sum := put(t, s, orphan, "blob removed")
+	keep := machineKey("commit", "keep", "text")
+	put(t, s, keep, "kept")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tornPath := filepath.Join(dir, "keys", torn.Fingerprint+"."+torn.Format)
+	data, err := os.ReadFile(tornPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tornPath, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hexSum := hex.EncodeToString(sum[:])
+	if err := os.Remove(filepath.Join(dir, "blobs", hexSum[:2], hexSum[2:])); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened := mustOpen(t, dir)
+	if reopened.Len() != 1 {
+		t.Fatalf("Len = %d, want the one intact key", reopened.Len())
+	}
+	if data, _, _, _, ok := reopened.Get(keep); !ok || string(data) != "kept" {
+		t.Fatalf("Get(keep) = %q, %v", data, ok)
+	}
+	for _, key := range []Key{torn, orphan} {
+		if _, err := os.Stat(filepath.Join(dir, "keys", key.Fingerprint+"."+key.Format)); !os.IsNotExist(err) {
+			t.Fatalf("key file of %s survived Open: %v", key.Fingerprint, err)
+		}
+	}
+}
+
+// TestOpenRemovesUnnamedBlobs: a blob no key names and a crashed put's
+// temporary file are removed at Open; a named blob stays.
+func TestOpenRemovesUnnamedBlobs(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	key := machineKey("commit", "named", "text")
+	sum := put(t, s, key, "named bytes")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	named := hex.EncodeToString(sum[:])
+	orphanSum := sha256.Sum256([]byte("nobody names me"))
+	orphan := hex.EncodeToString(orphanSum[:])
+	leftovers := []string{
+		filepath.Join(dir, "blobs", orphan[:2], orphan[2:]),
+		filepath.Join(dir, "blobs", named[:2], ".tmp-crash"),
+	}
+	for _, path := range leftovers {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte("nobody names me"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	reopened := mustOpen(t, dir)
+	for _, path := range leftovers {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("%s survived Open: %v", path, err)
+		}
+	}
+	if data, _, _, _, ok := reopened.Get(key); !ok || string(data) != "named bytes" {
+		t.Fatalf("Get = %q, %v: the named blob did not survive Open", data, ok)
+	}
+}
+
+// TestPutRefusesKeysThatNameNoFile: a key names a file inside keys/, so a
+// fingerprint or format that is not a plain [a-z0-9-]+ segment is refused
+// by Put and by Ingest, whose keys come from peers, before anything is
+// written.
+func TestPutRefusesKeysThatNameNoFile(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "store")
+	s := mustOpen(t, dir)
+	data := []byte("hostile key")
+	sum := sha256.Sum256(data)
+	for _, bad := range []string{"", ".", "..", "a/b", "../x", "A"} {
+		for _, key := range []Key{machineKey("m", bad, "text"), machineKey("m", "aabb", bad)} {
+			if err := s.Put(key, data, sum, "text/plain", ".txt"); err == nil {
+				t.Errorf("Put accepted fingerprint %q, format %q", key.Fingerprint, key.Format)
+			}
+			if err := s.Ingest(key, data, hex.EncodeToString(sum[:]), "text/plain", ".txt"); err == nil {
+				t.Errorf("Ingest accepted fingerprint %q, format %q", key.Fingerprint, key.Format)
+			}
+		}
+	}
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d, want 0", s.Len())
+	}
+	if n := diskBytes(t, root); n != 0 {
+		t.Fatalf("refused puts left %d bytes on disk", n)
+	}
+	if entries, err := os.ReadDir(root); err != nil || len(entries) != 1 {
+		t.Fatalf("beside the store directory: %v, %v", entries, err)
+	}
+}
+
+// TestRecencySurvivesReopen: each key file carries its write sequence, so
+// a reopened store evicts the oldest write first.
+func TestRecencySurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	var keys []Key
+	for _, fp := range []string{"a", "b", "c"} {
+		key := machineKey("m", fp, "text")
+		put(t, s, key, strings.Repeat(fp, 100))
+		keys = append(keys, key)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened := mustOpen(t, dir)
+	reopened.SetLimit(2 * 100)
+	if _, _, _, _, ok := reopened.Get(keys[0]); ok {
+		t.Fatal("the oldest write survived the limit")
+	}
+	for _, key := range keys[1:] {
+		if _, _, _, _, ok := reopened.Get(key); !ok {
+			t.Fatalf("%s evicted before the oldest write", key.Fingerprint)
+		}
 	}
 }
