@@ -1225,16 +1225,15 @@ func alternatingTrace(lines int) (jsonl, text bytes.Buffer) {
 // a long non-finishing trace (FREE/NOT_FREE alternation never crosses a
 // quorum threshold) checked against the commit machine, per decoder
 // front-end. Memory stays bounded by the longest line regardless of
-// trace length.
+// trace length. The jsonl and regex runs observe through an ObserverFunc,
+// which copies each verdict; the -tally runs through a *trace.Tally,
+// which reads it in place, as the check route's event stream does.
 func BenchmarkTraceCheck(b *testing.B) {
 	machine := buildCommitMachine(b, 4)
 	const lines = 1000
 	jsonl, text := alternatingTrace(lines)
-	run := func(b *testing.B, format string, data []byte) {
-		mon, err := trace.NewMonitor(
-			trace.WithTarget("", machine),
-			trace.WithObserver(trace.ObserverFunc(func(trace.Verdict) bool { return true })),
-		)
+	run := func(b *testing.B, format string, data []byte, obs trace.Observer) {
+		mon, err := trace.NewMonitor(trace.WithTarget("", machine), trace.WithObserver(obs))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1254,8 +1253,11 @@ func BenchmarkTraceCheck(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N)*lines/b.Elapsed().Seconds(), "lines/s")
 	}
-	b.Run("jsonl", func(b *testing.B) { run(b, trace.FormatJSONL, jsonl.Bytes()) })
-	b.Run("regex", func(b *testing.B) { run(b, trace.FormatRegex, text.Bytes()) })
+	discard := trace.ObserverFunc(func(trace.Verdict) bool { return true })
+	b.Run("jsonl", func(b *testing.B) { run(b, trace.FormatJSONL, jsonl.Bytes(), discard) })
+	b.Run("regex", func(b *testing.B) { run(b, trace.FormatRegex, text.Bytes(), discard) })
+	b.Run("jsonl-tally", func(b *testing.B) { run(b, trace.FormatJSONL, jsonl.Bytes(), new(trace.Tally)) })
+	b.Run("regex-tally", func(b *testing.B) { run(b, trace.FormatRegex, text.Bytes(), new(trace.Tally)) })
 }
 
 // flushCounter counts the flushes a handler asks of its ResponseWriter.

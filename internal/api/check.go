@@ -125,7 +125,8 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 	case r.Context().Err() != nil:
 		// Cancelled mid-run; nothing useful can be written.
 	case err == nil:
-		stream.Observe(trace.Terminal(rep, nil))
+		summary := trace.Terminal(rep, nil)
+		stream.Observe(&summary)
 	case errors.As(err, &de):
 		stream.event("error", envelopeJSON(CodeBadTrace, de.Error()))
 	default:
@@ -206,13 +207,13 @@ func (s *eventStream) event(name string, data []byte) bool {
 
 // Observe appends one verdict as a framed event named by its kind; false
 // means the stream is dead. The stream is the check run's trace.Observer.
-func (s *eventStream) Observe(v trace.Verdict) bool {
+func (s *eventStream) Observe(v *trace.Verdict) bool {
 	if v.Kind == trace.KindAccepted {
 		s.buf = append(s.buf, acceptedHead...)
 	} else {
 		s.begin(v.Kind.String())
 	}
-	s.buf = s.enc.Append(s.buf, &v)
+	s.buf = s.enc.Append(s.buf, v)
 	return s.end()
 }
 

@@ -57,14 +57,6 @@ func (f ActionFunc) Act(action string) { f(action) }
 
 var _ ActionHandler = ActionFunc(nil)
 
-// NopHandler discards all actions.
-type NopHandler struct{}
-
-// Act implements ActionHandler.
-func (NopHandler) Act(string) {}
-
-var _ ActionHandler = NopHandler{}
-
 // Instance is a running occurrence of a generated state machine: current
 // state plus the machine structure it walks. The state is a position in
 // the machine's core.Table, and every delivery fires through the table's
@@ -73,9 +65,9 @@ type Instance struct {
 	machine  *core.StateMachine
 	table    *core.Table
 	delivery *core.Delivery
-	state    int         // position of the current state in machine.States
-	current  *core.State // machine.States[state]
-	handler  ActionHandler
+	state    int           // position of the current state in machine.States
+	current  *core.State   // machine.States[state]
+	handler  ActionHandler // nil discards actions without a call
 }
 
 // New returns an Instance positioned at the machine's start state. A nil
@@ -94,9 +86,6 @@ func New(machine *core.StateMachine, handler ActionHandler) (*Instance, error) {
 	delivery, err := table.Delivery()
 	if err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
-	}
-	if handler == nil {
-		handler = NopHandler{}
 	}
 	in := &Instance{machine: machine, table: table, delivery: delivery, handler: handler}
 	in.Reset()
@@ -171,8 +160,10 @@ func (in *Instance) fire(i int, msg string) (int, error) {
 	}
 	edge := in.table.Edge(e)
 	in.state, in.current = int(edge.To), edge.Target
-	for _, a := range edge.Actions {
-		in.handler.Act(a)
+	if in.handler != nil {
+		for _, a := range edge.Actions {
+			in.handler.Act(a)
+		}
 	}
 	return e, nil
 }

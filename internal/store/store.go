@@ -386,22 +386,23 @@ func (s *Store) writeBlob(sum [sha256.Size]byte, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: %w", err)
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: %w", err)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return fmt.Errorf("store: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err != nil {
+		// Only a failed write leaves the temp file behind: a renamed one
+		// is the blob.
+		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil

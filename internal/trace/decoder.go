@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"regexp"
 	"sync"
 	"unicode/utf8"
@@ -432,14 +434,20 @@ func isWordByte(c byte) bool {
 // needs a non-word byte before it), and backtracking the greedy
 // [A-Z0-9_]+ never helps because every byte it gives back is itself a
 // word byte, so the closing \b holds only at the end of the run.
+//
+// So only an A-Z byte can start a match, and the matcher skips to the
+// next one eight bytes at a time (nextUpper). An A-Z byte that is not a
+// run's head lies in a run whose head, between the last run checked and
+// it, is a word byte other than A-Z: that run cannot match, and is
+// skipped whole.
 func matchDefault(line []byte) (start, end int, ok bool) {
-	for i := 0; i < len(line); {
-		if !isWordByte(line[i]) {
-			i++
-			continue
+	for i := 0; ; {
+		start = nextUpper(line, i)
+		if start < 0 {
+			return 0, 0, false
 		}
-		start, ok = i, 'A' <= line[i] && line[i] <= 'Z'
-		for ; i < len(line) && isWordByte(line[i]); i++ {
+		ok = start == 0 || !isWordByte(line[start-1])
+		for i = start; i < len(line) && isWordByte(line[i]); i++ {
 			if 'a' <= line[i] && line[i] <= 'z' {
 				ok = false
 			}
@@ -448,7 +456,36 @@ func matchDefault(line []byte) (start, end int, ok bool) {
 			return start, i, true
 		}
 	}
-	return 0, 0, false
+}
+
+// nextUpper returns the position of the first A-Z byte of line at or
+// after i, or -1. It tests eight bytes a word: a byte's high bit in
+// (x&lo7 + geA) &^ (x&lo7 + gtZ) says its low seven bits are A-Z, and
+// &^ x drops the bytes from 0x80 up, whose low seven bits may be too
+// (0xc1 is 'A' | 0x80) but which are never A-Z: \b is ASCII-only.
+func nextUpper(line []byte, i int) int {
+	const (
+		lo7 = 0x7f7f7f7f7f7f7f7f // each byte's low seven bits
+		hi1 = 0x8080808080808080 // each byte's high bit
+		// Added to a byte's low seven bits, geA carries into its high
+		// bit from 'A' up, and gtZ from 'Z'+1 up; no sum carries out of
+		// its byte.
+		geA = (0x80 - 'A') * 0x0101010101010101
+		gtZ = (0x80 - 'Z' - 1) * 0x0101010101010101
+	)
+	for ; i+8 <= len(line); i += 8 {
+		x := binary.LittleEndian.Uint64(line[i:])
+		low := x & lo7
+		if m := (low + geA) &^ (low + gtZ) &^ x & hi1; m != 0 {
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	for ; i < len(line); i++ {
+		if 'A' <= line[i] && line[i] <= 'Z' {
+			return i
+		}
+	}
+	return -1
 }
 
 // RegexDecoder decodes text traces through an ordered rule list:

@@ -46,6 +46,10 @@ func FuzzDefaultRuleMatch(f *testing.F) {
 		"12:00:02 node3 recv STORE_ACK from n1",
 		"", "A", "AB", "A_", "_AB", "9AB AB9", "ABc DEF", "aAB", "xAB_ CD",
 		"É AB", "ÉAB", "AB\xff", "\xffAB CD", "AB\xc3", "A\x80B CD",
+		// Tokens at and around the matcher's eight-byte words, and one
+		// after a rune whose lead byte is 'E' | 0x80 (Ł is C5 81).
+		"abcdef AB", "abcdefg AB", "abcdefgh AB", "0123456789abcde AB",
+		"abcdeŁAB CD", "\xc1\xc1\xc1\xc1\xc1\xc1\xc1\xdaAB",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -53,11 +57,13 @@ func FuzzDefaultRuleMatch(f *testing.F) {
 }
 
 // TestDefaultRuleMatchesPattern sweeps random lines over the bytes the
-// pattern distinguishes on every ordinary test run.
+// pattern distinguishes on every ordinary test run: the edges of each
+// word range and the bytes next to them, and the high-bit twins of A and
+// Z, at up to 40 bytes, five of the matcher's words.
 func TestDefaultRuleMatchesPattern(t *testing.T) {
-	const alphabet = "AZaz09__  -\xc3\xa9\xff"
+	const alphabet = "AZaz09__  -@[`{\xc1\xda\xc3\xa9\xff"
 	rng := rand.New(rand.NewSource(1))
-	line := make([]byte, 0, 16)
+	line := make([]byte, 0, 41)
 	for i := 0; i < 100_000; i++ {
 		line = line[:rng.Intn(cap(line))]
 		for j := range line {

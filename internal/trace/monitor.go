@@ -18,15 +18,21 @@ var ErrStopped = errors.New("trace: observer stopped the run")
 // Observer receives verdicts as the monitor produces them. Returning
 // false stops the run (Monitor.Run returns ErrStopped), mirroring the
 // yield convention of iter.Seq so iterator adapters need no goroutines.
+//
+// The monitor writes every verdict of a run into one Verdict it owns, so
+// the pointer Observe receives is valid only until Observe returns: an
+// observer may read the verdict during the call, must not change it, and
+// must not keep the pointer. One that keeps verdicts keeps copies.
 type Observer interface {
-	Observe(Verdict) bool
+	Observe(*Verdict) bool
 }
 
-// ObserverFunc adapts a function to the Observer interface.
+// ObserverFunc adapts a function to the Observer interface. It receives
+// its own copy of every verdict, which it may keep.
 type ObserverFunc func(Verdict) bool
 
 // Observe implements Observer.
-func (f ObserverFunc) Observe(v Verdict) bool { return f(v) }
+func (f ObserverFunc) Observe(v *Verdict) bool { return f(*v) }
 
 // Monitor drives one generated machine over a decoded event stream at
 // line rate through its Judge, and turns every judgement into a Verdict
@@ -36,6 +42,10 @@ type Monitor struct {
 	judge     *Judge
 	observers []Observer
 	keepGoing bool
+	// verdict is the one Verdict every verdict of a run is written
+	// into, field by field: assigning a whole Verdict compiles to a
+	// duffcopy, and a fresh one handed to an Observer escapes.
+	verdict Verdict
 }
 
 // newMonitor returns a monitor of machine that absorbs tolerance
@@ -98,11 +108,20 @@ func NewMonitor(opts ...MonitorOption) (*Monitor, error) {
 	return m, nil
 }
 
-// emit delivers one verdict to every observer; false means stop. It
-// takes a pointer so the verdict is copied once, into Observe.
-func (m *Monitor) emit(v *Verdict) bool {
+// set rewrites the monitor's verdict field by field and returns it; an
+// accepted verdict's caller then sets its Actions, tr and edge.
+func (m *Monitor) set(line int, event string, kind Kind, state, detail string) *Verdict {
+	v := &m.verdict
+	v.Line, v.Event, v.Kind, v.State, v.Detail = line, event, kind, state, detail
+	v.Actions, v.tr, v.edge = nil, nil, 0
+	return v
+}
+
+// emit delivers the monitor's verdict to every observer; false means
+// stop.
+func (m *Monitor) emit() bool {
 	for _, obs := range m.observers {
-		if !obs.Observe(*v) {
+		if !obs.Observe(&m.verdict) {
 			return false
 		}
 	}
@@ -143,20 +162,19 @@ func (m *Monitor) Run(ctx context.Context, dec Decoder) (Report, error) {
 		rep.Lines = ev.Line
 		if ev.Skip {
 			rep.Skipped++
-			if !m.emit(&Verdict{Line: ev.Line, Kind: KindSkipped,
-				Detail: "no transition pattern matched"}) {
+			m.set(ev.Line, "", KindSkipped, "", "no transition pattern matched")
+			if !m.emit() {
 				return rep, ErrStopped
 			}
 			continue
 		}
 		rep.Events++
 		j.judge(j.index(&ev), ev.Msg, &d)
-		// Built in place: a Verdict variable initialised from a literal
-		// is a copy, a tenth of a line's cost.
-		v := &Verdict{Line: ev.Line, Event: ev.Msg, Kind: d.Kind, State: j.State().Name}
+		detail, state := "", j.State().Name
 		if d.Err != nil {
-			v.Detail = d.Err.Error()
+			detail = d.Err.Error()
 		}
+		v := m.set(ev.Line, ev.Msg, d.Kind, state, detail)
 		switch d.Kind {
 		case KindAccepted:
 			rep.Accepted++
@@ -167,12 +185,14 @@ func (m *Monitor) Run(ctx context.Context, dec Decoder) (Report, error) {
 			rep.Violations++
 			rep.FirstViolation = cmp.Or(rep.FirstViolation, ev.Line)
 		}
-		if !m.emit(v) {
+		if !m.emit() {
 			return rep, ErrStopped
 		}
-		if d.Finished && !m.emit(&Verdict{Line: ev.Line, Event: ev.Msg,
-			Kind: KindFinished, State: v.State}) {
-			return rep, ErrStopped
+		if d.Finished {
+			m.set(ev.Line, ev.Msg, KindFinished, state, "")
+			if !m.emit() {
+				return rep, ErrStopped
+			}
 		}
 		if d.Kind == KindViolation && !m.keepGoing {
 			break

@@ -39,7 +39,7 @@ func (t *Tally) Total() int64 {
 
 // Observe implements Observer by counting the verdict's kind; it never
 // stops the run.
-func (t *Tally) Observe(v Verdict) bool {
+func (t *Tally) Observe(v *Verdict) bool {
 	t.Add(v.Kind)
 	return true
 }

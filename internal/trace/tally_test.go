@@ -29,7 +29,7 @@ func TestTallyAddCountTotal(t *testing.T) {
 func TestTallyObserve(t *testing.T) {
 	var tl Tally
 	for _, k := range []Kind{KindAccepted, KindFinished, KindSummary} {
-		if !tl.Observe(Verdict{Kind: k}) {
+		if !tl.Observe(&Verdict{Kind: k}) {
 			t.Fatalf("Observe(%v) stopped the run", k)
 		}
 	}

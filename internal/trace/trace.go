@@ -107,7 +107,7 @@ type Verdict struct {
 	Kind Kind
 	// edge is tr's position in its machine's core.Table, the Encoder's
 	// memo index. It sits in Kind's padding, so a Verdict, which every
-	// Observe copies, is no larger for it.
+	// ObserverFunc copies, is no larger for it.
 	edge int32
 	// State is the machine state after the delivery (unchanged for
 	// rejections).

@@ -240,6 +240,85 @@ func TestMonitorReuse(t *testing.T) {
 	}
 }
 
+// TestObserverFuncKeepsItsOwnVerdicts: the monitor writes every verdict
+// of a run into one Verdict, and an ObserverFunc gets a copy of it, so
+// verdicts kept past Observe still read as they did during it. The trace
+// makes every kind the monitor emits: accepted, with actions too,
+// skipped, ignored, finished and violation.
+func TestObserverFuncKeepsItsOwnVerdicts(t *testing.T) {
+	machine := chainMachine(t)
+	rule, err := ParseRule(`recv (\w+)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chk := Check{Format: FormatRegex, Rules: []Rule{rule}, Tolerance: 1, KeepGoing: true}
+	input := "recv inc\nnoise\nrecv ring\nrecv bogus\nrecv inc\nrecv inc\nrecv inc\nrecv ring\n"
+	var kept []Verdict
+	var during []string
+	_, err = chk.Run(context.Background(), machine, strings.NewReader(input), ObserverFunc(func(v Verdict) bool {
+		kept = append(kept, v)
+		during = append(during, string(v.AppendJSON(nil)))
+		return true
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[Kind]bool{}
+	for i, v := range kept {
+		kinds[v.Kind] = true
+		if got := string(v.AppendJSON(nil)); got != during[i] {
+			t.Errorf("verdict %d reads %s after the run, %s during it", i, got, during[i])
+		}
+		if i > 0 && during[i] == during[i-1] {
+			t.Errorf("verdicts %d and %d are both %s", i-1, i, during[i])
+		}
+	}
+	for _, k := range []Kind{KindAccepted, KindSkipped, KindIgnored, KindFinished, KindViolation} {
+		if !kinds[k] {
+			t.Errorf("no %s verdict among %q", k, during)
+		}
+	}
+}
+
+// TestFinishedVerdictAllocatesNothing: a finished verdict is written into
+// the monitor's own Verdict like every other, so a run that finishes the
+// machine allocates what a run over the same messages that does not
+// finish it allocates.
+func TestFinishedVerdictAllocatesNothing(t *testing.T) {
+	var tally Tally
+	m, err := NewMonitor(WithTarget("", chainMachine(t)), WithObserver(&tally))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(msgs ...string) float64 {
+		var body strings.Builder
+		for _, msg := range msgs {
+			body.WriteString(`{"msg":"` + msg + `"}` + "\n")
+		}
+		const runs = 50
+		decs := make([]*JSONLDecoder, runs+1) // made outside the count
+		for i := range decs {
+			decs[i] = NewJSONLDecoder(strings.NewReader(body.String()))
+			defer decs[i].Close()
+		}
+		n := 0
+		return testing.AllocsPerRun(runs, func() {
+			if _, err := m.Run(context.Background(), decs[n]); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		})
+	}
+	finishing := allocs("inc", "ring", "inc", "inc")
+	if tally.Count(KindFinished) == 0 {
+		t.Fatal("the finishing trace did not finish the machine")
+	}
+	open := allocs("inc", "ring", "ring", "inc")
+	if finishing != open {
+		t.Errorf("a run that finishes allocates %v times, one that does not %v", finishing, open)
+	}
+}
+
 func TestNewMonitorValidation(t *testing.T) {
 	if _, err := NewMonitor(); err == nil {
 		t.Error("NewMonitor with no targets accepted")
