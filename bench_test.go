@@ -700,7 +700,7 @@ func BenchmarkGenerationPolicy(b *testing.B) {
 // and render; "warm" measures the fully memoised batch, the steady state
 // of a long-running serve process.
 func BenchmarkRenderAll(b *testing.B) {
-	reqs := artifact.AllRequests()
+	reqs := artifact.New().AllRequests()
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p := artifact.New()

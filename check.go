@@ -196,11 +196,10 @@ func (c *Client) Check(ctx context.Context, model string, r io.Reader, opts ...C
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	chk, err := trace.ParseCheck(cfg.format, cfg.patterns, cfg.tolerance)
+	chk, err := trace.ParseCheck(cfg.format, cfg.patterns, cfg.tolerance, cfg.keepGoing)
 	if err != nil {
 		return nil, wrapSentinel(ErrBadTrace, err)
 	}
-	chk.KeepGoing = cfg.keepGoing
 	machine, err := c.Generate(ctx, model, WithParam(cfg.param))
 	if err != nil {
 		return nil, err

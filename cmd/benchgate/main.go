@@ -4,9 +4,10 @@
 //
 // Parse mode reads the plain benchmark output (package headers included)
 // and writes one JSON record per benchmark, name-sorted so the file is
-// byte-stable for equal inputs. Besides ns/op and allocs/op, the serve
-// benchmarks' custom p50-ns/p99-ns metrics (b.ReportMetric) are captured
-// as p50_ns/p99_ns, so tail latency is inventoried like throughput.
+// byte-stable for equal inputs. Besides ns/op and allocs/op, B/op
+// (-benchmem) is captured as bytes_per_op, and the serve benchmarks'
+// custom p50-ns/p99-ns metrics (b.ReportMetric) as p50_ns/p99_ns, so
+// memory and tail latency are inventoried like throughput.
 // Repeated results for one benchmark (from -count=N) are
 // merged field-wise by taking each field's minimum — the noise-robust
 // estimator, since noise only ever adds time — and a field reported by
@@ -25,11 +26,12 @@
 // other machines than the one comparing against them, and at
 // -benchtime=3x the gate failed rows no change had touched. The
 // end-to-end benchmark (bench/) is where time is compared, parent against
-// change on one machine. Benchmarks present on only one side are reported
-// informationally, so adding or retiring a benchmark does not require
-// touching the baseline in the same change. Allocation counts are gated
-// only when both sides report them (-benchmem or b.ReportAllocs) and the
-// baseline is at least -min-allocs: allocs/op is deterministic, but at
+// change on one machine. B/op is printed the same way, beside the
+// allocs/op that stays the gate. Benchmarks present on only one side are
+// reported informationally, so adding or retiring a benchmark does not
+// require touching the baseline in the same change. Allocation counts are
+// gated only when both sides report them (-benchmem or b.ReportAllocs) and
+// the baseline is at least -min-allocs: allocs/op is deterministic, but at
 // single-digit counts one incidental allocation is a large percentage
 // without being a meaningful regression.
 package main
@@ -57,6 +59,9 @@ type Benchmark struct {
 	// AllocsPerOp is the reported allocs/op; -1 when the benchmark does
 	// not report allocations.
 	AllocsPerOp int64 `json:"allocs_per_op"`
+	// BytesPerOp is the reported B/op; 0 when not reported, or when the
+	// benchmark allocates nothing.
+	BytesPerOp int64 `json:"bytes_per_op,omitempty"`
 	// P50Ns and P99Ns are the serve benchmarks' custom latency-percentile
 	// metrics (b.ReportMetric "p50-ns"/"p99-ns"); 0 when not reported.
 	P50Ns float64 `json:"p50_ns,omitempty"`
@@ -69,6 +74,7 @@ var (
 	benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+(?:e[+-]?\d+)?) ns/op(.*)$`)
 	pkgLine   = regexp.MustCompile(`^pkg:\s+(\S+)$`)
 	allocsRe  = regexp.MustCompile(`([0-9]+) allocs/op`)
+	bytesRe   = regexp.MustCompile(`([0-9]+) B/op`)
 	p50Re     = regexp.MustCompile(`([0-9.]+(?:e[+-]?\d+)?) p50-ns`)
 	p99Re     = regexp.MustCompile(`([0-9.]+(?:e[+-]?\d+)?) p99-ns`)
 )
@@ -154,6 +160,12 @@ func parseBench(r io.Reader) ([]Benchmark, error) {
 				return nil, fmt.Errorf("bad allocs/op in %q: %v", line, err)
 			}
 		}
+		bytes := int64(0)
+		if bm := bytesRe.FindStringSubmatch(m[3]); bm != nil {
+			if bytes, err = strconv.ParseInt(bm[1], 10, 64); err != nil {
+				return nil, fmt.Errorf("bad B/op in %q: %v", line, err)
+			}
+		}
 		metric := func(re *regexp.Regexp) (float64, error) {
 			pm := re.FindStringSubmatch(m[3])
 			if pm == nil {
@@ -175,11 +187,12 @@ func parseBench(r io.Reader) ([]Benchmark, error) {
 		}
 		prev, ok := byName[name]
 		if !ok {
-			byName[name] = Benchmark{Name: name, NsPerOp: ns, AllocsPerOp: allocs, P50Ns: p50, P99Ns: p99}
+			byName[name] = Benchmark{Name: name, NsPerOp: ns, AllocsPerOp: allocs, BytesPerOp: bytes, P50Ns: p50, P99Ns: p99}
 			continue
 		}
 		prev.NsPerOp = min(prev.NsPerOp, ns)
 		prev.AllocsPerOp = minReported(prev.AllocsPerOp, allocs)
+		prev.BytesPerOp = minMetric(prev.BytesPerOp, bytes)
 		prev.P50Ns = minMetric(prev.P50Ns, p50)
 		prev.P99Ns = minMetric(prev.P99Ns, p99)
 		byName[name] = prev
@@ -209,7 +222,7 @@ func minReported(a, b int64) int64 {
 
 // minMetric merges two optional metric values where 0 means "not
 // reported".
-func minMetric(a, b float64) float64 {
+func minMetric[T int64 | float64](a, b T) T {
 	if a == 0 {
 		return b
 	}
@@ -276,21 +289,22 @@ func runCompare(basePath, curPath string, threshold float64, minAllocs int64, st
 					fmt.Sprintf("%s: %d -> %d allocs/op (%+.1f%%, limit +%.0f%%)", name, b.AllocsPerOp, c.AllocsPerOp, allocDelta, threshold))
 			}
 		}
-		pctNote := ""
-		for _, pct := range []struct {
+		metricNote := ""
+		for _, metric := range []struct {
 			label      string
 			base, curr float64
 		}{
+			{"B/op", float64(b.BytesPerOp), float64(c.BytesPerOp)},
 			{"p50_ns", b.P50Ns, c.P50Ns},
 			{"p99_ns", b.P99Ns, c.P99Ns},
 		} {
-			if pct.base == 0 || pct.curr == 0 {
+			if metric.base == 0 || metric.curr == 0 {
 				continue
 			}
-			pctDelta := 100 * (pct.curr - pct.base) / pct.base
-			pctNote += fmt.Sprintf(", %.0f -> %.0f %s (%+.1f%%)", pct.base, pct.curr, pct.label, pctDelta)
+			metricDelta := 100 * (metric.curr - metric.base) / metric.base
+			metricNote += fmt.Sprintf(", %.0f -> %.0f %s (%+.1f%%)", metric.base, metric.curr, metric.label, metricDelta)
 		}
-		fmt.Fprintf(stdout, "%-9s %s %.0f -> %.0f ns/op (%+.1f%%)%s%s\n", status, name, b.NsPerOp, c.NsPerOp, delta, allocNote, pctNote)
+		fmt.Fprintf(stdout, "%-9s %s %.0f -> %.0f ns/op (%+.1f%%)%s%s\n", status, name, b.NsPerOp, c.NsPerOp, delta, allocNote, metricNote)
 	}
 	for name := range base {
 		if _, ok := cur[name]; !ok {

@@ -34,12 +34,12 @@ func TestParseBench(t *testing.T) {
 	if !ok {
 		t.Fatalf("package-qualified name missing: %+v", benches)
 	}
-	if text.NsPerOp != 12345 || text.AllocsPerOp != 30 {
+	if text.NsPerOp != 12345 || text.AllocsPerOp != 30 || text.BytesPerOp != 2048 {
 		t.Errorf("RenderText = %+v", text)
 	}
 	cold := byName["asagen:BenchmarkRenderAll/cold"]
-	if cold.NsPerOp != 9876543 || cold.AllocsPerOp != -1 {
-		t.Errorf("RenderAll/cold = %+v (allocs must be -1 when unreported)", cold)
+	if cold.NsPerOp != 9876543 || cold.AllocsPerOp != -1 || cold.BytesPerOp != 0 {
+		t.Errorf("RenderAll/cold = %+v (allocs must be -1 and bytes 0 when unreported)", cold)
 	}
 	hit := byName["asagen/internal/core:BenchmarkCacheHitMiss/hit"]
 	if hit.NsPerOp != 1234.5 || hit.AllocsPerOp != 0 {
@@ -92,7 +92,7 @@ func TestParseModeWritesJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"asagen:BenchmarkRenderText"`, `"ns_per_op": 12345`, `"allocs_per_op": -1`} {
+	for _, want := range []string{`"asagen:BenchmarkRenderText"`, `"ns_per_op": 12345`, `"bytes_per_op": 2048`, `"allocs_per_op": -1`} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("JSON missing %s:\n%s", want, data)
 		}
@@ -211,6 +211,29 @@ func TestCompareReportsAllocDeltas(t *testing.T) {
 	}
 }
 
+// TestCompareReportsBytesWithoutGating: B/op is printed beside ns/op with
+// its delta and, like it, never fails the gate; a side that did not report
+// it prints none.
+func TestCompareReportsBytesWithoutGating(t *testing.T) {
+	dir := t.TempDir()
+	base := writeJSON(t, dir, "base.json",
+		`[{"name":"a:BenchmarkX","ns_per_op":100000,"allocs_per_op":200,"bytes_per_op":1000},
+		  {"name":"a:BenchmarkY","ns_per_op":100000,"allocs_per_op":200}]`)
+	cur := writeJSON(t, dir, "cur.json",
+		`[{"name":"a:BenchmarkX","ns_per_op":100000,"allocs_per_op":200,"bytes_per_op":3000},
+		  {"name":"a:BenchmarkY","ns_per_op":100000,"allocs_per_op":200,"bytes_per_op":3000}]`)
+	var sb strings.Builder
+	if err := run([]string{"-baseline", base, "-current", cur}, &sb); err != nil {
+		t.Fatalf("a B/op rise failed the gate: %v\n%s", err, sb.String())
+	}
+	if !strings.Contains(sb.String(), "200 -> 200 allocs/op (+0.0%), 1000 -> 3000 B/op (+200.0%)") {
+		t.Errorf("report missing the B/op delta:\n%s", sb.String())
+	}
+	if strings.Count(sb.String(), "B/op") != 1 {
+		t.Errorf("a B/op delta reported for a baseline without B/op:\n%s", sb.String())
+	}
+}
+
 // TestParseMergePreservesFieldsAcrossRuns: the field-wise merge keeps
 // each field's minimum independently — a run that omits allocations or
 // percentile metrics never erases the values another run reported, and
@@ -219,8 +242,8 @@ func TestCompareReportsAllocDeltas(t *testing.T) {
 func TestParseMergePreservesFieldsAcrossRuns(t *testing.T) {
 	repeated := `pkg: asagen
 BenchmarkX-8   10   900 ns/op
-BenchmarkX-8   10   1500 ns/op   7 allocs/op
-BenchmarkX-8   10   1100 ns/op   9 allocs/op
+BenchmarkX-8   10   1500 ns/op   640 B/op   7 allocs/op
+BenchmarkX-8   10   1100 ns/op   512 B/op   9 allocs/op
 BenchmarkY-8   10   50000 ns/op   40000 p50-ns   90000 p99-ns   12 allocs/op
 BenchmarkY-8   10   48000 ns/op   42000 p50-ns   80000 p99-ns   15 allocs/op
 BenchmarkY-8   10   52000 ns/op
@@ -234,8 +257,8 @@ BenchmarkY-8   10   52000 ns/op
 		byName[b.Name] = b
 	}
 	x := byName["asagen:BenchmarkX"]
-	if x.NsPerOp != 900 || x.AllocsPerOp != 7 {
-		t.Errorf("X = %+v, want ns 900 with the min reported allocs 7", x)
+	if x.NsPerOp != 900 || x.AllocsPerOp != 7 || x.BytesPerOp != 512 {
+		t.Errorf("X = %+v, want ns 900 with the min reported allocs 7 and bytes 512", x)
 	}
 	y := byName["asagen:BenchmarkY"]
 	if y.NsPerOp != 48000 || y.AllocsPerOp != 12 || y.P50Ns != 40000 || y.P99Ns != 80000 {

@@ -60,7 +60,7 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 			"bad keep_going "+strconv.Quote(kg)+": want 1/true or 0/false")
 		return
 	}
-	chk, err := trace.ParseCheck(q.Get("format"), q["match"], tolerance)
+	chk, err := trace.ParseCheck(q.Get("format"), q["match"], tolerance, keepGoing)
 	if err != nil {
 		code := CodeBadTrace
 		if errors.Is(err, trace.ErrNegativeTolerance) {
@@ -69,7 +69,6 @@ func (h *Handler) handleCheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, code, err.Error())
 		return
 	}
-	chk.KeepGoing = keepGoing
 
 	machine, _, _, err := h.p.Machine(r.Context(), r.PathValue("model"), param)
 	if err != nil {

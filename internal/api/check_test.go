@@ -141,7 +141,8 @@ func TestCheckRouteVerdictBytesMatchMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantData = append(wantData, string(trace.Terminal(rep, nil).AppendJSON(nil)))
+	last := trace.Terminal(rep, nil)
+	wantData = append(wantData, string(last.AppendJSON(nil)))
 
 	if len(events) != len(wantData) {
 		t.Fatalf("got %d events, want %d", len(events), len(wantData))

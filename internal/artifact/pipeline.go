@@ -741,19 +741,9 @@ func (p *Pipeline) each(ctx context.Context, reqs []Request, deliver func(i int,
 // Requests are ordered by model name, then format name, so dynamically
 // registered models join a batch deterministically.
 func (p *Pipeline) AllRequests() []Request {
-	return registryRequests(p.reg)
-}
-
-// AllRequests is the full default-registry cross product; see
-// Pipeline.AllRequests for the per-pipeline form.
-func AllRequests() []Request {
-	return registryRequests(models.Default())
-}
-
-func registryRequests(reg *models.Registry) []Request {
 	var reqs []Request
-	for _, name := range reg.Names() {
-		entry, err := reg.Get(name)
+	for _, name := range p.reg.Names() {
+		entry, err := p.reg.Get(name)
 		if err != nil {
 			continue
 		}

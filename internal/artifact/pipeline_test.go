@@ -19,7 +19,7 @@ import (
 // every registered model must render in every registered format without
 // error, and the machine must be generated exactly once per model.
 func TestCrossProductRenders(t *testing.T) {
-	reqs := AllRequests()
+	reqs := New().AllRequests()
 	wantLen := 0
 	for _, name := range models.Names() {
 		entry, err := models.Get(name)
@@ -101,7 +101,7 @@ func TestResultCarriesWireMetadata(t *testing.T) {
 // TestDeterminism: fingerprints and rendered bytes are identical across
 // pipeline runs and worker-pool sizes.
 func TestDeterminism(t *testing.T) {
-	reqs := AllRequests()
+	reqs := New().AllRequests()
 	configs := []struct {
 		name string
 		opts []Option
@@ -160,7 +160,7 @@ func TestConcurrentSingleFlight(t *testing.T) {
 }
 
 func TestStreamDeliversAll(t *testing.T) {
-	reqs := AllRequests()
+	reqs := New().AllRequests()
 	p := New(WithJobs(4))
 	seen := map[Request]bool{}
 	for res := range p.Stream(context.Background(), reqs) {

@@ -82,8 +82,8 @@ func TestPipelineAllRequestsFollowsRegistry(t *testing.T) {
 	if got := len(p.AllRequests()); got != base {
 		t.Errorf("cross product after removal = %d, want %d", got, base)
 	}
-	// The package-level helper stays pinned to the default registry.
-	if got := len(AllRequests()); got != base {
+	// A pipeline on the default registry never saw the clone's entries.
+	if got := len(New().AllRequests()); got != base {
 		t.Errorf("default-registry cross product = %d, want %d", got, base)
 	}
 }

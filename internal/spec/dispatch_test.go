@@ -414,15 +414,14 @@ func FuzzDispatchAgreesWithRules(f *testing.F) {
 			values[1] = append(values[1], val)
 		}
 		wide := []int{0, 1, big - 1, big}
-		for _, when := range [][][]guard{c.describeWhen, c.labelWhen} {
-			for _, gs := range when {
-				wide = appendNear(wide, gs, m.scope)
-			}
+		for _, r := range c.doc.Rules {
+			wide = appendNear(wide, r.When, m.scope)
 		}
-		for _, when := range c.msgWhen {
-			for _, gs := range when {
-				wide = appendNear(wide, gs, m.scope)
-			}
+		for _, r := range c.doc.Describe {
+			wide = appendNear(wide, r.When, m.scope)
+		}
+		for _, l := range c.doc.Abstraction.Labels {
+			wide = appendNear(wide, l.When, m.scope)
 		}
 		slices.Sort(wide)
 		for _, val := range slices.Compact(wide) {
@@ -445,14 +444,15 @@ func FuzzDispatchAgreesWithRules(f *testing.F) {
 	})
 }
 
-// appendNear appends, for each guard on component 2, its value and the
-// values either side of it that do not overflow.
-func appendNear(out []int, gs []guard, s scope) []int {
-	for _, g := range gs {
-		if g.idx != 2 {
+// appendNear appends, for each condition on component c (fuzzDoc's
+// widest), its value and the values either side of it that do not
+// overflow.
+func appendNear(out []int, conds []Cond, s scope) []int {
+	for _, cond := range conds {
+		if cond.Component != "c" {
 			continue
 		}
-		w := g.val.eval(s)
+		w := cond.Value.eval(s)
 		out = append(out, w)
 		if w > math.MinInt {
 			out = append(out, w-1)

@@ -18,20 +18,11 @@ type Compiled struct {
 	doc Doc
 	// compIdx maps component names to their vector index.
 	compIdx map[string]int
-	// msgIdx maps each declared message to its position in doc.Messages.
-	msgIdx map[string]int
 	// byMsg lists each message's rules, by position in doc.Rules and in
-	// document order (the first matching rule fires), and msgWhen their
-	// guards; both are indexed like doc.Messages.
-	byMsg   [][]int
-	msgWhen [][][]guard
-	// describeWhen and labelWhen are the guards of doc.Describe and of the
-	// abstraction's labels. Every guard has its component resolved to a
-	// vector index.
-	describeWhen, labelWhen [][]guard
-	// memberWhen is msgWhen followed by describeWhen: the guard lists a
-	// member builds tables of.
-	memberWhen [][][]guard
+	// document order (the first matching rule fires), indexed like
+	// doc.Messages. A member's tables read the rules' conditions from doc
+	// through it, so the conditions are held once, by the document.
+	byMsg [][]int
 	// placeholders are the components' "{name}" keys, by vector index.
 	placeholders []string
 	// fillKeys are the placeholders a parameter fixes: "{param}", then each
@@ -43,22 +34,15 @@ type Compiled struct {
 	extra []string
 }
 
-// guard is one condition with its component resolved to a vector index.
-type guard struct {
-	idx int
-	op  string
-	val Value
-}
-
 // newCompiled indexes a validated document whose canonical form is
 // foreseen to take canonSize bytes (0: not foreseen), taking the component
 // and message indexes compile built while validating it. compile is the
-// only caller.
+// only caller. The document's slices may be shared with its caller, so
+// newCompiled writes nothing into them.
 func newCompiled(d Doc, compIdx, msgIdx map[string]int, canonSize int) *Compiled {
 	c := &Compiled{
 		doc:          d,
 		compIdx:      compIdx,
-		msgIdx:       msgIdx,
 		placeholders: make([]string, len(d.Components)),
 		fillKeys:     make([]string, 1+len(d.Derived)),
 	}
@@ -69,56 +53,20 @@ func newCompiled(d Doc, compIdx, msgIdx map[string]int, canonSize int) *Compiled
 	for i, dv := range d.Derived {
 		c.fillKeys[1+i] = "{" + dv.Name + "}"
 	}
-	var labels []LabelRule
-	if d.Abstraction != nil {
-		labels = d.Abstraction.Labels
-	}
-	guards := 0
-	for _, r := range d.Rules {
-		guards += len(r.When)
-	}
-	for _, r := range d.Describe {
-		guards += len(r.When)
-	}
-	for _, l := range labels {
-		guards += len(l.When)
-	}
-	arena := make([]guard, 0, guards)
-	resolve := func(conds []Cond) []guard {
-		from := len(arena)
-		for _, cond := range conds {
-			arena = append(arena, guard{idx: c.compIdx[cond.Component], op: cond.Op, val: cond.Value})
-		}
-		return arena[from:len(arena):len(arena)]
-	}
-	when := make([][]guard, len(d.Rules)+len(d.Describe)+len(labels))
-	c.describeWhen = when[len(d.Rules) : len(d.Rules)+len(d.Describe)]
-	for i, r := range d.Describe {
-		c.describeWhen[i] = resolve(r.When)
-	}
-	c.labelWhen = when[len(d.Rules)+len(d.Describe):]
-	for i, l := range labels {
-		c.labelWhen[i] = resolve(l.When)
-	}
-	// Each message's rules, and their guards, are a window of one array
-	// each, sized by a counting pass.
+	// Each message's rules are a window of one array, sized by a counting
+	// pass.
 	counts := make([]int, len(d.Messages))
 	for _, r := range d.Rules {
-		counts[c.msgIdx[r.Message]]++
+		counts[msgIdx[r.Message]]++
 	}
 	order := make([]int, len(d.Rules))
 	c.byMsg = make([][]int, len(d.Messages))
-	c.memberWhen = make([][][]guard, len(d.Messages)+1)
-	c.msgWhen = c.memberWhen[:len(d.Messages)]
-	c.memberWhen[len(d.Messages)] = c.describeWhen
 	for mi, n := range counts {
 		c.byMsg[mi], order = order[:0:n], order[n:]
-		c.msgWhen[mi], when = when[:0:n], when[n:]
 	}
 	for i, r := range d.Rules {
-		mi := c.msgIdx[r.Message]
+		mi := msgIdx[r.Message]
 		c.byMsg[mi] = append(c.byMsg[mi], i)
-		c.msgWhen[mi] = append(c.msgWhen[mi], resolve(r.When))
 	}
 
 	// The canonical JSON of the whole document is deterministic (struct
@@ -297,15 +245,18 @@ func (t *table) first(v core.Vector) int {
 // number of guards, so every append fits and a member costs the same
 // allocations at any parameter.
 type tables struct {
-	maxes  []int
-	scope  scope
-	blocks []block
-	splits []split
-	at     []int
-	masks  []uint64
-	// scratch holds one block's guards grouped by component, the groups
-	// in the order their components first appear in the block; ends and
-	// comps keep count while build groups them.
+	compIdx map[string]int
+	maxes   []int
+	scope   scope
+	blocks  []block
+	splits  []split
+	at      []int
+	masks   []uint64
+	// idxs holds the components of one block's guards in entry order,
+	// each looked up once, and scratch the guards grouped by component, the
+	// groups in the order their components first appear in the block; ends
+	// and comps keep count while build groups them.
+	idxs    []int
 	scratch []blockGuard
 	ends    []int
 	comps   []int
@@ -318,62 +269,86 @@ type blockGuard struct {
 	want int
 }
 
-// newTables sizes the arenas for the guard lists the member will build
-// tables of.
-func newTables(maxes []int, s scope, lists [][][]guard) *tables {
-	blocks, guards, splits, widest := 0, 0, 0, 0
-	for _, when := range lists {
-		for lo := 0; lo < len(when); lo += 64 {
-			n := 0
-			for _, gs := range when[lo:min(lo+64, len(when))] {
-				n += len(gs)
-			}
-			blocks++
-			guards += n
-			splits += min(n, len(maxes))
-			widest = max(widest, n)
-		}
+// sizes counts what the lists a member builds tables of hold, entry by
+// entry and list by list, for newTables.
+type sizes struct {
+	// comps is the number of components, the most a block can split.
+	comps                          int
+	blocks, guards, splits, widest int
+	// open is the number of guards of the block being counted.
+	open int
+}
+
+// entry counts the i-th entry of a list, which has n conditions.
+func (z *sizes) entry(i, n int) {
+	if i%64 == 0 {
+		z.end()
+		z.blocks++
 	}
+	z.open += n
+}
+
+// end closes the block being counted: each of its guards splits at most
+// one component.
+func (z *sizes) end() {
+	z.guards += z.open
+	z.splits += min(z.open, z.comps)
+	z.widest = max(z.widest, z.open)
+	z.open = 0
+}
+
+// newTables sizes the arenas for the lists z counted.
+func newTables(maxes []int, s scope, compIdx map[string]int, z sizes) *tables {
+	z.end()
+	ends := make([]int, len(maxes)+z.widest)
 	// Each guard adds at most two breakpoints, and a split's masks number
 	// its breakpoints plus one.
 	return &tables{
+		compIdx: compIdx,
 		maxes:   maxes,
 		scope:   s,
-		blocks:  make([]block, 0, blocks),
-		splits:  make([]split, 0, splits),
-		at:      make([]int, 0, 2*guards),
-		masks:   make([]uint64, 0, 2*guards+splits),
-		scratch: make([]blockGuard, widest),
-		ends:    make([]int, len(maxes)),
-		comps:   make([]int, 0, min(widest, len(maxes))),
+		blocks:  make([]block, 0, z.blocks),
+		splits:  make([]split, 0, z.splits),
+		at:      make([]int, 0, 2*z.guards),
+		masks:   make([]uint64, 0, 2*z.guards+z.splits),
+		idxs:    ends[len(maxes):len(maxes)],
+		scratch: make([]blockGuard, z.widest),
+		ends:    ends[:len(maxes)],
+		comps:   make([]int, 0, min(z.widest, len(maxes))),
 	}
 }
 
-// build returns the table of a guard list.
-func (ts *tables) build(when [][]guard) table {
+// build returns the table of a list of n entries, the i-th of which has
+// the conditions when(i).
+func (ts *tables) build(n int, when func(i int) []Cond) table {
 	from := len(ts.blocks)
-	for lo := 0; lo < len(when); lo += 64 {
-		entries := when[lo:min(lo+64, len(when))]
-		blk := block{all: ^uint64(0) >> (64 - len(entries))}
+	for lo := 0; lo < n; lo += 64 {
+		width := min(n-lo, 64)
+		blk := block{all: ^uint64(0) >> (64 - width)}
 		// A counting sort: count each component's guards, turn the counts
 		// into the groups' starts, then place the guards.
-		ts.comps = ts.comps[:0]
-		for _, gs := range entries {
-			for _, g := range gs {
-				if ts.ends[g.idx] == 0 {
-					ts.comps = append(ts.comps, g.idx)
+		ts.idxs, ts.comps = ts.idxs[:0], ts.comps[:0]
+		for bit := range width {
+			for _, cond := range when(lo + bit) {
+				idx := ts.compIdx[cond.Component]
+				if ts.ends[idx] == 0 {
+					ts.comps = append(ts.comps, idx)
 				}
-				ts.ends[g.idx]++
+				ts.ends[idx]++
+				ts.idxs = append(ts.idxs, idx)
 			}
 		}
-		n := 0
+		start := 0
 		for _, c := range ts.comps {
-			n, ts.ends[c] = n+ts.ends[c], n
+			start, ts.ends[c] = start+ts.ends[c], start
 		}
-		for bit, gs := range entries {
-			for _, g := range gs {
-				ts.scratch[ts.ends[g.idx]] = blockGuard{bit: uint(bit), op: g.op, want: g.val.eval(ts.scope)}
-				ts.ends[g.idx]++
+		k := 0
+		for bit := range width {
+			for _, cond := range when(lo + bit) {
+				idx := ts.idxs[k]
+				ts.scratch[ts.ends[idx]] = blockGuard{bit: uint(bit), op: cond.Op, want: cond.Value.eval(ts.scope)}
+				ts.ends[idx]++
+				k++
 			}
 		}
 		splitsFrom, start := len(ts.splits), 0
@@ -534,11 +509,17 @@ func (m *specModel) compile() {
 	d := &m.c.doc
 	m.maxes = m.c.maxes(m.scope)
 	m.fills = m.fillValues()
-	ts := newTables(m.maxes, m.scope, m.c.memberWhen)
-	sets := 0
-	for _, r := range d.Rules {
-		sets += len(r.Set)
+	z, sets := sizes{comps: len(m.maxes)}, 0
+	for _, order := range m.c.byMsg {
+		for k, ri := range order {
+			z.entry(k, len(d.Rules[ri].When))
+			sets += len(d.Rules[ri].Set)
+		}
 	}
+	for i, r := range d.Describe {
+		z.entry(i, len(r.When))
+	}
+	ts := newTables(m.maxes, m.scope, m.c.compIdx, z)
 	assigns := make([]cAssign, 0, sets)
 	rules := make([]cRule, len(d.Rules))
 	m.messages = make([]cMessage, len(d.Messages))
@@ -566,13 +547,14 @@ func (m *specModel) compile() {
 			cr.perTarget = slices.ContainsFunc(cr.annotations, m.namesComponent)
 			cr.finish = r.Finish
 		}
-		m.messages[mi] = cMessage{dispatch: ts.build(m.c.msgWhen[mi]), rules: crs}
+		when := func(k int) []Cond { return d.Rules[order[k]].When }
+		m.messages[mi] = cMessage{dispatch: ts.build(len(order), when), rules: crs}
 	}
 	m.describe = make([]string, len(d.Describe))
 	for i, r := range d.Describe {
 		m.describe[i] = m.fill(r.Text)
 	}
-	m.describes = ts.build(m.c.describeWhen)
+	m.describes = ts.build(len(d.Describe), func(i int) []Cond { return d.Describe[i].When })
 }
 
 var (
@@ -809,9 +791,14 @@ var _ core.EFSMAbstraction = (*specAbstraction)(nil)
 func newAbstraction(c *Compiled, param int) *specAbstraction {
 	s := scopeAt(c.doc.Derived, param)
 	maxes := c.maxes(s)
+	labels := c.doc.Abstraction.Labels
+	z := sizes{comps: len(maxes)}
+	for i, l := range labels {
+		z.entry(i, len(l.When))
+	}
 	a := &specAbstraction{
 		c:       c,
-		labels:  newTables(maxes, s, [][][]guard{c.labelWhen}).build(c.labelWhen),
+		labels:  newTables(maxes, s, c.compIdx, z).build(len(labels), func(i int) []Cond { return labels[i].When }),
 		symbols: make([]int, len(c.doc.Abstraction.Symbols)),
 	}
 	for i, sym := range c.doc.Abstraction.Symbols {

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"asagen/internal/core"
@@ -179,6 +181,51 @@ func TestCompileTerminationEFSM(t *testing.T) {
 		if got, want := specEFSM.Variables, handEFSM.Variables; !equalStrings(got, want) {
 			t.Errorf("k=%d: variables = %v, want %v", k, got, want)
 		}
+	}
+}
+
+// TestCompileLeavesTheDocumentAlone: a compiled spec's members read their
+// conditions from the document compile was given, whose slices its caller
+// keeps (a ModelSpec builder, a compiled form still serving members), so
+// neither compiling it nor building members and abstractions writes into
+// them. Four goroutines compile one document at once, each building a
+// member and an abstraction; under -race a write while another goroutine
+// reads is reported too.
+func TestCompileLeavesTheDocumentAlone(t *testing.T) {
+	doc, want := terminationDoc(), terminationDoc()
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := Compile(doc)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			e := c.Entry()
+			m, err := e.Build(e.DefaultParam)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			a, err := e.Abstraction(e.DefaultParam)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			v := m.Start()
+			if _, ok := core.Apply(m, v, "TASK"); !ok {
+				t.Error("TASK does not apply in the start state")
+			}
+			if got := a.StateLabel(v); got != "IDLE_WAITING" {
+				t.Errorf("the start state is labelled %s", got)
+			}
+		}()
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(doc, want) {
+		t.Errorf("compiling changed the document:\n got %+v\nwant %+v", doc, want)
 	}
 }
 

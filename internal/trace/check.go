@@ -31,16 +31,17 @@ type Check struct {
 	KeepGoing bool
 }
 
-// ParseCheck is the one place a check's trace options are decided, for
-// the SDK and the check route alike, before any machine is generated. An
+// ParseCheck is the one place a check's trace options (format, patterns,
+// tolerance, keep-going) are decided, for the SDK and the check route
+// alike, before any machine is generated. An
 // empty format is jsonl, or regex when there are patterns; patterns with
 // jsonl, an unknown format, a pattern that does not compile and a
 // negative tolerance are errors.
-func ParseCheck(format string, patterns []string, tolerance int) (Check, error) {
+func ParseCheck(format string, patterns []string, tolerance int, keepGoing bool) (Check, error) {
 	if tolerance < 0 {
 		return Check{}, fmt.Errorf("%w %d", ErrNegativeTolerance, tolerance)
 	}
-	c := Check{Format: format, Tolerance: tolerance}
+	c := Check{Format: format, Tolerance: tolerance, KeepGoing: keepGoing}
 	for _, p := range patterns {
 		rule, err := ParseRule(p)
 		if err != nil {

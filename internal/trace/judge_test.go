@@ -155,7 +155,8 @@ func TestSymbolsBelongToOneRun(t *testing.T) {
 	run := func(mon *Monitor, dec Decoder) string {
 		enc, stream, encoded = Encoder{}, stream[:0], encoded[:0]
 		rep, err := mon.Run(context.Background(), dec)
-		stream = Terminal(rep, err).AppendJSON(stream)
+		last := Terminal(rep, err)
+		stream = last.AppendJSON(stream)
 		return string(stream)
 	}
 	// jsonl writes each message in turn as a fast-path object, a bare

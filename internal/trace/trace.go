@@ -159,7 +159,7 @@ func (r Report) Conforming() bool { return r.Violations == 0 }
 // and returns the extended slice. The encoding is deterministic — fixed
 // key order, no insignificant whitespace — so equal verdict streams are
 // byte-identical wherever they are rendered (SSE, CLI, SDK).
-func (v Verdict) AppendJSON(dst []byte) []byte {
+func (v *Verdict) AppendJSON(dst []byte) []byte {
 	dst = append(dst, '{')
 	if v.Line > 0 {
 		dst = append(dst, `"line":`...)
@@ -290,7 +290,7 @@ func (e *Encoder) lineDigits(line int) []byte {
 }
 
 // AppendJSON appends the canonical JSON encoding of the report to dst.
-func (r Report) AppendJSON(dst []byte) []byte {
+func (r *Report) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `{"lines":`...)
 	dst = strconv.AppendInt(dst, int64(r.Lines), 10)
 	dst = append(dst, `,"events":`...)
