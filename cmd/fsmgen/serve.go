@@ -44,7 +44,7 @@ func runServe(args []string, stdout io.Writer) error {
 		clustered  = fs.Bool("cluster", false, "join a peer ring: shard artifact requests by fingerprint and replicate renders to ring successors")
 		peers      = fs.String("peers", "", "comma-separated peer base URLs gossiped to at startup (cluster mode)")
 		nodeID     = fs.String("node-id", "", "stable node name hashed onto the ring (default: the advertised URL)")
-		advertise  = fs.String("advertise", "", "base URL peers reach this node at (default: http://localhost<addr>)")
+		advertise  = fs.String("advertise", "", "base URL peers reach this node at (default: http://<addr's host, or localhost>:<bound port>)")
 		replicas   = fs.Int("replicas", 2, "successor-list length s: each artifact is pushed to its owner's next s ring successors (cluster mode)")
 		seed       = fs.Int64("cluster-seed", 1, "seed for gossip target selection (cluster mode)")
 		debugAddr  = fs.String("debug-addr", "", "listen address for net/http/pprof's /debug/pprof/ routes, apart from -addr (empty = off)")
@@ -52,15 +52,22 @@ func runServe(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Bind first, so the banner and the advertised URL name the port
+	// actually bound: -addr 127.0.0.1:0 serves on a free one.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
 	if *debugAddr != "" {
-		ln, err := net.Listen("tcp", *debugAddr)
+		dln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
 			return fmt.Errorf("debug listener: %w", err)
 		}
 		debug := &http.Server{Handler: debugHandler(), ReadHeaderTimeout: 10 * time.Second}
-		go debug.Serve(ln) // returns once Close stops it; a failed debug listener leaves the public one up
+		go debug.Serve(dln) // returns once Close stops it; a failed debug listener leaves the public one up
 		defer debug.Close()
-		fmt.Fprintf(stdout, "fsmgen serve: pprof on %s\n", ln.Addr())
+		fmt.Fprintf(stdout, "fsmgen serve: pprof on %s\n", dln.Addr())
 	}
 	// Every serve instance owns a clone of the built-in registry, so
 	// POST /v1/models registrations are never shared between concurrent
@@ -89,10 +96,7 @@ func runServe(args []string, stdout io.Writer) error {
 	if *clustered {
 		url := *advertise
 		if url == "" {
-			url = "http://localhost" + *addr
-			if !strings.HasPrefix(*addr, ":") {
-				url = "http://" + *addr
-			}
+			url = advertised(*addr, ln.Addr())
 		}
 		id := *nodeID
 		if id == "" {
@@ -127,16 +131,27 @@ func runServe(args []string, stdout io.Writer) error {
 	}
 
 	fmt.Fprintf(stdout, "fsmgen serve: listening on %s (%d models, %d formats)\n",
-		*addr, len(reg.Names()), len(render.Formats()))
+		ln.Addr(), len(reg.Names()), len(render.Formats()))
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           api.NewHandler(p, handlerOpts...),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      2 * time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
-	return srv.ListenAndServe()
+	return srv.Serve(ln)
+}
+
+// advertised is the base URL peers reach a node at that listens on addr
+// and is bound at bound: addr's host, localhost when it names none, and
+// the port bound.
+func advertised(addr string, bound net.Addr) string {
+	host, _, _ := net.SplitHostPort(addr)
+	if host == "" {
+		host = "localhost"
+	}
+	_, port, _ := net.SplitHostPort(bound.String())
+	return "http://" + net.JoinHostPort(host, port)
 }
 
 // debugHandler routes net/http/pprof's handlers. That package registers

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -238,9 +239,9 @@ func TestMergeCollapsesTrueTwins(t *testing.T) {
 	if got := len(machine.Start.MergedNames); got != 2 {
 		t.Errorf("start MergedNames = %v, want 2 entries", machine.Start.MergedNames)
 	}
-	// Merged-away names still resolve.
-	if machine.StateByName("F/T") != machine.Start {
-		t.Error("StateByName alias lookup failed after merge")
+	// The merged-away name is among them.
+	if !slices.Contains(machine.Start.MergedNames, "F/T") {
+		t.Errorf("start MergedNames = %v, want F/T among them", machine.Start.MergedNames)
 	}
 }
 
@@ -335,16 +336,6 @@ func TestTransitionCount(t *testing.T) {
 	// 4 value states x (inc + reset) = 8 transitions; finish state has none.
 	if got := machine.TransitionCount(); got != 8 {
 		t.Errorf("TransitionCount = %d, want 8", got)
-	}
-}
-
-func TestStateByNameMissing(t *testing.T) {
-	machine, err := Generate(context.Background(), &toyModel{max: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if machine.StateByName("no/such") != nil {
-		t.Error("StateByName returned a state for an unknown name")
 	}
 }
 

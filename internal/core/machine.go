@@ -123,23 +123,6 @@ func (s *State) SortedMessages(order []string) []string {
 	return out
 }
 
-// StateByName returns the state with the given name, or nil when absent.
-// After merging, every merged-away name still resolves to its class
-// representative.
-func (m *StateMachine) StateByName(name string) *State {
-	for _, s := range m.States {
-		if s.Name == name {
-			return s
-		}
-		for _, alias := range s.MergedNames {
-			if alias == name {
-				return s
-			}
-		}
-	}
-	return nil
-}
-
 // TransitionCount returns the total number of transitions in the machine.
 func (m *StateMachine) TransitionCount() int {
 	n := 0

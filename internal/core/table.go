@@ -3,17 +3,18 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 )
 
 // Table indexes a machine's transitions by position: per state, in the
 // order of StateMachine.States, its outgoing transitions in the machine's
 // message order, each with its message index and its target's position.
 // It is what renderers walk instead of probing State.Transitions once per
-// message and looking every target up in a map of their own; StateMachine
-// computes it once, on first use (see StateMachine.Table). It also holds
-// the machine's annotation lines, each distinct line once, and each
-// state's as ids into them (see LineIDs).
+// message and looking every target up in a map of their own, and what the
+// interpreter delivers through: the machine's messages by name, and a
+// dense column from (state position, message index) to the edge taken.
+// StateMachine computes it once, on first use (see StateMachine.Table).
+// It also holds the machine's annotation lines, each distinct line once,
+// and each state's as ids into them (see LineIDs).
 type Table struct {
 	// Start and Finish are the positions of the start and finish states;
 	// -1 when the machine has none.
@@ -25,16 +26,17 @@ type Table struct {
 	first []int32 // state i's edges are edges[first[i]:first[i+1]]
 	err   error
 
+	msgs    map[string]int32
+	next    []int32 // next[s*width+m]: the edge position, -1 for none
+	width   int
+	execErr error // why the column cannot execute the machine; see Executable
+
 	// lines holds each distinct annotation line once; state i's
 	// annotations are lines[id] for each id in
 	// lineIDs[lineFirst[i]:lineFirst[i+1]].
 	lines     []string
 	lineIDs   []int32
 	lineFirst []int32
-
-	states   []*State
-	messages []string
-	delivery atomic.Pointer[Delivery]
 }
 
 // Edge is one transition in a Table.
@@ -76,77 +78,32 @@ func (t *Table) Lines() []string { return t.lines }
 func (t *Table) LineIDs(i int) []int32 { return t.lineIDs[t.lineFirst[i]:t.lineFirst[i+1]] }
 
 // Edge returns the transition at position e of the table, counting every
-// state's edges in state order: the position Delivery.Next returns.
+// state's edges in state order: the position Next returns.
 func (t *Table) Edge(e int) *Edge { return &t.edges[e] }
-
-// Delivery is a Table's index for the interpreter: the machine's messages
-// by name, and a dense column from (state position, message index) to the
-// edge that state takes on that message. Table.Delivery builds it on first
-// use, so a machine that is only rendered never pays for it.
-type Delivery struct {
-	msgs  map[string]int32
-	next  []int32 // next[s*width+m]: the edge position, -1 for none
-	width int
-	err   error
-}
 
 // Message returns the index of msg in the machine's Messages; -1 when it
 // is not one of them.
-func (d *Delivery) Message(msg string) int {
-	if i, ok := d.msgs[msg]; ok {
+func (t *Table) Message(msg string) int {
+	if i, ok := t.msgs[msg]; ok {
 		return int(i)
 	}
 	return -1
 }
 
-// Next returns the position (see Table.Edge) of the transition the state
-// at position s takes on the message at index m, or -1 when it has none.
-func (d *Delivery) Next(s, m int) int { return int(d.next[s*d.width+m]) }
+// Next returns the position (see Edge) of the transition the state at
+// position s takes on the message at index m, or -1 when it has none.
+func (t *Table) Next(s, m int) int { return int(t.next[s*t.width+m]) }
 
-// Delivery returns the table's delivery index, building it on first use;
-// first uses that race may each build it.
-//
-// The error is the table's own, or names a message the machine declares
-// twice, or a transition on a message it does not declare: the column
-// would miss that transition, so such a machine cannot be executed
-// through it.
-func (t *Table) Delivery() (*Delivery, error) {
-	d := t.delivery.Load()
-	if d == nil {
-		d = t.indexDelivery()
-		t.delivery.Store(d)
+// Executable reports whether Message and Next reach every transition of
+// the machine. The error is the table's own, or names a message the
+// machine declares twice, or a transition on a message it does not
+// declare: the column would miss that transition, so such a machine
+// cannot be executed through it.
+func (t *Table) Executable() error {
+	if t.err != nil {
+		return t.err
 	}
-	return d, d.err
-}
-
-func (t *Table) indexDelivery() *Delivery {
-	d := &Delivery{msgs: make(map[string]int32, len(t.messages)), width: len(t.messages), err: t.err}
-	for i, msg := range t.messages {
-		if _, dup := d.msgs[msg]; dup && d.err == nil {
-			d.err = fmt.Errorf("message %q is declared twice", msg)
-		}
-		d.msgs[msg] = int32(i)
-	}
-	d.next = make([]int32, len(t.states)*d.width)
-	for i := range d.next {
-		d.next[i] = -1
-	}
-	for i, s := range t.states {
-		row := d.next[i*d.width : (i+1)*d.width]
-		for e := t.first[i]; e < t.first[i+1]; e++ {
-			row[t.edges[e].Msg] = e
-		}
-		if d.err == nil && len(s.Transitions) != int(t.first[i+1]-t.first[i]) {
-			undeclared := ""
-			for msg := range s.Transitions {
-				if _, ok := d.msgs[msg]; !ok && (undeclared == "" || msg < undeclared) {
-					undeclared = msg
-				}
-			}
-			d.err = fmt.Errorf("state %q has a transition on %q, which is not one of the machine's messages", s.Name, undeclared)
-		}
-	}
-	return d
+	return t.execErr
 }
 
 // Table returns the machine's transition table, computing it on first use;
@@ -171,7 +128,10 @@ func (m *StateMachine) index() *Table {
 	for i, s := range m.States {
 		pos[s] = int32(i)
 	}
-	t := &Table{first: make([]int32, len(m.States)+1), states: m.States, messages: m.Messages}
+	// first, lineFirst and the delivery column share one allocation.
+	ns, w := len(m.States), len(m.Messages)
+	cells := make([]int32, 2*(ns+1)+ns*w)
+	t := &Table{first: cells[:ns+1], lineFirst: cells[ns+1 : 2*(ns+1)], next: cells[2*(ns+1):], width: w}
 	at := func(s *State) int32 {
 		p, ok := pos[s]
 		if !ok {
@@ -198,7 +158,13 @@ func (m *StateMachine) index() *Table {
 		n += len(s.Transitions)
 	}
 	t.edges = make([]Edge, 0, n)
-	t.lineFirst = make([]int32, len(m.States)+1)
+	t.msgs = make(map[string]int32, w)
+	for j, msg := range m.Messages {
+		if _, dup := t.msgs[msg]; dup && t.execErr == nil {
+			t.execErr = fmt.Errorf("message %q is declared twice", msg)
+		}
+		t.msgs[msg] = int32(j)
+	}
 	z := &t.Sizes
 	z.States = len(m.States)
 	for i, s := range m.States {
@@ -215,11 +181,14 @@ func (m *StateMachine) index() *Table {
 				z.MergedLen += len(name)
 			}
 		}
+		row := t.next[i*w : (i+1)*w]
 		for j, msg := range m.Messages {
 			tr := s.Transitions[msg]
 			if tr == nil {
+				row[j] = -1
 				continue
 			}
+			row[j] = int32(len(t.edges))
 			e := Edge{Msg: int32(j), To: at(tr.Target), Transition: tr}
 			t.edges = append(t.edges, e)
 			z.EdgeSources += len(s.Name)
@@ -236,6 +205,15 @@ func (m *StateMachine) index() *Table {
 			}
 		}
 		t.first[i+1] = int32(len(t.edges))
+		if t.execErr == nil && len(s.Transitions) != int(t.first[i+1]-t.first[i]) {
+			undeclared := ""
+			for msg := range s.Transitions {
+				if _, ok := t.msgs[msg]; !ok && (undeclared == "" || msg < undeclared) {
+					undeclared = msg
+				}
+			}
+			t.execErr = fmt.Errorf("state %q has a transition on %q, which is not one of the machine's messages", s.Name, undeclared)
+		}
 	}
 	z.Edges = len(t.edges)
 	t.lines, t.lineIDs = internLines(m.States, z.Annotations)

@@ -190,14 +190,15 @@ func putSpec(ctx context.Context, client *http.Client, base, model string, doc [
 func ConformingTrace(machine *core.StateMachine, seed int64, maxLines int) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	var buf bytes.Buffer
-	for state, line := machine.Start, 0; state != nil && !state.Final && line < maxLines; line++ {
-		applicable := state.SortedMessages(machine.Messages)
+	table, _ := machine.Table() // a reference outside States is position -1, where the walk stops
+	for at, line := table.Start, 0; at >= 0 && !machine.States[at].Final && line < maxLines; line++ {
+		applicable := table.Out(at) // in message order
 		if len(applicable) == 0 {
 			break
 		}
-		msg := applicable[rng.Intn(len(applicable))]
-		state = state.Transition(msg).Target
-		fmt.Fprintf(&buf, "{\"msg\":%q}\n", msg)
+		e := applicable[rng.Intn(len(applicable))]
+		at = int(e.To)
+		fmt.Fprintf(&buf, "{\"msg\":%q}\n", machine.Messages[e.Msg])
 	}
 	return buf.Bytes()
 }

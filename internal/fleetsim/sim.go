@@ -60,31 +60,6 @@ func machineInfo(m *core.StateMachine) MachineInfo {
 	}
 }
 
-// stateMsgs caches, per machine state, the messages applicable there and
-// the vocabulary remainder, both in canonical message order. The index is
-// built once and read concurrently by every shard, keeping the per-step
-// hot path allocation-free.
-type stateMsgs struct {
-	applicable   []string
-	inapplicable []string
-}
-
-func indexMachine(m *core.StateMachine) map[*core.State]stateMsgs {
-	idx := make(map[*core.State]stateMsgs, len(m.States))
-	for _, st := range m.States {
-		var sm stateMsgs
-		for _, msg := range m.Messages {
-			if st.Transition(msg) != nil {
-				sm.applicable = append(sm.applicable, msg)
-			} else {
-				sm.inapplicable = append(sm.inapplicable, msg)
-			}
-		}
-		idx[st] = sm
-	}
-	return idx
-}
-
 // arrivalTimes precomputes every instance's birth time from the arrival
 // process. The schedule depends only on (seed, arrival, instances) — not
 // on the shard partition — so resharding an experiment keeps its arrival
@@ -126,7 +101,7 @@ type stepMsg struct {
 type shardRun struct {
 	sc       *Scenario
 	machine  *core.StateMachine
-	index    map[*core.State]stateMsgs
+	table    *core.Table
 	net      *simnet.Network
 	duration time.Duration
 	thinkMin time.Duration
@@ -166,7 +141,7 @@ func Run(ctx context.Context, sc Scenario, workers int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	index := indexMachine(machine)
+	table, _ := machine.Table() // a machine it cannot index fails every trace.NewJudge
 	births := arrivalTimes(&sc)
 	if workers < 1 {
 		workers = 1
@@ -182,7 +157,7 @@ func Run(ctx context.Context, sc Scenario, workers int) (*Report, error) {
 		go func(s int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			shards[s], errs[s] = runShard(ctx, &sc, machine, index, births, s)
+			shards[s], errs[s] = runShard(ctx, &sc, machine, table, births, s)
 		}(s)
 	}
 	wg.Wait()
@@ -223,13 +198,13 @@ func Run(ctx context.Context, sc Scenario, workers int) (*Report, error) {
 // over the shard's own network, stopping every driver at the virtual-time
 // bound and draining the residual event queue.
 func runShard(ctx context.Context, sc *Scenario, machine *core.StateMachine,
-	index map[*core.State]stateMsgs, births []time.Duration, shard int) (*shardRun, error) {
+	table *core.Table, births []time.Duration, shard int) (*shardRun, error) {
 	netMin, netMax := sc.Net.durations()
 	thinkMin, thinkMax := sc.Think.durations()
 	s := &shardRun{
 		sc:       sc,
 		machine:  machine,
-		index:    index,
+		table:    table,
 		net:      simnet.New(shardSeed(sc.Seed, shard), simnet.WithLatency(netMin, netMax)),
 		duration: sc.Duration(),
 		thinkMin: thinkMin,
@@ -322,7 +297,8 @@ func (in *instance) handle(_ *simnet.Network, msg simnet.Message) {
 	s.delivery.Record(now - step.sentAt)
 
 	rng := s.net.Rand()
-	sm := s.index[in.judge.State()]
+	out := s.table.Out(in.judge.Position()) // in message order
+	inapplicable := len(s.machine.Messages) - len(out)
 	roll := rng.Float64()
 	f := s.sc.Faults
 	switch {
@@ -330,19 +306,19 @@ func (in *instance) handle(_ *simnet.Network, msg simnet.Message) {
 		// The peer's message was lost before the machine saw it.
 		s.events++
 		s.tally.Add(trace.KindSkipped)
-	case roll < f.DropRate+f.InvalidRate && len(sm.inapplicable) > 0:
-		in.deliver(sm.inapplicable[rng.Intn(len(sm.inapplicable))], false)
+	case roll < f.DropRate+f.InvalidRate && inapplicable > 0:
+		in.deliver(s.machine.Messages[absent(out, rng.Intn(inapplicable))], false)
 	case roll < f.DropRate+f.InvalidRate+f.UnknownRate:
 		in.deliver(noiseMessage, false)
 	default:
-		if len(sm.applicable) == 0 {
+		if len(out) == 0 {
 			// Non-final state with no outgoing transitions: the walk is
 			// stranded.
 			in.done = true
 			s.deadEnd++
 			return
 		}
-		chosen := sm.applicable[rng.Intn(len(sm.applicable))]
+		chosen := s.machine.Messages[out[rng.Intn(len(out))].Msg]
 		in.deliver(chosen, true)
 		if !in.done && f.DuplicateRate > 0 && rng.Float64() < f.DuplicateRate {
 			// Duplicated network message: redelivered after the state
@@ -366,6 +342,18 @@ func (in *instance) handle(_ *simnet.Network, msg simnet.Message) {
 			in.sendStep()
 		}
 	})
+}
+
+// absent returns the index of the k-th message, in message order, on
+// which a state whose edges are out, in message order, has no transition.
+func absent(out []core.Edge, k int) int {
+	for _, e := range out {
+		if int(e.Msg) > k {
+			break
+		}
+		k++
+	}
+	return k
 }
 
 // thinkDelay samples the uniform think interval from the shard PRNG.

@@ -87,7 +87,7 @@ func renderDoc(m *core.StateMachine) ([]byte, error) {
 			buf = append(buf, '\n')
 		}
 		switch {
-		case len(s.Transitions) > 0:
+		case len(t.Out(i)) > 0:
 			buf = append(buf, "| Message | Actions | Next state |\n|---|---|---|\n"...)
 		case s.Final:
 			buf = append(buf, "_Terminal state._\n\n"...)

@@ -43,7 +43,7 @@ func renderText(m *core.StateMachine) ([]byte, error) {
 			buf = append(buf, '\n')
 		}
 		switch {
-		case len(s.Transitions) > 0:
+		case len(t.Out(i)) > 0:
 			buf = append(buf, "Transitions:\n\n"...)
 		case s.Final:
 			buf = append(buf, "Transitions:\n\n\t(terminal state)\n\n"...)

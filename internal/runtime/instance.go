@@ -60,14 +60,13 @@ var _ ActionHandler = ActionFunc(nil)
 // Instance is a running occurrence of a generated state machine: current
 // state plus the machine structure it walks. The state is a position in
 // the machine's core.Table, and every delivery fires through the table's
-// delivery column: one array index per (state, message).
+// column: one array index per (state, message).
 type Instance struct {
-	machine  *core.StateMachine
-	table    *core.Table
-	delivery *core.Delivery
-	state    int           // position of the current state in machine.States
-	current  *core.State   // machine.States[state]
-	handler  ActionHandler // nil discards actions without a call
+	machine *core.StateMachine
+	table   *core.Table
+	state   int           // position of the current state in machine.States
+	current *core.State   // machine.States[state]
+	handler ActionHandler // nil discards actions without a call
 }
 
 // New returns an Instance positioned at the machine's start state. A nil
@@ -82,18 +81,21 @@ func New(machine *core.StateMachine, handler ActionHandler) (*Instance, error) {
 	if machine.Start == nil {
 		return nil, errors.New("runtime: machine has no start state")
 	}
-	table, _ := machine.Table() // Delivery reports the table's error too
-	delivery, err := table.Delivery()
-	if err != nil {
+	table, _ := machine.Table() // Executable reports the table's error too
+	if err := table.Executable(); err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
-	in := &Instance{machine: machine, table: table, delivery: delivery, handler: handler}
+	in := &Instance{machine: machine, table: table, handler: handler}
 	in.Reset()
 	return in, nil
 }
 
 // State returns the machine's current state.
 func (in *Instance) State() *core.State { return in.current }
+
+// Position returns the position of the current state in the machine's
+// States and Table.
+func (in *Instance) Position() int { return in.state }
 
 // StateName returns the name of the current state.
 func (in *Instance) StateName() string { return in.current.Name }
@@ -124,7 +126,7 @@ func (in *Instance) Deliver(msg string) ([]string, error) {
 // Fire is Deliver returning the transition taken instead of its actions,
 // for callers that key work on the transition itself.
 func (in *Instance) Fire(msg string) (*core.Transition, error) {
-	e, err := in.fire(in.delivery.Message(msg), msg)
+	e, err := in.fire(in.table.Message(msg), msg)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +135,7 @@ func (in *Instance) Fire(msg string) (*core.Transition, error) {
 
 // Message returns the index of msg in the machine's Messages, the index
 // Step takes; -1 when the machine has no such message.
-func (in *Instance) Message(msg string) int { return in.delivery.Message(msg) }
+func (in *Instance) Message(msg string) int { return in.table.Message(msg) }
 
 // Step is Fire for the message at index i of the machine's Messages (see
 // Message; i must be one of its indices), returning the position of the
@@ -150,7 +152,7 @@ func (in *Instance) fire(i int, msg string) (int, error) {
 	}
 	e := -1
 	if i >= 0 {
-		e = in.delivery.Next(in.state, i)
+		e = in.table.Next(in.state, i)
 	}
 	if e < 0 {
 		if i >= 0 {

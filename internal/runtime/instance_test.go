@@ -333,40 +333,47 @@ func TestNewRefusesWhatItsTableCannotIndex(t *testing.T) {
 	}
 }
 
-// TestDeliveryColumnAgreesWithTransitions: on every registry model at its
-// default parameter, each (state, message) cell of the delivery column
+// TestDeliveryColumnAgreesWithTransitions: on every registry model at
+// every sweep parameter, the table resolves each message to its index and
+// a name the machine lacks to -1, each (state, message) cell of its column
 // names the transition State.Transitions holds, and Step walks to its
 // target.
 func TestDeliveryColumnAgreesWithTransitions(t *testing.T) {
 	for _, name := range models.Names() {
-		model, err := models.Build(name, 0)
+		entry, err := models.Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		machine := generateModel(t, model)
-		inst, err := New(machine, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		d, err := inst.Table().Delivery()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s, state := range machine.States {
-			for m, msg := range machine.Messages {
-				if inst.Message(msg) != m {
-					t.Fatalf("%s: Message(%q) = %d, want %d", name, msg, inst.Message(msg), m)
-				}
-				tr, e := state.Transitions[msg], d.Next(s, m)
-				if (tr == nil) != (e < 0) || tr != nil && inst.Table().Edge(e).Transition != tr {
-					t.Fatalf("%s: state %s on %s: column cell %d, transition %v", name, state.Name, msg, e, tr)
-				}
-				if tr == nil || state.Final {
-					continue
-				}
-				inst.state, inst.current = s, state
-				if got, err := inst.Step(m); err != nil || got != e || inst.State() != tr.Target {
-					t.Fatalf("%s: Step from %s on %s = %d, %v in %s", name, state.Name, msg, got, err, inst.StateName())
+		for _, p := range entry.SweepParams {
+			model, err := entry.Model(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			machine := generateModel(t, model)
+			inst, err := New(machine, nil)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", name, p, err)
+			}
+			table := inst.Table()
+			if got := table.Message("@no such message"); got != -1 {
+				t.Fatalf("%s/%d: Message of a name the machine lacks = %d, want -1", name, p, got)
+			}
+			for s, state := range machine.States {
+				for m, msg := range machine.Messages {
+					if table.Message(msg) != m {
+						t.Fatalf("%s/%d: Message(%q) = %d, want %d", name, p, msg, table.Message(msg), m)
+					}
+					tr, e := state.Transitions[msg], table.Next(s, m)
+					if (tr == nil) != (e < 0) || tr != nil && table.Edge(e).Transition != tr {
+						t.Fatalf("%s/%d: state %s on %s: column cell %d, transition %v", name, p, state.Name, msg, e, tr)
+					}
+					if tr == nil || state.Final {
+						continue
+					}
+					inst.state, inst.current = s, state
+					if got, err := inst.Step(m); err != nil || got != e || inst.State() != tr.Target {
+						t.Fatalf("%s/%d: Step from %s on %s = %d, %v in %s", name, p, state.Name, msg, got, err, inst.StateName())
+					}
 				}
 			}
 		}

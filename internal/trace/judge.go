@@ -122,3 +122,7 @@ func (j *Judge) Reset() {
 
 // State returns the machine's current state, Final once it has finished.
 func (j *Judge) State() *core.State { return j.inst.State() }
+
+// Position returns the position of the machine's current state in its
+// States and its core.Table.
+func (j *Judge) Position() int { return j.inst.Position() }
