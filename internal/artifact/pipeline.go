@@ -29,7 +29,7 @@
 // the fingerprints to evict further down, and replacing a model in place
 // replaces its members in place, each carrying the machine it can be
 // regenerated from into the one generation that uses it. Under the render
-// tier an optional content-addressed on-disk store (WithStore) persists
+// tier an optional on-disk store (WithStore) persists
 // every rendered artefact, so a pipeline reopened over a warm store
 // serves previously rendered artefacts from disk without regenerating
 // machines.
@@ -279,12 +279,12 @@ func WithRegistry(r *models.Registry) Option {
 	}
 }
 
-// WithStore layers a content-addressed on-disk artifact store under the
-// render memo. Every artefact rendered is persisted, and a render-memo
-// miss probes the store before generating: a pipeline opened over a warm
-// store serves previously rendered artefacts from disk — the first
-// request after a restart is a disk hit, not a regeneration. The caller
-// retains ownership of the store (Close it after the pipeline is done).
+// WithStore layers an on-disk artifact store under the render memo.
+// Every artefact rendered is persisted, and a render-memo miss probes the
+// store before generating: a pipeline opened over a warm store serves
+// previously rendered artefacts from disk — the first request after a
+// restart is a disk hit, not a regeneration. The caller retains ownership
+// of the store (Close it after the pipeline is done).
 func WithStore(s *store.Store) Option {
 	return func(p *Pipeline) { p.store = s }
 }
@@ -342,7 +342,7 @@ func (p *Pipeline) Stats() Stats {
 }
 
 // Purge drops every memoised machine, member (with its EFSM) and rendered
-// artefact, including the rows and blobs of an attached store.
+// artefact, including the files of an attached store.
 func (p *Pipeline) Purge() {
 	p.advanceEpoch()
 	if p.store != nil {
@@ -355,7 +355,7 @@ func (p *Pipeline) Purge() {
 
 // PurgeModel drops every memoised machine, EFSM and rendered artefact
 // produced for one registry name — in-memory memos and, when a store is
-// attached, its on-disk blobs and index rows — returning the number of
+// attached, its on-disk artefact files — returning the number of
 // machine generations evicted. Called when a dynamically registered model
 // is unregistered, so a later registration under the same name can never
 // observe the departed model's cached work.

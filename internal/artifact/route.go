@@ -28,7 +28,7 @@ var cancelled = func() context.Context {
 // never generates and never waits — a clustered replica uses it to decide
 // between serving a warm copy and proxying to the owner — yet what it
 // finds in the store it retains in the render tier, so a warm replica
-// reads and verifies a blob once, not per request.
+// reads and verifies a stored artefact once, not per request.
 //
 // It is a Render by a caller that has already gone: under an ended
 // context the member and render tiers still hand over a completed entry

@@ -121,7 +121,7 @@ func TestFingerprintlessRowsAreNeverHit(t *testing.T) {
 }
 
 // TestPurgeModelEvictsStore: unregistering a model's cached work drops
-// its on-disk rows and blobs too — including machine rows, which carry no
+// its on-disk artefact files too — including machine rows, which carry no
 // model name in their key — and the eviction survives a store reopen. The
 // other model's rows stay serveable.
 func TestPurgeModelEvictsStore(t *testing.T) {
@@ -148,16 +148,13 @@ func TestPurgeModelEvictsStore(t *testing.T) {
 	if n := s.Len(); n != 1 {
 		t.Errorf("store rows after purge = %d, want 1 (commit only)", n)
 	}
-	// The blobs directory holds exactly the surviving artefact's content.
-	blobs := 0
-	filepath.WalkDir(filepath.Join(dir, "blobs"), func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() {
-			blobs++
-		}
-		return nil
-	})
-	if blobs != 1 {
-		t.Errorf("blob files after purge = %d, want 1", blobs)
+	// The artefacts directory holds exactly the surviving artefact's file.
+	files, err := os.ReadDir(filepath.Join(dir, "artefacts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 {
+		t.Errorf("artefact files after purge = %d, want 1", len(files))
 	}
 
 	commit := p.Render(ctx, Request{Model: "commit", Format: "text"})

@@ -13,7 +13,7 @@ import (
 const storeKeys = 2000
 
 // benchBody is the common tail of every benchmark artefact; each carries a
-// fixed-width distinct prefix, so every blob has the same size.
+// fixed-width distinct prefix, so every artefact has the same size.
 var benchBody = strings.Repeat("x", 1<<10-9)
 
 // benchPut writes artefact i.

@@ -12,11 +12,11 @@ import (
 	"testing"
 )
 
-// tempFiles lists the .tmp-* files under dir's blobs/.
+// tempFiles lists the .tmp-* files under dir's artefacts/.
 func tempFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	var found []string
-	err := filepath.WalkDir(filepath.Join(dir, "blobs"), func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(filepath.Join(dir, "artefacts"), func(path string, d fs.DirEntry, err error) error {
 		if err == nil && strings.HasPrefix(d.Name(), ".tmp-") {
 			found = append(found, path)
 		}
@@ -32,7 +32,7 @@ func tempFiles(t *testing.T, dir string) []string {
 // TestPutLeavesNoTempFile writes into.
 const failedPutDir = "STORE_TEST_FAILED_PUT_DIR"
 
-// TestPutLeavesNoTempFile: a blob is written to a .tmp-* file and
+// TestPutLeavesNoTempFile: an artefact is written to a .tmp-* file and
 // renamed into place, and neither a Put that succeeds nor one whose write
 // fails leaves that file behind. The write fails under a file-size limit
 // (RLIMIT_FSIZE): a Go program ignores the SIGXFSZ, so write(2) returns
@@ -46,13 +46,14 @@ func TestPutLeavesNoTempFile(t *testing.T) {
 	}
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	sum := put(t, s, machineKey("commit", "aa", "text"), "a blob")
-	info, err := os.Stat(s.blobPath(sum))
+	key := machineKey("commit", "aa", "text")
+	put(t, s, key, "an artefact")
+	info, err := os.Stat(s.path(key.name()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Mode().Perm() != 0o644 {
-		t.Errorf("blob mode = %v, want -rw-r--r--", info.Mode().Perm())
+		t.Errorf("artefact file mode = %v, want -rw-r--r--", info.Mode().Perm())
 	}
 	if tmp := tempFiles(t, dir); len(tmp) > 0 {
 		t.Fatalf("a Put left %q", tmp)
@@ -72,7 +73,7 @@ func TestPutLeavesNoTempFile(t *testing.T) {
 	}
 }
 
-// putPastFileSizeLimit puts a 2 KiB blob into the store at dir under a
+// putPastFileSizeLimit puts a 2 KiB artefact into the store at dir under a
 // 1 KiB file-size limit and requires the write to fail with EFBIG.
 func putPastFileSizeLimit(t *testing.T, dir string) {
 	var limit syscall.Rlimit
@@ -95,14 +96,15 @@ func putPastFileSizeLimit(t *testing.T, dir string) {
 	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &lowered); err != nil {
 		t.Skipf("cannot lower the file-size limit: %v", err)
 	}
-	err = s.Put(machineKey("commit", "bb", "text"), data, sum, "text/plain", ".txt")
+	key := machineKey("commit", "bb", "text")
+	err = s.Put(key, data, sum, "text/plain", ".txt")
 	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &limit); err != nil {
 		t.Fatalf("restoring the file-size limit: %v", err)
 	}
 	if !errors.Is(err, syscall.EFBIG) {
 		t.Fatalf("Put past the file-size limit: err = %v, want EFBIG", err)
 	}
-	if _, err := os.Stat(s.blobPath(sum)); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("a failed write left its blob: %v", err)
+	if _, err := os.Stat(s.path(key.name())); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a failed write left its artefact file: %v", err)
 	}
 }

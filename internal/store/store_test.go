@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -32,6 +33,21 @@ func put(t *testing.T, s *Store, key Key, content string) [sha256.Size]byte {
 
 func machineKey(model, fp, format string) Key {
 	return Key{Model: model, Param: 4, Format: format, Fingerprint: fp}
+}
+
+// artefactPath is the file the store at dir keeps the key's artefact in.
+func artefactPath(dir string, key Key) string {
+	return filepath.Join(dir, "artefacts", key.Fingerprint+"."+key.Format)
+}
+
+// artefactFiles counts the files under dir's artefacts/.
+func artefactFiles(t *testing.T, dir string) int {
+	t.Helper()
+	files, err := os.ReadDir(filepath.Join(dir, "artefacts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(files)
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -69,13 +85,19 @@ func TestPutRefusesKeyWithoutFingerprint(t *testing.T) {
 }
 
 // TestReopenServesPreviousWrites: the restart-warmth core — a fresh Store
-// over the same directory serves every previously written artefact.
+// over the same directory serves every previously written artefact. One
+// model name is longer than Open's read buffer, so its header is read in
+// several pieces.
 func TestReopenServesPreviousWrites(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
 	keys := make([]Key, 0, 8)
+	long := strings.Repeat("long-model-name-", 128)
 	for i := 0; i < 8; i++ {
 		key := machineKey("commit", fmt.Sprintf("fp%02d", i), "text")
+		if i == 3 {
+			key.Model = long
+		}
 		put(t, s, key, fmt.Sprintf("content %d", i))
 		keys = append(keys, key)
 	}
@@ -93,28 +115,30 @@ func TestReopenServesPreviousWrites(t *testing.T) {
 			t.Fatalf("reopened Get(%v) = %q, %v", key, data, ok)
 		}
 	}
+	if n := reopened.EvictModel(long, nil); n != 1 {
+		t.Fatalf("EvictModel(the long name) = %d after reopen, want 1", n)
+	}
 }
 
-// TestReopenDropsRowsWithMissingBlobs: an index row whose blob vanished is
-// dead on replay, not a latent serving error.
+// TestReopenDropsRowsWithMissingBlobs: a key whose file vanished is dead
+// on reopen, not a latent serving error.
 func TestReopenDropsRowsWithMissingBlobs(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
 	key := machineKey("commit", "dead", "text")
-	sum := put(t, s, key, "to be unlinked")
+	put(t, s, key, "to be unlinked")
 	keep := machineKey("commit", "live", "text")
 	put(t, s, keep, "kept")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	hexSum := hex.EncodeToString(sum[:])
-	if err := os.Remove(filepath.Join(dir, "blobs", hexSum[:2], hexSum[2:])); err != nil {
+	if err := os.Remove(artefactPath(dir, key)); err != nil {
 		t.Fatal(err)
 	}
 
 	reopened := mustOpen(t, dir)
 	if _, _, _, _, ok := reopened.Get(key); ok {
-		t.Fatal("row with missing blob survived replay")
+		t.Fatal("key with a missing file survived reopen")
 	}
 	if _, _, _, _, ok := reopened.Get(keep); !ok {
 		t.Fatal("intact row lost")
@@ -127,14 +151,22 @@ func TestCorruptBlobReadsAsMiss(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
 	key := machineKey("commit", "bits", "text")
-	sum := put(t, s, key, "pristine content")
-	hexSum := hex.EncodeToString(sum[:])
-	path := filepath.Join(dir, "blobs", hexSum[:2], hexSum[2:])
-	if err := os.WriteFile(path, []byte("tampered content"), 0o644); err != nil {
+	put(t, s, key, "pristine content")
+	path := artefactPath(dir, key)
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The body is rewritten at its length under an intact header.
+	tampered := strings.Replace(string(file), "pristine content", "tampered content", 1)
+	if tampered == string(file) {
+		t.Fatalf("no body in %q", file)
+	}
+	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, _, ok := s.Get(key); ok {
-		t.Fatal("corrupt blob served")
+		t.Fatal("corrupt artefact served")
 	}
 	if s.Len() != 0 {
 		t.Fatalf("corrupt row not dropped: Len = %d", s.Len())
@@ -142,7 +174,7 @@ func TestCorruptBlobReadsAsMiss(t *testing.T) {
 }
 
 // TestSizeBoundEvictsLRU: beyond the byte limit the least recently used
-// rows go first, and their blobs are unlinked once unreferenced.
+// rows go first, and their files are unlinked.
 func TestSizeBoundEvictsLRU(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
@@ -170,33 +202,27 @@ func TestSizeBoundEvictsLRU(t *testing.T) {
 	if st := s.Stats(); st.Evictions != 1 || st.Bytes > 3*101 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// Victim blob gone from disk; survivors intact.
-	left := 0
-	filepath.Walk(filepath.Join(dir, "blobs"), func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			left++
-		}
-		return nil
-	})
-	if left != 3 {
-		t.Fatalf("%d blobs on disk, want 3", left)
+	// Victim's file gone from disk; survivors intact.
+	if left := artefactFiles(t, dir); left != 3 {
+		t.Fatalf("%d artefact files on disk, want 3", left)
 	}
 }
 
-// TestSharedBlobSurvivesPartialEviction: two keys with identical content
-// share one blob; evicting one key keeps the blob for the other.
-func TestSharedBlobSurvivesPartialEviction(t *testing.T) {
+// TestEqualBytesUnderTwoKeysAreIndependent: two keys with identical
+// content each keep a file of their own; evicting one leaves the other
+// readable.
+func TestEqualBytesUnderTwoKeysAreIndependent(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	a := machineKey("commit", "sharea", "text")
 	b := machineKey("commit", "shareb", "text")
 	put(t, s, a, "identical bytes")
 	put(t, s, b, "identical bytes")
-	if st := s.Stats(); st.Bytes != int64(len("identical bytes")) {
-		t.Fatalf("shared blob double-counted: %+v", st)
+	if st := s.Stats(); st.Bytes != 2*int64(len("identical bytes")) {
+		t.Fatalf("stats = %+v, want each key's bytes counted", st)
 	}
 	s.EvictModel("", map[string]bool{"sharea": true})
-	if _, _, _, _, ok := s.Get(b); !ok {
-		t.Fatal("shared blob unlinked while still referenced")
+	if data, _, _, _, ok := s.Get(b); !ok || string(data) != "identical bytes" {
+		t.Fatalf("Get(b) = %q, %v after evicting a", data, ok)
 	}
 }
 
@@ -244,7 +270,7 @@ func TestEvictionsSurviveReopen(t *testing.T) {
 }
 
 // TestPutSameKeySameContentIsIdempotent: re-putting identical bytes under
-// an existing key neither duplicates rows nor grows the log's live state.
+// an existing key neither duplicates rows nor rewrites its file.
 func TestPutSameKeySameContentIsIdempotent(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	key := machineKey("commit", "idem", "text")
@@ -256,7 +282,7 @@ func TestPutSameKeySameContentIsIdempotent(t *testing.T) {
 }
 
 // TestPutReplacesChangedContent: a key re-put with different bytes serves
-// the new bytes, and the orphaned old blob is accounted out.
+// the new bytes, and the old bytes are accounted out.
 func TestPutReplacesChangedContent(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	key := machineKey("m", "replaced", "efsm")
@@ -318,9 +344,9 @@ func TestIngestVerifiesContent(t *testing.T) {
 }
 
 // TestConcurrentIngestSameBlob: many writers racing to ingest the same
-// content-addressed blob — under the same key and under a second key
-// sharing the bytes — must leave a consistent index: one entry per key,
-// the shared blob's bytes counted once, and a clean replay on reopen.
+// bytes — under the same key and under a second key — must leave a
+// consistent store: one entry and one file per key, each key's bytes
+// counted, and a clean reopen.
 func TestConcurrentIngestSameBlob(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
@@ -356,8 +382,8 @@ func TestConcurrentIngestSameBlob(t *testing.T) {
 	if st.Entries != 2 {
 		t.Fatalf("entries = %d, want 2 (one per key)", st.Entries)
 	}
-	if st.Bytes != int64(len(data)) {
-		t.Fatalf("bytes = %d, want %d (shared blob counted once)", st.Bytes, len(data))
+	if st.Bytes != 2*int64(len(data)) {
+		t.Fatalf("bytes = %d, want %d (each key's bytes)", st.Bytes, 2*len(data))
 	}
 	for _, key := range []Key{keyA, keyB} {
 		got, gotSum, _, _, ok := s.Get(key)
@@ -370,8 +396,11 @@ func TestConcurrentIngestSameBlob(t *testing.T) {
 	}
 
 	reopened := mustOpen(t, dir)
-	if st := reopened.Stats(); st.Entries != 2 || st.Bytes != int64(len(data)) {
+	if st := reopened.Stats(); st.Entries != 2 || st.Bytes != 2*int64(len(data)) {
 		t.Fatalf("reopened stats = %+v", st)
+	}
+	if n := artefactFiles(t, dir); n != 2 {
+		t.Fatalf("%d artefact files, want 2", n)
 	}
 }
 
@@ -392,8 +421,8 @@ func diskBytes(t *testing.T, dir string) int64 {
 }
 
 // TestStoreDiskStaysBoundedUnderLimit: under a byte limit the directory
-// holds the live blobs plus one small key file each, however many puts
-// came before.
+// holds the live artefacts, a small header each, however many puts came
+// before.
 func TestStoreDiskStaysBoundedUnderLimit(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
@@ -409,30 +438,35 @@ func TestStoreDiskStaysBoundedUnderLimit(t *testing.T) {
 	}
 }
 
-// TestOpenDropsUnreadableKeyFiles: a torn key file and a key file naming
-// a missing blob are removed at Open, and the other keys are served.
+// TestOpenDropsUnreadableKeyFiles: a file whose header is torn, one
+// whose body is shorter than its header says, and one whose name is no
+// key are removed at Open, and the other keys are served.
 func TestOpenDropsUnreadableKeyFiles(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
 	torn := machineKey("commit", "torn", "text")
-	put(t, s, torn, "torn key file")
-	orphan := machineKey("commit", "orphan", "text")
-	sum := put(t, s, orphan, "blob removed")
+	put(t, s, torn, "torn header")
+	short := machineKey("commit", "short", "text")
+	put(t, s, short, "truncated body")
 	keep := machineKey("commit", "keep", "text")
 	put(t, s, keep, "kept")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tornPath := filepath.Join(dir, "keys", torn.Fingerprint+"."+torn.Format)
-	data, err := os.ReadFile(tornPath)
-	if err != nil {
-		t.Fatal(err)
+	for key, cut := range map[Key]func([]byte) []byte{
+		torn:  func(b []byte) []byte { return b[:bytes.IndexByte(b, '\n')/2] },
+		short: func(b []byte) []byte { return b[:len(b)-1] },
+	} {
+		data, err := os.ReadFile(artefactPath(dir, key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(artefactPath(dir, key), cut(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.WriteFile(tornPath, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	hexSum := hex.EncodeToString(sum[:])
-	if err := os.Remove(filepath.Join(dir, "blobs", hexSum[:2], hexSum[2:])); err != nil {
+	noKey := filepath.Join(dir, "artefacts", "README")
+	if err := os.WriteFile(noKey, []byte("not an artefact"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -443,51 +477,137 @@ func TestOpenDropsUnreadableKeyFiles(t *testing.T) {
 	if data, _, _, _, ok := reopened.Get(keep); !ok || string(data) != "kept" {
 		t.Fatalf("Get(keep) = %q, %v", data, ok)
 	}
-	for _, key := range []Key{torn, orphan} {
-		if _, err := os.Stat(filepath.Join(dir, "keys", key.Fingerprint+"."+key.Format)); !os.IsNotExist(err) {
-			t.Fatalf("key file of %s survived Open: %v", key.Fingerprint, err)
-		}
-	}
-}
-
-// TestOpenRemovesUnnamedBlobs: a blob no key names and a crashed put's
-// temporary file are removed at Open; a named blob stays.
-func TestOpenRemovesUnnamedBlobs(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
-	key := machineKey("commit", "named", "text")
-	sum := put(t, s, key, "named bytes")
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	named := hex.EncodeToString(sum[:])
-	orphanSum := sha256.Sum256([]byte("nobody names me"))
-	orphan := hex.EncodeToString(orphanSum[:])
-	leftovers := []string{
-		filepath.Join(dir, "blobs", orphan[:2], orphan[2:]),
-		filepath.Join(dir, "blobs", named[:2], ".tmp-crash"),
-	}
-	for _, path := range leftovers {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte("nobody names me"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	reopened := mustOpen(t, dir)
-	for _, path := range leftovers {
+	for _, path := range []string{artefactPath(dir, torn), artefactPath(dir, short), noKey} {
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Fatalf("%s survived Open: %v", path, err)
 		}
 	}
+}
+
+// TestOpenRemovesLeftovers: Open removes a crashed put's temporary file
+// and everything the layout of blobs plus key files left (blobs/, keys/
+// and the index log before them), and nothing outside its directory; an
+// artefact file stays.
+func TestOpenRemovesLeftovers(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "store")
+	s := mustOpen(t, dir)
+	key := machineKey("commit", "named", "text")
+	put(t, s, key, "named bytes")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	outside := filepath.Join(root, "outside")
+	orphanSum := sha256.Sum256([]byte("nobody names me"))
+	orphan := hex.EncodeToString(orphanSum[:])
+	leftovers := map[string]string{
+		filepath.Join(dir, "blobs", orphan[:2], orphan[2:]):   "nobody names me",
+		filepath.Join(dir, "blobs", orphan[:2], ".tmp-crash"): "partial",
+		filepath.Join(dir, "keys", "aa.text"):                 `{"model":"commit","param":4,"sum":"` + orphan + `","size":15,"seq":1}`,
+		filepath.Join(dir, "index.log"):                       `{"op":"put","model":"commit","param":4,"format":"text","fp":"aa","sum":"` + orphan + `","size":15}` + "\n",
+		filepath.Join(dir, "artefacts", ".tmp-12345"):         "partial",
+		filepath.Join(outside, "kept"):                        "outside the store",
+	}
+	for path, content := range leftovers {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A link out of blobs/ is removed, not followed.
+	if err := os.Symlink(outside, filepath.Join(dir, "blobs", "escape")); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened := mustOpen(t, dir)
+	for _, gone := range []string{"blobs", "keys", "index.log", filepath.Join("artefacts", ".tmp-12345")} {
+		if _, err := os.Lstat(filepath.Join(dir, gone)); !os.IsNotExist(err) {
+			t.Errorf("%s survived Open: %v", gone, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(outside, "kept")); err != nil {
+		t.Errorf("a file outside the store: %v", err)
+	}
 	if data, _, _, _, ok := reopened.Get(key); !ok || string(data) != "named bytes" {
-		t.Fatalf("Get = %q, %v: the named blob did not survive Open", data, ok)
+		t.Fatalf("Get = %q, %v: the artefact did not survive Open", data, ok)
+	}
+	if n := artefactFiles(t, dir); n != 1 {
+		t.Fatalf("%d artefact files, want 1", n)
 	}
 }
 
-// TestPutRefusesKeysThatNameNoFile: a key names a file inside keys/, so a
+// TestOpenAfterEachPutStep: a put writes a temporary file, then renames
+// it over the key's file. Whichever of those steps a crash stops after,
+// the reopened store serves the key's earlier bytes or the new ones,
+// verified, and keeps one file for it; a first put of a key that stops
+// before its rename leaves nothing.
+func TestOpenAfterEachPutStep(t *testing.T) {
+	key := machineKey("commit", "steps", "text")
+	const earlier, later = "the earlier version", "the version being put"
+	// The key's file after a put of each version.
+	scratch := t.TempDir()
+	s := mustOpen(t, scratch)
+	var files [2][]byte
+	for i, content := range []string{earlier, later} {
+		put(t, s, key, content)
+		var err error
+		if files[i], err = os.ReadFile(artefactPath(scratch, key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oldFile, newFile := files[0], files[1]
+	headerLen := bytes.IndexByte(newFile, '\n') + 1
+
+	for _, step := range []struct {
+		name      string
+		file, tmp []byte // the key's file and the temporary file; nil when absent
+		want      string // "" for no entry
+	}{
+		{"temporary file created", oldFile, []byte{}, earlier},
+		{"header written", oldFile, newFile[:headerLen], earlier},
+		{"part of the body written", oldFile, newFile[:headerLen+3], earlier},
+		{"temporary file complete", oldFile, newFile, earlier},
+		{"renamed", newFile, nil, later},
+		{"first put, temporary file complete", nil, newFile, ""},
+	} {
+		t.Run(step.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for path, content := range map[string][]byte{
+				artefactPath(dir, key):                    step.file,
+				filepath.Join(dir, "artefacts", ".tmp-1"): step.tmp,
+			} {
+				if content == nil {
+					continue
+				}
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, content, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := mustOpen(t, dir)
+			data, sum, _, _, ok := s.Get(key)
+			switch {
+			case step.want == "" && (ok || s.Len() != 0):
+				t.Fatalf("Get = %q, %v; Len = %d: want no entry", data, ok, s.Len())
+			case step.want != "" && (!ok || string(data) != step.want || sum != sha256.Sum256(data)):
+				t.Fatalf("Get = %q, %v; want %q", data, ok, step.want)
+			}
+			want := 1
+			if step.want == "" {
+				want = 0
+			}
+			if n := artefactFiles(t, dir); n != want {
+				t.Fatalf("%d files in artefacts/ after Open, want %d", n, want)
+			}
+		})
+	}
+}
+
+// TestPutRefusesKeysThatNameNoFile: a key names a file inside artefacts/, so a
 // fingerprint or format that is not a plain [a-z0-9-]+ segment is refused
 // by Put and by Ingest, whose keys come from peers, before anything is
 // written.
@@ -518,7 +638,7 @@ func TestPutRefusesKeysThatNameNoFile(t *testing.T) {
 	}
 }
 
-// TestRecencySurvivesReopen: each key file carries its write sequence, so
+// TestRecencySurvivesReopen: each file's header carries its write sequence, so
 // a reopened store evicts the oldest write first.
 func TestRecencySurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
