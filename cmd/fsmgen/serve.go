@@ -6,7 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux
 	"strings"
 	"time"
 
@@ -46,7 +46,6 @@ func runServe(args []string, stdout io.Writer) error {
 		nodeID     = fs.String("node-id", "", "stable node name hashed onto the ring (default: the advertised URL)")
 		advertise  = fs.String("advertise", "", "base URL peers reach this node at (default: http://<addr's host, or localhost>:<bound port>)")
 		replicas   = fs.Int("replicas", 2, "successor-list length s: each artifact is pushed to its owner's next s ring successors (cluster mode)")
-		seed       = fs.Int64("cluster-seed", 1, "seed for gossip target selection (cluster mode)")
 		debugAddr  = fs.String("debug-addr", "", "listen address for net/http/pprof's /debug/pprof/ routes, apart from -addr (empty = off)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -64,7 +63,9 @@ func runServe(args []string, stdout io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("debug listener: %w", err)
 		}
-		debug := &http.Server{Handler: debugHandler(), ReadHeaderTimeout: 10 * time.Second}
+		// Only this listener serves http.DefaultServeMux; the public one
+		// serves api's own mux.
+		debug := &http.Server{Handler: http.DefaultServeMux, ReadHeaderTimeout: 10 * time.Second}
 		go debug.Serve(dln) // returns once Close stops it; a failed debug listener leaves the public one up
 		defer debug.Close()
 		fmt.Fprintf(stdout, "fsmgen serve: pprof on %s\n", dln.Addr())
@@ -106,7 +107,7 @@ func runServe(args []string, stdout io.Writer) error {
 			ID:       id,
 			URL:      url,
 			Replicas: *replicas,
-			Seed:     *seed,
+			Seed:     1,
 			Clock:    cluster.NewRealClock(),
 			Log:      cluster.NewBoundedLog(256),
 			Peers:    splitList(*peers),
@@ -152,19 +153,6 @@ func advertised(addr string, bound net.Addr) string {
 	}
 	_, port, _ := net.SplitHostPort(bound.String())
 	return "http://" + net.JoinHostPort(host, port)
-}
-
-// debugHandler routes net/http/pprof's handlers. That package registers
-// them on http.DefaultServeMux as well, which nothing here serves: the
-// public handler is api's own mux.
-func debugHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
 }
 
 // splitList splits a comma-separated flag value, dropping empty items.

@@ -16,7 +16,7 @@ import (
 
 // TestProfilesStayOffThePublicListener: the binary links net/http/pprof,
 // and still the public /v1 handler answers 404 for its paths; the
-// profiles are on the debug handler, which -debug-addr serves on a
+// profiles are on http.DefaultServeMux, which -debug-addr serves on a
 // listener of its own.
 func TestProfilesStayOffThePublicListener(t *testing.T) {
 	get := func(h http.Handler, path string) *httptest.ResponseRecorder {
@@ -30,11 +30,11 @@ func TestProfilesStayOffThePublicListener(t *testing.T) {
 			t.Errorf("public GET %s = %d, want 404", path, rec.Code)
 		}
 	}
-	rec := get(debugHandler(), "/debug/pprof/")
+	rec := get(http.DefaultServeMux, "/debug/pprof/")
 	if body, _ := io.ReadAll(rec.Body); rec.Code != http.StatusOK || !strings.Contains(string(body), "goroutine") {
 		t.Errorf("debug GET /debug/pprof/ = %d\n%.200s", rec.Code, body)
 	}
-	if rec := get(debugHandler(), "/debug/pprof/heap?debug=1"); rec.Code != http.StatusOK {
+	if rec := get(http.DefaultServeMux, "/debug/pprof/heap?debug=1"); rec.Code != http.StatusOK {
 		t.Errorf("debug GET /debug/pprof/heap = %d", rec.Code)
 	}
 }

@@ -212,16 +212,24 @@ func NewHandler(p *artifact.Pipeline, opts ...HandlerOption) *Handler {
 		h.routes = slices.DeleteFunc(h.routes, func(r Route) bool { return r.writes })
 	}
 	h.mux = http.NewServeMux()
-	byPattern := map[string][]Route{}
-	var patterns []string
+	allowed := map[string][]string{} // each pattern's methods, in route order
 	for _, route := range h.routes {
-		if _, seen := byPattern[route.Pattern]; !seen {
-			patterns = append(patterns, route.Pattern)
+		// The mux answers HEAD with the GET route.
+		h.mux.HandleFunc(route.Method+" "+route.Pattern, route.handler)
+		if allowed[route.Pattern] == nil {
+			// The method-less pattern takes the methods the path lacks,
+			// which the mux would answer in plain text.
+			h.mux.HandleFunc(route.Pattern, func(w http.ResponseWriter, r *http.Request) {
+				allow := strings.Join(allowed[route.Pattern], ", ")
+				w.Header().Set("Allow", allow)
+				writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
+					fmt.Sprintf("method %s not allowed on %s (allow: %s)", r.Method, route.Pattern, allow))
+			})
 		}
-		byPattern[route.Pattern] = append(byPattern[route.Pattern], route)
-	}
-	for _, pattern := range patterns {
-		h.mux.HandleFunc(pattern, methodDispatch(byPattern[pattern]))
+		allowed[route.Pattern] = append(allowed[route.Pattern], route.Method)
+		if route.Method == http.MethodGet {
+			allowed[route.Pattern] = append(allowed[route.Pattern], http.MethodHead)
+		}
 	}
 	// Unmatched paths get the JSON envelope rather than the mux's plain
 	// text 404.
@@ -235,32 +243,6 @@ func NewHandler(p *artifact.Pipeline, opts ...HandlerOption) *Handler {
 // ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
-}
-
-// methodDispatch selects among the routes sharing one pattern by request
-// method (HEAD is served by the GET route), answering unsupported methods
-// 405 with an Allow header and the JSON error envelope.
-func methodDispatch(routes []Route) http.HandlerFunc {
-	var allowed []string
-	for _, route := range routes {
-		allowed = append(allowed, route.Method)
-		if route.Method == http.MethodGet {
-			allowed = append(allowed, http.MethodHead)
-		}
-	}
-	allow := strings.Join(allowed, ", ")
-	return func(w http.ResponseWriter, r *http.Request) {
-		for _, route := range routes {
-			if r.Method != route.Method && !(route.Method == http.MethodGet && r.Method == http.MethodHead) {
-				continue
-			}
-			route.handler(w, r)
-			return
-		}
-		w.Header().Set("Allow", allow)
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
-			fmt.Sprintf("method %s not allowed on %s (allow: %s)", r.Method, routes[0].Pattern, allow))
-	}
 }
 
 // modelInfo is the wire representation of a registry entry.
@@ -559,29 +541,22 @@ type errorBody struct {
 	Message string `json:"message"`
 }
 
-// bufPool recycles the encode buffers behind every JSON response, so the
-// serve path's envelope writes stop allocating a fresh buffer per request
-// and every JSON response carries an exact Content-Length.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// writeJSONStatus encodes v through a pooled buffer and writes it with
-// the given status (0 means 200 via the implicit WriteHeader).
+// writeJSONStatus encodes v, indented and newline-terminated, and writes
+// it with an exact Content-Length and the given status (0 means 200 via
+// the implicit WriteHeader).
 func writeJSONStatus(w http.ResponseWriter, status int, v any) {
-	buf := bufPool.Get().(*bytes.Buffer)
-	defer bufPool.Put(buf)
-	buf.Reset()
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	body = append(body, '\n')
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	if status != 0 {
 		w.WriteHeader(status)
 	}
-	w.Write(buf.Bytes())
+	w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, status int, code, message string) {

@@ -557,7 +557,7 @@ func (c countedConn) Write(p []byte) (int, error) {
 // rawExchange sends one request on a fresh connection, the body in one
 // piece while the response is read, and returns the status line, the
 // header block and the body read to EOF.
-func rawExchange(t *testing.T, addr, proto, path, body string) (status string, header http.Header, payload string) {
+func rawExchange(t *testing.T, addr, method, proto, path, body string) (status string, header http.Header, payload string) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -565,7 +565,7 @@ func rawExchange(t *testing.T, addr, proto, path, body string) (status string, h
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	go io.WriteString(conn, "POST "+path+" "+proto+"\r\nHost: x\r\nContent-Length: "+
+	go io.WriteString(conn, method+" "+path+" "+proto+"\r\nHost: x\r\nContent-Length: "+
 		strconv.Itoa(len(body))+"\r\n\r\n"+body)
 	raw, err := io.ReadAll(conn)
 	if err != nil {
@@ -616,7 +616,7 @@ func TestCheckRouteWireFraming(t *testing.T) {
 	for _, proto := range []string{"HTTP/1.1", "HTTP/1.0"} {
 		flushes.Store(0)
 		writes.Store(0)
-		status, header, got := rawExchange(t, ts.Listener.Addr().String(), proto, path, body.String())
+		status, header, got := rawExchange(t, ts.Listener.Addr().String(), http.MethodPost, proto, path, body.String())
 		if !strings.HasSuffix(status, " 200 OK") {
 			t.Fatalf("%s: status line %q", proto, status)
 		}

@@ -133,14 +133,8 @@ func (h *Handler) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 // membership view; a push (the default kind) is answered with this
 // node's view, completing the push-pull exchange in one round trip.
 func (h *Handler) handleClusterGossip(w http.ResponseWriter, r *http.Request) {
-	if h.cluster == nil {
-		writeError(w, http.StatusNotFound, CodeNotClustered,
-			"this server is not running in cluster mode (-cluster)")
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxClusterBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadClusterPayload, err.Error())
+	body, ok := h.readClusterBody(w, r)
+	if !ok {
 		return
 	}
 	kind := cluster.KindGossip
@@ -165,14 +159,8 @@ func (h *Handler) handleClusterGossip(w http.ResponseWriter, r *http.Request) {
 // artefact blob, verified against its advertised sum before it lands in
 // this node's store.
 func (h *Handler) handleClusterIngest(w http.ResponseWriter, r *http.Request) {
-	if h.cluster == nil {
-		writeError(w, http.StatusNotFound, CodeNotClustered,
-			"this server is not running in cluster mode (-cluster)")
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxClusterBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadClusterPayload, err.Error())
+	body, ok := h.readClusterBody(w, r)
+	if !ok {
 		return
 	}
 	if _, err := h.cluster.Handle(cluster.KindPropagate, body, r.RemoteAddr); err != nil {
@@ -180,4 +168,22 @@ func (h *Handler) handleClusterIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// readClusterBody reads the body of a cluster-internal POST, at most
+// maxClusterBytes of it. On false the error response is written: 404 on a
+// server outside cluster mode, 400 for a body that is too large or fails
+// to arrive.
+func (h *Handler) readClusterBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	if h.cluster == nil {
+		writeError(w, http.StatusNotFound, CodeNotClustered,
+			"this server is not running in cluster mode (-cluster)")
+		return nil, false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxClusterBytes))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadClusterPayload, "read cluster body: "+err.Error())
+		return nil, false
+	}
+	return body, true
 }

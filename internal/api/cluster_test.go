@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -251,6 +253,27 @@ func TestClusterIngestStaysInTheStore(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestClusterRefusesAnOversizeBody: a gossip or propagation body one byte
+// over maxClusterBytes is refused as too large, not cut at the bound and
+// then reported as malformed JSON.
+func TestClusterRefusesAnOversizeBody(t *testing.T) {
+	_, node := startClusterNode(t, "node-a", nil)
+	h := NewHandler(artifact.New(), WithCluster(node))
+	body := bytes.Repeat([]byte(" "), maxClusterBytes+1)
+	for _, path := range []string{"/v1/cluster/gossip", "/v1/cluster/artifacts"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("POST %s = %d, want 400", path, rec.Code)
+			continue
+		}
+		env := envelope(t, rec.Body.String())
+		if env.Code != CodeBadClusterPayload || !strings.Contains(env.Message, "too large") {
+			t.Errorf("POST %s: %+v, want %s saying the body is too large", path, env, CodeBadClusterPayload)
+		}
+	}
 }
 
 // TestClusterTakesNoRegistryWrite: a clustered node serves no registry

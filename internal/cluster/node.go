@@ -13,6 +13,9 @@ import (
 	"asagen/internal/chord"
 )
 
+// gossipFanout is the number of gossip targets per round.
+const gossipFanout = 3
+
 // Config parameterises one cluster node.
 type Config struct {
 	// ID is the node's stable name; its hash is its ring position.
@@ -32,8 +35,6 @@ type Config struct {
 	// DeadAfter is the silence span after which a suspect is declared
 	// dead and evicted from the ring.
 	DeadAfter time.Duration
-	// Fanout is the number of gossip targets per round.
-	Fanout int
 	// Peers are seed base URLs contacted until their nodes appear in
 	// the membership view.
 	Peers []string
@@ -123,9 +124,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.DeadAfter <= cfg.SuspectAfter {
 		cfg.DeadAfter = 3 * cfg.SuspectAfter
-	}
-	if cfg.Fanout < 1 {
-		cfg.Fanout = 3
 	}
 	oracle, err := NewOracle(cfg.Replicas)
 	if err != nil {
@@ -371,11 +369,11 @@ func (n *Node) gossipTargetsLocked() []string {
 		}
 	}
 	candidates = append(candidates, sortedKeys(n.seeds)...)
-	if len(candidates) <= n.cfg.Fanout {
+	if len(candidates) <= gossipFanout {
 		return candidates
 	}
-	picked := make([]string, 0, n.cfg.Fanout)
-	for _, i := range n.rng.Perm(len(candidates))[:n.cfg.Fanout] {
+	picked := make([]string, 0, gossipFanout)
+	for _, i := range n.rng.Perm(len(candidates))[:gossipFanout] {
 		picked = append(picked, candidates[i])
 	}
 	return picked
